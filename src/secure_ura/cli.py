@@ -6,7 +6,8 @@ Subcommands:
   selftest  run the built-in invariant suites
   leakage   analytic equivocation report, no link simulation
 
-Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 I/O error,
+4 a trial raised (the message names the trial and the cause).
 """
 
 import argparse
@@ -16,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, SystemConfig, desk_scale, load_config
-from .harness import (emit_csv, equivocation_lower, run_point, run_sweep,
-                      selftest, split_power_budget)
+from .harness import (TrialError, emit_csv, equivocation_lower, run_point,
+                      run_sweep, selftest, split_power_budget)
 from .leakage import leakage_eigen
 from .params import generate_public_params
 from .rng import complex_normal, stream
@@ -152,6 +153,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except TrialError as exc:
+        print(f"trial error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint():

@@ -37,6 +37,30 @@ def default_crc_poly(width: int) -> int:
     return _CRC_POLYS.get(width, (1 << width) | 0b11)
 
 
+@lru_cache(maxsize=16)
+def _crc_matrix(poly: int, width: int, length: int) -> np.ndarray:
+    """(length, width) GF(2) matrix whose row i is the CRC of unit word e_i.
+
+    The CRC is the shift-register remainder, which carries an implicit
+    x^width factor, i.e. poly(bits) * x^width mod g.  The factor is
+    invertible mod g, so a zero syndrome still means a valid codeword.
+    Row i is the register after clocking in a 1 and then length-1-i zeros.
+    """
+    taps = np.array([(poly >> (width - 1 - i)) & 1 for i in range(width)],
+                    dtype=np.int64)
+    rows = np.empty((length, width), dtype=np.int64)
+    reg = taps.copy()
+    for i in range(length - 1, -1, -1):
+        rows[i] = reg
+        fb = reg[0]
+        reg[:-1] = reg[1:]
+        reg[-1] = 0
+        if fb:
+            reg ^= taps
+    rows.flags.writeable = False
+    return rows
+
+
 class Crc:
     """Bitwise CRC over GF(2), realized as matrix products for batched use."""
 
@@ -45,54 +69,17 @@ class Crc:
             raise ValueError(f"polynomial 0x{poly:X} does not have degree {width}")
         self.poly = poly
         self.width = width
-        self._poly_bits = np.array([(poly >> (width - 1 - i)) & 1
-                                    for i in range(width)], dtype=np.uint8)
-
-    def _remainder(self, bits: np.ndarray) -> np.ndarray:
-        # shift-register division; the result carries an implicit x^width
-        # factor, i.e. this returns poly(bits) * x^width mod g
-        reg = np.zeros(self.width, dtype=np.uint8)
-        for b in bits:
-            fb = b ^ reg[0]
-            reg[:-1] = reg[1:]
-            reg[-1] = 0
-            if fb:
-                reg ^= self._poly_bits
-        return reg
-
-    @lru_cache(maxsize=8)
-    def _encode_matrix(self, k: int) -> np.ndarray:
-        rows = np.empty((k, self.width), dtype=np.uint8)
-        word = np.zeros(k, dtype=np.uint8)
-        for i in range(k):
-            word[:] = 0
-            word[i] = 1
-            rows[i] = self._remainder(word)
-        return rows
-
-    @lru_cache(maxsize=8)
-    def _check_matrix(self, total: int) -> np.ndarray:
-        # the common x^width factor is invertible mod g, so zero-syndrome
-        # detection is unaffected by it
-        rows = np.empty((total, self.width), dtype=np.uint8)
-        word = np.zeros(total, dtype=np.uint8)
-        for i in range(total):
-            word[:] = 0
-            word[i] = 1
-            rows[i] = self._remainder(word)
-        return rows
 
     def parity(self, payload: np.ndarray) -> np.ndarray:
         """CRC bits of (batched) payloads."""
         payload = np.asarray(payload, dtype=np.uint8)
-        G = self._encode_matrix(payload.shape[-1])
-        return (payload.astype(np.int64) @ G.astype(np.int64) % 2).astype(np.uint8)
+        G = _crc_matrix(self.poly, self.width, payload.shape[-1])
+        return (payload @ G % 2).astype(np.uint8)
 
     def check(self, word: np.ndarray) -> np.ndarray:
         """True where a (batched) payload+CRC word has zero syndrome."""
         word = np.asarray(word, dtype=np.uint8)
-        M = self._check_matrix(word.shape[-1])
-        syn = word.astype(np.int64) @ M.astype(np.int64) % 2
+        syn = word @ _crc_matrix(self.poly, self.width, word.shape[-1]) % 2
         return ~np.any(syn, axis=-1)
 
 

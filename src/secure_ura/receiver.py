@@ -23,6 +23,8 @@ from .params import PublicParams
 from .transmitter import index_to_bits
 
 OMP_RESIDUAL_THRESHOLD = 0.05
+#: deferred rank-1 updates of the OMP correlation matrix applied per flush
+OMP_FLUSH_EVERY = 16
 
 
 @dataclass
@@ -76,6 +78,13 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
     and stops after max_atoms picks or when the residual energy fraction
     drops below res_threshold.  Returns (pilot_index, channel_estimate)
     pairs from a final least-squares fit over the selected set.
+
+    The per-atom residual energies e_j = ||gamma_j||^2 are updated in place
+    of being recomputed: a step subtracts u r from gamma, so
+    e_j <- e_j - 2 Re(conj(r_j) u^H gamma_j) + |r_j|^2 ||u||^2
+    (the Gram-column idea of Batch-OMP, applied to the energies only).
+    The rank-1 updates of gamma itself are deferred and applied
+    OMP_FLUSH_EVERY at a time.
     """
     M, n_obs = Y.shape
     energy0 = float(np.sum(np.abs(Y) ** 2))
@@ -85,37 +94,63 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
         atom_norms = np.linalg.norm(P, axis=1)
     # correlation with every atom; (P @ Y^H)^H avoids materializing P^H
     gamma = (P @ Y.conj().T).conj().T            # (M, 2^Bp)
-    safe_norms = np.where(atom_norms > 0, atom_norms, 1.0)
+    energy = np.sum(gamma.real ** 2 + gamma.imag ** 2, axis=0)
+    # ranking on e_j / ||p_j||^2 picks the same atom as ||gamma_j|| / ||p_j||
+    inv_norm2 = np.zeros_like(atom_norms)
+    np.divide(1.0, atom_norms ** 2, out=inv_norm2, where=atom_norms > 0)
+    metric = np.empty_like(energy)
 
-    selected: list[int] = []
-    Q = np.zeros((0, P.shape[1]), dtype=np.complex128)
+    # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
+    max_atoms = min(max_atoms, n_obs)
+    selected = np.empty(max_atoms, dtype=np.intp)
+    Q = np.empty((max_atoms, n_obs), dtype=np.complex128)
+    Qc = np.empty_like(Q)                        # Q.conj(), kept row by row
+    U = np.empty((OMP_FLUSH_EVERY, M), dtype=np.complex128)
+    R = np.empty((OMP_FLUSH_EVERY, P.shape[0]), dtype=np.complex128)
+    pending = 0                                  # rows of U, R not yet in gamma
+    k = 0
     res_energy = energy0
-    for _ in range(max_atoms):
+    while k < max_atoms:
         if res_energy / energy0 < res_threshold:
             break
-        metric = np.linalg.norm(gamma, axis=0)
-        metric = np.where(atom_norms > 0, metric / safe_norms, 0.0)
-        if selected:
-            metric[selected] = -1.0
+        np.multiply(energy, inv_norm2, out=metric)
+        metric[selected[:k]] = -1.0
         j = int(np.argmax(metric))
         if metric[j] <= 0.0:
             break
         p = P[j]
-        q = p - (Q.conj() @ p) @ Q
-        q = q - (Q.conj() @ q) @ Q               # re-orthogonalize
+        q = p - (Qc[:k] @ p) @ Q[:k]
+        q = q - (Qc[:k] @ q) @ Q[:k]             # re-orthogonalize
         nq = np.linalg.norm(q)
         if nq <= 1e-12 * max(1.0, np.linalg.norm(p)):
             break
         q /= nq
         u = Y @ q.conj()                         # (M,)
         r = (P @ q.conj()).conj()                # q @ P^H, (2^Bp,)
-        gamma -= np.outer(u, r)
-        res_energy = max(res_energy - float(np.sum(np.abs(u) ** 2)), 0.0)
-        Q = np.vstack([Q, q])
-        selected.append(j)
+        u_energy = float(np.sum(np.abs(u) ** 2))
+        res_energy = max(res_energy - u_energy, 0.0)
+        Q[k], Qc[k] = q, q.conj()
+        selected[k] = j
+        k += 1
+        if k == max_atoms or res_energy / energy0 < res_threshold:
+            break                                # no later pick reads energy
 
-    if not selected:
+        uh = u.conj()
+        ug = uh @ gamma                          # u^H gamma, before this step
+        if pending:
+            ug -= (U[:pending] @ uh) @ R[:pending]
+        ug *= r.conj()
+        energy -= 2.0 * ug.real
+        energy += u_energy * (r.real ** 2 + r.imag ** 2)
+        U[pending], R[pending] = u, r
+        pending += 1
+        if pending == OMP_FLUSH_EVERY:
+            gamma -= U.T @ R
+            pending = 0
+
+    if not k:
         return []
+    selected = selected[:k].tolist()
     A = P[selected]
     B = Y @ A.conj().T                           # (M, k)
     G = A @ A.conj().T                           # (k, k)
@@ -216,7 +251,6 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
     """
     Y_pp = np.concatenate([frame.y_p, frame.y_d], axis=1)
     residual = Y_pp.copy()
-    atom_norms = np.linalg.norm(params.P, axis=1)
 
     users: list[DetectedUser] = []
     sig_rows: list[np.ndarray] = []
@@ -226,7 +260,7 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
     for _ in range(cfg.max_outer_iters):
         detections = omp_detect(residual[:, :cfg.np], params.P,
                                 cfg.omp_batch_effective,
-                                OMP_RESIDUAL_THRESHOLD, atom_norms)
+                                OMP_RESIDUAL_THRESHOLD, params.atom_norms)
         new_users = []
         if detections:
             Hd = np.stack([h for _, h in detections], axis=1)

@@ -71,6 +71,17 @@ def test_io_error_exit_code(mini_file, tmp_path):
     assert code == 3
 
 
+def test_trial_error_exit_code(tmp_path, capsys):
+    # no downlink power and no feedback noise: the feedback estimate has
+    # (numerically) zero variance and the key stage raises inside trial 0
+    bad = tmp_path / "degenerate.cfg"
+    bad.write_text("M = 8\nE = 8\nPf = 0\nsigma_u2 = 1e-40\ntrials = 1\n")
+    assert main(["run", "--config", str(bad)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("trial error: trial 0: ")
+
+
 def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", "--no-such-flag"])

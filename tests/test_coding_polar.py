@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from secure_ura import Crc, PolarCode, bpsk_map, bpsk_power_check, default_crc_poly, polar_transform
+from secure_ura.polar import _crc_matrix
 
 from helpers import sc_decode_reference
 
@@ -93,7 +94,7 @@ def test_crc_detects_single_and_double_errors(big_code, rng):
     singles[np.arange(n), np.arange(n)] ^= 1
     assert not crc.check(singles).any()
     # all double flips, via syndrome-column distinctness
-    M = crc._check_matrix(n)
+    M = _crc_matrix(crc.poly, crc.width, n)
     cols = {tuple(row) for row in M.tolist()}
     assert len(cols) == n  # pairwise distinct -> every double error detected
     assert all(any(row) for row in M.tolist())

@@ -35,6 +35,8 @@ def test_pilot_row_norms(full_cfg, full_params):
     target = full_cfg.np * full_cfg.Pp
     assert full_params.P.shape == (4096, full_cfg.np)
     assert np.max(np.abs(norms2 - target)) < TOL * target
+    # the stored norms the receiver ranks atoms by are exactly these
+    assert np.array_equal(full_params.atom_norms, np.linalg.norm(full_params.P, axis=1))
 
 
 def test_keystream_matrix_shape(full_cfg, full_params):

@@ -69,6 +69,119 @@ def test_omp_residual_threshold_stops_early(mini_cfg, mini_params, rng):
     assert len(det) == 1
 
 
+def _omp_reference(Y, P, max_atoms, res_threshold=0.05, atom_norms=None):
+    """OMP that recomputes every atom's residual correlation at each step.
+
+    This is the direct form of the algorithm that omp_detect implements with
+    incrementally updated energies and deferred residual updates; both must
+    pick the same atoms in the same order and return the same estimates.
+    """
+    energy0 = float(np.sum(np.abs(Y) ** 2))
+    if energy0 == 0.0:
+        return []
+    if atom_norms is None:
+        atom_norms = np.linalg.norm(P, axis=1)
+    gamma = (P @ Y.conj().T).conj().T
+    safe_norms = np.where(atom_norms > 0, atom_norms, 1.0)
+    selected = []
+    Q = np.zeros((0, P.shape[1]), dtype=np.complex128)
+    res_energy = energy0
+    for _ in range(max_atoms):
+        if res_energy / energy0 < res_threshold:
+            break
+        metric = np.linalg.norm(gamma, axis=0)
+        metric = np.where(atom_norms > 0, metric / safe_norms, 0.0)
+        if selected:
+            metric[selected] = -1.0
+        j = int(np.argmax(metric))
+        if metric[j] <= 0.0:
+            break
+        p = P[j]
+        q = p - (Q.conj() @ p) @ Q
+        q = q - (Q.conj() @ q) @ Q
+        nq = np.linalg.norm(q)
+        if nq <= 1e-12 * max(1.0, np.linalg.norm(p)):
+            break
+        q /= nq
+        u = Y @ q.conj()
+        r = (P @ q.conj()).conj()
+        gamma -= np.outer(u, r)
+        res_energy = max(res_energy - float(np.sum(np.abs(u) ** 2)), 0.0)
+        Q = np.vstack([Q, q])
+        selected.append(j)
+    if not selected:
+        return []
+    A = P[selected]
+    B = Y @ A.conj().T
+    G = A @ A.conj().T
+    try:
+        H = np.linalg.solve(G.T, B.T).T
+    except np.linalg.LinAlgError:
+        H = B @ np.linalg.pinv(G)
+    return [(idx, H[:, i].copy()) for i, idx in enumerate(selected)]
+
+
+def _omp_codebook(rng, n_atoms, n_obs, zero_row):
+    P = _cn(rng, (n_atoms, n_obs))
+    P *= np.sqrt(n_obs * 0.3) / np.linalg.norm(P, axis=1, keepdims=True)
+    P[zero_row] = 0.0
+    return P
+
+
+def _omp_frame(rng, P, M, ka, noise, zero_row):
+    users = rng.choice(np.delete(np.arange(P.shape[0]), zero_row), ka, replace=False)
+    Y = _cn(rng, (M, ka)) @ P[users] + noise * _cn(rng, (M, P.shape[1]))
+    # the receiver passes a column slice of its residual, so do the same
+    return np.concatenate([Y, _cn(rng, (M, 3))], axis=1)[:, :P.shape[1]]
+
+
+def _assert_same_detections(got, want):
+    assert [i for i, _ in got] == [i for i, _ in want]
+    for (_, h_got), (_, h_want) in zip(got, want):
+        assert np.array_equal(h_got, h_want)
+
+
+def test_omp_matches_recomputing_reference_at_full_scale():
+    # M=50, 4096 atoms, 200 pilot symbols: up to 200 steps, so the deferred
+    # residual updates are flushed many times within one call
+    rng = np.random.default_rng(20240)
+    zero_row = 1234
+    P = _omp_codebook(rng, 4096, 200, zero_row)
+    norms = np.linalg.norm(P, axis=1)
+    steps = 0
+    # at noise 5 the residual threshold is reached late: Ka=100 takes ~170 steps
+    for ka, noise in [(ka, noise) for ka in [1, 10, 25, 50, 100] * 2
+                      for noise in (1.0, 5.0)]:
+        Y = _omp_frame(rng, P, 50, ka, noise, zero_row)
+        atoms = min(2 * ka, 200)
+        want = _omp_reference(Y, P, atoms, 0.05, norms)
+        got = omp_detect(Y, P, atoms, 0.05, norms)
+        _assert_same_detections(got, want)
+        assert zero_row not in [i for i, _ in got]
+        steps += len(got)
+    assert steps > 1000
+
+
+def test_omp_matches_reference_with_early_stop_and_cap_above_np():
+    rng = np.random.default_rng(20241)
+    zero_row = 5
+    P = _omp_codebook(rng, 4096, 200, zero_row)
+    # noiseless users: the residual threshold ends the search long before
+    # the atom cap
+    Y = _omp_frame(rng, P, 50, 30, 0.0, zero_row)
+    want = _omp_reference(Y, P, 200, 0.05)
+    assert 0 < len(want) < 200
+    _assert_same_detections(omp_detect(Y, P, 200, 0.05), want)
+    # more atoms allowed than there are pilot symbols: at most np can be
+    # picked, whatever the threshold
+    P = _omp_codebook(rng, 64, 32, zero_row)
+    for res_threshold in (0.0, 0.05, 0.5):
+        Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
+        want = _omp_reference(Y, P, 40, res_threshold)
+        assert len(want) <= 32
+        _assert_same_detections(omp_detect(Y, P, 40, res_threshold), want)
+
+
 # ---- MMSE LLRs ---------------------------------------------------------------
 
 
