@@ -7,11 +7,12 @@ reconciles each key from its transmitted parity.  An analytic bound tracks
 what the same transmissions leak to a passive eavesdropper.
 """
 
-from .channel import ReceivedFrame, UserChannels, feedback_observation, uplink
+from .channel import ReceivedFrame, feedback_observation, uplink
 from .config import ConfigError, SystemConfig, desk_scale, load_config
 from .crypto import Ciphertext, decrypt, encrypt, expand_key, split_ciphertext
 from .harness import (SweepResult, TrialError, TrialReport, emit_csv, read_csv,
-                      run_point, run_sweep, run_trial, selftest, split_power_budget)
+                      run_leakage, run_point, run_sweep, run_trial, selftest,
+                      split_power_budget)
 from .keys import (DegenerateFeedbackError, KeySegment, PrivateObservation,
                    build_key_segment, extract_key, make_private_observation,
                    standardize)

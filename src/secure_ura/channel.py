@@ -13,29 +13,18 @@ from .rng import complex_normal
 
 
 @dataclass(frozen=True)
-class UserChannels:
-    h: np.ndarray  # (M,) user -> BS
-    g: np.ndarray  # (E,) user -> eavesdropper
-
-
-@dataclass(frozen=True)
 class ReceivedFrame:
-    """One frame's observations, partitioned into the three uplink segments."""
-    y_p: np.ndarray    # (M, np)
-    y_d: np.ndarray    # (M, nc)
-    y_k: np.ndarray    # (M, ns - S)
-    eve_p: np.ndarray  # (E, np)
-    eve_d: np.ndarray  # (E, nc)
-    eve_k: np.ndarray  # (E, ns - S)
+    """The base station's frame, partitioned into the three uplink segments."""
+    y_p: np.ndarray  # (M, np)
+    y_d: np.ndarray  # (M, nc)
+    y_k: np.ndarray  # (M, ns - S)
 
     @classmethod
-    def from_uplink(cls, y_bs: np.ndarray, y_eve: np.ndarray,
-                    cfg: SystemConfig) -> "ReceivedFrame":
-        if y_bs.shape[1] != cfg.frame_len or y_eve.shape[1] != cfg.frame_len:
+    def from_uplink(cls, y_bs: np.ndarray, cfg: SystemConfig) -> "ReceivedFrame":
+        if y_bs.shape[1] != cfg.frame_len:
             raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {cfg.frame_len}")
         a, b = cfg.np, cfg.np + cfg.nc
-        return cls(y_p=y_bs[:, :a], y_d=y_bs[:, a:b], y_k=y_bs[:, b:],
-                   eve_p=y_eve[:, :a], eve_d=y_eve[:, a:b], eve_k=y_eve[:, b:])
+        return cls(y_p=y_bs[:, :a], y_d=y_bs[:, a:b], y_k=y_bs[:, b:])
 
 
 def feedback_observation(h: np.ndarray, V: np.ndarray, sigma_u2: float,
@@ -50,8 +39,7 @@ def uplink(X: np.ndarray, H: np.ndarray, sigma2: float,
            rng: np.random.Generator) -> np.ndarray:
     """Superimpose user signals through channel columns and add noise.
 
-    X holds one transmit signal per row, H one channel vector per column;
-    the same call with the eavesdropper's channel matrix produces its frame.
+    X holds one transmit signal per row, H one channel vector per column.
     """
     if H.shape[1] != X.shape[0]:
         raise ValueError(f"channel columns {H.shape[1]} != user rows {X.shape[0]}")

@@ -7,21 +7,16 @@ Subcommands:
   leakage   analytic equivocation report, no link simulation
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 I/O error,
-4 a trial raised (the message names the trial and the cause).
+4 a trial raised (the message names the trial, the stage and the cause).
 """
 
 import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import ConfigError, SystemConfig, desk_scale, load_config
-from .harness import (TrialError, emit_csv, equivocation_lower, run_point,
-                      run_sweep, selftest, split_power_budget)
-from .leakage import leakage_eigen
-from .params import generate_public_params
-from .rng import complex_normal, stream
+from .harness import (LEAKAGE_CSV_HEADER, TrialError, config_ratio, emit_csv,
+                      run_leakage, run_point, run_sweep, selftest, write_csv)
 
 
 def _int_list(text: str) -> list[int]:
@@ -111,30 +106,12 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_leakage(args) -> int:
     cfg = _load(args)
-    params = generate_public_params(cfg)
-    budget = cfg.key_budget
-    ratios = args.ratio
-    if ratios is None:
-        ratios = [cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf")]
-    rows = []
-    for ratio in ratios:
-        pa, pk = split_power_budget(budget, ratio)
-        zetas = []
-        for t in range(cfg.trials):
-            g = complex_normal(stream(cfg.seed, "eve-channel", t), (1, cfg.E))[0]
-            leak = leakage_eigen(g, params.C2, pk, pa, cfg.sigma_e2)
-            zetas.append(equivocation_lower(leak, cfg.S))
-        rows.append((ratio, pa, pk, float(np.mean(zetas))))
-        print(f"ratio={ratio:g} pa={pa:.6g} pk={pk:.6g} "
-              f"zeta_lower_mean={rows[-1][3]:.6g}")
+    ratios = args.ratio if args.ratio is not None else [config_ratio(cfg)]
+    rows = run_leakage(cfg, ratios)
+    for ratio, pa, pk, zeta in rows:
+        print(f"ratio={ratio:g} pa={pa:.6g} pk={pk:.6g} zeta_lower_mean={zeta:.6g}")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("ratio,pa,pk,zeta_lower_mean\n")
-                for ratio, pa, pk, z in rows:
-                    fh.write(f"{ratio:.12g},{pa:.12g},{pk:.12g},{z:.12g}\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {args.out}: {exc}") from exc
+        write_csv(args.out, LEAKAGE_CSV_HEADER, rows)
     return 0
 
 

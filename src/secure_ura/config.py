@@ -11,6 +11,10 @@ import os
 from dataclasses import dataclass, fields, replace
 
 ENV_SEED = "SECURE_URA_SEED"
+# The pilot codebook is 2^Bp rows of np complex128 entries, generated in full
+# before any trial runs; configurations whose codebook would exceed this many
+# bytes are rejected up front.
+PILOT_CODEBOOK_CAP_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -47,7 +51,6 @@ class SystemConfig:
     list_size: int = 8
     bp_iters: int = 50
     max_outer_iters: int = 8
-    omp_batch: int | None = None   # None = auto (2 * Ka)
     # Monte Carlo
     seed: int = 1
     trials: int = 50
@@ -81,10 +84,6 @@ class SystemConfig:
     def key_budget(self) -> float:
         return self.Pk + self.Pa
 
-    @property
-    def omp_batch_effective(self) -> int:
-        return self.omp_batch if self.omp_batch is not None else 2 * self.Ka
-
     # ---- validation ----------------------------------------------------
 
     def validate(self):
@@ -96,9 +95,6 @@ class SystemConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 fail(name, f"must be a positive integer, got {v!r}")
-        if self.omp_batch is not None and (not isinstance(self.omp_batch, int)
-                                           or self.omp_batch < 1):
-            fail("omp_batch", f"must be a positive integer, got {self.omp_batch!r}")
         for name in ("Pp", "Pc", "Pk", "Pa", "Pf"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -115,8 +111,11 @@ class SystemConfig:
             fail("S", f"must satisfy S < ns, got S={self.S}, ns={self.ns}")
         if self.Bp >= self.B:
             fail("Bp", f"must satisfy Bp < B, got Bp={self.Bp}, B={self.B}")
-        if self.Bp > 30:
-            fail("Bp", f"must be <= 30 so the pilot codebook fits in memory, got {self.Bp}")
+        # 2^Bp * np * 16 > cap, compared without forming 2^Bp (the cap is a
+        # power of two, so the shift is exact)
+        if self.np * 16 > PILOT_CODEBOOK_CAP_BYTES >> self.Bp:
+            fail("Bp", f"pilot codebook of 2^{self.Bp} x {self.np} complex entries "
+                 f"(16 bytes each) exceeds the {PILOT_CODEBOOK_CAP_BYTES}-byte cap")
         if self.Br > 30:
             fail("Br", f"must be <= 30, got {self.Br}")
         if self.nc & (self.nc - 1):

@@ -3,22 +3,26 @@
 Per-trial randomness comes from streams keyed by (seed, label, trial), so
 any trial can be reproduced in isolation and execution order is irrelevant.
 User-indexed draws are interleaved so user 0's channels do not depend on
-how many further users a config asks for; the sweep aggregates the
-equivocation bound from each trial's first user, which makes the reported
-bound bit-identical across user counts at a fixed power split.
+how many further users a config asks for.
+
+The eavesdropper is modelled only through the analytic leakage bound: no
+eavesdropper frame is simulated.  Each trial contributes the equivocation
+bound of its first user (`first_user_zeta`), drawn from the first row of
+the trial's `eve-channel` stream; the sweep and the `leakage` command
+average that same value, which makes the reported bound bit-identical
+across user counts at a fixed power split.
 """
 
 import csv
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ReceivedFrame, UserChannels, uplink
+from .channel import ReceivedFrame, feedback_observation, uplink
 from .config import ConfigError, SystemConfig
 from .crypto import encrypt, expand_key
 from .keys import standardize
-from .leakage import LeakageReport, equivocation_lower, leakage_eigen, leakage_logdet, leakage_report
+from .leakage import leakage_eigen, leakage_logdet, leakage_report
 from .params import PublicParams, generate_public_params
 from .receiver import decode_frame
 from .rng import complex_normal, random_bits, stream
@@ -26,6 +30,7 @@ from .transmitter import transmit
 
 CSV_HEADER = ["ka", "ratio", "pa", "pk", "trials",
               "pupe_mean", "pupe_stderr", "zeta_lower_mean", "seed"]
+LEAKAGE_CSV_HEADER = ["ratio", "pa", "pk", "zeta_lower_mean"]
 
 
 class TrialError(RuntimeError):
@@ -38,9 +43,7 @@ class TrialReport:
     n_detected: int
     n_err: int
     pupe: float
-    mean_zeta_e_lower: float
-    wallclock_ms: float            # informational; not part of determinism
-    leakage: LeakageReport
+    zeta_lower: float              # first user's equivocation lower bound
 
 
 @dataclass(frozen=True)
@@ -56,47 +59,45 @@ class SweepResult:
     seed: int
 
 
+def first_user_zeta(cfg: SystemConfig, trial_id: int, params: PublicParams) -> float:
+    """Equivocation lower bound of a trial's first user at cfg's Pa/Pk split."""
+    g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (1, cfg.E))
+    return leakage_report(g, params.C2, cfg.Pk, cfg.Pa, cfg.sigma_e2, cfg.S).zeta_e_lower
+
+
 def run_trial(cfg: SystemConfig, trial_id: int,
               params: PublicParams | None = None) -> TrialReport:
     """Simulate one complete frame: feedback, uplink, receiver, leakage."""
-    t0 = time.perf_counter()
     if params is None:
         params = generate_public_params(cfg)
+    stage = "transmit"
     try:
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
-        g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (cfg.Ka, cfg.E))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
-        fb_noise = complex_normal(stream(cfg.seed, "feedback-noise", trial_id),
-                                  (cfg.Ka, cfg.L), cfg.sigma_u2)
-
+        fb_rng = stream(cfg.seed, "feedback-noise", trial_id)
         rows = []
         for u in range(cfg.Ka):
-            y = h[u] @ params.V + fb_noise[u]
-            ur = transmit(messages[u], y, cfg, params)
-            ur.channels = UserChannels(h=h[u], g=g[u])
-            rows.append(ur.x)
+            y = feedback_observation(h[u], params.V, cfg.sigma_u2, fb_rng)
+            rows.append(transmit(messages[u], y, cfg, params).x)
         X = np.stack(rows, axis=0)
 
+        stage = "uplink"
         y_bs = uplink(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
-        y_eve = uplink(X, g.T, cfg.sigma_e2, stream(cfg.seed, "eve-noise", trial_id))
-        frame = ReceivedFrame.from_uplink(y_bs, y_eve, cfg)
+        frame = ReceivedFrame.from_uplink(y_bs, cfg)
 
+        stage = "receiver"
         decoded = decode_frame(frame, cfg, params)
         recovered = {u.w_hat.tobytes() for u in decoded if u.w_hat is not None}
         n_err = sum(1 for u in range(cfg.Ka)
                     if messages[u].tobytes() not in recovered)
 
-        leak = leakage_report(g, params.C2, cfg.Pk, cfg.Pa, cfg.sigma_e2, cfg.S)
+        stage = "leakage"
+        zeta = first_user_zeta(cfg, trial_id, params)
     except Exception as exc:
-        raise TrialError(f"trial {trial_id}: {exc}") from exc
+        raise TrialError(f"trial {trial_id}: {stage}: {exc}") from exc
 
-    return TrialReport(trial_id=trial_id,
-                       n_detected=len(decoded),
-                       n_err=n_err,
-                       pupe=n_err / cfg.Ka,
-                       mean_zeta_e_lower=leak.zeta_e_lower,
-                       wallclock_ms=(time.perf_counter() - t0) * 1e3,
-                       leakage=leak)
+    return TrialReport(trial_id=trial_id, n_detected=len(decoded), n_err=n_err,
+                       pupe=n_err / cfg.Ka, zeta_lower=zeta)
 
 
 def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
@@ -107,6 +108,11 @@ def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
     return pa, budget - pa
 
 
+def config_ratio(cfg: SystemConfig) -> float:
+    """The Pa/Pk ratio of cfg's own split (inf when Pk is zero)."""
+    return cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf")
+
+
 def run_point(cfg: SystemConfig, params: PublicParams | None = None,
               ratio: float | None = None) -> SweepResult:
     """Run cfg.trials trials at one grid point and aggregate."""
@@ -115,14 +121,10 @@ def run_point(cfg: SystemConfig, params: PublicParams | None = None,
     reports = [run_trial(cfg, t, params) for t in range(cfg.trials)]
     pupes = np.array([r.pupe for r in reports])
     stderr = float(pupes.std(ddof=1) / np.sqrt(len(pupes))) if len(pupes) > 1 else 0.0
-    # first-user aggregation keeps the bound independent of Ka by construction
-    zetas = [equivocation_lower(r.leakage.per_user_leak_bits[0], cfg.S)
-             for r in reports]
-    if ratio is None:
-        ratio = cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf")
-    return SweepResult(ka=cfg.Ka, ratio=ratio, pa=cfg.Pa, pk=cfg.Pk,
-                       trials=cfg.trials, pupe_mean=float(pupes.mean()),
-                       pupe_stderr=stderr,
+    zetas = [r.zeta_lower for r in reports]
+    return SweepResult(ka=cfg.Ka, ratio=config_ratio(cfg) if ratio is None else ratio,
+                       pa=cfg.Pa, pk=cfg.Pk, trials=cfg.trials,
+                       pupe_mean=float(pupes.mean()), pupe_stderr=stderr,
                        zeta_lower_mean=float(np.mean(zetas)), seed=cfg.seed)
 
 
@@ -147,24 +149,43 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
     return results
 
 
+def run_leakage(cfg: SystemConfig, ratios) -> list[tuple[float, float, float, float]]:
+    """(ratio, Pa, Pk, zeta_lower_mean) rows of the equivocation bound alone.
+
+    Each ratio splits cfg's key-segment budget as in run_sweep, and the mean
+    runs over the same first-user bounds a sweep of cfg.trials trials
+    averages, without simulating the link.
+    """
+    params = generate_public_params(cfg)
+    rows = []
+    for ratio in ratios:
+        pa, pk = split_power_budget(cfg.key_budget, ratio)
+        split = replace(cfg, Pa=pa, Pk=pk)
+        zetas = [first_user_zeta(split, t, params) for t in range(cfg.trials)]
+        rows.append((ratio, pa, pk, float(np.mean(zetas))))
+    return rows
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
 
 
-def emit_csv(results: list[SweepResult], path) -> None:
-    """Write sweep results; row order follows the result list (Ka-major)."""
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows, floats with 12 significant digits."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for r in results:
-                writer.writerow([_fmt(v) for v in (
-                    r.ka, r.ratio, r.pa, r.pk, r.trials,
-                    r.pupe_mean, r.pupe_stderr, r.zeta_lower_mean, r.seed)])
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+
+
+def emit_csv(results: list[SweepResult], path) -> None:
+    """Write sweep results; row order follows the result list (Ka-major)."""
+    write_csv(path, CSV_HEADER, ([getattr(r, f) for f in CSV_HEADER] for r in results))
 
 
 def read_csv(path) -> list[SweepResult]:

@@ -30,30 +30,14 @@ class PublicParams:
     polar: PolarCode
     atom_norms: np.ndarray  # (2^Bp,) row norms of P; derived, so not in digest()
 
-    @property
-    def ldpc_H(self) -> np.ndarray:
-        return self.ldpc.H
-
-    @property
-    def ldpc_G(self) -> np.ndarray:
-        return self.ldpc.G
-
-    @property
-    def polar_frozen(self) -> np.ndarray:
-        return self.polar.frozen_mask
-
-    @property
-    def crc_poly(self) -> int:
-        return self.polar.crc.poly
-
     def digest(self) -> str:
         """SHA-256 over every shared artifact, for determinism checks."""
         h = hashlib.sha256()
         for arr in (self.V, self.P, self.C1, self.C2, self.T,
-                    self.ldpc_H, self.ldpc.parity_map, self.polar.info_pos):
+                    self.ldpc.H, self.ldpc.parity_map, self.polar.info_pos):
             h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(self.crc_poly.to_bytes(8, "little"))
+        h.update(self.polar.crc.poly.to_bytes(8, "little"))
         return h.hexdigest()
 
 

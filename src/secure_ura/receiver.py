@@ -167,7 +167,7 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
 
 
 def _mmse_bpsk_llr(Y: np.ndarray, H: np.ndarray, power: float,
-                   sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+                   sigma2: float) -> np.ndarray:
     """Per-user LLRs of BPSK symbols observed through a user superposition.
 
     Soft symbols are sqrt(power) h^H R^{-1} Y with R the signal-plus-noise
@@ -182,7 +182,7 @@ def _mmse_bpsk_llr(Y: np.ndarray, H: np.ndarray, power: float,
     if not np.all(delta > 0):
         raise FloatingPointError("non-positive MMSE error term")
     llr = 2.0 * np.sqrt(power) * x_soft.real / delta[:, None]
-    return clamp_llr(llr), delta
+    return clamp_llr(llr)
 
 
 def mmse_polar_llr(Y_d: np.ndarray, H_hat: np.ndarray, Pc: float,
@@ -190,15 +190,13 @@ def mmse_polar_llr(Y_d: np.ndarray, H_hat: np.ndarray, Pc: float,
     """LLRs of the polar-segment symbols for every detected user."""
     if H_hat.shape[1] == 0:
         raise ValueError("no detected users")
-    llr, _ = _mmse_bpsk_llr(Y_d, H_hat, Pc, sigma_c2)
-    return llr
+    return _mmse_bpsk_llr(Y_d, H_hat, Pc, sigma_c2)
 
 
 def llr_parity(Y_k_clean: np.ndarray, H_hat: np.ndarray, Pk: float,
                sigma_c2: float) -> np.ndarray:
     """LLRs of the key-segment parity symbols after noise cancellation."""
-    llr, _ = _mmse_bpsk_llr(Y_k_clean, H_hat, Pk, sigma_c2)
-    return llr
+    return _mmse_bpsk_llr(Y_k_clean, H_hat, Pk, sigma_c2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +256,7 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P,
-                                cfg.omp_batch_effective,
+        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
                                 OMP_RESIDUAL_THRESHOLD, params.atom_norms)
         new_users = []
         if detections:

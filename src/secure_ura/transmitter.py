@@ -6,11 +6,10 @@ a pilot codeword and a CRC-aided polar codeword.  The frame is the
 concatenation [pilot | polar | key].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UserChannels
 from .config import SystemConfig
 from .crypto import Ciphertext, encrypt, expand_key, split_ciphertext
 from .keys import KeySegment, PrivateObservation, build_key_segment, make_private_observation
@@ -26,7 +25,6 @@ class UserRealization:
     cipher: Ciphertext
     key_segment: KeySegment
     x: np.ndarray                  # transmit signal, length np + nc + (ns - S)
-    channels: UserChannels | None = field(default=None)
 
 
 def bits_to_index(bits: np.ndarray) -> int:

@@ -70,8 +70,7 @@ def test_criterion_3_noiseless_end_to_end_identity():
         ur = transmit(w[0], h[0] @ params.V + fb[0], cfg, params)
         y_bs = uplink(ur.x[None, :], h.T, cfg.sigma_c2,
                       stream(cfg.seed, "bs-noise", trial))
-        frame = ReceivedFrame.from_uplink(
-            y_bs, np.zeros((cfg.E, cfg.frame_len), dtype=complex), cfg)
+        frame = ReceivedFrame.from_uplink(y_bs, cfg)
         decoded = decode_frame(frame, cfg, params, aux)
         # PUPE = 0: the user's exact message is recovered (occasional CRC
         # false alarms add spurious entries but cost no message errors)

@@ -69,12 +69,10 @@ def test_uplink_dimension_mismatch(rng):
 def test_frame_partition_shapes():
     cfg = make_mini_cfg()
     y_bs = np.arange(cfg.M * cfg.frame_len, dtype=complex).reshape(cfg.M, -1)
-    y_eve = np.zeros((cfg.E, cfg.frame_len), dtype=complex)
-    frame = ReceivedFrame.from_uplink(y_bs, y_eve, cfg)
+    frame = ReceivedFrame.from_uplink(y_bs, cfg)
     assert frame.y_p.shape == (cfg.M, cfg.np)
     assert frame.y_d.shape == (cfg.M, cfg.nc)
     assert frame.y_k.shape == (cfg.M, cfg.key_parity_len)
-    assert frame.eve_k.shape == (cfg.E, cfg.key_parity_len)
     # concatenation order is pilot | polar | key
     recon = np.concatenate([frame.y_p, frame.y_d, frame.y_k], axis=1)
     assert np.array_equal(recon, y_bs)
@@ -83,5 +81,4 @@ def test_frame_partition_shapes():
 def test_frame_partition_rejects_bad_width():
     cfg = make_mini_cfg()
     with pytest.raises(ValueError):
-        ReceivedFrame.from_uplink(np.zeros((cfg.M, 10), dtype=complex),
-                                  np.zeros((cfg.E, 10), dtype=complex), cfg)
+        ReceivedFrame.from_uplink(np.zeros((cfg.M, 10), dtype=complex), cfg)

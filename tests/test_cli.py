@@ -1,6 +1,8 @@
 import pytest
 
+from secure_ura import load_config, run_leakage, run_sweep
 from secure_ura.cli import main
+from secure_ura.harness import LEAKAGE_CSV_HEADER, write_csv
 
 MINI = """
 M = 8
@@ -79,7 +81,7 @@ def test_trial_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("trial error: trial 0: ")
+    assert err[0].startswith("trial error: trial 0: transmit: ")
 
 
 def test_unknown_flag_exits_with_usage(capsys):
@@ -112,6 +114,19 @@ def test_leakage_subcommand(mini_file, tmp_path, capsys):
     assert len(lines) == 4
     zetas = [float(l.split(",")[3]) for l in lines[1:]]
     assert zetas == sorted(zetas)  # masking share raises the bound
+
+
+def test_leakage_matches_sweep_equivocation(mini_file, tmp_path):
+    # the leakage command averages the same first-user bounds as a sweep
+    cfg = load_config(mini_file)
+    rows = run_leakage(cfg, [1.0, 3.0])
+    sweep = run_sweep(cfg, [cfg.Ka], [1.0, 3.0], cfg.trials)
+    assert [r[3] for r in rows] == [s.zeta_lower_mean for s in sweep]  # bit for bit
+    out, ref = tmp_path / "leak.csv", tmp_path / "ref.csv"
+    assert main(["leakage", "--config", mini_file, "--ratio", "1,3",
+                 "--out", str(out)]) == 0
+    write_csv(ref, LEAKAGE_CSV_HEADER, rows)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_desk_scale_flag(mini_file, capsys):

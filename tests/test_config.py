@@ -1,8 +1,7 @@
-import dataclasses
-
 import pytest
 
 from secure_ura import ConfigError, SystemConfig, desk_scale, load_config
+from secure_ura.config import PILOT_CODEBOOK_CAP_BYTES
 
 
 def test_defaults_match_documented_setup():
@@ -44,6 +43,9 @@ def test_unknown_key_reports_line(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("Ka = 2\nbogus = 1\n")
     with pytest.raises(ConfigError, match=r":2.*bogus"):
+        load_config(path, env={})
+    path.write_text("omp_batch = 4\n")  # not a setting: OMP picks up to 2 * Ka atoms
+    with pytest.raises(ConfigError, match=r":1: unknown key 'omp_batch'"):
         load_config(path, env={})
 
 
@@ -88,7 +90,7 @@ def test_short_feedback_rejected(tmp_path):
     (dict(Ka=0), "Ka"),
     (dict(seed=-1), "seed"),
     (dict(seed=1 << 64), "seed"),
-    (dict(omp_batch=0), "omp_batch"),
+    (dict(Bp=20), "Bp"),                  # 2^20 x 200 x 16 bytes > 1 GiB
 ])
 def test_constructor_validation(overrides, field):
     with pytest.raises(ConfigError, match=field):
@@ -104,13 +106,12 @@ def test_derived_quantities():
     assert cfg.key_budget == pytest.approx(0.3)
 
 
-def test_omp_batch_auto_tracks_ka():
-    cfg = SystemConfig()
-    assert cfg.omp_batch_effective == 2 * cfg.Ka
-    bigger = dataclasses.replace(cfg, Ka=50)
-    assert bigger.omp_batch_effective == 100
-    pinned = dataclasses.replace(cfg, omp_batch=5, Ka=50)
-    assert pinned.omp_batch_effective == 5
+def test_pilot_codebook_cap():
+    cfg = SystemConfig()  # the default 4096 x 200 codebook is accepted
+    assert cfg.pilot_count * cfg.np * 16 <= PILOT_CODEBOOK_CAP_BYTES
+    SystemConfig(Bp=18)  # largest Bp under the cap at np = 200
+    with pytest.raises(ConfigError, match="Bp"):
+        SystemConfig(Bp=19)
 
 
 def test_desk_scale_preset():

@@ -66,7 +66,7 @@ def test_ldpc_is_systematic(full_cfg, full_params, rng):
     cw = np.concatenate([sys_part, parity], axis=1)
     assert not code.syndrome(cw).any()
     # generator-matrix view agrees with the encoder
-    via_g = s.astype(np.int64) @ full_params.ldpc_G.astype(np.int64) % 2
+    via_g = s.astype(np.int64) @ full_params.ldpc.G.astype(np.int64) % 2
     assert np.array_equal(via_g.astype(np.uint8), cw)
 
 
@@ -81,13 +81,13 @@ def test_ldpc_round_trip_1000_keys(full_cfg, full_params, rng):
 
 
 def test_polar_frozen_set_shape(full_cfg, full_params):
-    frozen = full_params.polar_frozen
+    frozen = full_params.polar.frozen_mask
     assert frozen.sum() == full_cfg.nc - full_cfg.polar_info_bits
     assert frozen[0] and not frozen[full_cfg.nc - 1]
 
 
 def test_crc_polynomial_for_11_bits(full_params):
-    assert full_params.crc_poly == 0xB8B
+    assert full_params.polar.crc.poly == 0xB8B
 
 
 def test_generate_rejects_bypassed_invariants(full_cfg):

@@ -335,7 +335,7 @@ def test_iterative_decode_recovers_ciphertexts(mini_cfg, mini_params, rng):
         rows.append(ur.x)
     X = np.stack(rows)
     Y = uplink(X, h, 1e-12, stream(0, "t"))
-    frame = ReceivedFrame.from_uplink(Y, np.zeros((mini_cfg.E, mini_cfg.frame_len)), mini_cfg)
+    frame = ReceivedFrame.from_uplink(Y, mini_cfg)
     decoded, H_hat, residual = iterative_decode(frame, mini_cfg, mini_params)
     got = {u.c_hat.tobytes() for u in decoded}
     assert got == {u.cipher.c.tobytes() for u in users}
@@ -348,8 +348,7 @@ def test_iterative_decode_recovers_ciphertexts(mini_cfg, mini_params, rng):
 
 def test_iterative_decode_empty_frame(mini_cfg, mini_params):
     frame = ReceivedFrame.from_uplink(
-        np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex),
-        np.zeros((mini_cfg.E, mini_cfg.frame_len), dtype=complex), mini_cfg)
+        np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex), mini_cfg)
     decoded, H_hat, residual = iterative_decode(frame, mini_cfg, mini_params)
     assert decoded == []
     assert H_hat.shape == (mini_cfg.M, 0)
@@ -360,7 +359,7 @@ def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
     w = rng.integers(0, 2, mini_cfg.B, dtype=np.uint8)
     ur = transmit(w, h[:, 0] @ mini_params.V, mini_cfg, mini_params)
     Y = uplink(ur.x[None, :], h, 1e-12, stream(1, "t"))
-    frame = ReceivedFrame.from_uplink(Y, np.zeros((mini_cfg.E, mini_cfg.frame_len)), mini_cfg)
+    frame = ReceivedFrame.from_uplink(Y, mini_cfg)
     decoded = decode_frame(frame, mini_cfg, mini_params)
     assert len(decoded) == 1
     assert decoded[0].key_converged
@@ -378,8 +377,7 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     wrong = gen.integers(0, 2, mini_cfg.key_parity_len)
     Y = np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex)
     Y[:, mini_cfg.np + mini_cfg.nc:] = np.outer(h, (1 - 2 * wrong) * np.sqrt(mini_cfg.Pk))
-    frame = ReceivedFrame.from_uplink(
-        Y, np.zeros((mini_cfg.E, mini_cfg.frame_len), dtype=complex), mini_cfg)
+    frame = ReceivedFrame.from_uplink(Y, mini_cfg)
     out = decode_keys_and_decrypt([user], h[:, None], frame,
                                   mini_cfg, mini_params)
     assert out[0].w_hat is not None          # best-effort decryption
