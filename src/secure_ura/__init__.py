@@ -14,18 +14,17 @@ from .harness import (SweepResult, TrialError, TrialReport, emit_csv, read_csv,
                       run_leakage, run_point, run_sweep, run_trial, selftest,
                       split_power_budget)
 from .keys import (DegenerateFeedbackError, KeySegment, PrivateObservation,
-                   build_key_segment, extract_key, make_private_observation,
-                   standardize)
+                   artificial_noise, build_key_segment, extract_key,
+                   make_private_observation, standardize)
 from .ldpc import LdpcCode
 from .leakage import (LeakageReport, LeakageSizeError, equivocation_lower,
                       leakage_eigen, leakage_logdet, leakage_report)
 from .modulation import LLR_CLAMP, bpsk_map, bpsk_power_check, clamp_llr
 from .params import PublicParams, generate_public_params
 from .polar import Crc, PolarCode, default_crc_poly, polar_transform
-from .receiver import (DetectedUser, LlrAux, build_llr_aux, decode_frame,
-                       decode_keys_and_decrypt, estimate_private_signal,
-                       iterative_decode, llr_parity, llr_systematic,
-                       mmse_polar_llr, omp_detect, remove_artificial_noise)
+from .receiver import (DetectedUser, decode_frame, decode_keys_and_decrypt,
+                       feature_noise_variances, iterative_decode, llr_parity,
+                       llr_systematic, mmse_polar_llr, omp_detect)
 from .transmitter import (UserRealization, bits_to_index, build_pilot_segment,
                           build_polar_segment, index_to_bits, transmit)
 

@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--trials", type=int, help="trials per grid point")
         p.add_argument("--desk-scale", action="store_true",
-                       help="reduced preset: 8 antennas each side, 200 trials")
+                       help="smoke-run preset: 8 antennas each side, 200 trials "
+                            "(PUPE saturates near 1; not a performance curve)")
 
     p_run = sub.add_parser("run", help="simulate one configuration")
     common(p_run)

@@ -91,14 +91,12 @@ class Crc:
 def _log_phi(m: np.ndarray) -> np.ndarray:
     """log of the GA phi function, stable for any positive mean."""
     m = np.asarray(m, dtype=np.float64)
-    out = np.empty_like(m)
     small = m <= 10.0
     ms = np.where(small, m, 1.0)
     out_small = np.minimum(-0.4527 * ms ** 0.86 + 0.0218, 0.0)
     mb = np.where(small, 11.0, m)
     out_big = 0.5 * (np.log(np.pi) - np.log(mb)) - mb / 4.0 + np.log1p(-10.0 / (7.0 * mb))
-    out = np.where(small, out_small, out_big)
-    return out
+    return np.where(small, out_small, out_big)
 
 
 def _phi_inv(target_log: np.ndarray, hi: float) -> np.ndarray:

@@ -4,8 +4,9 @@ The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
 decoding, and least-squares channel re-estimation with successive
 interference cancellation over the pilot+polar segments.  The key stage
-estimates each decoded user's private feedback vector, cancels its
-artificial-noise contribution from the key segment, assembles systematic
+forms every decoded user's feedback estimate from its channel estimate,
+derives the features and artificial noise from it with the user's own key
+code (`keys`), cancels the noise from the key segment, assembles systematic
 and parity LLRs, and reconciles the key through the LDPC decoder.
 """
 
@@ -17,10 +18,10 @@ from scipy.special import log_ndtr
 from .channel import ReceivedFrame
 from .config import SystemConfig
 from .crypto import expand_key
-from .keys import VAR_FLOOR, sample_variance, standardize
-from .modulation import bpsk_map, clamp_llr
+from .keys import artificial_noise, extract_key, standardize
+from .modulation import clamp_llr
 from .params import PublicParams
-from .transmitter import index_to_bits
+from .transmitter import build_polar_segment, index_to_bits
 
 OMP_RESIDUAL_THRESHOLD = 0.05
 #: deferred rank-1 updates of the OMP correlation matrix applied per flush
@@ -30,22 +31,19 @@ OMP_FLUSH_EVERY = 16
 @dataclass
 class DetectedUser:
     pilot_index: int
-    h_hat: np.ndarray | None = None       # (M,) channel estimate
     c_hat: np.ndarray | None = None       # recovered ciphertext, length B
     s_hat: np.ndarray | None = None       # recovered key, length S
     w_hat: np.ndarray | None = None       # decrypted message, length B
     key_converged: bool = False
 
 
-@dataclass(frozen=True)
-class LlrAux:
-    """Precomputed pieces of the systematic-symbol LLR."""
-    sigma_y: np.ndarray    # (L, L) covariance of the feedback-estimate noise
-    centering: np.ndarray  # (L, L) idempotent mean-removal projector
-    sigma_uj2: np.ndarray  # (S/2,) per-feature noise variances
+def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarray:
+    """(S/2,) noise variances of the systematic features u_j and u_{S/2+j}.
 
-
-def build_llr_aux(cfg: SystemConfig, params: PublicParams) -> LlrAux:
+    The feedback estimate carries the channel-estimate noise through V plus
+    the user's own feedback noise; its covariance, centered and projected
+    on each C1 column, gives twice the per-feature variance.
+    """
     denom = cfg.np * cfg.Pp + cfg.nc * cfg.Pc
     if denom <= 0:
         raise ValueError("pilot and polar powers are both zero; "
@@ -59,7 +57,7 @@ def build_llr_aux(cfg: SystemConfig, params: PublicParams) -> LlrAux:
     sigma_uj2 = 0.5 * quad.real
     if not np.all(sigma_uj2 > 0):
         raise ValueError("non-positive feature noise variance")
-    return LlrAux(sigma_y=sigma_y, centering=O, sigma_uj2=sigma_uj2)
+    return sigma_uj2
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +197,17 @@ def llr_parity(Y_k_clean: np.ndarray, H_hat: np.ndarray, Pk: float,
     return _mmse_bpsk_llr(Y_k_clean, H_hat, Pk, sigma_c2)
 
 
-# ---------------------------------------------------------------------------
-# Key-stage helpers
-# ---------------------------------------------------------------------------
-
-
-def estimate_private_signal(h_hat: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct a user's feedback observation and its standardized form."""
-    y_hat = h_hat @ V
-    return y_hat, standardize(y_hat)
-
-
-def remove_artificial_noise(Y_k: np.ndarray, h_hats: np.ndarray,
-                            y_bar_hats: np.ndarray, C2: np.ndarray,
-                            Pa: float) -> np.ndarray:
-    """Subtract every detected user's estimated masking signal."""
-    if h_hats.shape[1] == 0:
-        return Y_k.copy()
-    v_prime = np.sqrt(Pa) * (y_bar_hats @ C2)    # (k, ns - S)
-    return Y_k - h_hats @ v_prime
-
-
-def llr_systematic(u_hat: np.ndarray, var_y_hat, aux: LlrAux) -> np.ndarray:
+def llr_systematic(u_hat: np.ndarray, var_y_hat, sigma_uj2: np.ndarray) -> np.ndarray:
     """LLRs of the systematic key bits from the projected feedback estimate.
 
     The statistic sqrt(var/sigma_uj^2) * u_hat is a Gaussian-noise view of
     the user's original feature; the bit LLR is log Q(a) - log(1 - Q(a)),
     evaluated through the log-domain normal CDF so it never over/underflows.
-    The j-th and (S/2+j)-th features share one noise variance.
+    The j-th and (S/2+j)-th features share one noise variance sigma_uj2[j]
+    (see feature_noise_variances).
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
-    sig2 = np.concatenate([aux.sigma_uj2, aux.sigma_uj2])
+    sig2 = np.concatenate([sigma_uj2, sigma_uj2])
     a = u_hat * np.sqrt(np.asarray(var_y_hat)[..., None] / sig2)
     return clamp_llr(log_ndtr(-a) - log_ndtr(a))
 
@@ -274,7 +252,7 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
                 new_users.append(DetectedUser(pilot_index=pilot_idx, c_hat=c_hat))
                 sig_rows.append(np.concatenate([
                     params.P[pilot_idx],
-                    bpsk_map(params.polar.encode(payloads[i]), cfg.Pc)]))
+                    build_polar_segment(payloads[i], params, cfg.Pc)]))
         if not new_users:
             break
         users.extend(new_users)
@@ -293,8 +271,6 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
             break
         X = np.stack(sig_rows, axis=0)
         residual = Y_pp - H_hat @ X
-        for i, user in enumerate(users):
-            user.h_hat = H_hat[:, i].copy()
 
     if not users:
         H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
@@ -303,28 +279,23 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
 
 def decode_keys_and_decrypt(users: list[DetectedUser], H_hat: np.ndarray,
                             frame: ReceivedFrame, cfg: SystemConfig,
-                            params: PublicParams,
-                            aux: LlrAux | None = None) -> list[DetectedUser]:
-    """Recover each decoded user's key and decrypt its ciphertext in place."""
+                            params: PublicParams) -> list[DetectedUser]:
+    """Recover each decoded user's key and decrypt its ciphertext in place.
+
+    By reciprocity, row i of H_hat^T V estimates user i's feedback vector;
+    the key code of `keys` turns the (k, L) block into features and masks.
+    It is called on the whole block, since row-by-row products round
+    differently.  A user whose estimate is degenerate keeps s_hat and
+    w_hat None, and its mask is not cancelled.
+    """
     if not users:
         return users
-    if aux is None:
-        aux = build_llr_aux(cfg, params)
 
-    Y_fb = H_hat.T @ params.V                    # (k, L) feedback estimates
-    var = sample_variance(Y_fb, axis=1)
-    valid = var > VAR_FLOOR
-    mu = Y_fb.mean(axis=1, keepdims=True)
-    safe_var = np.where(valid, var, 1.0)
-    Y_bar = (Y_fb - mu) / np.sqrt(safe_var)[:, None]
-
-    z = Y_bar @ params.C1
-    U_hat = np.concatenate([z.real, z.imag], axis=1)
-
-    Y_k_clean = remove_artificial_noise(frame.y_k, H_hat[:, valid],
-                                        Y_bar[valid], params.C2, cfg.Pa)
+    Y_bar, var, valid = standardize(H_hat.T @ params.V)
+    U_hat, _ = extract_key(Y_bar, params.C1)
+    Y_k_clean = frame.y_k - H_hat[:, valid] @ artificial_noise(Y_bar[valid], params.C2, cfg.Pa)
     f_parity = llr_parity(Y_k_clean, H_hat, cfg.Pk, cfg.sigma_c2)
-    f_sys = llr_systematic(U_hat, var, aux)
+    f_sys = llr_systematic(U_hat, var, feature_noise_variances(cfg, params))
     f_key = np.concatenate([f_sys, f_parity], axis=1)
 
     s_hats, converged = params.ldpc.decode(f_key, cfg.bp_iters)
@@ -339,8 +310,7 @@ def decode_keys_and_decrypt(users: list[DetectedUser], H_hat: np.ndarray,
 
 
 def decode_frame(frame: ReceivedFrame, cfg: SystemConfig,
-                 params: PublicParams,
-                 aux: LlrAux | None = None) -> list[DetectedUser]:
+                 params: PublicParams) -> list[DetectedUser]:
     """Run the complete receiver on one frame."""
     users, H_hat, _ = iterative_decode(frame, cfg, params)
-    return decode_keys_and_decrypt(users, H_hat, frame, cfg, params, aux)
+    return decode_keys_and_decrypt(users, H_hat, frame, cfg, params)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from secure_ura import (SystemConfig, ReceivedFrame, build_llr_aux, decode_frame,
-                        encrypt, generate_public_params, leakage_eigen,
-                        leakage_logdet, run_sweep, standardize,
+from secure_ura import (SystemConfig, ReceivedFrame, decode_frame, encrypt,
+                        feature_noise_variances, generate_public_params,
+                        leakage_eigen, leakage_logdet, run_sweep, standardize,
                         transmit, uplink)
 from secure_ura.harness import emit_csv
 from secure_ura.rng import complex_normal, random_bits, stream
@@ -61,7 +61,6 @@ def test_criterion_3_noiseless_end_to_end_identity():
     t0 = time.perf_counter()
     cfg = SystemConfig(Ka=1, sigma_c2=1e-12, sigma_u2=1e-12, seed=33)
     params = generate_public_params(cfg)
-    aux = build_llr_aux(cfg, params)
     for trial in range(100):
         h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
         w = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
@@ -71,7 +70,7 @@ def test_criterion_3_noiseless_end_to_end_identity():
         y_bs = uplink(ur.x[None, :], h.T, cfg.sigma_c2,
                       stream(cfg.seed, "bs-noise", trial))
         frame = ReceivedFrame.from_uplink(y_bs, cfg)
-        decoded = decode_frame(frame, cfg, params, aux)
+        decoded = decode_frame(frame, cfg, params)
         # PUPE = 0: the user's exact message is recovered (occasional CRC
         # false alarms add spurious entries but cost no message errors)
         hits = [d for d in decoded
@@ -203,8 +202,8 @@ def _systematic_llr_matches_posterior_oracle():
                        Br=11, S=8, Pp=0.3, Pc=0.3, sigma_c2=0.05,
                        sigma_u2=1e-3, seed=5)
     params = generate_public_params(cfg)
-    aux = build_llr_aux(cfg, params)
-    sig2 = np.concatenate([aux.sigma_uj2, aux.sigma_uj2])
+    sigma_uj2 = feature_noise_variances(cfg, params)
+    sig2 = np.concatenate([sigma_uj2, sigma_uj2])
     est_var = cfg.sigma_c2 / (cfg.np * cfg.Pp + cfg.nc * cfg.Pc)
 
     n_bins, lim = 24, 2.12

@@ -62,8 +62,17 @@ def test_split_power_budget():
     pa, pk = split_power_budget(0.3, 7.0)
     assert pa == pytest.approx(0.3 * 7 / 8) and pk == pytest.approx(0.3 / 8)
     assert sum(split_power_budget(0.3, 2.5)) == pytest.approx(0.3)
+    # ratio inf: the whole budget masks, no power carries the parity
+    assert split_power_budget(0.3, float("inf")) == (0.3, 0.0)
     with pytest.raises(ConfigError):
         split_power_budget(0.3, -1.0)
+
+
+def test_sweep_at_infinite_ratio(mini_cfg):
+    (res,) = run_sweep(mini_cfg, [1], [float("inf")], trials=1)
+    assert res.ratio == float("inf")
+    assert res.pk == 0.0 and res.pa == mini_cfg.key_budget
+    assert res.zeta_lower_mean == 1.0
 
 
 def test_sweep_grid_shape(mini_cfg):
@@ -136,3 +145,18 @@ def test_selftest_passes_on_mini_config(capsys):
     assert selftest(cfg)
     out = capsys.readouterr().out
     assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+def test_selftest_generates_caller_params_once_plus_digest_check(monkeypatch):
+    from secure_ura import harness
+    cfg = make_mini_cfg(sigma_c2=0.01, sigma_u2=0.01)
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return generate_public_params(c)
+
+    monkeypatch.setattr(harness, "generate_public_params", counting)
+    assert selftest(cfg, out=lambda line: None)
+    # one set for every suite, plus the digest check's deliberate regeneration
+    assert calls.count(cfg) == 2

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from secure_ura import (DegenerateFeedbackError, build_key_segment,
-                        estimate_private_signal, extract_key,
+from secure_ura import (DegenerateFeedbackError, artificial_noise,
+                        build_key_segment, extract_key,
                         make_private_observation, standardize)
 from secure_ura.keys import sample_variance
 from secure_ura.rng import complex_normal, stream
@@ -106,11 +106,60 @@ def test_length_bookkeeping(mini_cfg, mini_params, rng):
 
 
 def test_reciprocity_at_zero_noise(mini_cfg, mini_params, rng):
-    # exact channel knowledge plus noiseless feedback reproduce the key
-    h = rng.standard_normal(mini_cfg.M) + 1j * rng.standard_normal(mini_cfg.M)
-    y_user = h @ mini_params.V  # sigma_u2 = 0
-    priv = make_private_observation(y_user, mini_params.C1)
-    y_hat, y_bar_hat = estimate_private_signal(h, mini_params.V)
-    assert np.allclose(y_hat, y_user, atol=1e-14)
-    _, s_bs = extract_key(y_bar_hat, mini_params.C1)
-    assert np.array_equal(s_bs, priv.s)
+    # exact channel knowledge plus noiseless feedback reproduce every key;
+    # the base station derives all users' keys from one (k, L) block
+    H = rng.standard_normal((mini_cfg.M, 3)) + 1j * rng.standard_normal((mini_cfg.M, 3))
+    Y_hat = H.T @ mini_params.V
+    Y_bar_hat, _, valid = standardize(Y_hat)
+    _, S_bs = extract_key(Y_bar_hat, mini_params.C1)
+    assert valid.all()
+    for i in range(3):
+        y_user = H[:, i] @ mini_params.V  # sigma_u2 = 0
+        priv = make_private_observation(y_user, mini_params.C1)
+        assert np.allclose(Y_hat[i], y_user, atol=1e-14)
+        assert np.array_equal(S_bs[i], priv.s)
+
+
+def test_batched_key_derivation_matches_per_row_calls(mini_params, rng):
+    Y = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    Y[2] = 0.0
+    Y[4] = 2.0 + 1.0j
+    Y_bar, var, valid = standardize(Y)
+    U, S = extract_key(Y_bar, mini_params.C1)
+    assert np.array_equal(valid, [True, True, False, True, False, True])
+    for i in range(6):
+        if not valid[i]:
+            with pytest.raises(DegenerateFeedbackError):
+                standardize(Y[i])
+            continue
+        y_bar = standardize(Y[i])
+        u, s = extract_key(y_bar, mini_params.C1)
+        assert np.array_equal(Y_bar[i], y_bar)
+        assert np.array_equal(var[i], sample_variance(Y[i]))
+        assert np.array_equal(S[i], s)
+        # a matrix-vector product rounds differently from the block product,
+        # so the features agree to rounding, not bit for bit
+        assert np.allclose(U[i], u, rtol=0, atol=1e-12)
+
+
+def test_artificial_noise_exact_cancellation(mini_cfg, mini_params, rng):
+    # Pk = 0, no noise, perfect estimates: the key segment cancels entirely
+    h = (rng.standard_normal((mini_cfg.M, 2))
+         + 1j * rng.standard_normal((mini_cfg.M, 2))) / np.sqrt(2)
+    masks = [artificial_noise(standardize(h[:, i] @ mini_params.V),
+                              mini_params.C2, mini_cfg.Pa) for i in range(2)]
+    Y_k = h @ np.stack(masks)
+    # the receiver's side: one block of estimates, masks of the valid rows
+    Y_bar, _, valid = standardize(h.T @ mini_params.V)
+    cleaned = Y_k - h[:, valid] @ artificial_noise(Y_bar[valid], mini_params.C2,
+                                                   mini_cfg.Pa)
+    assert np.max(np.abs(cleaned)) < 1e-8 * np.max(np.abs(Y_k))
+
+
+def test_artificial_noise_empty_set(mini_cfg, mini_params, rng):
+    Y_k = rng.standard_normal((mini_cfg.M, mini_cfg.key_parity_len)) + 0j
+    mask = artificial_noise(np.zeros((0, mini_cfg.L), dtype=complex),
+                            mini_params.C2, mini_cfg.Pa)
+    assert mask.shape == (0, mini_cfg.key_parity_len)
+    out = Y_k - np.zeros((mini_cfg.M, 0), dtype=complex) @ mask
+    assert np.array_equal(out, Y_k)

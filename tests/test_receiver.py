@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from secure_ura import (DegenerateFeedbackError, DetectedUser, ReceivedFrame,
-                        build_llr_aux, decode_frame, decode_keys_and_decrypt,
-                        estimate_private_signal,
-                        iterative_decode, llr_parity, llr_systematic,
-                        mmse_polar_llr, omp_detect, remove_artificial_noise,
-                        run_trial, standardize, transmit, uplink)
+                        decode_frame, decode_keys_and_decrypt,
+                        feature_noise_variances, iterative_decode, llr_parity,
+                        llr_systematic, mmse_polar_llr, omp_detect, run_trial,
+                        standardize, transmit, uplink)
 from secure_ura.rng import stream
 
 from helpers import make_mini_cfg
@@ -242,74 +241,60 @@ def test_parity_llr_mirrors_polar_llr(mini_cfg, mini_params, rng):
     assert np.array_equal(llr[0] < 0, bits.astype(bool))
 
 
-# ---- private-signal estimation and artificial-noise removal -----------------
+# ---- feedback estimation ------------------------------------------------------
 
 
-def test_estimate_private_signal_matches_noiseless_user(mini_cfg, mini_params, rng):
-    h = _cn(rng, mini_cfg.M)
-    y_user = h @ mini_params.V
-    y_hat, y_bar_hat = estimate_private_signal(h, mini_params.V)
-    assert np.allclose(y_hat, y_user, atol=1e-14)
-    assert np.allclose(y_bar_hat, standardize(y_user), atol=1e-12)
+def test_feedback_estimate_matches_noiseless_user(mini_cfg, mini_params, rng):
+    # one row of the block H_hat^T V that decode_keys_and_decrypt standardizes
+    H_hat = _cn(rng, (mini_cfg.M, 1))
+    y_user = H_hat[:, 0] @ mini_params.V
+    Y_hat = H_hat.T @ mini_params.V
+    Y_bar_hat, _, valid = standardize(Y_hat)
+    assert valid.all()
+    assert np.allclose(Y_hat[0], y_user, atol=1e-14)
+    assert np.allclose(Y_bar_hat[0], standardize(y_user), atol=1e-12)
 
 
-def test_estimate_private_signal_zero_channel(mini_params):
+def test_feedback_estimate_zero_channel_is_degenerate(mini_cfg, mini_params):
+    H_hat = np.zeros((mini_cfg.M, 1), dtype=complex)
+    Y_hat = H_hat.T @ mini_params.V
+    _, _, valid = standardize(Y_hat)
+    assert not valid.any()
     with pytest.raises(DegenerateFeedbackError):
-        estimate_private_signal(np.zeros(8, dtype=complex), mini_params.V)
-
-
-def test_remove_artificial_noise_exact_cancellation(mini_cfg, mini_params, rng):
-    # Pk = 0, no noise, perfect estimates: the key segment cancels entirely
-    h = _cn(rng, (mini_cfg.M, 2))
-    Yb = np.stack([standardize(h[:, i] @ mini_params.V) for i in range(2)])
-    v_prime = np.sqrt(mini_cfg.Pa) * (Yb @ mini_params.C2)
-    Y_k = h @ v_prime
-    cleaned = remove_artificial_noise(Y_k, h, Yb, mini_params.C2, mini_cfg.Pa)
-    assert np.max(np.abs(cleaned)) < 1e-8 * np.max(np.abs(Y_k))
-
-
-def test_remove_artificial_noise_empty_set(mini_cfg, mini_params, rng):
-    Y_k = _cn(rng, (mini_cfg.M, mini_cfg.key_parity_len))
-    out = remove_artificial_noise(Y_k, np.zeros((mini_cfg.M, 0), dtype=complex),
-                                  np.zeros((0, mini_cfg.L), dtype=complex),
-                                  mini_params.C2, mini_cfg.Pa)
-    assert np.array_equal(out, Y_k)
+        standardize(Y_hat[0])
 
 
 # ---- systematic LLR ----------------------------------------------------------
 
 
 def test_llr_systematic_zero_feature(mini_cfg, mini_params):
-    aux = build_llr_aux(mini_cfg, mini_params)
-    nu = llr_systematic(np.zeros(mini_cfg.S), np.array(2.0), aux)
+    sigma_uj2 = feature_noise_variances(mini_cfg, mini_params)
+    nu = llr_systematic(np.zeros(mini_cfg.S), np.array(2.0), sigma_uj2)
     assert np.array_equal(nu, np.zeros(mini_cfg.S))
 
 
 def test_llr_systematic_limits_and_convention(mini_cfg, mini_params):
-    aux = build_llr_aux(mini_cfg, mini_params)
+    sigma_uj2 = feature_noise_variances(mini_cfg, mini_params)
     u = np.zeros(mini_cfg.S)
     u[0] = 50.0    # strongly positive feature -> bit 1 -> very negative LLR
     u[1] = -50.0
-    nu = llr_systematic(u, np.array(4.0), aux)
+    nu = llr_systematic(u, np.array(4.0), sigma_uj2)
     assert nu[0] == -40.0 and nu[1] == 40.0
     assert np.isfinite(nu).all()
 
 
 def test_llr_aux_invariants(mini_cfg, mini_params):
-    aux = build_llr_aux(mini_cfg, mini_params)
-    assert np.max(np.abs(aux.centering @ aux.centering - aux.centering)) < 1e-10
-    assert np.allclose(aux.sigma_y, aux.sigma_y.conj().T)
-    assert np.linalg.eigvalsh(aux.sigma_y).min() > 0
-    assert (aux.sigma_uj2 > 0).all()
-    assert aux.sigma_uj2.shape == (mini_cfg.S // 2,)
+    sigma_uj2 = feature_noise_variances(mini_cfg, mini_params)
+    assert (sigma_uj2 > 0).all()
+    assert sigma_uj2.shape == (mini_cfg.S // 2,)
 
 
 def test_llr_systematic_paired_variances(mini_cfg, mini_params):
     # feature j and feature S/2 + j share a noise variance
-    aux = build_llr_aux(mini_cfg, mini_params)
+    sigma_uj2 = feature_noise_variances(mini_cfg, mini_params)
     half = mini_cfg.S // 2
     u = np.ones(mini_cfg.S)
-    nu = llr_systematic(u, np.array(1.0), aux)
+    nu = llr_systematic(u, np.array(1.0), sigma_uj2)
     assert np.allclose(nu[:half], nu[half:])
 
 
@@ -372,7 +357,7 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     # systematic LLRs, so belief propagation cannot satisfy the checks
     gen = np.random.default_rng(0)
     h = _cn(gen, mini_cfg.M)
-    user = DetectedUser(pilot_index=3, h_hat=h,
+    user = DetectedUser(pilot_index=3,
                         c_hat=gen.integers(0, 2, mini_cfg.B, dtype=np.uint8))
     wrong = gen.integers(0, 2, mini_cfg.key_parity_len)
     Y = np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex)
@@ -382,6 +367,26 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
                                   mini_cfg, mini_params)
     assert out[0].w_hat is not None          # best-effort decryption
     assert out[0].key_converged is False
+
+
+def test_decode_keys_skips_degenerate_user(mini_cfg, mini_params, rng):
+    # a zero channel estimate gives a constant feedback estimate: that user
+    # gets no key, and the other user is still decrypted
+    h = _cn(rng, (mini_cfg.M, 1))
+    w = rng.integers(0, 2, mini_cfg.B, dtype=np.uint8)
+    ur = transmit(w, h[:, 0] @ mini_params.V, mini_cfg, mini_params)
+    frame = ReceivedFrame.from_uplink(
+        uplink(ur.x[None, :], h, 1e-12, stream(2, "t")), mini_cfg)
+    users = [DetectedUser(pilot_index=1, c_hat=ur.cipher.c),
+             DetectedUser(pilot_index=2,
+                          c_hat=rng.integers(0, 2, mini_cfg.B, dtype=np.uint8))]
+    H_hat = np.concatenate([h, np.zeros((mini_cfg.M, 1), dtype=complex)], axis=1)
+    out = decode_keys_and_decrypt(users, H_hat, frame, mini_cfg, mini_params)
+    assert out[1].s_hat is None and out[1].w_hat is None
+    assert out[1].key_converged is False
+    assert out[0].key_converged
+    assert np.array_equal(out[0].s_hat, ur.priv.s)
+    assert np.array_equal(out[0].w_hat, w)
 
 
 def test_wrong_key_bit_corrupts_matching_positions(mini_cfg, mini_params, rng):
