@@ -10,6 +10,8 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+from .ldpc import COL_WEIGHT
+
 ENV_SEED = "SECURE_URA_SEED"
 # The pilot codebook is 2^Bp rows of np complex128 entries, generated in full
 # before any trial runs; configurations whose codebook would exceed this many
@@ -109,6 +111,9 @@ class SystemConfig:
             fail("L", f"must satisfy L >= S/2, got L={self.L}, S={self.S}")
         if self.S >= self.ns:
             fail("S", f"must satisfy S < ns, got S={self.S}, ns={self.ns}")
+        if self.key_parity_len < COL_WEIGHT:
+            fail("ns", f"must leave ns - S >= {COL_WEIGHT} parity checks (the LDPC "
+                 f"column weight), got ns={self.ns}, S={self.S}")
         if self.Bp >= self.B:
             fail("Bp", f"must satisfy Bp < B, got Bp={self.Bp}, B={self.B}")
         # 2^Bp * np * 16 > cap, compared without forming 2^Bp (the cap is a

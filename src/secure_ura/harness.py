@@ -275,7 +275,10 @@ def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
 
 
 def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
-    mini = replace(cfg, M=8, E=8, Ka=1, sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
+    # a short pilot keeps this trial's own codebook small while the caller's
+    # artifacts are held; noiseless single-user OMP still picks the true atom
+    mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
+                   sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
     report = run_trial(mini, 0)
     assert report.pupe == 0.0
 

@@ -6,8 +6,13 @@ broken toward the lowest-degree then lowest-index check), followed by a
 GF(2) column permutation that makes the last (n - k) columns invertible.
 Codewords are [systematic | parity]; only the parity part is transmitted.
 
-Decoding: standard sum-product belief propagation on the dense (small)
-parity-check matrix, batched over users.
+Decoding: standard sum-product belief propagation, batched over users, on
+an edge list.  Each check's edges are held in ascending variable order and
+padded to the largest check degree with slots whose tanh is an exact 1.0;
+each variable sums its incoming messages in ascending check order.  These
+are the products and sums a dense (checks x variables) layout forms, with
+the factors 1.0 and the terms 0.0 of absent edges left out, so the messages
+are bit-identical to the dense computation.
 """
 
 from dataclasses import dataclass, field
@@ -17,9 +22,11 @@ import numpy as np
 from .modulation import clamp_llr
 
 _TANH_LIMIT = 1.0 - 1e-15
+#: edges per variable node; a code needs at least this many parity checks
+COL_WEIGHT = 3
 
 
-def _peg_parity_check(n_checks: int, n_vars: int, col_weight: int = 3) -> np.ndarray:
+def _peg_parity_check(n_checks: int, n_vars: int, col_weight: int = COL_WEIGHT) -> np.ndarray:
     """Greedy girth-maximizing bipartite graph, deterministic tie-breaking."""
     if col_weight > n_checks:
         raise ValueError(f"column weight {col_weight} exceeds {n_checks} checks")
@@ -113,10 +120,30 @@ class LdpcCode:
     n: int
     k: int
     G: np.ndarray = field(init=False)  # (k, n) systematic generator
+    # derived from H once per code (edge lists: see the module docstring)
+    _Ht: np.ndarray = field(init=False, repr=False)         # (n, n - k) int64
+    _edge_var: np.ndarray = field(init=False, repr=False)   # (n - k, dc) variable per slot
+    _edge_pad: np.ndarray = field(init=False, repr=False)   # (n - k, dc) True on padding
+    _var_edges: np.ndarray = field(init=False, repr=False)  # (dv, n) flat slot per edge
 
     def __post_init__(self):
         G = np.concatenate([np.eye(self.k, dtype=np.uint8), self.parity_map.T], axis=1)
         object.__setattr__(self, "G", G)
+        object.__setattr__(self, "_Ht", np.ascontiguousarray(self.H.T, dtype=np.int64))
+        m = self.H.shape[0]
+        chk, var = np.nonzero(self.H)                   # check-major, vars ascending
+        chk_deg = np.bincount(chk, minlength=m)
+        edge_pad = np.arange(chk_deg.max()) >= chk_deg[:, None]
+        edge_var = np.zeros(edge_pad.shape, dtype=np.int64)
+        edge_var[~edge_pad] = var
+        # each edge's slot in the flat message array; slot edge_pad.size holds
+        # a zero message and pads variables of lower degree, sorting last
+        slot = np.full(self.H.shape, edge_pad.size)
+        slot[chk, var] = np.flatnonzero(~edge_pad)
+        var_edges = np.sort(slot, axis=0)[:self.H.sum(axis=0).max()]
+        object.__setattr__(self, "_edge_var", edge_var)
+        object.__setattr__(self, "_edge_pad", edge_pad)
+        object.__setattr__(self, "_var_edges", var_edges)
 
     @classmethod
     def build(cls, n: int, k: int) -> "LdpcCode":
@@ -148,7 +175,7 @@ class LdpcCode:
 
     def syndrome(self, codeword: np.ndarray) -> np.ndarray:
         c = np.asarray(codeword, dtype=np.int64)
-        return (c @ self.H.T.astype(np.int64) % 2).astype(np.uint8)
+        return (c @ self._Ht % 2).astype(np.uint8)
 
     # ---- decoding -------------------------------------------------------
 
@@ -167,7 +194,7 @@ class LdpcCode:
         if L.shape[1] != self.n:
             raise ValueError(f"LLR length {L.shape[1]} != {self.n}")
 
-        mask = self.H.astype(bool)[None, :, :]          # (1, m, n)
+        pad = self._edge_pad
         bits = (L < 0).astype(np.uint8)
         best = bits.copy()
         # a zero LLR is an erasure: its hard decision is arbitrary, so it
@@ -175,14 +202,16 @@ class LdpcCode:
         determinate = np.all(L != 0.0, axis=-1)
         converged = determinate & ~np.any(self.syndrome(bits), axis=-1)
 
-        E = np.zeros((batch,) + self.H.shape)           # check -> var messages
-        V = np.where(mask, L[:, None, :], 0.0)          # var -> check messages
+        # check -> var messages, flat per word with a trailing zero slot
+        E_flat = np.zeros((batch, pad.size + 1))
+        E = E_flat[:, :-1].reshape((batch,) + pad.shape)  # a view
+        V = L[:, self._edge_var]                        # var -> check messages
 
         for _ in range(iters):
             if converged.all():
                 break
-            t = np.where(mask, np.tanh(0.5 * V), 1.0)
-            zero = mask & (t == 0.0)
+            t = np.where(pad, 1.0, np.tanh(0.5 * V))
+            zero = t == 0.0
             nzero = zero.sum(axis=2, keepdims=True)
             t_safe = np.where(zero, 1.0, t)
             prod = np.prod(t_safe, axis=2, keepdims=True)
@@ -192,10 +221,14 @@ class LdpcCode:
                     nzero == 0, prod / t_safe,
                     np.where((nzero == 1) & zero, prod, 0.0))
             loo = np.clip(loo, -_TANH_LIMIT, _TANH_LIMIT)
-            E = np.where(mask, 2.0 * np.arctanh(loo), 0.0)
+            np.multiply(2.0, np.arctanh(loo), out=E)
 
-            total = L + E.sum(axis=1)
-            V = np.where(mask, total[:, None, :] - E, 0.0)
+            # sequential adds in ascending check order, as the dense sum
+            incoming = E_flat[:, self._var_edges[0]]
+            for slots in self._var_edges[1:]:
+                incoming = incoming + E_flat[:, slots]
+            total = L + incoming
+            V = total[:, self._edge_var] - E
 
             bits = (total < 0).astype(np.uint8)
             ok = np.all(total != 0.0, axis=-1) & ~np.any(self.syndrome(bits), axis=-1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .ldpc import LdpcCode
 from .polar import Crc, PolarCode, default_crc_poly
 from .rng import complex_normal, random_bits, stream
@@ -36,7 +36,7 @@ class PublicParams:
         for arr in (self.V, self.P, self.C1, self.C2, self.T,
                     self.ldpc.H, self.ldpc.parity_map, self.polar.info_pos):
             h.update(str(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))   # hashed in place, no bytes copy
         h.update(self.polar.crc.poly.to_bytes(8, "little"))
         return h.hexdigest()
 
@@ -52,6 +52,12 @@ def _scale_to_total(x: np.ndarray, target: float) -> np.ndarray:
 def generate_public_params(cfg: SystemConfig) -> PublicParams:
     """Generate all shared artifacts from cfg; pure function of cfg."""
     cfg.validate()
+    # the LDPC construction draws no random numbers; it runs first so that
+    # a key length it cannot serve fails before anything large is built
+    try:
+        ldpc = LdpcCode.build(cfg.ns, cfg.S)
+    except ValueError as exc:
+        raise ConfigError(f"ns: no ({cfg.ns}, {cfg.S}) LDPC code: {exc}") from exc
     rng = stream(cfg.seed, PARAMS_STREAM)
 
     V = _scale_to_total(complex_normal(rng, (cfg.M, cfg.L)),
@@ -71,7 +77,6 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
 
     T = random_bits(rng, (cfg.S, cfg.B))
 
-    ldpc = LdpcCode.build(cfg.ns, cfg.S)
     crc = Crc(default_crc_poly(cfg.Br), cfg.Br)
     polar = PolarCode.design(cfg.nc, cfg.polar_info_bits, crc,
                              design_snr=cfg.Pc / cfg.sigma_c2)

@@ -9,6 +9,15 @@ vectorized over both the list dimension and a batch of independent decodes.
 Check-side LLR combining uses the exact tanh rule and path metrics are the
 exact log-domain penalties, so list size 1 reproduces plain successive
 cancellation.
+
+Path bookkeeping follows the lazy copying of Tal and Vardy ("List decoding
+of polar codes", IEEE Trans. IT 2015): a leaf that reorders the list does
+not move any state.  It composes one path-index map per depth, and the
+state is gathered through that map once, where it is next read (the g step
+for LLRs, the combine step for stashed left-child bits); a depth's map
+returns to the identity when that depth is rewritten.  The list axis holds
+only live paths, 1, 2, 4, ... up to the list size, so the frozen prefix of
+the code is decoded once rather than on copies of a single path.
 """
 
 from dataclasses import dataclass
@@ -258,56 +267,57 @@ class PolarCode:
             raise ValueError("list size must be >= 1")
 
         frozen = self.frozen_mask
-        # per-depth state: llrs[d] and the stashed left-child outputs uleft[d]
-        llrs = [np.zeros((batch, Lsz, 1 << (n - d)), dtype=np.float32) for d in range(n + 1)]
-        ucap = [np.zeros((batch, Lsz, 1 << (n - d)), dtype=np.uint8) for d in range(n + 1)]
-        uleft = [np.zeros((batch, Lsz, 1 << (n - d - 1)), dtype=np.uint8) for d in range(n)]
-        llrs[0][:] = chan[:, None, :]
-
-        pm = np.full((batch, Lsz), np.inf)
-        pm[:, 0] = 0.0
+        # Per-depth state: llrs[d], the codewords ucap[d] and the stashed
+        # left-child outputs uleft[d], each (batch, live paths, 2^(n-d)).
+        # Only live paths are held: the list grows 1, 2, 4, ... up to Lsz.
+        llrs = [None] * (n + 1)
+        ucap = [None] * (n + 1)
+        uleft = [None] * n
+        llrs[0] = chan[:, None, :]
+        # perm[d, b, p] is the slot that holds path p's llrs[d] (while in a
+        # left subtree at depth d) or uleft[d] (right subtree); a leaf
+        # composes the maps and the state is gathered once, where it is read
+        ident = np.arange(Lsz)
+        perm = np.broadcast_to(ident, (n + 1, batch, Lsz)).copy()
+        width = 1
+        pm = np.zeros((batch, 1))
         rows = np.arange(batch)[:, None]
 
-        for op, arg in _schedule(n, frozen.astype(np.uint8).tobytes()):
+        for op, d in _schedule(n, frozen.astype(np.uint8).tobytes()):
             if op == "f":
-                d = arg
                 w = 1 << (n - d - 1)
                 llrs[d + 1] = _f_llr(llrs[d][:, :, :w], llrs[d][:, :, w:])
+                perm[d + 1] = ident
             elif op == "g":
-                d = arg
                 w = 1 << (n - d - 1)
-                uleft[d] = ucap[d + 1].copy()
+                parent = llrs[d][rows, perm[d, :, :width]]
+                uleft[d] = ucap[d + 1]
+                perm[d] = ident
                 sign = 1.0 - 2.0 * uleft[d].astype(np.float32)
-                llrs[d + 1] = llrs[d][:, :, w:] + sign * llrs[d][:, :, :w]
+                llrs[d + 1] = parent[:, :, w:] + sign * parent[:, :, :w]
+                perm[d + 1] = ident
             elif op == "c":
-                d = arg
-                ucap[d] = np.concatenate([uleft[d] ^ ucap[d + 1], ucap[d + 1]], axis=2)
+                left = uleft[d][rows, perm[d, :, :width]]
+                ucap[d] = np.concatenate([left ^ ucap[d + 1], ucap[d + 1]], axis=2)
             elif op == "zero":
-                d = arg
                 pm = pm + np.logaddexp(0.0, -llrs[d].astype(np.float64)).sum(axis=2)
-                ucap[d] = np.zeros_like(ucap[d])
+                ucap[d] = np.zeros((batch, width, 1 << (n - d)), dtype=np.uint8)
             else:  # leaf; the schedule only emits leaves for information bits
-                i = arg
                 leaf_llr = llrs[n][:, :, 0].astype(np.float64)
                 pen0 = np.logaddexp(0.0, -leaf_llr)
                 pen1 = np.logaddexp(0.0, leaf_llr)
                 pm2 = np.concatenate([pm + pen0, pm + pen1], axis=1)
-                order = np.argsort(pm2, axis=1, kind="stable")[:, :Lsz]
-                src = order % Lsz
-                dec = (order // Lsz).astype(np.uint8)
+                grown = min(2 * width, Lsz)
+                order = np.argsort(pm2, axis=1, kind="stable")[:, :grown]
                 pm = pm2[rows, order]
-                # permute only the state a future step still reads
-                for d in range(n):
-                    if (i >> (n - d - 1)) & 1:
-                        uleft[d] = uleft[d][rows, src]
-                    elif d >= 1:
-                        llrs[d] = llrs[d][rows, src]
-                ucap[n][:, :, 0] = dec
+                perm[:, :, :grown] = perm[:, rows, order % width]
+                ucap[n] = (order // width).astype(np.uint8)[:, :, None]
+                width = grown
 
         # recover message bits per path (the transform is self-inverse)
         u_all = polar_transform(ucap[0])
-        words = u_all[:, :, self.info_pos]                # (batch, Lsz, K)
-        ok = self.crc.check(words)                        # (batch, Lsz)
+        words = u_all[:, :, self.info_pos]                # (batch, width, K)
+        ok = self.crc.check(words)                        # (batch, width)
         pm_pass = np.where(ok, pm, np.inf)
         any_ok = ok.any(axis=1)
         best = np.where(any_ok, np.argmin(pm_pass, axis=1), np.argmin(pm, axis=1))

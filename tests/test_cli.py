@@ -62,6 +62,18 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "leakage"])
+def test_unbuildable_ldpc_code_is_config_error(tmp_path, capsys, command):
+    # ns - S = 6 passes validation, but the (46, 40) construction is rank
+    # deficient
+    bad = tmp_path / "ns46.cfg"
+    bad.write_text("ns = 46\n")
+    assert main([command, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: ns: ")
+
+
 def test_zero_trials_is_config_error(mini_file):
     assert main(["run", "--config", mini_file, "--trials", "0"]) == 2
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from secure_ura import LdpcCode
+from secure_ura.ldpc import _TANH_LIMIT
+from secure_ura.modulation import clamp_llr
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +78,97 @@ def test_small_code_round_trip(rng):
     llr = np.where(np.concatenate([sys_part, parity], axis=1) == 0, 40.0, -40.0)
     s_hat, converged = code.decode(llr, 30)
     assert converged.all() and np.array_equal(s_hat, s)
+
+
+def _decode_reference(code, llr, iters=50):
+    """The dense (batch, checks, variables) BP the edge list replaced, verbatim."""
+    self = code
+    llr = np.asarray(llr, dtype=np.float64)
+    single = llr.ndim == 1
+    L = clamp_llr(np.atleast_2d(llr))
+    batch = L.shape[0]
+    if L.shape[1] != self.n:
+        raise ValueError(f"LLR length {L.shape[1]} != {self.n}")
+
+    mask = self.H.astype(bool)[None, :, :]          # (1, m, n)
+    bits = (L < 0).astype(np.uint8)
+    best = bits.copy()
+    # a zero LLR is an erasure: its hard decision is arbitrary, so it
+    # cannot count toward convergence
+    determinate = np.all(L != 0.0, axis=-1)
+    converged = determinate & ~np.any(self.syndrome(bits), axis=-1)
+
+    E = np.zeros((batch,) + self.H.shape)           # check -> var messages
+    V = np.where(mask, L[:, None, :], 0.0)          # var -> check messages
+
+    for _ in range(iters):
+        if converged.all():
+            break
+        t = np.where(mask, np.tanh(0.5 * V), 1.0)
+        zero = mask & (t == 0.0)
+        nzero = zero.sum(axis=2, keepdims=True)
+        t_safe = np.where(zero, 1.0, t)
+        prod = np.prod(t_safe, axis=2, keepdims=True)
+        # leave-one-out product, exact even when some tanh terms are 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            loo = np.where(
+                nzero == 0, prod / t_safe,
+                np.where((nzero == 1) & zero, prod, 0.0))
+        loo = np.clip(loo, -_TANH_LIMIT, _TANH_LIMIT)
+        E = np.where(mask, 2.0 * np.arctanh(loo), 0.0)
+
+        total = L + E.sum(axis=1)
+        V = np.where(mask, total[:, None, :] - E, 0.0)
+
+        bits = (total < 0).astype(np.uint8)
+        ok = np.all(total != 0.0, axis=-1) & ~np.any(self.syndrome(bits), axis=-1)
+        newly = ok & ~converged
+        if newly.any():
+            best[newly] = bits[newly]
+            converged |= newly
+
+    best[~converged] = bits[~converged]
+    s_hat = best[:, :self.k]
+    if single:
+        return s_hat[0], bool(converged[0])
+    return s_hat, converged
+
+
+def _noisy_llrs(code, rng, batch, sigma):
+    """Codeword LLRs with noise, ~x50-saturated entries and check erasures.
+
+    Word b erases the variables of (b % 3) edges of one check, so batches
+    hold words with none, one and two zero-tanh edges in a check.
+    """
+    s = rng.integers(0, 2, (batch, code.k), dtype=np.uint8)
+    sys_part, parity = code.encode(s)
+    x = 1.0 - 2.0 * np.concatenate([sys_part, parity], axis=1)
+    llr = 2.0 * x / sigma ** 2 + rng.normal(0.0, 2.0 / sigma, x.shape)
+    sat = rng.random(llr.shape) < 0.05
+    llr[sat] *= 50.0
+    for b in range(batch):
+        row = np.flatnonzero(code.H[rng.integers(code.H.shape[0])])
+        llr[b, rng.permutation(row)[:b % 3]] = 0.0
+    return llr
+
+
+@pytest.mark.parametrize("n,k", [(60, 40), (16, 8)])
+@pytest.mark.parametrize("iters", [0, 1, 50])
+def test_decode_matches_dense_reference(n, k, iters):
+    code = LdpcCode.build(n, k)
+    rng = np.random.default_rng(n + iters)
+    for batch, sigma in ((1, 0.5), (1, 1.0), (100, 0.6), (100, 0.8)):
+        llr = _noisy_llrs(code, rng, batch, sigma)
+        got, got_conv = code.decode(llr, iters)
+        want, want_conv = _decode_reference(code, llr, iters)
+        assert np.array_equal(got, want) and np.array_equal(got_conv, want_conv)
+    llr = _noisy_llrs(code, rng, 1, 1.0)[0]
+    got, got_conv = code.decode(llr, iters)
+    want, want_conv = _decode_reference(code, llr, iters)
+    assert np.array_equal(got, want) and got_conv == want_conv
+
+
+def test_small_code_has_irregular_checks():
+    # the (16, 8) case above covers padded check rows
+    H = LdpcCode.build(16, 8).H
+    assert len(set(H.sum(axis=1).tolist())) > 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from secure_ura import Crc, PolarCode, bpsk_map, bpsk_power_check, default_crc_poly, polar_transform
-from secure_ura.polar import _crc_matrix
+from secure_ura.modulation import clamp_llr
+from secure_ura.polar import _crc_matrix, _f_llr, _schedule
 
 from helpers import sc_decode_reference
 
@@ -117,3 +118,125 @@ def test_bpsk_mapping_and_power():
     assert not x.imag.any()
     assert bpsk_power_check(x, 0.25)
     assert not bpsk_power_check(x * 1.001, 0.25)
+
+
+def _decode_reference(code, llr, list_size=8):
+    """The eager list decoder the path-index maps replaced, kept verbatim.
+
+    Every leaf permutes the per-depth state arrays of all Lsz list slots;
+    slots not yet filled are placeholders with path metric +inf.
+    """
+    self = code
+    llr = np.asarray(llr, dtype=np.float64)
+    single = llr.ndim == 1
+    chan = clamp_llr(np.atleast_2d(llr)).astype(np.float32)
+    batch = chan.shape[0]
+    if chan.shape[1] != self.N:
+        raise ValueError(f"LLR length {chan.shape[1]} != {self.N}")
+    n = self.N.bit_length() - 1
+    Lsz = int(list_size)
+    if Lsz < 1:
+        raise ValueError("list size must be >= 1")
+
+    frozen = self.frozen_mask
+    # per-depth state: llrs[d] and the stashed left-child outputs uleft[d]
+    llrs = [np.zeros((batch, Lsz, 1 << (n - d)), dtype=np.float32) for d in range(n + 1)]
+    ucap = [np.zeros((batch, Lsz, 1 << (n - d)), dtype=np.uint8) for d in range(n + 1)]
+    uleft = [np.zeros((batch, Lsz, 1 << (n - d - 1)), dtype=np.uint8) for d in range(n)]
+    llrs[0][:] = chan[:, None, :]
+
+    pm = np.full((batch, Lsz), np.inf)
+    pm[:, 0] = 0.0
+    rows = np.arange(batch)[:, None]
+
+    for op, arg in _schedule(n, frozen.astype(np.uint8).tobytes()):
+        if op == "f":
+            d = arg
+            w = 1 << (n - d - 1)
+            llrs[d + 1] = _f_llr(llrs[d][:, :, :w], llrs[d][:, :, w:])
+        elif op == "g":
+            d = arg
+            w = 1 << (n - d - 1)
+            uleft[d] = ucap[d + 1].copy()
+            sign = 1.0 - 2.0 * uleft[d].astype(np.float32)
+            llrs[d + 1] = llrs[d][:, :, w:] + sign * llrs[d][:, :, :w]
+        elif op == "c":
+            d = arg
+            ucap[d] = np.concatenate([uleft[d] ^ ucap[d + 1], ucap[d + 1]], axis=2)
+        elif op == "zero":
+            d = arg
+            pm = pm + np.logaddexp(0.0, -llrs[d].astype(np.float64)).sum(axis=2)
+            ucap[d] = np.zeros_like(ucap[d])
+        else:  # leaf; the schedule only emits leaves for information bits
+            i = arg
+            leaf_llr = llrs[n][:, :, 0].astype(np.float64)
+            pen0 = np.logaddexp(0.0, -leaf_llr)
+            pen1 = np.logaddexp(0.0, leaf_llr)
+            pm2 = np.concatenate([pm + pen0, pm + pen1], axis=1)
+            order = np.argsort(pm2, axis=1, kind="stable")[:, :Lsz]
+            src = order % Lsz
+            dec = (order // Lsz).astype(np.uint8)
+            pm = pm2[rows, order]
+            # permute only the state a future step still reads
+            for d in range(n):
+                if (i >> (n - d - 1)) & 1:
+                    uleft[d] = uleft[d][rows, src]
+                elif d >= 1:
+                    llrs[d] = llrs[d][rows, src]
+            ucap[n][:, :, 0] = dec
+
+    # recover message bits per path (the transform is self-inverse)
+    u_all = polar_transform(ucap[0])
+    words = u_all[:, :, self.info_pos]                # (batch, Lsz, K)
+    ok = self.crc.check(words)                        # (batch, Lsz)
+    pm_pass = np.where(ok, pm, np.inf)
+    any_ok = ok.any(axis=1)
+    best = np.where(any_ok, np.argmin(pm_pass, axis=1), np.argmin(pm, axis=1))
+    chosen = words[np.arange(batch), best, :self.payload_bits]
+    if single:
+        return chosen[0], bool(any_ok[0])
+    return chosen, any_ok
+
+
+def _reference_llrs(code, rng, batch, snr):
+    """Noisy codeword LLRs with exact zeros, +/-40-clamped entries and both signs."""
+    payload = rng.integers(0, 2, (batch, code.payload_bits), dtype=np.uint8)
+    x = 1.0 - 2.0 * code.encode(payload)
+    llr = 4.0 * snr * x + rng.normal(0.0, np.sqrt(8.0 * snr), x.shape)
+    llr[rng.random(llr.shape) < 0.03] = 0.0
+    big = rng.random(llr.shape) < 0.03
+    llr[big] = 60.0 * x[big] * np.where(rng.random(big.sum()) < 0.1, -1.0, 1.0)
+    return llr
+
+
+@pytest.mark.parametrize("list_size", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("which", ["small", "big"])
+def test_decode_matches_eager_reference(which, list_size, small_code, big_code):
+    code = small_code if which == "small" else big_code
+    rng = np.random.default_rng(5000 + list_size)
+    for batch, snr in ((1, 0.3), (1, 1.0), (120, 0.3), (120, 0.6)):
+        llr = _reference_llrs(code, rng, batch, snr)
+        got, got_ok = code.decode(llr, list_size)
+        want, want_ok = _decode_reference(code, llr, list_size)
+        assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
+    # one unbatched word and an all-zero (fully erased) batch
+    llr = _reference_llrs(code, rng, 1, 0.5)[0]
+    got, got_ok = code.decode(llr, list_size)
+    want, want_ok = _decode_reference(code, llr, list_size)
+    assert np.array_equal(got, want) and got_ok == want_ok
+    got, got_ok = code.decode(np.zeros((3, code.N)), list_size)
+    want, want_ok = _decode_reference(code, np.zeros((3, code.N)), list_size)
+    assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
+
+
+def test_decode_matches_eager_reference_when_list_exceeds_words():
+    # K = 3 information bits: 2^K = 8 words, so a list of 16 keeps
+    # placeholder paths to the end of the eager decoder
+    code = PolarCode.design(16, 3, Crc(default_crc_poly(2), 2), design_snr=0.3)
+    rng = np.random.default_rng(77)
+    llr = np.clip(rng.normal(0.0, 3.0, (200, 16)), -40, 40)
+    llr[:20] = 0.0
+    for list_size in (4, 8, 16):
+        got, got_ok = code.decode(llr, list_size)
+        want, want_ok = _decode_reference(code, llr, list_size)
+        assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)

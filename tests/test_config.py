@@ -91,6 +91,7 @@ def test_short_feedback_rejected(tmp_path):
     (dict(seed=-1), "seed"),
     (dict(seed=1 << 64), "seed"),
     (dict(Bp=20), "Bp"),                  # 2^20 x 200 x 16 bytes > 1 GiB
+    (dict(ns=42), "ns"),                  # ns - S below the LDPC column weight
 ])
 def test_constructor_validation(overrides, field):
     with pytest.raises(ConfigError, match=field):
