@@ -10,16 +10,16 @@ what the same transmissions leak to a passive eavesdropper.
 from .channel import ReceivedFrame, feedback_observation, uplink
 from .config import ConfigError, SystemConfig, desk_scale, load_config
 from .crypto import Ciphertext, decrypt, encrypt, expand_key, split_ciphertext
-from .harness import (SweepResult, TrialError, TrialReport, emit_csv, read_csv,
+from .harness import (SweepResult, TrialError, TrialReport, emit_csv,
                       run_leakage, run_point, run_sweep, run_trial, selftest,
                       split_power_budget)
 from .keys import (DegenerateFeedbackError, KeySegment, PrivateObservation,
                    artificial_noise, build_key_segment, extract_key,
                    make_private_observation, standardize)
 from .ldpc import LdpcCode
-from .leakage import (LeakageReport, LeakageSizeError, equivocation_lower,
-                      leakage_eigen, leakage_logdet, leakage_report)
-from .modulation import LLR_CLAMP, bpsk_map, bpsk_power_check, clamp_llr
+from .leakage import (LeakageSizeError, equivocation_lower, leakage_eigen,
+                      leakage_logdet, leakage_report)
+from .modulation import LLR_CLAMP, bpsk_map, clamp_llr
 from .params import PublicParams, generate_public_params
 from .polar import Crc, PolarCode, default_crc_poly, polar_transform
 from .receiver import (DetectedUser, decode_frame, decode_keys_and_decrypt,

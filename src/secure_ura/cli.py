@@ -6,8 +6,9 @@ Subcommands:
   selftest  run the built-in invariant suites
   leakage   analytic equivocation report, no link simulation
 
-Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 I/O error,
-4 a trial raised (the message names the trial, the stage and the cause).
+Exit codes: 0 success, 1 selftest failure, 2 configuration error (from any
+subcommand, selftest included), 3 I/O error, 4 a trial raised (the message
+names the trial, the stage and the cause).
 """
 
 import argparse

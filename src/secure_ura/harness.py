@@ -61,8 +61,8 @@ class SweepResult:
 
 def first_user_zeta(cfg: SystemConfig, trial_id: int, params: PublicParams) -> float:
     """Equivocation lower bound of a trial's first user at cfg's Pa/Pk split."""
-    g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (1, cfg.E))
-    return leakage_report(g, params.C2, cfg.Pk, cfg.Pa, cfg.sigma_e2, cfg.S).zeta_e_lower
+    g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (cfg.E,))
+    return leakage_report(g, params.C2, cfg.Pk, cfg.Pa, cfg.sigma_e2, cfg.S)
 
 
 def run_trial(cfg: SystemConfig, trial_id: int,
@@ -191,38 +191,22 @@ def emit_csv(results: list[SweepResult], path) -> None:
     write_csv(path, CSV_HEADER, ([getattr(r, f) for f in CSV_HEADER] for r in results))
 
 
-def read_csv(path) -> list[SweepResult]:
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            return [SweepResult(ka=int(row["ka"]), ratio=float(row["ratio"]),
-                                pa=float(row["pa"]), pk=float(row["pk"]),
-                                trials=int(row["trials"]),
-                                pupe_mean=float(row["pupe_mean"]),
-                                pupe_stderr=float(row["pupe_stderr"]),
-                                zeta_lower_mean=float(row["zeta_lower_mean"]),
-                                seed=int(row["seed"]))
-                    for row in reader]
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
-# Self-test suites (the `selftest` CLI subcommand)
+# Self-test suites (the `selftest` CLI subcommand).  They are the one
+# statement of these invariants: tests and acceptance criteria call them.
 # ---------------------------------------------------------------------------
 
 
 def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
     tol = 1e-10
     target = cfg.Pf * cfg.M * cfg.L
-    assert abs(np.linalg.norm(params.V) ** 2 - target) <= tol * max(target, 1.0)
+    assert abs(np.linalg.norm(params.V) ** 2 - target) < tol * target
     eye = params.C1.conj().T @ params.C1
-    assert np.max(np.abs(eye - np.eye(cfg.S // 2))) <= tol
-    assert np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) <= tol
+    assert np.max(np.abs(eye - np.eye(cfg.S // 2))) < tol
+    assert np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol
+    target = cfg.np * cfg.Pp
     row_norms = np.linalg.norm(params.P, axis=1) ** 2
-    assert np.max(np.abs(row_norms - cfg.np * cfg.Pp)) <= tol * max(cfg.np * cfg.Pp, 1.0)
-    # the one deliberate regeneration: the artifacts are a pure function of cfg
-    assert params.digest() == generate_public_params(cfg).digest()
+    assert np.max(np.abs(row_norms - target)) < tol * target
 
 
 def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
@@ -256,10 +240,11 @@ def _check_crypto(cfg: SystemConfig, params: PublicParams) -> None:
 
 def _check_standardize(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(3)
-    y = rng.standard_normal(cfg.L) + 1j * rng.standard_normal(cfg.L)
-    z = standardize(y)
-    assert np.max(np.abs(standardize(5.0 * y) - z)) <= 1e-10
-    assert np.max(np.abs(standardize(z) - z)) <= 1e-10
+    for _ in range(16):
+        y = rng.standard_normal(cfg.L) + 1j * rng.standard_normal(cfg.L)
+        z = standardize(y)
+        assert np.max(np.abs(standardize(5.0 * y) - z)) < 1e-10
+        assert np.max(np.abs(standardize(z) - z)) < 1e-10
 
 
 def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
@@ -271,7 +256,7 @@ def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
         C2 /= np.linalg.norm(C2, axis=0, keepdims=True)
         a = leakage_eigen(g, C2, cfg.Pk, cfg.Pa, cfg.sigma_e2)
         b = leakage_logdet(g, C2, cfg.Pk, cfg.Pa, cfg.sigma_e2)
-        assert abs(a - b) <= 1e-9 * (1.0 + abs(b))
+        assert abs(a - b) < 1e-9 * (1.0 + abs(b))
 
 
 def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
@@ -295,16 +280,20 @@ SELFTEST_SUITES = [
 
 
 def selftest(cfg: SystemConfig, out=print) -> bool:
-    """Run every suite on one set of cfg's public artifacts; True if all pass."""
-    try:
-        params = generate_public_params(cfg)
-    except Exception as exc:
-        out(f"FAIL public-params generation: {exc}")
-        return False
+    """Run every suite on one set of cfg's public artifacts; True if all pass.
+
+    A ConfigError from building the artifacts propagates.  The artifacts
+    must be a pure function of cfg, so a reference set is built first and
+    only its digest is kept: the two sets are never held at once.
+    """
+    reference = generate_public_params(cfg).digest()
+    params = generate_public_params(cfg)
     ok = True
     for name, fn in SELFTEST_SUITES:
         try:
             fn(cfg, params)
+            if fn is _check_params_invariants:
+                assert params.digest() == reference, "regenerated artifacts differ"
             out(f"PASS {name}")
         except Exception as exc:
             out(f"FAIL {name}: {exc}")

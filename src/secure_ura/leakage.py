@@ -8,8 +8,6 @@ entropy.  No eavesdropper decoder is simulated; the bound already assumes
 interference-free, perfect-CSI reception.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LOGDET_SIZE_CAP = 4096
@@ -19,24 +17,13 @@ class LeakageSizeError(ValueError):
     """Explicit-covariance oracle asked for an infeasibly large matrix."""
 
 
-def _c2_eigenvalues(C2: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(C2.conj().T @ C2)
-    return np.clip(lam, 0.0, None)
-
-
-def _leakage_from_norm(g_norm2, lam: np.ndarray, Pk: float, Pa: float,
-                       sigma_e2: float) -> np.ndarray:
-    """Leakage bound in bits given ||g||^2 (broadcastable) and eigenvalues."""
-    g_norm2 = np.asarray(g_norm2, dtype=np.float64)[..., None]
-    terms = np.log1p(Pk * g_norm2 / (sigma_e2 + Pa * lam * g_norm2))
-    return terms.sum(axis=-1) / np.log(2.0)
-
-
 def leakage_eigen(g: np.ndarray, C2: np.ndarray, Pk: float, Pa: float,
                   sigma_e2: float) -> float:
     """Upper bound (bits) on key leakage via the eigenvalues of C2^H C2."""
     g_norm2 = float(np.sum(np.abs(g) ** 2))
-    return float(_leakage_from_norm(g_norm2, _c2_eigenvalues(C2), Pk, Pa, sigma_e2))
+    lam = np.clip(np.linalg.eigvalsh(C2.conj().T @ C2), 0.0, None)
+    terms = np.log1p(Pk * g_norm2 / (sigma_e2 + Pa * lam * g_norm2))
+    return float(terms.sum() / np.log(2.0))
 
 
 def leakage_logdet(g: np.ndarray, C2: np.ndarray, Pk: float, Pa: float,
@@ -61,21 +48,7 @@ def equivocation_lower(leak_bits: float, key_bits: int) -> float:
     return 1.0 - leak_bits / key_bits
 
 
-@dataclass(frozen=True)
-class LeakageReport:
-    leak_bits: float               # mean per-user leakage bound, bits
-    zeta_e_lower: float            # 1 - leak_bits / S
-    per_user: np.ndarray           # each user's ||g||^2
-    per_user_leak_bits: np.ndarray
-
-
-def leakage_report(G: np.ndarray, C2: np.ndarray, Pk: float, Pa: float,
-                   sigma_e2: float, key_bits: int) -> LeakageReport:
-    """Per-user leakage bounds for a trial's (Ka, E) eavesdropper channels."""
-    norms = np.sum(np.abs(G) ** 2, axis=1)
-    lam = _c2_eigenvalues(C2)
-    per_user = _leakage_from_norm(norms, lam, Pk, Pa, sigma_e2)
-    leak = float(per_user.mean())
-    return LeakageReport(leak_bits=leak,
-                         zeta_e_lower=equivocation_lower(leak, key_bits),
-                         per_user=norms, per_user_leak_bits=per_user)
+def leakage_report(g: np.ndarray, C2: np.ndarray, Pk: float, Pa: float,
+                   sigma_e2: float, key_bits: int) -> float:
+    """Equivocation lower bound of one user whose eavesdropper channel is g."""
+    return equivocation_lower(leakage_eigen(g, C2, Pk, Pa, sigma_e2), key_bits)

@@ -15,15 +15,5 @@ def bpsk_map(bits: np.ndarray, power: float) -> np.ndarray:
     return ((1.0 - 2.0 * np.asarray(bits, dtype=np.float64)) * amp).astype(np.complex128)
 
 
-def bpsk_power_check(x: np.ndarray, power: float, tol: float = 1e-12) -> bool:
-    """True iff every entry of x is +/-sqrt(power) and ||x||^2 == len(x) * power."""
-    x = np.asarray(x)
-    amp = np.sqrt(power)
-    on_grid = np.all(np.abs(np.abs(x) - amp) <= tol * (1.0 + amp))
-    total = np.sum(np.abs(x) ** 2)
-    budget = x.size * power
-    return bool(on_grid and abs(total - budget) <= tol * (1.0 + budget))
-
-
 def clamp_llr(llr: np.ndarray) -> np.ndarray:
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)

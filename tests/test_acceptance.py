@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from secure_ura import (SystemConfig, ReceivedFrame, decode_frame, encrypt,
+from secure_ura import (SystemConfig, ReceivedFrame, decode_frame,
                         feature_noise_variances, generate_public_params,
-                        leakage_eigen, leakage_logdet, run_sweep, standardize,
-                        transmit, uplink)
-from secure_ura.harness import emit_csv
+                        leakage_eigen, leakage_logdet, run_sweep, transmit,
+                        uplink)
+from secure_ura.harness import (_check_crypto, _check_params_invariants,
+                                _check_standardize, emit_csv)
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg
@@ -150,27 +151,11 @@ def test_criterion_5_codec_suites():
 def test_criterion_6_structural_invariants():
     cfg = SystemConfig()
     params = generate_public_params(cfg)
-    tol = 1e-10
+    # norms, standardize and the XOR involution: the selftest suites
+    for check in (_check_params_invariants, _check_standardize, _check_crypto):
+        check(cfg, params)
 
-    target = cfg.Pf * cfg.M * cfg.L
-    assert abs(np.linalg.norm(params.V) ** 2 - target) < tol * target
-    eye = params.C1.conj().T @ params.C1
-    assert np.max(np.abs(eye - np.eye(cfg.S // 2))) < tol
-    assert np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol
-    norms2 = np.linalg.norm(params.P, axis=1) ** 2
-    assert np.max(np.abs(norms2 - cfg.np * cfg.Pp)) < tol * cfg.np * cfg.Pp
-
-    rng = np.random.default_rng(66)
-    y = rng.standard_normal(cfg.L) + 1j * rng.standard_normal(cfg.L)
-    assert np.max(np.abs(standardize(3.0 * y) - standardize(y))) < 1e-10
-    z = standardize(y)
-    assert np.max(np.abs(standardize(z) - z)) < 1e-10
-
-    w = rng.integers(0, 2, (200, cfg.B), dtype=np.uint8)
-    k = rng.integers(0, 2, (200, cfg.B), dtype=np.uint8)
-    assert np.array_equal(encrypt(encrypt(w, k), k), w)
-
-    _sic_exact_cancellation(cfg, params, rng)
+    _sic_exact_cancellation(cfg, params, np.random.default_rng(66))
     _systematic_llr_matches_posterior_oracle()
     _report(6, "norms, standardize, involution, SIC cancellation and "
                "LLR oracle all within tolerance")

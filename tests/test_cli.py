@@ -62,7 +62,7 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("command", ["run", "leakage"])
+@pytest.mark.parametrize("command", ["run", "leakage", "selftest"])
 def test_unbuildable_ldpc_code_is_config_error(tmp_path, capsys, command):
     # ns - S = 6 passes validation, but the (46, 40) construction is rank
     # deficient

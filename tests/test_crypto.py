@@ -54,12 +54,6 @@ def test_round_trip_1000(rng):
     assert np.array_equal(decrypt(encrypt(w, k), k), w)
 
 
-def test_involution(rng):
-    w = rng.integers(0, 2, (100, 16), dtype=np.uint8)
-    k = rng.integers(0, 2, (100, 16), dtype=np.uint8)
-    assert np.array_equal(encrypt(encrypt(w, k), k), w)
-
-
 def test_split_ciphertext(rng):
     c = rng.integers(0, 2, 30, dtype=np.uint8)
     ct = split_ciphertext(c, 5)

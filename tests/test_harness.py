@@ -1,10 +1,11 @@
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
 from secure_ura import (ConfigError, TrialError, emit_csv, generate_public_params,
-                        read_csv, run_point, run_sweep, run_trial, selftest,
+                        run_point, run_sweep, run_trial, selftest,
                         split_power_budget)
 from secure_ura.harness import CSV_HEADER
 
@@ -120,13 +121,16 @@ def test_csv_round_trip(tmp_path, mini_cfg):
     emit_csv(results, path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_HEADER)
-    parsed = read_csv(path)
-    for a, b in zip(parsed, results):
-        assert a.ka == b.ka and a.trials == b.trials and a.seed == b.seed
+    with open(path, newline="", encoding="utf-8") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert len(parsed) == len(results)
+    for row, res in zip(parsed, results):
+        for field in ("ka", "trials", "seed"):
+            assert int(row[field]) == getattr(res, field)
         for field in ("ratio", "pa", "pk", "pupe_mean", "pupe_stderr",
                       "zeta_lower_mean"):
-            x, y = getattr(a, field), getattr(b, field)
-            assert x == pytest.approx(y, rel=1e-11, abs=1e-300)
+            assert float(row[field]) == pytest.approx(getattr(res, field),
+                                                      rel=1e-11, abs=1e-300)
 
 
 def test_empty_csv_is_header_only(tmp_path):
@@ -160,3 +164,21 @@ def test_selftest_generates_caller_params_once_plus_digest_check(monkeypatch):
     assert selftest(cfg, out=lambda line: None)
     # one set for every suite, plus the digest check's deliberate regeneration
     assert calls.count(cfg) == 2
+
+
+def test_selftest_fails_when_regeneration_differs(monkeypatch):
+    from secure_ura import harness
+    cfg = make_mini_cfg(sigma_c2=0.01, sigma_u2=0.01)
+    calls = []
+
+    def drifting(c):
+        # the digest check's reference set comes from another seed
+        calls.append(c)
+        return generate_public_params(
+            dataclasses.replace(c, seed=c.seed + 1) if len(calls) == 1 else c)
+
+    monkeypatch.setattr(harness, "generate_public_params", drifting)
+    lines = []
+    assert not selftest(cfg, out=lines.append)
+    assert lines[0].startswith("FAIL public-params invariants")
+    assert sum(line.startswith("PASS") for line in lines[1:]) == 6

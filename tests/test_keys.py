@@ -20,17 +20,6 @@ def test_standardize_zero_mean_unit_variance(rng):
     assert sample_variance(z) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_standardize_idempotent(rng):
-    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    z = standardize(y)
-    assert np.max(np.abs(standardize(z) - z)) < 1e-10
-
-
-def test_standardize_scale_invariant(rng):
-    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    assert np.max(np.abs(standardize(5.0 * y) - standardize(y))) < 1e-10
-
-
 def test_extract_key_known_projection(mini_params):
     C1 = mini_params.C1
     half = C1.shape[1]

@@ -83,12 +83,10 @@ def test_equivocation_bounds():
 
 
 def test_leakage_report(rng):
-    G = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    # one user's equivocation bound, bit for bit the eigenvalue form's
     C2 = _unit_cols(rng, 6, 4)
-    rep = leakage_report(G, C2, 0.15, 0.15, 1.0, key_bits=8)
-    assert rep.per_user.shape == (5,)
-    assert np.allclose(rep.per_user, np.sum(np.abs(G) ** 2, axis=1))
-    assert rep.leak_bits == pytest.approx(rep.per_user_leak_bits.mean())
-    assert rep.zeta_e_lower == pytest.approx(1.0 - rep.leak_bits / 8)
-    direct = [leakage_eigen(G[i], C2, 0.15, 0.15, 1.0) for i in range(5)]
-    assert np.allclose(rep.per_user_leak_bits, direct)
+    for _ in range(5):
+        g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        leak = leakage_eigen(g, C2, 0.15, 0.15, 1.0)
+        assert 0.0 < leak < 8
+        assert leakage_report(g, C2, 0.15, 0.15, 1.0, key_bits=8) == 1.0 - leak / 8

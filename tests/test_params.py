@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from secure_ura import ConfigError, SystemConfig, generate_public_params
+from secure_ura.harness import _check_params_invariants
 
-TOL = 1e-10
+# The norms of V, C1, C2 and the pilot rows are stated once, in the selftest
+# suite; the tests below add the shapes.
 
 
 def test_downlink_power_normalization(full_cfg, full_params):
-    target = full_cfg.Pf * full_cfg.M * full_cfg.L
-    assert np.linalg.norm(full_params.V) ** 2 == pytest.approx(target, rel=TOL)
+    _check_params_invariants(full_cfg, full_params)
 
 
 def test_zero_downlink_power():
@@ -19,22 +20,18 @@ def test_zero_downlink_power():
 
 
 def test_c1_orthonormal_columns(full_cfg, full_params):
-    eye = full_params.C1.conj().T @ full_params.C1
     assert full_params.C1.shape == (full_cfg.L, full_cfg.S // 2)
-    assert np.max(np.abs(eye - np.eye(full_cfg.S // 2))) < TOL
+    _check_params_invariants(full_cfg, full_params)
 
 
 def test_c2_unit_norm_columns(full_cfg, full_params):
-    norms = np.linalg.norm(full_params.C2, axis=0)
     assert full_params.C2.shape == (full_cfg.L, full_cfg.key_parity_len)
-    assert np.max(np.abs(norms - 1.0)) < TOL
+    _check_params_invariants(full_cfg, full_params)
 
 
 def test_pilot_row_norms(full_cfg, full_params):
-    norms2 = np.linalg.norm(full_params.P, axis=1) ** 2
-    target = full_cfg.np * full_cfg.Pp
     assert full_params.P.shape == (4096, full_cfg.np)
-    assert np.max(np.abs(norms2 - target)) < TOL * target
+    _check_params_invariants(full_cfg, full_params)
     # the stored norms the receiver ranks atoms by are exactly these
     assert np.array_equal(full_params.atom_norms, np.linalg.norm(full_params.P, axis=1))
 
