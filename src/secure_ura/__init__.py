@@ -9,13 +9,12 @@ what the same transmissions leak to a passive eavesdropper.
 
 from .channel import ReceivedFrame, feedback_observation, uplink
 from .config import ConfigError, SystemConfig, desk_scale, load_config
-from .crypto import Ciphertext, decrypt, encrypt, expand_key, split_ciphertext
+from .crypto import decrypt, encrypt, expand_key
 from .harness import (SweepResult, TrialError, TrialReport, emit_csv,
                       run_leakage, run_point, run_sweep, run_trial, selftest,
                       split_power_budget)
-from .keys import (DegenerateFeedbackError, KeySegment, PrivateObservation,
-                   artificial_noise, build_key_segment, extract_key,
-                   make_private_observation, standardize)
+from .keys import (DegenerateFeedbackError, artificial_noise, extract_key,
+                   standardize)
 from .ldpc import LdpcCode
 from .leakage import (LeakageSizeError, equivocation_lower, leakage_eigen,
                       leakage_logdet, leakage_report)
@@ -25,7 +24,6 @@ from .polar import Crc, PolarCode, default_crc_poly, polar_transform
 from .receiver import (DetectedUser, decode_frame, decode_keys_and_decrypt,
                        feature_noise_variances, iterative_decode, llr_parity,
                        llr_systematic, mmse_polar_llr, omp_detect)
-from .transmitter import (UserRealization, bits_to_index, build_pilot_segment,
-                          build_polar_segment, index_to_bits, transmit)
+from .transmitter import build_polar_segment, index_to_bits, transmit
 
 __version__ = "0.1.0"

@@ -27,12 +27,17 @@ class ReceivedFrame:
         return cls(y_p=y_bs[:, :a], y_d=y_bs[:, a:b], y_k=y_bs[:, b:])
 
 
-def feedback_observation(h: np.ndarray, V: np.ndarray, sigma_u2: float,
+def feedback_observation(H: np.ndarray, V: np.ndarray, sigma_u2: float,
                          rng: np.random.Generator) -> np.ndarray:
-    """Downlink observation h^T V plus receiver noise (one user)."""
-    if h.shape[0] != V.shape[0]:
-        raise ValueError(f"channel length {h.shape[0]} != downlink rows {V.shape[0]}")
-    return h @ V + complex_normal(rng, (V.shape[1],), sigma_u2)
+    """Downlink observations h^T V plus receiver noise, one row per user.
+
+    H holds one channel vector per row.  Each row is its own
+    vector-matrix product (a (Ka, 1, M) stack), so a user's observation
+    does not depend on how many users share the block.
+    """
+    if H.shape[1] != V.shape[0]:
+        raise ValueError(f"channel length {H.shape[1]} != downlink rows {V.shape[0]}")
+    return (H[:, None, :] @ V)[:, 0] + complex_normal(rng, (H.shape[0], V.shape[1]), sigma_u2)
 
 
 def uplink(X: np.ndarray, H: np.ndarray, sigma2: float,

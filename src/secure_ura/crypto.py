@@ -1,22 +1,6 @@
 """Keystream expansion and XOR encryption of user messages."""
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Ciphertext:
-    c: np.ndarray    # full ciphertext, length B
-    c_p: np.ndarray  # pilot sub-message, length Bp
-    c_d: np.ndarray  # polar sub-message, length B - Bp
-
-
-def split_ciphertext(c: np.ndarray, pilot_bits: int) -> Ciphertext:
-    c = np.asarray(c, dtype=np.uint8)
-    if not 0 < pilot_bits < c.size:
-        raise ValueError(f"pilot split {pilot_bits} outside (0, {c.size})")
-    return Ciphertext(c=c, c_p=c[:pilot_bits].copy(), c_d=c[pilot_bits:].copy())
 
 
 def expand_key(s: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -74,12 +74,9 @@ def run_trial(cfg: SystemConfig, trial_id: int,
     try:
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
-        fb_rng = stream(cfg.seed, "feedback-noise", trial_id)
-        rows = []
-        for u in range(cfg.Ka):
-            y = feedback_observation(h[u], params.V, cfg.sigma_u2, fb_rng)
-            rows.append(transmit(messages[u], y, cfg, params).x)
-        X = np.stack(rows, axis=0)
+        Y = feedback_observation(h, params.V, cfg.sigma_u2,
+                                 stream(cfg.seed, "feedback-noise", trial_id))
+        X, _, _ = transmit(messages, Y, cfg, params)
 
         stage = "uplink"
         y_bs = uplink(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
@@ -197,16 +194,30 @@ def emit_csv(results: list[SweepResult], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _require(ok, invariant: str) -> None:
+    """Raise naming the invariant unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise AssertionError(invariant)
+
+
+def _near(value, target: float, tol: float) -> bool:
+    """Every |value - target| < tol * target; exactly zero for a zero target."""
+    if target == 0:
+        return not np.any(value)
+    return bool(np.all(np.abs(value - target) < tol * target))
+
+
 def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
     tol = 1e-10
-    target = cfg.Pf * cfg.M * cfg.L
-    assert abs(np.linalg.norm(params.V) ** 2 - target) < tol * target
+    _require(_near(np.linalg.norm(params.V) ** 2, cfg.Pf * cfg.M * cfg.L, tol),
+             "downlink energy ||V||_F^2 != Pf * M * L")
     eye = params.C1.conj().T @ params.C1
-    assert np.max(np.abs(eye - np.eye(cfg.S // 2))) < tol
-    assert np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol
-    target = cfg.np * cfg.Pp
-    row_norms = np.linalg.norm(params.P, axis=1) ** 2
-    assert np.max(np.abs(row_norms - target)) < tol * target
+    _require(np.max(np.abs(eye - np.eye(cfg.S // 2))) < tol,
+             "C1 columns are not orthonormal")
+    _require(np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol,
+             "C2 columns are not unit-norm")
+    _require(_near(np.linalg.norm(params.P, axis=1) ** 2, cfg.np * cfg.Pp, tol),
+             "pilot row energy ||p_j||^2 != np * Pp")
 
 
 def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
@@ -214,9 +225,10 @@ def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
     s = rng.integers(0, 2, (200, cfg.S), dtype=np.uint8)
     sysb, par = params.ldpc.encode(s)
     cw = np.concatenate([sysb, par], axis=1)
-    assert not params.ldpc.syndrome(cw).any()
+    _require(not params.ldpc.syndrome(cw).any(), "an LDPC codeword has a nonzero syndrome")
     s_hat, conv = params.ldpc.decode(np.where(cw == 0, 40.0, -40.0), cfg.bp_iters)
-    assert np.array_equal(s_hat, s) and conv.all()
+    _require(np.array_equal(s_hat, s) and conv.all(),
+             "LDPC decoding of noiseless codewords does not return the keys")
 
 
 def _check_polar(cfg: SystemConfig, params: PublicParams) -> None:
@@ -224,27 +236,31 @@ def _check_polar(cfg: SystemConfig, params: PublicParams) -> None:
     pay = rng.integers(0, 2, (50, cfg.polar_payload_bits), dtype=np.uint8)
     cw = params.polar.encode(pay)
     dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), cfg.list_size)
-    assert np.array_equal(dec, pay) and ok.all()
+    _require(np.array_equal(dec, pay) and ok.all(),
+             "polar decoding of noiseless codewords does not return the payloads")
 
 
 def _check_crypto(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(2)
     w = rng.integers(0, 2, (500, cfg.B), dtype=np.uint8)
     k = rng.integers(0, 2, (500, cfg.B), dtype=np.uint8)
-    assert np.array_equal(encrypt(encrypt(w, k), k), w)
+    _require(np.array_equal(encrypt(encrypt(w, k), k), w), "encryption is not an involution")
     s1 = rng.integers(0, 2, cfg.S, dtype=np.uint8)
     s2 = rng.integers(0, 2, cfg.S, dtype=np.uint8)
-    assert np.array_equal(expand_key(s1 ^ s2, params.T),
-                          expand_key(s1, params.T) ^ expand_key(s2, params.T))
+    _require(np.array_equal(expand_key(s1 ^ s2, params.T),
+                            expand_key(s1, params.T) ^ expand_key(s2, params.T)),
+             "keystream expansion is not linear over GF(2)")
 
 
 def _check_standardize(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(3)
-    for _ in range(16):
-        y = rng.standard_normal(cfg.L) + 1j * rng.standard_normal(cfg.L)
-        z = standardize(y)
-        assert np.max(np.abs(standardize(5.0 * y) - z)) < 1e-10
-        assert np.max(np.abs(standardize(z) - z)) < 1e-10
+    d = rng.standard_normal((16, 2, cfg.L))
+    y = d[:, 0] + 1j * d[:, 1]
+    z = standardize(y)[0]
+    _require(np.max(np.abs(standardize(5.0 * y)[0] - z)) < 1e-10,
+             "standardize is not scale invariant")
+    _require(np.max(np.abs(standardize(z)[0] - z)) < 1e-10,
+             "standardize is not idempotent")
 
 
 def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
@@ -256,7 +272,8 @@ def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
         C2 /= np.linalg.norm(C2, axis=0, keepdims=True)
         a = leakage_eigen(g, C2, cfg.Pk, cfg.Pa, cfg.sigma_e2)
         b = leakage_logdet(g, C2, cfg.Pk, cfg.Pa, cfg.sigma_e2)
-        assert abs(a - b) < 1e-9 * (1.0 + abs(b))
+        _require(abs(a - b) < 1e-9 * (1.0 + abs(b)),
+                 f"eigen and log-det leakage differ: {a!r} != {b!r}")
 
 
 def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
@@ -265,7 +282,8 @@ def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
     report = run_trial(mini, 0)
-    assert report.pupe == 0.0
+    _require(report.pupe == 0.0,
+             f"noiseless single-user trial has PUPE {report.pupe:g}, expected 0")
 
 
 SELFTEST_SUITES = [
@@ -293,7 +311,7 @@ def selftest(cfg: SystemConfig, out=print) -> bool:
         try:
             fn(cfg, params)
             if fn is _check_params_invariants:
-                assert params.digest() == reference, "regenerated artifacts differ"
+                _require(params.digest() == reference, "regenerated artifacts differ")
             out(f"PASS {name}")
         except Exception as exc:
             out(f"FAIL {name}: {exc}")

@@ -237,6 +237,7 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
         detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
                                 OMP_RESIDUAL_THRESHOLD, params.atom_norms)
         new_users = []
+        new_rows = []                            # rows of payloads behind new_users
         if detections:
             Hd = np.stack([h for _, h in detections], axis=1)
             llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
@@ -250,12 +251,13 @@ def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
                 seen.add(tag)
                 c_hat = np.concatenate([index_to_bits(pilot_idx, cfg.Bp), payloads[i]])
                 new_users.append(DetectedUser(pilot_index=pilot_idx, c_hat=c_hat))
-                sig_rows.append(np.concatenate([
-                    params.P[pilot_idx],
-                    build_polar_segment(payloads[i], params, cfg.Pc)]))
+                new_rows.append(i)
         if not new_users:
             break
         users.extend(new_users)
+        sig_rows.extend(np.concatenate([
+            params.P[[u.pilot_index for u in new_users]],
+            build_polar_segment(payloads[new_rows], params, cfg.Pc)], axis=1))
 
         # least-squares re-estimation over the whole decoded set, then SIC
         while users:

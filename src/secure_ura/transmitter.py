@@ -1,38 +1,21 @@
-"""Per-user uplink signal assembly.
+"""Batched uplink signal assembly.
 
-A user turns its feedback observation into a key and key segment, encrypts
-its message with the expanded keystream, then maps the ciphertext halves to
-a pilot codeword and a CRC-aided polar codeword.  The frame is the
-concatenation [pilot | polar | key].
+Each user turns its feedback observation into a key and an artificial-noise
+mask, encrypts its message with the expanded keystream, then maps the
+ciphertext halves to a pilot codeword and a CRC-aided polar codeword.  The
+key segment is the BPSK-mapped LDPC parity of the key plus the mask, and
+the frame is the concatenation [pilot | polar | key].  A trial's users go
+through every step as one block, one row per user.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .crypto import Ciphertext, encrypt, expand_key, split_ciphertext
-from .keys import KeySegment, PrivateObservation, build_key_segment, make_private_observation
+from .crypto import encrypt, expand_key
+from .keys import (VAR_FLOOR, DegenerateFeedbackError, artificial_noise,
+                   extract_key, standardize)
 from .modulation import bpsk_map
 from .params import PublicParams
-
-
-@dataclass
-class UserRealization:
-    w: np.ndarray                  # message bits, length B
-    y: np.ndarray                  # feedback observation, length L
-    priv: PrivateObservation
-    cipher: Ciphertext
-    key_segment: KeySegment
-    x: np.ndarray                  # transmit signal, length np + nc + (ns - S)
-
-
-def bits_to_index(bits: np.ndarray) -> int:
-    """Big-endian bit vector to integer (first bit most significant)."""
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        out = (out << 1) | int(b)
-    return out
 
 
 def index_to_bits(index: int, width: int) -> np.ndarray:
@@ -40,33 +23,43 @@ def index_to_bits(index: int, width: int) -> np.ndarray:
                     dtype=np.uint8)
 
 
-def build_pilot_segment(c_p: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Row of the pilot codebook selected by the pilot sub-message."""
-    idx = bits_to_index(c_p)
-    if idx >= P.shape[0]:
-        raise ValueError(f"pilot index {idx} outside codebook of {P.shape[0]} rows")
-    return P[idx].copy()
-
-
 def build_polar_segment(c_d: np.ndarray, params: PublicParams, Pc: float) -> np.ndarray:
     return bpsk_map(params.polar.encode(c_d), Pc)
 
 
-def transmit(w: np.ndarray, y: np.ndarray, cfg: SystemConfig,
-             params: PublicParams) -> UserRealization:
-    """Full transmitter chain for one user."""
-    w = np.asarray(w, dtype=np.uint8)
-    if w.shape != (cfg.B,):
-        raise ValueError(f"message shape {w.shape} != ({cfg.B},)")
+def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
+             params: PublicParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transmitter chain for a block of users: returns (X, C, S).
 
-    priv = make_private_observation(y, params.C1)
-    key_segment = build_key_segment(priv.s, priv.y_bar, params.C2,
-                                    cfg.Pk, cfg.Pa, params.ldpc)
-    keystream = expand_key(priv.s, params.T)
-    cipher = split_ciphertext(encrypt(w, keystream), cfg.Bp)
+    W holds one B-bit message per row and Y the matching feedback
+    observations, one L-vector per row.  X is the (Ka, frame_len) block of
+    transmit signals, C the (Ka, B) ciphertexts and S the (Ka, S) key bits.
+    A feedback row below the variance floor raises DegenerateFeedbackError
+    naming the first such user.
 
-    x_p = build_pilot_segment(cipher.c_p, params.P)
-    x_d = build_polar_segment(cipher.c_d, params, cfg.Pc)
-    x = np.concatenate([x_p, x_d, key_segment.x_k])
-    return UserRealization(w=w, y=y, priv=priv, cipher=cipher,
-                           key_segment=key_segment, x=x)
+    The projections of the standardized feedback go through a (Ka, 1, L)
+    stack, so each row is its own vector-matrix product and a user's frame
+    does not depend on how many users share the block; a plain block
+    product rounds differently from row to row.
+    """
+    W = np.asarray(W, dtype=np.uint8)
+    if W.shape != (len(Y), cfg.B):
+        raise ValueError(f"message block shape {W.shape} != ({len(Y)}, {cfg.B})")
+
+    Y_bar, var, valid = standardize(Y)
+    if not valid.all():
+        u = int(np.flatnonzero(~valid)[0])
+        raise DegenerateFeedbackError(
+            f"user {u}: sample variance {var[u]:.3e} below {VAR_FLOOR:.0e}")
+    Y_bar = Y_bar[:, None, :]
+    S = extract_key(Y_bar, params.C1)[1][:, 0]
+    _, parity = params.ldpc.encode(S)
+    x_k = bpsk_map(parity, cfg.Pk) + artificial_noise(Y_bar, params.C2, cfg.Pa)[:, 0]
+
+    C = encrypt(W, expand_key(S, params.T))
+    # big-endian pilot bits pick the codebook row (first bit most significant)
+    pilot = C[:, :cfg.Bp].astype(np.int64) @ (1 << np.arange(cfg.Bp - 1, -1, -1))
+    X = np.concatenate([params.P[pilot],
+                        build_polar_segment(C[:, cfg.Bp:], params, cfg.Pc),
+                        x_k], axis=1)
+    return X, C, S

@@ -13,6 +13,13 @@ def make_mini_cfg(**overrides):
     return SystemConfig(**base)
 
 
+def random_users(cfg, rng, n):
+    """n random messages (n, B) and generic feedback vectors (n, L)."""
+    W = rng.integers(0, 2, (n, cfg.B), dtype=np.uint8)
+    Y = rng.standard_normal((n, cfg.L)) + 1j * rng.standard_normal((n, cfg.L))
+    return W, Y
+
+
 def sc_decode_reference(llr, frozen):
     """Plain successive cancellation, recursive float64 reference."""
     N = len(llr)

@@ -11,7 +11,8 @@ import pytest
 from scipy.special import log_ndtr
 
 from secure_ura import (SystemConfig, ReceivedFrame, decode_frame,
-                        feature_noise_variances, generate_public_params,
+                        feature_noise_variances, feedback_observation,
+                        generate_public_params,
                         leakage_eigen, leakage_logdet, run_sweep, transmit,
                         uplink)
 from secure_ura.harness import (_check_crypto, _check_params_invariants,
@@ -65,10 +66,10 @@ def test_criterion_3_noiseless_end_to_end_identity():
     for trial in range(100):
         h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
         w = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
-        fb = complex_normal(stream(cfg.seed, "feedback-noise", trial),
-                            (cfg.Ka, cfg.L), cfg.sigma_u2)
-        ur = transmit(w[0], h[0] @ params.V + fb[0], cfg, params)
-        y_bs = uplink(ur.x[None, :], h.T, cfg.sigma_c2,
+        Y = feedback_observation(h, params.V, cfg.sigma_u2,
+                                 stream(cfg.seed, "feedback-noise", trial))
+        X, _, S = transmit(w, Y, cfg, params)
+        y_bs = uplink(X, h.T, cfg.sigma_c2,
                       stream(cfg.seed, "bs-noise", trial))
         frame = ReceivedFrame.from_uplink(y_bs, cfg)
         decoded = decode_frame(frame, cfg, params)
@@ -77,7 +78,7 @@ def test_criterion_3_noiseless_end_to_end_identity():
         hits = [d for d in decoded
                 if d.w_hat is not None and np.array_equal(d.w_hat, w[0])]
         assert hits
-        assert any(np.array_equal(d.s_hat, ur.priv.s) for d in hits)
+        assert any(np.array_equal(d.s_hat, S[0]) for d in hits)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(3, f"100 near-noiseless trials: PUPE 0 and exact keys ({elapsed:.1f}s)")
@@ -167,12 +168,8 @@ def _sic_exact_cancellation(cfg, params, rng):
     mini_params = generate_public_params(mini)
     H = (rng.standard_normal((mini.M, mini.Ka))
          + 1j * rng.standard_normal((mini.M, mini.Ka))) / np.sqrt(2)
-    rows = []
-    for i in range(mini.Ka):
-        w = rng.integers(0, 2, mini.B, dtype=np.uint8)
-        ur = transmit(w, H[:, i] @ mini_params.V, mini, mini_params)
-        rows.append(ur.x[:mini.np + mini.nc])
-    X = np.stack(rows)
+    W = rng.integers(0, 2, (mini.Ka, mini.B), dtype=np.uint8)
+    X = transmit(W, H.T @ mini_params.V, mini, mini_params)[0][:, :mini.np + mini.nc]
     Y = H @ X
     H_ls = np.linalg.solve((X @ X.conj().T).T, (Y @ X.conj().T).T).T
     residual = Y - H_ls @ X

@@ -9,21 +9,21 @@ from helpers import make_mini_cfg
 
 def test_noiseless_unit_channel_reads_downlink_row(full_params):
     M = full_params.V.shape[0]
-    h = np.zeros(M, dtype=complex)
-    h[0] = 1.0
-    y = feedback_observation(h, full_params.V, 0.0, stream(0, "fb"))
-    assert np.allclose(y, full_params.V[0], atol=1e-14)
+    H = np.zeros((2, M), dtype=complex)
+    H[0, 0] = H[1, 1] = 1.0
+    Y = feedback_observation(H, full_params.V, 0.0, stream(0, "fb"))
+    assert np.allclose(Y, full_params.V[:2], atol=1e-14)
 
 
 def test_zero_channel_gives_pure_noise():
     V = np.zeros((4, 20000), dtype=complex)
-    y = feedback_observation(np.zeros(4, dtype=complex), V, 1.0, stream(1, "fb"))
+    y = feedback_observation(np.zeros((1, 4), dtype=complex), V, 1.0, stream(1, "fb"))
     assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 3.0 / np.sqrt(len(y))
 
 
 def test_feedback_reproducible():
     V = (np.arange(12).reshape(3, 4) + 1j).astype(complex)
-    h = np.array([1.0, 2.0, 3.0], dtype=complex)
+    h = np.array([[1.0, 2.0, 3.0]], dtype=complex)
     y1 = feedback_observation(h, V, 0.5, stream(3, "fb", 0))
     y2 = feedback_observation(h, V, 0.5, stream(3, "fb", 0))
     assert np.array_equal(y1, y2)
@@ -31,7 +31,7 @@ def test_feedback_reproducible():
 
 def test_feedback_dimension_mismatch():
     with pytest.raises(ValueError):
-        feedback_observation(np.zeros(3, dtype=complex),
+        feedback_observation(np.zeros((1, 3), dtype=complex),
                              np.zeros((4, 5), dtype=complex), 0.0, stream(0, "fb"))
 
 

@@ -1,5 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import secure_ura
 from secure_ura import load_config, run_leakage, run_sweep
 from secure_ura.cli import main
 from secure_ura.harness import LEAKAGE_CSV_HEADER, write_csv
@@ -93,7 +100,7 @@ def test_trial_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("trial error: trial 0: transmit: ")
+    assert err[0].startswith("trial error: trial 0: transmit: user 0: sample variance ")
 
 
 def test_unknown_flag_exits_with_usage(capsys):
@@ -114,6 +121,23 @@ def test_selftest_subcommand(tmp_path, capsys):
     cfg.write_text(MINI.replace("1e-9", "0.01"))
     assert main(["selftest", "--config", str(cfg)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_selftest_fails_under_optimized_python(tmp_path):
+    # the suites check without assert statements, so python -O still runs
+    # them; zero pilot power leaves the noiseless trial undetected
+    cfg = tmp_path / "pp0.cfg"
+    cfg.write_text("M = 8\nE = 8\nPp = 0\n")
+    src = str(Path(secure_ura.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "secure_ura.cli", "selftest",
+                           "--config", str(cfg)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    fails = [l for l in proc.stdout.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 1
+    assert re.fullmatch(r"FAIL noiseless end-to-end: \S.*", fails[0])
 
 
 def test_leakage_subcommand(mini_file, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from secure_ura import decrypt, encrypt, expand_key, split_ciphertext
+from secure_ura import decrypt, encrypt, expand_key
 
 
 def test_zero_key_expands_to_zero(rng):
@@ -52,13 +52,6 @@ def test_round_trip_1000(rng):
     w = rng.integers(0, 2, (1000, 40), dtype=np.uint8)
     k = rng.integers(0, 2, (1000, 40), dtype=np.uint8)
     assert np.array_equal(decrypt(encrypt(w, k), k), w)
-
-
-def test_split_ciphertext(rng):
-    c = rng.integers(0, 2, 30, dtype=np.uint8)
-    ct = split_ciphertext(c, 5)
-    assert np.array_equal(np.concatenate([ct.c_p, ct.c_d]), c)
-    assert ct.c_p.shape == (5,) and ct.c_d.shape == (25,)
 
 
 def test_wrong_key_bit_flips_matching_keystream_positions(rng):

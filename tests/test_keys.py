@@ -2,22 +2,31 @@ import numpy as np
 import pytest
 
 from secure_ura import (DegenerateFeedbackError, artificial_noise,
-                        build_key_segment, extract_key,
-                        make_private_observation, standardize)
+                        extract_key, generate_public_params, standardize,
+                        transmit)
 from secure_ura.keys import sample_variance
+from secure_ura.modulation import bpsk_map
 from secure_ura.rng import complex_normal, stream
 
+from helpers import make_mini_cfg, random_users
 
-def test_standardize_constant_vector_is_degenerate():
-    with pytest.raises(DegenerateFeedbackError):
-        standardize(np.full(16, 2.0 + 1.0j))
+
+def test_standardize_constant_vector_is_degenerate(mini_cfg, mini_params, rng):
+    W, Y = random_users(mini_cfg, rng, 3)
+    Y[1] = 2.0 + 1.0j
+    _, _, valid = standardize(Y)
+    assert np.array_equal(valid, [True, False, True])
+    # the transmitter refuses the block and names the first degenerate user
+    with pytest.raises(DegenerateFeedbackError, match="^user 1: sample variance"):
+        transmit(W, Y, mini_cfg, mini_params)
 
 
 def test_standardize_zero_mean_unit_variance(rng):
-    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    z = standardize(y)
-    assert abs(z.mean()) < 1e-10
-    assert sample_variance(z) == pytest.approx(1.0, abs=1e-12)
+    y = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    z, _, valid = standardize(y)
+    assert valid.all()
+    assert np.abs(z.mean(axis=1)).max() < 1e-10
+    assert sample_variance(z) == pytest.approx(np.ones(3), abs=1e-12)
 
 
 def test_extract_key_known_projection(mini_params):
@@ -57,12 +66,19 @@ def test_key_bits_unbiased_under_gaussian_model(full_params):
     assert bias.max() < 0.01
 
 
-def test_key_segment_without_masking(mini_cfg, mini_params, rng):
-    s = rng.integers(0, 2, mini_cfg.S, dtype=np.uint8)
-    y_bar = standardize(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    seg = build_key_segment(s, y_bar, mini_params.C2, 0.25, 0.0, mini_params.ldpc)
-    assert np.array_equal(seg.x_k, seg.v)
-    assert np.allclose(np.abs(seg.v), 0.5)  # +/- sqrt(0.25)
+def _key_segments(cfg, params, W, Y):
+    """The key segments x_k of transmit's frames, with the users' keys."""
+    X, _, S = transmit(W, Y, cfg, params)
+    return X[:, cfg.np + cfg.nc:], S
+
+
+def test_key_segment_without_masking(rng):
+    cfg = make_mini_cfg(Pk=0.25, Pa=0.0)
+    params = generate_public_params(cfg)
+    x_k, S = _key_segments(cfg, params, *random_users(cfg, rng, 4))
+    # unmasked, the segment is exactly the BPSK parity of the key
+    assert np.array_equal(x_k, bpsk_map(params.ldpc.encode(S)[1], cfg.Pk))
+    assert np.allclose(np.abs(x_k), 0.5)  # +/- sqrt(0.25)
 
 
 def test_key_segment_masking_power(mini_cfg, mini_params):
@@ -76,22 +92,26 @@ def test_key_segment_masking_power(mini_cfg, mini_params):
     assert mean_power == pytest.approx(Pa, rel=0.05)
 
 
-def test_key_segment_zero_key(mini_cfg, mini_params):
-    s = np.zeros(mini_cfg.S, dtype=np.uint8)
-    y_bar = standardize(np.exp(1j * np.arange(mini_cfg.L)))
-    seg = build_key_segment(s, y_bar, mini_params.C2, 0.09, 0.0, mini_params.ldpc)
-    assert np.allclose(seg.v, 0.3)  # zero codeword -> all +sqrt(Pk)
+def test_key_segment_zero_key(rng):
+    # 2048 users with 8-bit keys: some draw the all-zero key
+    cfg = make_mini_cfg(Pk=0.09, Pa=0.0)
+    params = generate_public_params(cfg)
+    x_k, S = _key_segments(cfg, params, *random_users(cfg, rng, 2048))
+    zero = ~S.any(axis=1)
+    assert zero.any()
+    assert np.allclose(x_k[zero], 0.3)  # zero codeword -> all +sqrt(Pk)
 
 
 def test_length_bookkeeping(mini_cfg, mini_params, rng):
-    y = rng.standard_normal(mini_cfg.L) + 1j * rng.standard_normal(mini_cfg.L)
-    priv = make_private_observation(y, mini_params.C1)
-    seg = build_key_segment(priv.s, priv.y_bar, mini_params.C2,
-                            mini_cfg.Pk, mini_cfg.Pa, mini_params.ldpc)
-    assert priv.s.shape == (mini_cfg.S,)
-    assert seg.v.shape == (mini_cfg.key_parity_len,)
-    assert seg.x_k.shape == (mini_cfg.key_parity_len,)
-    assert np.array_equal(seg.x_k, seg.v + seg.v_prime)
+    W, Y = random_users(mini_cfg, rng, 3)
+    x_k, S = _key_segments(mini_cfg, mini_params, W, Y)
+    assert S.shape == (3, mini_cfg.S)
+    assert x_k.shape == (3, mini_cfg.key_parity_len)
+    # x_k = v + v': the BPSK parity plus the mask of each user's own vector
+    v = bpsk_map(mini_params.ldpc.encode(S)[1], mini_cfg.Pk)
+    v_prime = artificial_noise(standardize(Y)[0][:, None, :], mini_params.C2,
+                               mini_cfg.Pa)[:, 0]
+    assert np.array_equal(x_k, v + v_prime)
 
 
 def test_reciprocity_at_zero_noise(mini_cfg, mini_params, rng):
@@ -102,11 +122,12 @@ def test_reciprocity_at_zero_noise(mini_cfg, mini_params, rng):
     Y_bar_hat, _, valid = standardize(Y_hat)
     _, S_bs = extract_key(Y_bar_hat, mini_params.C1)
     assert valid.all()
+    Y_users = np.stack([H[:, i] @ mini_params.V for i in range(3)])  # sigma_u2 = 0
+    W = rng.integers(0, 2, (3, mini_cfg.B), dtype=np.uint8)
+    _, _, S_users = transmit(W, Y_users, mini_cfg, mini_params)
     for i in range(3):
-        y_user = H[:, i] @ mini_params.V  # sigma_u2 = 0
-        priv = make_private_observation(y_user, mini_params.C1)
-        assert np.allclose(Y_hat[i], y_user, atol=1e-14)
-        assert np.array_equal(S_bs[i], priv.s)
+        assert np.allclose(Y_hat[i], Y_users[i], atol=1e-14)
+        assert np.array_equal(S_bs[i], S_users[i])
 
 
 def test_batched_key_derivation_matches_per_row_calls(mini_params, rng):
@@ -117,14 +138,13 @@ def test_batched_key_derivation_matches_per_row_calls(mini_params, rng):
     U, S = extract_key(Y_bar, mini_params.C1)
     assert np.array_equal(valid, [True, True, False, True, False, True])
     for i in range(6):
+        y_bar, var_i, valid_i = standardize(Y[i])
+        assert valid_i == valid[i]
         if not valid[i]:
-            with pytest.raises(DegenerateFeedbackError):
-                standardize(Y[i])
             continue
-        y_bar = standardize(Y[i])
         u, s = extract_key(y_bar, mini_params.C1)
         assert np.array_equal(Y_bar[i], y_bar)
-        assert np.array_equal(var[i], sample_variance(Y[i]))
+        assert np.array_equal(var[i], var_i)
         assert np.array_equal(S[i], s)
         # a matrix-vector product rounds differently from the block product,
         # so the features agree to rounding, not bit for bit
@@ -135,7 +155,7 @@ def test_artificial_noise_exact_cancellation(mini_cfg, mini_params, rng):
     # Pk = 0, no noise, perfect estimates: the key segment cancels entirely
     h = (rng.standard_normal((mini_cfg.M, 2))
          + 1j * rng.standard_normal((mini_cfg.M, 2))) / np.sqrt(2)
-    masks = [artificial_noise(standardize(h[:, i] @ mini_params.V),
+    masks = [artificial_noise(standardize(h[:, i] @ mini_params.V)[0],
                               mini_params.C2, mini_cfg.Pa) for i in range(2)]
     Y_k = h @ np.stack(masks)
     # the receiver's side: one block of estimates, masks of the valid rows

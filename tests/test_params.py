@@ -19,6 +19,13 @@ def test_zero_downlink_power():
     assert not generate_public_params(cfg).V.any()
 
 
+@pytest.mark.parametrize("field", ["Pf", "Pp"])
+def test_invariants_hold_at_zero_power(field):
+    # a zero target is met exactly: V or P is all zeros
+    cfg = SystemConfig(M=8, E=8, **{field: 0.0})
+    _check_params_invariants(cfg, generate_public_params(cfg))
+
+
 def test_c1_orthonormal_columns(full_cfg, full_params):
     assert full_params.C1.shape == (full_cfg.L, full_cfg.S // 2)
     _check_params_invariants(full_cfg, full_params)
