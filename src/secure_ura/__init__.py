@@ -7,7 +7,7 @@ reconciles each key from its transmitted parity.  An analytic bound tracks
 what the same transmissions leak to a passive eavesdropper.
 """
 
-from .channel import ReceivedFrame, feedback_observation, uplink
+from .channel import feedback_observation, uplink
 from .config import ConfigError, SystemConfig, desk_scale, load_config
 from .crypto import decrypt, encrypt, expand_key
 from .harness import (SweepResult, TrialError, TrialReport, emit_csv,
@@ -21,7 +21,7 @@ from .leakage import (LeakageSizeError, equivocation_lower, leakage_eigen,
 from .modulation import LLR_CLAMP, bpsk_map, clamp_llr
 from .params import PublicParams, generate_public_params
 from .polar import Crc, PolarCode, default_crc_poly, polar_transform
-from .receiver import (DetectedUser, decode_frame, decode_keys_and_decrypt,
+from .receiver import (decode_frame, decode_keys_and_decrypt,
                        feature_noise_variances, iterative_decode, llr_parity,
                        llr_systematic, mmse_polar_llr, omp_detect)
 from .transmitter import build_polar_segment, index_to_bits, transmit

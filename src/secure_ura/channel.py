@@ -4,27 +4,9 @@ Channels stay constant over the whole frame and the preceding feedback
 round.  All functions are pure in an explicit RNG stream.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import SystemConfig
 from .rng import complex_normal
-
-
-@dataclass(frozen=True)
-class ReceivedFrame:
-    """The base station's frame, partitioned into the three uplink segments."""
-    y_p: np.ndarray  # (M, np)
-    y_d: np.ndarray  # (M, nc)
-    y_k: np.ndarray  # (M, ns - S)
-
-    @classmethod
-    def from_uplink(cls, y_bs: np.ndarray, cfg: SystemConfig) -> "ReceivedFrame":
-        if y_bs.shape[1] != cfg.frame_len:
-            raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {cfg.frame_len}")
-        a, b = cfg.np, cfg.np + cfg.nc
-        return cls(y_p=y_bs[:, :a], y_d=y_bs[:, a:b], y_k=y_bs[:, b:])
 
 
 def feedback_observation(H: np.ndarray, V: np.ndarray, sigma_u2: float,

@@ -73,8 +73,6 @@ def _load(args) -> SystemConfig:
     if args.desk_scale:
         cfg = desk_scale(cfg, trials=args.trials)
     elif args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"trials: must be a positive integer, got {args.trials}")
         cfg = replace(cfg, trials=args.trials)
     return cfg
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ReceivedFrame, feedback_observation, uplink
+from .channel import feedback_observation, uplink
 from .config import ConfigError, SystemConfig
 from .crypto import encrypt, expand_key
 from .keys import standardize
@@ -80,11 +80,10 @@ def run_trial(cfg: SystemConfig, trial_id: int,
 
         stage = "uplink"
         y_bs = uplink(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
-        frame = ReceivedFrame.from_uplink(y_bs, cfg)
 
         stage = "receiver"
-        decoded = decode_frame(frame, cfg, params)
-        recovered = {u.w_hat.tobytes() for u in decoded if u.w_hat is not None}
+        C_hat, _, W_hat, _, valid = decode_frame(y_bs, cfg, params)
+        recovered = {w.tobytes() for w in W_hat[valid]}
         n_err = sum(1 for u in range(cfg.Ka)
                     if messages[u].tobytes() not in recovered)
 
@@ -93,7 +92,7 @@ def run_trial(cfg: SystemConfig, trial_id: int,
     except Exception as exc:
         raise TrialError(f"trial {trial_id}: {stage}: {exc}") from exc
 
-    return TrialReport(trial_id=trial_id, n_detected=len(decoded), n_err=n_err,
+    return TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
                        pupe=n_err / cfg.Ka, zeta_lower=zeta)
 
 

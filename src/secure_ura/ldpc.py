@@ -180,15 +180,15 @@ class LdpcCode:
     # ---- decoding -------------------------------------------------------
 
     def decode(self, llr: np.ndarray, iters: int = 50) -> tuple[np.ndarray, np.ndarray]:
-        """Sum-product decode of (possibly batched) LLR vectors.
+        """Sum-product decode of a (batch, n) block of LLR vectors.
 
-        Returns (s_hat, converged): the first k hard decisions of the best
+        A 1-D vector is a batch of one.  Returns (s_hat, converged), one row
+        and one flag per word: the first k hard decisions of the best
         codeword estimate and a flag telling whether all parity checks were
         satisfied within `iters` iterations.  Non-convergence still yields
         the current hard decisions.
         """
         llr = np.asarray(llr, dtype=np.float64)
-        single = llr.ndim == 1
         L = clamp_llr(np.atleast_2d(llr))
         batch = L.shape[0]
         if L.shape[1] != self.n:
@@ -239,6 +239,4 @@ class LdpcCode:
 
         best[~converged] = bits[~converged]
         s_hat = best[:, :self.k]
-        if single:
-            return s_hat[0], bool(converged[0])
         return s_hat, converged

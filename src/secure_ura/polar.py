@@ -249,14 +249,14 @@ class PolarCode:
     # ---- decoding -------------------------------------------------------
 
     def decode(self, llr: np.ndarray, list_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
-        """CRC-aided list decode of (batched) channel LLR vectors.
+        """CRC-aided list decode of a (batch, N) block of channel LLRs.
 
-        Returns (payload, crc_ok).  crc_ok is True where some list path
+        A 1-D vector is a batch of one.  Returns (payload, crc_ok), one row
+        and one flag per word.  crc_ok is True where some list path
         passed the CRC; the payload is then the most likely passing path,
         otherwise the most likely path overall.
         """
         llr = np.asarray(llr, dtype=np.float64)
-        single = llr.ndim == 1
         chan = clamp_llr(np.atleast_2d(llr)).astype(np.float32)
         batch = chan.shape[0]
         if chan.shape[1] != self.N:
@@ -322,6 +322,4 @@ class PolarCode:
         any_ok = ok.any(axis=1)
         best = np.where(any_ok, np.argmin(pm_pass, axis=1), np.argmin(pm, axis=1))
         chosen = words[np.arange(batch), best, :self.payload_bits]
-        if single:
-            return chosen[0], bool(any_ok[0])
         return chosen, any_ok

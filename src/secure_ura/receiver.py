@@ -8,14 +8,16 @@ forms every decoded user's feedback estimate from its channel estimate,
 derives the features and artificial noise from it with the user's own key
 code (`keys`), cancels the noise from the key segment, assembles systematic
 and parity LLRs, and reconciles the key through the LDPC decoder.
-"""
 
-from dataclasses import dataclass
+The receiver reads the (M, frame_len) uplink block as it arrives and
+returns its decoded users as aligned arrays, one row per CRC-passing user
+in decoding order: ciphertexts, keys, decrypted messages and per-user
+flags.
+"""
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .channel import ReceivedFrame
 from .config import SystemConfig
 from .crypto import expand_key
 from .keys import artificial_noise, extract_key, standardize
@@ -26,15 +28,6 @@ from .transmitter import build_polar_segment, index_to_bits
 OMP_RESIDUAL_THRESHOLD = 0.05
 #: deferred rank-1 updates of the OMP correlation matrix applied per flush
 OMP_FLUSH_EVERY = 16
-
-
-@dataclass
-class DetectedUser:
-    pilot_index: int
-    c_hat: np.ndarray | None = None       # recovered ciphertext, length B
-    s_hat: np.ndarray | None = None       # recovered key, length S
-    w_hat: np.ndarray | None = None       # decrypted message, length B
-    key_converged: bool = False
 
 
 def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarray:
@@ -217,102 +210,98 @@ def llr_systematic(u_hat: np.ndarray, var_y_hat, sigma_uj2: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def iterative_decode(frame: ReceivedFrame, cfg: SystemConfig,
-                     params: PublicParams) -> tuple[list[DetectedUser], np.ndarray, np.ndarray]:
+def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
+                     params: PublicParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate pilot detection, polar decoding and SIC until nothing new decodes.
 
-    Returns (users, H_hat, residual_pp): the CRC-passing users with their
-    ciphertexts, the final least-squares channel estimates (one column per
-    user), and the residual pilot+polar observation.
+    y_bs is the (M, frame_len) uplink block.  Returns (C_hat, H_hat,
+    residual): the (k, B) ciphertexts of the CRC-passing users in decoding
+    order, their final least-squares channel estimates (M, k), and the
+    residual pilot+polar observation.
     """
-    Y_pp = np.concatenate([frame.y_p, frame.y_d], axis=1)
+    Y_pp = y_bs[:, :cfg.np + cfg.nc]
     residual = Y_pp.copy()
 
-    users: list[DetectedUser] = []
-    sig_rows: list[np.ndarray] = []
-    seen: set[tuple[int, bytes]] = set()
+    C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
+    X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
+    seen: set[bytes] = set()
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
     for _ in range(cfg.max_outer_iters):
         detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
                                 OMP_RESIDUAL_THRESHOLD, params.atom_norms)
-        new_users = []
-        new_rows = []                            # rows of payloads behind new_users
-        if detections:
-            Hd = np.stack([h for _, h in detections], axis=1)
-            llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
-            payloads, ok = params.polar.decode(llrs, cfg.list_size)
-            for i, (pilot_idx, _) in enumerate(detections):
-                if not ok[i]:
-                    continue
-                tag = (pilot_idx, payloads[i].tobytes())
-                if tag in seen:
-                    continue
-                seen.add(tag)
-                c_hat = np.concatenate([index_to_bits(pilot_idx, cfg.Bp), payloads[i]])
-                new_users.append(DetectedUser(pilot_index=pilot_idx, c_hat=c_hat))
-                new_rows.append(i)
-        if not new_users:
+        if not detections:
             break
-        users.extend(new_users)
-        sig_rows.extend(np.concatenate([
-            params.P[[u.pilot_index for u in new_users]],
-            build_polar_segment(payloads[new_rows], params, cfg.Pc)], axis=1))
+        pilots = np.array([j for j, _ in detections])
+        Hd = np.stack([h for _, h in detections], axis=1)
+        llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
+        payloads, ok = params.polar.decode(llrs, cfg.list_size)
+        C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)
+        new = []
+        for i in np.flatnonzero(ok):
+            tag = C_pass[i].tobytes()
+            if tag not in seen:
+                seen.add(tag)
+                new.append(i)
+        if not new:
+            break
+        C_hat = np.concatenate([C_hat, C_pass[new]])
+        X = np.concatenate([X, np.concatenate([
+            params.P[pilots[new]],
+            build_polar_segment(payloads[new], params, cfg.Pc)], axis=1)])
 
-        # least-squares re-estimation over the whole decoded set, then SIC
-        while users:
-            X = np.stack(sig_rows, axis=0)
+        # least-squares re-estimation over the whole decoded set, then SIC;
+        # a singular Gram matrix drops the newest user
+        while len(C_hat):
             G = X @ X.conj().T
             try:
                 H_hat = np.linalg.solve(G.T, (Y_pp @ X.conj().T).T).T
                 break
             except np.linalg.LinAlgError:
-                users.pop()
-                sig_rows.pop()
-        if not users:
+                C_hat, X = C_hat[:-1], X[:-1]
+        if not len(C_hat):
             break
-        X = np.stack(sig_rows, axis=0)
         residual = Y_pp - H_hat @ X
 
-    if not users:
-        H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
-    return users, H_hat, residual
+    # an emptied set keeps no stale estimate
+    return C_hat, H_hat[:, :len(C_hat)], residual
 
 
-def decode_keys_and_decrypt(users: list[DetectedUser], H_hat: np.ndarray,
-                            frame: ReceivedFrame, cfg: SystemConfig,
-                            params: PublicParams) -> list[DetectedUser]:
-    """Recover each decoded user's key and decrypt its ciphertext in place.
+def decode_keys_and_decrypt(C_hat: np.ndarray, H_hat: np.ndarray, y_k: np.ndarray,
+                            cfg: SystemConfig, params: PublicParams
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Recover every decoded user's key and decrypt its ciphertext.
 
     By reciprocity, row i of H_hat^T V estimates user i's feedback vector;
     the key code of `keys` turns the (k, L) block into features and masks.
     It is called on the whole block, since row-by-row products round
-    differently.  A user whose estimate is degenerate keeps s_hat and
-    w_hat None, and its mask is not cancelled.
+    differently.  y_k is the key segment of the uplink block.  Returns
+    (S_hat, W_hat, converged, valid), one row per row of C_hat.  valid[i]
+    is False where user i's estimate is degenerate: its mask is not
+    cancelled, its S_hat and W_hat rows mean nothing, and converged[i] is
+    False.
     """
-    if not users:
-        return users
-
     Y_bar, var, valid = standardize(H_hat.T @ params.V)
     U_hat, _ = extract_key(Y_bar, params.C1)
-    Y_k_clean = frame.y_k - H_hat[:, valid] @ artificial_noise(Y_bar[valid], params.C2, cfg.Pa)
+    Y_k_clean = y_k - H_hat[:, valid] @ artificial_noise(Y_bar[valid], params.C2, cfg.Pa)
     f_parity = llr_parity(Y_k_clean, H_hat, cfg.Pk, cfg.sigma_c2)
     f_sys = llr_systematic(U_hat, var, feature_noise_variances(cfg, params))
     f_key = np.concatenate([f_sys, f_parity], axis=1)
 
-    s_hats, converged = params.ldpc.decode(f_key, cfg.bp_iters)
-    keystreams = expand_key(s_hats, params.T)
-    for i, user in enumerate(users):
-        if not valid[i]:
-            continue
-        user.s_hat = s_hats[i]
-        user.key_converged = bool(converged[i])
-        user.w_hat = user.c_hat ^ keystreams[i]
-    return users
+    S_hat, converged = params.ldpc.decode(f_key, cfg.bp_iters)
+    W_hat = C_hat ^ expand_key(S_hat, params.T)
+    return S_hat, W_hat, converged & valid, valid
 
 
-def decode_frame(frame: ReceivedFrame, cfg: SystemConfig,
-                 params: PublicParams) -> list[DetectedUser]:
-    """Run the complete receiver on one frame."""
-    users, H_hat, _ = iterative_decode(frame, cfg, params)
-    return decode_keys_and_decrypt(users, H_hat, frame, cfg, params)
+def decode_frame(y_bs: np.ndarray, cfg: SystemConfig, params: PublicParams
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run the complete receiver on the (M, frame_len) uplink block.
+
+    Returns (C_hat, S_hat, W_hat, converged, valid), aligned row by row.
+    """
+    if y_bs.shape[1] != cfg.frame_len:
+        raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {cfg.frame_len}")
+    C_hat, H_hat, _ = iterative_decode(y_bs, cfg, params)
+    S_hat, W_hat, converged, valid = decode_keys_and_decrypt(
+        C_hat, H_hat, y_bs[:, cfg.np + cfg.nc:], cfg, params)
+    return C_hat, S_hat, W_hat, converged, valid

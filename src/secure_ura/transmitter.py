@@ -18,9 +18,10 @@ from .modulation import bpsk_map
 from .params import PublicParams
 
 
-def index_to_bits(index: int, width: int) -> np.ndarray:
-    return np.array([(index >> (width - 1 - i)) & 1 for i in range(width)],
-                    dtype=np.uint8)
+def index_to_bits(index: int | np.ndarray, width: int) -> np.ndarray:
+    """Big-endian width-bit rows of the indices (first bit most significant)."""
+    shifts = np.arange(width - 1, -1, -1)
+    return (np.asarray(index)[..., None] >> shifts & 1).astype(np.uint8)
 
 
 def build_polar_segment(c_d: np.ndarray, params: PublicParams, Pc: float) -> np.ndarray:

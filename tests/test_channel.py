@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from secure_ura import ReceivedFrame, feedback_observation, uplink
+from secure_ura import feedback_observation, uplink
 from secure_ura.rng import stream
-
-from helpers import make_mini_cfg
 
 
 def test_noiseless_unit_channel_reads_downlink_row(full_params):
@@ -65,20 +63,3 @@ def test_uplink_dimension_mismatch(rng):
         uplink(np.zeros((2, 4), dtype=complex), np.zeros((3, 1), dtype=complex),
                0.0, stream(0, "up"))
 
-
-def test_frame_partition_shapes():
-    cfg = make_mini_cfg()
-    y_bs = np.arange(cfg.M * cfg.frame_len, dtype=complex).reshape(cfg.M, -1)
-    frame = ReceivedFrame.from_uplink(y_bs, cfg)
-    assert frame.y_p.shape == (cfg.M, cfg.np)
-    assert frame.y_d.shape == (cfg.M, cfg.nc)
-    assert frame.y_k.shape == (cfg.M, cfg.key_parity_len)
-    # concatenation order is pilot | polar | key
-    recon = np.concatenate([frame.y_p, frame.y_d, frame.y_k], axis=1)
-    assert np.array_equal(recon, y_bs)
-
-
-def test_frame_partition_rejects_bad_width():
-    cfg = make_mini_cfg()
-    with pytest.raises(ValueError):
-        ReceivedFrame.from_uplink(np.zeros((cfg.M, 10), dtype=complex), cfg)

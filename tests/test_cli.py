@@ -81,8 +81,11 @@ def test_unbuildable_ldpc_code_is_config_error(tmp_path, capsys, command):
     assert err[0].startswith("configuration error: ns: ")
 
 
-def test_zero_trials_is_config_error(mini_file):
-    assert main(["run", "--config", mini_file, "--trials", "0"]) == 2
+def test_zero_trials_is_config_error(mini_file, capsys):
+    for preset in ([], ["--desk-scale"]):
+        assert main(["run", "--config", mini_file, "--trials", "0", *preset]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["configuration error: trials: must be a positive integer, got 0"]
 
 
 def test_io_error_exit_code(mini_file, tmp_path):

@@ -52,9 +52,13 @@ def test_single_flipped_bit_corrected(code, rng):
 
 
 def test_all_zero_llr_reports_nonconvergence(code):
+    s_hat, converged = code.decode(np.zeros((1, 60)), 50)
+    assert converged.tolist() == [False]
+    assert s_hat.shape == (1, 40)
+    # a 1-D vector is a batch of one: the results keep the batch axis
     s_hat, converged = code.decode(np.zeros(60), 50)
-    assert converged is False
-    assert s_hat.shape == (40,)
+    assert converged.tolist() == [False]
+    assert s_hat.shape == (1, 40)
 
 
 def test_column_weights_are_three(code):
@@ -68,7 +72,7 @@ def test_construction_requires_valid_rate():
 
 def test_decode_rejects_wrong_length(code):
     with pytest.raises(ValueError):
-        code.decode(np.zeros(59), 10)
+        code.decode(np.zeros((1, 59)), 10)
 
 
 def test_small_code_round_trip(rng):
@@ -162,10 +166,12 @@ def test_decode_matches_dense_reference(n, k, iters):
         got, got_conv = code.decode(llr, iters)
         want, want_conv = _decode_reference(code, llr, iters)
         assert np.array_equal(got, want) and np.array_equal(got_conv, want_conv)
+    # a 1-D vector decodes as a batch of one, the reference as one word
     llr = _noisy_llrs(code, rng, 1, 1.0)[0]
     got, got_conv = code.decode(llr, iters)
     want, want_conv = _decode_reference(code, llr, iters)
-    assert np.array_equal(got, want) and got_conv == want_conv
+    assert got.shape == (1, k) and got_conv.shape == (1,)
+    assert np.array_equal(got[0], want) and got_conv[0] == want_conv
 
 
 def test_small_code_has_irregular_checks():

@@ -53,16 +53,16 @@ def test_list_one_matches_plain_sc(small_code, rng):
         llr = np.clip(rng.normal(0.0, 3.0, 64), -40, 40)
         u_ref, _ = sc_decode_reference(llr.astype(np.float64), small_code.frozen_mask)
         ref_payload = u_ref[small_code.info_pos][:small_code.payload_bits]
-        dec, _ = small_code.decode(llr, 1)
-        assert np.array_equal(dec, ref_payload)
+        dec, _ = small_code.decode(llr[None], 1)
+        assert np.array_equal(dec[0], ref_payload)
 
 
 def test_list_one_matches_plain_sc_long(big_code, rng):
     for _ in range(10):
         llr = np.clip(rng.normal(0.0, 3.0, 512), -40, 40)
         u_ref, _ = sc_decode_reference(llr.astype(np.float64), big_code.frozen_mask)
-        dec, _ = big_code.decode(llr, 1)
-        assert np.array_equal(dec, u_ref[big_code.info_pos][:88])
+        dec, _ = big_code.decode(llr[None], 1)
+        assert np.array_equal(dec[0], u_ref[big_code.info_pos][:88])
 
 
 def test_corrupted_crc_bits_fail_check(big_code, rng):
@@ -74,8 +74,8 @@ def test_corrupted_crc_bits_fail_check(big_code, rng):
         u = np.zeros(512, dtype=np.uint8)
         u[big_code.info_pos] = word
         cw = polar_transform(u)
-        _, ok = big_code.decode(np.where(cw == 0, 40.0, -40.0), 8)
-        assert not ok
+        _, ok = big_code.decode(np.where(cw == 0, 40.0, -40.0)[None], 8)
+        assert ok.tolist() == [False]
 
 
 def test_false_pass_rate_on_noise_smoke(big_code, rng):
@@ -218,11 +218,13 @@ def test_decode_matches_eager_reference(which, list_size, small_code, big_code):
         got, got_ok = code.decode(llr, list_size)
         want, want_ok = _decode_reference(code, llr, list_size)
         assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
-    # one unbatched word and an all-zero (fully erased) batch
+    # a 1-D vector decodes as a batch of one, the reference as one word;
+    # then an all-zero (fully erased) batch
     llr = _reference_llrs(code, rng, 1, 0.5)[0]
     got, got_ok = code.decode(llr, list_size)
     want, want_ok = _decode_reference(code, llr, list_size)
-    assert np.array_equal(got, want) and got_ok == want_ok
+    assert got.shape == (1, code.payload_bits) and got_ok.shape == (1,)
+    assert np.array_equal(got[0], want) and got_ok[0] == want_ok
     got, got_ok = code.decode(np.zeros((3, code.N)), list_size)
     want, want_ok = _decode_reference(code, np.zeros((3, code.N)), list_size)
     assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)

@@ -1,12 +1,19 @@
+import functools
+import sys
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from secure_ura import (DetectedUser, ReceivedFrame,
-                        decode_frame, decode_keys_and_decrypt,
-                        feature_noise_variances, iterative_decode, llr_parity,
-                        llr_systematic, mmse_polar_llr, omp_detect, run_trial,
-                        standardize, transmit, uplink)
-from secure_ura.rng import stream
+from secure_ura import (SystemConfig, build_polar_segment, decode_frame,
+                        decode_keys_and_decrypt, expand_key, extract_key,
+                        artificial_noise, feature_noise_variances,
+                        feedback_observation, generate_public_params,
+                        iterative_decode, llr_parity, llr_systematic,
+                        mmse_polar_llr, omp_detect, run_trial, standardize,
+                        transmit, uplink)
+from secure_ura.receiver import OMP_RESIDUAL_THRESHOLD
+from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg
 
@@ -312,23 +319,51 @@ def test_iterative_decode_recovers_ciphertexts(mini_cfg, mini_params, rng):
     W = rng.integers(0, 2, (mini_cfg.Ka, mini_cfg.B), dtype=np.uint8)
     X, C, _ = transmit(W, h.T @ mini_params.V, mini_cfg, mini_params)
     Y = uplink(X, h, 1e-12, stream(0, "t"))
-    frame = ReceivedFrame.from_uplink(Y, mini_cfg)
-    decoded, H_hat, residual = iterative_decode(frame, mini_cfg, mini_params)
-    got = {u.c_hat.tobytes() for u in decoded}
+    C_hat, H_hat, residual = iterative_decode(Y, mini_cfg, mini_params)
+    got = {c.tobytes() for c in C_hat}
     assert got == {c.tobytes() for c in C}
-    assert H_hat.shape == (mini_cfg.M, len(decoded))
+    assert H_hat.shape == (mini_cfg.M, len(C_hat))
     # SIC removed the decoded signals: residual is at the noise floor
-    original = np.concatenate([frame.y_p, frame.y_d], axis=1)
+    original = Y[:, :mini_cfg.np + mini_cfg.nc]
     reduction = np.sum(np.abs(residual) ** 2) / np.sum(np.abs(original) ** 2)
     assert reduction < 1e-2  # >= 20 dB
 
 
+def test_iterative_decode_keeps_users_that_share_a_payload(mini_cfg, mini_params, rng):
+    # a decoded user is told apart by its whole ciphertext: two users whose
+    # polar payloads agree but whose pilots differ are both kept
+    h = _cn(rng, (mini_cfg.M, 2))
+    Y = h.T @ mini_params.V
+    W = rng.integers(0, 2, (2, mini_cfg.B), dtype=np.uint8)
+    _, C, _ = transmit(W, Y, mini_cfg, mini_params)
+    target = C.copy()
+    target[1, mini_cfg.Bp:] = C[0, mini_cfg.Bp:]
+    target[1, 0] = 1 - target[0, 0]
+    # the keystreams C ^ W depend on the feedback only
+    X, C_shared, _ = transmit(target ^ C ^ W, Y, mini_cfg, mini_params)
+    assert np.array_equal(C_shared, target)
+    C_hat, _, _ = iterative_decode(uplink(X, h, 1e-12, stream(3, "t")),
+                                   mini_cfg, mini_params)
+    assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in target)
+
+
 def test_iterative_decode_empty_frame(mini_cfg, mini_params):
-    frame = ReceivedFrame.from_uplink(
-        np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex), mini_cfg)
-    decoded, H_hat, residual = iterative_decode(frame, mini_cfg, mini_params)
-    assert decoded == []
+    y_bs = np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex)
+    C_hat, H_hat, _ = iterative_decode(y_bs, mini_cfg, mini_params)
+    assert C_hat.shape == (0, mini_cfg.B)
     assert H_hat.shape == (mini_cfg.M, 0)
+    # the key stage runs on zero users and returns zero-row arrays
+    C_hat, S_hat, W_hat, converged, valid = decode_frame(y_bs, mini_cfg, mini_params)
+    assert C_hat.shape == (0, mini_cfg.B) and C_hat.dtype == np.uint8
+    assert S_hat.shape == (0, mini_cfg.S) and S_hat.dtype == np.uint8
+    assert W_hat.shape == (0, mini_cfg.B) and W_hat.dtype == np.uint8
+    assert converged.shape == valid.shape == (0,)
+    assert converged.dtype == valid.dtype == bool
+
+
+def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
+    with pytest.raises(ValueError, match="expected"):
+        decode_frame(np.zeros((mini_cfg.M, 10), dtype=complex), mini_cfg, mini_params)
 
 
 def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
@@ -336,12 +371,11 @@ def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
     w = rng.integers(0, 2, mini_cfg.B, dtype=np.uint8)
     X, _, S = transmit(w[None], h.T @ mini_params.V, mini_cfg, mini_params)
     Y = uplink(X, h, 1e-12, stream(1, "t"))
-    frame = ReceivedFrame.from_uplink(Y, mini_cfg)
-    decoded = decode_frame(frame, mini_cfg, mini_params)
-    assert len(decoded) == 1
-    assert decoded[0].key_converged
-    assert np.array_equal(decoded[0].s_hat, S[0])
-    assert np.array_equal(decoded[0].w_hat, w)
+    C_hat, S_hat, W_hat, converged, valid = decode_frame(Y, mini_cfg, mini_params)
+    assert len(C_hat) == 1
+    assert valid[0] and converged[0]
+    assert np.array_equal(S_hat[0], S[0])
+    assert np.array_equal(W_hat[0], w)
 
 
 def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
@@ -349,36 +383,272 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     # systematic LLRs, so belief propagation cannot satisfy the checks
     gen = np.random.default_rng(0)
     h = _cn(gen, mini_cfg.M)
-    user = DetectedUser(pilot_index=3,
-                        c_hat=gen.integers(0, 2, mini_cfg.B, dtype=np.uint8))
+    C_hat = gen.integers(0, 2, (1, mini_cfg.B), dtype=np.uint8)
     wrong = gen.integers(0, 2, mini_cfg.key_parity_len)
-    Y = np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex)
-    Y[:, mini_cfg.np + mini_cfg.nc:] = np.outer(h, (1 - 2 * wrong) * np.sqrt(mini_cfg.Pk))
-    frame = ReceivedFrame.from_uplink(Y, mini_cfg)
-    out = decode_keys_and_decrypt([user], h[:, None], frame,
-                                  mini_cfg, mini_params)
-    assert out[0].w_hat is not None          # best-effort decryption
-    assert out[0].key_converged is False
+    y_k = np.outer(h, (1 - 2 * wrong) * np.sqrt(mini_cfg.Pk))
+    S_hat, W_hat, converged, valid = decode_keys_and_decrypt(
+        C_hat, h[:, None], y_k, mini_cfg, mini_params)
+    assert valid[0]                          # best-effort decryption
+    assert W_hat.shape == (1, mini_cfg.B)
+    assert np.array_equal(W_hat[0], C_hat[0] ^ expand_key(S_hat[0], mini_params.T))
+    assert not converged[0]
+
+
+def _degenerate_pair(cfg, params, rng):
+    """Two decoded rows: a real user, and a zero channel estimate.
+
+    A zero estimate gives a constant feedback estimate, so the second row
+    is degenerate.  Returns (C_hat, H_hat, y_k, w, S).
+    """
+    h = _cn(rng, (cfg.M, 1))
+    w = rng.integers(0, 2, cfg.B, dtype=np.uint8)
+    X, C, S = transmit(w[None], h.T @ params.V, cfg, params)
+    y_bs = uplink(X, h, 1e-12, stream(2, "t"))
+    C_hat = np.stack([C[0], rng.integers(0, 2, cfg.B, dtype=np.uint8)])
+    H_hat = np.concatenate([h, np.zeros((cfg.M, 1), dtype=complex)], axis=1)
+    return C_hat, H_hat, y_bs[:, cfg.np + cfg.nc:], w, S
 
 
 def test_decode_keys_skips_degenerate_user(mini_cfg, mini_params, rng):
-    # a zero channel estimate gives a constant feedback estimate: that user
-    # gets no key, and the other user is still decrypted
-    h = _cn(rng, (mini_cfg.M, 1))
-    w = rng.integers(0, 2, mini_cfg.B, dtype=np.uint8)
-    X, C, S = transmit(w[None], h.T @ mini_params.V, mini_cfg, mini_params)
-    frame = ReceivedFrame.from_uplink(
-        uplink(X, h, 1e-12, stream(2, "t")), mini_cfg)
-    users = [DetectedUser(pilot_index=1, c_hat=C[0]),
-             DetectedUser(pilot_index=2,
-                          c_hat=rng.integers(0, 2, mini_cfg.B, dtype=np.uint8))]
-    H_hat = np.concatenate([h, np.zeros((mini_cfg.M, 1), dtype=complex)], axis=1)
-    out = decode_keys_and_decrypt(users, H_hat, frame, mini_cfg, mini_params)
-    assert out[1].s_hat is None and out[1].w_hat is None
-    assert out[1].key_converged is False
-    assert out[0].key_converged
-    assert np.array_equal(out[0].s_hat, S[0])
-    assert np.array_equal(out[0].w_hat, w)
+    # the degenerate user gets no key, and the other user is still decrypted
+    C_hat, H_hat, y_k, w, S = _degenerate_pair(mini_cfg, mini_params, rng)
+    S_hat, W_hat, converged, valid = decode_keys_and_decrypt(
+        C_hat, H_hat, y_k, mini_cfg, mini_params)
+    assert valid.tolist() == [True, False]
+    assert converged.tolist() == [True, False]
+    assert np.array_equal(S_hat[0], S[0])
+    assert np.array_equal(W_hat[0], w)
+
+
+# ---- the per-user receiver the array receiver replaced, verbatim ---------------
+
+
+@dataclass
+class _DetectedUser:
+    pilot_index: int
+    c_hat: np.ndarray | None = None       # recovered ciphertext, length B
+    s_hat: np.ndarray | None = None       # recovered key, length S
+    w_hat: np.ndarray | None = None       # decrypted message, length B
+    key_converged: bool = False
+
+
+@dataclass(frozen=True)
+class _ReceivedFrame:
+    """The base station's frame, partitioned into the three uplink segments."""
+    y_p: np.ndarray  # (M, np)
+    y_d: np.ndarray  # (M, nc)
+    y_k: np.ndarray  # (M, ns - S)
+
+    @classmethod
+    def from_uplink(cls, y_bs: np.ndarray, cfg: SystemConfig) -> "_ReceivedFrame":
+        if y_bs.shape[1] != cfg.frame_len:
+            raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {cfg.frame_len}")
+        a, b = cfg.np, cfg.np + cfg.nc
+        return cls(y_p=y_bs[:, :a], y_d=y_bs[:, a:b], y_k=y_bs[:, b:])
+
+
+def _index_to_bits_reference(index: int, width: int) -> np.ndarray:
+    return np.array([(index >> (width - 1 - i)) & 1 for i in range(width)],
+                    dtype=np.uint8)
+
+
+def _iterative_decode_reference(frame, cfg, params):
+    Y_pp = np.concatenate([frame.y_p, frame.y_d], axis=1)
+    residual = Y_pp.copy()
+
+    users: list[_DetectedUser] = []
+    sig_rows: list[np.ndarray] = []
+    seen: set[tuple[int, bytes]] = set()
+    H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
+
+    for _ in range(cfg.max_outer_iters):
+        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
+                                OMP_RESIDUAL_THRESHOLD, params.atom_norms)
+        new_users = []
+        new_rows = []                            # rows of payloads behind new_users
+        if detections:
+            Hd = np.stack([h for _, h in detections], axis=1)
+            llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
+            payloads, ok = params.polar.decode(llrs, cfg.list_size)
+            for i, (pilot_idx, _) in enumerate(detections):
+                if not ok[i]:
+                    continue
+                tag = (pilot_idx, payloads[i].tobytes())
+                if tag in seen:
+                    continue
+                seen.add(tag)
+                c_hat = np.concatenate([_index_to_bits_reference(pilot_idx, cfg.Bp),
+                                        payloads[i]])
+                new_users.append(_DetectedUser(pilot_index=pilot_idx, c_hat=c_hat))
+                new_rows.append(i)
+        if not new_users:
+            break
+        users.extend(new_users)
+        sig_rows.extend(np.concatenate([
+            params.P[[u.pilot_index for u in new_users]],
+            build_polar_segment(payloads[new_rows], params, cfg.Pc)], axis=1))
+
+        # least-squares re-estimation over the whole decoded set, then SIC
+        while users:
+            X = np.stack(sig_rows, axis=0)
+            G = X @ X.conj().T
+            try:
+                H_hat = np.linalg.solve(G.T, (Y_pp @ X.conj().T).T).T
+                break
+            except np.linalg.LinAlgError:
+                users.pop()
+                sig_rows.pop()
+        if not users:
+            break
+        X = np.stack(sig_rows, axis=0)
+        residual = Y_pp - H_hat @ X
+
+    if not users:
+        H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
+    return users, H_hat, residual
+
+
+def _decode_keys_and_decrypt_reference(users, H_hat, frame, cfg, params):
+    if not users:
+        return users
+
+    Y_bar, var, valid = standardize(H_hat.T @ params.V)
+    U_hat, _ = extract_key(Y_bar, params.C1)
+    Y_k_clean = frame.y_k - H_hat[:, valid] @ artificial_noise(Y_bar[valid], params.C2, cfg.Pa)
+    f_parity = llr_parity(Y_k_clean, H_hat, cfg.Pk, cfg.sigma_c2)
+    f_sys = llr_systematic(U_hat, var, feature_noise_variances(cfg, params))
+    f_key = np.concatenate([f_sys, f_parity], axis=1)
+
+    s_hats, converged = params.ldpc.decode(f_key, cfg.bp_iters)
+    keystreams = expand_key(s_hats, params.T)
+    for i, user in enumerate(users):
+        if not valid[i]:
+            continue
+        user.s_hat = s_hats[i]
+        user.key_converged = bool(converged[i])
+        user.w_hat = user.c_hat ^ keystreams[i]
+    return users
+
+
+# ---- the array receiver against the reference -----------------------------------
+
+
+_REFERENCE_CONFIGS = {
+    "full": SystemConfig,
+    "m16": lambda: SystemConfig(M=16, E=16),
+    "m8": lambda: SystemConfig(M=8, E=8),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_setup(name):
+    cfg = _REFERENCE_CONFIGS[name]()
+    return cfg, generate_public_params(cfg)
+
+
+def _uplink_block(cfg, params, trial):
+    """The uplink block of run_trial's trial, drawn from the same streams."""
+    h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
+    W = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
+    Y = feedback_observation(h, params.V, cfg.sigma_u2,
+                             stream(cfg.seed, "feedback-noise", trial))
+    X, _, _ = transmit(W, Y, cfg, params)
+    return uplink(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial))
+
+
+def _assert_rows_match_reference(rows, users):
+    """decode_frame's aligned rows equal the reference users, in order."""
+    C_hat, S_hat, W_hat, converged, valid = rows
+    assert len(C_hat) == len(S_hat) == len(W_hat) == len(users)
+    assert converged.shape == valid.shape == (len(users),)
+    for i, u in enumerate(users):
+        assert np.array_equal(C_hat[i], u.c_hat)
+        assert valid[i] == (u.s_hat is not None)
+        assert converged[i] == u.key_converged
+        if valid[i]:
+            assert np.array_equal(S_hat[i], u.s_hat)
+            assert np.array_equal(W_hat[i], u.w_hat)
+        else:
+            assert u.w_hat is None
+
+
+def _run_both(y_bs, cfg, params):
+    """(decode_frame rows, iterative_decode output, reference users, reference
+    iterative_decode output) on one uplink block."""
+    new = iterative_decode(y_bs, cfg, params)
+    frame = _ReceivedFrame.from_uplink(y_bs, cfg)
+    ref = _iterative_decode_reference(frame, cfg, params)
+    users = _decode_keys_and_decrypt_reference(list(ref[0]), ref[1], frame, cfg, params)
+    return decode_frame(y_bs, cfg, params), new, users, ref
+
+
+@pytest.mark.parametrize("name,ka,passes,trials", [
+    ("full", 1, 8, 4), ("full", 25, 8, 2), ("full", 100, 3, 1),
+    ("m16", 10, 8, 4), ("m16", 25, 8, 3), ("m8", 3, 8, 5)])
+def test_decode_frame_matches_per_user_reference(name, ka, passes, trials):
+    base, params = _reference_setup(name)
+    cfg = SystemConfig(**{**vars(base), "Ka": ka, "max_outer_iters": passes})
+    decoded = 0
+    for trial in range(trials):
+        y_bs = _uplink_block(cfg, params, trial)
+        rows, (C_hat, H_hat, residual), users, (_, H_ref, res_ref) = \
+            _run_both(y_bs, cfg, params)
+        _assert_rows_match_reference(rows, users)
+        assert np.array_equal(C_hat, rows[0])
+        assert np.array_equal(H_hat, H_ref) and np.array_equal(residual, res_ref)
+        decoded += len(users)
+    assert decoded > 0
+
+
+@pytest.mark.parametrize("refuse", ["odd-sizes", "after-first"])
+def test_ls_fallback_matches_per_user_reference(refuse, monkeypatch):
+    # the least-squares fallback (drop the newest user on a singular Gram
+    # matrix) is forced by a solve that refuses some of the receivers' LS
+    # systems: those of odd size, or every one after a receiver's first, which
+    # empties a set that had an estimate.  OMP's and the MMSE stage's systems
+    # are left alone
+    cfg, params = _reference_setup("m16")
+    cfg = SystemConfig(**{**vars(cfg), "Ka": 25})
+    solve = np.linalg.solve
+    solved_once = []                  # receiver calls whose first LS was solved
+    refusals = []
+
+    def refusing_solve(a, b):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name in ("iterative_decode", "_iterative_decode_reference"):
+            if refuse == "odd-sizes":
+                bad = a.shape[0] % 2 == 1
+            else:
+                bad = any(f is frame for f in solved_once)
+                solved_once.append(frame)
+            if bad:
+                refusals.append(a.shape[0])
+                raise np.linalg.LinAlgError("refused")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refusing_solve)
+    y_bs = _uplink_block(cfg, params, 2)     # new users in two passes
+    rows, (C_hat, H_hat, residual), users, (_, H_ref, res_ref) = \
+        _run_both(y_bs, cfg, params)
+    assert refusals
+    _assert_rows_match_reference(rows, users)
+    assert np.array_equal(H_hat, H_ref) and np.array_equal(residual, res_ref)
+    if refuse == "after-first":
+        # every user is dropped: no rows, and no stale channel estimate
+        assert len(C_hat) == 0 and H_hat.shape == (cfg.M, 0)
+        assert rows[1].shape == (0, cfg.S)
+    else:
+        assert len(C_hat) > 0
+
+
+def test_degenerate_pair_matches_per_user_reference(mini_cfg, mini_params, rng):
+    C_hat, H_hat, y_k, _, _ = _degenerate_pair(mini_cfg, mini_params, rng)
+    got = decode_keys_and_decrypt(C_hat, H_hat, y_k, mini_cfg, mini_params)
+    frame = _ReceivedFrame(y_p=None, y_d=None, y_k=y_k)
+    users = [_DetectedUser(pilot_index=-1, c_hat=c) for c in C_hat]
+    users = _decode_keys_and_decrypt_reference(users, H_hat, frame, mini_cfg, mini_params)
+    assert users[1].s_hat is None
+    _assert_rows_match_reference((C_hat, *got), users)
 
 
 def test_wrong_key_bit_corrupts_matching_positions(mini_cfg, mini_params, rng):
@@ -390,3 +660,17 @@ def test_wrong_key_bit_corrupts_matching_positions(mini_cfg, mini_params, rng):
     s_bad[2] ^= 1
     w_bad = decrypt(c, expand_key(s_bad, mini_params.T))
     assert np.array_equal(w_bad != w, mini_params.T[2].astype(bool))
+
+
+def test_degenerate_row_is_never_converged(mini_cfg, mini_params, rng, monkeypatch):
+    # a degenerate row's systematic LLRs are exact zeros, so BP does not
+    # converge on it in practice; a decoder that reports every word
+    # converged shows that the flag also follows valid, as the reference's did
+    code = type(mini_params.ldpc)
+    decode = code.decode
+    monkeypatch.setattr(code, "decode", lambda self, llr, iters:
+                        (decode(self, llr, iters)[0], np.ones(len(llr), dtype=bool)))
+    C_hat, H_hat, y_k, _, _ = _degenerate_pair(mini_cfg, mini_params, rng)
+    _, _, converged, valid = decode_keys_and_decrypt(C_hat, H_hat, y_k, mini_cfg, mini_params)
+    assert valid.tolist() == [True, False]
+    assert converged.tolist() == [True, False]

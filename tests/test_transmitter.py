@@ -177,10 +177,13 @@ def test_bit_index_round_trip(mini_cfg, mini_params, rng):
     # transmit's bits-to-index step inverts the receiver's index_to_bits
     assert np.array_equal(index_to_bits(5, 3), [1, 0, 1])  # big-endian
     X, C, _ = transmit(*random_users(mini_cfg, rng, 32), mini_cfg, mini_params)
-    for x, c in zip(X, C):
+    pilots = []
+    for x in X:
         rows = np.flatnonzero((mini_params.P == x[:mini_cfg.np]).all(axis=1))
         assert rows.size == 1
-        assert np.array_equal(index_to_bits(int(rows[0]), mini_cfg.Bp), c[:mini_cfg.Bp])
+        pilots.append(rows[0])
+    # one call turns a block of indices into one row of bits each
+    assert np.array_equal(index_to_bits(np.array(pilots), mini_cfg.Bp), C[:, :mini_cfg.Bp])
 
 
 def test_zero_bits_select_row_zero(mini_cfg, mini_params, rng):
@@ -209,13 +212,13 @@ def test_pilot_row_norm(mini_cfg, mini_params, rng):
 
 
 def test_polar_segment_alphabet_and_round_trip(mini_cfg, mini_params, rng):
-    c_d = rng.integers(0, 2, mini_cfg.polar_payload_bits, dtype=np.uint8)
+    c_d = rng.integers(0, 2, (1, mini_cfg.polar_payload_bits), dtype=np.uint8)
     seg = build_polar_segment(c_d, mini_params, mini_cfg.Pc)
     assert np.allclose(np.abs(seg), np.sqrt(mini_cfg.Pc))
     assert not seg.imag.any()
     llr = np.where(seg.real > 0, 40.0, -40.0)
     dec, ok = mini_params.polar.decode(llr, mini_cfg.list_size)
-    assert ok and np.array_equal(dec, c_d)
+    assert ok.all() and np.array_equal(dec, c_d)
 
 
 @pytest.fixture(scope="module")
