@@ -92,19 +92,20 @@ class SystemConfig:
         def fail(field, constraint):
             raise ConfigError(f"{field}: {constraint}")
 
-        for name in ("M", "E", "Ka", "L", "np", "nc", "ns", "B", "Bp", "Br",
-                     "S", "list_size", "bp_iters", "max_outer_iters", "trials"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                fail(name, f"must be a positive integer, got {v!r}")
-        for name in ("Pp", "Pc", "Pk", "Pa", "Pf"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                fail(name, f"must be finite and >= 0, got {v!r}")
-        for name in ("sigma_c2", "sigma_e2", "sigma_u2"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                fail(name, f"must be finite and > 0, got {v!r}")
+        # every int field but the seed is a count; every float field is a
+        # power (>= 0) or, named sigma_*, a noise variance (> 0)
+        kinds = fields(self)
+        for f in kinds:
+            v = getattr(self, f.name)
+            if f.type is int and f.name != "seed" and (not isinstance(v, int) or v < 1):
+                fail(f.name, f"must be a positive integer, got {v!r}")
+        for f in kinds:
+            v, noise = getattr(self, f.name), f.name.startswith("sigma")
+            if f.type is float and (not math.isfinite(v) or v < 0 or noise and v == 0):
+                fail(f.name, f"must be finite and {'>' if noise else '>='} 0, got {v!r}")
+        if self.Pp == 0 and self.Pc == 0:
+            fail("Pc", "must be > 0 when Pp = 0: with neither pilot nor polar "
+                 "power no user can be detected")
         if self.S % 2 != 0:
             fail("S", f"must be even, got {self.S}")
         if self.L < self.S // 2:
@@ -137,10 +138,6 @@ def desk_scale(cfg: SystemConfig, trials: int | None = None) -> SystemConfig:
     return replace(cfg, M=8, E=8, trials=200 if trials is None else trials)
 
 
-_FLOAT_FIELDS = {"Pp", "Pc", "Pk", "Pa", "Pf", "sigma_c2", "sigma_e2", "sigma_u2"}
-_INT_FIELDS = {f.name for f in fields(SystemConfig)} - _FLOAT_FIELDS
-
-
 def load_config(path: str | os.PathLike | None = None, *,
                 env: dict | None = None) -> SystemConfig:
     """Load a SystemConfig from a flat key=value file.
@@ -151,6 +148,7 @@ def load_config(path: str | os.PathLike | None = None, *,
     when set, overrides the seed from the file.
     """
     env = os.environ if env is None else env
+    kinds = {f.name: f.type for f in fields(SystemConfig)}
     overrides = {}
     if path is not None:
         try:
@@ -167,18 +165,13 @@ def load_config(path: str | os.PathLike | None = None, *,
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in _INT_FIELDS:
-                try:
-                    overrides[key] = int(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: {key} expects an integer, got {value!r}") from None
-            elif key in _FLOAT_FIELDS:
-                try:
-                    overrides[key] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: {key} expects a number, got {value!r}") from None
-            else:
+            if key not in kinds:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                overrides[key] = kinds[key](value)
+            except ValueError:
+                expects = "an integer" if kinds[key] is int else "a number"
+                raise ConfigError(f"{path}:{lineno}: {key} expects {expects}, got {value!r}") from None
     if ENV_SEED in env:
         try:
             overrides["seed"] = int(env[ENV_SEED])

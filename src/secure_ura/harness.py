@@ -130,8 +130,7 @@ def run_point(cfg: SystemConfig, params: PublicParams | None = None,
 def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
               trials: int, progress=None) -> list[SweepResult]:
     """Grid over user counts and Pa/Pk splits of the fixed power budget."""
-    if trials < 1:
-        raise ConfigError(f"trials: must be a positive integer, got {trials}")
+    base_cfg = replace(base_cfg, trials=trials)   # validated before any allocation
     budget = base_cfg.key_budget
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
@@ -140,7 +139,7 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
     for ka in ka_list:
         for ratio in ratio_list:
             pa, pk = split_power_budget(budget, ratio)
-            cfg = replace(base_cfg, Ka=ka, Pa=pa, Pk=pk, trials=trials)
+            cfg = replace(base_cfg, Ka=ka, Pa=pa, Pk=pk)
             res = run_point(cfg, params, ratio)
             results.append(res)
             if progress is not None:

@@ -74,8 +74,8 @@ def _peg_parity_check(n_checks: int, n_vars: int, col_weight: int = COL_WEIGHT) 
     return H
 
 
-def _gf2_rref_pivots(H: np.ndarray) -> list[int]:
-    """Pivot columns of the GF(2) row-reduced form of H."""
+def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """GF(2) row-reduced echelon form of H and its pivot columns."""
     R = H.copy()
     m, n = R.shape
     pivots = []
@@ -94,23 +94,7 @@ def _gf2_rref_pivots(H: np.ndarray) -> list[int]:
         R[others] ^= R[row]
         pivots.append(col)
         row += 1
-    return pivots
-
-
-def _gf2_inv(B: np.ndarray) -> np.ndarray:
-    m = B.shape[0]
-    A = np.concatenate([B.copy(), np.eye(m, dtype=np.uint8)], axis=1)
-    for col in range(m):
-        sub = np.flatnonzero(A[col:, col])
-        if sub.size == 0:
-            raise np.linalg.LinAlgError("singular GF(2) matrix")
-        p = col + sub[0]
-        if p != col:
-            A[[col, p]] = A[[p, col]]
-        others = np.flatnonzero(A[:, col])
-        others = others[others != col]
-        A[others] ^= A[col]
-    return A[:, m:]
+    return R, pivots
 
 
 @dataclass(frozen=True)
@@ -119,7 +103,6 @@ class LdpcCode:
     parity_map: np.ndarray   # (n - k, k): parity = parity_map @ s mod 2
     n: int
     k: int
-    G: np.ndarray = field(init=False)  # (k, n) systematic generator
     # derived from H once per code (edge lists: see the module docstring)
     _Ht: np.ndarray = field(init=False, repr=False)         # (n, n - k) int64
     _edge_var: np.ndarray = field(init=False, repr=False)   # (n - k, dc) variable per slot
@@ -127,8 +110,6 @@ class LdpcCode:
     _var_edges: np.ndarray = field(init=False, repr=False)  # (dv, n) flat slot per edge
 
     def __post_init__(self):
-        G = np.concatenate([np.eye(self.k, dtype=np.uint8), self.parity_map.T], axis=1)
-        object.__setattr__(self, "G", G)
         object.__setattr__(self, "_Ht", np.ascontiguousarray(self.H.T, dtype=np.int64))
         m = self.H.shape[0]
         chk, var = np.nonzero(self.H)                   # check-major, vars ascending
@@ -151,17 +132,15 @@ class LdpcCode:
         if m < 1:
             raise ValueError(f"need n > k, got n={n}, k={k}")
         H_raw = _peg_parity_check(m, n)
-        pivots = _gf2_rref_pivots(H_raw)
+        R, pivots = _gf2_rref(H_raw)
         if len(pivots) < m:
             raise ValueError(f"construction produced a rank-{len(pivots)} "
                              f"parity-check matrix, need rank {m}")
-        pivots = pivots[:m]
         non_pivots = [c for c in range(n) if c not in set(pivots)]
-        perm = non_pivots + pivots
-        H = np.ascontiguousarray(H_raw[:, perm])
-        B = H[:, k:]
-        parity_map = (_gf2_inv(B).astype(np.int64) @ H[:, :k].astype(np.int64) % 2).astype(np.uint8)
-        return cls(H=H, parity_map=parity_map, n=n, k=k)
+        # the parity columns B are H_raw's pivot columns, so R = B^-1 H_raw
+        # and its remaining columns hold parity_map = B^-1 A
+        H = np.ascontiguousarray(H_raw[:, non_pivots + pivots])
+        return cls(H=H, parity_map=R[:, non_pivots], n=n, k=k)
 
     # ---- encoding -------------------------------------------------------
 
@@ -179,7 +158,7 @@ class LdpcCode:
 
     # ---- decoding -------------------------------------------------------
 
-    def decode(self, llr: np.ndarray, iters: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    def decode(self, llr: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
         """Sum-product decode of a (batch, n) block of LLR vectors.
 
         A 1-D vector is a batch of one.  Returns (s_hat, converged), one row

@@ -41,12 +41,12 @@ class PublicParams:
         return h.hexdigest()
 
 
-def _scale_to_total(x: np.ndarray, target: float) -> np.ndarray:
-    """Scale x so its squared Frobenius norm equals target exactly."""
-    if target == 0.0:
-        return np.zeros_like(x)
-    nrm = np.linalg.norm(x)
-    return x * (np.sqrt(target) / nrm)
+def _scale_to_energy(x: np.ndarray, energy: float, axis: int | None = None) -> None:
+    """Scale x in place so its squared norm along axis (all of x if None) is energy."""
+    if energy == 0.0:
+        x.fill(0.0)
+    else:
+        x *= np.sqrt(energy) / np.linalg.norm(x, axis=axis, keepdims=True)
 
 
 def generate_public_params(cfg: SystemConfig) -> PublicParams:
@@ -60,14 +60,11 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
         raise ConfigError(f"ns: no ({cfg.ns}, {cfg.S}) LDPC code: {exc}") from exc
     rng = stream(cfg.seed, PARAMS_STREAM)
 
-    V = _scale_to_total(complex_normal(rng, (cfg.M, cfg.L)),
-                        cfg.Pf * cfg.M * cfg.L)
+    V = complex_normal(rng, (cfg.M, cfg.L))
+    _scale_to_energy(V, cfg.Pf * cfg.M * cfg.L)
 
     P = complex_normal(rng, (cfg.pilot_count, cfg.np))
-    if cfg.Pp == 0.0:
-        P = np.zeros_like(P)
-    else:
-        P *= np.sqrt(cfg.np * cfg.Pp) / np.linalg.norm(P, axis=1, keepdims=True)
+    _scale_to_energy(P, cfg.np * cfg.Pp, axis=1)
 
     half = cfg.S // 2
     C1 = np.linalg.qr(complex_normal(rng, (cfg.L, half)))[0]

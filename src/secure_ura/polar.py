@@ -248,7 +248,7 @@ class PolarCode:
 
     # ---- decoding -------------------------------------------------------
 
-    def decode(self, llr: np.ndarray, list_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    def decode(self, llr: np.ndarray, list_size: int) -> tuple[np.ndarray, np.ndarray]:
         """CRC-aided list decode of a (batch, N) block of channel LLRs.
 
         A 1-D vector is a batch of one.  Returns (payload, crc_ok), one row

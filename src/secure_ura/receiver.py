@@ -19,11 +19,11 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .config import SystemConfig
-from .crypto import expand_key
+from .crypto import decrypt, expand_key
 from .keys import artificial_noise, extract_key, standardize
 from .modulation import clamp_llr
 from .params import PublicParams
-from .transmitter import build_polar_segment, index_to_bits
+from .transmitter import index_to_bits, pilot_polar_rows
 
 OMP_RESIDUAL_THRESHOLD = 0.05
 #: deferred rank-1 updates of the OMP correlation matrix applied per flush
@@ -37,10 +37,7 @@ def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarr
     the user's own feedback noise; its covariance, centered and projected
     on each C1 column, gives twice the per-feature variance.
     """
-    denom = cfg.np * cfg.Pp + cfg.nc * cfg.Pc
-    if denom <= 0:
-        raise ValueError("pilot and polar powers are both zero; "
-                         "channel-estimate noise variance is undefined")
+    denom = cfg.np * cfg.Pp + cfg.nc * cfg.Pc   # > 0: validate() rejects Pp = Pc = 0
     L = cfg.L
     V = params.V
     sigma_y = V.conj().T @ V * (cfg.sigma_c2 / denom) + cfg.sigma_u2 * np.eye(L)
@@ -58,17 +55,17 @@ def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
-               res_threshold: float = OMP_RESIDUAL_THRESHOLD,
-               atom_norms: np.ndarray | None = None) -> list[tuple[int, np.ndarray]]:
+def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int, res_threshold: float,
+               atom_norms: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
     Selects the atom with the largest residual correlation across antennas
     (normalized by atom energy), keeps the residual orthogonal to the span
     of the selected atoms (equivalent to a least-squares re-fit per step),
     and stops after max_atoms picks or when the residual energy fraction
-    drops below res_threshold.  Returns (pilot_index, channel_estimate)
-    pairs from a final least-squares fit over the selected set.
+    drops below res_threshold; atom_norms holds the row norms of P.
+    Returns (pilot_index, channel_estimate) pairs from a final
+    least-squares fit over the selected set.
 
     The per-atom residual energies e_j = ||gamma_j||^2 are updated in place
     of being recomputed: a step subtracts u r from gamma, so
@@ -81,8 +78,6 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
     energy0 = float(np.sum(np.abs(Y) ** 2))
     if energy0 == 0.0:
         return []
-    if atom_norms is None:
-        atom_norms = np.linalg.norm(P, axis=1)
     # correlation with every atom; (P @ Y^H)^H avoids materializing P^H
     gamma = (P @ Y.conj().T).conj().T            # (M, 2^Bp)
     energy = np.sum(gamma.real ** 2 + gamma.imag ** 2, axis=0)
@@ -246,9 +241,7 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
         if not new:
             break
         C_hat = np.concatenate([C_hat, C_pass[new]])
-        X = np.concatenate([X, np.concatenate([
-            params.P[pilots[new]],
-            build_polar_segment(payloads[new], params, cfg.Pc)], axis=1)])
+        X = np.concatenate([X, pilot_polar_rows(C_pass[new], cfg, params)])
 
         # least-squares re-estimation over the whole decoded set, then SIC;
         # a singular Gram matrix drops the newest user
@@ -289,7 +282,7 @@ def decode_keys_and_decrypt(C_hat: np.ndarray, H_hat: np.ndarray, y_k: np.ndarra
     f_key = np.concatenate([f_sys, f_parity], axis=1)
 
     S_hat, converged = params.ldpc.decode(f_key, cfg.bp_iters)
-    W_hat = C_hat ^ expand_key(S_hat, params.T)
+    W_hat = decrypt(C_hat, expand_key(S_hat, params.T))
     return S_hat, W_hat, converged & valid, valid
 
 

@@ -30,8 +30,8 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     depend on how many users come after them.
     """
     z = rng.standard_normal(tuple(shape) + (2,))
-    scale = math.sqrt(var / 2.0)
-    return (z[..., 0] + 1j * z[..., 1]) * scale
+    z *= math.sqrt(var / 2.0)
+    return z.view(np.complex128)[..., 0]   # (re, im) pairs read in place
 
 
 def random_bits(rng: np.random.Generator, shape) -> np.ndarray:

@@ -18,14 +18,24 @@ from .modulation import bpsk_map
 from .params import PublicParams
 
 
+def _msb_first(width: int) -> np.ndarray:
+    return np.arange(width - 1, -1, -1)
+
+
 def index_to_bits(index: int | np.ndarray, width: int) -> np.ndarray:
     """Big-endian width-bit rows of the indices (first bit most significant)."""
-    shifts = np.arange(width - 1, -1, -1)
-    return (np.asarray(index)[..., None] >> shifts & 1).astype(np.uint8)
+    return (np.asarray(index)[..., None] >> _msb_first(width) & 1).astype(np.uint8)
 
 
-def build_polar_segment(c_d: np.ndarray, params: PublicParams, Pc: float) -> np.ndarray:
-    return bpsk_map(params.polar.encode(c_d), Pc)
+def pilot_polar_rows(C: np.ndarray, cfg: SystemConfig, params: PublicParams) -> np.ndarray:
+    """(k, np + nc) pilot+polar signal rows of a (k, B) ciphertext block.
+
+    The first Bp bits of a row, read big-endian, pick its pilot codebook
+    row; the rest are BPSK-mapped through their polar codeword.
+    """
+    pilot = C[:, :cfg.Bp].astype(np.int64) @ (1 << _msb_first(cfg.Bp))
+    return np.concatenate([params.P[pilot],
+                           bpsk_map(params.polar.encode(C[:, cfg.Bp:]), cfg.Pc)], axis=1)
 
 
 def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
@@ -58,9 +68,5 @@ def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
     x_k = bpsk_map(parity, cfg.Pk) + artificial_noise(Y_bar, params.C2, cfg.Pa)[:, 0]
 
     C = encrypt(W, expand_key(S, params.T))
-    # big-endian pilot bits pick the codebook row (first bit most significant)
-    pilot = C[:, :cfg.Bp].astype(np.int64) @ (1 << np.arange(cfg.Bp - 1, -1, -1))
-    X = np.concatenate([params.P[pilot],
-                        build_polar_segment(C[:, cfg.Bp:], params, cfg.Pc),
-                        x_k], axis=1)
+    X = np.concatenate([pilot_polar_rows(C, cfg, params), x_k], axis=1)
     return X, C, S

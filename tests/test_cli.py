@@ -81,6 +81,15 @@ def test_unbuildable_ldpc_code_is_config_error(tmp_path, capsys, command):
     assert err[0].startswith("configuration error: ns: ")
 
 
+def test_zero_pilot_and_polar_power_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "silent.cfg"
+    bad.write_text("M = 8\nE = 8\nPp = 0\nPc = 0\n")
+    assert main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: Pc: must be > 0 when Pp = 0")
+
+
 def test_zero_trials_is_config_error(mini_file, capsys):
     for preset in ([], ["--desk-scale"]):
         assert main(["run", "--config", mini_file, "--trials", "0", *preset]) == 2

@@ -178,3 +178,37 @@ def test_small_code_has_irregular_checks():
     # the (16, 8) case above covers padded check rows
     H = LdpcCode.build(16, 8).H
     assert len(set(H.sum(axis=1).tolist())) > 1
+
+
+def _gf2_inv_reference(B):
+    """The Gauss-Jordan GF(2) inverse the parity map was built with, verbatim."""
+    m = B.shape[0]
+    A = np.concatenate([B.copy(), np.eye(m, dtype=np.uint8)], axis=1)
+    for col in range(m):
+        sub = np.flatnonzero(A[col:, col])
+        if sub.size == 0:
+            raise np.linalg.LinAlgError("singular GF(2) matrix")
+        p = col + sub[0]
+        if p != col:
+            A[[col, p]] = A[[p, col]]
+        others = np.flatnonzero(A[:, col])
+        others = others[others != col]
+        A[others] ^= A[col]
+    return A[:, m:]
+
+
+@pytest.mark.parametrize("n,k", [(60, 40), (16, 8), (20, 10), (30, 20), (48, 40),
+                                 (100, 40), (64, 32), (45, 40), (50, 40)])
+def test_parity_map_matches_inverse_reference(n, k):
+    code = LdpcCode.build(n, k)
+    B, A = code.H[:, k:], code.H[:, :k]
+    want = (_gf2_inv_reference(B).astype(np.int64) @ A.astype(np.int64) % 2).astype(np.uint8)
+    assert code.parity_map.dtype == np.uint8
+    assert np.array_equal(code.parity_map, want)
+
+
+@pytest.mark.parametrize("n,rank", [(43, 1), (46, 5)])
+def test_rank_deficient_construction_is_rejected(n, rank):
+    with pytest.raises(ValueError, match=rf"^construction produced a rank-{rank} "
+                       rf"parity-check matrix, need rank {n - 40}$"):
+        LdpcCode.build(n, 40)

@@ -56,6 +56,36 @@ def test_bad_value_reports_line_and_key(tmp_path):
         load_config(path, env={})
 
 
+def test_bad_value_messages_name_the_field_kind(tmp_path):
+    path = tmp_path / "c.cfg"
+    for line, message in [("Ka = 2.5", "Ka expects an integer, got '2.5'"),
+                          ("seed = x", "seed expects an integer, got 'x'"),
+                          ("Pp = high", "Pp expects a number, got 'high'"),
+                          ("sigma_u2 = ", "sigma_u2 expects a number, got ''")]:
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path, env={})
+        assert str(err.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(Ka=0, Pp=-1.0, sigma_c2=0.0), "Ka: must be a positive integer, got 0"),
+    (dict(trials=0, M=-2), "M: must be a positive integer, got -2"),
+    (dict(Pf=float("nan"), sigma_e2=0.0), "Pf: must be finite and >= 0, got nan"),
+    (dict(Pa=-1.0, Pk=-2.0), "Pk: must be finite and >= 0, got -2.0"),
+    (dict(sigma_u2=-1.0, sigma_c2=0.0), "sigma_c2: must be finite and > 0, got 0.0"),
+    (dict(Pp=0.0, Pc=-1.0), "Pc: must be finite and >= 0, got -1.0"),
+    (dict(Pp=0.0, Pc=0.0, sigma_c2=0.0), "sigma_c2: must be finite and > 0, got 0.0"),
+    (dict(Pp=0.0, Pc=0.0, S=41), "Pc: must be > 0 when Pp = 0: with neither pilot "
+                                 "nor polar power no user can be detected"),
+])
+def test_first_error_is_reported(overrides, message):
+    # counts first, then powers, then noise variances, each in field order
+    with pytest.raises(ConfigError) as err:
+        SystemConfig(**overrides)
+    assert str(err.value) == message
+
+
 def test_missing_equals_reports_line(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("Ka 2\n")
@@ -92,6 +122,7 @@ def test_short_feedback_rejected(tmp_path):
     (dict(seed=1 << 64), "seed"),
     (dict(Bp=20), "Bp"),                  # 2^20 x 200 x 16 bytes > 1 GiB
     (dict(ns=42), "ns"),                  # ns - S below the LDPC column weight
+    (dict(Pp=0.0, Pc=0.0), "Pc"),         # no pilot or polar power: nothing detectable
 ])
 def test_constructor_validation(overrides, field):
     with pytest.raises(ConfigError, match=field):

@@ -1,10 +1,15 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from secure_ura import ConfigError, SystemConfig, generate_public_params
 from secure_ura.harness import _check_params_invariants
+from secure_ura.params import PARAMS_STREAM
+from secure_ura.rng import complex_normal, stream
+
+from helpers import make_mini_cfg
 
 # The norms of V, C1, C2 and the pilot rows are stated once, in the selftest
 # suite; the tests below add the shapes.
@@ -69,9 +74,6 @@ def test_ldpc_is_systematic(full_cfg, full_params, rng):
     assert np.array_equal(sys_part, s)
     cw = np.concatenate([sys_part, parity], axis=1)
     assert not code.syndrome(cw).any()
-    # generator-matrix view agrees with the encoder
-    via_g = s.astype(np.int64) @ full_params.ldpc.G.astype(np.int64) % 2
-    assert np.array_equal(via_g.astype(np.uint8), cw)
 
 
 def test_ldpc_round_trip_1000_keys(full_cfg, full_params, rng):
@@ -103,3 +105,48 @@ def test_generate_rejects_bypassed_invariants(full_cfg):
     object.__setattr__(bad2, "S", 60)
     with pytest.raises(ConfigError, match="S"):
         generate_public_params(bad2)
+
+
+# ---- the draw and scaling arithmetic the in-place versions replaced, verbatim --
+
+
+def _complex_normal_reference(rng, shape, var=1.0):
+    z = rng.standard_normal(tuple(shape) + (2,))
+    scale = math.sqrt(var / 2.0)
+    return (z[..., 0] + 1j * z[..., 1]) * scale
+
+
+def _scale_to_total_reference(x, target):
+    """Scale x so its squared Frobenius norm equals target exactly."""
+    if target == 0.0:
+        return np.zeros_like(x)
+    nrm = np.linalg.norm(x)
+    return x * (np.sqrt(target) / nrm)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (50,), (4, 9), (25, 50), (3, 5, 8), (0, 4)])
+@pytest.mark.parametrize("var", [1.0, 0.3, 1e-9, 17.5])
+def test_complex_normal_matches_reference(shape, var):
+    got = complex_normal(stream(11, "cn", len(shape)), shape, var)
+    want = _complex_normal_reference(stream(11, "cn", len(shape)), shape, var)
+    assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(Pf=0.0), dict(Pp=0.0),
+                                       dict(M=16, E=16, seed=3), "mini"])
+def test_energy_scaling_matches_reference(overrides):
+    cfg = make_mini_cfg() if overrides == "mini" else SystemConfig(**overrides)
+    rng = stream(cfg.seed, PARAMS_STREAM)
+    V = _scale_to_total_reference(_complex_normal_reference(rng, (cfg.M, cfg.L)),
+                                  cfg.Pf * cfg.M * cfg.L)
+    P = _complex_normal_reference(rng, (cfg.pilot_count, cfg.np))
+    if cfg.Pp == 0.0:
+        P = np.zeros_like(P)
+    else:
+        P *= np.sqrt(cfg.np * cfg.Pp) / np.linalg.norm(P, axis=1, keepdims=True)
+    params = generate_public_params(cfg)
+    assert _same_bytes(params.V, V) and _same_bytes(params.P, P)

@@ -5,13 +5,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from secure_ura import (SystemConfig, build_polar_segment, decode_frame,
+from secure_ura import (SystemConfig, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
                         feedback_observation, generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
                         mmse_polar_llr, omp_detect, run_trial, standardize,
                         transmit, uplink)
+from secure_ura.modulation import bpsk_map
 from secure_ura.receiver import OMP_RESIDUAL_THRESHOLD
 from secure_ura.rng import complex_normal, random_bits, stream
 
@@ -29,14 +30,14 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     idx = 11
     Y = np.outer(h, mini_params.P[idx])
-    det = omp_detect(Y, mini_params.P, max_atoms=4)
+    det = omp_detect(Y, mini_params.P, 4, OMP_RESIDUAL_THRESHOLD, mini_params.atom_norms)
     assert det[0][0] == idx
     assert np.max(np.abs(det[0][1] - h)) < 1e-8
 
 
 def test_omp_empty_frame(mini_params):
     Y = np.zeros((8, mini_params.P.shape[1]), dtype=complex)
-    assert omp_detect(Y, mini_params.P, max_atoms=4) == []
+    assert omp_detect(Y, mini_params.P, 4, OMP_RESIDUAL_THRESHOLD, mini_params.atom_norms) == []
 
 
 def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
@@ -44,7 +45,7 @@ def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
     i1, i2 = 3, 29
     Y = np.outer(h1, mini_params.P[i1]) + np.outer(h2, mini_params.P[i2])
     Y += 1e-6 * _cn(rng, Y.shape)
-    det = dict(omp_detect(Y, mini_params.P, max_atoms=4))
+    det = dict(omp_detect(Y, mini_params.P, 4, OMP_RESIDUAL_THRESHOLD, mini_params.atom_norms))
     assert {i1, i2} <= set(det)
     assert np.max(np.abs(det[i1] - h1)) < 1e-4
     assert np.max(np.abs(det[i2] - h2)) < 1e-4
@@ -55,7 +56,7 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
     indices = [2, 7, 13, 21, 30]
     H = _cn(rng, (mini_cfg.M, 5))
     Y = H @ mini_params.P[indices]
-    det = dict(omp_detect(Y, mini_params.P, max_atoms=10))
+    det = dict(omp_detect(Y, mini_params.P, 10, OMP_RESIDUAL_THRESHOLD, mini_params.atom_norms))
     assert set(det) == set(indices)
     for col, idx in enumerate(indices):
         assert np.max(np.abs(det[idx] - H[:, col])) < 1e-8
@@ -63,7 +64,7 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
 
 def test_omp_respects_atom_cap(mini_params, rng):
     Y = _cn(rng, (8, 32))
-    det = omp_detect(Y, mini_params.P, max_atoms=3)
+    det = omp_detect(Y, mini_params.P, 3, OMP_RESIDUAL_THRESHOLD, mini_params.atom_norms)
     assert len(det) <= 3
 
 
@@ -71,7 +72,7 @@ def test_omp_residual_threshold_stops_early(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     Y = np.outer(h, mini_params.P[5])
     # the single atom explains everything; the loop must stop right after
-    det = omp_detect(Y, mini_params.P, max_atoms=10, res_threshold=0.05)
+    det = omp_detect(Y, mini_params.P, 10, 0.05, mini_params.atom_norms)
     assert len(det) == 1
 
 
@@ -177,7 +178,7 @@ def test_omp_matches_reference_with_early_stop_and_cap_above_np():
     Y = _omp_frame(rng, P, 50, 30, 0.0, zero_row)
     want = _omp_reference(Y, P, 200, 0.05)
     assert 0 < len(want) < 200
-    _assert_same_detections(omp_detect(Y, P, 200, 0.05), want)
+    _assert_same_detections(omp_detect(Y, P, 200, 0.05, np.linalg.norm(P, axis=1)), want)
     # more atoms allowed than there are pilot symbols: at most np can be
     # picked, whatever the threshold
     P = _omp_codebook(rng, 64, 32, zero_row)
@@ -185,7 +186,8 @@ def test_omp_matches_reference_with_early_stop_and_cap_above_np():
         Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
         want = _omp_reference(Y, P, 40, res_threshold)
         assert len(want) <= 32
-        _assert_same_detections(omp_detect(Y, P, 40, res_threshold), want)
+        _assert_same_detections(omp_detect(Y, P, 40, res_threshold,
+                                           np.linalg.norm(P, axis=1)), want)
 
 
 # ---- MMSE LLRs ---------------------------------------------------------------
@@ -486,7 +488,7 @@ def _iterative_decode_reference(frame, cfg, params):
         users.extend(new_users)
         sig_rows.extend(np.concatenate([
             params.P[[u.pilot_index for u in new_users]],
-            build_polar_segment(payloads[new_rows], params, cfg.Pc)], axis=1))
+            bpsk_map(params.polar.encode(payloads[new_rows]), cfg.Pc)], axis=1))
 
         # least-squares re-estimation over the whole decoded set, then SIC
         while users:

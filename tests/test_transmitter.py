@@ -4,10 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from secure_ura import (DegenerateFeedbackError, SystemConfig,
-                        build_polar_segment, expand_key, encrypt,
-                        feedback_observation, generate_public_params,
-                        index_to_bits, transmit)
+from secure_ura import (DegenerateFeedbackError, SystemConfig, expand_key,
+                        encrypt, feedback_observation, generate_public_params,
+                        index_to_bits, pilot_polar_rows, transmit)
 from secure_ura.keys import VAR_FLOOR, sample_variance
 from secure_ura.modulation import bpsk_map
 from secure_ura.rng import complex_normal, random_bits, stream
@@ -123,7 +122,7 @@ def _transmit_reference(w, y, cfg, params):
     cipher = _split_ciphertext_reference(encrypt(w, keystream), cfg.Bp)
 
     x_p = _build_pilot_segment_reference(cipher.c_p, params.P)
-    x_d = build_polar_segment(cipher.c_d, params, cfg.Pc)
+    x_d = bpsk_map(params.polar.encode(cipher.c_d), cfg.Pc)
     x = np.concatenate([x_p, x_d, key_segment.x_k])
     return _UserRealization(w=w, y=y, priv=priv, cipher=cipher,
                             key_segment=key_segment, x=x)
@@ -212,8 +211,9 @@ def test_pilot_row_norm(mini_cfg, mini_params, rng):
 
 
 def test_polar_segment_alphabet_and_round_trip(mini_cfg, mini_params, rng):
-    c_d = rng.integers(0, 2, (1, mini_cfg.polar_payload_bits), dtype=np.uint8)
-    seg = build_polar_segment(c_d, mini_params, mini_cfg.Pc)
+    C = rng.integers(0, 2, (1, mini_cfg.B), dtype=np.uint8)
+    c_d = C[:, mini_cfg.Bp:]
+    seg = pilot_polar_rows(C, mini_cfg, mini_params)[:, mini_cfg.np:]
     assert np.allclose(np.abs(seg), np.sqrt(mini_cfg.Pc))
     assert not seg.imag.any()
     llr = np.where(seg.real > 0, 40.0, -40.0)
@@ -282,7 +282,7 @@ def test_ciphertext_split_order(fullsize_tx, rng):
         idx = int("".join(str(b) for b in c[:cfg.Bp]), 2)
         assert np.array_equal(x[:cfg.np], params.P[idx])
         assert np.array_equal(x[cfg.np:cfg.np + cfg.nc],
-                              build_polar_segment(c[cfg.Bp:], params, cfg.Pc))
+                              bpsk_map(params.polar.encode(c[cfg.Bp:]), cfg.Pc))
 
 
 def test_transmit_rejects_bad_message(fullsize_tx):
