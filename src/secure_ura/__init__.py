@@ -8,7 +8,7 @@ what the same transmissions leak to a passive eavesdropper.
 """
 
 from .channel import feedback_observation, uplink
-from .config import ConfigError, SystemConfig, desk_scale, load_config
+from .config import ConfigError, SystemConfig, load_config
 from .crypto import decrypt, encrypt, expand_key
 from .harness import (SweepResult, TrialError, TrialReport, emit_csv,
                       run_leakage, run_point, run_sweep, run_trial, selftest,

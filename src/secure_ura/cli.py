@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, SystemConfig, desk_scale, load_config
+from .config import ConfigError, SystemConfig, load_config
 from .harness import (LEAKAGE_CSV_HEADER, TrialError, config_ratio, emit_csv,
                       run_leakage, run_point, run_sweep, selftest, write_csv)
 
@@ -33,32 +33,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="secure-ura",
         description="Monte Carlo link simulator for secure unsourced random access")
     sub = parser.add_subparsers(dest="command", required=True)
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", help="key=value config file")
+    base.add_argument("--seed", type=int, help="override the master seed")
+    counted = argparse.ArgumentParser(add_help=False)
+    counted.add_argument("--trials", type=int, help="trials per grid point")
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--trials", type=int, help="trials per grid point")
-        p.add_argument("--desk-scale", action="store_true",
-                       help="smoke-run preset: 8 antennas each side, 200 trials "
-                            "(PUPE saturates near 1; not a performance curve)")
-
-    p_run = sub.add_parser("run", help="simulate one configuration")
-    common(p_run)
+    p_run = sub.add_parser("run", parents=[base, counted],
+                           help="simulate one configuration")
     p_run.add_argument("--out", help="optional CSV output path")
 
-    p_sweep = sub.add_parser("sweep", help="run a (Ka, Pa/Pk) grid")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[base, counted],
+                             help="run a (Ka, Pa/Pk) grid")
     p_sweep.add_argument("--ka", type=_int_list, default=[1, 25, 50, 75, 100],
                          help="comma-separated user counts")
     p_sweep.add_argument("--ratio", type=_float_list, default=[1, 2, 3, 5, 7],
                          help="comma-separated Pa/Pk ratios")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
 
-    p_self = sub.add_parser("selftest", help="run the invariant suites")
-    common(p_self)
+    sub.add_parser("selftest", parents=[base], help="run the invariant suites")
 
-    p_leak = sub.add_parser("leakage", help="analytic equivocation report")
-    common(p_leak)
+    p_leak = sub.add_parser("leakage", parents=[base, counted],
+                            help="analytic equivocation report")
     p_leak.add_argument("--ratio", type=_float_list, default=None,
                         help="comma-separated Pa/Pk ratios (default: the config's split)")
     p_leak.add_argument("--out", help="optional CSV output path")
@@ -67,14 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> SystemConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.desk_scale:
-        cfg = desk_scale(cfg, trials=args.trials)
-    elif args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg
+    given = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
+    return replace(load_config(args.config), **given)
 
 
 def _cmd_run(args) -> int:

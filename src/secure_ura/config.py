@@ -8,11 +8,10 @@ codebook and a (512, 99) polar code, all powers 0.3 except the 0.6 downlink.
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .ldpc import COL_WEIGHT
 
-ENV_SEED = "SECURE_URA_SEED"
 # The pilot codebook is 2^Bp rows of np complex128 entries, generated in full
 # before any trial runs; configurations whose codebook would exceed this many
 # bytes are rejected up front.
@@ -133,21 +132,13 @@ class SystemConfig:
             fail("seed", f"must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
-def desk_scale(cfg: SystemConfig, trials: int | None = None) -> SystemConfig:
-    """Reduced-dimension preset: 8 antennas on both sides, 200 trials."""
-    return replace(cfg, M=8, E=8, trials=200 if trials is None else trials)
-
-
-def load_config(path: str | os.PathLike | None = None, *,
-                env: dict | None = None) -> SystemConfig:
+def load_config(path: str | os.PathLike | None = None) -> SystemConfig:
     """Load a SystemConfig from a flat key=value file.
 
     Schema: one `key = value` pair per line, `#` starts a comment, blank
     lines are ignored.  Keys are the SystemConfig field names; unspecified
-    keys keep their defaults.  The environment variable SECURE_URA_SEED,
-    when set, overrides the seed from the file.
+    keys keep their defaults.
     """
-    env = os.environ if env is None else env
     kinds = {f.name: f.type for f in fields(SystemConfig)}
     overrides = {}
     if path is not None:
@@ -172,9 +163,4 @@ def load_config(path: str | os.PathLike | None = None, *,
             except ValueError:
                 expects = "an integer" if kinds[key] is int else "a number"
                 raise ConfigError(f"{path}:{lineno}: {key} expects {expects}, got {value!r}") from None
-    if ENV_SEED in env:
-        try:
-            overrides["seed"] = int(env[ENV_SEED])
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} expects an integer, got {env[ENV_SEED]!r}") from None
     return SystemConfig(**overrides)

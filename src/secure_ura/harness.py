@@ -14,7 +14,7 @@ across user counts at a fixed power split.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .receiver import decode_frame
 from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
 
-CSV_HEADER = ["ka", "ratio", "pa", "pk", "trials",
-              "pupe_mean", "pupe_stderr", "zeta_lower_mean", "seed"]
 LEAKAGE_CSV_HEADER = ["ratio", "pa", "pk", "zeta_lower_mean"]
 
 
@@ -57,6 +55,9 @@ class SweepResult:
     pupe_stderr: float
     zeta_lower_mean: float
     seed: int
+
+
+CSV_HEADER = [f.name for f in fields(SweepResult)]
 
 
 def first_user_zeta(cfg: SystemConfig, trial_id: int, params: PublicParams) -> float:
@@ -127,23 +128,34 @@ def run_point(cfg: SystemConfig, params: PublicParams | None = None,
                        zeta_lower_mean=float(np.mean(zetas)), seed=cfg.seed)
 
 
+def _grid(cfg: SystemConfig, ka_list, ratios) -> list[tuple[float, SystemConfig]]:
+    """(ratio, config) of every grid point, Ka-major, each one validated.
+
+    Built in full before the shared artifacts, so an invalid entry anywhere
+    in the grid is reported before any work is done.
+    """
+    points = []
+    for ka in ka_list:
+        for ratio in ratios:
+            pa, pk = split_power_budget(cfg.key_budget, ratio)
+            points.append((ratio, replace(cfg, Ka=ka, Pa=pa, Pk=pk)))
+    return points
+
+
 def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
               trials: int, progress=None) -> list[SweepResult]:
     """Grid over user counts and Pa/Pk splits of the fixed power budget."""
-    base_cfg = replace(base_cfg, trials=trials)   # validated before any allocation
-    budget = base_cfg.key_budget
+    base_cfg = replace(base_cfg, trials=trials)
+    points = _grid(base_cfg, ka_list, ratio_list)
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
     params = generate_public_params(base_cfg)
     results = []
-    for ka in ka_list:
-        for ratio in ratio_list:
-            pa, pk = split_power_budget(budget, ratio)
-            cfg = replace(base_cfg, Ka=ka, Pa=pa, Pk=pk)
-            res = run_point(cfg, params, ratio)
-            results.append(res)
-            if progress is not None:
-                progress(res)
+    for ratio, cfg in points:
+        res = run_point(cfg, params, ratio)
+        results.append(res)
+        if progress is not None:
+            progress(res)
     return results
 
 
@@ -154,13 +166,12 @@ def run_leakage(cfg: SystemConfig, ratios) -> list[tuple[float, float, float, fl
     runs over the same first-user bounds a sweep of cfg.trials trials
     averages, without simulating the link.
     """
+    points = _grid(cfg, [cfg.Ka], ratios)
     params = generate_public_params(cfg)
     rows = []
-    for ratio in ratios:
-        pa, pk = split_power_budget(cfg.key_budget, ratio)
-        split = replace(cfg, Pa=pa, Pk=pk)
+    for ratio, split in points:
         zetas = [first_user_zeta(split, t, params) for t in range(cfg.trials)]
-        rows.append((ratio, pa, pk, float(np.mean(zetas))))
+        rows.append((ratio, split.Pa, split.Pk, float(np.mean(zetas))))
     return rows
 
 
@@ -183,7 +194,7 @@ def write_csv(path, header, rows) -> None:
 
 def emit_csv(results: list[SweepResult], path) -> None:
     """Write sweep results; row order follows the result list (Ka-major)."""
-    write_csv(path, CSV_HEADER, ([getattr(r, f) for f in CSV_HEADER] for r in results))
+    write_csv(path, CSV_HEADER, (astuple(r) for r in results))
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,16 @@ _TANH_LIMIT = 1.0 - 1e-15
 COL_WEIGHT = 3
 
 
-def _peg_parity_check(n_checks: int, n_vars: int, col_weight: int = COL_WEIGHT) -> np.ndarray:
+def _peg_parity_check(n_checks: int, n_vars: int) -> np.ndarray:
     """Greedy girth-maximizing bipartite graph, deterministic tie-breaking."""
-    if col_weight > n_checks:
-        raise ValueError(f"column weight {col_weight} exceeds {n_checks} checks")
+    if COL_WEIGHT > n_checks:
+        raise ValueError(f"column weight {COL_WEIGHT} exceeds {n_checks} checks")
     var_adj = [[] for _ in range(n_vars)]
     chk_adj = [[] for _ in range(n_checks)]
     chk_deg = np.zeros(n_checks, dtype=np.int64)
 
     for v in range(n_vars):
-        for _ in range(col_weight):
+        for _ in range(COL_WEIGHT):
             # BFS from v over the current graph; depth of first visit per check.
             depth = np.full(n_checks, -1, dtype=np.int64)
             frontier_vars = [v]

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import secure_ura
-from secure_ura import load_config, run_leakage, run_sweep
-from secure_ura.cli import main
+from secure_ura import harness, load_config, run_leakage, run_sweep
+from secure_ura.cli import build_parser, main
 from secure_ura.harness import LEAKAGE_CSV_HEADER, write_csv
 
 MINI = """
@@ -91,10 +92,27 @@ def test_zero_pilot_and_polar_power_is_config_error(tmp_path, capsys):
 
 
 def test_zero_trials_is_config_error(mini_file, capsys):
-    for preset in ([], ["--desk-scale"]):
-        assert main(["run", "--config", mini_file, "--trials", "0", *preset]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["configuration error: trials: must be a positive integer, got 0"]
+    assert main(["run", "--config", mini_file, "--trials", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: trials: must be a positive integer, got 0"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--ka", "1,0", "--ratio", "1"], "Ka: must be a positive integer, got 0"),
+    (["sweep", "--ka", "1", "--ratio", "1,-1"], "ratio: must be >= 0, got -1.0"),
+    (["leakage", "--ratio", "1,-1"], "ratio: must be >= 0, got -1.0"),
+], ids=["sweep-ka", "sweep-ratio", "leakage-ratio"])
+def test_invalid_grid_entry_is_rejected_before_any_work(mini_file, tmp_path, capsys,
+                                                        monkeypatch, argv, message):
+    def unreachable(cfg):
+        raise AssertionError("public artifacts built for an invalid grid")
+    monkeypatch.setattr(harness, "generate_public_params", unreachable)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--config", mini_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {message}"]
+    assert not out.exists()
 
 
 def test_io_error_exit_code(mini_file, tmp_path):
@@ -177,7 +195,17 @@ def test_leakage_matches_sweep_equivocation(mini_file, tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
-def test_desk_scale_flag(mini_file, capsys):
-    # desk scale overrides antennas and defaults trials to 200; keep it tiny
-    assert main(["run", "--config", mini_file, "--desk-scale", "--trials", "2"]) == 0
-    assert "trials=2" in capsys.readouterr().out
+def test_readme_synopsis_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("secure-ura "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings
+                     if s.startswith("--")} - {"--help"}
+              for name, p in subparsers.choices.items()}
+    assert documented == parsed

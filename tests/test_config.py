@@ -1,6 +1,7 @@
 import pytest
 
-from secure_ura import ConfigError, SystemConfig, desk_scale, load_config
+from secure_ura import ConfigError, SystemConfig, load_config
+from secure_ura.cli import main
 from secure_ura.config import PILOT_CODEBOOK_CAP_BYTES
 
 
@@ -17,43 +18,51 @@ def test_defaults_match_documented_setup():
 def test_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
-    assert load_config(path, env={}) == SystemConfig()
+    assert load_config(path) == SystemConfig()
 
 
 def test_no_file_gives_defaults():
-    assert load_config(None, env={}) == SystemConfig()
+    assert load_config(None) == SystemConfig()
 
 
 def test_file_overrides_and_comments(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# comment\n\nKa = 3\nPp = 0.5  # trailing\nseed=9\n")
-    cfg = load_config(path, env={})
+    cfg = load_config(path)
     assert cfg.Ka == 3 and cfg.Pp == 0.5 and cfg.seed == 9
     assert cfg.B == 100  # untouched default
 
 
-def test_env_overrides_seed(tmp_path):
+def test_seed_env_var_is_ignored(tmp_path, monkeypatch):
+    # the seed comes from the file or --seed only
     path = tmp_path / "c.cfg"
-    path.write_text("seed = 5\n")
-    cfg = load_config(path, env={"SECURE_URA_SEED": "77"})
-    assert cfg.seed == 77
+    path.write_text("M = 8\nE = 8\nKa = 1\nL = 8\nnp = 32\nnc = 64\nns = 16\n"
+                    "B = 30\nBp = 5\nS = 8\nseed = 5\n")
+    args = ["sweep", "--config", str(path), "--ka", "1", "--ratio", "1",
+            "--trials", "1", "--out"]
+    plain, with_env = tmp_path / "plain.csv", tmp_path / "env.csv"
+    assert main(args + [str(plain)]) == 0
+    monkeypatch.setenv("SECURE_URA_SEED", "77")
+    assert load_config(path).seed == 5
+    assert main(args + [str(with_env)]) == 0
+    assert with_env.read_bytes() == plain.read_bytes()
 
 
 def test_unknown_key_reports_line(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("Ka = 2\nbogus = 1\n")
     with pytest.raises(ConfigError, match=r":2.*bogus"):
-        load_config(path, env={})
+        load_config(path)
     path.write_text("omp_batch = 4\n")  # not a setting: OMP picks up to 2 * Ka atoms
     with pytest.raises(ConfigError, match=r":1: unknown key 'omp_batch'"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_bad_value_reports_line_and_key(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("\nKa = soon\n")
     with pytest.raises(ConfigError, match=r":2.*Ka"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_bad_value_messages_name_the_field_kind(tmp_path):
@@ -64,7 +73,7 @@ def test_bad_value_messages_name_the_field_kind(tmp_path):
                           ("sigma_u2 = ", "sigma_u2 expects a number, got ''")]:
         path.write_text(line + "\n")
         with pytest.raises(ConfigError) as err:
-            load_config(path, env={})
+            load_config(path)
         assert str(err.value) == f"{path}:1: {message}"
 
 
@@ -90,21 +99,21 @@ def test_missing_equals_reports_line(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("Ka 2\n")
     with pytest.raises(ConfigError, match=r":1"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_odd_key_length_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("S = 41\nns = 60\n")
     with pytest.raises(ConfigError, match="S.*even"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_short_feedback_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("L = 10\nS = 40\n")
     with pytest.raises(ConfigError, match="L.*S/2"):
-        load_config(path, env={})
+        load_config(path)
 
 
 @pytest.mark.parametrize("overrides,field", [
@@ -144,9 +153,3 @@ def test_pilot_codebook_cap():
     SystemConfig(Bp=18)  # largest Bp under the cap at np = 200
     with pytest.raises(ConfigError, match="Bp"):
         SystemConfig(Bp=19)
-
-
-def test_desk_scale_preset():
-    cfg = desk_scale(SystemConfig())
-    assert cfg.M == cfg.E == 8 and cfg.trials == 200
-    assert desk_scale(SystemConfig(), trials=10).trials == 10
