@@ -20,12 +20,19 @@ from .harness import (LEAKAGE_CSV_HEADER, TrialError, config_ratio, emit_csv,
                       run_leakage, run_point, run_sweep, selftest, write_csv)
 
 
+def _entries(text: str) -> list[str]:
+    entries = text.split(",")
+    if not all(v.strip() for v in entries):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return entries
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [int(v) for v in _entries(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [float(v) for v in _entries(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -232,8 +232,7 @@ def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
 def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(0)
     s = rng.integers(0, 2, (200, cfg.S), dtype=np.uint8)
-    sysb, par = params.ldpc.encode(s)
-    cw = np.concatenate([sysb, par], axis=1)
+    cw = np.concatenate([s, params.ldpc.encode(s)], axis=1)
     _require(not params.ldpc.syndrome(cw).any(), "an LDPC codeword has a nonzero syndrome")
     s_hat, conv = params.ldpc.decode(np.where(cw == 0, 40.0, -40.0), cfg.bp_iters)
     _require(np.array_equal(s_hat, s) and conv.all(),

@@ -144,13 +144,12 @@ class LdpcCode:
 
     # ---- encoding -------------------------------------------------------
 
-    def encode(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Systematic encode; returns (systematic, parity). Batched over leading axes."""
+    def encode(self, s: np.ndarray) -> np.ndarray:
+        """Parity bits of the systematic codeword [s, parity]. Batched over leading axes."""
         s = np.asarray(s, dtype=np.uint8)
         if s.shape[-1] != self.k:
             raise ValueError(f"key length {s.shape[-1]} != {self.k}")
-        parity = (s.astype(np.int64) @ self.parity_map.T.astype(np.int64) % 2).astype(np.uint8)
-        return s.copy(), parity
+        return (s.astype(np.int64) @ self.parity_map.T.astype(np.int64) % 2).astype(np.uint8)
 
     def syndrome(self, codeword: np.ndarray) -> np.ndarray:
         c = np.asarray(codeword, dtype=np.int64)

@@ -28,7 +28,6 @@ class PublicParams:
     T: np.ndarray    # (S, B) keystream expansion matrix
     ldpc: LdpcCode
     polar: PolarCode
-    atom_norms: np.ndarray  # (2^Bp,) row norms of P; derived, so not in digest()
 
     def digest(self) -> str:
         """SHA-256 over every shared artifact, for determinism checks."""
@@ -77,5 +76,4 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
     crc = Crc(default_crc_poly(cfg.Br), cfg.Br)
     polar = PolarCode.design(cfg.nc, cfg.polar_info_bits, crc,
                              design_snr=cfg.Pc / cfg.sigma_c2)
-    return PublicParams(V=V, P=P, C1=C1, C2=C2, T=T, ldpc=ldpc, polar=polar,
-                        atom_norms=np.linalg.norm(P, axis=1))
+    return PublicParams(V=V, P=P, C1=C1, C2=C2, T=T, ldpc=ldpc, polar=polar)

@@ -55,17 +55,16 @@ def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int, res_threshold: float,
-               atom_norms: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
+               res_threshold: float) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
-    Selects the atom with the largest residual correlation across antennas
-    (normalized by atom energy), keeps the residual orthogonal to the span
-    of the selected atoms (equivalent to a least-squares re-fit per step),
-    and stops after max_atoms picks or when the residual energy fraction
-    drops below res_threshold; atom_norms holds the row norms of P.
-    Returns (pilot_index, channel_estimate) pairs from a final
-    least-squares fit over the selected set.
+    Selects the atom with the largest residual correlation energy across
+    antennas (all codebook rows have energy np * Pp), keeps the residual
+    orthogonal to the span of the selected atoms (equivalent to a
+    least-squares re-fit per step), and stops after max_atoms picks or when
+    the residual energy fraction drops below res_threshold.  Returns the
+    (pilot_index, channel_estimate) pairs of a final least-squares fit.
 
     The per-atom residual energies e_j = ||gamma_j||^2 are updated in place
     of being recomputed: a step subtracts u r from gamma, so
@@ -81,10 +80,6 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int, res_threshold: floa
     # correlation with every atom; (P @ Y^H)^H avoids materializing P^H
     gamma = (P @ Y.conj().T).conj().T            # (M, 2^Bp)
     energy = np.sum(gamma.real ** 2 + gamma.imag ** 2, axis=0)
-    # ranking on e_j / ||p_j||^2 picks the same atom as ||gamma_j|| / ||p_j||
-    inv_norm2 = np.zeros_like(atom_norms)
-    np.divide(1.0, atom_norms ** 2, out=inv_norm2, where=atom_norms > 0)
-    metric = np.empty_like(energy)
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
     max_atoms = min(max_atoms, n_obs)
@@ -99,10 +94,8 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int, res_threshold: floa
     while k < max_atoms:
         if res_energy / energy0 < res_threshold:
             break
-        np.multiply(energy, inv_norm2, out=metric)
-        metric[selected[:k]] = -1.0
-        j = int(np.argmax(metric))
-        if metric[j] <= 0.0:
+        j = int(np.argmax(energy))
+        if energy[j] <= 0.0:
             break
         p = P[j]
         q = p - (Qc[:k] @ p) @ Q[:k]
@@ -117,6 +110,7 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int, res_threshold: floa
         res_energy = max(res_energy - u_energy, 0.0)
         Q[k], Qc[k] = q, q.conj()
         selected[k] = j
+        energy[j] = -np.inf                      # a picked atom is never picked again
         k += 1
         if k == max_atoms or res_energy / energy0 < res_threshold:
             break                                # no later pick reads energy
@@ -219,12 +213,11 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
 
     C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
     X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
-    seen: set[bytes] = set()
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
     for _ in range(cfg.max_outer_iters):
         detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
-                                OMP_RESIDUAL_THRESHOLD, params.atom_norms)
+                                OMP_RESIDUAL_THRESHOLD)
         if not detections:
             break
         pilots = np.array([j for j, _ in detections])
@@ -232,11 +225,12 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
         llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
         payloads, ok = params.polar.decode(llrs, cfg.list_size)
         C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)
+        known = {c.tobytes() for c in C_hat}    # a user the LS fallback dropped may return
         new = []
         for i in np.flatnonzero(ok):
             tag = C_pass[i].tobytes()
-            if tag not in seen:
-                seen.add(tag)
+            if tag not in known:
+                known.add(tag)
                 new.append(i)
         if not new:
             break

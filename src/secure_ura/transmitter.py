@@ -64,7 +64,7 @@ def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
             f"user {u}: sample variance {var[u]:.3e} below {VAR_FLOOR:.0e}")
     Y_bar = Y_bar[:, None, :]
     S = extract_key(Y_bar, params.C1)[1][:, 0]
-    _, parity = params.ldpc.encode(S)
+    parity = params.ldpc.encode(S)
     x_k = bpsk_map(parity, cfg.Pk) + artificial_noise(Y_bar, params.C2, cfg.Pa)[:, 0]
 
     C = encrypt(W, expand_key(S, params.T))

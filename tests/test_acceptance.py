@@ -122,8 +122,8 @@ def test_criterion_5_codec_suites():
     rng = np.random.default_rng(55)
 
     keys = rng.integers(0, 2, (1000, cfg.S), dtype=np.uint8)
-    sys_part, parity = params.ldpc.encode(keys)
-    llr = np.where(np.concatenate([sys_part, parity], axis=1) == 0, 40.0, -40.0)
+    parity = params.ldpc.encode(keys)
+    llr = np.where(np.concatenate([keys, parity], axis=1) == 0, 40.0, -40.0)
     s_hat, converged = params.ldpc.decode(llr, cfg.bp_iters)
     assert converged.all() and np.array_equal(s_hat, keys)
 

@@ -115,6 +115,28 @@ def test_invalid_grid_entry_is_rejected_before_any_work(mini_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--ka", ",", "--ratio", "1"], "--ka"),
+    (["sweep", "--ka", "1,,2", "--ratio", "1"], "--ka"),
+    (["sweep", "--ka", "1", "--ratio", "1,"], "--ratio"),
+    (["leakage", "--ratio", ","], "--ratio"),
+    (["leakage", "--ratio", ""], "--ratio"),
+], ids=["sweep-ka-empty", "sweep-ka-gap", "sweep-ratio-trailing", "leakage-ratio-empty",
+        "leakage-ratio-blank"])
+def test_empty_grid_entry_exits_2(mini_file, tmp_path, capsys, monkeypatch, argv, flag):
+    def unreachable(cfg):
+        raise AssertionError("public artifacts built for an empty grid entry")
+    monkeypatch.setattr(harness, "generate_public_params", unreachable)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--config", mini_file, "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: empty entry in " in captured.err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(mini_file, tmp_path):
     missing_dir = tmp_path / "nope" / "out.csv"
     code = main(["sweep", "--config", mini_file, "--ka", "1", "--ratio", "1",

@@ -12,29 +12,29 @@ def code():
 
 
 def test_zero_key_zero_parity(code):
-    _, parity = code.encode(np.zeros(40, dtype=np.uint8))
+    parity = code.encode(np.zeros(40, dtype=np.uint8))
     assert not parity.any()
 
 
 def test_random_codewords_satisfy_checks(code, rng):
     s = rng.integers(0, 2, (200, 40), dtype=np.uint8)
-    sys_part, parity = code.encode(s)
-    assert not code.syndrome(np.concatenate([sys_part, parity], axis=1)).any()
+    parity = code.encode(s)
+    assert not code.syndrome(np.concatenate([s, parity], axis=1)).any()
 
 
 def test_parity_map_is_linear(code, rng):
     a = rng.integers(0, 2, 40, dtype=np.uint8)
     b = rng.integers(0, 2, 40, dtype=np.uint8)
-    _, pa = code.encode(a)
-    _, pb = code.encode(b)
-    _, pab = code.encode(a ^ b)
+    pa = code.encode(a)
+    pb = code.encode(b)
+    pab = code.encode(a ^ b)
     assert np.array_equal(pab, pa ^ pb)
 
 
 def test_noiseless_decode_converges_without_iterations(code, rng):
     s = rng.integers(0, 2, (20, 40), dtype=np.uint8)
-    sys_part, parity = code.encode(s)
-    llr = np.where(np.concatenate([sys_part, parity], axis=1) == 0, 40.0, -40.0)
+    parity = code.encode(s)
+    llr = np.where(np.concatenate([s, parity], axis=1) == 0, 40.0, -40.0)
     s_hat, converged = code.decode(llr, iters=0)
     assert converged.all()
     assert np.array_equal(s_hat, s)
@@ -42,8 +42,8 @@ def test_noiseless_decode_converges_without_iterations(code, rng):
 
 def test_single_flipped_bit_corrected(code, rng):
     s = rng.integers(0, 2, 40, dtype=np.uint8)
-    sys_part, parity = code.encode(s)
-    clean = np.where(np.concatenate([sys_part, parity]) == 0, 40.0, -40.0)
+    parity = code.encode(s)
+    clean = np.where(np.concatenate([s, parity]) == 0, 40.0, -40.0)
     llrs = np.tile(clean, (60, 1))
     llrs[np.arange(60), np.arange(60)] *= -1.0  # one confident wrong bit each
     s_hat, converged = code.decode(llrs, 50)
@@ -78,8 +78,8 @@ def test_decode_rejects_wrong_length(code):
 def test_small_code_round_trip(rng):
     code = LdpcCode.build(16, 8)
     s = rng.integers(0, 2, (300, 8), dtype=np.uint8)
-    sys_part, parity = code.encode(s)
-    llr = np.where(np.concatenate([sys_part, parity], axis=1) == 0, 40.0, -40.0)
+    parity = code.encode(s)
+    llr = np.where(np.concatenate([s, parity], axis=1) == 0, 40.0, -40.0)
     s_hat, converged = code.decode(llr, 30)
     assert converged.all() and np.array_equal(s_hat, s)
 
@@ -145,8 +145,8 @@ def _noisy_llrs(code, rng, batch, sigma):
     hold words with none, one and two zero-tanh edges in a check.
     """
     s = rng.integers(0, 2, (batch, code.k), dtype=np.uint8)
-    sys_part, parity = code.encode(s)
-    x = 1.0 - 2.0 * np.concatenate([sys_part, parity], axis=1)
+    parity = code.encode(s)
+    x = 1.0 - 2.0 * np.concatenate([s, parity], axis=1)
     llr = 2.0 * x / sigma ** 2 + rng.normal(0.0, 2.0 / sigma, x.shape)
     sat = rng.random(llr.shape) < 0.05
     llr[sat] *= 50.0

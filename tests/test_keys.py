@@ -77,7 +77,7 @@ def test_key_segment_without_masking(rng):
     params = generate_public_params(cfg)
     x_k, S = _key_segments(cfg, params, *random_users(cfg, rng, 4))
     # unmasked, the segment is exactly the BPSK parity of the key
-    assert np.array_equal(x_k, bpsk_map(params.ldpc.encode(S)[1], cfg.Pk))
+    assert np.array_equal(x_k, bpsk_map(params.ldpc.encode(S), cfg.Pk))
     assert np.allclose(np.abs(x_k), 0.5)  # +/- sqrt(0.25)
 
 
@@ -108,7 +108,7 @@ def test_length_bookkeeping(mini_cfg, mini_params, rng):
     assert S.shape == (3, mini_cfg.S)
     assert x_k.shape == (3, mini_cfg.key_parity_len)
     # x_k = v + v': the BPSK parity plus the mask of each user's own vector
-    v = bpsk_map(mini_params.ldpc.encode(S)[1], mini_cfg.Pk)
+    v = bpsk_map(mini_params.ldpc.encode(S), mini_cfg.Pk)
     v_prime = artificial_noise(standardize(Y)[0][:, None, :], mini_params.C2,
                                mini_cfg.Pa)[:, 0]
     assert np.array_equal(x_k, v + v_prime)

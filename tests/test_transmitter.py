@@ -83,7 +83,7 @@ def _make_private_observation_reference(y, C1):
 
 
 def _build_key_segment_reference(s, y_bar, C2, Pk, Pa, ldpc):
-    _, parity = ldpc.encode(s)
+    parity = ldpc.encode(s)
     v = bpsk_map(parity, Pk)
     v_prime = _artificial_noise_reference(y_bar, C2, Pa)
     return _KeySegment(v=v, v_prime=v_prime, x_k=v + v_prime)
@@ -266,7 +266,7 @@ def test_key_segment_mean_power(fullsize_tx):
     Yb = complex_normal(g, (n_users, cfg.L))
     z = Yb @ params.C1
     keys = (np.concatenate([z.real, z.imag], axis=1) >= 0).astype(np.uint8)
-    _, parity = params.ldpc.encode(keys)
+    parity = params.ldpc.encode(keys)
     v = (1.0 - 2.0 * parity) * np.sqrt(cfg.Pk)
     x_k = v + np.sqrt(cfg.Pa) * (Yb @ params.C2)
     mean_energy = np.mean(np.sum(np.abs(x_k) ** 2, axis=1))
