@@ -20,19 +20,25 @@ from .harness import (LEAKAGE_CSV_HEADER, TrialError, config_ratio, emit_csv,
                       run_leakage, run_point, run_sweep, selftest, write_csv)
 
 
-def _entries(text: str) -> list[str]:
-    entries = text.split(",")
-    if not all(v.strip() for v in entries):
-        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-    return entries
+def _entries(text: str, convert, kind: str) -> list:
+    values = []
+    for v in text.split(","):
+        if not v.strip():
+            raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+        try:
+            values.append(convert(v))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid entry {v!r} in {text!r}: expected {kind}") from None
+    return values
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in _entries(text)]
+    return _entries(text, int, "an integer")
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in _entries(text)]
+    return _entries(text, float, "a number")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -66,11 +66,8 @@ def first_user_zeta(cfg: SystemConfig, trial_id: int, params: PublicParams) -> f
     return leakage_report(g, params.C2, cfg.Pk, cfg.Pa, cfg.sigma_e2, cfg.S)
 
 
-def run_trial(cfg: SystemConfig, trial_id: int,
-              params: PublicParams | None = None) -> TrialReport:
+def run_trial(cfg: SystemConfig, trial_id: int, params: PublicParams) -> TrialReport:
     """Simulate one complete frame: feedback, uplink, receiver, leakage."""
-    if params is None:
-        params = generate_public_params(cfg)
     stage = "transmit"
     try:
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
@@ -289,7 +286,7 @@ def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
     # artifacts are held; noiseless single-user OMP still picks the true atom
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
-    report = run_trial(mini, 0)
+    report = run_trial(mini, 0, generate_public_params(mini))
     _require(report.pupe == 0.0,
              f"noiseless single-user trial has PUPE {report.pupe:g}, expected 0")
 

@@ -15,8 +15,9 @@ in decoding order: ciphertexts, keys, decrypted messages and per-user
 flags.
 """
 
+import math
+
 import numpy as np
-from scipy.special import log_ndtr
 
 from .config import SystemConfig
 from .crypto import decrypt, expand_key
@@ -28,6 +29,8 @@ from .transmitter import index_to_bits, pilot_polar_rows
 OMP_RESIDUAL_THRESHOLD = 0.05
 #: deferred rank-1 updates of the OMP correlation matrix applied per flush
 OMP_FLUSH_EVERY = 16
+# numpy has no erfc ufunc; the standard library's keeps the package numpy-only
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
 def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarray:
@@ -182,16 +185,21 @@ def llr_parity(Y_k_clean: np.ndarray, H_hat: np.ndarray, Pk: float,
 def llr_systematic(u_hat: np.ndarray, var_y_hat, sigma_uj2: np.ndarray) -> np.ndarray:
     """LLRs of the systematic key bits from the projected feedback estimate.
 
-    The statistic sqrt(var/sigma_uj^2) * u_hat is a Gaussian-noise view of
-    the user's original feature; the bit LLR is log Q(a) - log(1 - Q(a)),
-    evaluated through the log-domain normal CDF so it never over/underflows.
-    The j-th and (S/2+j)-th features share one noise variance sigma_uj2[j]
-    (see feature_noise_variances).
+    The statistic a = sqrt(var/sigma_uj^2) * u_hat is a Gaussian-noise view
+    of the user's original feature; the bit LLR is log Q(a) - log(1 - Q(a))
+    = log erfc(a/sqrt 2) - log erfc(-a/sqrt 2).  Both tails are taken from
+    erfc, since 1 - Q(a) formed by subtraction loses the small one; erfc
+    underflows to 0 beyond |a| ~ 37.6, where the log's -inf clamps to the
+    same +-LLR_CLAMP as the exact value.  NaN propagates.  The j-th and
+    (S/2+j)-th features share one noise variance sigma_uj2[j] (see
+    feature_noise_variances).
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     sig2 = np.concatenate([sigma_uj2, sigma_uj2])
     a = u_hat * np.sqrt(np.asarray(var_y_hat)[..., None] / sig2)
-    return clamp_llr(log_ndtr(-a) - log_ndtr(a))
+    t = a / math.sqrt(2.0)
+    with np.errstate(divide="ignore"):
+        return clamp_llr(np.log(_erfc(t)) - np.log(_erfc(-t)))
 
 
 # ---------------------------------------------------------------------------

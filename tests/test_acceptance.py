@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the PASS lines
-inline).  The grid criterion dominates the runtime at a few minutes.
+inline).  The grid criterion (4) dominates the runtime: about 220 s of the
+module's ~280 s with one BLAS thread on a 2-core x86_64 host.
 """
 
 import time

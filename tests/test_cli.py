@@ -137,6 +137,27 @@ def test_empty_grid_entry_exits_2(mini_file, tmp_path, capsys, monkeypatch, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--ka", "x", "--ratio", "1"],
+     "--ka: invalid entry 'x' in 'x': expected an integer"),
+    (["sweep", "--ka", "1,2.5", "--ratio", "1"],
+     "--ka: invalid entry '2.5' in '1,2.5': expected an integer"),
+    (["sweep", "--ka", "1", "--ratio", "1,y"],
+     "--ratio: invalid entry 'y' in '1,y': expected a number"),
+    (["leakage", "--ratio", "one"],
+     "--ratio: invalid entry 'one' in 'one': expected a number"),
+], ids=["sweep-ka", "sweep-ka-float", "sweep-ratio", "leakage-ratio"])
+def test_non_numeric_grid_entry_exits_2(mini_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--config", mini_file, "--out", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {message}")
+    assert not out.exists()
+
+
 def test_io_error_exit_code(mini_file, tmp_path):
     missing_dir = tmp_path / "nope" / "out.csv"
     code = main(["sweep", "--config", mini_file, "--ka", "1", "--ratio", "1",
@@ -175,21 +196,42 @@ def test_selftest_subcommand(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def _package_env() -> dict:
+    """The environment with this package's source tree first on PYTHONPATH."""
+    src = str(Path(secure_ura.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_selftest_fails_under_optimized_python(tmp_path):
     # the suites check without assert statements, so python -O still runs
     # them; zero pilot power leaves the noiseless trial undetected
     cfg = tmp_path / "pp0.cfg"
     cfg.write_text("M = 8\nE = 8\nPp = 0\n")
-    src = str(Path(secure_ura.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-m", "secure_ura.cli", "selftest",
                            "--config", str(cfg)], capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=_package_env(), timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     fails = [l for l in proc.stdout.splitlines() if l.startswith("FAIL")]
     assert len(fails) == 1
     assert re.fullmatch(r"FAIL noiseless end-to-end: \S.*", fails[0])
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: selftest and run work in an
+    # interpreter where importing scipy fails
+    cfg = tmp_path / "m8.cfg"
+    cfg.write_text("M = 8\nE = 8\n")
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from secure_ura.cli import main\n"
+            f"codes = [main(['selftest', '--config', {str(cfg)!r}]),\n"
+            f"         main(['run', '--config', {str(cfg)!r}, '--trials', '2'])]\n"
+            "print(codes)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0]", proc.stdout + proc.stderr
 
 
 def test_leakage_subcommand(mini_file, tmp_path, capsys):

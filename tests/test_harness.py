@@ -39,7 +39,7 @@ def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
 
 def test_overwhelming_noise_gives_pupe_one():
     cfg = make_mini_cfg(sigma_c2=1e6, sigma_u2=1.0)
-    report = run_trial(cfg, 0)
+    report = run_trial(cfg, 0, generate_public_params(cfg))
     assert report.n_detected == 0
     assert report.pupe == 1.0
 

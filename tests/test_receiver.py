@@ -1,9 +1,11 @@
 import functools
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from secure_ura import (SystemConfig, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
@@ -12,7 +14,7 @@ from secure_ura import (SystemConfig, decode_frame,
                         iterative_decode, llr_parity, llr_systematic,
                         mmse_polar_llr, omp_detect, run_trial, standardize,
                         transmit, uplink)
-from secure_ura.modulation import bpsk_map
+from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.receiver import OMP_RESIDUAL_THRESHOLD
 from secure_ura.rng import complex_normal, random_bits, stream
 
@@ -283,6 +285,21 @@ def test_llr_systematic_limits_and_convention(mini_cfg, mini_params):
     nu = llr_systematic(u, np.array(4.0), sigma_uj2)
     assert nu[0] == -40.0 and nu[1] == 40.0
     assert np.isfinite(nu).all()
+
+
+def test_llr_systematic_matches_log_ndtr_reference():
+    # with unit variances the statistic is u itself; the reference is
+    # scipy's log-domain normal CDF, the clamp as in the receiver
+    mags = np.logspace(-3, 3, 25)
+    a = np.concatenate([[0.0, np.inf, -np.inf, np.nan], mags, -mags])
+    block = np.random.default_rng(3).standard_normal((120, 40)) * np.geomspace(0.5, 100, 40)
+    for u, var in ((a, np.array(1.0)), (block, np.ones(120))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu = llr_systematic(u, var, np.ones(u.shape[-1] // 2))
+        ref = clamp_llr(log_ndtr(-u) - log_ndtr(u))
+        assert np.array_equal(np.isnan(nu), np.isnan(u))
+        np.testing.assert_allclose(nu, ref, rtol=0, atol=1e-13)
 
 
 def test_llr_aux_invariants(mini_cfg, mini_params):
