@@ -23,7 +23,7 @@ from .config import ConfigError, SystemConfig
 from .crypto import encrypt, expand_key
 from .keys import standardize
 from .leakage import leakage_eigen, leakage_logdet, leakage_report
-from .params import PublicParams, generate_public_params
+from .params import PublicParams, generate_public_params, row_norms
 from .receiver import decode_frame
 from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
@@ -222,7 +222,7 @@ def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
              "C1 columns are not orthonormal")
     _require(np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol,
              "C2 columns are not unit-norm")
-    _require(_near(np.linalg.norm(params.P, axis=1) ** 2, cfg.np * cfg.Pp, tol),
+    _require(_near(row_norms(params.P) ** 2, cfg.np * cfg.Pp, tol),
              "pilot row energy ||p_j||^2 != np * Pp")
 
 

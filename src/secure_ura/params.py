@@ -40,12 +40,29 @@ class PublicParams:
         return h.hexdigest()
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """(n,) Euclidean norms of the rows of an (n, d) array.
+
+    np.linalg.norm(x, axis=1) forms x.conj() * x whole, a temporary as large
+    as x; taking 256 rows at a time gives the same bytes, since each row is
+    reduced alone either way.  (A 1-D norm per row would not: it takes
+    numpy's dot path, which rounds differently.)
+    """
+    out = np.empty(len(x))
+    for i in range(0, len(x), 256):
+        out[i:i + 256] = np.linalg.norm(x[i:i + 256], axis=1)
+    return out
+
+
 def _scale_to_energy(x: np.ndarray, energy: float, axis: int | None = None) -> None:
-    """Scale x in place so its squared norm along axis (all of x if None) is energy."""
+    """Scale x in place so its squared norm along axis (all of x if None,
+    every row if 1) is energy."""
     if energy == 0.0:
         x.fill(0.0)
+    elif axis is None:
+        x *= np.sqrt(energy) / np.linalg.norm(x)
     else:
-        x *= np.sqrt(energy) / np.linalg.norm(x, axis=axis, keepdims=True)
+        x *= (np.sqrt(energy) / row_norms(x))[:, None]
 
 
 def generate_public_params(cfg: SystemConfig) -> PublicParams:

@@ -26,7 +26,8 @@ from .modulation import clamp_llr
 from .params import PublicParams
 from .transmitter import index_to_bits, pilot_polar_rows
 
-OMP_RESIDUAL_THRESHOLD = 0.05
+#: probability that OMP picks any atom in a call whose residual is pure noise
+OMP_FALSE_ALARM = 1e-2
 #: deferred rank-1 updates of the OMP correlation matrix applied per flush
 OMP_FLUSH_EVERY = 16
 # numpy has no erfc ufunc; the standard library's keeps the package numpy-only
@@ -58,16 +59,32 @@ def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> float:
+    """Residual correlation energy below which OMP takes an atom for noise.
+
+    For an atom p on a pure-noise residual (M antennas, noise variance
+    sigma2), ||gamma_j||^2 is sigma2 ||p||^2 Gamma(M, 1).  The Laurent-Massart
+    chi-square tail gives P(Gamma(M, 1) >= c M) <= exp(-x) for
+    c = 1 + sqrt(2x/M) + x/M, so with x = ln(n_atoms / OMP_FALSE_ALARM) the
+    largest of n_atoms noise energies exceeds c sigma2 M ||p||^2 with
+    probability at most OMP_FALSE_ALARM (union bound).
+    """
+    x = math.log(n_atoms / OMP_FALSE_ALARM)
+    c = 1.0 + math.sqrt(2.0 * x / M) + x / M
+    return c * sigma2 * M * atom_energy
+
+
 def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
-               res_threshold: float) -> list[tuple[int, np.ndarray]]:
+               noise_floor: float) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
     Selects the atom with the largest residual correlation energy across
-    antennas (all codebook rows have energy np * Pp), keeps the residual
+    antennas (all codebook rows have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
-    least-squares re-fit per step), and stops after max_atoms picks or when
-    the residual energy fraction drops below res_threshold.  Returns the
-    (pilot_index, channel_estimate) pairs of a final least-squares fit.
+    least-squares re-fit per step).  It stops after max_atoms picks, or when
+    the best atom's energy is at most noise_floor (see omp_noise_floor).
+    Returns the (pilot_index, channel_estimate) pairs of a final
+    least-squares fit.
 
     The per-atom residual energies e_j = ||gamma_j||^2 are updated in place
     of being recomputed: a step subtracts u r from gamma, so
@@ -77,11 +94,11 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
     OMP_FLUSH_EVERY at a time.
     """
     M, n_obs = Y.shape
-    energy0 = float(np.sum(np.abs(Y) ** 2))
-    if energy0 == 0.0:
-        return []
-    # correlation with every atom; (P @ Y^H)^H avoids materializing P^H
-    gamma = (P @ Y.conj().T).conj().T            # (M, 2^Bp)
+    # correlation with every atom, (P @ Y^H)^H, conjugated in place: no
+    # second codebook-sized array, and no P^H
+    gamma = P @ Y.conj().T                       # (2^Bp, M)
+    np.conjugate(gamma, out=gamma)
+    gamma = gamma.T                              # (M, 2^Bp)
     energy = np.sum(gamma.real ** 2 + gamma.imag ** 2, axis=0)
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
@@ -93,12 +110,9 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
     R = np.empty((OMP_FLUSH_EVERY, P.shape[0]), dtype=np.complex128)
     pending = 0                                  # rows of U, R not yet in gamma
     k = 0
-    res_energy = energy0
     while k < max_atoms:
-        if res_energy / energy0 < res_threshold:
-            break
         j = int(np.argmax(energy))
-        if energy[j] <= 0.0:
+        if energy[j] <= noise_floor:
             break
         p = P[j]
         q = p - (Qc[:k] @ p) @ Q[:k]
@@ -110,12 +124,11 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
         u = Y @ q.conj()                         # (M,)
         r = (P @ q.conj()).conj()                # q @ P^H, (2^Bp,)
         u_energy = float(np.sum(np.abs(u) ** 2))
-        res_energy = max(res_energy - u_energy, 0.0)
         Q[k], Qc[k] = q, q.conj()
         selected[k] = j
         energy[j] = -np.inf                      # a picked atom is never picked again
         k += 1
-        if k == max_atoms or res_energy / energy0 < res_threshold:
+        if k == max_atoms:
             break                                # no later pick reads energy
 
         uh = u.conj()
@@ -222,10 +235,10 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
     C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
     X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
+    floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
-                                OMP_RESIDUAL_THRESHOLD)
+        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka, floor)
         if not detections:
             break
         pilots = np.array([j for j, _ in detections])

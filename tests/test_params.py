@@ -6,7 +6,7 @@ import pytest
 
 from secure_ura import ConfigError, SystemConfig, generate_public_params
 from secure_ura.harness import _check_params_invariants
-from secure_ura.params import PARAMS_STREAM
+from secure_ura.params import PARAMS_STREAM, _scale_to_energy, row_norms
 from secure_ura.rng import complex_normal, stream
 
 from helpers import make_mini_cfg
@@ -162,3 +162,15 @@ def test_energy_scaling_matches_reference(overrides):
         P *= np.sqrt(cfg.np * cfg.Pp) / np.linalg.norm(P, axis=1, keepdims=True)
     params = generate_public_params(cfg)
     assert _same_bytes(params.V, V) and _same_bytes(params.P, P)
+
+
+@pytest.mark.parametrize("shape", [(4096, 200), (1000, 37)])
+def test_blockwise_row_norms_match_whole_array_formula(shape):
+    # the codebook's row norms are taken 256 rows at a time to bound the
+    # temporary; the bytes must be those of one norm over the whole array
+    # (a 1-D norm per row rounds differently and would fail here)
+    x = complex_normal(stream(5, "rows", shape[1]), shape)
+    assert _same_bytes(row_norms(x), np.linalg.norm(x, axis=1))
+    want = x * (np.sqrt(60.0) / np.linalg.norm(x, axis=1, keepdims=True))
+    _scale_to_energy(x, 60.0, axis=1)
+    assert _same_bytes(x, want)

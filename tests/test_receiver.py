@@ -6,16 +6,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
+from scipy import stats
 
 from secure_ura import (SystemConfig, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
                         feedback_observation, generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
-                        mmse_polar_llr, omp_detect, run_trial, standardize,
-                        transmit, uplink)
+                        mmse_polar_llr, omp_detect, omp_noise_floor, run_trial,
+                        standardize, transmit, uplink)
+from secure_ura import receiver
 from secure_ura.modulation import bpsk_map, clamp_llr
-from secure_ura.receiver import OMP_RESIDUAL_THRESHOLD
+from secure_ura.receiver import OMP_FALSE_ALARM
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg
@@ -25,6 +27,11 @@ def _cn(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
+def _floor(cfg):
+    """The noise floor iterative_decode gives omp_detect for cfg."""
+    return omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
+
+
 # ---- OMP -------------------------------------------------------------------
 
 
@@ -32,14 +39,14 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     idx = 11
     Y = np.outer(h, mini_params.P[idx])
-    det = omp_detect(Y, mini_params.P, 4, OMP_RESIDUAL_THRESHOLD)
+    det = omp_detect(Y, mini_params.P, 4, _floor(mini_cfg))
     assert det[0][0] == idx
     assert np.max(np.abs(det[0][1] - h)) < 1e-8
 
 
 def test_omp_empty_frame(mini_params):
     Y = np.zeros((8, mini_params.P.shape[1]), dtype=complex)
-    assert omp_detect(Y, mini_params.P, 4, OMP_RESIDUAL_THRESHOLD) == []
+    assert omp_detect(Y, mini_params.P, 4, 0.0) == []
 
 
 def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
@@ -47,7 +54,7 @@ def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
     i1, i2 = 3, 29
     Y = np.outer(h1, mini_params.P[i1]) + np.outer(h2, mini_params.P[i2])
     Y += 1e-6 * _cn(rng, Y.shape)
-    det = dict(omp_detect(Y, mini_params.P, 4, OMP_RESIDUAL_THRESHOLD))
+    det = dict(omp_detect(Y, mini_params.P, 4, _floor(mini_cfg)))
     assert {i1, i2} <= set(det)
     assert np.max(np.abs(det[i1] - h1)) < 1e-4
     assert np.max(np.abs(det[i2] - h2)) < 1e-4
@@ -58,48 +65,66 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
     indices = [2, 7, 13, 21, 30]
     H = _cn(rng, (mini_cfg.M, 5))
     Y = H @ mini_params.P[indices]
-    det = dict(omp_detect(Y, mini_params.P, 10, OMP_RESIDUAL_THRESHOLD))
+    det = dict(omp_detect(Y, mini_params.P, 10, _floor(mini_cfg)))
     assert set(det) == set(indices)
     for col, idx in enumerate(indices):
         assert np.max(np.abs(det[idx] - H[:, col])) < 1e-8
 
 
-def test_omp_respects_atom_cap(mini_params, rng):
+def test_omp_respects_atom_cap(mini_cfg, mini_params, rng):
     Y = _cn(rng, (8, 32))
-    det = omp_detect(Y, mini_params.P, 3, OMP_RESIDUAL_THRESHOLD)
-    assert len(det) <= 3
+    det = omp_detect(Y, mini_params.P, 3, _floor(mini_cfg))
+    assert len(det) == 3
 
 
-def test_omp_residual_threshold_stops_early(mini_cfg, mini_params, rng):
+def test_omp_noise_floor_stops_early(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     Y = np.outer(h, mini_params.P[5])
     # the single atom explains everything; the loop must stop right after
-    det = omp_detect(Y, mini_params.P, 10, 0.05)
+    det = omp_detect(Y, mini_params.P, 10, _floor(mini_cfg))
     assert len(det) == 1
 
 
-def _omp_reference(Y, P, max_atoms, res_threshold=0.05):
+@pytest.mark.parametrize("Bp", [5, 12])
+@pytest.mark.parametrize("M", [1, 8, 16, 50, 128])
+def test_noise_floor_bounds_the_largest_noise_energy(M, Bp):
+    # a noise atom's energy is sigma2 ||p||^2 Gamma(M, 1); the floor is at
+    # least the Gamma quantile that the largest of 2^Bp of them exceeds with
+    # probability OMP_FALSE_ALARM under the union bound
+    c_M = omp_noise_floor(M, 2 ** Bp, 1.0, 1.0)
+    assert c_M >= stats.gamma.isf(OMP_FALSE_ALARM / 2 ** Bp, M)
+    assert omp_noise_floor(M, 2 ** Bp, 0.3, 7.0) == pytest.approx(2.1 * c_M)
+
+
+def test_noise_floor_false_alarm_rate(mini_cfg, mini_params):
+    # pure-noise frames: OMP may pick an atom in at most a fraction
+    # OMP_FALSE_ALARM of them
+    frames = 2000
+    sigma2 = 0.7
+    floor = omp_noise_floor(mini_cfg.M, mini_cfg.pilot_count, sigma2,
+                            mini_cfg.np * mini_cfg.Pp)
+    noise = complex_normal(stream(8, "omp-noise"), (frames, mini_cfg.M, mini_cfg.np),
+                           sigma2)
+    picked = sum(bool(omp_detect(Y, mini_params.P, 4, floor)) for Y in noise)
+    assert picked <= OMP_FALSE_ALARM * frames
+
+
+def _omp_reference(Y, P, max_atoms, noise_floor):
     """OMP that recomputes every atom's residual correlation at each step.
 
     This is the direct form of the algorithm that omp_detect implements with
     incrementally updated energies and deferred residual updates; both must
     pick the same atoms in the same order and return the same estimates.
     """
-    energy0 = float(np.sum(np.abs(Y) ** 2))
-    if energy0 == 0.0:
-        return []
     gamma = (P @ Y.conj().T).conj().T
     selected = []
     Q = np.zeros((0, P.shape[1]), dtype=np.complex128)
-    res_energy = energy0
     for _ in range(max_atoms):
-        if res_energy / energy0 < res_threshold:
-            break
         metric = np.linalg.norm(gamma, axis=0)
         if selected:
             metric[selected] = -1.0
         j = int(np.argmax(metric))
-        if metric[j] <= 0.0:
+        if metric[j] ** 2 <= noise_floor:
             break
         p = P[j]
         q = p - (Q.conj() @ p) @ Q
@@ -111,7 +136,6 @@ def _omp_reference(Y, P, max_atoms, res_threshold=0.05):
         u = Y @ q.conj()
         r = (P @ q.conj()).conj()
         gamma -= np.outer(u, r)
-        res_energy = max(res_energy - float(np.sum(np.abs(u) ** 2)), 0.0)
         Q = np.vstack([Q, q])
         selected.append(j)
     if not selected:
@@ -153,16 +177,21 @@ def test_omp_matches_recomputing_reference_at_full_scale():
     zero_row = 1234
     P = _omp_codebook(rng, 4096, 200, zero_row)
     steps = 0
-    # at noise 5 the residual threshold is reached late: Ka=100 takes ~170 steps
+    # at the noise floor the search stops near ka steps; with no floor at
+    # noise 5, only the cap stops it (Ka=100 takes 200 steps)
     for ka, noise in [(ka, noise) for ka in [1, 10, 25, 50, 100] * 2
                       for noise in (1.0, 5.0)]:
         Y = _omp_frame(rng, P, 50, ka, noise, zero_row)
         atoms = min(2 * ka, 200)
-        want = _omp_reference(Y, P, atoms, 0.05)
-        got = omp_detect(Y, P, atoms, 0.05)
-        _assert_same_detections(got, want)
-        assert zero_row not in [i for i, _ in got]
-        steps += len(got)
+        floors = [omp_noise_floor(50, 4096, noise ** 2, 200 * 0.3)]
+        if noise == 5.0:
+            floors.append(0.0)
+        for floor in floors:
+            want = _omp_reference(Y, P, atoms, floor)
+            got = omp_detect(Y, P, atoms, floor)
+            _assert_same_detections(got, want)
+            assert zero_row not in [i for i, _ in got]
+            steps += len(got)
     assert steps > 1000
 
 
@@ -170,20 +199,22 @@ def test_omp_matches_reference_with_early_stop_and_cap_above_np():
     rng = np.random.default_rng(20241)
     zero_row = 5
     P = _omp_codebook(rng, 4096, 200, zero_row)
-    # noiseless users: the residual threshold ends the search long before
+    # noiseless users: a floor far below them ends the search long before
     # the atom cap
     Y = _omp_frame(rng, P, 50, 30, 0.0, zero_row)
-    want = _omp_reference(Y, P, 200, 0.05)
+    floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
+    want = _omp_reference(Y, P, 200, floor)
     assert 0 < len(want) < 200
-    _assert_same_detections(omp_detect(Y, P, 200, 0.05), want)
+    _assert_same_detections(omp_detect(Y, P, 200, floor), want)
     # more atoms allowed than there are pilot symbols: at most np can be
-    # picked, whatever the threshold
+    # picked, whatever the floor
     P = _omp_codebook(rng, 64, 32, zero_row)
-    for res_threshold in (0.0, 0.05, 0.5):
+    floor = omp_noise_floor(8, 64, 0.1 ** 2, 32 * 0.3)
+    for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
-        want = _omp_reference(Y, P, 40, res_threshold)
+        want = _omp_reference(Y, P, 40, noise_floor)
         assert len(want) <= 32
-        _assert_same_detections(omp_detect(Y, P, 40, res_threshold), want)
+        _assert_same_detections(omp_detect(Y, P, 40, noise_floor), want)
 
 
 # ---- MMSE LLRs ---------------------------------------------------------------
@@ -374,6 +405,38 @@ def test_iterative_decode_empty_frame(mini_cfg, mini_params):
     assert converged.dtype == valid.dtype == bool
 
 
+def test_pure_noise_frame_picks_no_atom(full_cfg, full_params, monkeypatch):
+    # with no user on the air, the first OMP call stops at the noise floor
+    # before any pick, so the receiver polar-decodes nothing
+    atoms = []                                   # atoms picked per OMP call
+    detect = receiver.omp_detect
+
+    def counting(*args):
+        found = detect(*args)
+        atoms.append(len(found))
+        return found
+
+    monkeypatch.setattr(receiver, "omp_detect", counting)
+    y_bs = complex_normal(stream(full_cfg.seed, "noise-frame"),
+                          (full_cfg.M, full_cfg.frame_len), full_cfg.sigma_c2)
+    C_hat, H_hat, _ = iterative_decode(y_bs, full_cfg, full_params)
+    assert atoms == [0]
+    assert C_hat.shape == (0, full_cfg.B) and H_hat.shape == (full_cfg.M, 0)
+
+
+def test_no_false_alarm_at_full_scale_ka100():
+    # the crowded full-scale point over three passes: every decoded row is a
+    # transmitted ciphertext.  At this seed, passes that fill their 2 Ka
+    # atoms with noise CRC-pass 6 false alarms in these 5 trials
+    cfg = SystemConfig(Ka=100, max_outer_iters=3, seed=1501)
+    params = generate_public_params(cfg)
+    for trial in range(5):
+        y_bs, C = _uplink_block(cfg, params, trial)
+        C_hat, _, _ = iterative_decode(y_bs, cfg, params)
+        sent = {c.tobytes() for c in C}
+        assert [c.tobytes() in sent for c in C_hat] == [True] * len(C_hat)
+
+
 def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
     with pytest.raises(ValueError, match="expected"):
         decode_frame(np.zeros((mini_cfg.M, 10), dtype=complex), mini_cfg, mini_params)
@@ -475,8 +538,7 @@ def _iterative_decode_reference(frame, cfg, params):
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka,
-                                OMP_RESIDUAL_THRESHOLD)
+        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka, _floor(cfg))
         new_users = []
         new_rows = []                            # rows of payloads behind new_users
         # only the users still held count as decoded: one the LS fallback
@@ -644,7 +706,8 @@ def test_ls_fallback_matches_per_user_reference(refuse, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", refusing_solve)
-    y_bs, _ = _uplink_block(cfg, params, 2)  # new users in two passes
+    # trial 7 decodes 24 users in its first pass and the 25th in its second
+    y_bs, _ = _uplink_block(cfg, params, 7)
     rows, (C_hat, H_hat, residual), users, (_, H_ref, res_ref) = \
         _run_both(y_bs, cfg, params)
     assert refusals
