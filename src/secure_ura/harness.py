@@ -281,9 +281,9 @@ def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
                  f"eigen and log-det leakage differ: {a!r} != {b!r}")
 
 
-def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
-    # a short pilot keeps this trial's own codebook small while the caller's
-    # artifacts are held; noiseless single-user OMP still picks the true atom
+def _check_end_to_end(cfg: SystemConfig, params: None) -> None:
+    # run before cfg's artifacts exist, so what it leaves allocated is not in
+    # their memory; a short pilot (enough for one noiseless user) keeps it small
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
     report = run_trial(mini, 0, generate_public_params(mini))
@@ -307,18 +307,20 @@ def selftest(cfg: SystemConfig, out=print) -> bool:
 
     A ConfigError from building the artifacts propagates.  The artifacts
     must be a pure function of cfg, so a reference set is built first and
-    only its digest is kept: the two sets are never held at once.
+    only its digest is kept: the two sets are never held at once.  The last
+    suite reads none of them: it runs before they are built, printing last.
     """
     reference = generate_public_params(cfg).digest()
-    params = generate_public_params(cfg)
-    ok = True
-    for name, fn in SELFTEST_SUITES:
+    lines, params = {}, None
+    for name, fn in SELFTEST_SUITES[-1:] + SELFTEST_SUITES[:-1]:
         try:
             fn(cfg, params)
             if fn is _check_params_invariants:
                 _require(params.digest() == reference, "regenerated artifacts differ")
-            out(f"PASS {name}")
+            lines[name] = f"PASS {name}"
         except Exception as exc:
-            out(f"FAIL {name}: {exc}")
-            ok = False
-    return ok
+            lines[name] = f"FAIL {name}: {exc}"
+        params = params or generate_public_params(cfg)
+    for name, _ in SELFTEST_SUITES:
+        out(lines[name])
+    return all(line.startswith("PASS") for line in lines.values())

@@ -12,7 +12,7 @@ and parity LLRs, and reconciles the key through the LDPC decoder.
 The receiver reads the (M, frame_len) uplink block as it arrives and
 returns its decoded users as aligned arrays, one row per CRC-passing user
 in decoding order: ciphertexts, keys, decrypted messages and per-user
-flags.
+flags.  It never reads the active-user count cfg.Ka (see omp_detect).
 """
 
 import math
@@ -74,17 +74,17 @@ def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> 
     return c * sigma2 * M * atom_energy
 
 
-def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
+def omp_detect(Y: np.ndarray, P: np.ndarray,
                noise_floor: float) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
     Selects the atom with the largest residual correlation energy across
     antennas (all codebook rows have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
-    least-squares re-fit per step).  It stops after max_atoms picks, or when
-    the best atom's energy is at most noise_floor (see omp_noise_floor).
-    Returns the (pilot_index, channel_estimate) pairs of a final
-    least-squares fit.
+    least-squares re-fit per step).  It stops when the best atom's energy is
+    at most noise_floor (see omp_noise_floor), needing no sparsity level,
+    after n_obs picks, or on an atom in the span of those picked.  Returns
+    each pick's (pilot_index, channel_estimate) from a final LS fit.
 
     The per-atom residual energies e_j = ||gamma_j||^2 are updated in place
     of being recomputed: a step subtracts u r from gamma, so
@@ -102,15 +102,14 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
     energy = np.sum(gamma.real ** 2 + gamma.imag ** 2, axis=0)
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
-    max_atoms = min(max_atoms, n_obs)
-    selected = np.empty(max_atoms, dtype=np.intp)
-    Q = np.empty((max_atoms, n_obs), dtype=np.complex128)
+    selected = np.empty(n_obs, dtype=np.intp)
+    Q = np.empty((n_obs, n_obs), dtype=np.complex128)
     Qc = np.empty_like(Q)                        # Q.conj(), kept row by row
     U = np.empty((OMP_FLUSH_EVERY, M), dtype=np.complex128)
     R = np.empty((OMP_FLUSH_EVERY, P.shape[0]), dtype=np.complex128)
     pending = 0                                  # rows of U, R not yet in gamma
     k = 0
-    while k < max_atoms:
+    while k < n_obs:
         j = int(np.argmax(energy))
         if energy[j] <= noise_floor:
             break
@@ -128,8 +127,6 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, max_atoms: int,
         selected[k] = j
         energy[j] = -np.inf                      # a picked atom is never picked again
         k += 1
-        if k == max_atoms:
-            break                                # no later pick reads energy
 
         uh = u.conj()
         ug = uh @ gamma                          # u^H gamma, before this step
@@ -224,10 +221,10 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
                      params: PublicParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate pilot detection, polar decoding and SIC until nothing new decodes.
 
-    y_bs is the (M, frame_len) uplink block.  Returns (C_hat, H_hat,
-    residual): the (k, B) ciphertexts of the CRC-passing users in decoding
-    order, their final least-squares channel estimates (M, k), and the
-    residual pilot+polar observation.
+    y_bs is the (M, frame_len) uplink block; the user count is never read.
+    Returns (C_hat, H_hat, residual): the (k, B) ciphertexts of the
+    CRC-passing users in decoding order, their final least-squares channel
+    estimates (M, k), and the residual pilot+polar observation.
     """
     Y_pp = y_bs[:, :cfg.np + cfg.nc]
     residual = Y_pp.copy()
@@ -238,7 +235,7 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka, floor)
+        detections = omp_detect(residual[:, :cfg.np], params.P, floor)
         if not detections:
             break
         pilots = np.array([j for j, _ in detections])

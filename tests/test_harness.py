@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -182,3 +184,30 @@ def test_selftest_fails_when_regeneration_differs(monkeypatch):
     assert not selftest(cfg, out=lines.append)
     assert lines[0].startswith("FAIL public-params invariants")
     assert sum(line.startswith("PASS") for line in lines[1:]) == 6
+
+
+def test_selftest_holds_no_caller_params_during_end_to_end(monkeypatch):
+    # the end-to-end suite builds and runs its own mini set; no set built at
+    # the caller's cfg may be reachable then, so that what the mini trial
+    # leaves allocated does not land inside the memory of a set held for it
+    from secure_ura import harness
+    cfg = make_mini_cfg(sigma_c2=0.01, sigma_u2=0.01)
+    built = []                       # weak references to the caller's sets
+    live = []                        # how many of them each mini trial saw alive
+    run_trial = harness.run_trial
+
+    def tracking(c):
+        params = generate_public_params(c)
+        if c == cfg:
+            built.append(weakref.ref(params))
+        return params
+
+    def checking(c, trial_id, params):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in built))
+        return run_trial(c, trial_id, params)
+
+    monkeypatch.setattr(harness, "generate_public_params", tracking)
+    monkeypatch.setattr(harness, "run_trial", checking)
+    assert selftest(cfg, out=lambda line: None)
+    assert len(built) == 2 and live == [0]

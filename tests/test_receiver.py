@@ -1,7 +1,7 @@
 import functools
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -39,14 +39,14 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     idx = 11
     Y = np.outer(h, mini_params.P[idx])
-    det = omp_detect(Y, mini_params.P, 4, _floor(mini_cfg))
+    det = omp_detect(Y, mini_params.P, _floor(mini_cfg))
     assert det[0][0] == idx
     assert np.max(np.abs(det[0][1] - h)) < 1e-8
 
 
 def test_omp_empty_frame(mini_params):
     Y = np.zeros((8, mini_params.P.shape[1]), dtype=complex)
-    assert omp_detect(Y, mini_params.P, 4, 0.0) == []
+    assert omp_detect(Y, mini_params.P, 0.0) == []
 
 
 def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
@@ -54,7 +54,7 @@ def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
     i1, i2 = 3, 29
     Y = np.outer(h1, mini_params.P[i1]) + np.outer(h2, mini_params.P[i2])
     Y += 1e-6 * _cn(rng, Y.shape)
-    det = dict(omp_detect(Y, mini_params.P, 4, _floor(mini_cfg)))
+    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg)))
     assert {i1, i2} <= set(det)
     assert np.max(np.abs(det[i1] - h1)) < 1e-4
     assert np.max(np.abs(det[i2] - h2)) < 1e-4
@@ -65,23 +65,17 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
     indices = [2, 7, 13, 21, 30]
     H = _cn(rng, (mini_cfg.M, 5))
     Y = H @ mini_params.P[indices]
-    det = dict(omp_detect(Y, mini_params.P, 10, _floor(mini_cfg)))
+    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg)))
     assert set(det) == set(indices)
     for col, idx in enumerate(indices):
         assert np.max(np.abs(det[idx] - H[:, col])) < 1e-8
-
-
-def test_omp_respects_atom_cap(mini_cfg, mini_params, rng):
-    Y = _cn(rng, (8, 32))
-    det = omp_detect(Y, mini_params.P, 3, _floor(mini_cfg))
-    assert len(det) == 3
 
 
 def test_omp_noise_floor_stops_early(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     Y = np.outer(h, mini_params.P[5])
     # the single atom explains everything; the loop must stop right after
-    det = omp_detect(Y, mini_params.P, 10, _floor(mini_cfg))
+    det = omp_detect(Y, mini_params.P, _floor(mini_cfg))
     assert len(det) == 1
 
 
@@ -105,11 +99,11 @@ def test_noise_floor_false_alarm_rate(mini_cfg, mini_params):
                             mini_cfg.np * mini_cfg.Pp)
     noise = complex_normal(stream(8, "omp-noise"), (frames, mini_cfg.M, mini_cfg.np),
                            sigma2)
-    picked = sum(bool(omp_detect(Y, mini_params.P, 4, floor)) for Y in noise)
+    picked = sum(bool(omp_detect(Y, mini_params.P, floor)) for Y in noise)
     assert picked <= OMP_FALSE_ALARM * frames
 
 
-def _omp_reference(Y, P, max_atoms, noise_floor):
+def _omp_reference(Y, P, noise_floor):
     """OMP that recomputes every atom's residual correlation at each step.
 
     This is the direct form of the algorithm that omp_detect implements with
@@ -119,7 +113,7 @@ def _omp_reference(Y, P, max_atoms, noise_floor):
     gamma = (P @ Y.conj().T).conj().T
     selected = []
     Q = np.zeros((0, P.shape[1]), dtype=np.complex128)
-    for _ in range(max_atoms):
+    for _ in range(P.shape[1]):
         metric = np.linalg.norm(gamma, axis=0)
         if selected:
             metric[selected] = -1.0
@@ -178,43 +172,43 @@ def test_omp_matches_recomputing_reference_at_full_scale():
     P = _omp_codebook(rng, 4096, 200, zero_row)
     steps = 0
     # at the noise floor the search stops near ka steps; with no floor at
-    # noise 5, only the cap stops it (Ka=100 takes 200 steps)
+    # noise 5, it runs until its np = 200 picks
     for ka, noise in [(ka, noise) for ka in [1, 10, 25, 50, 100] * 2
                       for noise in (1.0, 5.0)]:
         Y = _omp_frame(rng, P, 50, ka, noise, zero_row)
-        atoms = min(2 * ka, 200)
         floors = [omp_noise_floor(50, 4096, noise ** 2, 200 * 0.3)]
         if noise == 5.0:
             floors.append(0.0)
         for floor in floors:
-            want = _omp_reference(Y, P, atoms, floor)
-            got = omp_detect(Y, P, atoms, floor)
+            want = _omp_reference(Y, P, floor)
+            got = omp_detect(Y, P, floor)
             _assert_same_detections(got, want)
             assert zero_row not in [i for i, _ in got]
             steps += len(got)
     assert steps > 1000
 
 
-def test_omp_matches_reference_with_early_stop_and_cap_above_np():
+def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     rng = np.random.default_rng(20241)
     zero_row = 5
     P = _omp_codebook(rng, 4096, 200, zero_row)
     # noiseless users: a floor far below them ends the search long before
-    # the atom cap
+    # np picks
     Y = _omp_frame(rng, P, 50, 30, 0.0, zero_row)
     floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
-    want = _omp_reference(Y, P, 200, floor)
+    want = _omp_reference(Y, P, floor)
     assert 0 < len(want) < 200
-    _assert_same_detections(omp_detect(Y, P, 200, floor), want)
-    # more atoms allowed than there are pilot symbols: at most np can be
-    # picked, whatever the floor
+    _assert_same_detections(omp_detect(Y, P, floor), want)
+    # more users than there are pilot symbols: at most np can be picked,
+    # whatever the floor
     P = _omp_codebook(rng, 64, 32, zero_row)
     floor = omp_noise_floor(8, 64, 0.1 ** 2, 32 * 0.3)
     for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
-        want = _omp_reference(Y, P, 40, noise_floor)
-        assert len(want) <= 32
-        _assert_same_detections(omp_detect(Y, P, 40, noise_floor), want)
+        want = _omp_reference(Y, P, noise_floor)
+        got = omp_detect(Y, P, noise_floor)
+        assert len(want) <= P.shape[1] and len(got) <= P.shape[1]
+        _assert_same_detections(got, want)
 
 
 # ---- MMSE LLRs ---------------------------------------------------------------
@@ -426,8 +420,9 @@ def test_pure_noise_frame_picks_no_atom(full_cfg, full_params, monkeypatch):
 
 def test_no_false_alarm_at_full_scale_ka100():
     # the crowded full-scale point over three passes: every decoded row is a
-    # transmitted ciphertext.  At this seed, passes that fill their 2 Ka
-    # atoms with noise CRC-pass 6 false alarms in these 5 trials
+    # transmitted ciphertext.  Before the noise floor, when OMP stopped only
+    # at an atom cap of twice the user count, these 5 trials CRC-passed 6
+    # false alarms
     cfg = SystemConfig(Ka=100, max_outer_iters=3, seed=1501)
     params = generate_public_params(cfg)
     for trial in range(5):
@@ -435,6 +430,20 @@ def test_no_false_alarm_at_full_scale_ka100():
         C_hat, _, _ = iterative_decode(y_bs, cfg, params)
         sent = {c.tobytes() for c in C}
         assert [c.tobytes() in sent for c in C_hat] == [True] * len(C_hat)
+
+
+def test_decode_frame_does_not_read_the_user_count():
+    # the base station does not know Ka: a receiver told Ka=1 decodes a
+    # 25-user frame exactly as one told the truth
+    cfg = SystemConfig(M=16, E=16, Ka=25, seed=5)
+    params = generate_public_params(cfg)
+    for trial in range(3):
+        y_bs, _ = _uplink_block(cfg, params, trial)
+        want = decode_frame(y_bs, cfg, params)
+        got = decode_frame(y_bs, replace(cfg, Ka=1), params)
+        assert len(want[0]) == cfg.Ka
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
@@ -538,7 +547,7 @@ def _iterative_decode_reference(frame, cfg, params):
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P, 2 * cfg.Ka, _floor(cfg))
+        detections = omp_detect(residual[:, :cfg.np], params.P, _floor(cfg))
         new_users = []
         new_rows = []                            # rows of payloads behind new_users
         # only the users still held count as decoded: one the LS fallback
