@@ -20,7 +20,7 @@ from .leakage import (LeakageSizeError, equivocation_lower, leakage_eigen,
                       leakage_logdet, leakage_report)
 from .modulation import LLR_CLAMP, bpsk_map, clamp_llr
 from .params import PublicParams, generate_public_params
-from .polar import Crc, PolarCode, default_crc_poly, polar_transform
+from .polar import PolarCode, default_crc_poly, polar_transform
 from .receiver import (decode_frame, decode_keys_and_decrypt,
                        feature_noise_variances, iterative_decode, llr_parity,
                        llr_systematic, mmse_polar_llr, omp_detect,

@@ -3,7 +3,8 @@
 An empty file (or no file) yields the default full-scale setup: 50 BS and
 eavesdropper antennas, 20-use feedback, 40-bit keys reconciled through a
 (60, 40) code, 100-bit messages split 12/88 between a 4096-entry pilot
-codebook and a (512, 99) polar code, all powers 0.3 except the 0.6 downlink.
+codebook and a (512, 99) polar code, pilot and polar powers 0.3, key and
+artificial-noise powers 0.15 each (a 0.3 key budget) and a 0.6 downlink.
 """
 
 import math
@@ -68,10 +69,6 @@ class SystemConfig:
     @property
     def frame_len(self) -> int:
         return self.np + self.nc + self.key_parity_len
-
-    @property
-    def polar_payload_bits(self) -> int:
-        return self.B - self.Bp
 
     @property
     def polar_info_bits(self) -> int:

@@ -238,7 +238,7 @@ def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
 
 def _check_polar(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(1)
-    pay = rng.integers(0, 2, (50, cfg.polar_payload_bits), dtype=np.uint8)
+    pay = rng.integers(0, 2, (50, params.polar.payload_bits), dtype=np.uint8)
     cw = params.polar.encode(pay)
     dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), cfg.list_size)
     _require(np.array_equal(dec, pay) and ok.all(),

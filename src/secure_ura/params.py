@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ConfigError, SystemConfig
 from .ldpc import LdpcCode
-from .polar import Crc, PolarCode, default_crc_poly
+from .polar import PolarCode
 from .rng import complex_normal, random_bits, stream
 
 PARAMS_STREAM = "public-params"
@@ -36,7 +36,7 @@ class PublicParams:
                     self.ldpc.H, self.ldpc.parity_map, self.polar.info_pos):
             h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr))   # hashed in place, no bytes copy
-        h.update(self.polar.crc.poly.to_bytes(8, "little"))
+        h.update(self.polar.crc_poly.to_bytes(8, "little"))
         return h.hexdigest()
 
 
@@ -90,7 +90,6 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
 
     T = random_bits(rng, (cfg.S, cfg.B))
 
-    crc = Crc(default_crc_poly(cfg.Br), cfg.Br)
-    polar = PolarCode.design(cfg.nc, cfg.polar_info_bits, crc,
+    polar = PolarCode.design(cfg.nc, cfg.polar_info_bits, cfg.Br,
                              design_snr=cfg.Pc / cfg.sigma_c2)
     return PublicParams(V=V, P=P, C1=C1, C2=C2, T=T, ldpc=ldpc, polar=polar)

@@ -18,10 +18,14 @@ for LLRs, the combine step for stashed left-child bits); a depth's map
 returns to the identity when that depth is rewritten.  The list axis holds
 only live paths, 1, 2, 4, ... up to the list size, so the frozen prefix of
 the code is decoded once rather than on copies of a single path.
+
+A code derives its CRC matrix and decoding schedule once, when built.  A
+path passes the CRC when its CRC field c equals the CRC of its payload m:
+with g(0) = 1, true of every default_crc_poly g, that is the zero-syndrome
+test on the whole word, x^w (m x^w + c) = 0 mod g, as x^w is invertible.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,17 +46,15 @@ _CRC_POLYS = {
 
 
 def default_crc_poly(width: int) -> int:
-    """Generator polynomial for a given CRC width (x^w + x + 1 fallback)."""
+    """Generator of degree width with g(0) = 1 (x^w + x + 1 fallback)."""
     return _CRC_POLYS.get(width, (1 << width) | 0b11)
 
 
-@lru_cache(maxsize=16)
 def _crc_matrix(poly: int, width: int, length: int) -> np.ndarray:
-    """(length, width) GF(2) matrix whose row i is the CRC of unit word e_i.
+    """(length, width) GF(2) matrix whose row i is the CRC of unit payload e_i.
 
-    The CRC is the shift-register remainder, which carries an implicit
-    x^width factor, i.e. poly(bits) * x^width mod g.  The factor is
-    invertible mod g, so a zero syndrome still means a valid codeword.
+    The CRC of a length-bit payload m is m(x) * x^width mod g, its bits
+    the shift-register remainder, so the CRC of m is m @ matrix mod 2.
     Row i is the register after clocking in a 1 and then length-1-i zeros.
     """
     taps = np.array([(poly >> (width - 1 - i)) & 1 for i in range(width)],
@@ -66,30 +68,7 @@ def _crc_matrix(poly: int, width: int, length: int) -> np.ndarray:
         reg[-1] = 0
         if fb:
             reg ^= taps
-    rows.flags.writeable = False
     return rows
-
-
-class Crc:
-    """Bitwise CRC over GF(2), realized as matrix products for batched use."""
-
-    def __init__(self, poly: int, width: int):
-        if poly >> width != 1:
-            raise ValueError(f"polynomial 0x{poly:X} does not have degree {width}")
-        self.poly = poly
-        self.width = width
-
-    def parity(self, payload: np.ndarray) -> np.ndarray:
-        """CRC bits of (batched) payloads."""
-        payload = np.asarray(payload, dtype=np.uint8)
-        G = _crc_matrix(self.poly, self.width, payload.shape[-1])
-        return (payload @ G % 2).astype(np.uint8)
-
-    def check(self, word: np.ndarray) -> np.ndarray:
-        """True where a (batched) payload+CRC word has zero syndrome."""
-        word = np.asarray(word, dtype=np.uint8)
-        syn = word @ _crc_matrix(self.poly, self.width, word.shape[-1]) % 2
-        return ~np.any(syn, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +153,14 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=16)
-def _schedule(n: int, frozen_bytes: bytes) -> tuple:
-    """Flat traversal schedule of the depth-n decoding tree.
+def _schedule(frozen: np.ndarray) -> tuple:
+    """Flat traversal schedule of the decoding tree over a frozen mask.
 
     Fully frozen subtrees collapse into one 'zero' op: their codeword is the
     all-zero vector and the exact path-metric penalty over the subtree equals
     the sum of per-symbol softplus terms of the subtree input LLRs.
     """
-    frozen = np.frombuffer(frozen_bytes, dtype=np.uint8).astype(bool)
+    n = len(frozen).bit_length() - 1
     ops = []
 
     def visit(depth, leaf_base):
@@ -213,27 +191,38 @@ def _f_llr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PolarCode:
     N: int
     K: int                 # payload + CRC bits carried by the polar code
-    crc: Crc
+    crc_poly: int          # CRC generator polynomial, leading coefficient included
     info_pos: np.ndarray   # sorted indices of information positions
+    # derived from the design once per code
+    _crc_gen: np.ndarray = field(init=False, repr=False)  # (payload_bits, width) int64
+    _ops: tuple = field(init=False, repr=False)           # (op, arg) schedule, see _schedule
+
+    def __post_init__(self):
+        gen = _crc_matrix(self.crc_poly, self.crc_width, self.payload_bits)
+        object.__setattr__(self, "_crc_gen", gen)
+        object.__setattr__(self, "_ops", _schedule(~np.isin(np.arange(self.N), self.info_pos)))
 
     @classmethod
-    def design(cls, block_len: int, n_info: int, crc: Crc, design_snr: float) -> "PolarCode":
+    def design(cls, block_len: int, n_info: int, crc_width: int,
+               design_snr: float) -> "PolarCode":
         if n_info > block_len:
             raise ValueError(f"cannot place {n_info} information bits in {block_len}")
-        if n_info <= crc.width:
-            raise ValueError(f"payload must exceed the {crc.width}-bit CRC")
+        if n_info <= crc_width:
+            raise ValueError(f"payload must exceed the {crc_width}-bit CRC")
         info = design_info_set(block_len, n_info, design_snr)
-        return cls(N=block_len, K=n_info, crc=crc, info_pos=info)
+        return cls(N=block_len, K=n_info, crc_poly=default_crc_poly(crc_width), info_pos=info)
+
+    @property
+    def crc_width(self) -> int:
+        return self.crc_poly.bit_length() - 1
 
     @property
     def payload_bits(self) -> int:
-        return self.K - self.crc.width
+        return self.K - self.crc_width
 
-    @property
-    def frozen_mask(self) -> np.ndarray:
-        mask = np.ones(self.N, dtype=bool)
-        mask[self.info_pos] = False
-        return mask
+    def _crc(self, payload: np.ndarray) -> np.ndarray:
+        """CRC bits of (batched) payloads."""
+        return (payload @ self._crc_gen % 2).astype(np.uint8)
 
     # ---- encoding -------------------------------------------------------
 
@@ -241,7 +230,7 @@ class PolarCode:
         payload = np.asarray(payload, dtype=np.uint8)
         if payload.shape[-1] != self.payload_bits:
             raise ValueError(f"payload length {payload.shape[-1]} != {self.payload_bits}")
-        word = np.concatenate([payload, self.crc.parity(payload)], axis=-1)
+        word = np.concatenate([payload, self._crc(payload)], axis=-1)
         u = np.zeros(payload.shape[:-1] + (self.N,), dtype=np.uint8)
         u[..., self.info_pos] = word
         return polar_transform(u)
@@ -266,7 +255,6 @@ class PolarCode:
         if Lsz < 1:
             raise ValueError("list size must be >= 1")
 
-        frozen = self.frozen_mask
         # Per-depth state: llrs[d], the codewords ucap[d] and the stashed
         # left-child outputs uleft[d], each (batch, live paths, 2^(n-d)).
         # Only live paths are held: the list grows 1, 2, 4, ... up to Lsz.
@@ -283,7 +271,7 @@ class PolarCode:
         pm = np.zeros((batch, 1))
         rows = np.arange(batch)[:, None]
 
-        for op, d in _schedule(n, frozen.astype(np.uint8).tobytes()):
+        for op, d in self._ops:
             if op == "f":
                 w = 1 << (n - d - 1)
                 llrs[d + 1] = _f_llr(llrs[d][:, :, :w], llrs[d][:, :, w:])
@@ -317,9 +305,10 @@ class PolarCode:
         # recover message bits per path (the transform is self-inverse)
         u_all = polar_transform(ucap[0])
         words = u_all[:, :, self.info_pos]                # (batch, width, K)
-        ok = self.crc.check(words)                        # (batch, width)
+        P = self.payload_bits
+        ok = np.all(self._crc(words[..., :P]) == words[..., P:], axis=-1)  # (batch, width)
         pm_pass = np.where(ok, pm, np.inf)
         any_ok = ok.any(axis=1)
         best = np.where(any_ok, np.argmin(pm_pass, axis=1), np.argmin(pm, axis=1))
-        chosen = words[np.arange(batch), best, :self.payload_bits]
+        chosen = words[np.arange(batch), best, :P]
         return chosen, any_ok

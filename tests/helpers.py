@@ -20,6 +20,13 @@ def random_users(cfg, rng, n):
     return W, Y
 
 
+def frozen_mask(code):
+    """(N,) bool, True at the frozen positions of a PolarCode."""
+    mask = np.ones(code.N, dtype=bool)
+    mask[code.info_pos] = False
+    return mask
+
+
 def sc_decode_reference(llr, frozen):
     """Plain successive cancellation, recursive float64 reference."""
     N = len(llr)

@@ -1,21 +1,74 @@
 import numpy as np
 import pytest
 
-from secure_ura import Crc, PolarCode, bpsk_map, default_crc_poly, polar_transform
+from secure_ura import PolarCode, bpsk_map, default_crc_poly, polar_transform
 from secure_ura.modulation import clamp_llr
-from secure_ura.polar import _crc_matrix, _f_llr, _schedule
+from secure_ura.polar import _CRC_POLYS, _f_llr, _schedule
 
-from helpers import sc_decode_reference
+from helpers import frozen_mask, sc_decode_reference
 
 
 @pytest.fixture(scope="module")
 def small_code():
-    return PolarCode.design(64, 24, Crc(default_crc_poly(11), 11), design_snr=0.3)
+    return PolarCode.design(64, 24, 11, design_snr=0.3)
 
 
 @pytest.fixture(scope="module")
 def big_code():
-    return PolarCode.design(512, 99, Crc(default_crc_poly(11), 11), design_snr=0.3)
+    return PolarCode.design(512, 99, 11, design_snr=0.3)
+
+
+# The codeword-length syndrome check that decode's CRC flag replaced, kept
+# verbatim (less its cache) as the reference for that flag.
+
+def _crc_matrix_reference(poly: int, width: int, length: int) -> np.ndarray:
+    """(length, width) GF(2) matrix whose row i is the CRC of unit word e_i.
+
+    The CRC is the shift-register remainder, which carries an implicit
+    x^width factor, i.e. poly(bits) * x^width mod g.  The factor is
+    invertible mod g, so a zero syndrome still means a valid codeword.
+    Row i is the register after clocking in a 1 and then length-1-i zeros.
+    """
+    taps = np.array([(poly >> (width - 1 - i)) & 1 for i in range(width)],
+                    dtype=np.int64)
+    rows = np.empty((length, width), dtype=np.int64)
+    reg = taps.copy()
+    for i in range(length - 1, -1, -1):
+        rows[i] = reg
+        fb = reg[0]
+        reg[:-1] = reg[1:]
+        reg[-1] = 0
+        if fb:
+            reg ^= taps
+    rows.flags.writeable = False
+    return rows
+
+
+def _crc_parity_reference(code, payload):
+    """CRC bits of (batched) payloads."""
+    payload = np.asarray(payload, dtype=np.uint8)
+    G = _crc_matrix_reference(code.crc_poly, code.crc_width, payload.shape[-1])
+    return (payload @ G % 2).astype(np.uint8)
+
+
+def _crc_check_reference(code, word):
+    """True where a (batched) payload+CRC word has zero syndrome."""
+    word = np.asarray(word, dtype=np.uint8)
+    syn = word @ _crc_matrix_reference(code.crc_poly, code.crc_width, word.shape[-1]) % 2
+    return ~np.any(syn, axis=-1)
+
+
+def _crc_flag(code, words):
+    """decode's CRC flag on (batch, K) information words sent noiselessly.
+
+    With +/-40 channel LLRs a list of one decodes every word as itself, so
+    the flag is the CRC verdict on exactly that word.
+    """
+    u = np.zeros((len(words), code.N), dtype=np.uint8)
+    u[:, code.info_pos] = words
+    payload, ok = code.decode(np.where(polar_transform(u) == 0, 40.0, -40.0), 1)
+    assert np.array_equal(payload, words[:, :code.payload_bits])
+    return ok
 
 
 def test_transform_is_involution(rng):
@@ -24,8 +77,8 @@ def test_transform_is_involution(rng):
 
 
 def test_design_sanity(big_code):
-    assert big_code.frozen_mask[0]          # worst synthetic channel
-    assert not big_code.frozen_mask[511]    # best synthetic channel
+    assert frozen_mask(big_code)[0]          # worst synthetic channel
+    assert not frozen_mask(big_code)[511]    # best synthetic channel
     assert big_code.info_pos.shape == (99,)
     assert big_code.payload_bits == 88
 
@@ -51,7 +104,7 @@ def test_small_code_noisy_round_trip(small_code, rng):
 def test_list_one_matches_plain_sc(small_code, rng):
     for _ in range(100):
         llr = np.clip(rng.normal(0.0, 3.0, 64), -40, 40)
-        u_ref, _ = sc_decode_reference(llr.astype(np.float64), small_code.frozen_mask)
+        u_ref, _ = sc_decode_reference(llr.astype(np.float64), frozen_mask(small_code))
         ref_payload = u_ref[small_code.info_pos][:small_code.payload_bits]
         dec, _ = small_code.decode(llr[None], 1)
         assert np.array_equal(dec[0], ref_payload)
@@ -60,7 +113,7 @@ def test_list_one_matches_plain_sc(small_code, rng):
 def test_list_one_matches_plain_sc_long(big_code, rng):
     for _ in range(10):
         llr = np.clip(rng.normal(0.0, 3.0, 512), -40, 40)
-        u_ref, _ = sc_decode_reference(llr.astype(np.float64), big_code.frozen_mask)
+        u_ref, _ = sc_decode_reference(llr.astype(np.float64), frozen_mask(big_code))
         dec, _ = big_code.decode(llr[None], 1)
         assert np.array_equal(dec[0], u_ref[big_code.info_pos][:88])
 
@@ -70,7 +123,7 @@ def test_corrupted_crc_bits_fail_check(big_code, rng):
     for seed in range(5):
         r = np.random.default_rng(seed)
         payload = r.integers(0, 2, 88, dtype=np.uint8)
-        word = np.concatenate([payload, big_code.crc.parity(payload) ^ 1])
+        word = np.concatenate([payload, _crc_parity_reference(big_code, payload) ^ 1])
         u = np.zeros(512, dtype=np.uint8)
         u[big_code.info_pos] = word
         cw = polar_transform(u)
@@ -86,24 +139,46 @@ def test_false_pass_rate_on_noise_smoke(big_code, rng):
 
 
 def test_crc_detects_single_and_double_errors(big_code, rng):
-    crc = big_code.crc
     payload = rng.integers(0, 2, 88, dtype=np.uint8)
-    word = np.concatenate([payload, crc.parity(payload)])
-    assert crc.check(word)
+    word = np.concatenate([payload, big_code._crc(payload)])
+    assert _crc_flag(big_code, word[None]).all()
     n = word.size
     singles = np.tile(word, (n, 1))
     singles[np.arange(n), np.arange(n)] ^= 1
-    assert not crc.check(singles).any()
-    # all double flips, via syndrome-column distinctness
-    M = _crc_matrix(crc.poly, crc.width, n)
+    assert not _crc_flag(big_code, singles).any()
+    # all double flips, via syndrome-column distinctness: a word [m, c]
+    # passes when [m, c] @ [CRC matrix; I] = CRC(m) + c is zero
+    M = np.vstack([big_code._crc_gen, np.eye(big_code.crc_width, dtype=np.int64)])
     cols = {tuple(row) for row in M.tolist()}
     assert len(cols) == n  # pairwise distinct -> every double error detected
     assert all(any(row) for row in M.tolist())
 
 
-def test_crc_rejects_wrong_degree():
-    with pytest.raises(ValueError):
-        Crc(0xB8B, 12)
+@pytest.mark.parametrize("width", sorted(_CRC_POLYS) + [1, 2, 6, 30])
+def test_crc_flag_matches_codeword_syndrome(width):
+    code = PolarCode.design(64, width + 20, width, design_snr=0.3)
+    rng = np.random.default_rng(width)
+    K = code.K
+    payload = rng.integers(0, 2, code.payload_bits, dtype=np.uint8)
+    valid = np.concatenate([payload, _crc_parity_reference(code, payload)])
+    singles = np.tile(valid, (K, 1))
+    singles[np.arange(K), np.arange(K)] ^= 1
+    i, j = np.triu_indices(K, 1)
+    doubles = np.tile(valid, (i.size, 1))
+    doubles[np.arange(i.size), i] ^= 1
+    doubles[np.arange(i.size), j] ^= 1
+    random = rng.integers(0, 2, (1000, K), dtype=np.uint8)
+    words = np.concatenate([valid[None], singles, doubles, random])
+    want = _crc_check_reference(code, words)
+    assert want[0] and not want[1:K + 1].any()
+    assert np.array_equal(_crc_flag(code, words), want)
+
+
+def test_default_crc_poly_has_degree_width_and_constant_term_one():
+    # decode's CRC flag equals the zero-syndrome test only when g(0) = 1
+    for width in range(1, 31):       # the Br range SystemConfig accepts
+        g = default_crc_poly(width)
+        assert g >> width == 1 and g & 1
 
 
 def test_encoder_validates_payload_length(small_code):
@@ -137,7 +212,7 @@ def _decode_reference(code, llr, list_size=8):
     if Lsz < 1:
         raise ValueError("list size must be >= 1")
 
-    frozen = self.frozen_mask
+    frozen = frozen_mask(code)
     # per-depth state: llrs[d] and the stashed left-child outputs uleft[d]
     llrs = [np.zeros((batch, Lsz, 1 << (n - d)), dtype=np.float32) for d in range(n + 1)]
     ucap = [np.zeros((batch, Lsz, 1 << (n - d)), dtype=np.uint8) for d in range(n + 1)]
@@ -148,7 +223,7 @@ def _decode_reference(code, llr, list_size=8):
     pm[:, 0] = 0.0
     rows = np.arange(batch)[:, None]
 
-    for op, arg in _schedule(n, frozen.astype(np.uint8).tobytes()):
+    for op, arg in _schedule(frozen):
         if op == "f":
             d = arg
             w = 1 << (n - d - 1)
@@ -187,7 +262,7 @@ def _decode_reference(code, llr, list_size=8):
     # recover message bits per path (the transform is self-inverse)
     u_all = polar_transform(ucap[0])
     words = u_all[:, :, self.info_pos]                # (batch, Lsz, K)
-    ok = self.crc.check(words)                        # (batch, Lsz)
+    ok = _crc_check_reference(code, words)            # (batch, Lsz)
     pm_pass = np.where(ok, pm, np.inf)
     any_ok = ok.any(axis=1)
     best = np.where(any_ok, np.argmin(pm_pass, axis=1), np.argmin(pm, axis=1))
@@ -233,7 +308,7 @@ def test_decode_matches_eager_reference(which, list_size, small_code, big_code):
 def test_decode_matches_eager_reference_when_list_exceeds_words():
     # K = 3 information bits: 2^K = 8 words, so a list of 16 keeps
     # placeholder paths to the end of the eager decoder
-    code = PolarCode.design(16, 3, Crc(default_crc_poly(2), 2), design_snr=0.3)
+    code = PolarCode.design(16, 3, 2, design_snr=0.3)
     rng = np.random.default_rng(77)
     llr = np.clip(rng.normal(0.0, 3.0, (200, 16)), -40, 40)
     llr[:20] = 0.0

@@ -9,7 +9,7 @@ from secure_ura.harness import _check_params_invariants
 from secure_ura.params import PARAMS_STREAM, _scale_to_energy, row_norms
 from secure_ura.rng import complex_normal, stream
 
-from helpers import make_mini_cfg
+from helpers import frozen_mask, make_mini_cfg
 
 # The norms of V, C1, C2 and the pilot rows are stated once, in the selftest
 # suite; the tests below add the shapes.
@@ -99,13 +99,13 @@ def test_ldpc_round_trip_1000_keys(full_cfg, full_params, rng):
 
 
 def test_polar_frozen_set_shape(full_cfg, full_params):
-    frozen = full_params.polar.frozen_mask
+    frozen = frozen_mask(full_params.polar)
     assert frozen.sum() == full_cfg.nc - full_cfg.polar_info_bits
     assert frozen[0] and not frozen[full_cfg.nc - 1]
 
 
 def test_crc_polynomial_for_11_bits(full_params):
-    assert full_params.polar.crc.poly == 0xB8B
+    assert full_params.polar.crc_poly == 0xB8B
 
 
 def test_generate_rejects_bypassed_invariants(full_cfg):
