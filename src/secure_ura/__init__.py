@@ -21,10 +21,10 @@ from .leakage import (LeakageSizeError, equivocation_lower, leakage_eigen,
 from .modulation import LLR_CLAMP, bpsk_map, clamp_llr
 from .params import PublicParams, generate_public_params
 from .polar import PolarCode, default_crc_poly, polar_transform
-from .receiver import (decode_frame, decode_keys_and_decrypt,
-                       feature_noise_variances, iterative_decode, llr_parity,
-                       llr_systematic, mmse_polar_llr, omp_detect,
-                       omp_noise_floor)
+from .receiver import (codebook_correlation, decode_frame,
+                       decode_keys_and_decrypt, feature_noise_variances,
+                       iterative_decode, llr_parity, llr_systematic,
+                       mmse_polar_llr, omp_detect, omp_noise_floor)
 from .transmitter import index_to_bits, pilot_polar_rows, transmit
 
 __version__ = "0.1.0"

@@ -3,7 +3,10 @@
 The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
 decoding, and least-squares channel re-estimation with successive
-interference cancellation over the pilot+polar segments.  The key stage
+interference cancellation over the pilot+polar segments.  The frame's
+correlation with the pilot codebook is formed once; a later pass updates it
+by the decoded users' pilot rows instead of correlating its residual anew
+(see iterative_decode).  The key stage
 forms every decoded user's feedback estimate from its channel estimate,
 derives the features and artificial noise from it with the user's own key
 code (`keys`), cancels the noise from the key segment, assembles systematic
@@ -74,10 +77,24 @@ def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> 
     return c * sigma2 * M * atom_energy
 
 
-def omp_detect(Y: np.ndarray, P: np.ndarray,
-               noise_floor: float) -> list[tuple[int, np.ndarray]]:
+def codebook_correlation(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(n, 2^Bp) correlation Y P^H of n observation rows with every atom.
+
+    It is formed as (P @ Y^H)^H, conjugated in place: no second
+    codebook-sized array, and no P^H.  The result is the transpose of a
+    C-ordered (2^Bp, n) array, so each atom's n values are contiguous.
+    """
+    gamma = P @ Y.conj().T                       # (2^Bp, n)
+    np.conjugate(gamma, out=gamma)
+    return gamma.T
+
+
+def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
+               gamma: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
+    gamma is the (M, 2^Bp) correlation of Y with every atom, as
+    codebook_correlation(Y, P) forms it; the caller may have it already.
     Selects the atom with the largest residual correlation energy across
     antennas (all codebook rows have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
@@ -91,15 +108,16 @@ def omp_detect(Y: np.ndarray, P: np.ndarray,
     e_j <- e_j - 2 Re(conj(r_j) u^H gamma_j) + |r_j|^2 ||u||^2
     (the Gram-column idea of Batch-OMP, applied to the energies only).
     The rank-1 updates of gamma itself are deferred and applied
-    OMP_FLUSH_EVERY at a time.
+    OMP_FLUSH_EVERY at a time, in place: gamma is left as it was handed
+    over unless at least OMP_FLUSH_EVERY atoms are picked.
     """
     M, n_obs = Y.shape
-    # correlation with every atom, (P @ Y^H)^H, conjugated in place: no
-    # second codebook-sized array, and no P^H
-    gamma = P @ Y.conj().T                       # (2^Bp, M)
-    np.conjugate(gamma, out=gamma)
-    gamma = gamma.T                              # (M, 2^Bp)
-    energy = np.sum(gamma.real ** 2 + gamma.imag ** 2, axis=0)
+    # 256 atoms at a time, as params.row_norms: each atom is reduced alone
+    # either way, and no codebook-sized temporary is formed
+    energy = np.empty(P.shape[0])
+    for i in range(0, len(energy), 256):
+        g = gamma[:, i:i + 256]
+        energy[i:i + 256] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
     selected = np.empty(n_obs, dtype=np.intp)
@@ -225,6 +243,14 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
     Returns (C_hat, H_hat, residual): the (k, B) ciphertexts of the
     CRC-passing users in decoding order, their final least-squares channel
     estimates (M, k), and the residual pilot+polar observation.
+
+    The pilot segment Y_p is correlated with the codebook once, as gamma0.
+    After a pass the residual's pilot part is Y_p - H_hat X_p, with X_p the
+    decoded users' pilot rows, so a later pass starts OMP from
+    gamma0 - H_hat (X_p P^H): k codebook rows instead of M.  It correlates
+    its residual directly instead when that costs less, k (np + M) >= M np,
+    or when the first OMP call picked OMP_FLUSH_EVERY atoms or more and so
+    wrote into gamma0.
     """
     Y_pp = y_bs[:, :cfg.np + cfg.nc]
     residual = Y_pp.copy()
@@ -233,9 +259,23 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
     X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
+    gamma0 = None                                # the frame's codebook correlation
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P, floor)
+        k = len(C_hat)
+        if not k:                                # first pass: OMP is handed gamma0
+            gamma = gamma0 = codebook_correlation(residual[:, :cfg.np], params.P)
+        elif gamma0 is not None and k * (cfg.np + cfg.M) < cfg.M * cfg.np:
+            # gamma0 - H_hat (X_p P^H), in one fresh buffer laid out as gamma0
+            gamma = codebook_correlation(X[:, :cfg.np], params.P).T @ H_hat.T
+            np.subtract(gamma0.T, gamma, out=gamma)
+            gamma = gamma.T
+        else:
+            gamma = codebook_correlation(residual[:, :cfg.np], params.P)
+        detections = omp_detect(residual[:, :cfg.np], params.P, floor, gamma)
+        if gamma is gamma0 and len(detections) >= OMP_FLUSH_EVERY:
+            gamma0 = None                        # OMP has flushed updates into it
+        del gamma                                # no other correlation outlives OMP
         if not detections:
             break
         pilots = np.array([j for j, _ in detections])

@@ -1,5 +1,6 @@
 import functools
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import log_ndtr
 from scipy import stats
 
-from secure_ura import (SystemConfig, decode_frame,
+from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
                         feedback_observation, generate_public_params,
@@ -17,7 +18,7 @@ from secure_ura import (SystemConfig, decode_frame,
                         standardize, transmit, uplink)
 from secure_ura import receiver
 from secure_ura.modulation import bpsk_map, clamp_llr
-from secure_ura.receiver import OMP_FALSE_ALARM
+from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg
@@ -39,14 +40,15 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     idx = 11
     Y = np.outer(h, mini_params.P[idx])
-    det = omp_detect(Y, mini_params.P, _floor(mini_cfg))
+    det = omp_detect(Y, mini_params.P, _floor(mini_cfg),
+                     codebook_correlation(Y, mini_params.P))
     assert det[0][0] == idx
     assert np.max(np.abs(det[0][1] - h)) < 1e-8
 
 
 def test_omp_empty_frame(mini_params):
     Y = np.zeros((8, mini_params.P.shape[1]), dtype=complex)
-    assert omp_detect(Y, mini_params.P, 0.0) == []
+    assert omp_detect(Y, mini_params.P, 0.0, codebook_correlation(Y, mini_params.P)) == []
 
 
 def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
@@ -54,7 +56,8 @@ def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
     i1, i2 = 3, 29
     Y = np.outer(h1, mini_params.P[i1]) + np.outer(h2, mini_params.P[i2])
     Y += 1e-6 * _cn(rng, Y.shape)
-    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg)))
+    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg),
+                          codebook_correlation(Y, mini_params.P)))
     assert {i1, i2} <= set(det)
     assert np.max(np.abs(det[i1] - h1)) < 1e-4
     assert np.max(np.abs(det[i2] - h2)) < 1e-4
@@ -65,7 +68,8 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
     indices = [2, 7, 13, 21, 30]
     H = _cn(rng, (mini_cfg.M, 5))
     Y = H @ mini_params.P[indices]
-    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg)))
+    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg),
+                          codebook_correlation(Y, mini_params.P)))
     assert set(det) == set(indices)
     for col, idx in enumerate(indices):
         assert np.max(np.abs(det[idx] - H[:, col])) < 1e-8
@@ -75,7 +79,8 @@ def test_omp_noise_floor_stops_early(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     Y = np.outer(h, mini_params.P[5])
     # the single atom explains everything; the loop must stop right after
-    det = omp_detect(Y, mini_params.P, _floor(mini_cfg))
+    det = omp_detect(Y, mini_params.P, _floor(mini_cfg),
+                     codebook_correlation(Y, mini_params.P))
     assert len(det) == 1
 
 
@@ -99,7 +104,9 @@ def test_noise_floor_false_alarm_rate(mini_cfg, mini_params):
                             mini_cfg.np * mini_cfg.Pp)
     noise = complex_normal(stream(8, "omp-noise"), (frames, mini_cfg.M, mini_cfg.np),
                            sigma2)
-    picked = sum(bool(omp_detect(Y, mini_params.P, floor)) for Y in noise)
+    picked = sum(bool(omp_detect(Y, mini_params.P, floor,
+                                 codebook_correlation(Y, mini_params.P)))
+                 for Y in noise)
     assert picked <= OMP_FALSE_ALARM * frames
 
 
@@ -181,7 +188,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
             floors.append(0.0)
         for floor in floors:
             want = _omp_reference(Y, P, floor)
-            got = omp_detect(Y, P, floor)
+            got = omp_detect(Y, P, floor, codebook_correlation(Y, P))
             _assert_same_detections(got, want)
             assert zero_row not in [i for i, _ in got]
             steps += len(got)
@@ -198,7 +205,8 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
     want = _omp_reference(Y, P, floor)
     assert 0 < len(want) < 200
-    _assert_same_detections(omp_detect(Y, P, floor), want)
+    got = omp_detect(Y, P, floor, codebook_correlation(Y, P))
+    _assert_same_detections(got, want)
     # more users than there are pilot symbols: at most np can be picked,
     # whatever the floor
     P = _omp_codebook(rng, 64, 32, zero_row)
@@ -206,9 +214,25 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
         want = _omp_reference(Y, P, noise_floor)
-        got = omp_detect(Y, P, noise_floor)
+        got = omp_detect(Y, P, noise_floor, codebook_correlation(Y, P))
         assert len(want) <= P.shape[1] and len(got) <= P.shape[1]
         _assert_same_detections(got, want)
+
+
+def test_omp_writes_into_gamma_only_when_it_flushes():
+    # iterative_decode hands the frame's correlation itself to its first
+    # OMP call and reuses it afterwards, so OMP must leave it bit-identical
+    # unless it picks OMP_FLUSH_EVERY atoms or more
+    rng = np.random.default_rng(20242)
+    zero_row = 7
+    P = _omp_codebook(rng, 512, 64, zero_row)
+    floor = omp_noise_floor(8, 512, 1e-9, 64 * 0.3)
+    for ka in (1, OMP_FLUSH_EVERY - 1, OMP_FLUSH_EVERY):
+        Y = _omp_frame(rng, P, 8, ka, 0.0, zero_row)
+        gamma = codebook_correlation(Y, P)
+        before = gamma.copy()
+        assert len(omp_detect(Y, P, floor, gamma)) == ka
+        assert np.array_equal(gamma, before) == (ka < OMP_FLUSH_EVERY)
 
 
 # ---- MMSE LLRs ---------------------------------------------------------------
@@ -432,6 +456,67 @@ def test_no_false_alarm_at_full_scale_ka100():
         assert [c.tobytes() in sent for c in C_hat] == [True] * len(C_hat)
 
 
+def _count_products(monkeypatch):
+    """Record, per iterative_decode pass, the row counts of the codebook
+    products formed for it."""
+    passes = []
+    rows = []
+    correlate, detect = receiver.codebook_correlation, receiver.omp_detect
+
+    def counting_correlation(Y, P):
+        rows.append(Y.shape[0])
+        return correlate(Y, P)
+
+    def counting_detect(*args):
+        passes.append(rows[:])
+        rows.clear()
+        return detect(*args)
+
+    monkeypatch.setattr(receiver, "codebook_correlation", counting_correlation)
+    monkeypatch.setattr(receiver, "omp_detect", counting_detect)
+    return passes
+
+
+@pytest.mark.parametrize("name,ka,passes,trials,later_rows", [
+    # one user: a later pass forms the user's 1-row product with the
+    # codebook instead of the M-row product of its residual
+    ("full", 1, 8, 4, 1),
+    # ten users at M=8: the update would cost more than the direct product
+    # (k (np + M) >= M np), so a later pass correlates its residual
+    ("m8", 10, 8, 2, 8),
+    # the first pass picks at least OMP_FLUSH_EVERY atoms, which spends the
+    # first correlation: every pass correlates its residual
+    ("full", 100, 3, 1, 50)])
+def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkeypatch):
+    cfg, params = _reference_setup(name)
+    cfg = replace(cfg, Ka=ka, max_outer_iters=passes)
+    products = _count_products(monkeypatch)
+    for trial in range(trials):
+        y_bs, _ = _uplink_block(cfg, params, trial)
+        products.clear()
+        iterative_decode(y_bs, cfg, params)
+        assert len(products) >= 2
+        assert products == [[cfg.M]] + [[later_rows]] * (len(products) - 1)
+
+
+def test_iterative_decode_holds_at_most_two_correlations():
+    # the first correlation and one pass's own: tracemalloc's peak over a
+    # call stays within 3 codebook-sized (M, 2^Bp) complex arrays
+    cfg = SystemConfig(seed=1501)
+    params = generate_public_params(cfg)
+    unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
+    for ka, passes in [(1, cfg.max_outer_iters), (100, 3)]:
+        c = replace(cfg, Ka=ka, max_outer_iters=passes)
+        y_bs, _ = _uplink_block(c, params, 0)
+        tracemalloc.start()
+        try:
+            iterative_decode(y_bs, c, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * unit
+
+
 def test_decode_frame_does_not_read_the_user_count():
     # the base station does not know Ka: a receiver told Ka=1 decodes a
     # 25-user frame exactly as one told the truth
@@ -547,7 +632,9 @@ def _iterative_decode_reference(frame, cfg, params):
     H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
     for _ in range(cfg.max_outer_iters):
-        detections = omp_detect(residual[:, :cfg.np], params.P, _floor(cfg))
+        Y_p = residual[:, :cfg.np]
+        detections = omp_detect(Y_p, params.P, _floor(cfg),
+                                codebook_correlation(Y_p, params.P))
         new_users = []
         new_rows = []                            # rows of payloads behind new_users
         # only the users still held count as decoded: one the LS fallback
@@ -671,8 +758,8 @@ def _run_both(y_bs, cfg, params):
 
 
 @pytest.mark.parametrize("name,ka,passes,trials", [
-    ("full", 1, 8, 4), ("full", 25, 8, 2), ("full", 100, 3, 1),
-    ("m16", 10, 8, 4), ("m16", 25, 8, 3), ("m8", 3, 8, 5)])
+    ("full", 1, 8, 4), ("full", 10, 8, 3), ("full", 25, 8, 2), ("full", 100, 3, 1),
+    ("m16", 1, 8, 6), ("m16", 10, 8, 4), ("m16", 25, 8, 3), ("m8", 3, 8, 5)])
 def test_decode_frame_matches_per_user_reference(name, ka, passes, trials):
     base, params = _reference_setup(name)
     cfg = SystemConfig(**{**vars(base), "Ka": ka, "max_outer_iters": passes})
