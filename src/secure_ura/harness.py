@@ -7,10 +7,15 @@ how many further users a config asks for.
 
 The eavesdropper is modelled only through the analytic leakage bound: no
 eavesdropper frame is simulated.  Each trial contributes the equivocation
-bound of its first user (`first_user_zeta`), drawn from the first row of
+bound of its first user (`first_user_zetas`), drawn from the first row of
 the trial's `eve-channel` stream; the sweep and the `leakage` command
 average that same value, which makes the reported bound bit-identical
 across user counts at a fixed power split.
+
+No draw depends on the Pa/Pk split, which changes only the key segment.  So
+a trial simulates one frame for all the splits of a sweep's Ka: one
+transmit, uplink and iterative receiver stage, then a key segment and a key
+stage per split (`run_trial`).  `run_point` is the one-split case.
 """
 
 import csv
@@ -60,38 +65,51 @@ class SweepResult:
 CSV_HEADER = [f.name for f in fields(SweepResult)]
 
 
-def first_user_zeta(cfg: SystemConfig, trial_id: int, params: PublicParams) -> float:
-    """Equivocation lower bound of a trial's first user at cfg's Pa/Pk split."""
+def first_user_zetas(cfgs: list[SystemConfig], trial_id: int,
+                     params: PublicParams) -> list[float]:
+    """Equivocation lower bound of a trial's first user at the split of each of cfgs."""
+    cfg = cfgs[0]
     g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (cfg.E,))
-    return leakage_report(g, params.C2, cfg.Pk, cfg.Pa, cfg.sigma_e2, cfg.S)
+    return [leakage_report(g, params.C2, c.Pk, c.Pa, c.sigma_e2, c.S) for c in cfgs]
 
 
-def run_trial(cfg: SystemConfig, trial_id: int, params: PublicParams) -> TrialReport:
-    """Simulate one complete frame: feedback, uplink, receiver, leakage."""
+def run_trial(cfgs: list[SystemConfig], trial_id: int,
+              params: PublicParams) -> list[TrialReport]:
+    """Simulate one complete frame: feedback, uplink, receiver, leakage.
+
+    cfgs holds one config per Pa/Pk split, equal but for Pa and Pk; only
+    the key segment and the key stage run per split (see the module
+    docstring).  Returns one TrialReport per split.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, Pa=cfg.Pa, Pk=cfg.Pk) != cfg for c in cfgs):
+        raise ValueError("run_trial: the configs must differ only in Pa and Pk")
     stage = "transmit"
     try:
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial_id))
-        X, _, _ = transmit(messages, Y, cfg, params)
+        X, X_k, _, _ = transmit(messages, Y, cfgs, params)
 
         stage = "uplink"
-        y_bs = uplink(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
+        y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
 
         stage = "receiver"
-        C_hat, _, W_hat, _, valid = decode_frame(y_bs, cfg, params)
-        recovered = {w.tobytes() for w in W_hat[valid]}
-        n_err = sum(1 for u in range(cfg.Ka)
-                    if messages[u].tobytes() not in recovered)
+        n_errs = []
+        for C_hat, _, W_hat, _, valid in decode_frame(y, y_k, cfgs, params):
+            recovered = {w.tobytes() for w in W_hat[valid]}
+            n_errs.append(sum(1 for u in range(cfg.Ka)
+                              if messages[u].tobytes() not in recovered))
 
         stage = "leakage"
-        zeta = first_user_zeta(cfg, trial_id, params)
+        zetas = first_user_zetas(cfgs, trial_id, params)
     except Exception as exc:
         raise TrialError(f"trial {trial_id}: {stage}: {exc}") from exc
 
-    return TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
-                       pupe=n_err / cfg.Ka, zeta_lower=zeta)
+    return [TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
+                        pupe=n_err / cfg.Ka, zeta_lower=zeta)
+            for n_err, zeta in zip(n_errs, zetas)]
 
 
 def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
@@ -110,49 +128,56 @@ def config_ratio(cfg: SystemConfig) -> float:
     return cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf")
 
 
+def _run_splits(cfgs: list[SystemConfig], ratios, params: PublicParams) -> list[SweepResult]:
+    """Run cfgs[0].trials frames, each at every split of cfgs; aggregate per split."""
+    reports = [run_trial(cfgs, t, params) for t in range(cfgs[0].trials)]
+    results = []
+    for i, (cfg, ratio) in enumerate(zip(cfgs, ratios)):
+        pupes = np.array([r[i].pupe for r in reports])
+        stderr = float(pupes.std(ddof=1) / np.sqrt(len(pupes))) if len(pupes) > 1 else 0.0
+        zetas = [r[i].zeta_lower for r in reports]
+        results.append(SweepResult(ka=cfg.Ka, ratio=ratio, pa=cfg.Pa, pk=cfg.Pk,
+                                   trials=cfg.trials, pupe_mean=float(pupes.mean()),
+                                   pupe_stderr=stderr, zeta_lower_mean=float(np.mean(zetas)),
+                                   seed=cfg.seed))
+    return results
+
+
 def run_point(cfg: SystemConfig, params: PublicParams | None = None,
               ratio: float | None = None) -> SweepResult:
     """Run cfg.trials trials at one grid point and aggregate."""
     if params is None:
         params = generate_public_params(cfg)
-    reports = [run_trial(cfg, t, params) for t in range(cfg.trials)]
-    pupes = np.array([r.pupe for r in reports])
-    stderr = float(pupes.std(ddof=1) / np.sqrt(len(pupes))) if len(pupes) > 1 else 0.0
-    zetas = [r.zeta_lower for r in reports]
-    return SweepResult(ka=cfg.Ka, ratio=config_ratio(cfg) if ratio is None else ratio,
-                       pa=cfg.Pa, pk=cfg.Pk, trials=cfg.trials,
-                       pupe_mean=float(pupes.mean()), pupe_stderr=stderr,
-                       zeta_lower_mean=float(np.mean(zetas)), seed=cfg.seed)
+    return _run_splits([cfg], [config_ratio(cfg) if ratio is None else ratio], params)[0]
 
 
-def _grid(cfg: SystemConfig, ka_list, ratios) -> list[tuple[float, SystemConfig]]:
-    """(ratio, config) of every grid point, Ka-major, each one validated.
+def _grid(cfg: SystemConfig, ka_list, ratios) -> list[list[SystemConfig]]:
+    """The config of every grid point, one list of the Pa/Pk splits per Ka.
 
-    Built in full before the shared artifacts, so an invalid entry anywhere
-    in the grid is reported before any work is done.
+    Built and validated in full before the shared artifacts, so an invalid
+    entry anywhere in the grid is reported before any work is done.
     """
-    points = []
-    for ka in ka_list:
-        for ratio in ratios:
-            pa, pk = split_power_budget(cfg.key_budget, ratio)
-            points.append((ratio, replace(cfg, Ka=ka, Pa=pa, Pk=pk)))
-    return points
+    splits = [split_power_budget(cfg.key_budget, ratio) for ratio in ratios]
+    return [[replace(cfg, Ka=ka, Pa=pa, Pk=pk) for pa, pk in splits] for ka in ka_list]
 
 
 def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
               trials: int, progress=None) -> list[SweepResult]:
-    """Grid over user counts and Pa/Pk splits of the fixed power budget."""
+    """Grid over user counts and Pa/Pk splits of the fixed power budget.
+
+    Walked Ka-major: a trial's frame serves every split of its Ka.
+    """
     base_cfg = replace(base_cfg, trials=trials)
-    points = _grid(base_cfg, ka_list, ratio_list)
+    grid = _grid(base_cfg, ka_list, ratio_list)
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
     params = generate_public_params(base_cfg)
     results = []
-    for ratio, cfg in points:
-        res = run_point(cfg, params, ratio)
-        results.append(res)
-        if progress is not None:
-            progress(res)
+    for cfgs in grid:
+        for res in _run_splits(cfgs, ratio_list, params):
+            results.append(res)
+            if progress is not None:
+                progress(res)
     return results
 
 
@@ -163,13 +188,11 @@ def run_leakage(cfg: SystemConfig, ratios) -> list[tuple[float, float, float, fl
     runs over the same first-user bounds a sweep of cfg.trials trials
     averages, without simulating the link.
     """
-    points = _grid(cfg, [cfg.Ka], ratios)
+    (splits,) = _grid(cfg, [cfg.Ka], ratios)
     params = generate_public_params(cfg)
-    rows = []
-    for ratio, split in points:
-        zetas = [first_user_zeta(split, t, params) for t in range(cfg.trials)]
-        rows.append((ratio, split.Pa, split.Pk, float(np.mean(zetas))))
-    return rows
+    zetas = [first_user_zetas(splits, t, params) for t in range(cfg.trials)]
+    return [(ratio, split.Pa, split.Pk, float(np.mean([z[i] for z in zetas])))
+            for i, (ratio, split) in enumerate(zip(ratios, splits))]
 
 
 def _fmt(x) -> str:
@@ -286,7 +309,7 @@ def _check_end_to_end(cfg: SystemConfig, params: None) -> None:
     # their memory; a short pilot (enough for one noiseless user) keeps it small
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
-    report = run_trial(mini, 0, generate_public_params(mini))
+    [report] = run_trial([mini], 0, generate_public_params(mini))
     _require(report.pupe == 0.0,
              f"noiseless single-user trial has PUPE {report.pupe:g}, expected 0")
 

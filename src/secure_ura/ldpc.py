@@ -12,7 +12,8 @@ padded to the largest check degree with slots whose tanh is an exact 1.0;
 each variable sums its incoming messages in ascending check order.  These
 are the products and sums a dense (checks x variables) layout forms, with
 the factors 1.0 and the terms 0.0 of absent edges left out, so the messages
-are bit-identical to the dense computation.
+are bit-identical to the dense computation.  The convergence check after
+each iteration reads the check parities off the same edge lists.
 """
 
 from dataclasses import dataclass, field
@@ -155,6 +156,16 @@ class LdpcCode:
         c = np.asarray(codeword, dtype=np.int64)
         return (c @ self._Ht % 2).astype(np.uint8)
 
+    def _fails_a_check(self, bits: np.ndarray) -> np.ndarray:
+        """(batch,) True where a (batch, n) word has a nonzero syndrome.
+
+        Each check's parity is read off its edge list, since the integer
+        product in syndrome runs without BLAS.
+        """
+        ones = bits[:, self._edge_var]
+        ones[:, self._edge_pad] = 0
+        return np.bitwise_xor.reduce(ones, axis=2).any(axis=1)
+
     # ---- decoding -------------------------------------------------------
 
     def decode(self, llr: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +189,7 @@ class LdpcCode:
         # a zero LLR is an erasure: its hard decision is arbitrary, so it
         # cannot count toward convergence
         determinate = np.all(L != 0.0, axis=-1)
-        converged = determinate & ~np.any(self.syndrome(bits), axis=-1)
+        converged = determinate & ~self._fails_a_check(bits)
 
         # check -> var messages, flat per word with a trailing zero slot
         E_flat = np.zeros((batch, pad.size + 1))
@@ -209,7 +220,7 @@ class LdpcCode:
             V = total[:, self._edge_var] - E
 
             bits = (total < 0).astype(np.uint8)
-            ok = np.all(total != 0.0, axis=-1) & ~np.any(self.syndrome(bits), axis=-1)
+            ok = np.all(total != 0.0, axis=-1) & ~self._fails_a_check(bits)
             newly = ok & ~converged
             if newly.any():
                 best[newly] = bits[newly]

@@ -12,10 +12,12 @@ derives the features and artificial noise from it with the user's own key
 code (`keys`), cancels the noise from the key segment, assembles systematic
 and parity LLRs, and reconciles the key through the LDPC decoder.
 
-The receiver reads the (M, frame_len) uplink block as it arrives and
-returns its decoded users as aligned arrays, one row per CRC-passing user
-in decoding order: ciphertexts, keys, decrypted messages and per-user
-flags.  It never reads the active-user count cfg.Ka (see omp_detect).
+The receiver reads the uplink block as it arrives and returns its decoded
+users as aligned arrays, one row per CRC-passing user in decoding order:
+ciphertexts, keys, decrypted messages and per-user flags.  It never reads
+the active-user count cfg.Ka (see omp_detect).  A frame sent at several
+Pa/Pk splits differs only in its key segment, so decode_frame runs the
+iterative stage once and the key stage once per split.
 """
 
 import math
@@ -108,8 +110,9 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
     e_j <- e_j - 2 Re(conj(r_j) u^H gamma_j) + |r_j|^2 ||u||^2
     (the Gram-column idea of Batch-OMP, applied to the energies only).
     The rank-1 updates of gamma itself are deferred and applied
-    OMP_FLUSH_EVERY at a time, in place: gamma is left as it was handed
-    over unless at least OMP_FLUSH_EVERY atoms are picked.
+    OMP_FLUSH_EVERY at a time, in place and 256 atoms at a time: gamma is
+    left as it was handed over unless at least OMP_FLUSH_EVERY atoms are
+    picked.
     """
     M, n_obs = Y.shape
     # 256 atoms at a time, as params.row_norms: each atom is reduced alone
@@ -156,7 +159,9 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
         U[pending], R[pending] = u, r
         pending += 1
         if pending == OMP_FLUSH_EVERY:
-            gamma -= U.T @ R
+            # 256 atoms at a time: no codebook-sized temporary
+            for i in range(0, R.shape[1], 256):
+                gamma[:, i:i + 256] -= U.T @ R[:, i:i + 256]
             pending = 0
 
     if not k:
@@ -239,10 +244,11 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
                      params: PublicParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate pilot detection, polar decoding and SIC until nothing new decodes.
 
-    y_bs is the (M, frame_len) uplink block; the user count is never read.
-    Returns (C_hat, H_hat, residual): the (k, B) ciphertexts of the
-    CRC-passing users in decoding order, their final least-squares channel
-    estimates (M, k), and the residual pilot+polar observation.
+    Only the first np + nc columns of y_bs, the pilot and polar segments,
+    are read; the user count is never read.  Returns (C_hat, H_hat,
+    residual): the (k, B) ciphertexts of the CRC-passing users in decoding
+    order, their final least-squares channel estimates (M, k), and the
+    residual pilot+polar observation.
 
     The pilot segment Y_p is correlated with the codebook once, as gamma0.
     After a pass the residual's pilot part is Y_p - H_hat X_p, with X_p the
@@ -338,15 +344,22 @@ def decode_keys_and_decrypt(C_hat: np.ndarray, H_hat: np.ndarray, y_k: np.ndarra
     return S_hat, W_hat, converged & valid, valid
 
 
-def decode_frame(y_bs: np.ndarray, cfg: SystemConfig, params: PublicParams
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the complete receiver on the (M, frame_len) uplink block.
+def decode_frame(y: np.ndarray, y_k: list[np.ndarray], cfgs: list[SystemConfig],
+                 params: PublicParams) -> list[tuple[np.ndarray, ...]]:
+    """Run the complete receiver on one frame sent at one or more power splits.
 
-    Returns (C_hat, S_hat, W_hat, converged, valid), aligned row by row.
+    y is the (M, np + nc) pilot+polar block, the same at every split, and
+    y_k[i] the (M, ns - S) key segment at cfgs[i]'s split; the configs are
+    equal but for Pa and Pk.  The iterative stage runs once; the key stage
+    runs once per split, reading the shared C_hat and H_hat.  Returns one
+    (C_hat, S_hat, W_hat, converged, valid) tuple per split, aligned row by
+    row; C_hat is the same array in each.
     """
-    if y_bs.shape[1] != cfg.frame_len:
-        raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {cfg.frame_len}")
-    C_hat, H_hat, _ = iterative_decode(y_bs, cfg, params)
-    S_hat, W_hat, converged, valid = decode_keys_and_decrypt(
-        C_hat, H_hat, y_bs[:, cfg.np + cfg.nc:], cfg, params)
-    return C_hat, S_hat, W_hat, converged, valid
+    cfg = cfgs[0]
+    widths = [y.shape[1]] + [b.shape[1] for b in y_k]
+    expected = [cfg.np + cfg.nc] + [cfg.key_parity_len] * len(cfgs)
+    if widths != expected:
+        raise ValueError(f"frame segments have {widths} columns, expected {expected}")
+    C_hat, H_hat, _ = iterative_decode(y, cfg, params)
+    return [(C_hat, *decode_keys_and_decrypt(C_hat, H_hat, b, c, params))
+            for b, c in zip(y_k, cfgs)]

@@ -6,6 +6,9 @@ ciphertext halves to a pilot codeword and a CRC-aided polar codeword.  The
 key segment is the BPSK-mapped LDPC parity of the key plus the mask, and
 the frame is the concatenation [pilot | polar | key].  A trial's users go
 through every step as one block, one row per user.
+
+The Pa/Pk split changes only the key segment, so a frame sent at several
+splits builds its pilot+polar rows once and one key segment per split.
 """
 
 import numpy as np
@@ -38,14 +41,17 @@ def pilot_polar_rows(C: np.ndarray, cfg: SystemConfig, params: PublicParams) -> 
                            bpsk_map(params.polar.encode(C[:, cfg.Bp:]), cfg.Pc)], axis=1)
 
 
-def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
-             params: PublicParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transmitter chain for a block of users: returns (X, C, S).
+def transmit(W: np.ndarray, Y: np.ndarray, cfgs: list[SystemConfig], params: PublicParams
+             ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Transmitter chain for a block of users: returns (X, X_k, C, S).
 
     W holds one B-bit message per row and Y the matching feedback
-    observations, one L-vector per row.  X is the (Ka, frame_len) block of
-    transmit signals, C the (Ka, B) ciphertexts and S the (Ka, S) key bits.
-    A feedback row below the variance floor raises DegenerateFeedbackError
+    observations, one L-vector per row.  cfgs holds one config per power
+    split, equal but for Pa and Pk.  X is the (Ka, np + nc) block of
+    pilot+polar signals, the same at every split; X_k[i] is the (Ka, ns - S)
+    key segment at cfgs[i]'s split: the BPSK parity at Pk plus the mask at
+    Pa.  C holds the (Ka, B) ciphertexts and S the (Ka, S) key bits.  A
+    feedback row below the variance floor raises DegenerateFeedbackError
     naming the first such user.
 
     The projections of the standardized feedback go through a (Ka, 1, L)
@@ -53,6 +59,7 @@ def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
     does not depend on how many users share the block; a plain block
     product rounds differently from row to row.
     """
+    cfg = cfgs[0]
     W = np.asarray(W, dtype=np.uint8)
     if W.shape != (len(Y), cfg.B):
         raise ValueError(f"message block shape {W.shape} != ({len(Y)}, {cfg.B})")
@@ -65,8 +72,8 @@ def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig,
     Y_bar = Y_bar[:, None, :]
     S = extract_key(Y_bar, params.C1)[1][:, 0]
     parity = params.ldpc.encode(S)
-    x_k = bpsk_map(parity, cfg.Pk) + artificial_noise(Y_bar, params.C2, cfg.Pa)[:, 0]
+    X_k = [bpsk_map(parity, c.Pk) + artificial_noise(Y_bar, params.C2, c.Pa)[:, 0]
+           for c in cfgs]
 
     C = encrypt(W, expand_key(S, params.T))
-    X = np.concatenate([pilot_polar_rows(C, cfg, params), x_k], axis=1)
-    return X, C, S
+    return pilot_polar_rows(C, cfg, params), X_k, C, S

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from secure_ura import SystemConfig
+from secure_ura import SystemConfig, decode_frame, transmit, uplink
 
 
 def make_mini_cfg(**overrides):
@@ -18,6 +18,26 @@ def random_users(cfg, rng, n):
     W = rng.integers(0, 2, (n, cfg.B), dtype=np.uint8)
     Y = rng.standard_normal((n, cfg.L)) + 1j * rng.standard_normal((n, cfg.L))
     return W, Y
+
+
+def transmit_frame(W, Y, cfg, params):
+    """transmit at cfg's own split, its frame joined into one (Ka, frame_len)
+    block [pilot | polar | key]: returns (X, C, S)."""
+    X, (X_k,), C, S = transmit(W, Y, [cfg], params)
+    return np.concatenate([X, X_k], axis=1), C, S
+
+
+def uplink_frame(X, H, sigma2, rng, n_key):
+    """uplink of a one-split block whose last n_key columns are the key
+    segment, as one received block of the same width."""
+    y, (y_k,) = uplink(X[:, :-n_key], [X[:, -n_key:]], H, sigma2, rng)
+    return np.concatenate([y, y_k], axis=1)
+
+
+def decode_one(y_bs, cfg, params):
+    """decode_frame on an (M, frame_len) block received at cfg's own split."""
+    n = cfg.np + cfg.nc
+    return decode_frame(y_bs[:, :n], [y_bs[:, n:]], [cfg], params)[0]
 
 
 def frozen_mask(code):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the PASS lines
-inline).  The grid criterion (4) dominates the runtime: 69 s of the module's
-121 s with one BLAS thread on a 2-core x86_64 host (criterion 5 took 40 s).
+inline).  The codec suites (5) and the grid criterion (4) dominate the
+runtime: 43 s and 37 s with one BLAS thread on a 2-core x86_64 host.
 """
 
 import time
@@ -69,10 +69,10 @@ def test_criterion_3_noiseless_end_to_end_identity():
         w = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial))
-        X, _, S = transmit(w, Y, cfg, params)
-        y_bs = uplink(X, h.T, cfg.sigma_c2,
-                      stream(cfg.seed, "bs-noise", trial))
-        _, S_hat, W_hat, _, valid = decode_frame(y_bs, cfg, params)
+        X, X_k, _, S = transmit(w, Y, [cfg], params)
+        y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2,
+                        stream(cfg.seed, "bs-noise", trial))
+        [(_, S_hat, W_hat, _, valid)] = decode_frame(y, y_k, [cfg], params)
         # PUPE = 0: the user's exact message is recovered (occasional CRC
         # false alarms add spurious entries but cost no message errors)
         hits = valid & (W_hat == w[0]).all(axis=1)
@@ -168,7 +168,7 @@ def _sic_exact_cancellation(cfg, params, rng):
     H = (rng.standard_normal((mini.M, mini.Ka))
          + 1j * rng.standard_normal((mini.M, mini.Ka))) / np.sqrt(2)
     W = rng.integers(0, 2, (mini.Ka, mini.B), dtype=np.uint8)
-    X = transmit(W, H.T @ mini_params.V, mini, mini_params)[0][:, :mini.np + mini.nc]
+    X = transmit(W, H.T @ mini_params.V, [mini], mini_params)[0]
     Y = H @ X
     H_ls = np.linalg.solve((X @ X.conj().T).T, (Y @ X.conj().T).T).T
     residual = Y - H_ls @ X

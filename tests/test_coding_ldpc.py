@@ -174,6 +174,44 @@ def test_decode_matches_dense_reference(n, k, iters):
     assert np.array_equal(got[0], want) and got_conv[0] == want_conv
 
 
+@pytest.mark.parametrize("n,k", [(60, 40), (16, 8)])
+def test_edge_list_check_matches_syndrome(n, k):
+    # the decoder's convergence check reads each check's parity off the edge
+    # lists (padded slots included at (16, 8)); syndrome stays the reference
+    code = LdpcCode.build(n, k)
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 2, (500, n), dtype=np.uint8)
+    s = rng.integers(0, 2, (50, k), dtype=np.uint8)
+    codewords = np.concatenate([s, code.encode(s)], axis=1)
+    flips = np.tile(codewords, (n, 1))
+    flips[np.arange(len(flips)), np.repeat(np.arange(n), 50)] ^= 1
+    for bits in (words, codewords, flips, words[:0]):
+        want = np.any(code.syndrome(bits), axis=-1)
+        assert np.array_equal(code._fails_a_check(bits), want)
+    assert not code._fails_a_check(codewords).any() and code._fails_a_check(flips).all()
+
+
+@pytest.mark.parametrize("n,k", [(60, 40), (16, 8)])
+def test_decode_matches_dense_reference_on_hard_and_erased_llrs(n, k):
+    # words of +-40 (the clamp), zero-LLR erasures and soft values mixed:
+    # some converge before the first iteration, some only later, some never
+    code = LdpcCode.build(n, k)
+    rng = np.random.default_rng(7 * n)
+    s = rng.integers(0, 2, (300, k), dtype=np.uint8)
+    x = 1.0 - 2.0 * np.concatenate([s, code.encode(s)], axis=1)
+    llr = np.where(rng.random(x.shape) < 0.5, 40.0 * x, x * rng.normal(2.0, 2.0, x.shape))
+    llr[rng.random(x.shape) < 0.05] = 0.0
+    llr[rng.random(x.shape) < 0.03] *= -1.0
+    llr[:50] = 40.0 * x[:50]
+    llr[50:60] = 0.0
+    for iters in (0, 1, 50):
+        got, got_conv = code.decode(llr, iters)
+        want, want_conv = _decode_reference(code, llr, iters)
+        assert np.array_equal(got, want) and np.array_equal(got_conv, want_conv)
+    assert got_conv[:50].all() and not got_conv[50:60].any()
+    assert 0 < got_conv[60:].sum() < 240
+
+
 def test_small_code_has_irregular_checks():
     # the (16, 8) case above covers padded check rows
     H = LdpcCode.build(16, 8).H

@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from secure_ura import (ConfigError, TrialError, emit_csv, generate_public_params,
-                        run_point, run_sweep, run_trial, selftest,
-                        split_power_budget)
+from secure_ura import (ConfigError, SystemConfig, TrialError, emit_csv,
+                        generate_public_params, run_point, run_sweep, run_trial,
+                        selftest, split_power_budget)
 from secure_ura.harness import CSV_HEADER
 
 from helpers import make_mini_cfg
@@ -20,20 +20,20 @@ def _trial_key(report):
 
 
 def test_trial_deterministic(mini_cfg, mini_params):
-    a = run_trial(mini_cfg, 4, mini_params)
-    b = run_trial(mini_cfg, 4, mini_params)
+    [a] = run_trial([mini_cfg], 4, mini_params)
+    [b] = run_trial([mini_cfg], 4, mini_params)
     assert _trial_key(a) == _trial_key(b)
 
 
 def test_trials_independent_of_execution_order(mini_cfg, mini_params):
-    forward = [_trial_key(run_trial(mini_cfg, t, mini_params)) for t in range(4)]
-    backward = [_trial_key(run_trial(mini_cfg, t, mini_params))
+    forward = [_trial_key(run_trial([mini_cfg], t, mini_params)[0]) for t in range(4)]
+    backward = [_trial_key(run_trial([mini_cfg], t, mini_params)[0])
                 for t in reversed(range(4))]
     assert forward == list(reversed(backward))
 
 
 def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
-    report = run_trial(mini_cfg, 0, mini_params)
+    [report] = run_trial([mini_cfg], 0, mini_params)
     assert report.pupe == 0.0
     assert report.n_err == 0
     assert report.n_detected == mini_cfg.Ka
@@ -41,14 +41,14 @@ def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
 
 def test_overwhelming_noise_gives_pupe_one():
     cfg = make_mini_cfg(sigma_c2=1e6, sigma_u2=1.0)
-    report = run_trial(cfg, 0, generate_public_params(cfg))
+    [report] = run_trial([cfg], 0, generate_public_params(cfg))
     assert report.n_detected == 0
     assert report.pupe == 1.0
 
 
 def test_pupe_bounds(mini_cfg, mini_params):
     for t in range(3):
-        r = run_trial(mini_cfg, t, mini_params)
+        [r] = run_trial([mini_cfg], t, mini_params)
         assert 0.0 <= r.pupe <= 1.0 and r.n_err <= mini_cfg.Ka
 
 
@@ -56,7 +56,90 @@ def test_trial_error_annotated_with_id(mini_params):
     cfg = make_mini_cfg(Pf=0.0, sigma_u2=1e-40)  # degenerate feedback signal
     params = generate_public_params(cfg)
     with pytest.raises(TrialError, match="trial 3"):
-        run_trial(cfg, 3, params)
+        run_trial([cfg], 3, params)
+
+
+_SPLIT_RATIOS = [0.0, 1.0, 7.0, float("inf")]
+
+
+@pytest.mark.parametrize("cfg", [
+    make_mini_cfg(sigma_c2=0.2, sigma_u2=0.05, trials=4),
+    dataclasses.replace(SystemConfig(Ka=1, seed=19), trials=2)], ids=["mini", "full"])
+def test_sweep_rows_equal_points_run_alone(cfg):
+    # one frame per trial serves every split of a Ka: each sweep row is the
+    # row run_point gives at that point alone, exact floats included
+    ka_list = [1, 3] if cfg.M == 8 else [1]
+    rows = run_sweep(cfg, ka_list, _SPLIT_RATIOS, cfg.trials)
+    alone = []
+    for ka in ka_list:
+        for ratio in _SPLIT_RATIOS:
+            pa, pk = split_power_budget(cfg.key_budget, ratio)
+            alone.append(run_point(dataclasses.replace(cfg, Ka=ka, Pa=pa, Pk=pk),
+                                   ratio=ratio))
+    assert rows == alone
+    assert len({r.pupe_mean for r in rows}) > 1
+
+
+def test_multi_split_trial_equals_one_trial_per_split():
+    cfg = make_mini_cfg(Ka=3, sigma_c2=0.2, sigma_u2=0.05)
+    params = generate_public_params(cfg)
+    cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=pk) for pa, pk in
+            (split_power_budget(cfg.key_budget, r) for r in _SPLIT_RATIOS)]
+    for t in range(4):
+        assert run_trial(cfgs, t, params) == [run_trial([c], t, params)[0] for c in cfgs]
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    """Replace module.name with a wrapper that counts its calls in counts."""
+    fn = getattr(module, name)
+
+    def counting(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args)
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_sweep_runs_the_iterative_stage_once_per_frame(mini_cfg, monkeypatch):
+    # R ratios x T trials x |Ka| user counts: T |Ka| frames, each decoded
+    # once by the iterative stage, and R key stages per frame
+    from secure_ura import receiver
+    calls = {}
+    for name in ("iterative_decode", "decode_keys_and_decrypt"):
+        _count_calls(monkeypatch, receiver, name, calls)
+    ratios, trials, ka_list = [1.0, 3.0, 7.0], 2, [1, 2]
+    run_sweep(mini_cfg, ka_list, ratios, trials)
+    assert calls == {"iterative_decode": trials * len(ka_list),
+                     "decode_keys_and_decrypt": trials * len(ka_list) * len(ratios)}
+
+
+def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
+    cfg = make_mini_cfg(Pf=0.0, sigma_u2=1e-40)  # degenerate feedback signal
+    params = generate_public_params(cfg)
+    cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
+    with pytest.raises(TrialError, match=r"^trial 3: transmit: user 0: "):
+        run_trial(cfgs, 3, params)
+    # a key stage that fails at the second split fails the frame's trial
+    from secure_ura import receiver
+    decode_keys = receiver.decode_keys_and_decrypt
+    seen = []
+
+    def failing(C_hat, H_hat, y_k, c, p):
+        seen.append(c)
+        if len(seen) == 2:
+            raise FloatingPointError("non-positive MMSE error term")
+        return decode_keys(C_hat, H_hat, y_k, c, p)
+
+    monkeypatch.setattr(receiver, "decode_keys_and_decrypt", failing)
+    cfg = make_mini_cfg()
+    cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
+    with pytest.raises(TrialError, match=r"^trial 1: receiver: non-positive MMSE"):
+        run_trial(cfgs, 1, generate_public_params(cfg))
+    assert seen == cfgs
+
+
+def test_run_trial_rejects_configs_that_differ_beyond_the_split(mini_cfg, mini_params):
+    with pytest.raises(ValueError, match="only in Pa and Pk"):
+        run_trial([mini_cfg, dataclasses.replace(mini_cfg, Ka=1)], 0, mini_params)
 
 
 def test_split_power_budget():
@@ -110,7 +193,7 @@ def test_zeta_strictly_increasing_in_ratio(mini_cfg):
 def test_aggregate_consistency(mini_cfg, mini_params):
     cfg = dataclasses.replace(mini_cfg, trials=4)
     res = run_point(cfg, mini_params)
-    reports = [run_trial(cfg, t, mini_params) for t in range(4)]
+    reports = [run_trial([cfg], t, mini_params)[0] for t in range(4)]
     pupes = np.array([r.pupe for r in reports])
     assert res.pupe_mean == pytest.approx(pupes.mean())
     assert res.pupe_stderr == pytest.approx(pupes.std(ddof=1) / 2.0)
@@ -202,10 +285,10 @@ def test_selftest_holds_no_caller_params_during_end_to_end(monkeypatch):
             built.append(weakref.ref(params))
         return params
 
-    def checking(c, trial_id, params):
+    def checking(cfgs, trial_id, params):
         gc.collect()
         live.append(sum(ref() is not None for ref in built))
-        return run_trial(c, trial_id, params)
+        return run_trial(cfgs, trial_id, params)
 
     monkeypatch.setattr(harness, "generate_public_params", tracking)
     monkeypatch.setattr(harness, "run_trial", checking)

@@ -21,7 +21,7 @@ from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import make_mini_cfg
+from helpers import decode_one, make_mini_cfg, transmit_frame, uplink_frame
 
 
 def _cn(rng, shape):
@@ -235,6 +235,33 @@ def test_omp_writes_into_gamma_only_when_it_flushes():
         assert np.array_equal(gamma, before) == (ka < OMP_FLUSH_EVERY)
 
 
+def _omp_peak(Y, P, floor, gamma):
+    """(picks, tracemalloc's peak in bytes) over one omp_detect call."""
+    tracemalloc.start()
+    try:
+        picks = len(omp_detect(Y, P, floor, gamma))
+        return picks, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_omp_flush_forms_no_codebook_sized_temporary():
+    # at full scale a flush of the deferred updates into the (M, 2^Bp)
+    # correlation goes 256 atoms at a time: a call that flushes peaks no
+    # higher than one that picks nothing, but for its (16, 2^Bp) R buffer
+    rng = np.random.default_rng(20243)
+    zero_row = 9
+    P = _omp_codebook(rng, 4096, 200, zero_row)
+    Y = _omp_frame(rng, P, 50, 2 * OMP_FLUSH_EVERY, 1.0, zero_row)
+    floor = omp_noise_floor(50, 4096, 1.0, 200 * 0.3)
+    gamma = codebook_correlation(Y, P)
+    idle, idle_peak = _omp_peak(Y, P, np.inf, gamma.copy())
+    picks, peak = _omp_peak(Y, P, floor, gamma)
+    assert idle == 0 and picks >= OMP_FLUSH_EVERY
+    r_buffer = OMP_FLUSH_EVERY * P.shape[0] * np.dtype(np.complex128).itemsize
+    assert peak <= idle_peak + r_buffer
+
+
 # ---- MMSE LLRs ---------------------------------------------------------------
 
 
@@ -372,15 +399,15 @@ def test_llr_systematic_paired_variances(mini_cfg, mini_params):
 def test_iterative_decode_single_user(mini_params, rng):
     cfg = make_mini_cfg(Ka=1)
     params = mini_params
-    trial = run_trial(cfg, 0, params)
+    [trial] = run_trial([cfg], 0, params)
     assert trial.n_detected == 1 and trial.pupe == 0.0
 
 
 def test_iterative_decode_recovers_ciphertexts(mini_cfg, mini_params, rng):
     h = _cn(rng, (mini_cfg.M, mini_cfg.Ka))
     W = rng.integers(0, 2, (mini_cfg.Ka, mini_cfg.B), dtype=np.uint8)
-    X, C, _ = transmit(W, h.T @ mini_params.V, mini_cfg, mini_params)
-    Y = uplink(X, h, 1e-12, stream(0, "t"))
+    X, C, _ = transmit_frame(W, h.T @ mini_params.V, mini_cfg, mini_params)
+    Y = uplink_frame(X, h, 1e-12, stream(0, "t"), mini_cfg.key_parity_len)
     C_hat, H_hat, residual = iterative_decode(Y, mini_cfg, mini_params)
     got = {c.tobytes() for c in C_hat}
     assert got == {c.tobytes() for c in C}
@@ -397,15 +424,16 @@ def test_iterative_decode_keeps_users_that_share_a_payload(mini_cfg, mini_params
     h = _cn(rng, (mini_cfg.M, 2))
     Y = h.T @ mini_params.V
     W = rng.integers(0, 2, (2, mini_cfg.B), dtype=np.uint8)
-    _, C, _ = transmit(W, Y, mini_cfg, mini_params)
+    _, C, _ = transmit_frame(W, Y, mini_cfg, mini_params)
     target = C.copy()
     target[1, mini_cfg.Bp:] = C[0, mini_cfg.Bp:]
     target[1, 0] = 1 - target[0, 0]
     # the keystreams C ^ W depend on the feedback only
-    X, C_shared, _ = transmit(target ^ C ^ W, Y, mini_cfg, mini_params)
+    X, C_shared, _ = transmit_frame(target ^ C ^ W, Y, mini_cfg, mini_params)
     assert np.array_equal(C_shared, target)
-    C_hat, _, _ = iterative_decode(uplink(X, h, 1e-12, stream(3, "t")),
-                                   mini_cfg, mini_params)
+    C_hat, _, _ = iterative_decode(
+        uplink_frame(X, h, 1e-12, stream(3, "t"), mini_cfg.key_parity_len),
+        mini_cfg, mini_params)
     assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in target)
 
 
@@ -415,7 +443,7 @@ def test_iterative_decode_empty_frame(mini_cfg, mini_params):
     assert C_hat.shape == (0, mini_cfg.B)
     assert H_hat.shape == (mini_cfg.M, 0)
     # the key stage runs on zero users and returns zero-row arrays
-    C_hat, S_hat, W_hat, converged, valid = decode_frame(y_bs, mini_cfg, mini_params)
+    C_hat, S_hat, W_hat, converged, valid = decode_one(y_bs, mini_cfg, mini_params)
     assert C_hat.shape == (0, mini_cfg.B) and C_hat.dtype == np.uint8
     assert S_hat.shape == (0, mini_cfg.S) and S_hat.dtype == np.uint8
     assert W_hat.shape == (0, mini_cfg.B) and W_hat.dtype == np.uint8
@@ -524,24 +552,31 @@ def test_decode_frame_does_not_read_the_user_count():
     params = generate_public_params(cfg)
     for trial in range(3):
         y_bs, _ = _uplink_block(cfg, params, trial)
-        want = decode_frame(y_bs, cfg, params)
-        got = decode_frame(y_bs, replace(cfg, Ka=1), params)
+        want = decode_one(y_bs, cfg, params)
+        got = decode_one(y_bs, replace(cfg, Ka=1), params)
         assert len(want[0]) == cfg.Ka
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
 
 
 def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
+    M, n, n_key = mini_cfg.M, mini_cfg.np + mini_cfg.nc, mini_cfg.key_parity_len
+    y, y_k = np.zeros((M, n), dtype=complex), np.zeros((M, n_key), dtype=complex)
     with pytest.raises(ValueError, match="expected"):
-        decode_frame(np.zeros((mini_cfg.M, 10), dtype=complex), mini_cfg, mini_params)
+        decode_frame(np.zeros((M, 10), dtype=complex), [y_k], [mini_cfg], mini_params)
+    # a key segment of the wrong width, or one too few for the splits
+    with pytest.raises(ValueError, match="expected"):
+        decode_frame(y, [y_k[:, 1:]], [mini_cfg], mini_params)
+    with pytest.raises(ValueError, match="expected"):
+        decode_frame(y, [y_k], [mini_cfg, mini_cfg], mini_params)
 
 
 def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
     h = _cn(rng, (mini_cfg.M, 1))
     w = rng.integers(0, 2, mini_cfg.B, dtype=np.uint8)
-    X, _, S = transmit(w[None], h.T @ mini_params.V, mini_cfg, mini_params)
-    Y = uplink(X, h, 1e-12, stream(1, "t"))
-    C_hat, S_hat, W_hat, converged, valid = decode_frame(Y, mini_cfg, mini_params)
+    X, _, S = transmit_frame(w[None], h.T @ mini_params.V, mini_cfg, mini_params)
+    Y = uplink_frame(X, h, 1e-12, stream(1, "t"), mini_cfg.key_parity_len)
+    C_hat, S_hat, W_hat, converged, valid = decode_one(Y, mini_cfg, mini_params)
     assert len(C_hat) == 1
     assert valid[0] and converged[0]
     assert np.array_equal(S_hat[0], S[0])
@@ -572,11 +607,11 @@ def _degenerate_pair(cfg, params, rng):
     """
     h = _cn(rng, (cfg.M, 1))
     w = rng.integers(0, 2, cfg.B, dtype=np.uint8)
-    X, C, S = transmit(w[None], h.T @ params.V, cfg, params)
-    y_bs = uplink(X, h, 1e-12, stream(2, "t"))
+    X, X_k, C, S = transmit(w[None], h.T @ params.V, [cfg], params)
+    _, (y_k,) = uplink(X, X_k, h, 1e-12, stream(2, "t"))
     C_hat = np.stack([C[0], rng.integers(0, 2, cfg.B, dtype=np.uint8)])
     H_hat = np.concatenate([h, np.zeros((cfg.M, 1), dtype=complex)], axis=1)
-    return C_hat, H_hat, y_bs[:, cfg.np + cfg.nc:], w, S
+    return C_hat, H_hat, y_k, w, S
 
 
 def test_decode_keys_skips_degenerate_user(mini_cfg, mini_params, rng):
@@ -727,8 +762,9 @@ def _uplink_block(cfg, params, trial):
     W = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
     Y = feedback_observation(h, params.V, cfg.sigma_u2,
                              stream(cfg.seed, "feedback-noise", trial))
-    X, C, _ = transmit(W, Y, cfg, params)
-    return uplink(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial)), C
+    X, C, _ = transmit_frame(W, Y, cfg, params)
+    return uplink_frame(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial),
+                        cfg.key_parity_len), C
 
 
 def _assert_rows_match_reference(rows, users):
@@ -754,7 +790,7 @@ def _run_both(y_bs, cfg, params):
     frame = _ReceivedFrame.from_uplink(y_bs, cfg)
     ref = _iterative_decode_reference(frame, cfg, params)
     users = _decode_keys_and_decrypt_reference(list(ref[0]), ref[1], frame, cfg, params)
-    return decode_frame(y_bs, cfg, params), new, users, ref
+    return decode_one(y_bs, cfg, params), new, users, ref
 
 
 @pytest.mark.parametrize("name,ka,passes,trials", [

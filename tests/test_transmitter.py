@@ -1,5 +1,5 @@
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from secure_ura.keys import VAR_FLOOR, sample_variance
 from secure_ura.modulation import bpsk_map
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import make_mini_cfg, random_users
+from helpers import make_mini_cfg, random_users, transmit_frame
 
 
 # ---- the per-user transmitter chain the batched transmit replaced, verbatim --
@@ -162,7 +162,7 @@ def test_transmit_matches_per_user_reference(name, ka):
                           for u in range(ka)])
         assert np.array_equal(Y, Y_ref)
 
-        X, C, S = transmit(W, Y, cfg, params)
+        X, C, S = transmit_frame(W, Y, cfg, params)
         ref = [_transmit_reference(W[u], Y_ref[u], cfg, params) for u in range(ka)]
         assert np.array_equal(X, np.stack([r.x for r in ref]))
         assert np.array_equal(C, np.stack([r.cipher.c for r in ref]))
@@ -175,7 +175,7 @@ def test_transmit_matches_per_user_reference(name, ka):
 def test_bit_index_round_trip(mini_cfg, mini_params, rng):
     # transmit's bits-to-index step inverts the receiver's index_to_bits
     assert np.array_equal(index_to_bits(5, 3), [1, 0, 1])  # big-endian
-    X, C, _ = transmit(*random_users(mini_cfg, rng, 32), mini_cfg, mini_params)
+    X, C, _ = transmit_frame(*random_users(mini_cfg, rng, 32), mini_cfg, mini_params)
     pilots = []
     for x in X:
         rows = np.flatnonzero((mini_params.P == x[:mini_cfg.np]).all(axis=1))
@@ -187,9 +187,9 @@ def test_bit_index_round_trip(mini_cfg, mini_params, rng):
 
 def test_zero_bits_select_row_zero(mini_cfg, mini_params, rng):
     W, Y = random_users(mini_cfg, rng, 3)
-    _, C, _ = transmit(W, Y, mini_cfg, mini_params)
+    _, C, _ = transmit_frame(W, Y, mini_cfg, mini_params)
     # the keystream C ^ W as the message encrypts to all-zero bits
-    X, C0, _ = transmit(C ^ W, Y, mini_cfg, mini_params)
+    X, C0, _ = transmit_frame(C ^ W, Y, mini_cfg, mini_params)
     assert not C0.any()
     assert (X[:, :mini_cfg.np] == mini_params.P[0]).all()
 
@@ -199,13 +199,13 @@ def test_pilot_collision_is_deterministic(mini_cfg, mini_params, rng):
     W, Y = random_users(mini_cfg, rng, 2)
     Y[1] = Y[0]
     W[1, :mini_cfg.Bp] = W[0, :mini_cfg.Bp]
-    X, C, _ = transmit(W, Y, mini_cfg, mini_params)
+    X, C, _ = transmit_frame(W, Y, mini_cfg, mini_params)
     assert np.array_equal(C[0, :mini_cfg.Bp], C[1, :mini_cfg.Bp])
     assert np.array_equal(X[0, :mini_cfg.np], X[1, :mini_cfg.np])
 
 
 def test_pilot_row_norm(mini_cfg, mini_params, rng):
-    X, _, _ = transmit(*random_users(mini_cfg, rng, 4), mini_cfg, mini_params)
+    X, _, _ = transmit_frame(*random_users(mini_cfg, rng, 4), mini_cfg, mini_params)
     energy = np.linalg.norm(X[:, :mini_cfg.np], axis=1) ** 2
     assert energy == pytest.approx(np.full(4, mini_cfg.np * mini_cfg.Pp), rel=1e-10)
 
@@ -230,28 +230,42 @@ def fullsize_tx():
 
 def test_transmit_frame_length(fullsize_tx, rng):
     cfg, params = fullsize_tx
-    X, C, S = transmit(*random_users(cfg, rng, 3), cfg, params)
+    X, C, S = transmit_frame(*random_users(cfg, rng, 3), cfg, params)
     assert X.shape == (3, 732)  # 200 + 512 + 20
     assert C.shape == (3, cfg.B) and S.shape == (3, cfg.S)
+
+
+def test_splits_share_the_pilot_polar_rows(fullsize_tx, rng):
+    # one call at several Pa/Pk splits gives each split the frame a call at
+    # that split alone gives: the same pilot+polar rows, its own key segment
+    cfg, params = fullsize_tx
+    W, Y = random_users(cfg, rng, 3)
+    cfgs = [replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.0, 0.15, 0.2625, 0.3)]
+    X, X_k, C, S = transmit(W, Y, cfgs, params)
+    assert X.shape == (3, cfg.np + cfg.nc) and len(X_k) == len(cfgs)
+    for c, x_k in zip(cfgs, X_k):
+        X_one, C_one, S_one = transmit_frame(W, Y, c, params)
+        assert np.array_equal(X_one, np.concatenate([X, x_k], axis=1))
+        assert np.array_equal(C_one, C) and np.array_equal(S_one, S)
 
 
 def test_transmit_deterministic(fullsize_tx, rng):
     cfg, params = fullsize_tx
     W, Y = random_users(cfg, rng, 3)
-    for a, b in zip(transmit(W, Y, cfg, params), transmit(W, Y, cfg, params)):
+    for a, b in zip(transmit_frame(W, Y, cfg, params), transmit_frame(W, Y, cfg, params)):
         assert np.array_equal(a, b)
 
 
 def test_transmit_zero_key_powers(rng):
     cfg = make_mini_cfg(Pk=0.0, Pa=0.0)
     params = generate_public_params(cfg)
-    X, _, _ = transmit(*random_users(cfg, rng, 2), cfg, params)
+    X, _, _ = transmit_frame(*random_users(cfg, rng, 2), cfg, params)
     assert not X[:, cfg.np + cfg.nc:].any()
 
 
 def test_segment_power_budget(fullsize_tx, rng):
     cfg, params = fullsize_tx
-    X, _, _ = transmit(*random_users(cfg, rng, 3), cfg, params)
+    X, _, _ = transmit_frame(*random_users(cfg, rng, 3), cfg, params)
     x_p, x_d = X[:, :cfg.np], X[:, cfg.np:cfg.np + cfg.nc]
     assert np.linalg.norm(x_p, axis=1) ** 2 == pytest.approx(np.full(3, cfg.np * cfg.Pp), rel=1e-10)
     assert np.linalg.norm(x_d, axis=1) ** 2 == pytest.approx(np.full(3, cfg.nc * cfg.Pc), rel=1e-10)
@@ -277,7 +291,7 @@ def test_key_segment_mean_power(fullsize_tx):
 def test_ciphertext_split_order(fullsize_tx, rng):
     # the first Bp ciphertext bits pick the pilot row, the rest the polar word
     cfg, params = fullsize_tx
-    X, C, _ = transmit(*random_users(cfg, rng, 3), cfg, params)
+    X, C, _ = transmit_frame(*random_users(cfg, rng, 3), cfg, params)
     for x, c in zip(X, C):
         idx = int("".join(str(b) for b in c[:cfg.Bp]), 2)
         assert np.array_equal(x[:cfg.np], params.P[idx])
@@ -289,4 +303,4 @@ def test_transmit_rejects_bad_message(fullsize_tx):
     cfg, params = fullsize_tx
     with pytest.raises(ValueError):
         transmit(np.zeros((1, 3), dtype=np.uint8), np.ones((1, cfg.L), dtype=complex),
-                 cfg, params)
+                 [cfg], params)
