@@ -14,8 +14,9 @@ across user counts at a fixed power split.
 
 No draw depends on the Pa/Pk split, which changes only the key segment.  So
 a trial simulates one frame for all the splits of a sweep's Ka: one
-transmit, uplink and iterative receiver stage, then a key segment and a key
-stage per split (`run_trial`).  `run_point` is the one-split case.
+transmit, uplink and iterative receiver stage, a key segment per split, and
+one key stage whose LDPC decode covers every split's words (`run_trial`).
+`run_point` is the one-split case.
 """
 
 import csv
@@ -78,8 +79,8 @@ def run_trial(cfgs: list[SystemConfig], trial_id: int,
     """Simulate one complete frame: feedback, uplink, receiver, leakage.
 
     cfgs holds one config per Pa/Pk split, equal but for Pa and Pk; only
-    the key segment and the key stage run per split (see the module
-    docstring).  Returns one TrialReport per split.
+    the key segment is built per split (see the module docstring).
+    Returns one TrialReport per split.
     """
     cfg = cfgs[0]
     if any(replace(c, Pa=cfg.Pa, Pk=cfg.Pk) != cfg for c in cfgs):

@@ -6,14 +6,20 @@ broken toward the lowest-degree then lowest-index check), followed by a
 GF(2) column permutation that makes the last (n - k) columns invertible.
 Codewords are [systematic | parity]; only the parity part is transmitted.
 
-Decoding: standard sum-product belief propagation, batched over users, on
+Decoding: standard sum-product belief propagation, batched over words, on
 an edge list.  Each check's edges are held in ascending variable order and
 padded to the largest check degree with slots whose tanh is an exact 1.0;
 each variable sums its incoming messages in ascending check order.  These
 are the products and sums a dense (checks x variables) layout forms, with
 the factors 1.0 and the terms 0.0 of absent edges left out, so the messages
-are bit-identical to the dense computation.  The convergence check after
-each iteration reads the check parities off the same edge lists.
+are bit-identical to the dense computation.  The message arrays hold the
+words on their last axis, so each slot's messages are contiguous.  A
+check's leave-one-out product is its product divided by the slot's tanh,
+unless a tanh of the words being decoded is exactly 0 (an erasure), where
+an exact formula is used instead.  The convergence check after each
+iteration reads the check parities off the same edge lists, and a word
+that passes it leaves the batch: words are decoded independently, so a
+batch gives each word what it gives alone.
 """
 
 from dataclasses import dataclass, field
@@ -106,23 +112,25 @@ class LdpcCode:
     k: int
     # derived from H once per code (edge lists: see the module docstring)
     _Ht: np.ndarray = field(init=False, repr=False)         # (n, n - k) int64
-    _edge_var: np.ndarray = field(init=False, repr=False)   # (n - k, dc) variable per slot
-    _edge_pad: np.ndarray = field(init=False, repr=False)   # (n - k, dc) True on padding
-    _var_edges: np.ndarray = field(init=False, repr=False)  # (dv, n) flat slot per edge
+    _edge_var: np.ndarray = field(init=False, repr=False)   # (dc, n - k) variable per slot
+    _edge_pad: np.ndarray = field(init=False, repr=False)   # (dc, n - k) True on padding
+    _var_edges: np.ndarray = field(init=False, repr=False)  # (dv, n) message row per edge
 
     def __post_init__(self):
         object.__setattr__(self, "_Ht", np.ascontiguousarray(self.H.T, dtype=np.int64))
         m = self.H.shape[0]
-        chk, var = np.nonzero(self.H)                   # check-major, vars ascending
-        chk_deg = np.bincount(chk, minlength=m)
-        edge_pad = np.arange(chk_deg.max()) >= chk_deg[:, None]
+        chk, var = np.nonzero(self.H)
+        pos = np.cumsum(self.H, axis=1)[chk, var] - 1     # edge's slot in its check
+        rank = np.cumsum(self.H, axis=0)[chk, var] - 1    # its place among its variable's checks
+        edge_pad = np.ones((pos.max() + 1, m), dtype=bool)
+        edge_pad[pos, chk] = False
         edge_var = np.zeros(edge_pad.shape, dtype=np.int64)
-        edge_var[~edge_pad] = var
-        # each edge's slot in the flat message array; slot edge_pad.size holds
-        # a zero message and pads variables of lower degree, sorting last
-        slot = np.full(self.H.shape, edge_pad.size)
-        slot[chk, var] = np.flatnonzero(~edge_pad)
-        var_edges = np.sort(slot, axis=0)[:self.H.sum(axis=0).max()]
+        edge_var[pos, chk] = var
+        # each edge's row pos * m + chk in the flat message array, in
+        # ascending check order per variable; row edge_pad.size holds a zero
+        # message and pads variables of lower degree
+        var_edges = np.full((rank.max() + 1, self.n), edge_pad.size)
+        var_edges[rank, var] = pos * m + chk
         object.__setattr__(self, "_edge_var", edge_var)
         object.__setattr__(self, "_edge_pad", edge_pad)
         object.__setattr__(self, "_var_edges", var_edges)
@@ -157,14 +165,15 @@ class LdpcCode:
         return (c @ self._Ht % 2).astype(np.uint8)
 
     def _fails_a_check(self, bits: np.ndarray) -> np.ndarray:
-        """(batch,) True where a (batch, n) word has a nonzero syndrome.
+        """(batch,) True where a word, a column of (n, batch) bits, has a
+        nonzero syndrome.
 
         Each check's parity is read off its edge list, since the integer
         product in syndrome runs without BLAS.
         """
-        ones = bits[:, self._edge_var]
-        ones[:, self._edge_pad] = 0
-        return np.bitwise_xor.reduce(ones, axis=2).any(axis=1)
+        ones = bits[self._edge_var]
+        ones[self._edge_pad] = 0
+        return np.bitwise_xor.reduce(ones, axis=0).any(axis=0)
 
     # ---- decoding -------------------------------------------------------
 
@@ -176,56 +185,80 @@ class LdpcCode:
         codeword estimate and a flag telling whether all parity checks were
         satisfied within `iters` iterations.  Non-convergence still yields
         the current hard decisions.
+
+        Words are decoded independently: each row of the result is the one
+        its word gives alone.  A word leaves the working set once it
+        converges, since its output is final from then on.
         """
         llr = np.asarray(llr, dtype=np.float64)
         L = clamp_llr(np.atleast_2d(llr))
-        batch = L.shape[0]
         if L.shape[1] != self.n:
             raise ValueError(f"LLR length {L.shape[1]} != {self.n}")
 
         pad = self._edge_pad
-        bits = (L < 0).astype(np.uint8)
-        best = bits.copy()
+        best = (L < 0).astype(np.uint8)
         # a zero LLR is an erasure: its hard decision is arbitrary, so it
         # cannot count toward convergence
-        determinate = np.all(L != 0.0, axis=-1)
-        converged = determinate & ~self._fails_a_check(bits)
+        converged = np.all(L != 0.0, axis=-1) & ~self._fails_a_check(best.T)
 
-        # check -> var messages, flat per word with a trailing zero slot
-        E_flat = np.zeros((batch, pad.size + 1))
-        E = E_flat[:, :-1].reshape((batch,) + pad.shape)  # a view
-        V = L[:, self._edge_var]                        # var -> check messages
+        # the working set: the words not yet converged, one per column, and
+        # their hard decisions
+        active = np.flatnonzero(~converged)
+        L = np.ascontiguousarray(L[active].T)
+        bits = best[active].T
+        # check -> var messages, a row per slot (pos * m + check) and a
+        # trailing zero row
+        E_flat = np.zeros((pad.size + 1, len(active)))
+        V = L[self._edge_var]                           # var -> check messages
 
         for _ in range(iters):
-            if converged.all():
+            if not len(active):
                 break
-            t = np.where(pad, 1.0, np.tanh(0.5 * V))
-            zero = t == 0.0
-            nzero = zero.sum(axis=2, keepdims=True)
-            t_safe = np.where(zero, 1.0, t)
-            prod = np.prod(t_safe, axis=2, keepdims=True)
-            # leave-one-out product, exact even when some tanh terms are 0
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                loo = np.where(
-                    nzero == 0, prod / t_safe,
-                    np.where((nzero == 1) & zero, prod, 0.0))
-            loo = np.clip(loo, -_TANH_LIMIT, _TANH_LIMIT)
-            np.multiply(2.0, np.arctanh(loo), out=E)
+            E = E_flat[:-1].reshape(V.shape)            # a view
+            # tanh of the halved messages, in V's place; padding slots are 1.0
+            t = np.multiply(V, 0.5, out=V)
+            np.tanh(t, out=t)
+            t[pad] = 1.0
+            prod = np.prod(t, axis=0)                   # slot by slot, in order
+            # a product that is neither 0 nor NaN has no factor 0 (0 * NaN is NaN)
+            if np.all(np.abs(prod) > 0.0):
+                loo = np.divide(prod, t, out=t)
+            else:
+                loo = _leave_one_out_with_zeros(t)
+            np.clip(loo, -_TANH_LIMIT, _TANH_LIMIT, out=loo)
+            np.arctanh(loo, out=E)
+            E *= 2.0
 
             # sequential adds in ascending check order, as the dense sum
-            incoming = E_flat[:, self._var_edges[0]]
-            for slots in self._var_edges[1:]:
-                incoming = incoming + E_flat[:, slots]
-            total = L + incoming
-            V = total[:, self._edge_var] - E
+            total = E_flat[self._var_edges[0]]
+            for rows in self._var_edges[1:]:
+                total += E_flat[rows]
+            total += L
+            np.take(total, self._edge_var, axis=0, out=V)
+            V -= E
 
             bits = (total < 0).astype(np.uint8)
-            ok = np.all(total != 0.0, axis=-1) & ~self._fails_a_check(bits)
-            newly = ok & ~converged
-            if newly.any():
-                best[newly] = bits[newly]
-                converged |= newly
+            ok = np.all(total != 0.0, axis=0) & ~self._fails_a_check(bits)
+            if ok.any():
+                best[active[ok]] = bits[:, ok].T
+                converged[active[ok]] = True
+                keep = ~ok                              # compress keeps the arrays C-ordered
+                active, bits = active[keep], bits[:, keep]
+                L, V = L.compress(keep, axis=1), V.compress(keep, axis=2)
+                E_flat = np.zeros((pad.size + 1, len(active)))
 
-        best[~converged] = bits[~converged]
-        s_hat = best[:, :self.k]
-        return s_hat, converged
+        best[active] = bits.T
+        return best[:, :self.k], converged
+
+
+def _leave_one_out_with_zeros(t: np.ndarray) -> np.ndarray:
+    """Each slot's product of the other tanh values of its check, exact
+    when some are 0: a check with one zero passes its product to that slot
+    alone, and one with two or more passes 0 everywhere."""
+    zero = t == 0.0
+    nzero = zero.sum(axis=0)
+    t_safe = np.where(zero, 1.0, t)
+    prod = np.prod(t_safe, axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(nzero == 0, prod / t_safe,
+                        np.where((nzero == 1) & zero, prod, 0.0))

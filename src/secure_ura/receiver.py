@@ -17,7 +17,9 @@ users as aligned arrays, one row per CRC-passing user in decoding order:
 ciphertexts, keys, decrypted messages and per-user flags.  It never reads
 the active-user count cfg.Ka (see omp_detect).  A frame sent at several
 Pa/Pk splits differs only in its key segment, so decode_frame runs the
-iterative stage once and the key stage once per split.
+iterative stage once and the key stage once: only the mask cancellation
+and the parity LLRs are formed per split, and one LDPC decode reconciles
+every split's keys.
 """
 
 import math
@@ -26,7 +28,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .crypto import decrypt, expand_key
-from .keys import artificial_noise, extract_key, standardize
+from .keys import extract_key, standardize
 from .modulation import clamp_llr
 from .params import PublicParams
 from .transmitter import index_to_bits, pilot_polar_rows
@@ -318,30 +320,39 @@ def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
     return C_hat, H_hat[:, :len(C_hat)], residual
 
 
-def decode_keys_and_decrypt(C_hat: np.ndarray, H_hat: np.ndarray, y_k: np.ndarray,
-                            cfg: SystemConfig, params: PublicParams
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Recover every decoded user's key and decrypt its ciphertext.
+def decode_keys_and_decrypt(C_hat: np.ndarray, H_hat: np.ndarray, y_k: list[np.ndarray],
+                            cfgs: list[SystemConfig], params: PublicParams
+                            ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Recover every decoded user's key and decrypt its ciphertext, at each split.
 
     By reciprocity, row i of H_hat^T V estimates user i's feedback vector;
     the key code of `keys` turns the (k, L) block into features and masks.
     It is called on the whole block, since row-by-row products round
-    differently.  y_k is the key segment of the uplink block.  Returns
-    (S_hat, W_hat, converged, valid), one row per row of C_hat.  valid[i]
-    is False where user i's estimate is degenerate: its mask is not
-    cancelled, its S_hat and W_hat rows mean nothing, and converged[i] is
-    False.
+    differently.  y_k[i] is the key segment received at cfgs[i]'s split;
+    the configs are equal but for Pa and Pk.  The feedback estimate, the
+    systematic LLRs and the mask projection Y_bar C2 are formed once; each
+    split scales the projection by its own sqrt(Pa) to cancel its mask and
+    forms its parity LLRs.  One LDPC decode covers every split's words,
+    which decode independently of each other.
+
+    Returns one (S_hat, W_hat, converged, valid) tuple per split, one row
+    per row of C_hat.  valid[i] is False where user i's estimate is
+    degenerate: its mask is not cancelled, its S_hat and W_hat rows mean
+    nothing, and converged[i] is False.  valid is the same array in each.
     """
+    cfg = cfgs[0]
     Y_bar, var, valid = standardize(H_hat.T @ params.V)
     U_hat, _ = extract_key(Y_bar, params.C1)
-    Y_k_clean = y_k - H_hat[:, valid] @ artificial_noise(Y_bar[valid], params.C2, cfg.Pa)
-    f_parity = llr_parity(Y_k_clean, H_hat, cfg.Pk, cfg.sigma_c2)
     f_sys = llr_systematic(U_hat, var, feature_noise_variances(cfg, params))
-    f_key = np.concatenate([f_sys, f_parity], axis=1)
+    # the mask is artificial_noise, sqrt(Pa) times this projection
+    projection = Y_bar[valid] @ params.C2
+    f_parity = [llr_parity(b - H_hat[:, valid] @ (np.sqrt(c.Pa) * projection),
+                           H_hat, c.Pk, c.sigma_c2) for b, c in zip(y_k, cfgs)]
+    f_key = np.concatenate([np.concatenate([f_sys, f], axis=1) for f in f_parity])
 
     S_hat, converged = params.ldpc.decode(f_key, cfg.bp_iters)
-    W_hat = decrypt(C_hat, expand_key(S_hat, params.T))
-    return S_hat, W_hat, converged & valid, valid
+    return [(S, decrypt(C_hat, expand_key(S, params.T)), conv & valid, valid)
+            for S, conv in zip(np.split(S_hat, len(cfgs)), np.split(converged, len(cfgs)))]
 
 
 def decode_frame(y: np.ndarray, y_k: list[np.ndarray], cfgs: list[SystemConfig],
@@ -350,10 +361,10 @@ def decode_frame(y: np.ndarray, y_k: list[np.ndarray], cfgs: list[SystemConfig],
 
     y is the (M, np + nc) pilot+polar block, the same at every split, and
     y_k[i] the (M, ns - S) key segment at cfgs[i]'s split; the configs are
-    equal but for Pa and Pk.  The iterative stage runs once; the key stage
-    runs once per split, reading the shared C_hat and H_hat.  Returns one
+    equal but for Pa and Pk.  The iterative stage and the key stage each run
+    once, the key stage over every split's key segment.  Returns one
     (C_hat, S_hat, W_hat, converged, valid) tuple per split, aligned row by
-    row; C_hat is the same array in each.
+    row; C_hat and valid are the same arrays in each.
     """
     cfg = cfgs[0]
     widths = [y.shape[1]] + [b.shape[1] for b in y_k]
@@ -361,5 +372,4 @@ def decode_frame(y: np.ndarray, y_k: list[np.ndarray], cfgs: list[SystemConfig],
     if widths != expected:
         raise ValueError(f"frame segments have {widths} columns, expected {expected}")
     C_hat, H_hat, _ = iterative_decode(y, cfg, params)
-    return [(C_hat, *decode_keys_and_decrypt(C_hat, H_hat, b, c, params))
-            for b, c in zip(y_k, cfgs)]
+    return [(C_hat, *keys) for keys in decode_keys_and_decrypt(C_hat, H_hat, y_k, cfgs, params)]

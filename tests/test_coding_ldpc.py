@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from secure_ura import LdpcCode
+from secure_ura import LdpcCode, ldpc
 from secure_ura.ldpc import _TANH_LIMIT
 from secure_ura.modulation import clamp_llr
 
@@ -187,27 +187,49 @@ def test_edge_list_check_matches_syndrome(n, k):
     flips[np.arange(len(flips)), np.repeat(np.arange(n), 50)] ^= 1
     for bits in (words, codewords, flips, words[:0]):
         want = np.any(code.syndrome(bits), axis=-1)
-        assert np.array_equal(code._fails_a_check(bits), want)
-    assert not code._fails_a_check(codewords).any() and code._fails_a_check(flips).all()
+        assert np.array_equal(code._fails_a_check(bits.T), want)
+    assert not code._fails_a_check(codewords.T).any() and code._fails_a_check(flips.T).all()
 
 
 @pytest.mark.parametrize("n,k", [(60, 40), (16, 8)])
-def test_decode_matches_dense_reference_on_hard_and_erased_llrs(n, k):
+def test_decode_matches_dense_reference_on_hard_and_erased_llrs(n, k, monkeypatch):
     # words of +-40 (the clamp), zero-LLR erasures and soft values mixed:
-    # some converge before the first iteration, some only later, some never
+    # some converge before the first iteration, some only later, some never.
+    # Only words 60-179 hold erasures, so words 180-299 decoded alone see no
+    # zero tanh, and the batch, which holds the all-zero words 50-59, does
     code = LdpcCode.build(n, k)
     rng = np.random.default_rng(7 * n)
     s = rng.integers(0, 2, (300, k), dtype=np.uint8)
     x = 1.0 - 2.0 * np.concatenate([s, code.encode(s)], axis=1)
     llr = np.where(rng.random(x.shape) < 0.5, 40.0 * x, x * rng.normal(2.0, 2.0, x.shape))
-    llr[rng.random(x.shape) < 0.05] = 0.0
+    llr[60:180][rng.random((120, n)) < 0.05] = 0.0
     llr[rng.random(x.shape) < 0.03] *= -1.0
     llr[:50] = 40.0 * x[:50]
     llr[50:60] = 0.0
+
+    # which words, decoded alone, take the exact-zero leave-one-out formula
+    leave_one_out, zero_branch = ldpc._leave_one_out_with_zeros, []
+
+    def spy(t):
+        zero_branch.append(t.shape)
+        return leave_one_out(t)
+    monkeypatch.setattr(ldpc, "_leave_one_out_with_zeros", spy)
+
+    iterated = ~code.decode(llr, 0)[1]           # words that enter the BP loop
     for iters in (0, 1, 50):
         got, got_conv = code.decode(llr, iters)
         want, want_conv = _decode_reference(code, llr, iters)
         assert np.array_equal(got, want) and np.array_equal(got_conv, want_conv)
+        # words decode independently: each alone gives its row of the batch
+        reached = []
+        for b in range(len(llr)):
+            zero_branch.clear()
+            alone, alone_conv = code.decode(llr[b], iters)
+            assert np.array_equal(alone[0], got[b]) and alone_conv[0] == got_conv[b]
+            reached.append(bool(zero_branch))
+        if iters:
+            assert all(reached[50:60])
+            assert any(iterated[b] and not reached[b] for b in range(180, 300))
     assert got_conv[:50].all() and not got_conv[50:60].any()
     assert 0 < got_conv[60:].sum() < 240
 

@@ -101,15 +101,18 @@ def _count_calls(monkeypatch, module, name, counts):
 
 def test_sweep_runs_the_iterative_stage_once_per_frame(mini_cfg, monkeypatch):
     # R ratios x T trials x |Ka| user counts: T |Ka| frames, each decoded
-    # once by the iterative stage, and R key stages per frame
-    from secure_ura import receiver
+    # once by the iterative stage and once by the key stage, whose one LDPC
+    # run covers the words of all R splits
+    from secure_ura import LdpcCode, receiver
     calls = {}
     for name in ("iterative_decode", "decode_keys_and_decrypt"):
         _count_calls(monkeypatch, receiver, name, calls)
+    _count_calls(monkeypatch, LdpcCode, "decode", calls)
     ratios, trials, ka_list = [1.0, 3.0, 7.0], 2, [1, 2]
     run_sweep(mini_cfg, ka_list, ratios, trials)
-    assert calls == {"iterative_decode": trials * len(ka_list),
-                     "decode_keys_and_decrypt": trials * len(ka_list) * len(ratios)}
+    frames = trials * len(ka_list)
+    assert calls == {"iterative_decode": frames, "decode_keys_and_decrypt": frames,
+                     "decode": frames}
 
 
 def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
@@ -120,21 +123,21 @@ def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
         run_trial(cfgs, 3, params)
     # a key stage that fails at the second split fails the frame's trial
     from secure_ura import receiver
-    decode_keys = receiver.decode_keys_and_decrypt
+    llr_parity = receiver.llr_parity
     seen = []
 
-    def failing(C_hat, H_hat, y_k, c, p):
-        seen.append(c)
+    def failing(Y_k_clean, H_hat, Pk, sigma2):
+        seen.append(Pk)
         if len(seen) == 2:
             raise FloatingPointError("non-positive MMSE error term")
-        return decode_keys(C_hat, H_hat, y_k, c, p)
+        return llr_parity(Y_k_clean, H_hat, Pk, sigma2)
 
-    monkeypatch.setattr(receiver, "decode_keys_and_decrypt", failing)
+    monkeypatch.setattr(receiver, "llr_parity", failing)
     cfg = make_mini_cfg()
     cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
     with pytest.raises(TrialError, match=r"^trial 1: receiver: non-positive MMSE"):
         run_trial(cfgs, 1, generate_public_params(cfg))
-    assert seen == cfgs
+    assert seen == [c.Pk for c in cfgs]
 
 
 def test_run_trial_rejects_configs_that_differ_beyond_the_split(mini_cfg, mini_params):

@@ -15,13 +15,14 @@ from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
                         feedback_observation, generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
                         mmse_polar_llr, omp_detect, omp_noise_floor, run_trial,
-                        standardize, transmit, uplink)
+                        split_power_budget, standardize, transmit, uplink)
 from secure_ura import receiver
 from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import decode_one, make_mini_cfg, transmit_frame, uplink_frame
+from helpers import (decode_keys_one, decode_one, make_mini_cfg, transmit_frame,
+                     uplink_frame)
 
 
 def _cn(rng, shape):
@@ -591,7 +592,7 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     C_hat = gen.integers(0, 2, (1, mini_cfg.B), dtype=np.uint8)
     wrong = gen.integers(0, 2, mini_cfg.key_parity_len)
     y_k = np.outer(h, (1 - 2 * wrong) * np.sqrt(mini_cfg.Pk))
-    S_hat, W_hat, converged, valid = decode_keys_and_decrypt(
+    S_hat, W_hat, converged, valid = decode_keys_one(
         C_hat, h[:, None], y_k, mini_cfg, mini_params)
     assert valid[0]                          # best-effort decryption
     assert W_hat.shape == (1, mini_cfg.B)
@@ -599,16 +600,18 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     assert not converged[0]
 
 
-def _degenerate_pair(cfg, params, rng):
+def _degenerate_pair(cfgs, params, rng):
     """Two decoded rows: a real user, and a zero channel estimate.
 
     A zero estimate gives a constant feedback estimate, so the second row
-    is degenerate.  Returns (C_hat, H_hat, y_k, w, S).
+    is degenerate.  Returns (C_hat, H_hat, y_k, w, S), with y_k the list of
+    the key segments received at the splits of cfgs.
     """
+    cfg = cfgs[0]
     h = _cn(rng, (cfg.M, 1))
     w = rng.integers(0, 2, cfg.B, dtype=np.uint8)
-    X, X_k, C, S = transmit(w[None], h.T @ params.V, [cfg], params)
-    _, (y_k,) = uplink(X, X_k, h, 1e-12, stream(2, "t"))
+    X, X_k, C, S = transmit(w[None], h.T @ params.V, cfgs, params)
+    _, y_k = uplink(X, X_k, h, 1e-12, stream(2, "t"))
     C_hat = np.stack([C[0], rng.integers(0, 2, cfg.B, dtype=np.uint8)])
     H_hat = np.concatenate([h, np.zeros((cfg.M, 1), dtype=complex)], axis=1)
     return C_hat, H_hat, y_k, w, S
@@ -616,13 +619,31 @@ def _degenerate_pair(cfg, params, rng):
 
 def test_decode_keys_skips_degenerate_user(mini_cfg, mini_params, rng):
     # the degenerate user gets no key, and the other user is still decrypted
-    C_hat, H_hat, y_k, w, S = _degenerate_pair(mini_cfg, mini_params, rng)
-    S_hat, W_hat, converged, valid = decode_keys_and_decrypt(
+    C_hat, H_hat, (y_k,), w, S = _degenerate_pair([mini_cfg], mini_params, rng)
+    S_hat, W_hat, converged, valid = decode_keys_one(
         C_hat, H_hat, y_k, mini_cfg, mini_params)
     assert valid.tolist() == [True, False]
     assert converged.tolist() == [True, False]
     assert np.array_equal(S_hat[0], S[0])
     assert np.array_equal(W_hat[0], w)
+
+
+def test_key_stage_at_several_splits_equals_one_split_each(mini_cfg, mini_params, rng):
+    # the key stage stacks every split's words into one LDPC decode; each
+    # split still gets what a call at that split alone gives.  Ratio 0 sends
+    # no mask, ratio inf no parity power (all-zero parity LLRs), and the
+    # degenerate row has exact-zero systematic LLRs
+    cfgs = [replace(mini_cfg, Pa=pa, Pk=pk) for pa, pk in (
+        split_power_budget(mini_cfg.key_budget, r) for r in (0.0, 1.0, 7.0, float("inf")))]
+    C_hat, H_hat, y_k, _, _ = _degenerate_pair(cfgs, mini_params, rng)
+    for C, H in ((C_hat, H_hat), (C_hat[:0], H_hat[:, :0])):
+        got = decode_keys_and_decrypt(C, H, y_k, cfgs, mini_params)
+        assert len(got) == len(cfgs)
+        for rows, b, c in zip(got, y_k, cfgs):
+            want = decode_keys_one(C, H, b, c, mini_params)
+            assert rows[3].tolist() == [True, False][:len(C)]
+            for g, w in zip(rows, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 # ---- the per-user receiver the array receiver replaced ---------------------------
@@ -878,8 +899,8 @@ def test_user_dropped_by_ls_fallback_is_decoded_again(monkeypatch):
 
 
 def test_degenerate_pair_matches_per_user_reference(mini_cfg, mini_params, rng):
-    C_hat, H_hat, y_k, _, _ = _degenerate_pair(mini_cfg, mini_params, rng)
-    got = decode_keys_and_decrypt(C_hat, H_hat, y_k, mini_cfg, mini_params)
+    C_hat, H_hat, (y_k,), _, _ = _degenerate_pair([mini_cfg], mini_params, rng)
+    got = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
     frame = _ReceivedFrame(y_p=None, y_d=None, y_k=y_k)
     users = [_DetectedUser(pilot_index=-1, c_hat=c) for c in C_hat]
     users = _decode_keys_and_decrypt_reference(users, H_hat, frame, mini_cfg, mini_params)
@@ -906,7 +927,7 @@ def test_degenerate_row_is_never_converged(mini_cfg, mini_params, rng, monkeypat
     decode = code.decode
     monkeypatch.setattr(code, "decode", lambda self, llr, iters:
                         (decode(self, llr, iters)[0], np.ones(len(llr), dtype=bool)))
-    C_hat, H_hat, y_k, _, _ = _degenerate_pair(mini_cfg, mini_params, rng)
-    _, _, converged, valid = decode_keys_and_decrypt(C_hat, H_hat, y_k, mini_cfg, mini_params)
+    C_hat, H_hat, (y_k,), _, _ = _degenerate_pair([mini_cfg], mini_params, rng)
+    _, _, converged, valid = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
     assert valid.tolist() == [True, False]
     assert converged.tolist() == [True, False]
