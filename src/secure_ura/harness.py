@@ -15,8 +15,15 @@ across user counts at a fixed power split.
 No draw depends on the Pa/Pk split, which changes only the key segment.  So
 a trial simulates one frame for all the splits of a sweep's Ka: one
 transmit, uplink and iterative receiver stage, a key segment per split, and
-one key stage whose LDPC decode covers every split's words (`run_trial`).
-`run_point` is the one-split case.
+one key stage whose LDPC decode covers every split's words.  `run_point` is
+the one-split case.
+
+Nor does any draw depend on which trials are simulated together, so one
+`run_trial` call simulates a batch of trials: each frame is sent alone, and
+the receiver decodes the batch at once, with one polar decode per pass and
+one LDPC decode for every frame's words (`decode_frame`).  A batch holds
+about FRAME_BATCH_USERS users' frames; the decoders' cost is mostly per
+call when frames carry few users, and batching changes no output.
 """
 
 import csv
@@ -35,6 +42,8 @@ from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
 
 LEAKAGE_CSV_HEADER = ["ratio", "pa", "pk", "zeta_lower_mean"]
+#: a run_trial batch holds max(1, FRAME_BATCH_USERS // Ka) frames
+FRAME_BATCH_USERS = 4
 
 
 class TrialError(RuntimeError):
@@ -74,17 +83,9 @@ def first_user_zetas(cfgs: list[SystemConfig], trial_id: int,
     return [leakage_report(g, params.C2, c.Pk, c.Pa, c.sigma_e2, c.S) for c in cfgs]
 
 
-def run_trial(cfgs: list[SystemConfig], trial_id: int,
-              params: PublicParams) -> list[TrialReport]:
-    """Simulate one complete frame: feedback, uplink, receiver, leakage.
-
-    cfgs holds one config per Pa/Pk split, equal but for Pa and Pk; only
-    the key segment is built per split (see the module docstring).
-    Returns one TrialReport per split.
-    """
+def _send_frame(cfgs: list[SystemConfig], trial_id: int, params: PublicParams):
+    """A trial's messages and its received frame: (messages, y, y_k)."""
     cfg = cfgs[0]
-    if any(replace(c, Pa=cfg.Pa, Pk=cfg.Pk) != cfg for c in cfgs):
-        raise ValueError("run_trial: the configs must differ only in Pa and Pk")
     stage = "transmit"
     try:
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
@@ -95,22 +96,66 @@ def run_trial(cfgs: list[SystemConfig], trial_id: int,
 
         stage = "uplink"
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
+    except Exception as exc:
+        raise TrialError(f"trial {trial_id}: {stage}: {exc}") from exc
+    return messages, y, y_k
 
-        stage = "receiver"
+
+def _run_frames(cfgs: list[SystemConfig], trial_ids: list[int],
+                params: PublicParams) -> list[list[TrialReport]]:
+    """run_trial's batch; a receiver failure names every trial of the batch."""
+    cfg = cfgs[0]
+    sent = [_send_frame(cfgs, t, params) for t in trial_ids]
+    try:
+        decoded = decode_frame([y for _, y, _ in sent], [y_k for _, _, y_k in sent],
+                               cfgs, params)
+    except Exception as exc:
+        raise TrialError(f"trial {', '.join(map(str, trial_ids))}: receiver: {exc}") from exc
+
+    reports = []
+    for trial_id, (messages, _, _), splits in zip(trial_ids, sent, decoded):
         n_errs = []
-        for C_hat, _, W_hat, _, valid in decode_frame(y, y_k, cfgs, params):
+        for C_hat, _, W_hat, _, valid in splits:
             recovered = {w.tobytes() for w in W_hat[valid]}
             n_errs.append(sum(1 for u in range(cfg.Ka)
                               if messages[u].tobytes() not in recovered))
+        try:
+            zetas = first_user_zetas(cfgs, trial_id, params)
+        except Exception as exc:
+            raise TrialError(f"trial {trial_id}: leakage: {exc}") from exc
+        reports.append([TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
+                                    pupe=n_err / cfg.Ka, zeta_lower=zeta)
+                        for n_err, zeta in zip(n_errs, zetas)])
+    return reports
 
-        stage = "leakage"
-        zetas = first_user_zetas(cfgs, trial_id, params)
-    except Exception as exc:
-        raise TrialError(f"trial {trial_id}: {stage}: {exc}") from exc
 
-    return [TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
-                        pupe=n_err / cfg.Ka, zeta_lower=zeta)
-            for n_err, zeta in zip(n_errs, zetas)]
+def run_trial(cfgs: list[SystemConfig], trial_ids: list[int],
+              params: PublicParams) -> list[list[TrialReport]]:
+    """Simulate a batch of complete frames, one per trial id: feedback,
+    uplink, receiver, leakage.
+
+    cfgs holds one config per Pa/Pk split, equal but for Pa and Pk; only
+    the key segment is built per split.  Each frame is sent alone and the
+    receiver decodes the batch at once (see the module docstring).  Returns
+    per trial one TrialReport per split, each the one the trial gives alone.
+
+    A failing trial raises TrialError naming the trial and the stage.  When
+    a batch fails, its frames are run again one at a time: every draw is
+    keyed by its trial, so the rerun is exact, and the first trial that
+    fails alone is named, as in a run of one trial at a time.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, Pa=cfg.Pa, Pk=cfg.Pk) != cfg for c in cfgs):
+        raise ValueError("run_trial: the configs must differ only in Pa and Pk")
+    try:
+        return _run_frames(cfgs, trial_ids, params)
+    except TrialError as exc:
+        if len(trial_ids) == 1:
+            raise
+        batch_error = exc
+    for t in trial_ids:
+        _run_frames(cfgs, [t], params)
+    raise batch_error
 
 
 def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
@@ -130,8 +175,12 @@ def config_ratio(cfg: SystemConfig) -> float:
 
 
 def _run_splits(cfgs: list[SystemConfig], ratios, params: PublicParams) -> list[SweepResult]:
-    """Run cfgs[0].trials frames, each at every split of cfgs; aggregate per split."""
-    reports = [run_trial(cfgs, t, params) for t in range(cfgs[0].trials)]
+    """Run cfgs[0].trials frames, each at every split of cfgs, in batches of
+    max(1, FRAME_BATCH_USERS // Ka) frames; aggregate per split."""
+    trials = range(cfgs[0].trials)
+    batch = max(1, FRAME_BATCH_USERS // cfgs[0].Ka)
+    reports = [r for i in range(0, len(trials), batch)
+               for r in run_trial(cfgs, list(trials[i:i + batch]), params)]
     results = []
     for i, (cfg, ratio) in enumerate(zip(cfgs, ratios)):
         pupes = np.array([r[i].pupe for r in reports])
@@ -310,7 +359,7 @@ def _check_end_to_end(cfg: SystemConfig, params: None) -> None:
     # their memory; a short pilot (enough for one noiseless user) keeps it small
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
-    [report] = run_trial([mini], 0, generate_public_params(mini))
+    [[report]] = run_trial([mini], [0], generate_public_params(mini))
     _require(report.pupe == 0.0,
              f"noiseless single-user trial has PUPE {report.pupe:g}, expected 0")
 

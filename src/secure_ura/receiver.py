@@ -3,23 +3,25 @@
 The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
 decoding, and least-squares channel re-estimation with successive
-interference cancellation over the pilot+polar segments.  The frame's
-correlation with the pilot codebook is formed once; a later pass updates it
-by the decoded users' pilot rows instead of correlating its residual anew
-(see iterative_decode).  The key stage
+interference cancellation over the pilot+polar segments.  A frame keeps
+only the atom energies of its first correlation with the pilot codebook; a
+later pass confirms from them, with a small codebook product, whether any
+atom is left above the noise floor before it correlates its residual (see
+iterative_decode).  The key stage
 forms every decoded user's feedback estimate from its channel estimate,
 derives the features and artificial noise from it with the user's own key
 code (`keys`), cancels the noise from the key segment, assembles systematic
 and parity LLRs, and reconciles the key through the LDPC decoder.
 
-The receiver reads the uplink block as it arrives and returns its decoded
-users as aligned arrays, one row per CRC-passing user in decoding order:
-ciphertexts, keys, decrypted messages and per-user flags.  It never reads
-the active-user count cfg.Ka (see omp_detect).  A frame sent at several
-Pa/Pk splits differs only in its key segment, so decode_frame runs the
-iterative stage once and the key stage once: only the mask cancellation
-and the parity LLRs are formed per split, and one LDPC decode reconciles
-every split's keys.
+The receiver reads the uplink blocks as they arrive and returns each
+frame's decoded users as aligned arrays, one row per CRC-passing user in
+decoding order: ciphertexts, keys, decrypted messages and per-user flags.
+It never reads the active-user count cfg.Ka (see omp_detect).  It decodes
+a batch of independent frames in lockstep: pilot detection, MMSE and SIC
+run per frame, but one polar decode per pass and one LDPC decode cover
+every frame's words, which the decoders treat independently.  A frame
+sent at several Pa/Pk splits differs only in its key segment, so only the
+mask cancellation and the parity LLRs are formed per split.
 """
 
 import math
@@ -93,14 +95,50 @@ def codebook_correlation(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
     return gamma.T
 
 
+def atom_energies(gamma: np.ndarray) -> np.ndarray:
+    """(2^Bp,) energies ||gamma_j||^2 of the atoms' correlations.
+
+    Taken 256 atoms at a time, as params.row_norms: each atom is reduced
+    alone either way, and no codebook-sized temporary is formed.
+    """
+    energy = np.empty(gamma.shape[1])
+    for i in range(0, len(energy), 256):
+        g = gamma[:, i:i + 256]
+        energy[i:i + 256] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
+    return energy
+
+
+def residual_energies(energy0: np.ndarray, Y: np.ndarray, X: np.ndarray,
+                      H: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(2^Bp,) atom energies of the residual Y - H X, from those of Y.
+
+    energy0 holds atom_energies of Y's correlation gamma0.  The residual's
+    correlation with atom p_j is gamma0_j - H x_j, where x_j = X p_j^H, so
+    its energy is
+        ||gamma0_j||^2 - 2 Re <H^H gamma0_j, x_j> + x_j^H (H^H H) x_j,
+    and H^H gamma0_j = (H^H Y) p_j^H: both k-vectors come from one
+    codebook product of 2k rows, which costs less than the M-row product of
+    the residual when 2k < M.
+    """
+    k = H.shape[1]
+    Hh = H.conj().T
+    corr = codebook_correlation(np.concatenate([Hh @ Y, X]), P)   # (2k, 2^Bp)
+    hg, x = corr[:k], corr[k:]
+    cross = np.einsum("ij,ij->j", hg.conj(), x).real
+    quad = np.einsum("ij,ij->j", x.conj(), (Hh @ H) @ x).real
+    return energy0 - 2.0 * cross + quad
+
+
 def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
-               gamma: np.ndarray) -> list[tuple[int, np.ndarray]]:
+               gamma: np.ndarray, energy: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
     gamma is the (M, 2^Bp) correlation of Y with every atom, as
-    codebook_correlation(Y, P) forms it; the caller may have it already.
-    Selects the atom with the largest residual correlation energy across
-    antennas (all codebook rows have energy np * Pp) and keeps the residual
+    codebook_correlation(Y, P) forms it, and energy its atom energies, as
+    atom_energies(gamma) gives them; the caller has both already, and
+    energy is left as it was handed over.  Selects the atom with the
+    largest residual correlation energy across antennas (all codebook rows
+    have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
     least-squares re-fit per step).  It stops when the best atom's energy is
     at most noise_floor (see omp_noise_floor), needing no sparsity level,
@@ -117,12 +155,7 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
     picked.
     """
     M, n_obs = Y.shape
-    # 256 atoms at a time, as params.row_norms: each atom is reduced alone
-    # either way, and no codebook-sized temporary is formed
-    energy = np.empty(P.shape[0])
-    for i in range(0, len(energy), 256):
-        g = gamma[:, i:i + 256]
-        energy[i:i + 256] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
+    energy = energy.copy()
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
     selected = np.empty(n_obs, dtype=np.intp)
@@ -242,134 +275,183 @@ def llr_systematic(u_hat: np.ndarray, var_y_hat, sigma_uj2: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def iterative_decode(y_bs: np.ndarray, cfg: SystemConfig,
-                     params: PublicParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _FrameState:
+    """One frame's progress through iterative_decode."""
+
+    def __init__(self, y_bs: np.ndarray, cfg: SystemConfig):
+        self.Y_pp = y_bs[:, :cfg.np + cfg.nc]
+        self.residual = self.Y_pp
+        self.C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
+        self.X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
+        self.H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
+        self.energy0 = None              # atom energies of the first correlation
+
+    def detect(self, cfg: SystemConfig, params: PublicParams,
+               floor: float) -> list[tuple[int, np.ndarray]]:
+        """This pass's OMP detections; the correlation it forms dies here."""
+        Y_p = self.residual[:, :cfg.np]
+        k = len(self.C_hat)
+        if k and 2 * k < cfg.M and residual_energies(
+                self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np],
+                self.H_hat, params.P).max() <= floor:
+            return []                        # OMP would stop before its first pick
+        gamma = codebook_correlation(Y_p, params.P)
+        energy = atom_energies(gamma)
+        if not k:                            # the first pass: its energies are kept
+            self.energy0 = energy
+        return omp_detect(Y_p, params.P, floor, gamma, energy)
+
+
+def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicParams
+                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Iterate pilot detection, polar decoding and SIC until nothing new decodes.
 
-    Only the first np + nc columns of y_bs, the pilot and polar segments,
-    are read; the user count is never read.  Returns (C_hat, H_hat,
+    ys holds a batch of uplink blocks, one per frame; only the first
+    np + nc columns of each, the pilot and polar segments, are read, and
+    the user count is never read.  Returns per frame (C_hat, H_hat,
     residual): the (k, B) ciphertexts of the CRC-passing users in decoding
     order, their final least-squares channel estimates (M, k), and the
     residual pilot+polar observation.
 
-    The pilot segment Y_p is correlated with the codebook once, as gamma0.
-    After a pass the residual's pilot part is Y_p - H_hat X_p, with X_p the
-    decoded users' pilot rows, so a later pass starts OMP from
-    gamma0 - H_hat (X_p P^H): k codebook rows instead of M.  It correlates
-    its residual directly instead when that costs less, k (np + M) >= M np,
-    or when the first OMP call picked OMP_FLUSH_EVERY atoms or more and so
-    wrote into gamma0.
+    The frames run in lockstep: in each pass, OMP and MMSE run per frame,
+    one polar decode covers every frame's LLR rows, and LS/SIC runs per
+    frame; a frame leaves when it has nothing new.  Each frame's outputs
+    are those it gives alone.
+
+    A frame's pilot segment Y_p is correlated with the codebook once, in
+    its first pass, and only the atom energies of that correlation are
+    kept.  After a pass the residual's pilot part is Y_p - H_hat X_p, with
+    X_p the decoded users' pilot rows, so while 2k < M a later pass first
+    confirms from those energies that some atom is left above the noise
+    floor (residual_energies, a 2k-row codebook product); if none is, OMP
+    would pick nothing and the frame is done.  Otherwise the pass
+    correlates its residual directly.  No correlation outlives its OMP call.
     """
-    Y_pp = y_bs[:, :cfg.np + cfg.nc]
-    residual = Y_pp.copy()
-
-    C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
-    X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
-    H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
-    gamma0 = None                                # the frame's codebook correlation
-
+    frames = [_FrameState(y_bs, cfg) for y_bs in ys]
+    live = frames
     for _ in range(cfg.max_outer_iters):
-        k = len(C_hat)
-        if not k:                                # first pass: OMP is handed gamma0
-            gamma = gamma0 = codebook_correlation(residual[:, :cfg.np], params.P)
-        elif gamma0 is not None and k * (cfg.np + cfg.M) < cfg.M * cfg.np:
-            # gamma0 - H_hat (X_p P^H), in one fresh buffer laid out as gamma0
-            gamma = codebook_correlation(X[:, :cfg.np], params.P).T @ H_hat.T
-            np.subtract(gamma0.T, gamma, out=gamma)
-            gamma = gamma.T
-        else:
-            gamma = codebook_correlation(residual[:, :cfg.np], params.P)
-        detections = omp_detect(residual[:, :cfg.np], params.P, floor, gamma)
-        if gamma is gamma0 and len(detections) >= OMP_FLUSH_EVERY:
-            gamma0 = None                        # OMP has flushed updates into it
-        del gamma                                # no other correlation outlives OMP
-        if not detections:
+        found = []                           # (frame, pilots, LLRs) of the frames with picks
+        for f in live:
+            detections = f.detect(cfg, params, floor)
+            if detections:
+                Hd = np.stack([h for _, h in detections], axis=1)
+                found.append((f, np.array([j for j, _ in detections]),
+                              mmse_polar_llr(f.residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)))
+        if not found:
             break
-        pilots = np.array([j for j, _ in detections])
-        Hd = np.stack([h for _, h in detections], axis=1)
-        llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
-        payloads, ok = params.polar.decode(llrs, cfg.list_size)
-        C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)
-        known = {c.tobytes() for c in C_hat}    # a user the LS fallback dropped may return
-        new = []
-        for i in np.flatnonzero(ok):
-            tag = C_pass[i].tobytes()
-            if tag not in known:
-                known.add(tag)
-                new.append(i)
-        if not new:
-            break
-        C_hat = np.concatenate([C_hat, C_pass[new]])
-        X = np.concatenate([X, pilot_polar_rows(C_pass[new], cfg, params)])
+        payloads, ok = params.polar.decode(np.concatenate([llrs for *_, llrs in found]),
+                                           cfg.list_size)
+        live, start = [], 0
+        for f, pilots, _ in found:
+            rows = slice(start, start + len(pilots))
+            start = rows.stop
+            C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads[rows]], axis=1)
+            known = {c.tobytes() for c in f.C_hat}   # a user the LS fallback dropped may return
+            new = []
+            for i in np.flatnonzero(ok[rows]):
+                tag = C_pass[i].tobytes()
+                if tag not in known:
+                    known.add(tag)
+                    new.append(i)
+            if not new:
+                continue
+            C_hat = np.concatenate([f.C_hat, C_pass[new]])
+            X = np.concatenate([f.X, pilot_polar_rows(C_pass[new], cfg, params)])
 
-        # least-squares re-estimation over the whole decoded set, then SIC;
-        # a singular Gram matrix drops the newest user
-        while len(C_hat):
-            G = X @ X.conj().T
-            try:
-                H_hat = np.linalg.solve(G.T, (Y_pp @ X.conj().T).T).T
-                break
-            except np.linalg.LinAlgError:
-                C_hat, X = C_hat[:-1], X[:-1]
-        if not len(C_hat):
-            break
-        residual = Y_pp - H_hat @ X
+            # least-squares re-estimation over the whole decoded set, then
+            # SIC; a singular Gram matrix drops the newest user
+            while len(C_hat):
+                G = X @ X.conj().T
+                try:
+                    f.H_hat = np.linalg.solve(G.T, (f.Y_pp @ X.conj().T).T).T
+                    break
+                except np.linalg.LinAlgError:
+                    C_hat, X = C_hat[:-1], X[:-1]
+            f.C_hat, f.X = C_hat, X
+            if len(C_hat):
+                f.residual = f.Y_pp - f.H_hat @ X
+                live.append(f)
 
     # an emptied set keeps no stale estimate
-    return C_hat, H_hat[:, :len(C_hat)], residual
+    return [(f.C_hat, f.H_hat[:, :len(f.C_hat)], f.residual) for f in frames]
 
 
-def decode_keys_and_decrypt(C_hat: np.ndarray, H_hat: np.ndarray, y_k: list[np.ndarray],
-                            cfgs: list[SystemConfig], params: PublicParams
-                            ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Recover every decoded user's key and decrypt its ciphertext, at each split.
+def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
+                            y_ks: list[list[np.ndarray]], cfgs: list[SystemConfig],
+                            params: PublicParams) -> list[list[tuple[np.ndarray, ...]]]:
+    """Recover every decoded user's key and decrypt its ciphertext, per frame
+    of a batch and per split.
 
-    By reciprocity, row i of H_hat^T V estimates user i's feedback vector;
-    the key code of `keys` turns the (k, L) block into features and masks.
-    It is called on the whole block, since row-by-row products round
-    differently.  y_k[i] is the key segment received at cfgs[i]'s split;
-    the configs are equal but for Pa and Pk.  The feedback estimate, the
-    systematic LLRs and the mask projection Y_bar C2 are formed once; each
-    split scales the projection by its own sqrt(Pa) to cancel its mask and
-    forms its parity LLRs.  One LDPC decode covers every split's words,
-    which decode independently of each other.
+    C_hats[f] and H_hats[f] are frame f's decoded ciphertexts and channel
+    estimates, and y_ks[f][i] its key segment received at cfgs[i]'s split;
+    the configs are equal but for Pa and Pk.  By reciprocity, row i of
+    H_hat^T V estimates user i's feedback vector; the key code of `keys`
+    turns the (k, L) block into features and masks.  It is called on each
+    frame's whole block, since row-by-row products round differently.  A
+    frame's feedback estimate, systematic LLRs and mask projection Y_bar C2
+    are formed once; each split scales the projection by its own sqrt(Pa)
+    to cancel its mask and forms its parity LLRs.  One LDPC decode covers
+    every frame's and every split's words, which decode independently of
+    each other.
 
-    Returns one (S_hat, W_hat, converged, valid) tuple per split, one row
-    per row of C_hat.  valid[i] is False where user i's estimate is
-    degenerate: its mask is not cancelled, its S_hat and W_hat rows mean
-    nothing, and converged[i] is False.  valid is the same array in each.
+    Returns per frame one (S_hat, W_hat, converged, valid) tuple per split,
+    one row per row of C_hats[f].  valid[i] is False where user i's
+    estimate is degenerate: its mask is not cancelled, its S_hat and W_hat
+    rows mean nothing, and converged[i] is False.  valid is the same array
+    at each split.
     """
     cfg = cfgs[0]
-    Y_bar, var, valid = standardize(H_hat.T @ params.V)
-    U_hat, _ = extract_key(Y_bar, params.C1)
-    f_sys = llr_systematic(U_hat, var, feature_noise_variances(cfg, params))
-    # the mask is artificial_noise, sqrt(Pa) times this projection
-    projection = Y_bar[valid] @ params.C2
-    f_parity = [llr_parity(b - H_hat[:, valid] @ (np.sqrt(c.Pa) * projection),
-                           H_hat, c.Pk, c.sigma_c2) for b, c in zip(y_k, cfgs)]
-    f_key = np.concatenate([np.concatenate([f_sys, f], axis=1) for f in f_parity])
+    sigma_uj2 = feature_noise_variances(cfg, params)
+    blocks, valids = [], []
+    for H_hat, y_k in zip(H_hats, y_ks, strict=True):
+        Y_bar, var, valid = standardize(H_hat.T @ params.V)
+        U_hat, _ = extract_key(Y_bar, params.C1)
+        f_sys = llr_systematic(U_hat, var, sigma_uj2)
+        # the mask is artificial_noise, sqrt(Pa) times this projection
+        projection = Y_bar[valid] @ params.C2
+        for b, c in zip(y_k, cfgs, strict=True):
+            f_parity = llr_parity(b - H_hat[:, valid] @ (np.sqrt(c.Pa) * projection),
+                                  H_hat, c.Pk, c.sigma_c2)
+            blocks.append(np.concatenate([f_sys, f_parity], axis=1))
+        valids.append(valid)
 
-    S_hat, converged = params.ldpc.decode(f_key, cfg.bp_iters)
-    return [(S, decrypt(C_hat, expand_key(S, params.T)), conv & valid, valid)
-            for S, conv in zip(np.split(S_hat, len(cfgs)), np.split(converged, len(cfgs)))]
+    S_hat, converged = params.ldpc.decode(np.concatenate(blocks), cfg.bp_iters)
+    out, start = [], 0
+    for C_hat, valid in zip(C_hats, valids, strict=True):
+        splits = []
+        for _ in cfgs:
+            rows = slice(start, start + len(C_hat))
+            start = rows.stop
+            splits.append((S_hat[rows], decrypt(C_hat, expand_key(S_hat[rows], params.T)),
+                           converged[rows] & valid, valid))
+        out.append(splits)
+    return out
 
 
-def decode_frame(y: np.ndarray, y_k: list[np.ndarray], cfgs: list[SystemConfig],
-                 params: PublicParams) -> list[tuple[np.ndarray, ...]]:
-    """Run the complete receiver on one frame sent at one or more power splits.
+def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
+                 cfgs: list[SystemConfig], params: PublicParams
+                 ) -> list[list[tuple[np.ndarray, ...]]]:
+    """Run the complete receiver on a batch of frames, each sent at one or
+    more power splits.
 
-    y is the (M, np + nc) pilot+polar block, the same at every split, and
-    y_k[i] the (M, ns - S) key segment at cfgs[i]'s split; the configs are
-    equal but for Pa and Pk.  The iterative stage and the key stage each run
-    once, the key stage over every split's key segment.  Returns one
-    (C_hat, S_hat, W_hat, converged, valid) tuple per split, aligned row by
-    row; C_hat and valid are the same arrays in each.
+    ys[f] is frame f's (M, np + nc) pilot+polar block, the same at every
+    split, and y_ks[f][i] its (M, ns - S) key segment at cfgs[i]'s split;
+    the configs are equal but for Pa and Pk.  The iterative stage and the
+    key stage each run once for the batch, the key stage over every split's
+    key segment.  Returns per frame one (C_hat, S_hat, W_hat, converged,
+    valid) tuple per split, aligned row by row; C_hat and valid are the
+    same arrays at each split.  Each frame's outputs are those it gives
+    when decoded alone.
     """
     cfg = cfgs[0]
-    widths = [y.shape[1]] + [b.shape[1] for b in y_k]
     expected = [cfg.np + cfg.nc] + [cfg.key_parity_len] * len(cfgs)
-    if widths != expected:
-        raise ValueError(f"frame segments have {widths} columns, expected {expected}")
-    C_hat, H_hat, _ = iterative_decode(y, cfg, params)
-    return [(C_hat, *keys) for keys in decode_keys_and_decrypt(C_hat, H_hat, y_k, cfgs, params)]
+    for y, y_k in zip(ys, y_ks, strict=True):
+        widths = [y.shape[1]] + [b.shape[1] for b in y_k]
+        if widths != expected:
+            raise ValueError(f"frame segments have {widths} columns, expected {expected}")
+    decoded = iterative_decode(ys, cfg, params)
+    C_hats = [C_hat for C_hat, _, _ in decoded]
+    keys = decode_keys_and_decrypt(C_hats, [H_hat for _, H_hat, _ in decoded],
+                                   y_ks, cfgs, params)
+    return [[(C_hat, *split) for split in splits] for C_hat, splits in zip(C_hats, keys)]

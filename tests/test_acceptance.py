@@ -72,7 +72,7 @@ def test_criterion_3_noiseless_end_to_end_identity():
         X, X_k, _, S = transmit(w, Y, [cfg], params)
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2,
                         stream(cfg.seed, "bs-noise", trial))
-        [(_, S_hat, W_hat, _, valid)] = decode_frame(y, y_k, [cfg], params)
+        [[(_, S_hat, W_hat, _, valid)]] = decode_frame([y], [y_k], [cfg], params)
         # PUPE = 0: the user's exact message is recovered (occasional CRC
         # false alarms add spurious entries but cost no message errors)
         hits = valid & (W_hat == w[0]).all(axis=1)

@@ -316,3 +316,27 @@ def test_decode_matches_eager_reference_when_list_exceeds_words():
         got, got_ok = code.decode(llr, list_size)
         want, want_ok = _decode_reference(code, llr, list_size)
         assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
+
+
+@pytest.mark.parametrize("list_size", [1, 3, 8])
+def test_batch_decodes_as_each_word_alone(list_size, small_code, big_code):
+    # the receiver decodes the words of several frames in one call, so each
+    # row of a batch must be decoded exactly as that word alone: noisy
+    # words, an all-zero (fully erased) word, and noiseless words whose
+    # +-60 LLRs are clamped to +-40
+    rng = np.random.default_rng(6000 + list_size)
+    for code in (small_code, big_code):
+        noisy = [_reference_llrs(code, rng, 12, snr) for snr in (0.3, 0.6, 1.0)]
+        pay = rng.integers(0, 2, (3, code.payload_bits), dtype=np.uint8)
+        clean = np.where(code.encode(pay) == 0, 60.0, -60.0)
+        llr = np.concatenate(noisy + [np.zeros((1, code.N)), clean])
+        llr = llr[rng.permutation(len(llr))]
+        got, got_ok = code.decode(llr, list_size)
+        alone = [code.decode(row, list_size) for row in llr]
+        assert np.array_equal(got, np.concatenate([p for p, _ in alone]))
+        assert np.array_equal(got_ok, np.concatenate([ok for _, ok in alone]))
+        # the noiseless words decode to their payloads, and the batch mixes
+        # passing and failing words
+        for p in pay:
+            assert any(np.array_equal(p, g) for g in got[got_ok])
+        assert 0 < got_ok.sum() < len(llr)

@@ -20,20 +20,23 @@ def _trial_key(report):
 
 
 def test_trial_deterministic(mini_cfg, mini_params):
-    [a] = run_trial([mini_cfg], 4, mini_params)
-    [b] = run_trial([mini_cfg], 4, mini_params)
+    [[a]] = run_trial([mini_cfg], [4], mini_params)
+    [[b]] = run_trial([mini_cfg], [4], mini_params)
     assert _trial_key(a) == _trial_key(b)
 
 
 def test_trials_independent_of_execution_order(mini_cfg, mini_params):
-    forward = [_trial_key(run_trial([mini_cfg], t, mini_params)[0]) for t in range(4)]
-    backward = [_trial_key(run_trial([mini_cfg], t, mini_params)[0])
+    forward = [_trial_key(run_trial([mini_cfg], [t], mini_params)[0][0]) for t in range(4)]
+    backward = [_trial_key(run_trial([mini_cfg], [t], mini_params)[0][0])
                 for t in reversed(range(4))]
     assert forward == list(reversed(backward))
+    # and of the batch a trial is simulated in
+    batch = run_trial([mini_cfg], [3, 1, 0, 2], mini_params)
+    assert [_trial_key(r) for [r] in batch] == [forward[t] for t in (3, 1, 0, 2)]
 
 
 def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
-    [report] = run_trial([mini_cfg], 0, mini_params)
+    [[report]] = run_trial([mini_cfg], [0], mini_params)
     assert report.pupe == 0.0
     assert report.n_err == 0
     assert report.n_detected == mini_cfg.Ka
@@ -41,14 +44,14 @@ def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
 
 def test_overwhelming_noise_gives_pupe_one():
     cfg = make_mini_cfg(sigma_c2=1e6, sigma_u2=1.0)
-    [report] = run_trial([cfg], 0, generate_public_params(cfg))
+    [[report]] = run_trial([cfg], [0], generate_public_params(cfg))
     assert report.n_detected == 0
     assert report.pupe == 1.0
 
 
 def test_pupe_bounds(mini_cfg, mini_params):
     for t in range(3):
-        [r] = run_trial([mini_cfg], t, mini_params)
+        [[r]] = run_trial([mini_cfg], [t], mini_params)
         assert 0.0 <= r.pupe <= 1.0 and r.n_err <= mini_cfg.Ka
 
 
@@ -56,7 +59,7 @@ def test_trial_error_annotated_with_id(mini_params):
     cfg = make_mini_cfg(Pf=0.0, sigma_u2=1e-40)  # degenerate feedback signal
     params = generate_public_params(cfg)
     with pytest.raises(TrialError, match="trial 3"):
-        run_trial([cfg], 3, params)
+        run_trial([cfg], [3], params)
 
 
 _SPLIT_RATIOS = [0.0, 1.0, 7.0, float("inf")]
@@ -85,34 +88,47 @@ def test_multi_split_trial_equals_one_trial_per_split():
     params = generate_public_params(cfg)
     cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=pk) for pa, pk in
             (split_power_budget(cfg.key_budget, r) for r in _SPLIT_RATIOS)]
+    alone = [[run_trial([c], [t], params)[0][0] for c in cfgs] for t in range(4)]
     for t in range(4):
-        assert run_trial(cfgs, t, params) == [run_trial([c], t, params)[0] for c in cfgs]
+        assert run_trial(cfgs, [t], params) == [alone[t]]
+    # a batch of frames gives each trial what it gives alone
+    assert run_trial(cfgs, list(range(4)), params) == alone
 
 
-def _count_calls(monkeypatch, module, name, counts):
-    """Replace module.name with a wrapper that counts its calls in counts."""
-    fn = getattr(module, name)
+def _record_calls(monkeypatch, owner, name, calls):
+    """Replace owner.name with a wrapper that appends each call's arguments
+    to calls[name]."""
+    fn = getattr(owner, name)
 
-    def counting(*args):
-        counts[name] = counts.get(name, 0) + 1
+    def recording(*args):
+        calls.setdefault(name, []).append(args)
         return fn(*args)
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(owner, name, recording)
 
 
 def test_sweep_runs_the_iterative_stage_once_per_frame(mini_cfg, monkeypatch):
-    # R ratios x T trials x |Ka| user counts: T |Ka| frames, each decoded
-    # once by the iterative stage and once by the key stage, whose one LDPC
-    # run covers the words of all R splits
-    from secure_ura import LdpcCode, receiver
+    # R ratios x T trials x |Ka| user counts: T |Ka| frames, simulated in
+    # batches of max(1, 4 // Ka) trials.  Each frame is decoded in exactly
+    # one iterative-stage and one key-stage call, and a batch makes one
+    # LDPC run, which covers the words of all its frames and R splits
+    from secure_ura import LdpcCode, harness, receiver
     calls = {}
+    _record_calls(monkeypatch, harness, "run_trial", calls)
     for name in ("iterative_decode", "decode_keys_and_decrypt"):
-        _count_calls(monkeypatch, receiver, name, calls)
-    _count_calls(monkeypatch, LdpcCode, "decode", calls)
-    ratios, trials, ka_list = [1.0, 3.0, 7.0], 2, [1, 2]
+        _record_calls(monkeypatch, receiver, name, calls)
+    _record_calls(monkeypatch, LdpcCode, "decode", calls)
+    ratios, trials, ka_list = [1.0, 3.0, 7.0], 5, [1, 2, 3]
     run_sweep(mini_cfg, ka_list, ratios, trials)
-    frames = trials * len(ka_list)
-    assert calls == {"iterative_decode": frames, "decode_keys_and_decrypt": frames,
-                     "decode": frames}
+
+    batches = [[0, 1, 2, 3], [4], [0, 1], [2, 3], [4], [0], [1], [2], [3], [4]]
+    assert [trial_ids for _, trial_ids, _ in calls["run_trial"]] == batches
+    assert [len(ys) for ys, _, _ in calls["iterative_decode"]] == [len(b) for b in batches]
+    assert [len(C_hats) for C_hats, *_ in calls["decode_keys_and_decrypt"]] == \
+        [len(b) for b in batches]
+    assert len(calls["decode"]) == len(batches)
+    # the LDPC run of a batch decodes R words per user of each of its frames
+    for (_, llr, _), (C_hats, *_) in zip(calls["decode"], calls["decode_keys_and_decrypt"]):
+        assert len(llr) == len(ratios) * sum(len(C) for C in C_hats)
 
 
 def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
@@ -120,7 +136,7 @@ def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
     params = generate_public_params(cfg)
     cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
     with pytest.raises(TrialError, match=r"^trial 3: transmit: user 0: "):
-        run_trial(cfgs, 3, params)
+        run_trial(cfgs, [3], params)
     # a key stage that fails at the second split fails the frame's trial
     from secure_ura import receiver
     llr_parity = receiver.llr_parity
@@ -136,13 +152,51 @@ def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
     cfg = make_mini_cfg()
     cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
     with pytest.raises(TrialError, match=r"^trial 1: receiver: non-positive MMSE"):
-        run_trial(cfgs, 1, generate_public_params(cfg))
+        run_trial(cfgs, [1], generate_public_params(cfg))
     assert seen == [c.Pk for c in cfgs]
+
+
+def test_failure_inside_a_batch_names_its_own_trial(monkeypatch):
+    # the receiver fails on the frame of trial 6, the third of a batch of
+    # four: the batch fails as a whole, and the trials run again one at a
+    # time find trial 6 (trials 4 and 5 decode, trial 7 is not run again)
+    from secure_ura import harness, receiver
+    from secure_ura.rng import complex_normal, stream
+    cfg = make_mini_cfg(Ka=1)
+    params = generate_public_params(cfg)
+    h_bad = complex_normal(stream(cfg.seed, "bs-channel", 6), (cfg.Ka, cfg.M)).T
+    bad = []                                     # trial 6's received blocks
+    uplink, mmse = harness.uplink, receiver.mmse_polar_llr
+
+    def marking(X, X_k, H, sigma2, rng):
+        y, y_k = uplink(X, X_k, H, sigma2, rng)
+        if np.array_equal(H, h_bad):
+            bad.append(y)
+        return y, y_k
+
+    seen = []                                    # the block of each polar-segment MMSE call
+
+    def failing(Y_d, *args):
+        seen.append(Y_d)
+        if any(np.shares_memory(Y_d, y) for y in bad):
+            raise FloatingPointError("non-positive MMSE error term")
+        return mmse(Y_d, *args)
+
+    monkeypatch.setattr(harness, "uplink", marking)
+    monkeypatch.setattr(receiver, "mmse_polar_llr", failing)
+    with pytest.raises(TrialError, match=r"^trial 6: receiver: non-positive MMSE"):
+        run_trial([cfg], [4, 5, 6, 7], params)
+    # one batch pass over trials 4, 5 and 6, then 4, 5 and 6 alone
+    assert len(bad) == 2 and len(seen) == 6
+    # a transmit failure names its trial too
+    cfg = make_mini_cfg(Ka=1, Pf=0.0, sigma_u2=1e-40)
+    with pytest.raises(TrialError, match=r"^trial 2: transmit: user 0: "):
+        run_trial([cfg], [2, 3], generate_public_params(cfg))
 
 
 def test_run_trial_rejects_configs_that_differ_beyond_the_split(mini_cfg, mini_params):
     with pytest.raises(ValueError, match="only in Pa and Pk"):
-        run_trial([mini_cfg, dataclasses.replace(mini_cfg, Ka=1)], 0, mini_params)
+        run_trial([mini_cfg, dataclasses.replace(mini_cfg, Ka=1)], [0], mini_params)
 
 
 def test_split_power_budget():
@@ -196,7 +250,7 @@ def test_zeta_strictly_increasing_in_ratio(mini_cfg):
 def test_aggregate_consistency(mini_cfg, mini_params):
     cfg = dataclasses.replace(mini_cfg, trials=4)
     res = run_point(cfg, mini_params)
-    reports = [run_trial([cfg], t, mini_params)[0] for t in range(4)]
+    reports = [run_trial([cfg], [t], mini_params)[0][0] for t in range(4)]
     pupes = np.array([r.pupe for r in reports])
     assert res.pupe_mean == pytest.approx(pupes.mean())
     assert res.pupe_stderr == pytest.approx(pupes.std(ddof=1) / 2.0)
@@ -288,10 +342,10 @@ def test_selftest_holds_no_caller_params_during_end_to_end(monkeypatch):
             built.append(weakref.ref(params))
         return params
 
-    def checking(cfgs, trial_id, params):
+    def checking(cfgs, trial_ids, params):
         gc.collect()
         live.append(sum(ref() is not None for ref in built))
-        return run_trial(cfgs, trial_id, params)
+        return run_trial(cfgs, trial_ids, params)
 
     monkeypatch.setattr(harness, "generate_public_params", tracking)
     monkeypatch.setattr(harness, "run_trial", checking)

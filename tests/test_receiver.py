@@ -9,12 +9,13 @@ import pytest
 from scipy.special import log_ndtr
 from scipy import stats
 
-from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
+from secure_ura import (SystemConfig, atom_energies, codebook_correlation, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
                         feedback_observation, generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
-                        mmse_polar_llr, omp_detect, omp_noise_floor, run_trial,
+                        mmse_polar_llr, omp_detect, omp_noise_floor,
+                        pilot_polar_rows, residual_energies, run_trial,
                         split_power_budget, standardize, transmit, uplink)
 from secure_ura import receiver
 from secure_ura.modulation import bpsk_map, clamp_llr
@@ -34,6 +35,12 @@ def _floor(cfg):
     return omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
 
 
+def _omp(Y, P, floor):
+    """omp_detect on Y's own codebook correlation and its atom energies."""
+    gamma = codebook_correlation(Y, P)
+    return omp_detect(Y, P, floor, gamma, atom_energies(gamma))
+
+
 # ---- OMP -------------------------------------------------------------------
 
 
@@ -41,15 +48,14 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     idx = 11
     Y = np.outer(h, mini_params.P[idx])
-    det = omp_detect(Y, mini_params.P, _floor(mini_cfg),
-                     codebook_correlation(Y, mini_params.P))
+    det = _omp(Y, mini_params.P, _floor(mini_cfg))
     assert det[0][0] == idx
     assert np.max(np.abs(det[0][1] - h)) < 1e-8
 
 
 def test_omp_empty_frame(mini_params):
     Y = np.zeros((8, mini_params.P.shape[1]), dtype=complex)
-    assert omp_detect(Y, mini_params.P, 0.0, codebook_correlation(Y, mini_params.P)) == []
+    assert _omp(Y, mini_params.P, 0.0) == []
 
 
 def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
@@ -57,8 +63,7 @@ def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
     i1, i2 = 3, 29
     Y = np.outer(h1, mini_params.P[i1]) + np.outer(h2, mini_params.P[i2])
     Y += 1e-6 * _cn(rng, Y.shape)
-    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg),
-                          codebook_correlation(Y, mini_params.P)))
+    det = dict(_omp(Y, mini_params.P, _floor(mini_cfg)))
     assert {i1, i2} <= set(det)
     assert np.max(np.abs(det[i1] - h1)) < 1e-4
     assert np.max(np.abs(det[i2] - h2)) < 1e-4
@@ -69,8 +74,7 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
     indices = [2, 7, 13, 21, 30]
     H = _cn(rng, (mini_cfg.M, 5))
     Y = H @ mini_params.P[indices]
-    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg),
-                          codebook_correlation(Y, mini_params.P)))
+    det = dict(_omp(Y, mini_params.P, _floor(mini_cfg)))
     assert set(det) == set(indices)
     for col, idx in enumerate(indices):
         assert np.max(np.abs(det[idx] - H[:, col])) < 1e-8
@@ -80,8 +84,7 @@ def test_omp_noise_floor_stops_early(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     Y = np.outer(h, mini_params.P[5])
     # the single atom explains everything; the loop must stop right after
-    det = omp_detect(Y, mini_params.P, _floor(mini_cfg),
-                     codebook_correlation(Y, mini_params.P))
+    det = _omp(Y, mini_params.P, _floor(mini_cfg))
     assert len(det) == 1
 
 
@@ -105,8 +108,7 @@ def test_noise_floor_false_alarm_rate(mini_cfg, mini_params):
                             mini_cfg.np * mini_cfg.Pp)
     noise = complex_normal(stream(8, "omp-noise"), (frames, mini_cfg.M, mini_cfg.np),
                            sigma2)
-    picked = sum(bool(omp_detect(Y, mini_params.P, floor,
-                                 codebook_correlation(Y, mini_params.P)))
+    picked = sum(bool(_omp(Y, mini_params.P, floor))
                  for Y in noise)
     assert picked <= OMP_FALSE_ALARM * frames
 
@@ -189,7 +191,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
             floors.append(0.0)
         for floor in floors:
             want = _omp_reference(Y, P, floor)
-            got = omp_detect(Y, P, floor, codebook_correlation(Y, P))
+            got = _omp(Y, P, floor)
             _assert_same_detections(got, want)
             assert zero_row not in [i for i, _ in got]
             steps += len(got)
@@ -206,7 +208,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
     want = _omp_reference(Y, P, floor)
     assert 0 < len(want) < 200
-    got = omp_detect(Y, P, floor, codebook_correlation(Y, P))
+    got = _omp(Y, P, floor)
     _assert_same_detections(got, want)
     # more users than there are pilot symbols: at most np can be picked,
     # whatever the floor
@@ -215,15 +217,14 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
         want = _omp_reference(Y, P, noise_floor)
-        got = omp_detect(Y, P, noise_floor, codebook_correlation(Y, P))
+        got = _omp(Y, P, noise_floor)
         assert len(want) <= P.shape[1] and len(got) <= P.shape[1]
         _assert_same_detections(got, want)
 
 
 def test_omp_writes_into_gamma_only_when_it_flushes():
-    # iterative_decode hands the frame's correlation itself to its first
-    # OMP call and reuses it afterwards, so OMP must leave it bit-identical
-    # unless it picks OMP_FLUSH_EVERY atoms or more
+    # OMP leaves the correlation it is handed bit-identical unless it picks
+    # OMP_FLUSH_EVERY atoms or more, and never writes into its energies
     rng = np.random.default_rng(20242)
     zero_row = 7
     P = _omp_codebook(rng, 512, 64, zero_row)
@@ -231,16 +232,19 @@ def test_omp_writes_into_gamma_only_when_it_flushes():
     for ka in (1, OMP_FLUSH_EVERY - 1, OMP_FLUSH_EVERY):
         Y = _omp_frame(rng, P, 8, ka, 0.0, zero_row)
         gamma = codebook_correlation(Y, P)
-        before = gamma.copy()
-        assert len(omp_detect(Y, P, floor, gamma)) == ka
+        before, energy = gamma.copy(), atom_energies(gamma)
+        energy_before = energy.copy()
+        assert len(omp_detect(Y, P, floor, gamma, energy)) == ka
         assert np.array_equal(gamma, before) == (ka < OMP_FLUSH_EVERY)
+        assert np.array_equal(energy, energy_before)
 
 
 def _omp_peak(Y, P, floor, gamma):
     """(picks, tracemalloc's peak in bytes) over one omp_detect call."""
+    energy = atom_energies(gamma)
     tracemalloc.start()
     try:
-        picks = len(omp_detect(Y, P, floor, gamma))
+        picks = len(omp_detect(Y, P, floor, gamma, energy))
         return picks, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -400,7 +404,7 @@ def test_llr_systematic_paired_variances(mini_cfg, mini_params):
 def test_iterative_decode_single_user(mini_params, rng):
     cfg = make_mini_cfg(Ka=1)
     params = mini_params
-    [trial] = run_trial([cfg], 0, params)
+    [[trial]] = run_trial([cfg], [0], params)
     assert trial.n_detected == 1 and trial.pupe == 0.0
 
 
@@ -409,7 +413,7 @@ def test_iterative_decode_recovers_ciphertexts(mini_cfg, mini_params, rng):
     W = rng.integers(0, 2, (mini_cfg.Ka, mini_cfg.B), dtype=np.uint8)
     X, C, _ = transmit_frame(W, h.T @ mini_params.V, mini_cfg, mini_params)
     Y = uplink_frame(X, h, 1e-12, stream(0, "t"), mini_cfg.key_parity_len)
-    C_hat, H_hat, residual = iterative_decode(Y, mini_cfg, mini_params)
+    [(C_hat, H_hat, residual)] = iterative_decode([Y], mini_cfg, mini_params)
     got = {c.tobytes() for c in C_hat}
     assert got == {c.tobytes() for c in C}
     assert H_hat.shape == (mini_cfg.M, len(C_hat))
@@ -432,15 +436,15 @@ def test_iterative_decode_keeps_users_that_share_a_payload(mini_cfg, mini_params
     # the keystreams C ^ W depend on the feedback only
     X, C_shared, _ = transmit_frame(target ^ C ^ W, Y, mini_cfg, mini_params)
     assert np.array_equal(C_shared, target)
-    C_hat, _, _ = iterative_decode(
-        uplink_frame(X, h, 1e-12, stream(3, "t"), mini_cfg.key_parity_len),
+    [(C_hat, _, _)] = iterative_decode(
+        [uplink_frame(X, h, 1e-12, stream(3, "t"), mini_cfg.key_parity_len)],
         mini_cfg, mini_params)
     assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in target)
 
 
 def test_iterative_decode_empty_frame(mini_cfg, mini_params):
     y_bs = np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex)
-    C_hat, H_hat, _ = iterative_decode(y_bs, mini_cfg, mini_params)
+    [(C_hat, H_hat, _)] = iterative_decode([y_bs], mini_cfg, mini_params)
     assert C_hat.shape == (0, mini_cfg.B)
     assert H_hat.shape == (mini_cfg.M, 0)
     # the key stage runs on zero users and returns zero-row arrays
@@ -466,7 +470,7 @@ def test_pure_noise_frame_picks_no_atom(full_cfg, full_params, monkeypatch):
     monkeypatch.setattr(receiver, "omp_detect", counting)
     y_bs = complex_normal(stream(full_cfg.seed, "noise-frame"),
                           (full_cfg.M, full_cfg.frame_len), full_cfg.sigma_c2)
-    C_hat, H_hat, _ = iterative_decode(y_bs, full_cfg, full_params)
+    [(C_hat, H_hat, _)] = iterative_decode([y_bs], full_cfg, full_params)
     assert atoms == [0]
     assert C_hat.shape == (0, full_cfg.B) and H_hat.shape == (full_cfg.M, 0)
 
@@ -480,41 +484,33 @@ def test_no_false_alarm_at_full_scale_ka100():
     params = generate_public_params(cfg)
     for trial in range(5):
         y_bs, C = _uplink_block(cfg, params, trial)
-        C_hat, _, _ = iterative_decode(y_bs, cfg, params)
+        [(C_hat, _, _)] = iterative_decode([y_bs], cfg, params)
         sent = {c.tobytes() for c in C}
         assert [c.tobytes() in sent for c in C_hat] == [True] * len(C_hat)
 
 
 def _count_products(monkeypatch):
-    """Record, per iterative_decode pass, the row counts of the codebook
-    products formed for it."""
-    passes = []
+    """Record the row counts of the codebook products iterative_decode forms,
+    in order."""
     rows = []
-    correlate, detect = receiver.codebook_correlation, receiver.omp_detect
+    correlate = receiver.codebook_correlation
 
     def counting_correlation(Y, P):
         rows.append(Y.shape[0])
         return correlate(Y, P)
 
-    def counting_detect(*args):
-        passes.append(rows[:])
-        rows.clear()
-        return detect(*args)
-
     monkeypatch.setattr(receiver, "codebook_correlation", counting_correlation)
-    monkeypatch.setattr(receiver, "omp_detect", counting_detect)
-    return passes
+    return rows
 
 
 @pytest.mark.parametrize("name,ka,passes,trials,later_rows", [
-    # one user: a later pass forms the user's 1-row product with the
-    # codebook instead of the M-row product of its residual
-    ("full", 1, 8, 4, 1),
-    # ten users at M=8: the update would cost more than the direct product
-    # (k (np + M) >= M np), so a later pass correlates its residual
+    # one user: the second pass confirms from the first correlation's
+    # energies, with a 2k = 2-row product, that no atom is left above the
+    # noise floor, and forms no M-row product
+    ("full", 1, 8, 4, 2),
+    # ten users at M=8: 2k >= M, so a later pass correlates its residual
     ("m8", 10, 8, 2, 8),
-    # the first pass picks at least OMP_FLUSH_EVERY atoms, which spends the
-    # first correlation: every pass correlates its residual
+    # ~100 users at M=50: 2k >= M again
     ("full", 100, 3, 1, 50)])
 def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkeypatch):
     cfg, params = _reference_setup(name)
@@ -523,27 +519,98 @@ def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkey
     for trial in range(trials):
         y_bs, _ = _uplink_block(cfg, params, trial)
         products.clear()
-        iterative_decode(y_bs, cfg, params)
+        iterative_decode([y_bs], cfg, params)
         assert len(products) >= 2
-        assert products == [[cfg.M]] + [[later_rows]] * (len(products) - 1)
+        assert products == [cfg.M] + [later_rows] * (len(products) - 1)
 
 
 def test_iterative_decode_holds_at_most_two_correlations():
-    # the first correlation and one pass's own: tracemalloc's peak over a
-    # call stays within 3 codebook-sized (M, 2^Bp) complex arrays
+    # no correlation outlives its OMP call, and a frame keeps only the atom
+    # energies of its first one: tracemalloc's peak over a call is one
+    # codebook-sized (M, 2^Bp) complex array plus OMP's work buffers, within
+    # 2 such arrays at Ka = 1 (3 while the first correlation was kept).  At
+    # Ka = 100 the ~100 decoded users' signal rows and the residual, held
+    # across passes, add about 0.7 of one
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
     unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
-    for ka, passes in [(1, cfg.max_outer_iters), (100, 3)]:
+    for ka, passes, bound in [(1, cfg.max_outer_iters, 2.0), (100, 3, 2.75)]:
         c = replace(cfg, Ka=ka, max_outer_iters=passes)
         y_bs, _ = _uplink_block(c, params, 0)
         tracemalloc.start()
         try:
-            iterative_decode(y_bs, c, params)
+            iterative_decode([y_bs], c, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * unit
+        assert peak <= bound * unit
+
+
+@pytest.mark.parametrize("name,ka,trials", [
+    ("full", 1, 3), ("m16", 1, 3), ("m16", 2, 3), ("m16", 3, 3)])
+def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
+    # a later pass's confirm step: the residual's atom energies, formed from
+    # the first correlation's energies and a 2k-row codebook product, equal
+    # those of the directly correlated residual, with the same stop decision.
+    # The identity holds for any H and X; leaving out the newest user keeps
+    # its atom above the noise floor, where a pass must still pick
+    cfg, params = _reference_setup(name)
+    cfg = replace(cfg, Ka=ka, max_outer_iters=1)
+    floor, P = _floor(cfg), params.P
+    for trial in range(trials):
+        y_bs, _ = _uplink_block(cfg, params, trial)
+        [(C_hat, H_hat, residual)] = iterative_decode([y_bs], cfg, params)
+        assert len(C_hat) == ka and 2 * ka < cfg.M
+        Y_p = y_bs[:, :cfg.np]
+        X_p = pilot_polar_rows(C_hat, cfg, params)[:, :cfg.np]
+        energy0 = atom_energies(codebook_correlation(Y_p, P))
+        # (H, X, residual pilot part, whether an atom is left above the floor)
+        cases = [(H_hat, X_p, residual[:, :cfg.np], False)]
+        if ka > 1:
+            cases.append((H_hat[:, :-1], X_p[:-1], Y_p - H_hat[:, :-1] @ X_p[:-1], True))
+        for H, X, R, left in cases:
+            got = residual_energies(energy0, Y_p, X, H, P)
+            want = atom_energies(codebook_correlation(R, P))
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            assert (got.max() > floor) == (want.max() > floor) == left
+
+
+def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
+    # the polar decoder loses the last of two users in the first pass, so
+    # the second pass's 2-row confirm finds that user's atom above the
+    # floor: the pass correlates its residual (M rows) and OMP picks it
+    # again.  The third pass's 4-row confirm ends the frame.  The result is
+    # the reference receiver's, under the same fault
+    cfg, params = _reference_setup("m16")
+    cfg = replace(cfg, Ka=2)
+    y_bs, C = _uplink_block(cfg, params, 0)
+    code = type(params.polar)
+    decode = code.decode
+
+    def losing_the_first_last_user():
+        calls = []
+
+        def lossy(self, llr, list_size):
+            payload, ok = decode(self, llr, list_size)
+            calls.append(len(llr))
+            if len(calls) == 1:
+                assert len(llr) == 2
+                ok = ok.copy()
+                ok[-1] = False
+            return payload, ok
+        return lossy
+
+    monkeypatch.setattr(code, "decode", losing_the_first_last_user())
+    products = _count_products(monkeypatch)
+    [(C_hat, H_hat, residual)] = iterative_decode([y_bs], cfg, params)
+    assert products == [cfg.M, 2, cfg.M, 4]
+    assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in C)
+
+    monkeypatch.setattr(code, "decode", losing_the_first_last_user())
+    users, H_ref, res_ref = _iterative_decode_reference(
+        _ReceivedFrame.from_uplink(y_bs, cfg), cfg, params)
+    assert [u.c_hat.tobytes() for u in users] == [c.tobytes() for c in C_hat]
+    assert np.array_equal(H_hat, H_ref) and np.array_equal(residual, res_ref)
 
 
 def test_decode_frame_does_not_read_the_user_count():
@@ -560,16 +627,52 @@ def test_decode_frame_does_not_read_the_user_count():
             assert np.array_equal(a, b)
 
 
+def _sent_at_splits(cfgs, params, trial):
+    """run_trial's received frame of a trial at every split: (y, y_k)."""
+    cfg = cfgs[0]
+    h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
+    W = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
+    Y = feedback_observation(h, params.V, cfg.sigma_u2,
+                             stream(cfg.seed, "feedback-noise", trial))
+    X, X_k, _, _ = transmit(W, Y, cfgs, params)
+    return uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial))
+
+
+@pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 3), ("m16", 10)])
+def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
+    # four frames and a pure-noise frame, at ratios 1, 7 and inf: each
+    # frame's every output array is the one it gives when decoded alone
+    base, params = _reference_setup(name)
+    cfgs = [replace(base, Ka=ka, seed=5, Pa=pa, Pk=pk) for pa, pk in (
+        split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf")))]
+    frames = [_sent_at_splits(cfgs, params, t) for t in range(4)]
+    noise = complex_normal(stream(5, "noise-frame"), (base.M, base.frame_len), base.sigma_c2)
+    n = base.np + base.nc
+    frames.append((noise[:, :n], [noise[:, n:]] * len(cfgs)))
+    batch = decode_frame([y for y, _ in frames], [y_k for _, y_k in frames], cfgs, params)
+    assert len(batch) == len(frames)
+    assert len(batch[-1][0][0]) == 0 and sum(len(f[0][0]) for f in batch) > 0
+    for (y, y_k), got in zip(frames, batch):
+        [want] = decode_frame([y], [y_k], cfgs, params)
+        assert len(got) == len(want) == len(cfgs)
+        for g_split, w_split in zip(got, want):
+            for g, w in zip(g_split, w_split, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
     M, n, n_key = mini_cfg.M, mini_cfg.np + mini_cfg.nc, mini_cfg.key_parity_len
     y, y_k = np.zeros((M, n), dtype=complex), np.zeros((M, n_key), dtype=complex)
     with pytest.raises(ValueError, match="expected"):
-        decode_frame(np.zeros((M, 10), dtype=complex), [y_k], [mini_cfg], mini_params)
+        decode_frame([np.zeros((M, 10), dtype=complex)], [[y_k]], [mini_cfg], mini_params)
     # a key segment of the wrong width, or one too few for the splits
     with pytest.raises(ValueError, match="expected"):
-        decode_frame(y, [y_k[:, 1:]], [mini_cfg], mini_params)
+        decode_frame([y], [[y_k[:, 1:]]], [mini_cfg], mini_params)
     with pytest.raises(ValueError, match="expected"):
-        decode_frame(y, [y_k], [mini_cfg, mini_cfg], mini_params)
+        decode_frame([y], [[y_k]], [mini_cfg, mini_cfg], mini_params)
+    # in any frame of a batch
+    with pytest.raises(ValueError, match="expected"):
+        decode_frame([y, y], [[y_k], [y_k[:, 1:]]], [mini_cfg], mini_params)
 
 
 def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
@@ -637,7 +740,7 @@ def test_key_stage_at_several_splits_equals_one_split_each(mini_cfg, mini_params
         split_power_budget(mini_cfg.key_budget, r) for r in (0.0, 1.0, 7.0, float("inf")))]
     C_hat, H_hat, y_k, _, _ = _degenerate_pair(cfgs, mini_params, rng)
     for C, H in ((C_hat, H_hat), (C_hat[:0], H_hat[:, :0])):
-        got = decode_keys_and_decrypt(C, H, y_k, cfgs, mini_params)
+        [got] = decode_keys_and_decrypt([C], [H], [y_k], cfgs, mini_params)
         assert len(got) == len(cfgs)
         for rows, b, c in zip(got, y_k, cfgs):
             want = decode_keys_one(C, H, b, c, mini_params)
@@ -689,8 +792,7 @@ def _iterative_decode_reference(frame, cfg, params):
 
     for _ in range(cfg.max_outer_iters):
         Y_p = residual[:, :cfg.np]
-        detections = omp_detect(Y_p, params.P, _floor(cfg),
-                                codebook_correlation(Y_p, params.P))
+        detections = _omp(Y_p, params.P, _floor(cfg))
         new_users = []
         new_rows = []                            # rows of payloads behind new_users
         # only the users still held count as decoded: one the LS fallback
@@ -807,7 +909,7 @@ def _assert_rows_match_reference(rows, users):
 def _run_both(y_bs, cfg, params):
     """(decode_frame rows, iterative_decode output, reference users, reference
     iterative_decode output) on one uplink block."""
-    new = iterative_decode(y_bs, cfg, params)
+    [new] = iterative_decode([y_bs], cfg, params)
     frame = _ReceivedFrame.from_uplink(y_bs, cfg)
     ref = _iterative_decode_reference(frame, cfg, params)
     users = _decode_keys_and_decrypt_reference(list(ref[0]), ref[1], frame, cfg, params)
@@ -893,7 +995,7 @@ def test_user_dropped_by_ls_fallback_is_decoded_again(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", refuse_first_sic_solve)
-    C_hat, _, _ = iterative_decode(y_bs, cfg, params)
+    [(C_hat, _, _)] = iterative_decode([y_bs], cfg, params)
     assert refusals == [cfg.Ka]
     assert {c.tobytes() for c in C} <= {c.tobytes() for c in C_hat}
 
