@@ -14,8 +14,9 @@ from dataclasses import dataclass, fields
 from .ldpc import COL_WEIGHT
 
 # The pilot codebook is 2^Bp rows of np complex128 entries, generated in full
-# before any trial runs; configurations whose codebook would exceed this many
-# bytes are rejected up front.
+# before any trial runs and held exactly in 16 bytes per entry (a complex64
+# part plus two uint32 of low bits, see params.PilotCodebook); configurations
+# whose codebook would exceed this many bytes are rejected up front.
 PILOT_CODEBOOK_CAP_BYTES = 1 << 30
 
 

@@ -13,6 +13,11 @@ derives the features and artificial noise from it with the user's own key
 code (`keys`), cancels the noise from the key segment, assembles systematic
 and parity LLRs, and reconciles the key through the LDPC decoder.
 
+Products with the whole pilot codebook (the correlations and OMP's per-step
+product) read its complex64 part and are upcast to complex128 before use;
+everything else, the atom energies, OMP's updates, the fits and SIC, runs in
+double precision on exactly rebuilt rows (see params.PilotCodebook).
+
 The receiver reads the uplink blocks as they arrive and returns each
 frame's decoded users as aligned arrays, one row per CRC-passing user in
 decoding order: ciphertexts, keys, decrypted messages and per-user flags.
@@ -32,7 +37,7 @@ from .config import SystemConfig
 from .crypto import decrypt, expand_key
 from .keys import extract_key, standardize
 from .modulation import clamp_llr
-from .params import PublicParams
+from .params import PilotCodebook, PublicParams
 from .transmitter import index_to_bits, pilot_polar_rows
 
 #: probability that OMP picks any atom in a call whose residual is pure noise
@@ -83,14 +88,27 @@ def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> 
     return c * sigma2 * M * atom_energy
 
 
-def codebook_correlation(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _product_array(P) -> np.ndarray:
+    """The array that products with the whole codebook P read: a
+    PilotCodebook's complex64 part, or an exact complex128 P itself."""
+    return P.single if isinstance(P, PilotCodebook) else P
+
+
+def codebook_correlation(Y: np.ndarray, P) -> np.ndarray:
     """(n, 2^Bp) correlation Y P^H of n observation rows with every atom.
 
-    It is formed as (P @ Y^H)^H, conjugated in place: no second
-    codebook-sized array, and no P^H.  The result is the transpose of a
-    C-ordered (2^Bp, n) array, so each atom's n values are contiguous.
+    P is a PilotCodebook or a complex128 array, and the product is formed in
+    its product array's precision (complex64 for a PilotCodebook) 256 atoms
+    at a time, each block upcast into the complex128 result: no second
+    codebook-sized array.  It is formed as (P @ Y^H)^H, conjugated in place,
+    so the result is the transpose of a C-ordered (2^Bp, n) array and each
+    atom's n values are contiguous.
     """
-    gamma = P @ Y.conj().T                       # (2^Bp, n)
+    P_prod = _product_array(P)
+    Yh = Y.conj().T.astype(P_prod.dtype)         # (np, n)
+    gamma = np.empty((len(P_prod), Yh.shape[1]), dtype=np.complex128)
+    for i in range(0, len(P_prod), 256):
+        gamma[i:i + 256] = P_prod[i:i + 256] @ Yh
     np.conjugate(gamma, out=gamma)
     return gamma.T
 
@@ -109,7 +127,7 @@ def atom_energies(gamma: np.ndarray) -> np.ndarray:
 
 
 def residual_energies(energy0: np.ndarray, Y: np.ndarray, X: np.ndarray,
-                      H: np.ndarray, P: np.ndarray) -> np.ndarray:
+                      H: np.ndarray, P) -> np.ndarray:
     """(2^Bp,) atom energies of the residual Y - H X, from those of Y.
 
     energy0 holds atom_energies of Y's correlation gamma0.  The residual's
@@ -118,7 +136,8 @@ def residual_energies(energy0: np.ndarray, Y: np.ndarray, X: np.ndarray,
         ||gamma0_j||^2 - 2 Re <H^H gamma0_j, x_j> + x_j^H (H^H H) x_j,
     and H^H gamma0_j = (H^H Y) p_j^H: both k-vectors come from one
     codebook product of 2k rows, which costs less than the M-row product of
-    the residual when 2k < M.
+    the residual when 2k < M.  That product is codebook_correlation's, in P's
+    product precision; the energies are formed from it in complex128.
     """
     k = H.shape[1]
     Hh = H.conj().T
@@ -129,16 +148,24 @@ def residual_energies(energy0: np.ndarray, Y: np.ndarray, X: np.ndarray,
     return energy0 - 2.0 * cross + quad
 
 
-def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
+def _grown(a: np.ndarray, cap: int) -> np.ndarray:
+    """a with twice its rows (one if it has none, at most cap), the first
+    len(a) copied."""
+    out = np.empty((min(max(2 * len(a), 1), cap),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+def omp_detect(Y: np.ndarray, P, noise_floor: float,
                gamma: np.ndarray, energy: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
-    gamma is the (M, 2^Bp) correlation of Y with every atom, as
-    codebook_correlation(Y, P) forms it, and energy its atom energies, as
-    atom_energies(gamma) gives them; the caller has both already, and
-    energy is left as it was handed over.  Selects the atom with the
-    largest residual correlation energy across antennas (all codebook rows
-    have energy np * Pp) and keeps the residual
+    P is a PilotCodebook or a complex128 array.  gamma is the (M, 2^Bp)
+    correlation of Y with every atom, as codebook_correlation(Y, P) forms
+    it, and energy its atom energies, as atom_energies(gamma) gives them;
+    the caller has both already, and energy is left as it was handed over.
+    Selects the atom with the largest residual correlation energy across
+    antennas (all codebook rows have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
     least-squares re-fit per step).  It stops when the best atom's energy is
     at most noise_floor (see omp_noise_floor), needing no sparsity level,
@@ -152,17 +179,25 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
     The rank-1 updates of gamma itself are deferred and applied
     OMP_FLUSH_EVERY at a time, in place and 256 atoms at a time: gamma is
     left as it was handed over unless at least OMP_FLUSH_EVERY atoms are
-    picked.
+    picked.  The picked rows' buffers grow by doubling, so a call that
+    picks few atoms allocates little.
+
+    Precision: the per-step codebook product r = q P^H is formed in P's
+    product precision (complex64 for a PilotCodebook) and upcast; every
+    other quantity, the picked rows, q, u, the energies and their updates,
+    gamma's updates and the final fit, is complex128 or float64.  The energy
+    update cancels to ~1e-7 of the signal energy in single precision, far
+    above a low noise floor, so it must not run there.
     """
     M, n_obs = Y.shape
+    P_prod = _product_array(P)
     energy = energy.copy()
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
     selected = np.empty(n_obs, dtype=np.intp)
-    Q = np.empty((n_obs, n_obs), dtype=np.complex128)
-    Qc = np.empty_like(Q)                        # Q.conj(), kept row by row
+    Q = Qc = np.empty((0, n_obs), dtype=np.complex128)   # Qc = Q.conj(), row by row
     U = np.empty((OMP_FLUSH_EVERY, M), dtype=np.complex128)
-    R = np.empty((OMP_FLUSH_EVERY, P.shape[0]), dtype=np.complex128)
+    R = np.empty((0, len(P_prod)), dtype=np.complex128)
     pending = 0                                  # rows of U, R not yet in gamma
     k = 0
     while k < n_obs:
@@ -177,8 +212,11 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
             break
         q /= nq
         u = Y @ q.conj()                         # (M,)
-        r = (P @ q.conj()).conj()                # q @ P^H, (2^Bp,)
+        r = P_prod @ q.conj().astype(P_prod.dtype)   # (q P^H)^*, upcast below
+        r = r.conj().astype(np.complex128, copy=False)
         u_energy = float(np.sum(np.abs(u) ** 2))
+        if k == len(Q):
+            Q, Qc = _grown(Q, n_obs), _grown(Qc, n_obs)
         Q[k], Qc[k] = q, q.conj()
         selected[k] = j
         energy[j] = -np.inf                      # a picked atom is never picked again
@@ -191,6 +229,8 @@ def omp_detect(Y: np.ndarray, P: np.ndarray, noise_floor: float,
         ug *= r.conj()
         energy -= 2.0 * ug.real
         energy += u_energy * (r.real ** 2 + r.imag ** 2)
+        if pending == len(R):
+            R = _grown(R, OMP_FLUSH_EVERY)
         U[pending], R[pending] = u, r
         pending += 1
         if pending == OMP_FLUSH_EVERY:

@@ -91,6 +91,17 @@ def test_zero_pilot_and_polar_power_is_config_error(tmp_path, capsys):
     assert err[0].startswith("configuration error: Pc: must be > 0 when Pp = 0")
 
 
+@pytest.mark.parametrize("command", ["run", "selftest"])
+@pytest.mark.parametrize("Pp", ["1e-80", "1e80"])
+def test_unstorable_pilot_codebook_is_config_error(tmp_path, capsys, command, Pp):
+    bad = tmp_path / "pp.cfg"
+    bad.write_text(f"M = 8\nE = 8\nPp = {Pp}\n")
+    assert main([command, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: Pp: {float(Pp)} puts a pilot codebook entry")
+
+
 def test_zero_trials_is_config_error(mini_file, capsys):
     assert main(["run", "--config", mini_file, "--trials", "0"]) == 2
     err = capsys.readouterr().err.strip().splitlines()

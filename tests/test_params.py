@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from secure_ura import ConfigError, SystemConfig, generate_public_params
 from secure_ura.harness import _check_params_invariants
-from secure_ura.params import PARAMS_STREAM, _scale_to_energy, row_norms
-from secure_ura.rng import complex_normal, stream
+from secure_ura.params import PARAMS_STREAM, PilotCodebook, _scale_to_energy, row_norms
+from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import frozen_mask, make_mini_cfg
 
@@ -59,6 +60,11 @@ def test_digest_covers_every_field(full_params, mini_params):
             changed.flat[-1] += 1
             other = dataclasses.replace(full_params, **{f.name: changed})
             assert other.digest() != base, f.name
+    # the codebook's low bits are hashed as well as its single-precision part
+    for part in ("single", "low"):
+        changed = dataclasses.replace(full_params.P, **{part: getattr(full_params.P, part).copy()})
+        getattr(changed, part).view(np.uint32).flat[-1] ^= 1
+        assert dataclasses.replace(full_params, P=changed).digest() != base, part
 
 
 def test_keystream_matrix_shape(full_cfg, full_params):
@@ -161,7 +167,7 @@ def test_energy_scaling_matches_reference(overrides):
     else:
         P *= np.sqrt(cfg.np * cfg.Pp) / np.linalg.norm(P, axis=1, keepdims=True)
     params = generate_public_params(cfg)
-    assert _same_bytes(params.V, V) and _same_bytes(params.P, P)
+    assert _same_bytes(params.V, V) and _same_bytes(params.P[:], P)
 
 
 @pytest.mark.parametrize("shape", [(4096, 200), (1000, 37)])
@@ -174,3 +180,74 @@ def test_blockwise_row_norms_match_whole_array_formula(shape):
     want = x * (np.sqrt(60.0) / np.linalg.norm(x, axis=1, keepdims=True))
     _scale_to_energy(x, 60.0, axis=1)
     assert _same_bytes(x, want)
+
+
+# ---- the pilot codebook, stored exactly in two parts ---------------------------
+
+
+def _one_piece_reference(cfg):
+    """(P, C1, C2, T) as drawn with the codebook in one piece: one
+    (2^Bp, np) complex_normal draw scaled by _scale_to_energy."""
+    rng = stream(cfg.seed, PARAMS_STREAM)
+    complex_normal(rng, (cfg.M, cfg.L))                      # V
+    P = complex_normal(rng, (cfg.pilot_count, cfg.np))
+    _scale_to_energy(P, cfg.np * cfg.Pp, axis=1)
+    C1 = np.linalg.qr(complex_normal(rng, (cfg.L, cfg.S // 2)))[0]
+    C2 = complex_normal(rng, (cfg.L, cfg.key_parity_len))
+    C2 /= np.linalg.norm(C2, axis=0, keepdims=True)
+    return P, C1, C2, random_bits(rng, (cfg.S, cfg.B))
+
+
+@pytest.mark.parametrize("cfg", [SystemConfig(), SystemConfig(M=16, E=16, seed=2024),
+                                 make_mini_cfg()], ids=["default", "m16", "mini"])
+def test_codebook_is_stored_exactly(cfg):
+    # the rows rebuilt from the two parts are the one-piece codebook bit for
+    # bit, so the digest is that of the one-piece array, and the 256-row
+    # draws leave the stream where one draw did: C1, C2 and T are unchanged
+    params = generate_public_params(cfg)
+    P, C1, C2, T = _one_piece_reference(cfg)
+    assert params.P.single.dtype == np.complex64 and params.P.low.dtype == np.uint32
+    assert params.P.shape == P.shape and len(params.P) == len(P)
+    assert _same_bytes(params.P[:], P)
+    for j in (0, len(P) // 2, len(P) - 1):
+        assert _same_bytes(params.P[j], P[j])
+    rows = [3, 1, len(P) - 1, 3]
+    assert _same_bytes(params.P[rows], P[rows])
+    assert params.digest() == dataclasses.replace(params, P=P).digest()
+    for got, want in [(params.C1, C1), (params.C2, C2), (params.T, T)]:
+        assert _same_bytes(got, want)
+
+
+def test_generation_never_holds_the_codebook_twice(full_cfg):
+    # the codebook is drawn and split 256 rows at a time: tracemalloc's peak
+    # over a full-scale generation is the stored codebook (16 bytes per
+    # entry) plus one block's draw and temporaries.  2.09 MB above the
+    # codebook was measured; the 3 MB slack is far below the 6.5 MB a
+    # complex64 copy would add and the 13.1 MB of a one-piece draw
+    tracemalloc.start()
+    try:
+        generate_public_params(full_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= full_cfg.pilot_count * full_cfg.np * 16 + 3_000_000
+
+
+def test_codebook_stores_zero_and_float32_normal_magnitudes_exactly():
+    tiny = float(np.finfo(np.float32).tiny)               # 2^-126
+    top = np.nextafter(2.0 ** 128, 0.0)                     # largest float64 below 2^128
+    x = np.array([0.0, -0.0, tiny, -tiny, top, -top, math.pi, np.nextafter(tiny, 1.0)])
+    rows = x.view(np.complex128).reshape(2, 2)
+    book = PilotCodebook.allocate(2, 2)
+    book.put(0, rows)
+    assert _same_bytes(book[:], rows)                      # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("value", [np.nextafter(2.0 ** -126, 0.0), 2.0 ** -140, 5e-324,
+                                   2.0 ** 128, 1e300, np.inf, np.nan])
+def test_codebook_refuses_what_it_cannot_store_exactly(value):
+    # float32's subnormals, anything from 2^128 up, and non-finite values
+    rows = np.array([[1.0, value]], dtype=np.complex128)
+    with pytest.raises(ValueError, match="float32's normal range"):
+        PilotCodebook.allocate(1, 2).put(0, rows)
+

@@ -19,6 +19,7 @@ from secure_ura import (SystemConfig, atom_energies, codebook_correlation, decod
                         split_power_budget, standardize, transmit, uplink)
 from secure_ura import receiver
 from secure_ura.modulation import bpsk_map, clamp_llr
+from secure_ura.params import PilotCodebook
 from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
 from secure_ura.rng import complex_normal, random_bits, stream
 
@@ -39,6 +40,14 @@ def _omp(Y, P, floor):
     """omp_detect on Y's own codebook correlation and its atom energies."""
     gamma = codebook_correlation(Y, P)
     return omp_detect(Y, P, floor, gamma, atom_energies(gamma))
+
+
+def _stored(P):
+    """The complex128 codebook P held as the receiver holds its own: split
+    into a PilotCodebook, whose products run in single precision."""
+    book = PilotCodebook.allocate(*P.shape)
+    book.put(0, P)
+    return book
 
 
 # ---- OMP -------------------------------------------------------------------
@@ -176,10 +185,13 @@ def _assert_same_detections(got, want):
 
 def test_omp_matches_recomputing_reference_at_full_scale():
     # M=50, 4096 atoms, 200 pilot symbols: up to 200 steps, so the deferred
-    # residual updates are flushed many times within one call
+    # residual updates are flushed many times within one call.  OMP runs on
+    # the stored codebook, its codebook products in single precision; the
+    # reference runs wholly in complex128
     rng = np.random.default_rng(20240)
     zero_row = 1234
     P = _omp_codebook(rng, 4096, 200, zero_row)
+    stored = _stored(P)
     steps = 0
     # at the noise floor the search stops near ka steps; with no floor at
     # noise 5, it runs until its np = 200 picks
@@ -191,7 +203,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
             floors.append(0.0)
         for floor in floors:
             want = _omp_reference(Y, P, floor)
-            got = _omp(Y, P, floor)
+            got = _omp(Y, stored, floor)
             _assert_same_detections(got, want)
             assert zero_row not in [i for i, _ in got]
             steps += len(got)
@@ -208,7 +220,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
     want = _omp_reference(Y, P, floor)
     assert 0 < len(want) < 200
-    got = _omp(Y, P, floor)
+    got = _omp(Y, _stored(P), floor)
     _assert_same_detections(got, want)
     # more users than there are pilot symbols: at most np can be picked,
     # whatever the floor
@@ -217,7 +229,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
         want = _omp_reference(Y, P, noise_floor)
-        got = _omp(Y, P, noise_floor)
+        got = _omp(Y, _stored(P), noise_floor)
         assert len(want) <= P.shape[1] and len(got) <= P.shape[1]
         _assert_same_detections(got, want)
 
@@ -253,7 +265,10 @@ def _omp_peak(Y, P, floor, gamma):
 def test_omp_flush_forms_no_codebook_sized_temporary():
     # at full scale a flush of the deferred updates into the (M, 2^Bp)
     # correlation goes 256 atoms at a time: a call that flushes peaks no
-    # higher than one that picks nothing, but for its (16, 2^Bp) R buffer
+    # higher than one that picks nothing, but for its work buffers.  The
+    # largest is the (16, 2^Bp) R, which grows by doubling, so its 8-row
+    # predecessor is alive while it is copied: two R buffers bound them all,
+    # below one (M, 2^Bp) array, 3.125 of them
     rng = np.random.default_rng(20243)
     zero_row = 9
     P = _omp_codebook(rng, 4096, 200, zero_row)
@@ -264,7 +279,37 @@ def test_omp_flush_forms_no_codebook_sized_temporary():
     picks, peak = _omp_peak(Y, P, floor, gamma)
     assert idle == 0 and picks >= OMP_FLUSH_EVERY
     r_buffer = OMP_FLUSH_EVERY * P.shape[0] * np.dtype(np.complex128).itemsize
-    assert peak <= idle_peak + r_buffer
+    assert peak <= idle_peak + 2 * r_buffer < 50 * P.shape[0] * 16
+
+
+def test_omp_one_pick_allocates_little():
+    # the picked rows' buffers Q, Qc and R grow with the picks: a full-scale
+    # call that picks one atom peaks at 0.089 codebook-sized (M, 2^Bp) arrays
+    # above its entry (0.80 while Q and Qc were (np, np) and R 16 rows from
+    # the start); the bound allows 0.06 more
+    cfg, params = _reference_setup("full")
+    cfg = replace(cfg, Ka=1)
+    Y = _uplink_block(cfg, params, 0)[0][:, :cfg.np]
+    gamma = codebook_correlation(Y, params.P)
+    picks, peak = _omp_peak(Y, params.P, _floor(cfg), gamma)
+    assert picks == 1
+    assert peak <= 0.15 * cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
+
+
+@pytest.mark.parametrize("ka", [1, 25, 100])
+def test_omp_stored_codebook_matches_complex128(ka):
+    # full-scale frames: OMP on the stored codebook, whose correlation and
+    # per-step products run in single precision, picks the same atoms in
+    # the same order as on the exact complex128 codebook, and its estimates,
+    # fitted on exact rows, are the same bytes
+    cfg, params = _reference_setup("full")
+    cfg = replace(cfg, Ka=ka)
+    exact = params.P[:]
+    for trial in range(2):
+        Y = _uplink_block(cfg, params, trial)[0][:, :cfg.np]
+        want = _omp(Y, exact, _floor(cfg))
+        assert len(want) >= ka - 2
+        _assert_same_detections(_omp(Y, params.P, _floor(cfg)), want)
 
 
 # ---- MMSE LLRs ---------------------------------------------------------------
@@ -527,14 +572,15 @@ def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkey
 def test_iterative_decode_holds_at_most_two_correlations():
     # no correlation outlives its OMP call, and a frame keeps only the atom
     # energies of its first one: tracemalloc's peak over a call is one
-    # codebook-sized (M, 2^Bp) complex array plus OMP's work buffers, within
-    # 2 such arrays at Ka = 1 (3 while the first correlation was kept).  At
-    # Ka = 100 the ~100 decoded users' signal rows and the residual, held
-    # across passes, add about 0.7 of one
+    # codebook-sized (M, 2^Bp) complex array plus OMP's work buffers, which
+    # grow with its picks: 1.10 such arrays at Ka = 1 (1.81 while OMP's
+    # buffers were sized for np picks, 3 while the first correlation was
+    # kept).  At Ka = 100 the ~100 decoded users' signal rows and the
+    # residual, held across passes, add about 0.7 of one: 2.01 (2.41)
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
     unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
-    for ka, passes, bound in [(1, cfg.max_outer_iters, 2.0), (100, 3, 2.75)]:
+    for ka, passes, bound in [(1, cfg.max_outer_iters, 1.5), (100, 3, 2.5)]:
         c = replace(cfg, Ka=ka, max_outer_iters=passes)
         y_bs, _ = _uplink_block(c, params, 0)
         tracemalloc.start()
@@ -553,10 +599,12 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
     # the first correlation's energies and a 2k-row codebook product, equal
     # those of the directly correlated residual, with the same stop decision.
     # The identity holds for any H and X; leaving out the newest user keeps
-    # its atom above the noise floor, where a pass must still pick
+    # its atom above the noise floor, where a pass must still pick.  It is
+    # checked on the exact complex128 codebook; the receiver's stored one,
+    # whose products run in single precision, must make the same decisions
     cfg, params = _reference_setup(name)
     cfg = replace(cfg, Ka=ka, max_outer_iters=1)
-    floor, P = _floor(cfg), params.P
+    floor, P = _floor(cfg), params.P[:]
     for trial in range(trials):
         y_bs, _ = _uplink_block(cfg, params, trial)
         [(C_hat, H_hat, residual)] = iterative_decode([y_bs], cfg, params)
@@ -564,6 +612,7 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
         Y_p = y_bs[:, :cfg.np]
         X_p = pilot_polar_rows(C_hat, cfg, params)[:, :cfg.np]
         energy0 = atom_energies(codebook_correlation(Y_p, P))
+        energy0_single = atom_energies(codebook_correlation(Y_p, params.P))
         # (H, X, residual pilot part, whether an atom is left above the floor)
         cases = [(H_hat, X_p, residual[:, :cfg.np], False)]
         if ka > 1:
@@ -573,6 +622,8 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
             want = atom_energies(codebook_correlation(R, P))
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
             assert (got.max() > floor) == (want.max() > floor) == left
+            single = residual_energies(energy0_single, Y_p, X, H, params.P)
+            assert (single.max() > floor) == left
 
 
 def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
