@@ -16,8 +16,8 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, SystemConfig, load_config
-from .harness import (LEAKAGE_CSV_HEADER, TrialError, config_ratio, emit_csv,
-                      run_leakage, run_point, run_sweep, selftest, write_csv)
+from .harness import (LEAKAGE_CSV_HEADER, TrialError, check_csv_path, config_ratio,
+                      emit_csv, run_leakage, run_point, run_sweep, selftest, write_csv)
 
 
 def _entries(text: str, convert, kind: str) -> list:
@@ -126,6 +126,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            check_csv_path(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -68,10 +68,6 @@ class SystemConfig:
         return self.ns - self.S
 
     @property
-    def frame_len(self) -> int:
-        return self.np + self.nc + self.key_parity_len
-
-    @property
     def polar_info_bits(self) -> int:
         return self.B - self.Bp + self.Br
 

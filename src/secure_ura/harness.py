@@ -27,6 +27,9 @@ call when frames carry few users, and batching changes no output.
 """
 
 import csv
+import errno
+import os
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -83,21 +86,28 @@ def first_user_zetas(cfgs: list[SystemConfig], trial_id: int,
     return [leakage_report(g, params.C2, c.Pk, c.Pa, c.sigma_e2, c.S) for c in cfgs]
 
 
+@contextmanager
+def _stage(trial_ids: list[int], name: str):
+    """Run a stage of run_trial: any error it raises is re-raised as
+    TrialError("trial <ids>: <name>: <cause>").  The one place a failing
+    stage is named."""
+    try:
+        yield
+    except Exception as exc:
+        raise TrialError(f"trial {', '.join(map(str, trial_ids))}: {name}: {exc}") from exc
+
+
 def _send_frame(cfgs: list[SystemConfig], trial_id: int, params: PublicParams):
     """A trial's messages and its received frame: (messages, y, y_k)."""
     cfg = cfgs[0]
-    stage = "transmit"
-    try:
+    with _stage([trial_id], "transmit"):
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial_id))
         X, X_k, _, _ = transmit(messages, Y, cfgs, params)
-
-        stage = "uplink"
+    with _stage([trial_id], "uplink"):
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
-    except Exception as exc:
-        raise TrialError(f"trial {trial_id}: {stage}: {exc}") from exc
     return messages, y, y_k
 
 
@@ -106,11 +116,9 @@ def _run_frames(cfgs: list[SystemConfig], trial_ids: list[int],
     """run_trial's batch; a receiver failure names every trial of the batch."""
     cfg = cfgs[0]
     sent = [_send_frame(cfgs, t, params) for t in trial_ids]
-    try:
+    with _stage(trial_ids, "receiver"):
         decoded = decode_frame([y for _, y, _ in sent], [y_k for _, _, y_k in sent],
                                cfgs, params)
-    except Exception as exc:
-        raise TrialError(f"trial {', '.join(map(str, trial_ids))}: receiver: {exc}") from exc
 
     reports = []
     for trial_id, (messages, _, _), splits in zip(trial_ids, sent, decoded):
@@ -119,10 +127,8 @@ def _run_frames(cfgs: list[SystemConfig], trial_ids: list[int],
             recovered = {w.tobytes() for w in W_hat[valid]}
             n_errs.append(sum(1 for u in range(cfg.Ka)
                               if messages[u].tobytes() not in recovered))
-        try:
+        with _stage([trial_id], "leakage"):
             zetas = first_user_zetas(cfgs, trial_id, params)
-        except Exception as exc:
-            raise TrialError(f"trial {trial_id}: leakage: {exc}") from exc
         reports.append([TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
                                     pupe=n_err / cfg.Ka, zeta_lower=zeta)
                         for n_err, zeta in zip(n_errs, zetas)])
@@ -139,10 +145,10 @@ def run_trial(cfgs: list[SystemConfig], trial_ids: list[int],
     receiver decodes the batch at once (see the module docstring).  Returns
     per trial one TrialReport per split, each the one the trial gives alone.
 
-    A failing trial raises TrialError naming the trial and the stage.  When
-    a batch fails, its frames are run again one at a time: every draw is
-    keyed by its trial, so the rerun is exact, and the first trial that
-    fails alone is named, as in a run of one trial at a time.
+    A failing trial raises TrialError naming the trial and the stage
+    (_stage).  When a batch fails, its frames are run again one at a time:
+    every draw is keyed by its trial, so the rerun is exact, and the first
+    trial that fails alone is named, as in a run of one trial at a time.
     """
     cfg = cfgs[0]
     if any(replace(c, Pa=cfg.Pa, Pk=cfg.Pk) != cfg for c in cfgs):
@@ -161,9 +167,10 @@ def run_trial(cfgs: list[SystemConfig], trial_ids: list[int],
 def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
     """Split the key-segment budget into (Pa, Pk) with Pa/Pk = ratio.
 
-    ratio = inf puts the whole budget on the mask: (budget, 0.0).
+    ratio = inf puts the whole budget on the mask: (budget, 0.0).  A ratio
+    that is not >= 0, NaN included, is a ConfigError naming the ratio.
     """
-    if ratio < 0:
+    if not ratio >= 0:
         raise ConfigError(f"ratio: must be >= 0, got {ratio}")
     pa = budget if ratio == np.inf else budget * ratio / (1.0 + ratio)
     return pa, budget - pa
@@ -251,6 +258,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cannot_write(path, exc: OSError) -> OSError:
+    return OSError(f"cannot write CSV to {path}: {exc}")
+
+
+def check_csv_path(path) -> None:
+    """Raise write_csv's OSError now, writing nothing, if path is a directory
+    or its directory does not exist: a run that cannot save fails early."""
+    code = (errno.EISDIR if os.path.isdir(path) else
+            None if os.path.isdir(os.path.dirname(path) or ".") else errno.ENOENT)
+    if code:
+        raise _cannot_write(path, OSError(code, os.strerror(code), path))
+
+
 def write_csv(path, header, rows) -> None:
     """Write a header and rows, floats with 12 significant digits."""
     try:
@@ -259,7 +279,7 @@ def write_csv(path, header, rows) -> None:
             writer.writerow(header)
             writer.writerows([_fmt(v) for v in row] for row in rows)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise _cannot_write(path, exc) from exc
 
 
 def emit_csv(results: list[SweepResult], path) -> None:

@@ -1,9 +1,11 @@
 """Systematic binary LDPC code for key reconciliation.
 
-Construction: column-weight-3 progressive edge growth (each new edge is
-attached to a check node at maximal graph distance from the variable, ties
-broken toward the lowest-degree then lowest-index check), followed by a
-GF(2) column permutation that makes the last (n - k) columns invertible.
+Construction: column-weight-3 progressive edge growth (Hu, Eleftheriou and
+Arnold, IEEE Trans. IT 2005) on the parity-check matrix being filled: each
+new edge goes to a check at maximal graph distance from the variable (an
+unreached one first), ties broken toward the lowest-degree then
+lowest-index check.  A GF(2) column permutation then makes the last
+(n - k) columns invertible.
 Codewords are [systematic | parity]; only the parity part is transmitted.
 
 Decoding: standard sum-product belief propagation, batched over words, on
@@ -34,51 +36,26 @@ COL_WEIGHT = 3
 
 
 def _peg_parity_check(n_checks: int, n_vars: int) -> np.ndarray:
-    """Greedy girth-maximizing bipartite graph, deterministic tie-breaking."""
+    """Greedy girth-maximizing bipartite graph, deterministic tie-breaking.
+    The graph is the boolean H being filled: as boolean products, `c @ H`
+    marks the variables on the checks marked in c and `H @ v` the checks on
+    the variables marked in v."""
     if COL_WEIGHT > n_checks:
         raise ValueError(f"column weight {COL_WEIGHT} exceeds {n_checks} checks")
-    var_adj = [[] for _ in range(n_vars)]
-    chk_adj = [[] for _ in range(n_checks)]
-    chk_deg = np.zeros(n_checks, dtype=np.int64)
-
+    H = np.zeros((n_checks, n_vars), dtype=bool)
     for v in range(n_vars):
         for _ in range(COL_WEIGHT):
-            # BFS from v over the current graph; depth of first visit per check.
-            depth = np.full(n_checks, -1, dtype=np.int64)
-            frontier_vars = [v]
-            seen_vars = {v}
-            level = 0
-            while frontier_vars:
-                next_checks = []
-                for fv in frontier_vars:
-                    for c in var_adj[fv]:
-                        if depth[c] < 0:
-                            depth[c] = level
-                            next_checks.append(c)
-                next_vars = []
-                for c in next_checks:
-                    for nv in chk_adj[c]:
-                        if nv not in seen_vars:
-                            seen_vars.add(nv)
-                            next_vars.append(nv)
-                frontier_vars = next_vars
-                level += 1
-            unreached = depth < 0
-            if unreached.any():
-                candidates = np.flatnonzero(unreached)
-            else:
-                dmax = depth.max()
-                candidates = np.flatnonzero(depth == dmax)
-            degs = chk_deg[candidates]
-            best = candidates[degs == degs.min()][0]
-            var_adj[v].append(int(best))
-            chk_adj[best].append(v)
-            chk_deg[best] += 1
-
-    H = np.zeros((n_checks, n_vars), dtype=np.uint8)
-    for v, checks in enumerate(var_adj):
-        H[checks, v] = 1
-    return H
+            # BFS from v; `level` ends as the checks first reached at the
+            # greatest depth
+            reached = H[:, v].copy()
+            level = reached
+            while (new := H @ (level @ H) & ~reached).any():
+                reached |= new
+                level = new
+            candidates = np.flatnonzero(level if reached.all() else ~reached)
+            # argmin takes the first of the lowest degrees: the lowest index
+            H[candidates[np.argmin(H[candidates].sum(1))], v] = True
+    return H.view(np.uint8)
 
 
 def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -111,13 +88,11 @@ class LdpcCode:
     n: int
     k: int
     # derived from H once per code (edge lists: see the module docstring)
-    _Ht: np.ndarray = field(init=False, repr=False)         # (n, n - k) int64
     _edge_var: np.ndarray = field(init=False, repr=False)   # (dc, n - k) variable per slot
     _edge_pad: np.ndarray = field(init=False, repr=False)   # (dc, n - k) True on padding
     _var_edges: np.ndarray = field(init=False, repr=False)  # (dv, n) message row per edge
 
     def __post_init__(self):
-        object.__setattr__(self, "_Ht", np.ascontiguousarray(self.H.T, dtype=np.int64))
         m = self.H.shape[0]
         chk, var = np.nonzero(self.H)
         pos = np.cumsum(self.H, axis=1)[chk, var] - 1     # edge's slot in its check
@@ -162,7 +137,7 @@ class LdpcCode:
 
     def syndrome(self, codeword: np.ndarray) -> np.ndarray:
         c = np.asarray(codeword, dtype=np.int64)
-        return (c @ self._Ht % 2).astype(np.uint8)
+        return (c @ self.H.T.astype(np.int64) % 2).astype(np.uint8)
 
     def _fails_a_check(self, bits: np.ndarray) -> np.ndarray:
         """(batch,) True where a word, a column of (n, batch) bits, has a

@@ -21,6 +21,9 @@ from .polar import PolarCode
 from .rng import complex_normal, random_bits, stream
 
 PARAMS_STREAM = "public-params"
+#: rows per step of every loop over the pilot codebook or its correlation:
+#: a step's temporaries are ROW_BLOCK rows, never codebook-sized
+ROW_BLOCK = 256
 # float64 mantissa bits that float32's lacks (52 - 23)
 _LOW_BITS = 29
 _LOW_MASK = np.uint64((1 << _LOW_BITS) - 1)
@@ -92,16 +95,16 @@ class PublicParams:
     def digest(self) -> str:
         """SHA-256 over every shared artifact, for determinism checks.
 
-        Each array is hashed 256 rows at a time, in place where it can be:
-        the codebook's rows are rebuilt a block at a time, and the bytes
+        Each array is hashed ROW_BLOCK rows at a time, in place where it can
+        be: the codebook's rows are rebuilt a block at a time, and the bytes
         hashed are those of the whole array.
         """
         h = hashlib.sha256()
         for arr in (self.V, self.P, self.C1, self.C2, self.T,
                     self.ldpc.H, self.ldpc.parity_map, self.polar.info_pos):
             h.update(str(arr.shape).encode())
-            for i in range(0, len(arr), 256):
-                h.update(np.ascontiguousarray(arr[i:i + 256]))
+            for i in range(0, len(arr), ROW_BLOCK):
+                h.update(np.ascontiguousarray(arr[i:i + ROW_BLOCK]))
         h.update(self.polar.crc_poly.to_bytes(8, "little"))
         return h.hexdigest()
 
@@ -110,13 +113,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """(n,) Euclidean norms of the rows of an (n, d) array or PilotCodebook.
 
     np.linalg.norm(x, axis=1) forms x.conj() * x whole, a temporary as large
-    as x; taking 256 rows at a time gives the same bytes, since each row is
-    reduced alone either way.  (A 1-D norm per row would not: it takes
-    numpy's dot path, which rounds differently.)
+    as x; taking ROW_BLOCK rows at a time gives the same bytes, since each
+    row is reduced alone either way.  (A 1-D norm per row would not: it
+    takes numpy's dot path, which rounds differently.)
     """
     out = np.empty(len(x))
-    for i in range(0, len(x), 256):
-        out[i:i + 256] = np.linalg.norm(x[i:i + 256], axis=1)
+    for i in range(0, len(x), ROW_BLOCK):
+        out[i:i + ROW_BLOCK] = np.linalg.norm(x[i:i + ROW_BLOCK], axis=1)
     return out
 
 
@@ -145,11 +148,11 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
     V = complex_normal(rng, (cfg.M, cfg.L))
     _scale_to_energy(V, cfg.Pf * cfg.M * cfg.L)
 
-    # drawn, scaled and stored 256 rows at a time, which draws the same
+    # drawn, scaled and stored ROW_BLOCK rows at a time, which draws the same
     # numbers as one (2^Bp, np) draw: the complex128 codebook is never whole
     P = PilotCodebook.allocate(cfg.pilot_count, cfg.np)
-    for i in range(0, cfg.pilot_count, 256):
-        rows = complex_normal(rng, (min(256, cfg.pilot_count - i), cfg.np))
+    for i in range(0, cfg.pilot_count, ROW_BLOCK):
+        rows = complex_normal(rng, (min(ROW_BLOCK, cfg.pilot_count - i), cfg.np))
         _scale_to_energy(rows, cfg.np * cfg.Pp, axis=1)
         try:
             P.put(i, rows)

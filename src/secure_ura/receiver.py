@@ -24,7 +24,8 @@ decoding order: ciphertexts, keys, decrypted messages and per-user flags.
 It never reads the active-user count cfg.Ka (see omp_detect).  It decodes
 a batch of independent frames in lockstep: pilot detection, MMSE and SIC
 run per frame, but one polar decode per pass and one LDPC decode cover
-every frame's words, which the decoders treat independently.  A frame
+every frame's words, which the decoders treat independently; each such
+decode is split back per block in one place, _decode_blocks.  A frame
 sent at several Pa/Pk splits differs only in its key segment, so only the
 mask cancellation and the parity LLRs are formed per split.
 """
@@ -37,7 +38,7 @@ from .config import SystemConfig
 from .crypto import decrypt, expand_key
 from .keys import extract_key, standardize
 from .modulation import clamp_llr
-from .params import PilotCodebook, PublicParams
+from .params import ROW_BLOCK, PilotCodebook, PublicParams
 from .transmitter import index_to_bits, pilot_polar_rows
 
 #: probability that OMP picks any atom in a call whose residual is pure noise
@@ -98,17 +99,17 @@ def codebook_correlation(Y: np.ndarray, P) -> np.ndarray:
     """(n, 2^Bp) correlation Y P^H of n observation rows with every atom.
 
     P is a PilotCodebook or a complex128 array, and the product is formed in
-    its product array's precision (complex64 for a PilotCodebook) 256 atoms
-    at a time, each block upcast into the complex128 result: no second
-    codebook-sized array.  It is formed as (P @ Y^H)^H, conjugated in place,
-    so the result is the transpose of a C-ordered (2^Bp, n) array and each
-    atom's n values are contiguous.
+    its product array's precision (complex64 for a PilotCodebook) ROW_BLOCK
+    atoms at a time, each block upcast into the complex128 result.  It is
+    formed as (P @ Y^H)^H, conjugated in place, so the result is the
+    transpose of a C-ordered (2^Bp, n) array and each atom's n values are
+    contiguous.
     """
     P_prod = _product_array(P)
     Yh = Y.conj().T.astype(P_prod.dtype)         # (np, n)
     gamma = np.empty((len(P_prod), Yh.shape[1]), dtype=np.complex128)
-    for i in range(0, len(P_prod), 256):
-        gamma[i:i + 256] = P_prod[i:i + 256] @ Yh
+    for i in range(0, len(P_prod), ROW_BLOCK):
+        gamma[i:i + ROW_BLOCK] = P_prod[i:i + ROW_BLOCK] @ Yh
     np.conjugate(gamma, out=gamma)
     return gamma.T
 
@@ -116,13 +117,13 @@ def codebook_correlation(Y: np.ndarray, P) -> np.ndarray:
 def atom_energies(gamma: np.ndarray) -> np.ndarray:
     """(2^Bp,) energies ||gamma_j||^2 of the atoms' correlations.
 
-    Taken 256 atoms at a time, as params.row_norms: each atom is reduced
-    alone either way, and no codebook-sized temporary is formed.
+    Taken ROW_BLOCK atoms at a time, as params.row_norms: each atom is
+    reduced alone either way.
     """
     energy = np.empty(gamma.shape[1])
-    for i in range(0, len(energy), 256):
-        g = gamma[:, i:i + 256]
-        energy[i:i + 256] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
+    for i in range(0, len(energy), ROW_BLOCK):
+        g = gamma[:, i:i + ROW_BLOCK]
+        energy[i:i + ROW_BLOCK] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
     return energy
 
 
@@ -177,8 +178,8 @@ def omp_detect(Y: np.ndarray, P, noise_floor: float,
     e_j <- e_j - 2 Re(conj(r_j) u^H gamma_j) + |r_j|^2 ||u||^2
     (the Gram-column idea of Batch-OMP, applied to the energies only).
     The rank-1 updates of gamma itself are deferred and applied
-    OMP_FLUSH_EVERY at a time, in place and 256 atoms at a time: gamma is
-    left as it was handed over unless at least OMP_FLUSH_EVERY atoms are
+    OMP_FLUSH_EVERY at a time, in place and ROW_BLOCK atoms at a time: gamma
+    is left as it was handed over unless at least OMP_FLUSH_EVERY atoms are
     picked.  The picked rows' buffers grow by doubling, so a call that
     picks few atoms allocates little.
 
@@ -234,9 +235,8 @@ def omp_detect(Y: np.ndarray, P, noise_floor: float,
         U[pending], R[pending] = u, r
         pending += 1
         if pending == OMP_FLUSH_EVERY:
-            # 256 atoms at a time: no codebook-sized temporary
-            for i in range(0, R.shape[1], 256):
-                gamma[:, i:i + 256] -= U.T @ R[:, i:i + 256]
+            for i in range(0, R.shape[1], ROW_BLOCK):
+                gamma[:, i:i + ROW_BLOCK] -= U.T @ R[:, i:i + ROW_BLOCK]
             pending = 0
 
     if not k:
@@ -315,6 +315,18 @@ def llr_systematic(u_hat: np.ndarray, var_y_hat, sigma_uj2: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
+def _decode_blocks(decode, blocks: list[np.ndarray], *args):
+    """Run decode once over the rows of every block, stacked in order, and
+    split its (words, flags) result back: an iterator of one pair per block.
+
+    The polar and LDPC decoders treat their rows independently, so each
+    block's pair is the one it gets alone.
+    """
+    words, flags = decode(np.concatenate(blocks), *args)
+    cuts = np.cumsum([len(b) for b in blocks])[:-1]
+    return zip(np.split(words, cuts), np.split(flags, cuts))
+
+
 class _FrameState:
     """One frame's progress through iterative_decode."""
 
@@ -380,16 +392,14 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
                               mmse_polar_llr(f.residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)))
         if not found:
             break
-        payloads, ok = params.polar.decode(np.concatenate([llrs for *_, llrs in found]),
-                                           cfg.list_size)
-        live, start = [], 0
-        for f, pilots, _ in found:
-            rows = slice(start, start + len(pilots))
-            start = rows.stop
-            C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads[rows]], axis=1)
+        decoded = _decode_blocks(params.polar.decode, [llrs for *_, llrs in found],
+                                 cfg.list_size)
+        live = []
+        for (f, pilots, _), (payloads, ok) in zip(found, decoded):
+            C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)
             known = {c.tobytes() for c in f.C_hat}   # a user the LS fallback dropped may return
             new = []
-            for i in np.flatnonzero(ok[rows]):
+            for i in np.flatnonzero(ok):
                 tag = C_pass[i].tobytes()
                 if tag not in known:
                     known.add(tag)
@@ -456,17 +466,10 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
             blocks.append(np.concatenate([f_sys, f_parity], axis=1))
         valids.append(valid)
 
-    S_hat, converged = params.ldpc.decode(np.concatenate(blocks), cfg.bp_iters)
-    out, start = [], 0
-    for C_hat, valid in zip(C_hats, valids, strict=True):
-        splits = []
-        for _ in cfgs:
-            rows = slice(start, start + len(C_hat))
-            start = rows.stop
-            splits.append((S_hat[rows], decrypt(C_hat, expand_key(S_hat[rows], params.T)),
-                           converged[rows] & valid, valid))
-        out.append(splits)
-    return out
+    decoded = _decode_blocks(params.ldpc.decode, blocks, cfg.bp_iters)
+    return [[(S_hat, decrypt(C_hat, expand_key(S_hat, params.T)), converged & valid, valid)
+             for S_hat, converged in [next(decoded) for _ in cfgs]]
+            for C_hat, valid in zip(C_hats, valids, strict=True)]
 
 
 def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],

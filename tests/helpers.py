@@ -14,6 +14,11 @@ def make_mini_cfg(**overrides):
     return SystemConfig(**base)
 
 
+def frame_len(cfg):
+    """Channel uses of a frame at one split: pilot, polar and key segments."""
+    return cfg.np + cfg.nc + cfg.key_parity_len
+
+
 def random_users(cfg, rng, n):
     """n random messages (n, B) and generic feedback vectors (n, L)."""
     W = rng.integers(0, 2, (n, cfg.B), dtype=np.uint8)

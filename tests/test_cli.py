@@ -112,7 +112,9 @@ def test_zero_trials_is_config_error(mini_file, capsys):
     (["sweep", "--ka", "1,0", "--ratio", "1"], "Ka: must be a positive integer, got 0"),
     (["sweep", "--ka", "1", "--ratio", "1,-1"], "ratio: must be >= 0, got -1.0"),
     (["leakage", "--ratio", "1,-1"], "ratio: must be >= 0, got -1.0"),
-], ids=["sweep-ka", "sweep-ratio", "leakage-ratio"])
+    (["sweep", "--ka", "1", "--ratio", "nan"], "ratio: must be >= 0, got nan"),
+    (["leakage", "--ratio", "1,nan"], "ratio: must be >= 0, got nan"),
+], ids=["sweep-ka", "sweep-ratio", "leakage-ratio", "sweep-ratio-nan", "leakage-ratio-nan"])
 def test_invalid_grid_entry_is_rejected_before_any_work(mini_file, tmp_path, capsys,
                                                         monkeypatch, argv, message):
     def unreachable(cfg):
@@ -169,11 +171,24 @@ def test_non_numeric_grid_entry_exits_2(mini_file, tmp_path, capsys, argv, messa
     assert not out.exists()
 
 
-def test_io_error_exit_code(mini_file, tmp_path):
-    missing_dir = tmp_path / "nope" / "out.csv"
-    code = main(["sweep", "--config", mini_file, "--ka", "1", "--ratio", "1",
-                 "--trials", "1", "--out", str(missing_dir)])
-    assert code == 3
+def test_io_error_exit_code(mini_file, tmp_path, capsys, monkeypatch):
+    # an --out in a missing directory, or naming a directory, exits 3 with
+    # write_csv's message before any trial runs, and writes nothing
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    before = sorted(tmp_path.rglob("*"))
+    for out in (tmp_path / "nope" / "out.csv", tmp_path):
+        with pytest.raises(OSError) as late:
+            write_csv(out, ["x"], [])
+        for argv in (["run"], ["sweep", "--ka", "1,5", "--ratio", "1"],
+                     ["leakage", "--ratio", "1,3"]):
+            code = main(argv + ["--config", mini_file, "--trials", "10", "--out", str(out)])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"I/O error: {late.value}"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_trial_error_exit_code(tmp_path, capsys):

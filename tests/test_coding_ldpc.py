@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ def test_all_zero_llr_reports_nonconvergence(code):
 
 def test_column_weights_are_three(code):
     assert (code.H.sum(axis=0) == 3).all()
+
+
+@pytest.mark.parametrize("n, k, sha256", [
+    (60, 40, "151f45a129f9a88e1889bb04ac13bd5002840504d9a3c5d8c4ae0ca8d95066eb"),
+    (16, 8, "bac211443f8936be93ddba9e39c13531d7ee14dca1c8cc010bcd29079044697e"),
+    (128, 64, "b246908596098ecffda7dd5ef59fc28817b745b7a4c11baef11c951cfe436fbe")])
+def test_construction_is_pinned(n, k, sha256):
+    # PEG and the column permutation use integer and boolean operations
+    # only, so H's bytes do not depend on the BLAS build
+    H = LdpcCode.build(n, k).H
+    assert H.dtype == np.uint8 and H.shape == (n - k, n)
+    assert hashlib.sha256(H.tobytes()).hexdigest() == sha256
 
 
 def test_construction_requires_valid_rate():

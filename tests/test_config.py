@@ -140,7 +140,6 @@ def test_constructor_validation(overrides, field):
 
 def test_derived_quantities():
     cfg = SystemConfig()
-    assert cfg.frame_len == 200 + 512 + 20
     assert cfg.key_parity_len == 20
     assert cfg.polar_info_bits == 99
     assert cfg.pilot_count == 4096

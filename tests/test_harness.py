@@ -194,6 +194,37 @@ def test_failure_inside_a_batch_names_its_own_trial(monkeypatch):
         run_trial([cfg], [2, 3], generate_public_params(cfg))
 
 
+@pytest.mark.parametrize("target, stage", [("uplink", "uplink"),
+                                           ("leakage_report", "leakage")])
+def test_failing_stage_names_trial_and_stage(mini_cfg, mini_params, monkeypatch,
+                                             target, stage):
+    from secure_ura import harness
+
+    def failing(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(harness, target, failing)
+    with pytest.raises(TrialError, match=rf"^trial 3: {stage}: injected fault$"):
+        run_trial([mini_cfg], [3], mini_params)
+
+
+def test_leakage_failure_in_a_batch_names_its_own_trial(mini_cfg, mini_params, monkeypatch):
+    # the bound fails for trial 5, the second frame of the batch [4, 5]
+    from secure_ura import harness
+    from secure_ura.rng import complex_normal, stream
+    g_bad = complex_normal(stream(mini_cfg.seed, "eve-channel", 5), (mini_cfg.E,))
+    leakage_report = harness.leakage_report
+
+    def failing(g, *args):
+        if np.array_equal(g, g_bad):
+            raise ValueError("injected fault")
+        return leakage_report(g, *args)
+
+    monkeypatch.setattr(harness, "leakage_report", failing)
+    with pytest.raises(TrialError, match=r"^trial 5: leakage: injected fault$"):
+        run_trial([mini_cfg], [4, 5], mini_params)
+
+
 def test_run_trial_rejects_configs_that_differ_beyond_the_split(mini_cfg, mini_params):
     with pytest.raises(ValueError, match="only in Pa and Pk"):
         run_trial([mini_cfg, dataclasses.replace(mini_cfg, Ka=1)], [0], mini_params)

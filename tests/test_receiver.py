@@ -23,8 +23,8 @@ from secure_ura.params import PilotCodebook
 from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import (decode_keys_one, decode_one, make_mini_cfg, transmit_frame,
-                     uplink_frame)
+from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg,
+                     transmit_frame, uplink_frame)
 
 
 def _cn(rng, shape):
@@ -488,7 +488,7 @@ def test_iterative_decode_keeps_users_that_share_a_payload(mini_cfg, mini_params
 
 
 def test_iterative_decode_empty_frame(mini_cfg, mini_params):
-    y_bs = np.zeros((mini_cfg.M, mini_cfg.frame_len), dtype=complex)
+    y_bs = np.zeros((mini_cfg.M, frame_len(mini_cfg)), dtype=complex)
     [(C_hat, H_hat, _)] = iterative_decode([y_bs], mini_cfg, mini_params)
     assert C_hat.shape == (0, mini_cfg.B)
     assert H_hat.shape == (mini_cfg.M, 0)
@@ -514,7 +514,7 @@ def test_pure_noise_frame_picks_no_atom(full_cfg, full_params, monkeypatch):
 
     monkeypatch.setattr(receiver, "omp_detect", counting)
     y_bs = complex_normal(stream(full_cfg.seed, "noise-frame"),
-                          (full_cfg.M, full_cfg.frame_len), full_cfg.sigma_c2)
+                          (full_cfg.M, frame_len(full_cfg)), full_cfg.sigma_c2)
     [(C_hat, H_hat, _)] = iterative_decode([y_bs], full_cfg, full_params)
     assert atoms == [0]
     assert C_hat.shape == (0, full_cfg.B) and H_hat.shape == (full_cfg.M, 0)
@@ -697,7 +697,7 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
     cfgs = [replace(base, Ka=ka, seed=5, Pa=pa, Pk=pk) for pa, pk in (
         split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf")))]
     frames = [_sent_at_splits(cfgs, params, t) for t in range(4)]
-    noise = complex_normal(stream(5, "noise-frame"), (base.M, base.frame_len), base.sigma_c2)
+    noise = complex_normal(stream(5, "noise-frame"), (base.M, frame_len(base)), base.sigma_c2)
     n = base.np + base.nc
     frames.append((noise[:, :n], [noise[:, n:]] * len(cfgs)))
     batch = decode_frame([y for y, _ in frames], [y_k for _, y_k in frames], cfgs, params)
@@ -822,8 +822,8 @@ class _ReceivedFrame:
 
     @classmethod
     def from_uplink(cls, y_bs: np.ndarray, cfg: SystemConfig) -> "_ReceivedFrame":
-        if y_bs.shape[1] != cfg.frame_len:
-            raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {cfg.frame_len}")
+        if y_bs.shape[1] != frame_len(cfg):
+            raise ValueError(f"frame has {y_bs.shape[1]} columns, expected {frame_len(cfg)}")
         a, b = cfg.np, cfg.np + cfg.nc
         return cls(y_p=y_bs[:, :a], y_d=y_bs[:, a:b], y_k=y_bs[:, b:])
 
