@@ -14,10 +14,12 @@ names the trial, the stage and the cause).
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .config import ConfigError, SystemConfig, load_config
 from .harness import (LEAKAGE_CSV_HEADER, TrialError, check_csv_path, config_ratio,
-                      emit_csv, run_leakage, run_point, run_sweep, selftest, write_csv)
+                      emit_csv, grid_configs, run_leakage, run_point, run_sweep, selftest,
+                      write_csv)
 
 
 def _entries(text: str, convert, kind: str) -> list:
@@ -33,12 +35,8 @@ def _entries(text: str, convert, kind: str) -> list:
     return values
 
 
-def _int_list(text: str) -> list[int]:
-    return _entries(text, int, "an integer")
-
-
-def _float_list(text: str) -> list[float]:
-    return _entries(text, float, "a number")
+_int_list = partial(_entries, convert=int, kind="an integer")
+_float_list = partial(_entries, convert=float, kind="a number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,11 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> SystemConfig:
     given = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
-    return replace(load_config(args.config), **given)
+    cfg = replace(load_config(args.config), **given)
+    # a run is refused before any trial: for its config or grid first, then its --out
+    grid_configs(cfg, getattr(args, "ka", [cfg.Ka]), getattr(args, "ratio", None) or ())
+    if getattr(args, "out", None):
+        check_csv_path(args.out)
+    return cfg
 
 
-def _cmd_run(args) -> int:
-    cfg = _load(args)
+def _cmd_run(args, cfg: SystemConfig) -> int:
     res = run_point(cfg)
     print(f"ka={res.ka} pa={res.pa:.6g} pk={res.pk:.6g} trials={res.trials} "
           f"pupe={res.pupe_mean:.6g}±{res.pupe_stderr:.3g} "
@@ -91,8 +93,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+def _cmd_sweep(args, cfg: SystemConfig) -> int:
     def progress(r):
         print(f"ka={r.ka} ratio={r.ratio:g} pupe={r.pupe_mean:.4g} "
               f"zeta_lower={r.zeta_lower_mean:.4g}", flush=True)
@@ -102,13 +103,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    cfg = _load(args)
+def _cmd_selftest(args, cfg: SystemConfig) -> int:
     return 0 if selftest(cfg) else 1
 
 
-def _cmd_leakage(args) -> int:
-    cfg = _load(args)
+def _cmd_leakage(args, cfg: SystemConfig) -> int:
     ratios = args.ratio if args.ratio is not None else [config_ratio(cfg)]
     rows = run_leakage(cfg, ratios)
     for ratio, pa, pk, zeta in rows:
@@ -126,9 +125,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None):
-            check_csv_path(args.out)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

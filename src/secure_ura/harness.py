@@ -208,7 +208,7 @@ def run_point(cfg: SystemConfig, params: PublicParams | None = None,
     return _run_splits([cfg], [config_ratio(cfg) if ratio is None else ratio], params)[0]
 
 
-def _grid(cfg: SystemConfig, ka_list, ratios) -> list[list[SystemConfig]]:
+def grid_configs(cfg: SystemConfig, ka_list, ratios) -> list[list[SystemConfig]]:
     """The config of every grid point, one list of the Pa/Pk splits per Ka.
 
     Built and validated in full before the shared artifacts, so an invalid
@@ -225,7 +225,7 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
     Walked Ka-major: a trial's frame serves every split of its Ka.
     """
     base_cfg = replace(base_cfg, trials=trials)
-    grid = _grid(base_cfg, ka_list, ratio_list)
+    grid = grid_configs(base_cfg, ka_list, ratio_list)
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
     params = generate_public_params(base_cfg)
@@ -245,7 +245,7 @@ def run_leakage(cfg: SystemConfig, ratios) -> list[tuple[float, float, float, fl
     runs over the same first-user bounds a sweep of cfg.trials trials
     averages, without simulating the link.
     """
-    (splits,) = _grid(cfg, [cfg.Ka], ratios)
+    (splits,) = grid_configs(cfg, [cfg.Ka], ratios)
     params = generate_public_params(cfg)
     zetas = [first_user_zetas(splits, t, params) for t in range(cfg.trials)]
     return [(ratio, split.Pa, split.Pk, float(np.mean([z[i] for z in zetas])))
@@ -263,12 +263,14 @@ def _cannot_write(path, exc: OSError) -> OSError:
 
 
 def check_csv_path(path) -> None:
-    """Raise write_csv's OSError now, writing nothing, if path is a directory
-    or its directory does not exist: a run that cannot save fails early."""
-    code = (errno.EISDIR if os.path.isdir(path) else
-            None if os.path.isdir(os.path.dirname(path) or ".") else errno.ENOENT)
-    if code:
-        raise _cannot_write(path, OSError(code, os.strerror(code), path))
+    """Raise the OSError write_csv would, writing nothing, if path is a directory
+    or stat of its directory with a trailing "/" fails: a run that cannot save fails early."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _cannot_write(path, OSError(exc.errno, exc.strerror, path)) from exc
 
 
 def write_csv(path, header, rows) -> None:

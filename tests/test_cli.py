@@ -172,13 +172,16 @@ def test_non_numeric_grid_entry_exits_2(mini_file, tmp_path, capsys, argv, messa
 
 
 def test_io_error_exit_code(mini_file, tmp_path, capsys, monkeypatch):
-    # an --out in a missing directory, or naming a directory, exits 3 with
-    # write_csv's message before any trial runs, and writes nothing
+    # an --out in a missing directory, under a regular file, or naming a
+    # directory, exits 3 with write_csv's message before any trial runs, and
+    # writes nothing
     def no_trial(*args):
         raise AssertionError("a trial ran")
     monkeypatch.setattr(harness, "run_trial", no_trial)
+    (tmp_path / "file").write_text("")
     before = sorted(tmp_path.rglob("*"))
-    for out in (tmp_path / "nope" / "out.csv", tmp_path):
+    for out in (tmp_path / "nope" / "out.csv", tmp_path / "file" / "out.csv",
+                tmp_path / "file" / "sub" / "out.csv", tmp_path):
         with pytest.raises(OSError) as late:
             write_csv(out, ["x"], [])
         for argv in (["run"], ["sweep", "--ka", "1,5", "--ratio", "1"],
@@ -189,6 +192,22 @@ def test_io_error_exit_code(mini_file, tmp_path, capsys, monkeypatch):
             assert captured.out == ""
             assert captured.err.splitlines() == [f"I/O error: {late.value}"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--ka", "1,0", "--ratio", "1"], "configuration error: Ka: "),
+    (["sweep", "--ka", "1", "--ratio", "1,-1"], "configuration error: ratio: "),
+    (["leakage", "--ratio", "-1"], "configuration error: ratio: "),
+    (["run", "--trials", "0"], "configuration error: trials: "),
+    (["run", "--config", "no-such.cfg"], "configuration error: cannot read config file "),
+], ids=["sweep-ka", "sweep-ratio", "leakage-ratio", "run-trials", "run-config"])
+def test_config_error_before_io_error(mini_file, tmp_path, capsys, argv, message):
+    # a run refused for its configuration and for its --out reports the
+    # configuration (exit 2); a later --config replaces mini_file
+    code = main(argv[:1] + ["--config", mini_file] + argv[1:]
+                + ["--out", str(tmp_path / "nope" / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_trial_error_exit_code(tmp_path, capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 from secure_ura import decode_frame, split_power_budget
 from secure_ura.harness import _send_frame
 
+from helpers import make_mini_cfg
+
 
 def _fingerprint_module():
     path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
@@ -37,3 +39,7 @@ def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
                 moved = [list(s) for s in splits]
                 moved[i][j] = changed
                 assert decode_hash(moved) != base, (i, j, element)
+
+
+def test_mini_digest_is_of_the_tests_mini_config():
+    assert _fingerprint_module().MINI_CFG == make_mini_cfg()

@@ -6,7 +6,10 @@ a behaviour change lists the fields it moves.
     python tools/fingerprint.py                  print the fingerprint
     python tools/fingerprint.py --compare FILE   print it, list the fields that
                                                  differ from FILE (a saved run)
-                                                 and exit 1 if any does
+                                                 and exit 3 if any does
+
+Any other failure (a traceback, a subcommand that exits non-zero) exits 1,
+so a caller can treat differing fields alone as informational.
 
 Fields:
   golden_m16, golden_full   the sweep CSVs of `secure-ura sweep --trials 20
@@ -17,11 +20,11 @@ Fields:
   leakage_m16               --trials 300` at the defaults and of `--seed 9
                             --trials 100` at M = E = 16
   digest_default,           PublicParams.digest() of the defaults, of M = E = 16
-  digest_m16_seed2024,      at seed 2024 and of the tests' mini config
+  digest_m16_seed2024,      at seed 2024 and of the tests' mini config (MINI_CFG)
   digest_mini
   decode_frame              one hash over every split's decode_frame outputs
                             and TrialReports (update_decoded, update_reports)
-                            for DECODE_SET
+                            for DECODE_SET, each frame run and decoded once
 
 The hashes are tied to the numpy/BLAS build; run with OPENBLAS_NUM_THREADS=1.
 The program is imported from this checkout's src/.
@@ -36,17 +39,20 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(ROOT / "src"))
 
-from helpers import make_mini_cfg  # noqa: E402
-from secure_ura import (SystemConfig, decode_frame, generate_public_params,  # noqa: E402
+from secure_ura import (SystemConfig, generate_public_params, harness,  # noqa: E402
                         run_trial, split_power_budget)
 from secure_ura.cli import main as cli_main  # noqa: E402
-from secure_ura.harness import _send_frame  # noqa: E402
+
+#: the tests' mini config (tests/helpers.make_mini_cfg(), a test checks they agree)
+MINI_CFG = SystemConfig(M=8, E=8, Ka=2, L=8, np=32, nc=64, ns=16, B=30, Bp=5, Br=11,
+                        S=8, sigma_c2=1e-9, sigma_u2=1e-9, trials=3, seed=7)
 
 #: (config, trial ids) of the decode_frame hash; every config is sent at
 #: DECODE_RATIOS
@@ -73,15 +79,24 @@ def update_reports(h, reports) -> None:
 
 
 def decode_hash() -> str:
+    """Run each trial of DECODE_SET alone through run_trial, keeping the
+    decode_frame outputs it computes on the way to its TrialReports."""
     h = hashlib.sha256()
-    for cfg, trials in DECODE_SET:
-        cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=pk)
-                for pa, pk in (split_power_budget(cfg.key_budget, r) for r in DECODE_RATIOS)]
-        params = generate_public_params(cfg)
-        for t in trials:
-            _, y, y_k = _send_frame(cfgs, t, params)
-            update_decoded(h, decode_frame([y], [y_k], cfgs, params)[0])
-            update_reports(h, run_trial(cfgs, [t], params)[0])
+    decoded, decode = [], harness.decode_frame
+
+    def keep(*args):
+        decoded.append(decode(*args))
+        return decoded[-1]
+
+    with mock.patch.object(harness, "decode_frame", keep):
+        for cfg, trials in DECODE_SET:
+            cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=pk) for pa, pk in
+                    (split_power_budget(cfg.key_budget, r) for r in DECODE_RATIOS)]
+            params = generate_public_params(cfg)
+            for t in trials:
+                reports = run_trial(cfgs, [t], params)
+                update_decoded(h, decoded.pop()[0])
+                update_reports(h, reports[0])
     return h.hexdigest()
 
 
@@ -113,7 +128,7 @@ def fingerprint() -> dict[str, str]:
         }
     for name, cfg in [("digest_default", SystemConfig()),
                       ("digest_m16_seed2024", SystemConfig(M=16, E=16, seed=2024)),
-                      ("digest_mini", make_mini_cfg())]:
+                      ("digest_mini", MINI_CFG)]:
         fields[name] = generate_public_params(cfg).digest()
     fields["decode_frame"] = decode_hash()
     return fields
@@ -134,7 +149,7 @@ def main(argv=None) -> int:
         print(f"differs: {k}: saved {saved.get(k)}, now {now.get(k)}")
     if not differ:
         print(f"all {len(now)} fields match {args.compare}")
-    return 1 if differ else 0
+    return 3 if differ else 0
 
 
 if __name__ == "__main__":
