@@ -76,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> SystemConfig:
     given = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
     cfg = replace(load_config(args.config), **given)
-    # a run is refused before any trial: for its config or grid first, then its --out
+    # a run is refused before any trial: for its config or grid first, then its
+    # --out, which sweep requires; to run and leakage an empty --out means no CSV
     grid_configs(cfg, getattr(args, "ka", [cfg.Ka]), getattr(args, "ratio", None) or ())
-    if getattr(args, "out", None):
+    if args.command == "sweep" or getattr(args, "out", None):
         check_csv_path(args.out)
     return cfg
 

@@ -21,9 +21,12 @@ the one-split case.
 Nor does any draw depend on which trials are simulated together, so one
 `run_trial` call simulates a batch of trials: each frame is sent alone, and
 the receiver decodes the batch at once, with one polar decode per pass and
-one LDPC decode for every frame's words (`decode_frame`).  A batch holds
-about FRAME_BATCH_USERS users' frames; the decoders' cost is mostly per
-call when frames carry few users, and batching changes no output.
+one LDPC decode for every frame's words (`decode_frame`).  Batching changes
+no output.  Its size (`frames_per_batch`) has two bounds.  The decoders'
+cost is mostly per call up to about BATCH_WORDS words, Ka per frame, so a
+batch hands them about that many.  Each frame held costs an M-row received
+block and its receiver state, so a batch holds at most BATCH_ANTENNA_ROWS
+antenna rows, M per frame.
 """
 
 import csv
@@ -45,8 +48,10 @@ from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
 
 LEAKAGE_CSV_HEADER = ["ratio", "pa", "pk", "zeta_lower_mean"]
-#: a run_trial batch holds max(1, FRAME_BATCH_USERS // Ka) frames
-FRAME_BATCH_USERS = 4
+#: the users (decoder words per pass) and the received antenna rows a
+#: run_trial batch holds at most, unless one frame exceeds them (frames_per_batch)
+BATCH_WORDS = 100
+BATCH_ANTENNA_ROWS = 200
 
 
 class TrialError(RuntimeError):
@@ -181,11 +186,23 @@ def config_ratio(cfg: SystemConfig) -> float:
     return cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf")
 
 
+def frames_per_batch(cfg: SystemConfig) -> int:
+    """Frames per run_trial batch: as many as hold at most BATCH_WORDS users
+    and BATCH_ANTENNA_ROWS antenna rows, and at least one."""
+    return max(1, min(BATCH_WORDS // cfg.Ka, BATCH_ANTENNA_ROWS // cfg.M))
+
+
 def _run_splits(cfgs: list[SystemConfig], ratios, params: PublicParams) -> list[SweepResult]:
     """Run cfgs[0].trials frames, each at every split of cfgs, in batches of
-    max(1, FRAME_BATCH_USERS // Ka) frames; aggregate per split."""
+    frames_per_batch frames; aggregate per split.
+
+    The words bound lets crowded frames share the decoders' calls too; the
+    rows bound keeps the blocks held at once small where M is large.  At
+    M = 16 a batch holds 12, 10 and 4 frames at Ka = 1, 10 and 25; at the
+    full-scale M = 50, 4 frames up to Ka = 25 and one at Ka = 100.
+    """
     trials = range(cfgs[0].trials)
-    batch = max(1, FRAME_BATCH_USERS // cfgs[0].Ka)
+    batch = frames_per_batch(cfgs[0])
     reports = [r for i in range(0, len(trials), batch)
                for r in run_trial(cfgs, list(trials[i:i + batch]), params)]
     results = []
@@ -263,9 +280,12 @@ def _cannot_write(path, exc: OSError) -> OSError:
 
 
 def check_csv_path(path) -> None:
-    """Raise the OSError write_csv would, writing nothing, if path is a directory
-    or stat of its directory with a trailing "/" fails: a run that cannot save fails early."""
+    """Raise the OSError write_csv would, writing nothing, if path is empty or a
+    directory or stat of its directory with a trailing "/" fails: a run that
+    cannot save fails early."""
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         os.stat(os.path.join(os.path.dirname(path) or ".", ""))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))

@@ -15,5 +15,5 @@ def bpsk_map(bits: np.ndarray, power: float) -> np.ndarray:
     return ((1.0 - 2.0 * np.asarray(bits, dtype=np.float64)) * amp).astype(np.complex128)
 
 
-def clamp_llr(llr: np.ndarray) -> np.ndarray:
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+def clamp_llr(llr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=out)

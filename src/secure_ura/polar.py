@@ -19,6 +19,13 @@ returns to the identity when that depth is rewritten.  The list axis holds
 only live paths, 1, 2, 4, ... up to the list size, so the frozen prefix of
 the code is decoded once rather than on copies of a single path.
 
+A depth's LLRs die where they are last read: g at depth d drops llrs[d],
+and the stale llrs[d + 1] of the left subtree before it writes the right
+one's; nothing reads llrs[d] again until f or g at depth d - 1 rewrites it.
+The channel row llrs[0] is one slot, which g at depth 0 broadcasts to every
+path rather than gathering it.  So the LLRs held at any time are those of
+the current node and of its ancestors whose right child is still to come.
+
 A code derives its CRC matrix and decoding schedule once, when built.  A
 path passes the CRC when its CRC field c equals the CRC of its payload m:
 with g(0) = 1, true of every default_crc_poly g, that is the zero-syndrome
@@ -194,12 +201,12 @@ class PolarCode:
     crc_poly: int          # CRC generator polynomial, leading coefficient included
     info_pos: np.ndarray   # sorted indices of information positions
     # derived from the design once per code
-    _crc_gen: np.ndarray = field(init=False, repr=False)  # (payload_bits, width) int64
+    _crc_gen: np.ndarray = field(init=False, repr=False)  # (payload_bits, width) float32
     _ops: tuple = field(init=False, repr=False)           # (op, arg) schedule, see _schedule
 
     def __post_init__(self):
         gen = _crc_matrix(self.crc_poly, self.crc_width, self.payload_bits)
-        object.__setattr__(self, "_crc_gen", gen)
+        object.__setattr__(self, "_crc_gen", gen.astype(np.float32))
         object.__setattr__(self, "_ops", _schedule(~np.isin(np.arange(self.N), self.info_pos)))
 
     @classmethod
@@ -221,7 +228,8 @@ class PolarCode:
         return self.K - self.crc_width
 
     def _crc(self, payload: np.ndarray) -> np.ndarray:
-        """CRC bits of (batched) payloads."""
+        """CRC bits of (batched) payloads.  The product is taken in float32,
+        exactly: each sum counts at most payload_bits ones."""
         return (payload @ self._crc_gen % 2).astype(np.uint8)
 
     # ---- encoding -------------------------------------------------------
@@ -245,8 +253,11 @@ class PolarCode:
         passed the CRC; the payload is then the most likely passing path,
         otherwise the most likely path overall.
         """
-        llr = np.asarray(llr, dtype=np.float64)
-        chan = clamp_llr(np.atleast_2d(llr)).astype(np.float32)
+        # decoded in float32; clamping after the cast gives the values of
+        # clamping before it, as rounding is monotone and +-LLR_CLAMP is
+        # exact in float32, so a block the caller casts decodes the same
+        chan = np.array(np.atleast_2d(llr), dtype=np.float32)
+        clamp_llr(chan, out=chan)
         batch = chan.shape[0]
         if chan.shape[1] != self.N:
             raise ValueError(f"LLR length {chan.shape[1]} != {self.N}")
@@ -262,6 +273,7 @@ class PolarCode:
         ucap = [None] * (n + 1)
         uleft = [None] * n
         llrs[0] = chan[:, None, :]
+        del chan                                  # freed with llrs[0] at g(0)
         # perm[d, b, p] is the slot that holds path p's llrs[d] (while in a
         # left subtree at depth d) or uleft[d] (right subtree); a leaf
         # composes the maps and the state is gathered once, where it is read
@@ -278,11 +290,13 @@ class PolarCode:
                 perm[d + 1] = ident
             elif op == "g":
                 w = 1 << (n - d - 1)
-                parent = llrs[d][rows, perm[d, :, :width]]
-                uleft[d] = ucap[d + 1]
+                if d:  # llrs[0], the channel row, is one slot every path reads
+                    llrs[d] = llrs[d][rows, perm[d, :, :width]]
+                uleft[d], llrs[d + 1] = ucap[d + 1], None
                 perm[d] = ident
-                sign = 1.0 - 2.0 * uleft[d].astype(np.float32)
-                llrs[d + 1] = parent[:, :, w:] + sign * parent[:, :, :w]
+                llrs[d + 1] = llrs[d][:, :, w:] + (
+                    1.0 - 2.0 * uleft[d].astype(np.float32)) * llrs[d][:, :, :w]
+                llrs[d] = None                    # not read again before rewritten
                 perm[d + 1] = ident
             elif op == "c":
                 left = uleft[d][rows, perm[d, :, :width]]

@@ -332,26 +332,34 @@ class _FrameState:
 
     def __init__(self, y_bs: np.ndarray, cfg: SystemConfig):
         self.Y_pp = y_bs[:, :cfg.np + cfg.nc]
-        self.residual = self.Y_pp
         self.C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
-        self.X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)  # rows of C_hat's signals
+        # rows of C_hat's signals, and the LS fit to them; a set the LS
+        # fallback empties keeps those of its last SIC
+        self.X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)
         self.H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
         self.energy0 = None              # atom energies of the first correlation
 
-    def detect(self, cfg: SystemConfig, params: PublicParams,
-               floor: float) -> list[tuple[int, np.ndarray]]:
-        """This pass's OMP detections; the correlation it forms dies here."""
-        Y_p = self.residual[:, :cfg.np]
+    def residual(self) -> np.ndarray:
+        """Y_pp less the signals of the last SIC, formed where it is read, so
+        that a batch's frames do not hold theirs between passes."""
+        return self.Y_pp - self.H_hat @ self.X if len(self.X) else self.Y_pp
+
+    def detect(self, cfg: SystemConfig, params: PublicParams, floor: float
+               ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray | None]:
+        """This pass's OMP detections and the residual they are picked from;
+        the correlation it forms dies here."""
         k = len(self.C_hat)
         if k and 2 * k < cfg.M and residual_energies(
                 self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np],
                 self.H_hat, params.P).max() <= floor:
-            return []                        # OMP would stop before its first pick
+            return [], None                  # OMP would stop before its first pick
+        residual = self.residual()
+        Y_p = residual[:, :cfg.np]
         gamma = codebook_correlation(Y_p, params.P)
         energy = atom_energies(gamma)
         if not k:                            # the first pass: its energies are kept
             self.energy0 = energy
-        return omp_detect(Y_p, params.P, floor, gamma, energy)
+        return omp_detect(Y_p, params.P, floor, gamma, energy), residual
 
 
 def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicParams
@@ -377,19 +385,22 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     confirms from those energies that some atom is left above the noise
     floor (residual_energies, a 2k-row codebook product); if none is, OMP
     would pick nothing and the frame is done.  Otherwise the pass
-    correlates its residual directly.  No correlation outlives its OMP call.
+    correlates its residual directly.  No correlation outlives its OMP call,
+    and no residual its pass: each pass forms it from the last SIC's fit.
     """
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
     frames = [_FrameState(y_bs, cfg) for y_bs in ys]
     live = frames
     for _ in range(cfg.max_outer_iters):
-        found = []                           # (frame, pilots, LLRs) of the frames with picks
+        # (frame, pilots, LLRs) of the frames with picks; the LLRs are held
+        # in the polar decoder's float32, which decodes them the same
+        found = []
         for f in live:
-            detections = f.detect(cfg, params, floor)
+            detections, residual = f.detect(cfg, params, floor)
             if detections:
                 Hd = np.stack([h for _, h in detections], axis=1)
-                found.append((f, np.array([j for j, _ in detections]),
-                              mmse_polar_llr(f.residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)))
+                llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
+                found.append((f, np.array([j for j, _ in detections]), llrs.astype(np.float32)))
         if not found:
             break
         decoded = _decode_blocks(params.polar.decode, [llrs for *_, llrs in found],
@@ -418,13 +429,13 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
                     break
                 except np.linalg.LinAlgError:
                     C_hat, X = C_hat[:-1], X[:-1]
-            f.C_hat, f.X = C_hat, X
+            f.C_hat = C_hat
             if len(C_hat):
-                f.residual = f.Y_pp - f.H_hat @ X
+                f.X = X
                 live.append(f)
 
     # an emptied set keeps no stale estimate
-    return [(f.C_hat, f.H_hat[:, :len(f.C_hat)], f.residual) for f in frames]
+    return [(f.C_hat, f.H_hat[:, :len(f.C_hat)], f.residual()) for f in frames]
 
 
 def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
@@ -495,6 +506,7 @@ def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
             raise ValueError(f"frame segments have {widths} columns, expected {expected}")
     decoded = iterative_decode(ys, cfg, params)
     C_hats = [C_hat for C_hat, _, _ in decoded]
-    keys = decode_keys_and_decrypt(C_hats, [H_hat for _, H_hat, _ in decoded],
-                                   y_ks, cfgs, params)
+    H_hats = [H_hat for _, H_hat, _ in decoded]
+    del decoded                          # the residuals die before the key stage
+    keys = decode_keys_and_decrypt(C_hats, H_hats, y_ks, cfgs, params)
     return [[(C_hat, *split) for split in splits] for C_hat, splits in zip(C_hats, keys)]

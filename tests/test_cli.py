@@ -194,6 +194,30 @@ def test_io_error_exit_code(mini_file, tmp_path, capsys, monkeypatch):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_empty_sweep_out_is_rejected_before_any_work(mini_file, tmp_path, capsys,
+                                                     monkeypatch):
+    # sweep requires a CSV, so an empty --out exits 3 with write_csv's
+    # message before any artifact is built; to run and leakage it means no CSV
+    with pytest.raises(OSError) as late:
+        write_csv("", ["x"], [])
+
+    def unreachable(cfg):
+        raise AssertionError("public artifacts built for an unwritable --out")
+    monkeypatch.setattr(harness, "generate_public_params", unreachable)
+    argv = ["sweep", "--config", mini_file, "--ka", "1", "--ratio", "1", "--trials", "2"]
+    assert main(argv + ["--out", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"I/O error: {late.value}"]
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    for argv in (["run"], ["leakage", "--ratio", "1,3"]):
+        assert main(argv + ["--config", mini_file, "--trials", "2", "--out", ""]) == 0
+        assert capsys.readouterr().err == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sweep", "--ka", "1,0", "--ratio", "1"], "configuration error: Ka: "),
     (["sweep", "--ka", "1", "--ratio", "1,-1"], "configuration error: ratio: "),

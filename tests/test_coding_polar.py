@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,3 +342,19 @@ def test_batch_decodes_as_each_word_alone(list_size, small_code, big_code):
         for p in pay:
             assert any(np.array_equal(p, g) for g in got[got_ok])
         assert 0 < got_ok.sum() < len(llr)
+
+
+def test_decode_memory_per_word(big_code):
+    # the receiver hands the decoder ~100 words per call (harness.BATCH_WORDS),
+    # so its live state per word bounds a batch's memory: tracemalloc's peak
+    # over one (512, 99) L = 8 decode of 100 noisy words was 27.3 KB per word
+    # when the depth state was made to die where it is last read (55.6 before)
+    llr = _reference_llrs(big_code, np.random.default_rng(8), 100, 0.3)
+    tracemalloc.start()
+    try:
+        _, ok = big_code.decode(llr, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < ok.sum() < len(llr)
+    assert peak <= 30_000 * len(llr)

@@ -9,7 +9,7 @@ import pytest
 from secure_ura import (ConfigError, SystemConfig, TrialError, emit_csv,
                         generate_public_params, run_point, run_sweep, run_trial,
                         selftest, split_power_budget)
-from secure_ura.harness import CSV_HEADER
+from secure_ura.harness import CSV_HEADER, frames_per_batch
 
 from helpers import make_mini_cfg
 
@@ -106,21 +106,23 @@ def _record_calls(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, recording)
 
 
-def test_sweep_runs_the_iterative_stage_once_per_frame(mini_cfg, monkeypatch):
+def test_sweep_runs_the_iterative_stage_once_per_frame(monkeypatch):
     # R ratios x T trials x |Ka| user counts: T |Ka| frames, simulated in
-    # batches of max(1, 4 // Ka) trials.  Each frame is decoded in exactly
-    # one iterative-stage and one key-stage call, and a batch makes one
-    # LDPC run, which covers the words of all its frames and R splits
+    # batches of frames_per_batch frames.  At M = 40 the antenna-rows bound
+    # holds 5 frames (Ka = 1), and the words bound 4 and 2 (Ka = 25, 40).
+    # Each frame is decoded in exactly one iterative-stage and one key-stage
+    # call, and a batch makes one LDPC run, which covers the words of all
+    # its frames and R splits
     from secure_ura import LdpcCode, harness, receiver
     calls = {}
     _record_calls(monkeypatch, harness, "run_trial", calls)
     for name in ("iterative_decode", "decode_keys_and_decrypt"):
         _record_calls(monkeypatch, receiver, name, calls)
     _record_calls(monkeypatch, LdpcCode, "decode", calls)
-    ratios, trials, ka_list = [1.0, 3.0, 7.0], 5, [1, 2, 3]
-    run_sweep(mini_cfg, ka_list, ratios, trials)
+    ratios, trials, ka_list = [1.0, 3.0, 7.0], 5, [1, 25, 40]
+    run_sweep(make_mini_cfg(M=40), ka_list, ratios, trials)
 
-    batches = [[0, 1, 2, 3], [4], [0, 1], [2, 3], [4], [0], [1], [2], [3], [4]]
+    batches = [[0, 1, 2, 3, 4], [0, 1, 2, 3], [4], [0, 1], [2, 3], [4]]
     assert [trial_ids for _, trial_ids, _ in calls["run_trial"]] == batches
     assert [len(ys) for ys, _, _ in calls["iterative_decode"]] == [len(b) for b in batches]
     assert [len(C_hats) for C_hats, *_ in calls["decode_keys_and_decrypt"]] == \
@@ -129,6 +131,15 @@ def test_sweep_runs_the_iterative_stage_once_per_frame(mini_cfg, monkeypatch):
     # the LDPC run of a batch decodes R words per user of each of its frames
     for (_, llr, _), (C_hats, *_) in zip(calls["decode"], calls["decode_keys_and_decrypt"]):
         assert len(llr) == len(ratios) * sum(len(C) for C in C_hats)
+    assert sum(len(C) for C_hats, *_ in calls["decode_keys_and_decrypt"] for C in C_hats) > 0
+
+
+@pytest.mark.parametrize("M,ka,frames", [
+    (50, 1, 4), (50, 25, 4), (50, 100, 1), (16, 1, 12), (16, 10, 10), (16, 25, 4)])
+def test_batch_sizes_at_the_benchmark_shapes(M, ka, frames):
+    # full scale keeps the 4-frame batches of one user and the lone Ka = 100
+    # frame; the M = 16 grid batches 12, 10 and 4 frames
+    assert frames_per_batch(SystemConfig(M=M, E=M, Ka=ka)) == frames
 
 
 def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):

@@ -18,6 +18,7 @@ from secure_ura import (SystemConfig, atom_energies, codebook_correlation, decod
                         pilot_polar_rows, residual_energies, run_trial,
                         split_power_budget, standardize, transmit, uplink)
 from secure_ura import receiver
+from secure_ura.harness import frames_per_batch
 from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.params import PilotCodebook
 from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
@@ -576,7 +577,8 @@ def test_iterative_decode_holds_at_most_two_correlations():
     # grow with its picks: 1.10 such arrays at Ka = 1 (1.81 while OMP's
     # buffers were sized for np picks, 3 while the first correlation was
     # kept).  At Ka = 100 the ~100 decoded users' signal rows and the
-    # residual, held across passes, add about 0.7 of one: 2.01 (2.41)
+    # residual each pass forms from them add about 0.8 of one: 1.91 (2.01
+    # while the residual was held across passes, 2.41 before that)
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
     unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
@@ -689,14 +691,17 @@ def _sent_at_splits(cfgs, params, trial):
     return uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial))
 
 
-@pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 3), ("m16", 10)])
+@pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 3), ("m16", 10),
+                                     ("m16", 25)])
 def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
-    # four frames and a pure-noise frame, at ratios 1, 7 and inf: each
+    # a sweep's batch of frames (at least four; at M = 16, Ka = 1 the
+    # largest, 12) and a pure-noise frame, at ratios 1, 7 and inf: each
     # frame's every output array is the one it gives when decoded alone
     base, params = _reference_setup(name)
     cfgs = [replace(base, Ka=ka, seed=5, Pa=pa, Pk=pk) for pa, pk in (
         split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf")))]
-    frames = [_sent_at_splits(cfgs, params, t) for t in range(4)]
+    n_frames = max(4, frames_per_batch(cfgs[0]))
+    frames = [_sent_at_splits(cfgs, params, t) for t in range(n_frames)]
     noise = complex_normal(stream(5, "noise-frame"), (base.M, frame_len(base)), base.sigma_c2)
     n = base.np + base.nc
     frames.append((noise[:, :n], [noise[:, n:]] * len(cfgs)))
