@@ -173,11 +173,14 @@ def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
     """Split the key-segment budget into (Pa, Pk) with Pa/Pk = ratio.
 
     ratio = inf puts the whole budget on the mask: (budget, 0.0).  A ratio
-    that is not >= 0, NaN included, is a ConfigError naming the ratio.
+    that is not >= 0, NaN included, or so large that its Pa overflows past
+    the budget, is a ConfigError naming the ratio.
     """
     if not ratio >= 0:
         raise ConfigError(f"ratio: must be >= 0, got {ratio}")
     pa = budget if ratio == np.inf else budget * ratio / (1.0 + ratio)
+    if not pa <= budget:
+        raise ConfigError(f"ratio: too large to split the key budget {budget}, got {ratio}")
     return pa, budget - pa
 
 
@@ -217,12 +220,9 @@ def _run_splits(cfgs: list[SystemConfig], ratios, params: PublicParams) -> list[
     return results
 
 
-def run_point(cfg: SystemConfig, params: PublicParams | None = None,
-              ratio: float | None = None) -> SweepResult:
-    """Run cfg.trials trials at one grid point and aggregate."""
-    if params is None:
-        params = generate_public_params(cfg)
-    return _run_splits([cfg], [config_ratio(cfg) if ratio is None else ratio], params)[0]
+def run_point(cfg: SystemConfig) -> SweepResult:
+    """Run cfg.trials trials at one grid point, at cfg's own split, and aggregate."""
+    return _run_splits([cfg], [config_ratio(cfg)], generate_public_params(cfg))[0]
 
 
 def grid_configs(cfg: SystemConfig, ka_list, ratios) -> list[list[SystemConfig]]:

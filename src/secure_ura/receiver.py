@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .crypto import decrypt, expand_key
-from .keys import extract_key, standardize
+from .keys import artificial_noise, extract_key, standardize
 from .modulation import clamp_llr
 from .params import ROW_BLOCK, PilotCodebook, PublicParams
 from .transmitter import index_to_bits, pilot_polar_rows
@@ -333,27 +333,23 @@ class _FrameState:
     def __init__(self, y_bs: np.ndarray, cfg: SystemConfig):
         self.Y_pp = y_bs[:, :cfg.np + cfg.nc]
         self.C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
-        # rows of C_hat's signals, and the LS fit to them; a set the LS
-        # fallback empties keeps those of its last SIC
+        # rows of C_hat's signals, and the LS fit to them
         self.X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)
         self.H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
         self.energy0 = None              # atom energies of the first correlation
 
-    def residual(self) -> np.ndarray:
-        """Y_pp less the signals of the last SIC, formed where it is read, so
-        that a batch's frames do not hold theirs between passes."""
-        return self.Y_pp - self.H_hat @ self.X if len(self.X) else self.Y_pp
-
     def detect(self, cfg: SystemConfig, params: PublicParams, floor: float
                ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray | None]:
-        """This pass's OMP detections and the residual they are picked from;
-        the correlation it forms dies here."""
+        """This pass's OMP detections and the residual they are picked from:
+        Y_pp less the signals of the last SIC, formed here so that a batch's
+        frames do not hold theirs between passes.  The correlation it forms
+        dies here."""
         k = len(self.C_hat)
         if k and 2 * k < cfg.M and residual_energies(
                 self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np],
                 self.H_hat, params.P).max() <= floor:
             return [], None                  # OMP would stop before its first pick
-        residual = self.residual()
+        residual = self.Y_pp - self.H_hat @ self.X if k else self.Y_pp
         Y_p = residual[:, :cfg.np]
         gamma = codebook_correlation(Y_p, params.P)
         energy = atom_energies(gamma)
@@ -363,15 +359,14 @@ class _FrameState:
 
 
 def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicParams
-                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Iterate pilot detection, polar decoding and SIC until nothing new decodes.
 
     ys holds a batch of uplink blocks, one per frame; only the first
     np + nc columns of each, the pilot and polar segments, are read, and
-    the user count is never read.  Returns per frame (C_hat, H_hat,
-    residual): the (k, B) ciphertexts of the CRC-passing users in decoding
-    order, their final least-squares channel estimates (M, k), and the
-    residual pilot+polar observation.
+    the user count is never read.  Returns per frame (C_hat, H_hat): the
+    (k, B) ciphertexts of the CRC-passing users in decoding order and their
+    final least-squares channel estimates (M, k).
 
     The frames run in lockstep: in each pass, OMP and MMSE run per frame,
     one polar decode covers every frame's LLR rows, and LS/SIC runs per
@@ -435,7 +430,7 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
                 live.append(f)
 
     # an emptied set keeps no stale estimate
-    return [(f.C_hat, f.H_hat[:, :len(f.C_hat)], f.residual()) for f in frames]
+    return [(f.C_hat, f.H_hat[:, :len(f.C_hat)]) for f in frames]
 
 
 def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
@@ -450,11 +445,10 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
     H_hat^T V estimates user i's feedback vector; the key code of `keys`
     turns the (k, L) block into features and masks.  It is called on each
     frame's whole block, since row-by-row products round differently.  A
-    frame's feedback estimate, systematic LLRs and mask projection Y_bar C2
-    are formed once; each split scales the projection by its own sqrt(Pa)
-    to cancel its mask and forms its parity LLRs.  One LDPC decode covers
-    every frame's and every split's words, which decode independently of
-    each other.
+    frame's feedback estimate and systematic LLRs are formed once; each
+    split cancels its own mask, keys.artificial_noise at its Pa, and forms
+    its parity LLRs.  One LDPC decode covers every frame's and every
+    split's words, which decode independently of each other.
 
     Returns per frame one (S_hat, W_hat, converged, valid) tuple per split,
     one row per row of C_hats[f].  valid[i] is False where user i's
@@ -469,11 +463,9 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
         Y_bar, var, valid = standardize(H_hat.T @ params.V)
         U_hat, _ = extract_key(Y_bar, params.C1)
         f_sys = llr_systematic(U_hat, var, sigma_uj2)
-        # the mask is artificial_noise, sqrt(Pa) times this projection
-        projection = Y_bar[valid] @ params.C2
         for b, c in zip(y_k, cfgs, strict=True):
-            f_parity = llr_parity(b - H_hat[:, valid] @ (np.sqrt(c.Pa) * projection),
-                                  H_hat, c.Pk, c.sigma_c2)
+            mask = artificial_noise(Y_bar[valid], params.C2, c.Pa)
+            f_parity = llr_parity(b - H_hat[:, valid] @ mask, H_hat, c.Pk, c.sigma_c2)
             blocks.append(np.concatenate([f_sys, f_parity], axis=1))
         valids.append(valid)
 
@@ -493,10 +485,11 @@ def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
     split, and y_ks[f][i] its (M, ns - S) key segment at cfgs[i]'s split;
     the configs are equal but for Pa and Pk.  The iterative stage and the
     key stage each run once for the batch, the key stage over every split's
-    key segment.  Returns per frame one (C_hat, S_hat, W_hat, converged,
-    valid) tuple per split, aligned row by row; C_hat and valid are the
-    same arrays at each split.  Each frame's outputs are those it gives
-    when decoded alone.
+    key segment; it reads only the decoded ciphertexts and channel
+    estimates the iterative stage returns.  Returns per frame one (C_hat,
+    S_hat, W_hat, converged, valid) tuple per split, aligned row by row;
+    C_hat and valid are the same arrays at each split.  Each frame's
+    outputs are those it gives when decoded alone.
     """
     cfg = cfgs[0]
     expected = [cfg.np + cfg.nc] + [cfg.key_parity_len] * len(cfgs)
@@ -505,8 +498,7 @@ def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
         if widths != expected:
             raise ValueError(f"frame segments have {widths} columns, expected {expected}")
     decoded = iterative_decode(ys, cfg, params)
-    C_hats = [C_hat for C_hat, _, _ in decoded]
-    H_hats = [H_hat for _, H_hat, _ in decoded]
-    del decoded                          # the residuals die before the key stage
+    C_hats = [C_hat for C_hat, _ in decoded]
+    H_hats = [H_hat for _, H_hat in decoded]
     keys = decode_keys_and_decrypt(C_hats, H_hats, y_ks, cfgs, params)
     return [[(C_hat, *split) for split in splits] for C_hat, splits in zip(C_hats, keys)]

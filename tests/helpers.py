@@ -1,9 +1,21 @@
 """Shared test utilities."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from secure_ura import (SystemConfig, decode_frame, decode_keys_and_decrypt, transmit,
                         uplink)
+
+
+def load_tool(name):
+    """The module of the script tools/<name>.py."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_mini_cfg(**overrides):

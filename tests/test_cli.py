@@ -117,15 +117,36 @@ def test_zero_trials_is_config_error(mini_file, capsys):
 ], ids=["sweep-ka", "sweep-ratio", "leakage-ratio", "sweep-ratio-nan", "leakage-ratio-nan"])
 def test_invalid_grid_entry_is_rejected_before_any_work(mini_file, tmp_path, capsys,
                                                         monkeypatch, argv, message):
+    _assert_rejected_before_any_work(argv, mini_file, message, tmp_path, capsys, monkeypatch)
+
+
+def _assert_rejected_before_any_work(argv, config_file, message, tmp_path, capsys,
+                                     monkeypatch):
+    """argv with config_file exits 2 with one error line naming message,
+    builds no public artifacts and writes no CSV."""
     def unreachable(cfg):
         raise AssertionError("public artifacts built for an invalid grid")
     monkeypatch.setattr(harness, "generate_public_params", unreachable)
     out = tmp_path / "x.csv"
-    assert main(argv + ["--config", mini_file, "--out", str(out)]) == 2
+    assert main(argv + ["--config", config_file, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"configuration error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--ka", "1", "--ratio", "1,1e308"],
+                                  ["leakage", "--ratio", "1,1e308"]],
+                         ids=["sweep", "leakage"])
+def test_ratio_whose_split_overflows_is_rejected_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    # a key budget of 2 times 1e308 overflows: the ratio is named, not the
+    # Pk = -inf it would give
+    config_file = tmp_path / "budget2.cfg"
+    config_file.write_text(MINI + "Pk = 1\nPa = 1\n")
+    _assert_rejected_before_any_work(
+        argv, str(config_file), "ratio: too large to split the key budget 2.0, got 1e+308",
+        tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -1,24 +1,17 @@
 import dataclasses
 import hashlib
-import importlib.util
-from pathlib import Path
+import json
+
+import pytest
 
 from secure_ura import decode_frame, split_power_budget
 from secure_ura.harness import _send_frame
 
-from helpers import make_mini_cfg
-
-
-def _fingerprint_module():
-    path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
-    spec = importlib.util.spec_from_file_location("fingerprint", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_tool, make_mini_cfg
 
 
 def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
-    fingerprint = _fingerprint_module()
+    fingerprint = load_tool("fingerprint")
 
     def decode_hash(splits):
         h = hashlib.sha256()
@@ -42,4 +35,32 @@ def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
 
 
 def test_mini_digest_is_of_the_tests_mini_config():
-    assert _fingerprint_module().MINI_CFG == make_mini_cfg()
+    assert load_tool("fingerprint").MINI_CFG == make_mini_cfg()
+
+
+_NOW = {"golden": "a1", "digest": "b2"}
+
+
+@pytest.mark.parametrize("saved,differ", [
+    (_NOW, []),
+    ({"golden": "a1", "digest": "b3"}, ["digest"]),
+    ({"golden": "a1"}, ["digest"]),
+    ({**_NOW, "leakage": "c4"}, ["leakage"]),
+    ({"golden": "a0", "leakage": "c4"}, ["digest", "golden", "leakage"]),
+], ids=["equal", "value", "missing-saved", "missing-now", "several"])
+def test_compare_exit_code_and_differing_fields(saved, differ, tmp_path, capsys, monkeypatch):
+    # CI treats exit 3 alone as informational: it must mean exactly that some
+    # field's value differs or is missing on one side, one line per field
+    fingerprint = load_tool("fingerprint")
+    monkeypatch.setattr(fingerprint, "fingerprint", lambda: dict(_NOW))
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps(saved))
+    code = fingerprint.main(["--compare", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    reported = [line.split(": ")[1] for line in lines if line.startswith("differs: ")]
+    assert reported == differ
+    if differ:
+        assert code == 3
+    else:
+        assert code == 0
+        assert lines[-1] == f"all {len(_NOW)} fields match {path}"
