@@ -17,9 +17,8 @@ from dataclasses import replace
 from functools import partial
 
 from .config import ConfigError, SystemConfig, load_config
-from .harness import (LEAKAGE_CSV_HEADER, TrialError, check_csv_path, config_ratio,
-                      emit_csv, grid_configs, run_leakage, run_point, run_sweep, selftest,
-                      write_csv)
+from .harness import (LEAKAGE_CSV_HEADER, TrialError, check_csv_path, emit_csv,
+                      power_splits, run_leakage, run_point, run_sweep, selftest, write_csv)
 
 
 def _entries(text: str, convert, kind: str) -> list:
@@ -78,7 +77,9 @@ def _load(args) -> SystemConfig:
     cfg = replace(load_config(args.config), **given)
     # a run is refused before any trial: for its config or grid first, then its
     # --out, which sweep requires; to run and leakage an empty --out means no CSV
-    grid_configs(cfg, getattr(args, "ka", [cfg.Ka]), getattr(args, "ratio", None) or ())
+    power_splits(cfg, getattr(args, "ratio", None))
+    for ka in getattr(args, "ka", ()):
+        replace(cfg, Ka=ka)
     if args.command == "sweep" or getattr(args, "out", None):
         check_csv_path(args.out)
     return cfg
@@ -109,8 +110,7 @@ def _cmd_selftest(args, cfg: SystemConfig) -> int:
 
 
 def _cmd_leakage(args, cfg: SystemConfig) -> int:
-    ratios = args.ratio if args.ratio is not None else [config_ratio(cfg)]
-    rows = run_leakage(cfg, ratios)
+    rows = run_leakage(cfg, args.ratio)
     for ratio, pa, pk, zeta in rows:
         print(f"ratio={ratio:g} pa={pa:.6g} pk={pk:.6g} zeta_lower_mean={zeta:.6g}")
     if args.out:

@@ -12,11 +12,13 @@ the trial's `eve-channel` stream; the sweep and the `leakage` command
 average that same value, which makes the reported bound bit-identical
 across user counts at a fixed power split.
 
-No draw depends on the Pa/Pk split, which changes only the key segment.  So
-a trial simulates one frame for all the splits of a sweep's Ka: one
-transmit, uplink and iterative receiver stage, a key segment per split, and
-one key stage whose LDPC decode covers every split's words.  `run_point` is
-the one-split case.
+A power split is a (Pa, Pk) pair, and `power_splits` makes every split a
+run, sweep or leakage report uses: from its ratio Pa/Pk, or the config's
+own.  No draw depends on the split, which changes only the key segment.  So
+a trial takes one config and its splits, and simulates one frame for all of
+them: one transmit, uplink and iterative receiver stage, a key segment per
+split, and one key stage whose LDPC decode covers every split's words.
+`run_point` is the one-split case.
 
 Nor does any draw depend on which trials are simulated together, so one
 `run_trial` call simulates a batch of trials: each frame is sent alone, and
@@ -83,12 +85,11 @@ class SweepResult:
 CSV_HEADER = [f.name for f in fields(SweepResult)]
 
 
-def first_user_zetas(cfgs: list[SystemConfig], trial_id: int,
+def first_user_zetas(cfg: SystemConfig, splits, trial_id: int,
                      params: PublicParams) -> list[float]:
-    """Equivocation lower bound of a trial's first user at the split of each of cfgs."""
-    cfg = cfgs[0]
+    """Equivocation lower bound of a trial's first user at each (Pa, Pk) split."""
     g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (cfg.E,))
-    return [leakage_report(g, params.C2, c.Pk, c.Pa, c.sigma_e2, c.S) for c in cfgs]
+    return [leakage_report(g, params.C2, pk, pa, cfg.sigma_e2, cfg.S) for pa, pk in splits]
 
 
 @contextmanager
@@ -102,70 +103,67 @@ def _stage(trial_ids: list[int], name: str):
         raise TrialError(f"trial {', '.join(map(str, trial_ids))}: {name}: {exc}") from exc
 
 
-def _send_frame(cfgs: list[SystemConfig], trial_id: int, params: PublicParams):
+def _send_frame(cfg: SystemConfig, splits, trial_id: int, params: PublicParams):
     """A trial's messages and its received frame: (messages, y, y_k)."""
-    cfg = cfgs[0]
     with _stage([trial_id], "transmit"):
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial_id))
-        X, X_k, _, _ = transmit(messages, Y, cfgs, params)
+        X, X_k, _, _ = transmit(messages, Y, cfg, splits, params)
     with _stage([trial_id], "uplink"):
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
     return messages, y, y_k
 
 
-def _run_frames(cfgs: list[SystemConfig], trial_ids: list[int],
+def _run_frames(cfg: SystemConfig, splits, trial_ids: list[int],
                 params: PublicParams) -> list[list[TrialReport]]:
     """run_trial's batch; a receiver failure names every trial of the batch."""
-    cfg = cfgs[0]
-    sent = [_send_frame(cfgs, t, params) for t in trial_ids]
+    sent = [_send_frame(cfg, splits, t, params) for t in trial_ids]
     with _stage(trial_ids, "receiver"):
         decoded = decode_frame([y for _, y, _ in sent], [y_k for _, _, y_k in sent],
-                               cfgs, params)
+                               cfg, splits, params)
 
     reports = []
-    for trial_id, (messages, _, _), splits in zip(trial_ids, sent, decoded):
+    for trial_id, (messages, _, _), frame in zip(trial_ids, sent, decoded):
         n_errs = []
-        for C_hat, _, W_hat, _, valid in splits:
+        for _, _, W_hat, _, valid in frame:
             recovered = {w.tobytes() for w in W_hat[valid]}
             n_errs.append(sum(1 for u in range(cfg.Ka)
                               if messages[u].tobytes() not in recovered))
         with _stage([trial_id], "leakage"):
-            zetas = first_user_zetas(cfgs, trial_id, params)
-        reports.append([TrialReport(trial_id=trial_id, n_detected=len(C_hat), n_err=n_err,
+            zetas = first_user_zetas(cfg, splits, trial_id, params)
+        n_detected = len(frame[0][0])        # C_hat, the same at every split
+        reports.append([TrialReport(trial_id=trial_id, n_detected=n_detected, n_err=n_err,
                                     pupe=n_err / cfg.Ka, zeta_lower=zeta)
                         for n_err, zeta in zip(n_errs, zetas)])
     return reports
 
 
-def run_trial(cfgs: list[SystemConfig], trial_ids: list[int],
+def run_trial(cfg: SystemConfig, splits, trial_ids: list[int],
               params: PublicParams) -> list[list[TrialReport]]:
     """Simulate a batch of complete frames, one per trial id: feedback,
     uplink, receiver, leakage.
 
-    cfgs holds one config per Pa/Pk split, equal but for Pa and Pk; only
-    the key segment is built per split.  Each frame is sent alone and the
-    receiver decodes the batch at once (see the module docstring).  Returns
-    per trial one TrialReport per split, each the one the trial gives alone.
+    splits holds the (Pa, Pk) pairs each frame is sent at, in place of
+    cfg's own; only the key segment is built per split.  Each frame is sent
+    alone and the receiver decodes the batch at once (see the module
+    docstring).  Returns per trial one TrialReport per split, each the one
+    the trial gives alone.
 
     A failing trial raises TrialError naming the trial and the stage
     (_stage).  When a batch fails, its frames are run again one at a time:
     every draw is keyed by its trial, so the rerun is exact, and the first
     trial that fails alone is named, as in a run of one trial at a time.
     """
-    cfg = cfgs[0]
-    if any(replace(c, Pa=cfg.Pa, Pk=cfg.Pk) != cfg for c in cfgs):
-        raise ValueError("run_trial: the configs must differ only in Pa and Pk")
     try:
-        return _run_frames(cfgs, trial_ids, params)
+        return _run_frames(cfg, splits, trial_ids, params)
     except TrialError as exc:
         if len(trial_ids) == 1:
             raise
         batch_error = exc
     for t in trial_ids:
-        _run_frames(cfgs, [t], params)
+        _run_frames(cfg, splits, [t], params)
     raise batch_error
 
 
@@ -184,9 +182,18 @@ def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
     return pa, budget - pa
 
 
-def config_ratio(cfg: SystemConfig) -> float:
-    """The Pa/Pk ratio of cfg's own split (inf when Pk is zero)."""
-    return cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf")
+def power_splits(cfg: SystemConfig, ratios) -> list[tuple[float, float, float]]:
+    """(ratio, Pa, Pk) of every split of cfg's key-segment budget.
+
+    Each ratio is split by split_power_budget.  ratios None is cfg's own
+    split, exactly its Pa and Pk, with ratio Pa/Pk (inf when Pk is zero).
+    An empty list is a ConfigError.
+    """
+    if ratios is None:
+        return [(cfg.Pa / cfg.Pk if cfg.Pk > 0 else float("inf"), cfg.Pa, cfg.Pk)]
+    if not ratios:
+        raise ConfigError("ratio: at least one ratio is needed, got none")
+    return [(ratio, *split_power_budget(cfg.key_budget, ratio)) for ratio in ratios]
 
 
 def frames_per_batch(cfg: SystemConfig) -> int:
@@ -195,25 +202,26 @@ def frames_per_batch(cfg: SystemConfig) -> int:
     return max(1, min(BATCH_WORDS // cfg.Ka, BATCH_ANTENNA_ROWS // cfg.M))
 
 
-def _run_splits(cfgs: list[SystemConfig], ratios, params: PublicParams) -> list[SweepResult]:
-    """Run cfgs[0].trials frames, each at every split of cfgs, in batches of
-    frames_per_batch frames; aggregate per split.
+def _run_splits(cfg: SystemConfig, splits, params: PublicParams) -> list[SweepResult]:
+    """Run cfg.trials frames, each at every (ratio, Pa, Pk) split, in batches
+    of frames_per_batch frames; aggregate per split.
 
     The words bound lets crowded frames share the decoders' calls too; the
     rows bound keeps the blocks held at once small where M is large.  At
     M = 16 a batch holds 12, 10 and 4 frames at Ka = 1, 10 and 25; at the
     full-scale M = 50, 4 frames up to Ka = 25 and one at Ka = 100.
     """
-    trials = range(cfgs[0].trials)
-    batch = frames_per_batch(cfgs[0])
+    pairs = [(pa, pk) for _, pa, pk in splits]
+    trials = range(cfg.trials)
+    batch = frames_per_batch(cfg)
     reports = [r for i in range(0, len(trials), batch)
-               for r in run_trial(cfgs, list(trials[i:i + batch]), params)]
+               for r in run_trial(cfg, pairs, list(trials[i:i + batch]), params)]
     results = []
-    for i, (cfg, ratio) in enumerate(zip(cfgs, ratios)):
+    for i, (ratio, pa, pk) in enumerate(splits):
         pupes = np.array([r[i].pupe for r in reports])
         stderr = float(pupes.std(ddof=1) / np.sqrt(len(pupes))) if len(pupes) > 1 else 0.0
         zetas = [r[i].zeta_lower for r in reports]
-        results.append(SweepResult(ka=cfg.Ka, ratio=ratio, pa=cfg.Pa, pk=cfg.Pk,
+        results.append(SweepResult(ka=cfg.Ka, ratio=ratio, pa=pa, pk=pk,
                                    trials=cfg.trials, pupe_mean=float(pupes.mean()),
                                    pupe_stderr=stderr, zeta_lower_mean=float(np.mean(zetas)),
                                    seed=cfg.seed))
@@ -222,33 +230,27 @@ def _run_splits(cfgs: list[SystemConfig], ratios, params: PublicParams) -> list[
 
 def run_point(cfg: SystemConfig) -> SweepResult:
     """Run cfg.trials trials at one grid point, at cfg's own split, and aggregate."""
-    return _run_splits([cfg], [config_ratio(cfg)], generate_public_params(cfg))[0]
-
-
-def grid_configs(cfg: SystemConfig, ka_list, ratios) -> list[list[SystemConfig]]:
-    """The config of every grid point, one list of the Pa/Pk splits per Ka.
-
-    Built and validated in full before the shared artifacts, so an invalid
-    entry anywhere in the grid is reported before any work is done.
-    """
-    splits = [split_power_budget(cfg.key_budget, ratio) for ratio in ratios]
-    return [[replace(cfg, Ka=ka, Pa=pa, Pk=pk) for pa, pk in splits] for ka in ka_list]
+    return _run_splits(cfg, power_splits(cfg, None), generate_public_params(cfg))[0]
 
 
 def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
               trials: int, progress=None) -> list[SweepResult]:
     """Grid over user counts and Pa/Pk splits of the fixed power budget.
 
-    Walked Ka-major: a trial's frame serves every split of its Ka.
+    Walked Ka-major: a trial's frame serves every split of its Ka.  Every
+    split and every Ka's config is built, and so validated, before the
+    shared artifacts, so an invalid entry anywhere in the grid is reported
+    before any work is done.
     """
     base_cfg = replace(base_cfg, trials=trials)
-    grid = grid_configs(base_cfg, ka_list, ratio_list)
+    splits = power_splits(base_cfg, ratio_list)
+    cfgs = [replace(base_cfg, Ka=ka) for ka in ka_list]
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
     params = generate_public_params(base_cfg)
     results = []
-    for cfgs in grid:
-        for res in _run_splits(cfgs, ratio_list, params):
+    for cfg in cfgs:
+        for res in _run_splits(cfg, splits, params):
             results.append(res)
             if progress is not None:
                 progress(res)
@@ -258,15 +260,16 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
 def run_leakage(cfg: SystemConfig, ratios) -> list[tuple[float, float, float, float]]:
     """(ratio, Pa, Pk, zeta_lower_mean) rows of the equivocation bound alone.
 
-    Each ratio splits cfg's key-segment budget as in run_sweep, and the mean
-    runs over the same first-user bounds a sweep of cfg.trials trials
-    averages, without simulating the link.
+    The splits are power_splits(cfg, ratios): each ratio splits cfg's
+    key-segment budget as in run_sweep, and None is cfg's own split, as in
+    run_point.  The mean runs over the same first-user bounds a sweep of
+    cfg.trials trials averages, without simulating the link.
     """
-    (splits,) = grid_configs(cfg, [cfg.Ka], ratios)
+    splits = power_splits(cfg, ratios)
+    pairs = [(pa, pk) for _, pa, pk in splits]
     params = generate_public_params(cfg)
-    zetas = [first_user_zetas(splits, t, params) for t in range(cfg.trials)]
-    return [(ratio, split.Pa, split.Pk, float(np.mean([z[i] for z in zetas])))
-            for i, (ratio, split) in enumerate(zip(ratios, splits))]
+    zetas = [first_user_zetas(cfg, pairs, t, params) for t in range(cfg.trials)]
+    return [(*split, float(np.mean([z[i] for z in zetas]))) for i, split in enumerate(splits)]
 
 
 def _fmt(x) -> str:
@@ -401,9 +404,8 @@ def _check_end_to_end(cfg: SystemConfig, params: None) -> None:
     # their memory; a short pilot (enough for one noiseless user) keeps it small
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
-    [[report]] = run_trial([mini], [0], generate_public_params(mini))
-    _require(report.pupe == 0.0,
-             f"noiseless single-user trial has PUPE {report.pupe:g}, expected 0")
+    pupe = run_point(mini).pupe_mean
+    _require(pupe == 0.0, f"noiseless single-user trial has PUPE {pupe:g}, expected 0")
 
 
 SELFTEST_SUITES = [

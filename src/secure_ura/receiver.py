@@ -26,8 +26,8 @@ a batch of independent frames in lockstep: pilot detection, MMSE and SIC
 run per frame, but one polar decode per pass and one LDPC decode cover
 every frame's words, which the decoders treat independently; each such
 decode is split back per block in one place, _decode_blocks.  A frame
-sent at several Pa/Pk splits differs only in its key segment, so only the
-mask cancellation and the parity LLRs are formed per split.
+sent at several power splits, (Pa, Pk) pairs, differs only in its key
+segment, so only the mask cancellation and the parity LLRs are per split.
 """
 
 import math
@@ -434,21 +434,21 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
 
 
 def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
-                            y_ks: list[list[np.ndarray]], cfgs: list[SystemConfig],
+                            y_ks: list[list[np.ndarray]], cfg: SystemConfig, splits,
                             params: PublicParams) -> list[list[tuple[np.ndarray, ...]]]:
     """Recover every decoded user's key and decrypt its ciphertext, per frame
     of a batch and per split.
 
     C_hats[f] and H_hats[f] are frame f's decoded ciphertexts and channel
-    estimates, and y_ks[f][i] its key segment received at cfgs[i]'s split;
-    the configs are equal but for Pa and Pk.  By reciprocity, row i of
-    H_hat^T V estimates user i's feedback vector; the key code of `keys`
-    turns the (k, L) block into features and masks.  It is called on each
-    frame's whole block, since row-by-row products round differently.  A
-    frame's feedback estimate and systematic LLRs are formed once; each
-    split cancels its own mask, keys.artificial_noise at its Pa, and forms
-    its parity LLRs.  One LDPC decode covers every frame's and every
-    split's words, which decode independently of each other.
+    estimates, and y_ks[f][i] its key segment received at the (Pa, Pk)
+    pair splits[i].  By reciprocity, row i of H_hat^T V estimates user i's
+    feedback vector; the key code of `keys` turns the (k, L) block into
+    features and masks.  It is called on each frame's whole block, since
+    row-by-row products round differently.  A frame's feedback estimate and
+    systematic LLRs are formed once; each split cancels its own mask,
+    keys.artificial_noise at its Pa, and forms its parity LLRs at its Pk.
+    One LDPC decode covers every frame's and every split's words, which
+    decode independently of each other.
 
     Returns per frame one (S_hat, W_hat, converged, valid) tuple per split,
     one row per row of C_hats[f].  valid[i] is False where user i's
@@ -456,43 +456,40 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
     rows mean nothing, and converged[i] is False.  valid is the same array
     at each split.
     """
-    cfg = cfgs[0]
     sigma_uj2 = feature_noise_variances(cfg, params)
     blocks, valids = [], []
     for H_hat, y_k in zip(H_hats, y_ks, strict=True):
         Y_bar, var, valid = standardize(H_hat.T @ params.V)
         U_hat, _ = extract_key(Y_bar, params.C1)
         f_sys = llr_systematic(U_hat, var, sigma_uj2)
-        for b, c in zip(y_k, cfgs, strict=True):
-            mask = artificial_noise(Y_bar[valid], params.C2, c.Pa)
-            f_parity = llr_parity(b - H_hat[:, valid] @ mask, H_hat, c.Pk, c.sigma_c2)
+        for b, (pa, pk) in zip(y_k, splits, strict=True):
+            mask = artificial_noise(Y_bar[valid], params.C2, pa)
+            f_parity = llr_parity(b - H_hat[:, valid] @ mask, H_hat, pk, cfg.sigma_c2)
             blocks.append(np.concatenate([f_sys, f_parity], axis=1))
         valids.append(valid)
 
     decoded = _decode_blocks(params.ldpc.decode, blocks, cfg.bp_iters)
     return [[(S_hat, decrypt(C_hat, expand_key(S_hat, params.T)), converged & valid, valid)
-             for S_hat, converged in [next(decoded) for _ in cfgs]]
+             for S_hat, converged in [next(decoded) for _ in splits]]
             for C_hat, valid in zip(C_hats, valids, strict=True)]
 
 
 def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
-                 cfgs: list[SystemConfig], params: PublicParams
+                 cfg: SystemConfig, splits, params: PublicParams
                  ) -> list[list[tuple[np.ndarray, ...]]]:
     """Run the complete receiver on a batch of frames, each sent at one or
     more power splits.
 
     ys[f] is frame f's (M, np + nc) pilot+polar block, the same at every
-    split, and y_ks[f][i] its (M, ns - S) key segment at cfgs[i]'s split;
-    the configs are equal but for Pa and Pk.  The iterative stage and the
-    key stage each run once for the batch, the key stage over every split's
-    key segment; it reads only the decoded ciphertexts and channel
-    estimates the iterative stage returns.  Returns per frame one (C_hat,
-    S_hat, W_hat, converged, valid) tuple per split, aligned row by row;
-    C_hat and valid are the same arrays at each split.  Each frame's
-    outputs are those it gives when decoded alone.
+    split, and y_ks[f][i] its (M, ns - S) key segment at the (Pa, Pk) pair
+    splits[i].  The iterative stage and the key stage each run once for the
+    batch, the key stage over every split's key segment; it reads only the
+    decoded ciphertexts and channel estimates the iterative stage returns.
+    Returns per frame one (C_hat, S_hat, W_hat, converged, valid) tuple per
+    split, aligned row by row; C_hat and valid are the same arrays at each
+    split.  Each frame's outputs are those it gives when decoded alone.
     """
-    cfg = cfgs[0]
-    expected = [cfg.np + cfg.nc] + [cfg.key_parity_len] * len(cfgs)
+    expected = [cfg.np + cfg.nc] + [cfg.key_parity_len] * len(splits)
     for y, y_k in zip(ys, y_ks, strict=True):
         widths = [y.shape[1]] + [b.shape[1] for b in y_k]
         if widths != expected:
@@ -500,5 +497,5 @@ def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
     decoded = iterative_decode(ys, cfg, params)
     C_hats = [C_hat for C_hat, _ in decoded]
     H_hats = [H_hat for _, H_hat in decoded]
-    keys = decode_keys_and_decrypt(C_hats, H_hats, y_ks, cfgs, params)
+    keys = decode_keys_and_decrypt(C_hats, H_hats, y_ks, cfg, splits, params)
     return [[(C_hat, *split) for split in splits] for C_hat, splits in zip(C_hats, keys)]

@@ -7,8 +7,9 @@ key segment is the BPSK-mapped LDPC parity of the key plus the mask, and
 the frame is the concatenation [pilot | polar | key].  A trial's users go
 through every step as one block, one row per user.
 
-The Pa/Pk split changes only the key segment, so a frame sent at several
-splits builds its pilot+polar rows once and one key segment per split.
+A power split, a (Pa, Pk) pair, changes only the key segment, so a frame
+sent at several splits builds its pilot+polar rows once and one key segment
+per split.
 """
 
 import numpy as np
@@ -41,25 +42,23 @@ def pilot_polar_rows(C: np.ndarray, cfg: SystemConfig, params: PublicParams) -> 
                            bpsk_map(params.polar.encode(C[:, cfg.Bp:]), cfg.Pc)], axis=1)
 
 
-def transmit(W: np.ndarray, Y: np.ndarray, cfgs: list[SystemConfig], params: PublicParams
+def transmit(W: np.ndarray, Y: np.ndarray, cfg: SystemConfig, splits, params: PublicParams
              ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
     """Transmitter chain for a block of users: returns (X, X_k, C, S).
 
     W holds one B-bit message per row and Y the matching feedback
-    observations, one L-vector per row.  cfgs holds one config per power
-    split, equal but for Pa and Pk.  X is the (Ka, np + nc) block of
+    observations, one L-vector per row.  X is the (Ka, np + nc) block of
     pilot+polar signals, the same at every split; X_k[i] is the (Ka, ns - S)
-    key segment at cfgs[i]'s split: the BPSK parity at Pk plus the mask at
-    Pa.  C holds the (Ka, B) ciphertexts and S the (Ka, S) key bits.  A
-    feedback row below the variance floor raises DegenerateFeedbackError
-    naming the first such user.
+    key segment at the (Pa, Pk) pair splits[i]: the BPSK parity at Pk plus
+    the mask at Pa.  C holds the (Ka, B) ciphertexts and S the (Ka, S) key
+    bits.  A feedback row below the variance floor raises
+    DegenerateFeedbackError naming the first such user.
 
     The projections of the standardized feedback go through a (Ka, 1, L)
     stack, so each row is its own vector-matrix product and a user's frame
     does not depend on how many users share the block; a plain block
     product rounds differently from row to row.
     """
-    cfg = cfgs[0]
     W = np.asarray(W, dtype=np.uint8)
     if W.shape != (len(Y), cfg.B):
         raise ValueError(f"message block shape {W.shape} != ({len(Y)}, {cfg.B})")
@@ -72,8 +71,8 @@ def transmit(W: np.ndarray, Y: np.ndarray, cfgs: list[SystemConfig], params: Pub
     Y_bar = Y_bar[:, None, :]
     S = extract_key(Y_bar, params.C1)[1][:, 0]
     parity = params.ldpc.encode(S)
-    X_k = [bpsk_map(parity, c.Pk) + artificial_noise(Y_bar, params.C2, c.Pa)[:, 0]
-           for c in cfgs]
+    X_k = [bpsk_map(parity, pk) + artificial_noise(Y_bar, params.C2, pa)[:, 0]
+           for pa, pk in splits]
 
     C = encrypt(W, expand_key(S, params.T))
     return pilot_polar_rows(C, cfg, params), X_k, C, S

@@ -26,6 +26,11 @@ def make_mini_cfg(**overrides):
     return SystemConfig(**base)
 
 
+def own_split(cfg):
+    """The splits argument of a frame sent at cfg's own Pa and Pk."""
+    return [(cfg.Pa, cfg.Pk)]
+
+
 def frame_len(cfg):
     """Channel uses of a frame at one split: pilot, polar and key segments."""
     return cfg.np + cfg.nc + cfg.key_parity_len
@@ -41,7 +46,7 @@ def random_users(cfg, rng, n):
 def transmit_frame(W, Y, cfg, params):
     """transmit at cfg's own split, its frame joined into one (Ka, frame_len)
     block [pilot | polar | key]: returns (X, C, S)."""
-    X, (X_k,), C, S = transmit(W, Y, [cfg], params)
+    X, (X_k,), C, S = transmit(W, Y, cfg, own_split(cfg), params)
     return np.concatenate([X, X_k], axis=1), C, S
 
 
@@ -55,13 +60,14 @@ def uplink_frame(X, H, sigma2, rng, n_key):
 def decode_one(y_bs, cfg, params):
     """decode_frame on one (M, frame_len) block received at cfg's own split."""
     n = cfg.np + cfg.nc
-    return decode_frame([y_bs[:, :n]], [[y_bs[:, n:]]], [cfg], params)[0][0]
+    return decode_frame([y_bs[:, :n]], [[y_bs[:, n:]]], cfg, own_split(cfg), params)[0][0]
 
 
 def decode_keys_one(C_hat, H_hat, y_k, cfg, params):
     """decode_keys_and_decrypt on one frame's key segment received at cfg's
     own split: returns (S_hat, W_hat, converged, valid)."""
-    return decode_keys_and_decrypt([C_hat], [H_hat], [[y_k]], [cfg], params)[0][0]
+    return decode_keys_and_decrypt([C_hat], [H_hat], [[y_k]], cfg, own_split(cfg),
+                                   params)[0][0]
 
 
 def frozen_mask(code):

@@ -20,7 +20,7 @@ from secure_ura.harness import (_check_crypto, _check_params_invariants,
                                 _check_standardize, emit_csv)
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import make_mini_cfg
+from helpers import make_mini_cfg, own_split
 
 
 def _report(n, text):
@@ -69,10 +69,10 @@ def test_criterion_3_noiseless_end_to_end_identity():
         w = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial))
-        X, X_k, _, S = transmit(w, Y, [cfg], params)
+        X, X_k, _, S = transmit(w, Y, cfg, own_split(cfg), params)
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2,
                         stream(cfg.seed, "bs-noise", trial))
-        [[(_, S_hat, W_hat, _, valid)]] = decode_frame([y], [y_k], [cfg], params)
+        [[(_, S_hat, W_hat, _, valid)]] = decode_frame([y], [y_k], cfg, own_split(cfg), params)
         # PUPE = 0: the user's exact message is recovered (occasional CRC
         # false alarms add spurious entries but cost no message errors)
         hits = valid & (W_hat == w[0]).all(axis=1)
@@ -168,7 +168,7 @@ def _sic_exact_cancellation(cfg, params, rng):
     H = (rng.standard_normal((mini.M, mini.Ka))
          + 1j * rng.standard_normal((mini.M, mini.Ka))) / np.sqrt(2)
     W = rng.integers(0, 2, (mini.Ka, mini.B), dtype=np.uint8)
-    X = transmit(W, H.T @ mini_params.V, [mini], mini_params)[0]
+    X = transmit(W, H.T @ mini_params.V, mini, own_split(mini), mini_params)[0]
     Y = H @ X
     H_ls = np.linalg.solve((X @ X.conj().T).T, (Y @ X.conj().T).T).T
     residual = Y - H_ls @ X

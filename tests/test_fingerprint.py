@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -18,11 +17,11 @@ def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
         fingerprint.update_decoded(h, splits)
         return h.hexdigest()
 
-    cfgs = [dataclasses.replace(mini_cfg, Pa=pa, Pk=pk)
-            for pa, pk in (split_power_budget(mini_cfg.key_budget, r) for r in (1.0, 7.0))]
-    _, y, y_k = _send_frame(cfgs, 0, mini_params)
-    splits = decode_frame([y], [y_k], cfgs, mini_params)[0]
-    assert decode_hash(decode_frame([y], [y_k], cfgs, mini_params)[0]) == decode_hash(splits)
+    pairs = [split_power_budget(mini_cfg.key_budget, r) for r in (1.0, 7.0)]
+    _, y, y_k = _send_frame(mini_cfg, pairs, 0, mini_params)
+    splits = decode_frame([y], [y_k], mini_cfg, pairs, mini_params)[0]
+    assert decode_hash(decode_frame([y], [y_k], mini_cfg, pairs, mini_params)[0]) == \
+        decode_hash(splits)
     base = decode_hash(splits)
     for i, split in enumerate(splits):
         for j, a in enumerate(split):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from secure_ura import (ConfigError, SystemConfig, TrialError, emit_csv,
-                        generate_public_params, run_point, run_sweep, run_trial,
+                        generate_public_params, run_leakage, run_point, run_sweep, run_trial,
                         selftest, split_power_budget)
-from secure_ura.harness import CSV_HEADER, frames_per_batch
+from secure_ura.harness import CSV_HEADER, frames_per_batch, power_splits
 
-from helpers import make_mini_cfg
+from helpers import make_mini_cfg, own_split
 
 
 def _trial_key(report):
@@ -20,23 +20,24 @@ def _trial_key(report):
 
 
 def test_trial_deterministic(mini_cfg, mini_params):
-    [[a]] = run_trial([mini_cfg], [4], mini_params)
-    [[b]] = run_trial([mini_cfg], [4], mini_params)
+    [[a]] = run_trial(mini_cfg, own_split(mini_cfg), [4], mini_params)
+    [[b]] = run_trial(mini_cfg, own_split(mini_cfg), [4], mini_params)
     assert _trial_key(a) == _trial_key(b)
 
 
 def test_trials_independent_of_execution_order(mini_cfg, mini_params):
-    forward = [_trial_key(run_trial([mini_cfg], [t], mini_params)[0][0]) for t in range(4)]
-    backward = [_trial_key(run_trial([mini_cfg], [t], mini_params)[0][0])
+    forward = [_trial_key(run_trial(mini_cfg, own_split(mini_cfg), [t], mini_params)[0][0])
+               for t in range(4)]
+    backward = [_trial_key(run_trial(mini_cfg, own_split(mini_cfg), [t], mini_params)[0][0])
                 for t in reversed(range(4))]
     assert forward == list(reversed(backward))
     # and of the batch a trial is simulated in
-    batch = run_trial([mini_cfg], [3, 1, 0, 2], mini_params)
+    batch = run_trial(mini_cfg, own_split(mini_cfg), [3, 1, 0, 2], mini_params)
     assert [_trial_key(r) for [r] in batch] == [forward[t] for t in (3, 1, 0, 2)]
 
 
 def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
-    [[report]] = run_trial([mini_cfg], [0], mini_params)
+    [[report]] = run_trial(mini_cfg, own_split(mini_cfg), [0], mini_params)
     assert report.pupe == 0.0
     assert report.n_err == 0
     assert report.n_detected == mini_cfg.Ka
@@ -44,14 +45,14 @@ def test_near_noiseless_trial_is_error_free(mini_cfg, mini_params):
 
 def test_overwhelming_noise_gives_pupe_one():
     cfg = make_mini_cfg(sigma_c2=1e6, sigma_u2=1.0)
-    [[report]] = run_trial([cfg], [0], generate_public_params(cfg))
+    [[report]] = run_trial(cfg, own_split(cfg), [0], generate_public_params(cfg))
     assert report.n_detected == 0
     assert report.pupe == 1.0
 
 
 def test_pupe_bounds(mini_cfg, mini_params):
     for t in range(3):
-        [[r]] = run_trial([mini_cfg], [t], mini_params)
+        [[r]] = run_trial(mini_cfg, own_split(mini_cfg), [t], mini_params)
         assert 0.0 <= r.pupe <= 1.0 and r.n_err <= mini_cfg.Ka
 
 
@@ -59,7 +60,7 @@ def test_trial_error_annotated_with_id(mini_params):
     cfg = make_mini_cfg(Pf=0.0, sigma_u2=1e-40)  # degenerate feedback signal
     params = generate_public_params(cfg)
     with pytest.raises(TrialError, match="trial 3"):
-        run_trial([cfg], [3], params)
+        run_trial(cfg, own_split(cfg), [3], params)
 
 
 _SPLIT_RATIOS = [0.0, 1.0, 7.0, float("inf")]
@@ -88,13 +89,12 @@ def test_sweep_rows_equal_points_run_alone(cfg):
 def test_multi_split_trial_equals_one_trial_per_split():
     cfg = make_mini_cfg(Ka=3, sigma_c2=0.2, sigma_u2=0.05)
     params = generate_public_params(cfg)
-    cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=pk) for pa, pk in
-            (split_power_budget(cfg.key_budget, r) for r in _SPLIT_RATIOS)]
-    alone = [[run_trial([c], [t], params)[0][0] for c in cfgs] for t in range(4)]
+    splits = [split_power_budget(cfg.key_budget, r) for r in _SPLIT_RATIOS]
+    alone = [[run_trial(cfg, [s], [t], params)[0][0] for s in splits] for t in range(4)]
     for t in range(4):
-        assert run_trial(cfgs, [t], params) == [alone[t]]
+        assert run_trial(cfg, splits, [t], params) == [alone[t]]
     # a batch of frames gives each trial what it gives alone
-    assert run_trial(cfgs, list(range(4)), params) == alone
+    assert run_trial(cfg, splits, list(range(4)), params) == alone
 
 
 def _record_calls(monkeypatch, owner, name, calls):
@@ -125,7 +125,7 @@ def test_sweep_runs_the_iterative_stage_once_per_frame(monkeypatch):
     run_sweep(make_mini_cfg(M=40), ka_list, ratios, trials)
 
     batches = [[0, 1, 2, 3, 4], [0, 1, 2, 3], [4], [0, 1], [2, 3], [4]]
-    assert [trial_ids for _, trial_ids, _ in calls["run_trial"]] == batches
+    assert [trial_ids for _, _, trial_ids, _ in calls["run_trial"]] == batches
     assert [len(ys) for ys, _, _ in calls["iterative_decode"]] == [len(b) for b in batches]
     assert [len(C_hats) for C_hats, *_ in calls["decode_keys_and_decrypt"]] == \
         [len(b) for b in batches]
@@ -147,9 +147,9 @@ def test_batch_sizes_at_the_benchmark_shapes(M, ka, frames):
 def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
     cfg = make_mini_cfg(Pf=0.0, sigma_u2=1e-40)  # degenerate feedback signal
     params = generate_public_params(cfg)
-    cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
+    splits = [(pa, 0.3 - pa) for pa in (0.1, 0.2)]
     with pytest.raises(TrialError, match=r"^trial 3: transmit: user 0: "):
-        run_trial(cfgs, [3], params)
+        run_trial(cfg, splits, [3], params)
     # a key stage that fails at the second split fails the frame's trial
     from secure_ura import receiver
     llr_parity = receiver.llr_parity
@@ -163,10 +163,9 @@ def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):
 
     monkeypatch.setattr(receiver, "llr_parity", failing)
     cfg = make_mini_cfg()
-    cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.1, 0.2)]
     with pytest.raises(TrialError, match=r"^trial 1: receiver: non-positive MMSE"):
-        run_trial(cfgs, [1], generate_public_params(cfg))
-    assert seen == [c.Pk for c in cfgs]
+        run_trial(cfg, splits, [1], generate_public_params(cfg))
+    assert seen == [pk for _, pk in splits]
 
 
 def test_failure_inside_a_batch_names_its_own_trial(monkeypatch):
@@ -198,13 +197,13 @@ def test_failure_inside_a_batch_names_its_own_trial(monkeypatch):
     monkeypatch.setattr(harness, "uplink", marking)
     monkeypatch.setattr(receiver, "mmse_polar_llr", failing)
     with pytest.raises(TrialError, match=r"^trial 6: receiver: non-positive MMSE"):
-        run_trial([cfg], [4, 5, 6, 7], params)
+        run_trial(cfg, own_split(cfg), [4, 5, 6, 7], params)
     # one batch pass over trials 4, 5 and 6, then 4, 5 and 6 alone
     assert len(bad) == 2 and len(seen) == 6
     # a transmit failure names its trial too
     cfg = make_mini_cfg(Ka=1, Pf=0.0, sigma_u2=1e-40)
     with pytest.raises(TrialError, match=r"^trial 2: transmit: user 0: "):
-        run_trial([cfg], [2, 3], generate_public_params(cfg))
+        run_trial(cfg, own_split(cfg), [2, 3], generate_public_params(cfg))
 
 
 @pytest.mark.parametrize("target, stage", [("uplink", "uplink"),
@@ -218,7 +217,7 @@ def test_failing_stage_names_trial_and_stage(mini_cfg, mini_params, monkeypatch,
 
     monkeypatch.setattr(harness, target, failing)
     with pytest.raises(TrialError, match=rf"^trial 3: {stage}: injected fault$"):
-        run_trial([mini_cfg], [3], mini_params)
+        run_trial(mini_cfg, own_split(mini_cfg), [3], mini_params)
 
 
 def test_leakage_failure_in_a_batch_names_its_own_trial(mini_cfg, mini_params, monkeypatch):
@@ -235,12 +234,7 @@ def test_leakage_failure_in_a_batch_names_its_own_trial(mini_cfg, mini_params, m
 
     monkeypatch.setattr(harness, "leakage_report", failing)
     with pytest.raises(TrialError, match=r"^trial 5: leakage: injected fault$"):
-        run_trial([mini_cfg], [4, 5], mini_params)
-
-
-def test_run_trial_rejects_configs_that_differ_beyond_the_split(mini_cfg, mini_params):
-    with pytest.raises(ValueError, match="only in Pa and Pk"):
-        run_trial([mini_cfg, dataclasses.replace(mini_cfg, Ka=1)], [0], mini_params)
+        run_trial(mini_cfg, own_split(mini_cfg), [4, 5], mini_params)
 
 
 def test_split_power_budget():
@@ -253,6 +247,52 @@ def test_split_power_budget():
     assert split_power_budget(0.3, float("inf")) == (0.3, 0.0)
     with pytest.raises(ConfigError):
         split_power_budget(0.3, -1.0)
+
+
+def test_power_splits_of_the_config_itself():
+    # None is the config's own split, exactly its Pa and Pk
+    cfg = make_mini_cfg(Pa=0.225, Pk=0.075)
+    assert power_splits(cfg, None) == [(0.225 / 0.075, 0.225, 0.075)]
+    assert power_splits(make_mini_cfg(Pa=0.3, Pk=0.0), None) == [(float("inf"), 0.3, 0.0)]
+
+
+def test_power_splits_of_ratios_split_the_budget():
+    ratios = [0.0, 0.5, 1.0, 3.0, 7.0, float("inf")]
+    splits = power_splits(make_mini_cfg(Pa=0.225, Pk=0.075), ratios)
+    assert splits == [(r, *split_power_budget(0.3, r)) for r in ratios]
+
+
+def test_power_splits_rejects_a_ratio_that_overflows():
+    with pytest.raises(ConfigError,
+                       match=r"^ratio: too large to split the key budget 2.0, got 1e\+308$"):
+        power_splits(make_mini_cfg(Pa=1.0, Pk=1.0), [1.0, 1e308])
+
+
+@pytest.mark.parametrize("run", [lambda cfg: run_sweep(cfg, [1], [], 2),
+                                 lambda cfg: run_leakage(cfg, [])], ids=["sweep", "leakage"])
+def test_empty_ratio_list_is_rejected_before_any_work(mini_cfg, monkeypatch, run):
+    from secure_ura import harness
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return generate_public_params(cfg)
+    monkeypatch.setattr(harness, "generate_public_params", counting)
+    with pytest.raises(ConfigError, match="^ratio: "):
+        run(mini_cfg)
+    assert calls == []
+
+
+def test_leakage_without_ratios_evaluates_the_configured_split():
+    # the row of the configured split is the one run reports: the same Pa
+    # and Pk, not a re-split of the budget that may land an ulp away, and
+    # the same equivocation bound bit for bit
+    cfg = make_mini_cfg(Pa=0.225, Pk=0.075, trials=50)
+    [(ratio, pa, pk, zeta)] = run_leakage(cfg, None)
+    assert (pa, pk) == (cfg.Pa, cfg.Pk)
+    point = run_point(cfg)
+    assert (ratio, pa, pk) == (point.ratio, point.pa, point.pk)
+    assert zeta == point.zeta_lower_mean
 
 
 def test_sweep_at_infinite_ratio(mini_cfg):
@@ -294,7 +334,7 @@ def test_zeta_strictly_increasing_in_ratio(mini_cfg):
 def test_aggregate_consistency(mini_cfg, mini_params):
     cfg = dataclasses.replace(mini_cfg, trials=4)
     res = run_point(cfg)
-    reports = [run_trial([cfg], [t], mini_params)[0][0] for t in range(4)]
+    reports = [run_trial(cfg, own_split(cfg), [t], mini_params)[0][0] for t in range(4)]
     pupes = np.array([r.pupe for r in reports])
     assert res.pupe_mean == pytest.approx(pupes.mean())
     assert res.pupe_stderr == pytest.approx(pupes.std(ddof=1) / 2.0)
@@ -386,10 +426,10 @@ def test_selftest_holds_no_caller_params_during_end_to_end(monkeypatch):
             built.append(weakref.ref(params))
         return params
 
-    def checking(cfgs, trial_ids, params):
+    def checking(trial_cfg, splits, trial_ids, params):
         gc.collect()
         live.append(sum(ref() is not None for ref in built))
-        return run_trial(cfgs, trial_ids, params)
+        return run_trial(trial_cfg, splits, trial_ids, params)
 
     monkeypatch.setattr(harness, "generate_public_params", tracking)
     monkeypatch.setattr(harness, "run_trial", checking)

@@ -8,7 +8,7 @@ from secure_ura.keys import sample_variance
 from secure_ura.modulation import bpsk_map
 from secure_ura.rng import complex_normal, stream
 
-from helpers import make_mini_cfg, random_users
+from helpers import make_mini_cfg, own_split, random_users
 
 
 def test_standardize_constant_vector_is_degenerate(mini_cfg, mini_params, rng):
@@ -18,7 +18,7 @@ def test_standardize_constant_vector_is_degenerate(mini_cfg, mini_params, rng):
     assert np.array_equal(valid, [True, False, True])
     # the transmitter refuses the block and names the first degenerate user
     with pytest.raises(DegenerateFeedbackError, match="^user 1: sample variance"):
-        transmit(W, Y, [mini_cfg], mini_params)
+        transmit(W, Y, mini_cfg, own_split(mini_cfg), mini_params)
 
 
 def test_standardize_zero_mean_unit_variance(rng):
@@ -68,7 +68,7 @@ def test_key_bits_unbiased_under_gaussian_model(full_params):
 
 def _key_segments(cfg, params, W, Y):
     """The key segments x_k of transmit's frames, with the users' keys."""
-    _, (X_k,), _, S = transmit(W, Y, [cfg], params)
+    _, (X_k,), _, S = transmit(W, Y, cfg, own_split(cfg), params)
     return X_k, S
 
 
@@ -124,7 +124,7 @@ def test_reciprocity_at_zero_noise(mini_cfg, mini_params, rng):
     assert valid.all()
     Y_users = np.stack([H[:, i] @ mini_params.V for i in range(3)])  # sigma_u2 = 0
     W = rng.integers(0, 2, (3, mini_cfg.B), dtype=np.uint8)
-    _, _, _, S_users = transmit(W, Y_users, [mini_cfg], mini_params)
+    _, _, _, S_users = transmit(W, Y_users, mini_cfg, own_split(mini_cfg), mini_params)
     for i in range(3):
         assert np.allclose(Y_hat[i], Y_users[i], atol=1e-14)
         assert np.array_equal(S_bs[i], S_users[i])

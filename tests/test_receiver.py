@@ -24,7 +24,7 @@ from secure_ura.params import PilotCodebook
 from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg,
+from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg, own_split,
                      transmit_frame, uplink_frame)
 
 
@@ -450,7 +450,7 @@ def test_llr_systematic_paired_variances(mini_cfg, mini_params):
 def test_iterative_decode_single_user(mini_params, rng):
     cfg = make_mini_cfg(Ka=1)
     params = mini_params
-    [[trial]] = run_trial([cfg], [0], params)
+    [[trial]] = run_trial(cfg, own_split(cfg), [0], params)
     assert trial.n_detected == 1 and trial.pupe == 0.0
 
 
@@ -683,14 +683,13 @@ def test_decode_frame_does_not_read_the_user_count():
             assert np.array_equal(a, b)
 
 
-def _sent_at_splits(cfgs, params, trial):
+def _sent_at_splits(cfg, splits, params, trial):
     """run_trial's received frame of a trial at every split: (y, y_k)."""
-    cfg = cfgs[0]
     h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
     W = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
     Y = feedback_observation(h, params.V, cfg.sigma_u2,
                              stream(cfg.seed, "feedback-noise", trial))
-    X, X_k, _, _ = transmit(W, Y, cfgs, params)
+    X, X_k, _, _ = transmit(W, Y, cfg, splits, params)
     return uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial))
 
 
@@ -701,19 +700,20 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
     # largest, 12) and a pure-noise frame, at ratios 1, 7 and inf: each
     # frame's every output array is the one it gives when decoded alone
     base, params = _reference_setup(name)
-    cfgs = [replace(base, Ka=ka, seed=5, Pa=pa, Pk=pk) for pa, pk in (
-        split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf")))]
-    n_frames = max(4, frames_per_batch(cfgs[0]))
-    frames = [_sent_at_splits(cfgs, params, t) for t in range(n_frames)]
+    cfg = replace(base, Ka=ka, seed=5)
+    splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
+    n_frames = max(4, frames_per_batch(cfg))
+    frames = [_sent_at_splits(cfg, splits, params, t) for t in range(n_frames)]
     noise = complex_normal(stream(5, "noise-frame"), (base.M, frame_len(base)), base.sigma_c2)
     n = base.np + base.nc
-    frames.append((noise[:, :n], [noise[:, n:]] * len(cfgs)))
-    batch = decode_frame([y for y, _ in frames], [y_k for _, y_k in frames], cfgs, params)
+    frames.append((noise[:, :n], [noise[:, n:]] * len(splits)))
+    batch = decode_frame([y for y, _ in frames], [y_k for _, y_k in frames], cfg, splits,
+                         params)
     assert len(batch) == len(frames)
     assert len(batch[-1][0][0]) == 0 and sum(len(f[0][0]) for f in batch) > 0
     for (y, y_k), got in zip(frames, batch):
-        [want] = decode_frame([y], [y_k], cfgs, params)
-        assert len(got) == len(want) == len(cfgs)
+        [want] = decode_frame([y], [y_k], cfg, splits, params)
+        assert len(got) == len(want) == len(splits)
         for g_split, w_split in zip(got, want):
             for g, w in zip(g_split, w_split, strict=True):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -722,16 +722,17 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
 def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
     M, n, n_key = mini_cfg.M, mini_cfg.np + mini_cfg.nc, mini_cfg.key_parity_len
     y, y_k = np.zeros((M, n), dtype=complex), np.zeros((M, n_key), dtype=complex)
+    split = own_split(mini_cfg)
     with pytest.raises(ValueError, match="expected"):
-        decode_frame([np.zeros((M, 10), dtype=complex)], [[y_k]], [mini_cfg], mini_params)
+        decode_frame([np.zeros((M, 10), dtype=complex)], [[y_k]], mini_cfg, split, mini_params)
     # a key segment of the wrong width, or one too few for the splits
     with pytest.raises(ValueError, match="expected"):
-        decode_frame([y], [[y_k[:, 1:]]], [mini_cfg], mini_params)
+        decode_frame([y], [[y_k[:, 1:]]], mini_cfg, split, mini_params)
     with pytest.raises(ValueError, match="expected"):
-        decode_frame([y], [[y_k]], [mini_cfg, mini_cfg], mini_params)
+        decode_frame([y], [[y_k]], mini_cfg, split * 2, mini_params)
     # in any frame of a batch
     with pytest.raises(ValueError, match="expected"):
-        decode_frame([y, y], [[y_k], [y_k[:, 1:]]], [mini_cfg], mini_params)
+        decode_frame([y, y], [[y_k], [y_k[:, 1:]]], mini_cfg, split, mini_params)
 
 
 def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
@@ -762,17 +763,16 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     assert not converged[0]
 
 
-def _degenerate_pair(cfgs, params, rng):
+def _degenerate_pair(cfg, splits, params, rng):
     """Two decoded rows: a real user, and a zero channel estimate.
 
     A zero estimate gives a constant feedback estimate, so the second row
     is degenerate.  Returns (C_hat, H_hat, y_k, w, S), with y_k the list of
-    the key segments received at the splits of cfgs.
+    the key segments received at the (Pa, Pk) splits.
     """
-    cfg = cfgs[0]
     h = _cn(rng, (cfg.M, 1))
     w = rng.integers(0, 2, cfg.B, dtype=np.uint8)
-    X, X_k, C, S = transmit(w[None], h.T @ params.V, cfgs, params)
+    X, X_k, C, S = transmit(w[None], h.T @ params.V, cfg, splits, params)
     _, y_k = uplink(X, X_k, h, 1e-12, stream(2, "t"))
     C_hat = np.stack([C[0], rng.integers(0, 2, cfg.B, dtype=np.uint8)])
     H_hat = np.concatenate([h, np.zeros((cfg.M, 1), dtype=complex)], axis=1)
@@ -781,7 +781,8 @@ def _degenerate_pair(cfgs, params, rng):
 
 def test_decode_keys_skips_degenerate_user(mini_cfg, mini_params, rng):
     # the degenerate user gets no key, and the other user is still decrypted
-    C_hat, H_hat, (y_k,), w, S = _degenerate_pair([mini_cfg], mini_params, rng)
+    C_hat, H_hat, (y_k,), w, S = _degenerate_pair(mini_cfg, own_split(mini_cfg),
+                                                  mini_params, rng)
     S_hat, W_hat, converged, valid = decode_keys_one(
         C_hat, H_hat, y_k, mini_cfg, mini_params)
     assert valid.tolist() == [True, False]
@@ -795,14 +796,14 @@ def test_key_stage_at_several_splits_equals_one_split_each(mini_cfg, mini_params
     # split still gets what a call at that split alone gives.  Ratio 0 sends
     # no mask, ratio inf no parity power (all-zero parity LLRs), and the
     # degenerate row has exact-zero systematic LLRs
-    cfgs = [replace(mini_cfg, Pa=pa, Pk=pk) for pa, pk in (
-        split_power_budget(mini_cfg.key_budget, r) for r in (0.0, 1.0, 7.0, float("inf")))]
-    C_hat, H_hat, y_k, _, _ = _degenerate_pair(cfgs, mini_params, rng)
+    splits = [split_power_budget(mini_cfg.key_budget, r)
+              for r in (0.0, 1.0, 7.0, float("inf"))]
+    C_hat, H_hat, y_k, _, _ = _degenerate_pair(mini_cfg, splits, mini_params, rng)
     for C, H in ((C_hat, H_hat), (C_hat[:0], H_hat[:, :0])):
-        [got] = decode_keys_and_decrypt([C], [H], [y_k], cfgs, mini_params)
-        assert len(got) == len(cfgs)
-        for rows, b, c in zip(got, y_k, cfgs):
-            want = decode_keys_one(C, H, b, c, mini_params)
+        [got] = decode_keys_and_decrypt([C], [H], [y_k], mini_cfg, splits, mini_params)
+        assert len(got) == len(splits)
+        for rows, b, split in zip(got, y_k, splits):
+            [[want]] = decode_keys_and_decrypt([C], [H], [[b]], mini_cfg, [split], mini_params)
             assert rows[3].tolist() == [True, False][:len(C)]
             for g, w in zip(rows, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -1067,7 +1068,8 @@ def test_user_dropped_by_ls_fallback_is_decoded_again(monkeypatch):
 
 
 def test_degenerate_pair_matches_per_user_reference(mini_cfg, mini_params, rng):
-    C_hat, H_hat, (y_k,), _, _ = _degenerate_pair([mini_cfg], mini_params, rng)
+    C_hat, H_hat, (y_k,), _, _ = _degenerate_pair(mini_cfg, own_split(mini_cfg),
+                                                  mini_params, rng)
     got = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
     frame = _ReceivedFrame(y_p=None, y_d=None, y_k=y_k)
     users = [_DetectedUser(pilot_index=-1, c_hat=c) for c in C_hat]
@@ -1095,7 +1097,8 @@ def test_degenerate_row_is_never_converged(mini_cfg, mini_params, rng, monkeypat
     decode = code.decode
     monkeypatch.setattr(code, "decode", lambda self, llr, iters:
                         (decode(self, llr, iters)[0], np.ones(len(llr), dtype=bool)))
-    C_hat, H_hat, (y_k,), _, _ = _degenerate_pair([mini_cfg], mini_params, rng)
+    C_hat, H_hat, (y_k,), _, _ = _degenerate_pair(mini_cfg, own_split(mini_cfg),
+                                                  mini_params, rng)
     _, _, converged, valid = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
     assert valid.tolist() == [True, False]
     assert converged.tolist() == [True, False]

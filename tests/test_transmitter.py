@@ -11,7 +11,7 @@ from secure_ura.keys import VAR_FLOOR, sample_variance
 from secure_ura.modulation import bpsk_map
 from secure_ura.rng import complex_normal, random_bits, stream
 
-from helpers import make_mini_cfg, random_users, transmit_frame
+from helpers import make_mini_cfg, own_split, random_users, transmit_frame
 
 
 # ---- the per-user transmitter chain the batched transmit replaced, verbatim --
@@ -240,11 +240,11 @@ def test_splits_share_the_pilot_polar_rows(fullsize_tx, rng):
     # that split alone gives: the same pilot+polar rows, its own key segment
     cfg, params = fullsize_tx
     W, Y = random_users(cfg, rng, 3)
-    cfgs = [replace(cfg, Pa=pa, Pk=0.3 - pa) for pa in (0.0, 0.15, 0.2625, 0.3)]
-    X, X_k, C, S = transmit(W, Y, cfgs, params)
-    assert X.shape == (3, cfg.np + cfg.nc) and len(X_k) == len(cfgs)
-    for c, x_k in zip(cfgs, X_k):
-        X_one, C_one, S_one = transmit_frame(W, Y, c, params)
+    splits = [(pa, 0.3 - pa) for pa in (0.0, 0.15, 0.2625, 0.3)]
+    X, X_k, C, S = transmit(W, Y, cfg, splits, params)
+    assert X.shape == (3, cfg.np + cfg.nc) and len(X_k) == len(splits)
+    for (pa, pk), x_k in zip(splits, X_k):
+        X_one, C_one, S_one = transmit_frame(W, Y, replace(cfg, Pa=pa, Pk=pk), params)
         assert np.array_equal(X_one, np.concatenate([X, x_k], axis=1))
         assert np.array_equal(C_one, C) and np.array_equal(S_one, S)
 
@@ -303,4 +303,4 @@ def test_transmit_rejects_bad_message(fullsize_tx):
     cfg, params = fullsize_tx
     with pytest.raises(ValueError):
         transmit(np.zeros((1, 3), dtype=np.uint8), np.ones((1, cfg.L), dtype=complex),
-                 [cfg], params)
+                 cfg, own_split(cfg), params)

@@ -90,11 +90,10 @@ def decode_hash() -> str:
 
     with mock.patch.object(harness, "decode_frame", keep):
         for cfg, trials in DECODE_SET:
-            cfgs = [dataclasses.replace(cfg, Pa=pa, Pk=pk) for pa, pk in
-                    (split_power_budget(cfg.key_budget, r) for r in DECODE_RATIOS)]
+            splits = [split_power_budget(cfg.key_budget, r) for r in DECODE_RATIOS]
             params = generate_public_params(cfg)
             for t in trials:
-                reports = run_trial(cfgs, [t], params)
+                reports = run_trial(cfg, splits, [t], params)
                 update_decoded(h, decoded.pop()[0])
                 update_reports(h, reports[0])
     return h.hexdigest()
