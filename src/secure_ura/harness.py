@@ -26,9 +26,10 @@ the receiver decodes the batch at once, with one polar decode per pass and
 one LDPC decode for every frame's words (`decode_frame`).  Batching changes
 no output.  Its size (`frames_per_batch`) has two bounds.  The decoders'
 cost is mostly per call up to about BATCH_WORDS words, Ka per frame, so a
-batch hands them about that many.  Each frame held costs an M-row received
-block and its receiver state, so a batch holds at most BATCH_ANTENNA_ROWS
-antenna rows, M per frame.
+batch hands them about that many.  Each frame held costs its received
+pilot+polar block, M x (np + nc) complex entries of 16 bytes, and the
+receiver state that scales with it, so a batch holds at most
+BATCH_BLOCK_BYTES of such blocks.
 """
 
 import csv
@@ -50,10 +51,11 @@ from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
 
 LEAKAGE_CSV_HEADER = ["ratio", "pa", "pk", "zeta_lower_mean"]
-#: the users (decoder words per pass) and the received antenna rows a
-#: run_trial batch holds at most, unless one frame exceeds them (frames_per_batch)
+#: the users (decoder words per pass) and the bytes of received pilot+polar
+#: blocks a run_trial batch holds at most, unless one frame exceeds them
+#: (frames_per_batch)
 BATCH_WORDS = 100
-BATCH_ANTENNA_ROWS = 200
+BATCH_BLOCK_BYTES = 9 << 19             # 4.5 MiB
 
 
 class TrialError(RuntimeError):
@@ -198,8 +200,9 @@ def power_splits(cfg: SystemConfig, ratios) -> list[tuple[float, float, float]]:
 
 def frames_per_batch(cfg: SystemConfig) -> int:
     """Frames per run_trial batch: as many as hold at most BATCH_WORDS users
-    and BATCH_ANTENNA_ROWS antenna rows, and at least one."""
-    return max(1, min(BATCH_WORDS // cfg.Ka, BATCH_ANTENNA_ROWS // cfg.M))
+    and BATCH_BLOCK_BYTES of received pilot+polar blocks, and at least one."""
+    block_bytes = cfg.M * (cfg.np + cfg.nc) * 16
+    return max(1, min(BATCH_WORDS // cfg.Ka, BATCH_BLOCK_BYTES // block_bytes))
 
 
 def _run_splits(cfg: SystemConfig, splits, params: PublicParams) -> list[SweepResult]:
@@ -207,9 +210,10 @@ def _run_splits(cfg: SystemConfig, splits, params: PublicParams) -> list[SweepRe
     of frames_per_batch frames; aggregate per split.
 
     The words bound lets crowded frames share the decoders' calls too; the
-    rows bound keeps the blocks held at once small where M is large.  At
-    M = 16 a batch holds 12, 10 and 4 frames at Ka = 1, 10 and 25; at the
-    full-scale M = 50, 4 frames up to Ka = 25 and one at Ka = 100.
+    bytes bound keeps the blocks held at once small where M or np + nc is
+    large.  At M = 16 a batch holds 25, 10 and 4 frames at Ka = 1, 10 and
+    25; at the full-scale M = 50 (569,600 bytes a block), 8 frames at
+    Ka = 1, 4 at Ka = 25 and one at Ka = 100.
     """
     pairs = [(pa, pk) for _, pa, pk in splits]
     trials = range(cfg.trials)
@@ -244,6 +248,8 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
     """
     base_cfg = replace(base_cfg, trials=trials)
     splits = power_splits(base_cfg, ratio_list)
+    if not ka_list:
+        raise ConfigError("ka: at least one user count is needed, got none")
     cfgs = [replace(base_cfg, Ka=ka) for ka in ka_list]
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid

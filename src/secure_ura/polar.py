@@ -95,7 +95,10 @@ def _log_phi(m: np.ndarray) -> np.ndarray:
 
 
 def _phi_inv(target_log: np.ndarray, hi: float) -> np.ndarray:
-    """Inverse of phi via bisection on the log scale (vectorized)."""
+    """Inverse of phi via bisection on the log scale (vectorized).
+
+    Up to 120 halvings; a step that moves no bound leaves the state of every
+    later step the same, so the loop stops there."""
     target_log = np.asarray(target_log, dtype=np.float64)
     lo = np.zeros_like(target_log)
     hi_arr = np.full_like(target_log, hi)
@@ -107,8 +110,11 @@ def _phi_inv(target_log: np.ndarray, hi: float) -> np.ndarray:
     for _ in range(120):
         mid = 0.5 * (lo + hi_v)
         too_reliable = _log_phi(mid) < t
-        hi_v = np.where(too_reliable, mid, hi_v)
-        lo = np.where(too_reliable, lo, mid)
+        new_hi = np.where(too_reliable, mid, hi_v)
+        new_lo = np.where(too_reliable, lo, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi_v):
+            break
+        lo, hi_v = new_lo, new_hi
     out[todo] = 0.5 * (lo + hi_v)
     return out
 

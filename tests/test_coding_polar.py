@@ -5,7 +5,8 @@ import pytest
 
 from secure_ura import PolarCode, bpsk_map, default_crc_poly, polar_transform
 from secure_ura.modulation import clamp_llr
-from secure_ura.polar import _CRC_POLYS, _f_llr, _schedule
+from secure_ura import polar
+from secure_ura.polar import _CRC_POLYS, _f_llr, _log_phi, _schedule
 
 from helpers import frozen_mask, sc_decode_reference
 
@@ -71,6 +72,36 @@ def _crc_flag(code, words):
     payload, ok = code.decode(np.where(polar_transform(u) == 0, 40.0, -40.0), 1)
     assert np.array_equal(payload, words[:, :code.payload_bits])
     return ok
+
+
+# The fixed 120-step bisection that _phi_inv stops early, kept verbatim as the
+# reference for its output.
+
+def _phi_inv_reference(target_log, hi):
+    target_log = np.asarray(target_log, dtype=np.float64)
+    lo = np.zeros_like(target_log)
+    hi_arr = np.full_like(target_log, hi)
+    out = np.where(target_log >= 0.0, 0.0, np.nan)
+    todo = target_log < 0.0
+    lo = lo[todo]
+    hi_v = hi_arr[todo]
+    t = target_log[todo]
+    for _ in range(120):
+        mid = 0.5 * (lo + hi_v)
+        too_reliable = _log_phi(mid) < t
+        hi_v = np.where(too_reliable, mid, hi_v)
+        lo = np.where(too_reliable, lo, mid)
+    out[todo] = 0.5 * (lo + hi_v)
+    return out
+
+
+@pytest.mark.parametrize("block_len,design_snr", [
+    (512, 0.3), (512, 3e8), (64, 3e8), (512, 1.0), (1024, 0.01)])
+def test_reliabilities_equal_the_full_bisection(monkeypatch, block_len, design_snr):
+    got = polar.ga_reliabilities(block_len, design_snr)
+    monkeypatch.setattr(polar, "_phi_inv", _phi_inv_reference)
+    want = polar.ga_reliabilities(block_len, design_snr)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_transform_is_involution(rng):

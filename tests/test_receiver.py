@@ -696,9 +696,10 @@ def _sent_at_splits(cfg, splits, params, trial):
 @pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 3), ("m16", 10),
                                      ("m16", 25)])
 def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
-    # a sweep's batch of frames (at least four; at M = 16, Ka = 1 the
-    # largest, 12) and a pure-noise frame, at ratios 1, 7 and inf: each
-    # frame's every output array is the one it gives when decoded alone
+    # a sweep's batch of frames (at least four; at Ka = 1, 8 at full scale
+    # and 25, the largest, at M = 16) and a pure-noise frame, at ratios 1, 7
+    # and inf: each frame's every output array is the one it gives when
+    # decoded alone
     base, params = _reference_setup(name)
     cfg = replace(base, Ka=ka, seed=5)
     splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
