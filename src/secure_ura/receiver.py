@@ -5,13 +5,14 @@ OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
 decoding, and least-squares channel re-estimation with successive
 interference cancellation over the pilot+polar segments.  A frame keeps
 only the atom energies of its first correlation with the pilot codebook; a
-later pass confirms from them, with a small codebook product, whether any
-atom is left above the noise floor before it correlates its residual (see
-iterative_decode).  The key stage
-forms every decoded user's feedback estimate from its channel estimate,
-derives the features and artificial noise from it with the user's own key
-code (`keys`), cancels the noise from the key segment, assembles systematic
-and parity LLRs, and reconciles the key through the LDPC decoder.
+later pass confirms from them, with a small codebook product shared by
+the batch's frames, whether any atom is left above the noise floor before
+it correlates its residual (see iterative_decode and atoms_left).  The
+key stage forms every decoded user's feedback estimate from its channel
+estimate, derives the features and artificial noise from it with the
+user's own key code (`keys`), cancels the noise from the key segment,
+assembles systematic and parity LLRs, and reconciles the key through the
+LDPC decoder.
 
 Products with the whole pilot codebook (the correlations and OMP's per-step
 product) read its complex64 part and are upcast to complex128 before use;
@@ -25,12 +26,17 @@ It never reads the active-user count cfg.Ka (see omp_detect).  It decodes
 a batch of independent frames in lockstep: pilot detection, MMSE and SIC
 run per frame, but one polar decode per pass and one LDPC decode cover
 every frame's words, which the decoders treat independently; each such
-decode is split back per block in one place, _decode_blocks.  A frame
-sent at several power splits, (Pa, Pk) pairs, differs only in its key
-segment, so only the mask cancellation and the parity LLRs are per split.
+decode is split back per block in one place, _decode_blocks.  A later
+pass's confirm stacks the frames' rows into codebook products of at most
+M rows, and a frame decides from its stacked result only where a rigorous
+rounding margin puts it clear of the floor, so it decides as it does
+alone.  A frame sent at several power splits, (Pa, Pk) pairs, differs only
+in its key segment, so only the mask cancellation and the parity LLRs are
+per split.
 """
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -95,58 +101,151 @@ def _product_array(P) -> np.ndarray:
     return P.single if isinstance(P, PilotCodebook) else P
 
 
-def codebook_correlation(Y: np.ndarray, P) -> np.ndarray:
-    """(n, 2^Bp) correlation Y P^H of n observation rows with every atom.
+def codebook_correlation(Y: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2^Bp) correlation gamma = Y P^H of n observation rows with every
+    atom, and the (2^Bp,) energies ||gamma_j||^2 of its atoms.
 
     P is a PilotCodebook or a complex128 array, and the product is formed in
     its product array's precision (complex64 for a PilotCodebook) ROW_BLOCK
     atoms at a time, each block upcast into the complex128 result.  It is
-    formed as (P @ Y^H)^H, conjugated in place, so the result is the
-    transpose of a C-ordered (2^Bp, n) array and each atom's n values are
-    contiguous.
+    formed as (P @ Y^H)^H, conjugated in place block by block, so the result
+    is the transpose of a C-ordered (2^Bp, n) array and each atom's n values
+    are contiguous.  Each block's energies are taken from its (n, ROW_BLOCK)
+    view of the result, as params.row_norms reduces rows: each atom is
+    reduced alone either way.
     """
     P_prod = _product_array(P)
     Yh = Y.conj().T.astype(P_prod.dtype)         # (np, n)
     gamma = np.empty((len(P_prod), Yh.shape[1]), dtype=np.complex128)
+    energy = np.empty(len(P_prod))
     for i in range(0, len(P_prod), ROW_BLOCK):
-        gamma[i:i + ROW_BLOCK] = P_prod[i:i + ROW_BLOCK] @ Yh
-    np.conjugate(gamma, out=gamma)
-    return gamma.T
-
-
-def atom_energies(gamma: np.ndarray) -> np.ndarray:
-    """(2^Bp,) energies ||gamma_j||^2 of the atoms' correlations.
-
-    Taken ROW_BLOCK atoms at a time, as params.row_norms: each atom is
-    reduced alone either way.
-    """
-    energy = np.empty(gamma.shape[1])
-    for i in range(0, len(energy), ROW_BLOCK):
-        g = gamma[:, i:i + ROW_BLOCK]
+        block = gamma[i:i + ROW_BLOCK]
+        block[...] = P_prod[i:i + ROW_BLOCK] @ Yh
+        np.conjugate(block, out=block)
+        g = block.T
         energy[i:i + ROW_BLOCK] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
-    return energy
+    return gamma.T, energy
+
+
+def _confirm_rows(Y: np.ndarray, X: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The 2k rows [H^H Y ; X] whose codebook product residual_energies reads."""
+    return np.concatenate([H.conj().T @ Y, X])
+
+
+def _energies_from(energy0: np.ndarray, corr: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """residual_energies' formula on the codebook product corr of its rows."""
+    k = H.shape[1]
+    hg, x = corr[:k], corr[k:]
+    cross = np.einsum("ij,ij->j", hg.conj(), x).real
+    quad = np.einsum("ij,ij->j", x.conj(), (H.conj().T @ H) @ x).real
+    return energy0 - 2.0 * cross + quad
 
 
 def residual_energies(energy0: np.ndarray, Y: np.ndarray, X: np.ndarray,
                       H: np.ndarray, P) -> np.ndarray:
     """(2^Bp,) atom energies of the residual Y - H X, from those of Y.
 
-    energy0 holds atom_energies of Y's correlation gamma0.  The residual's
-    correlation with atom p_j is gamma0_j - H x_j, where x_j = X p_j^H, so
-    its energy is
+    energy0 holds the atom energies of Y's correlation gamma0 (as
+    codebook_correlation returns them).  The residual's correlation with atom
+    p_j is gamma0_j - H x_j, where x_j = X p_j^H, so its energy is
         ||gamma0_j||^2 - 2 Re <H^H gamma0_j, x_j> + x_j^H (H^H H) x_j,
     and H^H gamma0_j = (H^H Y) p_j^H: both k-vectors come from one
     codebook product of 2k rows, which costs less than the M-row product of
     the residual when 2k < M.  That product is codebook_correlation's, in P's
     product precision; the energies are formed from it in complex128.
     """
+    corr, _ = codebook_correlation(_confirm_rows(Y, X, H), P)
+    return _energies_from(energy0, corr, H)
+
+
+def _rounding_margin(energy0: np.ndarray, rows: np.ndarray, H: np.ndarray,
+                     atom_energy: float, u: float) -> float:
+    """A bound, at every atom, on |e - e_alone|: e is _energies_from on the
+    slice of a codebook product that stacked rows with other frames', and
+    e_alone the same formula on the product of rows alone.
+
+    Both products are formed from the same inputs, rows and the codebook
+    cast to the product dtype of unit roundoff u, but may round
+    differently.  An entry is a complex dot product of length n = np, two
+    real sums of 2n products, so it lies within c |a| |b| of the exact one,
+    c = sqrt(2) gamma_2n with gamma_m = m u / (1 - m u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.1); gamma_{2n+2} is
+    used, covering the casts and the atoms' float64 energy error
+    (|a|^2 = atom_energy).  With A_i = |a| ||(H^H Y)_i|| and
+    B_i = |a| ||X_i|| bounding user i's exact entries, each side's cross term
+    2 Re <hg, x> is within 2 c (2 + c) sum A_i B_i of the exact one, and its
+    quad term, as ||H^H H||_2 <= ||H||_F^2, within
+    c (2 + c) ||H||_F^2 sum B_i^2; the margin is twice their sum.  The
+    formula's own float64 rounding, on either side, is covered by 2^-40 of
+    its terms' magnitudes.
+    """
     k = H.shape[1]
-    Hh = H.conj().T
-    corr = codebook_correlation(np.concatenate([Hh @ Y, X]), P)   # (2k, 2^Bp)
-    hg, x = corr[:k], corr[k:]
-    cross = np.einsum("ij,ij->j", hg.conj(), x).real
-    quad = np.einsum("ij,ij->j", x.conj(), (Hh @ H) @ x).real
-    return energy0 - 2.0 * cross + quad
+    m = 2 * (rows.shape[1] + 1)
+    c = math.sqrt(2.0) * m * u / (1.0 - m * u)
+    bounds = math.sqrt(atom_energy) * np.linalg.norm(rows, axis=1)   # A, then B
+    cross = float(bounds[:k] @ bounds[k:])
+    quad = float(np.sum(H.real ** 2 + H.imag ** 2)) * float(bounds[k:] @ bounds[k:])
+    return (2.0 * c * (2.0 + c) * (2.0 * cross + quad)
+            + 2.0 ** -40 * (float(energy0.max()) + 2.0 * cross + quad))
+
+
+def stacked_residual_energies(cases, P, atom_energy: float
+                              ) -> Iterator[tuple[np.ndarray, float]]:
+    """(energies, margin) per (energy0, Y, X, H) case of residual_energies,
+    all from one codebook product of every case's rows stacked.
+
+    A case's energies are residual_energies' formula on its slice of the
+    product, and they lie within margin of residual_energies(*case, P) at
+    every atom (_rounding_margin); atom_energy is the codebook rows' energy.
+    The pairs are formed one at a time, as they are read.
+    """
+    rows = [_confirm_rows(Y, X, H) for _, Y, X, H in cases]
+    corr, _ = codebook_correlation(np.concatenate(rows), P)
+    u = float(np.finfo(_product_array(P).dtype).eps) / 2.0
+    start = 0
+    for (energy0, _, _, H), r in zip(cases, rows):
+        c = corr[start:start + len(r)]
+        start += len(r)
+        yield _energies_from(energy0, c, H), _rounding_margin(energy0, r, H, atom_energy, u)
+
+
+def atoms_left(cases, cfg: SystemConfig, P, floor: float) -> list[bool]:
+    """Whether each (energy0, Y, X, H) case's residual has an atom above
+    floor, decided exactly as residual_energies(*case, P).max() > floor.
+
+    The cases' rows are stacked, in order, into codebook products of at
+    most cfg.M rows each, no more than one first correlation's.  A case
+    alone in its product decides from it, which is its own.  Otherwise it
+    decides from its stacked energies e (stacked_residual_energies) where
+    they are clear of the floor by their margin m: no atom is left if
+    max(e) + m <= floor, and one is if max(e) - m > floor.  A case within
+    the margin forms its own product.
+    """
+    groups = []
+    for case in cases:
+        n = 2 * case[3].shape[1]
+        if groups and rows + n <= cfg.M:
+            groups[-1].append(case)
+            rows += n
+        else:
+            groups.append([case])
+            rows = n
+
+    left = []
+    for group in groups:
+        if len(group) == 1:
+            left.append(bool(residual_energies(*group[0], P).max() > floor))
+            continue
+        for case, (e, m) in zip(group, stacked_residual_energies(group, P,
+                                                                 cfg.np * cfg.Pp)):
+            top = e.max()
+            if top + m <= floor:
+                left.append(False)
+            elif top - m > floor:
+                left.append(True)
+            else:
+                left.append(bool(residual_energies(*case, P).max() > floor))
+    return left
 
 
 def _grown(a: np.ndarray, cap: int) -> np.ndarray:
@@ -162,9 +261,9 @@ def omp_detect(Y: np.ndarray, P, noise_floor: float,
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
     P is a PilotCodebook or a complex128 array.  gamma is the (M, 2^Bp)
-    correlation of Y with every atom, as codebook_correlation(Y, P) forms
-    it, and energy its atom energies, as atom_energies(gamma) gives them;
-    the caller has both already, and energy is left as it was handed over.
+    correlation of Y with every atom and energy its atom energies, as
+    codebook_correlation(Y, P) returns them; the caller has both already,
+    and energy is left as it was handed over.
     Selects the atom with the largest residual correlation energy across
     antennas (all codebook rows have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
@@ -338,21 +437,21 @@ class _FrameState:
         self.H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
         self.energy0 = None              # atom energies of the first correlation
 
+    def pilot_fit(self, cfg: SystemConfig) -> tuple:
+        """The (energy0, Y, X, H) case of residual_energies for this frame's
+        residual pilot part after the last SIC."""
+        return self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np], self.H_hat
+
     def detect(self, cfg: SystemConfig, params: PublicParams, floor: float
-               ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray | None]:
+               ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
         """This pass's OMP detections and the residual they are picked from:
         Y_pp less the signals of the last SIC, formed here so that a batch's
         frames do not hold theirs between passes.  The correlation it forms
         dies here."""
         k = len(self.C_hat)
-        if k and 2 * k < cfg.M and residual_energies(
-                self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np],
-                self.H_hat, params.P).max() <= floor:
-            return [], None                  # OMP would stop before its first pick
         residual = self.Y_pp - self.H_hat @ self.X if k else self.Y_pp
         Y_p = residual[:, :cfg.np]
-        gamma = codebook_correlation(Y_p, params.P)
-        energy = atom_energies(gamma)
+        gamma, energy = codebook_correlation(Y_p, params.P)
         if not k:                            # the first pass: its energies are kept
             self.energy0 = energy
         return omp_detect(Y_p, params.P, floor, gamma, energy), residual
@@ -378,19 +477,29 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     kept.  After a pass the residual's pilot part is Y_p - H_hat X_p, with
     X_p the decoded users' pilot rows, so while 2k < M a later pass first
     confirms from those energies that some atom is left above the noise
-    floor (residual_energies, a 2k-row codebook product); if none is, OMP
-    would pick nothing and the frame is done.  Otherwise the pass
-    correlates its residual directly.  No correlation outlives its OMP call,
+    floor (residual_energies' formula on a 2k-row codebook product); if
+    none is, OMP would pick nothing and the frame is done.  Otherwise the
+    pass correlates its residual directly.  The pass confirms all such
+    frames at once (atoms_left): their rows are stacked into products of at
+    most M rows, and a frame whose stacked energies lie within their
+    rounding margin of the floor forms its own product, so each decision is
+    the one the frame makes alone.  No correlation outlives its OMP call,
     and no residual its pass: each pass forms it from the last SIC's fit.
     """
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
     frames = [_FrameState(y_bs, cfg) for y_bs in ys]
     live = frames
     for _ in range(cfg.max_outer_iters):
+        confirming = [f for f in live if 0 < 2 * len(f.C_hat) < cfg.M]
+        left = atoms_left([f.pilot_fit(cfg) for f in confirming], cfg, params.P, floor)
+        # OMP would stop before its first pick on a confirmed frame
+        done = [f for f, has_atom in zip(confirming, left) if not has_atom]
         # (frame, pilots, LLRs) of the frames with picks; the LLRs are held
         # in the polar decoder's float32, which decodes them the same
         found = []
         for f in live:
+            if f in done:
+                continue
             detections, residual = f.detect(cfg, params, floor)
             if detections:
                 Hd = np.stack([h for _, h in detections], axis=1)

@@ -110,7 +110,7 @@ def _record_calls(monkeypatch, owner, name, calls):
 
 def test_sweep_runs_the_iterative_stage_once_per_frame(monkeypatch):
     # R ratios x T trials x |Ka| user counts: T |Ka| frames, simulated in
-    # batches of frames_per_batch frames.  At M = 40, np = 2000 the block
+    # batches of frames_per_batch frames.  At M = 40, np = 4000 the block
     # bytes bound holds 3 frames (Ka = 1, 25), and the words bound 2 (Ka = 40).
     # Each frame is decoded in exactly one iterative-stage and one key-stage
     # call, and a batch makes one LDPC run, which covers the words of all
@@ -122,7 +122,7 @@ def test_sweep_runs_the_iterative_stage_once_per_frame(monkeypatch):
         _record_calls(monkeypatch, receiver, name, calls)
     _record_calls(monkeypatch, LdpcCode, "decode", calls)
     ratios, trials, ka_list = [1.0, 3.0, 7.0], 5, [1, 25, 40]
-    run_sweep(make_mini_cfg(M=40, np=2000), ka_list, ratios, trials)
+    run_sweep(make_mini_cfg(M=40, np=4000), ka_list, ratios, trials)
 
     batches = [[0, 1, 2], [3, 4], [0, 1, 2], [3, 4], [0, 1], [2, 3], [4]]
     assert [trial_ids for _, _, trial_ids, _ in calls["run_trial"]] == batches
@@ -137,17 +137,17 @@ def test_sweep_runs_the_iterative_stage_once_per_frame(monkeypatch):
 
 
 @pytest.mark.parametrize("M,ka,frames", [
-    (50, 1, 8), (50, 25, 4), (50, 100, 1), (16, 1, 25), (16, 10, 10), (16, 25, 4)])
+    (50, 1, 16), (50, 25, 4), (50, 100, 1), (16, 1, 51), (16, 10, 10), (16, 25, 4)])
 def test_batch_sizes_at_the_benchmark_shapes(M, ka, frames):
-    # full scale batches 8 frames of one user, 4 of 25 and a lone Ka = 100
-    # frame; the M = 16 grid batches 25, 10 and 4 frames
+    # full scale batches 16 frames of one user, 4 of 25 and a lone Ka = 100
+    # frame; the M = 16 grid batches 51, 10 and 4 frames
     assert frames_per_batch(SystemConfig(M=M, E=M, Ka=ka)) == frames
 
 
 def test_batch_size_counts_the_block_bytes():
     # a frame costs its pilot+polar block, not only its antenna rows: a
-    # 2048-use polar segment holds 2 full-scale frames where 512 holds 8
-    assert frames_per_batch(SystemConfig(Ka=1, nc=2048)) == 2
+    # 2048-use polar segment holds 5 full-scale frames where 512 holds 16
+    assert frames_per_batch(SystemConfig(Ka=1, nc=2048)) == 5
 
 
 def test_failing_multi_split_frame_names_trial_and_stage(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import log_ndtr
 from scipy import stats
 
-from secure_ura import (SystemConfig, atom_energies, codebook_correlation, decode_frame,
+from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
                         feedback_observation, generate_public_params,
@@ -39,8 +39,7 @@ def _floor(cfg):
 
 def _omp(Y, P, floor):
     """omp_detect on Y's own codebook correlation and its atom energies."""
-    gamma = codebook_correlation(Y, P)
-    return omp_detect(Y, P, floor, gamma, atom_energies(gamma))
+    return omp_detect(Y, P, floor, *codebook_correlation(Y, P))
 
 
 def _stored(P):
@@ -244,17 +243,16 @@ def test_omp_writes_into_gamma_only_when_it_flushes():
     floor = omp_noise_floor(8, 512, 1e-9, 64 * 0.3)
     for ka in (1, OMP_FLUSH_EVERY - 1, OMP_FLUSH_EVERY):
         Y = _omp_frame(rng, P, 8, ka, 0.0, zero_row)
-        gamma = codebook_correlation(Y, P)
-        before, energy = gamma.copy(), atom_energies(gamma)
+        gamma, energy = codebook_correlation(Y, P)
+        before = gamma.copy()
         energy_before = energy.copy()
         assert len(omp_detect(Y, P, floor, gamma, energy)) == ka
         assert np.array_equal(gamma, before) == (ka < OMP_FLUSH_EVERY)
         assert np.array_equal(energy, energy_before)
 
 
-def _omp_peak(Y, P, floor, gamma):
+def _omp_peak(Y, P, floor, gamma, energy):
     """(picks, tracemalloc's peak in bytes) over one omp_detect call."""
-    energy = atom_energies(gamma)
     tracemalloc.start()
     try:
         picks = len(omp_detect(Y, P, floor, gamma, energy))
@@ -275,9 +273,9 @@ def test_omp_flush_forms_no_codebook_sized_temporary():
     P = _omp_codebook(rng, 4096, 200, zero_row)
     Y = _omp_frame(rng, P, 50, 2 * OMP_FLUSH_EVERY, 1.0, zero_row)
     floor = omp_noise_floor(50, 4096, 1.0, 200 * 0.3)
-    gamma = codebook_correlation(Y, P)
-    idle, idle_peak = _omp_peak(Y, P, np.inf, gamma.copy())
-    picks, peak = _omp_peak(Y, P, floor, gamma)
+    gamma, energy = codebook_correlation(Y, P)
+    idle, idle_peak = _omp_peak(Y, P, np.inf, gamma.copy(), energy)
+    picks, peak = _omp_peak(Y, P, floor, gamma, energy)
     assert idle == 0 and picks >= OMP_FLUSH_EVERY
     r_buffer = OMP_FLUSH_EVERY * P.shape[0] * np.dtype(np.complex128).itemsize
     assert peak <= idle_peak + 2 * r_buffer < 50 * P.shape[0] * 16
@@ -291,8 +289,7 @@ def test_omp_one_pick_allocates_little():
     cfg, params = _reference_setup("full")
     cfg = replace(cfg, Ka=1)
     Y = _uplink_block(cfg, params, 0)[0][:, :cfg.np]
-    gamma = codebook_correlation(Y, params.P)
-    picks, peak = _omp_peak(Y, params.P, _floor(cfg), gamma)
+    picks, peak = _omp_peak(Y, params.P, _floor(cfg), *codebook_correlation(Y, params.P))
     assert picks == 1
     assert peak <= 0.15 * cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
 
@@ -595,6 +592,29 @@ def test_iterative_decode_holds_at_most_two_correlations():
         assert peak <= bound * unit
 
 
+def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
+    # a full-scale Ka = 1 batch of 16 frames, sent and decoded at two
+    # splits: tracemalloc's peak is the received pilot+polar blocks the batch
+    # holds plus at most 1.5 codebook-sized (M, 2^Bp) complex arrays, read
+    # 1.45: one frame's first correlation and its work buffers, with the
+    # key segments, first-pass energies and LLRs of the frames before it.
+    # The later pass's stacked confirm product of 32 rows peaks lower (1.19)
+    cfg = SystemConfig(Ka=1, seed=1501)
+    params = generate_public_params(cfg)
+    splits = [split_power_budget(cfg.key_budget, r) for r in (1.0, 7.0)]
+    n = frames_per_batch(cfg)
+    assert n == 16
+    unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
+    blocks = n * cfg.M * (cfg.np + cfg.nc) * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        run_trial(cfg, splits, list(range(n)), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= blocks + 1.5 * unit
+
+
 @pytest.mark.parametrize("name,ka,trials", [
     ("full", 1, 3), ("m16", 1, 3), ("m16", 2, 3), ("m16", 3, 3)])
 def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
@@ -615,19 +635,79 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
         residual = _residual(y_bs, C_hat, H_hat, cfg, params)
         Y_p = y_bs[:, :cfg.np]
         X_p = pilot_polar_rows(C_hat, cfg, params)[:, :cfg.np]
-        energy0 = atom_energies(codebook_correlation(Y_p, P))
-        energy0_single = atom_energies(codebook_correlation(Y_p, params.P))
+        energy0 = codebook_correlation(Y_p, P)[1]
+        energy0_single = codebook_correlation(Y_p, params.P)[1]
         # (H, X, residual pilot part, whether an atom is left above the floor)
         cases = [(H_hat, X_p, residual[:, :cfg.np], False)]
         if ka > 1:
             cases.append((H_hat[:, :-1], X_p[:-1], Y_p - H_hat[:, :-1] @ X_p[:-1], True))
         for H, X, R, left in cases:
             got = residual_energies(energy0, Y_p, X, H, P)
-            want = atom_energies(codebook_correlation(R, P))
+            want = codebook_correlation(R, P)[1]
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
             assert (got.max() > floor) == (want.max() > floor) == left
             single = residual_energies(energy0_single, Y_p, X, H, params.P)
             assert (single.max() > floor) == left
+
+
+def _confirm_cases(name, trials):
+    """(cfg, params, cases): the (energy0, Y_p, X_p, H) confirm cases of
+    trials frames at each of Ka = 1, 2, 3 after one pass, on the stored
+    codebook; where a frame decoded two users or more, also the case that
+    leaves out its newest user, whose atom is then left above the floor."""
+    base, params = _reference_setup(name)
+    cases = []
+    for ka in (1, 2, 3):
+        cfg = replace(base, Ka=ka, max_outer_iters=1)
+        for trial in range(trials):
+            y_bs, _ = _uplink_block(cfg, params, trial)
+            [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
+            assert 0 < 2 * len(C_hat) < cfg.M
+            Y_p = y_bs[:, :cfg.np]
+            X_p = pilot_polar_rows(C_hat, cfg, params)[:, :cfg.np]
+            energy0 = codebook_correlation(Y_p, params.P)[1]
+            cases.append((energy0, Y_p, X_p, H_hat))
+            if len(C_hat) > 1:
+                cases.append((energy0, Y_p, X_p[:-1], H_hat[:, :-1]))
+    return base, params, cases
+
+
+@pytest.mark.parametrize("name,trials", [("full", 4), ("m16", 10)])
+def test_stacked_confirm_decides_as_each_frame_alone(name, trials, monkeypatch):
+    # a pass confirms its frames from codebook products of several frames'
+    # rows, which round differently from each frame's own product.  Over
+    # 12 full-scale and 30 M = 16 frames at Ka = 1, 2, 3: the stacked
+    # decisions are those of each frame's own residual_energies, the margin
+    # bounds the stacked energies' distance from its own at every atom, and
+    # a frame whose stacked maximum lies within the margin of the floor
+    # forms its own product
+    cfg, params, cases = _confirm_cases(name, trials)
+    P, floor, atom_energy = params.P, _floor(cfg), cfg.np * cfg.Pp
+    alone = [residual_energies(*case, P) for case in cases]
+    want = [bool(e.max() > floor) for e in alone]
+    assert len(cases) >= 3 * trials and True in want and False in want
+    assert receiver.atoms_left(cases, cfg, P, floor) == want
+
+    differs = False
+    for i in range(0, len(cases) - 1, 2):
+        pair = cases[i:i + 2]
+        for (e, margin), a in zip(receiver.stacked_residual_energies(pair, P, atom_energy),
+                                  alone[i:i + 2]):
+            assert np.all(np.abs(e - a) <= margin)
+            differs |= not np.array_equal(e, a)
+    assert differs
+
+    # energy0 shifted at the stacked maximum so that it lands on the floor
+    e, _ = next(receiver.stacked_residual_energies(cases[:2], P, atom_energy))
+    j = int(np.argmax(e))
+    energy0 = cases[0][0].copy()
+    energy0[j] += floor - e[j]
+    edge = (energy0,) + cases[0][1:]
+    rows = 2 * edge[3].shape[1]
+    products = _count_products(monkeypatch)
+    left = receiver.atoms_left([edge, edge], cfg, P, floor)
+    assert products == [2 * rows, rows, rows]
+    assert left == [bool(residual_energies(*edge, P).max() > floor)] * 2
 
 
 def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
@@ -693,13 +773,14 @@ def _sent_at_splits(cfg, splits, params, trial):
     return uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial))
 
 
-@pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 3), ("m16", 10),
-                                     ("m16", 25)])
+@pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 2), ("m16", 3),
+                                     ("m16", 10), ("m16", 25)])
 def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
-    # a sweep's batch of frames (at least four; at Ka = 1, 8 at full scale
-    # and 25, the largest, at M = 16) and a pure-noise frame, at ratios 1, 7
+    # a sweep's batch of frames (at least four; at Ka = 1, 16 at full scale
+    # and 51, the largest, at M = 16) and a pure-noise frame, at ratios 1, 7
     # and inf: each frame's every output array is the one it gives when
-    # decoded alone
+    # decoded alone.  At M = 16, Ka = 2 a later pass confirms the batch's
+    # 50 frames in several stacked products of at most 16 rows
     base, params = _reference_setup(name)
     cfg = replace(base, Ka=ka, seed=5)
     splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
