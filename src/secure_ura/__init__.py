@@ -24,8 +24,7 @@ from .polar import PolarCode, default_crc_poly, polar_transform
 from .receiver import (codebook_correlation, decode_frame,
                        decode_keys_and_decrypt, feature_noise_variances,
                        iterative_decode, llr_parity, llr_systematic,
-                       mmse_polar_llr, omp_detect, omp_noise_floor,
-                       residual_energies)
+                       mmse_polar_llr, omp_detect, omp_noise_floor)
 from .transmitter import index_to_bits, pilot_polar_rows, transmit
 
 __version__ = "0.1.0"

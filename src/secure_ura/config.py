@@ -129,17 +129,17 @@ class SystemConfig:
 def load_config(path: str | os.PathLike | None = None) -> SystemConfig:
     """Load a SystemConfig from a flat key=value file.
 
-    Schema: one `key = value` pair per line, `#` starts a comment, blank
-    lines are ignored.  Keys are the SystemConfig field names; unspecified
-    keys keep their defaults.
+    Schema: UTF-8 text, one `key = value` pair per line, `#` starts a
+    comment, blank lines are ignored.  Keys are the SystemConfig field names,
+    each set at most once; unspecified keys keep their defaults.
     """
     kinds = {f.name: f.type for f in fields(SystemConfig)}
-    overrides = {}
+    overrides, first_line = {}, {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -152,6 +152,10 @@ def load_config(path: str | os.PathLike | None = None) -> SystemConfig:
             value = value.strip()
             if key not in kinds:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                                  f"(first set on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 overrides[key] = kinds[key](value)
             except ValueError:

@@ -26,12 +26,10 @@ the receiver decodes the batch at once, with one polar decode per pass and
 one LDPC decode for every frame's words (`decode_frame`).  Batching changes
 no output.  Its size (`frames_per_batch`) has two bounds.  The decoders'
 cost is mostly per call up to about BATCH_WORDS words, Ka per frame, so a
-batch hands them about that many.  So is a later pass's confirm, one
-codebook product per M rows of the batch's frames.  Each frame held costs
-its received pilot+polar block, M x (np + nc) complex entries of 16 bytes,
-and the receiver state that scales with it, so a batch holds at most
-BATCH_BLOCK_BYTES of such blocks: 16, 4 and 1 frames at the full-scale
-M = 50 and Ka = 1, 25, 100, and 51, 10 and 4 at M = 16 and Ka = 1, 10, 25.
+batch hands them about that many.  Each frame held costs its received
+pilot+polar block, M x (np + nc) complex entries of 16 bytes, and the
+receiver state that scales with it, so a batch holds at most
+BATCH_BLOCK_BYTES of such blocks.
 """
 
 import csv
@@ -202,8 +200,12 @@ def power_splits(cfg: SystemConfig, ratios) -> list[tuple[float, float, float]]:
 
 def frames_per_batch(cfg: SystemConfig) -> int:
     """Frames per run_trial batch: as many as hold at most BATCH_WORDS users
-    and BATCH_BLOCK_BYTES of received pilot+polar blocks, and at least one
-    (16 at the full-scale M = 50, Ka = 1; 51 at M = 16, Ka = 1)."""
+    and BATCH_BLOCK_BYTES of received pilot+polar blocks, and at least one.
+
+    At the full-scale M = 50 (569,600 bytes a block) that is 16, 4 and 1
+    frames at Ka = 1, 25 and 100; at M = 16, 51, 10 and 4 frames at Ka = 1,
+    10 and 25.
+    """
     block_bytes = cfg.M * (cfg.np + cfg.nc) * 16
     return max(1, min(BATCH_WORDS // cfg.Ka, BATCH_BLOCK_BYTES // block_bytes))
 
@@ -214,9 +216,7 @@ def _run_splits(cfg: SystemConfig, splits, params: PublicParams) -> list[SweepRe
 
     The words bound lets crowded frames share the decoders' calls too; the
     bytes bound keeps the blocks held at once small where M or np + nc is
-    large.  At M = 16 a batch holds 51, 10 and 4 frames at Ka = 1, 10 and
-    25; at the full-scale M = 50 (569,600 bytes a block), 16 frames at
-    Ka = 1, 4 at Ka = 25 and one at Ka = 100.
+    large.
     """
     pairs = [(pa, pk) for _, pa, pk in splits]
     trials = range(cfg.trials)

@@ -4,13 +4,11 @@ The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
 decoding, and least-squares channel re-estimation with successive
 interference cancellation over the pilot+polar segments.  A frame keeps
-only the atom energies of its first correlation with the pilot codebook; a
-later pass confirms from them, with a small codebook product shared by
-the batch's frames, whether any atom is left above the noise floor before
-it correlates its residual (see iterative_decode and atoms_left).  The
-key stage forms every decoded user's feedback estimate from its channel
-estimate, derives the features and artificial noise from it with the
-user's own key code (`keys`), cancels the noise from the key segment,
+only the atom energies of its first correlation with the pilot codebook,
+from which a later pass may skip its residual's correlation (atoms_left).
+The key stage forms every decoded user's feedback estimate from its
+channel estimate, derives the features and artificial noise from it with
+the user's own key code (`keys`), cancels the noise from the key segment,
 assembles systematic and parity LLRs, and reconciles the key through the
 LDPC decoder.
 
@@ -26,17 +24,12 @@ It never reads the active-user count cfg.Ka (see omp_detect).  It decodes
 a batch of independent frames in lockstep: pilot detection, MMSE and SIC
 run per frame, but one polar decode per pass and one LDPC decode cover
 every frame's words, which the decoders treat independently; each such
-decode is split back per block in one place, _decode_blocks.  A later
-pass's confirm stacks the frames' rows into codebook products of at most
-M rows, and a frame decides from its stacked result only where a rigorous
-rounding margin puts it clear of the floor, so it decides as it does
-alone.  A frame sent at several power splits, (Pa, Pk) pairs, differs only
-in its key segment, so only the mask cancellation and the parity LLRs are
-per split.
+decode is split back per block in one place, _decode_blocks.  A frame sent
+at several power splits, (Pa, Pk) pairs, differs only in its key segment,
+so only the mask cancellation and the parity LLRs are per split.
 """
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -128,12 +121,22 @@ def codebook_correlation(Y: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _confirm_rows(Y: np.ndarray, X: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """The 2k rows [H^H Y ; X] whose codebook product residual_energies reads."""
+    """The 2k rows [H^H Y ; X] whose codebook product _energies_from reads."""
     return np.concatenate([H.conj().T @ Y, X])
 
 
 def _energies_from(energy0: np.ndarray, corr: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """residual_energies' formula on the codebook product corr of its rows."""
+    """(2^Bp,) atom energies of the residual Y - H X, from those of Y.
+
+    energy0 holds the atom energies of Y's correlation gamma0 (as
+    codebook_correlation returns them), and corr is the codebook product of
+    _confirm_rows(Y, X, H).  The residual's correlation with atom p_j is
+    gamma0_j - H x_j, where x_j = X p_j^H, so its energy is
+        ||gamma0_j||^2 - 2 Re <H^H gamma0_j, x_j> + x_j^H (H^H H) x_j,
+    and H^H gamma0_j = (H^H Y) p_j^H: both k-vectors come from one
+    codebook product of 2k rows, which costs less than the M-row product of
+    the residual when 2k < M.  The energies are formed from it in complex128.
+    """
     k = H.shape[1]
     hg, x = corr[:k], corr[k:]
     cross = np.einsum("ij,ij->j", hg.conj(), x).real
@@ -141,110 +144,83 @@ def _energies_from(energy0: np.ndarray, corr: np.ndarray, H: np.ndarray) -> np.n
     return energy0 - 2.0 * cross + quad
 
 
-def residual_energies(energy0: np.ndarray, Y: np.ndarray, X: np.ndarray,
-                      H: np.ndarray, P) -> np.ndarray:
-    """(2^Bp,) atom energies of the residual Y - H X, from those of Y.
-
-    energy0 holds the atom energies of Y's correlation gamma0 (as
-    codebook_correlation returns them).  The residual's correlation with atom
-    p_j is gamma0_j - H x_j, where x_j = X p_j^H, so its energy is
-        ||gamma0_j||^2 - 2 Re <H^H gamma0_j, x_j> + x_j^H (H^H H) x_j,
-    and H^H gamma0_j = (H^H Y) p_j^H: both k-vectors come from one
-    codebook product of 2k rows, which costs less than the M-row product of
-    the residual when 2k < M.  That product is codebook_correlation's, in P's
-    product precision; the energies are formed from it in complex128.
-    """
-    corr, _ = codebook_correlation(_confirm_rows(Y, X, H), P)
-    return _energies_from(energy0, corr, H)
-
-
-def _rounding_margin(energy0: np.ndarray, rows: np.ndarray, H: np.ndarray,
+def _rounding_margin(Y: np.ndarray, H: np.ndarray, rows: np.ndarray,
                      atom_energy: float, u: float) -> float:
-    """A bound, at every atom, on |e - e_alone|: e is _energies_from on the
-    slice of a codebook product that stacked rows with other frames', and
-    e_alone the same formula on the product of rows alone.
+    """A bound, at every atom, on |e - e_direct|: e is _energies_from on the
+    slice of a codebook product that holds rows = _confirm_rows(Y, X, H),
+    with energy0 from codebook_correlation(Y, P), and e_direct the energies
+    codebook_correlation(Y - H X, P) gives.
 
-    Both products are formed from the same inputs, rows and the codebook
-    cast to the product dtype of unit roundoff u, but may round
-    differently.  An entry is a complex dot product of length n = np, two
+    Each side is bounded against the exact energies of the residual.  Every
+    product casts its rows and the codebook to the product dtype, of unit
+    roundoff u.  An entry is a complex dot product of length n = np, two
     real sums of 2n products, so it lies within c |a| |b| of the exact one,
     c = sqrt(2) gamma_2n with gamma_m = m u / (1 - m u) (Higham, Accuracy
     and Stability of Numerical Algorithms, 2002, sec. 3.1); gamma_{2n+2} is
     used, covering the casts and the atoms' float64 energy error
-    (|a|^2 = atom_energy).  With A_i = |a| ||(H^H Y)_i|| and
-    B_i = |a| ||X_i|| bounding user i's exact entries, each side's cross term
-    2 Re <hg, x> is within 2 c (2 + c) sum A_i B_i of the exact one, and its
-    quad term, as ||H^H H||_2 <= ||H||_F^2, within
-    c (2 + c) ||H||_F^2 sum B_i^2; the margin is twice their sum.  The
-    formula's own float64 rounding, on either side, is covered by 2^-40 of
-    its terms' magnitudes.
+    (|a|^2 = atom_energy).  So energy0, a sum of squares of such entries,
+    is within c (2 + c) |a|^2 ||Y||_F^2 of the exact energies of Y, and
+    e_direct within c (2 + c) |a|^2 ||Y - H X||_F^2 of the residual's.
+    With A_i = |a| ||(H^H Y)_i|| and B_i = |a| ||X_i|| bounding user i's
+    exact entries, e's cross term 2 Re <hg, x> is within
+    2 c (2 + c) sum A_i B_i, and its quad term, as ||H^H H||_2 <= ||H||_F^2,
+    within c (2 + c) ||H||_F^2 sum B_i^2.  The float64 roundings, of H^H Y,
+    Y - H X and its norm, the energies and the formula, lie within about
+    3 M 2^-53 of the same magnitudes (their sums run over at most M antennas
+    or users), so 2^-40 of them covers them for M up to 2^11.
     """
     k = H.shape[1]
     m = 2 * (rows.shape[1] + 1)
     c = math.sqrt(2.0) * m * u / (1.0 - m * u)
     bounds = math.sqrt(atom_energy) * np.linalg.norm(rows, axis=1)   # A, then B
+    K = H.conj().T @ H
     cross = float(bounds[:k] @ bounds[k:])
-    quad = float(np.sum(H.real ** 2 + H.imag ** 2)) * float(bounds[k:] @ bounds[k:])
-    return (2.0 * c * (2.0 + c) * (2.0 * cross + quad)
-            + 2.0 ** -40 * (float(energy0.max()) + 2.0 * cross + quad))
-
-
-def stacked_residual_energies(cases, P, atom_energy: float
-                              ) -> Iterator[tuple[np.ndarray, float]]:
-    """(energies, margin) per (energy0, Y, X, H) case of residual_energies,
-    all from one codebook product of every case's rows stacked.
-
-    A case's energies are residual_energies' formula on its slice of the
-    product, and they lie within margin of residual_energies(*case, P) at
-    every atom (_rounding_margin); atom_energy is the codebook rows' energy.
-    The pairs are formed one at a time, as they are read.
-    """
-    rows = [_confirm_rows(Y, X, H) for _, Y, X, H in cases]
-    corr, _ = codebook_correlation(np.concatenate(rows), P)
-    u = float(np.finfo(_product_array(P).dtype).eps) / 2.0
-    start = 0
-    for (energy0, _, _, H), r in zip(cases, rows):
-        c = corr[start:start + len(r)]
-        start += len(r)
-        yield _energies_from(energy0, c, H), _rounding_margin(energy0, r, H, atom_energy, u)
+    quad = float(K.trace().real) * float(bounds[k:] @ bounds[k:])
+    # ||Y - H X||_F^2 = ||Y||_F^2 - 2 Re <H^H Y, X> + <H^H H, X X^H>: the
+    # rows give it without forming the residual
+    hy, x = rows[:k], rows[k:]
+    y2 = np.linalg.norm(Y) ** 2
+    r2 = y2 - 2.0 * np.vdot(x, hy).real + np.vdot(K, x @ x.conj().T).real
+    direct = atom_energy * (y2 + max(r2, 0.0))
+    return (c * (2.0 + c) + 2.0 ** -40) * (2.0 * cross + quad + direct)
 
 
 def atoms_left(cases, cfg: SystemConfig, P, floor: float) -> list[bool]:
-    """Whether each (energy0, Y, X, H) case's residual has an atom above
-    floor, decided exactly as residual_energies(*case, P).max() > floor.
+    """Whether each (energy0, Y, X, H) case may have an atom above floor in
+    its residual Y - H X: False only where the residual's own correlation,
+    codebook_correlation(Y - H X, P), has none, so OMP would pick nothing.
 
-    The cases' rows are stacked, in order, into codebook products of at
-    most cfg.M rows each, no more than one first correlation's.  A case
-    alone in its product decides from it, which is its own.  Otherwise it
-    decides from its stacked energies e (stacked_residual_energies) where
-    they are clear of the floor by their margin m: no atom is left if
-    max(e) + m <= floor, and one is if max(e) - m > floor.  A case within
-    the margin forms its own product.
+    A case is a frame's first-pass atom energies energy0 of its pilot part
+    Y, and the decoded users' pilot rows X and channel estimates H.  The
+    cases' rows (_confirm_rows) are stacked, in order, into codebook
+    products of at most cfg.M rows each, no more than one first
+    correlation's.  A case's energies e are _energies_from its slice, and
+    its margin m bounds their distance from the residual's own
+    (_rounding_margin), so the residual has no atom above the floor where
+    max(e) + m <= floor.
     """
+    u = float(np.finfo(_product_array(P).dtype).eps) / 2.0
     groups = []
     for case in cases:
         n = 2 * case[3].shape[1]
-        if groups and rows + n <= cfg.M:
+        if groups and size + n <= cfg.M:
             groups[-1].append(case)
-            rows += n
+            size += n
         else:
             groups.append([case])
-            rows = n
+            size = n
 
     left = []
     for group in groups:
-        if len(group) == 1:
-            left.append(bool(residual_energies(*group[0], P).max() > floor))
-            continue
-        for case, (e, m) in zip(group, stacked_residual_energies(group, P,
-                                                                 cfg.np * cfg.Pp)):
-            top = e.max()
-            if top + m <= floor:
-                left.append(False)
-            elif top - m > floor:
-                left.append(True)
-            else:
-                left.append(bool(residual_energies(*case, P).max() > floor))
+        rows = [_confirm_rows(Y, X, H) for _, Y, X, H in group]
+        corr, _ = codebook_correlation(np.concatenate(rows), P)
+        start = 0
+        for (energy0, Y, _, H), r in zip(group, rows):
+            e = _energies_from(energy0, corr[start:start + len(r)], H)
+            start += len(r)
+            m = _rounding_margin(Y, H, r, cfg.np * cfg.Pp, u)
+            left.append(bool(e.max() + m > floor))
+        del corr                         # no two products are held at once
     return left
 
 
@@ -438,8 +414,8 @@ class _FrameState:
         self.energy0 = None              # atom energies of the first correlation
 
     def pilot_fit(self, cfg: SystemConfig) -> tuple:
-        """The (energy0, Y, X, H) case of residual_energies for this frame's
-        residual pilot part after the last SIC."""
+        """This frame's (energy0, Y, X, H) case of atoms_left, after the
+        last SIC."""
         return self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np], self.H_hat
 
     def detect(self, cfg: SystemConfig, params: PublicParams, floor: float
@@ -474,17 +450,11 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
 
     A frame's pilot segment Y_p is correlated with the codebook once, in
     its first pass, and only the atom energies of that correlation are
-    kept.  After a pass the residual's pilot part is Y_p - H_hat X_p, with
-    X_p the decoded users' pilot rows, so while 2k < M a later pass first
-    confirms from those energies that some atom is left above the noise
-    floor (residual_energies' formula on a 2k-row codebook product); if
-    none is, OMP would pick nothing and the frame is done.  Otherwise the
-    pass correlates its residual directly.  The pass confirms all such
-    frames at once (atoms_left): their rows are stacked into products of at
-    most M rows, and a frame whose stacked energies lie within their
-    rounding margin of the floor forms its own product, so each decision is
-    the one the frame makes alone.  No correlation outlives its OMP call,
-    and no residual its pass: each pass forms it from the last SIC's fit.
+    kept.  While 2k < M, a later pass skips the frames whose residual
+    atoms_left proves has no atom above the noise floor, on which OMP would
+    pick nothing; every other frame correlates its residual, and its OMP
+    decides.  No correlation outlives its OMP call, and no residual its
+    pass: each pass forms it from the last SIC's fit.
     """
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
     frames = [_FrameState(y_bs, cfg) for y_bs in ys]

@@ -70,6 +70,21 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "selftest"])
+def test_undecodable_config_is_config_error(tmp_path, capsys, command):
+    # a config that is not UTF-8 exits 2 with one line, not 1 (a selftest
+    # failure) with a traceback, and writes no CSV
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"# r\xe9glage\nM = 8\nE = 8\n")
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(bad)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "leakage", "selftest"])
 def test_unbuildable_ldpc_code_is_config_error(tmp_path, capsys, command):
     # ns - S = 6 passes validation, but the (46, 40) construction is rank

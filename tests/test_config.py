@@ -58,6 +58,15 @@ def test_unknown_key_reports_line(tmp_path):
         load_config(path)
 
 
+def test_duplicate_key_reports_both_lines(tmp_path):
+    # a repeated key is refused rather than silently taking its last value
+    path = tmp_path / "c.cfg"
+    path.write_text("M = 8\nE = 8\n\nM = 9\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:4: duplicate key 'M' (first set on line 1)"
+
+
 def test_bad_value_reports_line_and_key(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("\nKa = soon\n")

@@ -15,7 +15,7 @@ from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
                         feedback_observation, generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
                         mmse_polar_llr, omp_detect, omp_noise_floor,
-                        pilot_polar_rows, residual_energies, run_trial,
+                        pilot_polar_rows, run_trial,
                         split_power_budget, standardize, transmit, uplink)
 from secure_ura import receiver
 from secure_ura.harness import frames_per_batch
@@ -615,6 +615,16 @@ def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
     assert peak <= blocks + 1.5 * unit
 
 
+def _confirm_energies(cases, P):
+    """Each (energy0, Y, X, H) case's residual atom energies, as atoms_left
+    forms them from one codebook product of every case's rows stacked."""
+    rows = [receiver._confirm_rows(Y, X, H) for _, Y, X, H in cases]
+    corr, _ = codebook_correlation(np.concatenate(rows), P)
+    cuts = np.cumsum([len(r) for r in rows])[:-1]
+    return [receiver._energies_from(energy0, c, H)
+            for (energy0, _, _, H), c in zip(cases, np.split(corr, cuts))]
+
+
 @pytest.mark.parametrize("name,ka,trials", [
     ("full", 1, 3), ("m16", 1, 3), ("m16", 2, 3), ("m16", 3, 3)])
 def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
@@ -642,11 +652,11 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
         if ka > 1:
             cases.append((H_hat[:, :-1], X_p[:-1], Y_p - H_hat[:, :-1] @ X_p[:-1], True))
         for H, X, R, left in cases:
-            got = residual_energies(energy0, Y_p, X, H, P)
+            [got] = _confirm_energies([(energy0, Y_p, X, H)], P)
             want = codebook_correlation(R, P)[1]
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
             assert (got.max() > floor) == (want.max() > floor) == left
-            single = residual_energies(energy0_single, Y_p, X, H, params.P)
+            [single] = _confirm_energies([(energy0_single, Y_p, X, H)], params.P)
             assert (single.max() > floor) == left
 
 
@@ -675,39 +685,41 @@ def _confirm_cases(name, trials):
 @pytest.mark.parametrize("name,trials", [("full", 4), ("m16", 10)])
 def test_stacked_confirm_decides_as_each_frame_alone(name, trials, monkeypatch):
     # a pass confirms its frames from codebook products of several frames'
-    # rows, which round differently from each frame's own product.  Over
-    # 12 full-scale and 30 M = 16 frames at Ka = 1, 2, 3: the stacked
-    # decisions are those of each frame's own residual_energies, the margin
-    # bounds the stacked energies' distance from its own at every atom, and
-    # a frame whose stacked maximum lies within the margin of the floor
-    # forms its own product
+    # rows.  Over 12 full-scale and 30 M = 16 frames at Ka = 1, 2, 3: a
+    # frame is skipped only where its residual's own correlation has no
+    # atom above the floor, and the margin bounds the distance of the
+    # confirm energies, stacked with another frame's rows or alone, from
+    # that correlation's at every atom.  A frame whose stacked maximum
+    # lands on the floor is not skipped, and forms no product of its own
     cfg, params, cases = _confirm_cases(name, trials)
-    P, floor, atom_energy = params.P, _floor(cfg), cfg.np * cfg.Pp
-    alone = [residual_energies(*case, P) for case in cases]
-    want = [bool(e.max() > floor) for e in alone]
-    assert len(cases) >= 3 * trials and True in want and False in want
-    assert receiver.atoms_left(cases, cfg, P, floor) == want
+    P, floor = params.P, _floor(cfg)
+    u = float(np.finfo(np.complex64).eps) / 2.0
+    direct = [codebook_correlation(Y - H @ X, P)[1] for _, Y, X, H in cases]
+    left = receiver.atoms_left(cases, cfg, P, floor)
+    assert len(cases) >= 3 * trials and True in left and False in left
+    for has_atom, d in zip(left, direct):
+        assert has_atom or d.max() <= floor
 
-    differs = False
-    for i in range(0, len(cases) - 1, 2):
-        pair = cases[i:i + 2]
-        for (e, margin), a in zip(receiver.stacked_residual_energies(pair, P, atom_energy),
-                                  alone[i:i + 2]):
-            assert np.all(np.abs(e - a) <= margin)
-            differs |= not np.array_equal(e, a)
-    assert differs
+    margins = [receiver._rounding_margin(Y, H, receiver._confirm_rows(Y, X, H),
+                                         cfg.np * cfg.Pp, u) for _, Y, X, H in cases]
+    stacked = [e for i in range(0, len(cases) - 1, 2)
+               for e in _confirm_energies(cases[i:i + 2], P)]
+    alone = [e for case in cases for e in _confirm_energies([case], P)]
+    for e, d, m in zip(stacked, direct, margins):
+        assert np.all(np.abs(e - d) <= m)
+    for e, d, m in zip(alone, direct, margins):
+        assert np.all(np.abs(e - d) <= m)
 
     # energy0 shifted at the stacked maximum so that it lands on the floor
-    e, _ = next(receiver.stacked_residual_energies(cases[:2], P, atom_energy))
+    e = stacked[0]
     j = int(np.argmax(e))
     energy0 = cases[0][0].copy()
     energy0[j] += floor - e[j]
     edge = (energy0,) + cases[0][1:]
     rows = 2 * edge[3].shape[1]
     products = _count_products(monkeypatch)
-    left = receiver.atoms_left([edge, edge], cfg, P, floor)
-    assert products == [2 * rows, rows, rows]
-    assert left == [bool(residual_energies(*edge, P).max() > floor)] * 2
+    assert receiver.atoms_left([edge, edge], cfg, P, floor) == [True, True]
+    assert products == [2 * rows]
 
 
 def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
