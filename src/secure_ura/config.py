@@ -13,11 +13,14 @@ from dataclasses import dataclass, fields
 
 from .ldpc import COL_WEIGHT
 
-# The pilot codebook is 2^Bp rows of np complex128 entries, generated in full
-# before any trial runs and held exactly in 16 bytes per entry (a complex64
-# part plus two uint32 of low bits, see params.PilotCodebook); configurations
-# whose codebook would exceed this many bytes are rejected up front.
-PILOT_CODEBOOK_CAP_BYTES = 1 << 30
+# Pilot detection correlates by N-point FFTs, N = SystemConfig.pilot_fft_len
+# (see params.PartialDft).  Per frame it holds at most PILOT_FFT_VECTORS
+# complex N-vectors at once, the (np, np) Gram of its pilot block, and OMP's
+# picked rows and their antenna vectors, at most (np, np) and (np, M)
+# (receiver.atom_energies, omp_detect).  Configurations whose working set,
+# SystemConfig.pilot_work_bytes, would exceed the cap are rejected up front.
+PILOT_WORK_CAP_BYTES = 1 << 30
+PILOT_FFT_VECTORS = 8
 
 
 class ConfigError(ValueError):
@@ -76,6 +79,17 @@ class SystemConfig:
         return 1 << self.Bp
 
     @property
+    def pilot_fft_len(self) -> int:
+        """N, the smallest power of two >= 2^Bp and >= np."""
+        return 1 << max(self.Bp, (self.np - 1).bit_length())
+
+    @property
+    def pilot_work_bytes(self) -> int:
+        """Bytes pilot detection holds per frame at most: PILOT_FFT_VECTORS
+        N-vectors, two (np, np) arrays and an (np, M) one, all complex128."""
+        return 16 * (PILOT_FFT_VECTORS * self.pilot_fft_len + self.np * (2 * self.np + self.M))
+
+    @property
     def key_budget(self) -> float:
         return self.Pk + self.Pa
 
@@ -110,11 +124,12 @@ class SystemConfig:
                  f"column weight), got ns={self.ns}, S={self.S}")
         if self.Bp >= self.B:
             fail("Bp", f"must satisfy Bp < B, got Bp={self.Bp}, B={self.B}")
-        # 2^Bp * np * 16 > cap, compared without forming 2^Bp (the cap is a
-        # power of two, so the shift is exact)
-        if self.np * 16 > PILOT_CODEBOOK_CAP_BYTES >> self.Bp:
-            fail("Bp", f"pilot codebook of 2^{self.Bp} x {self.np} complex entries "
-                 f"(16 bytes each) exceeds the {PILOT_CODEBOOK_CAP_BYTES}-byte cap")
+        # 2^Bp past the cap is over it, checked before N is formed
+        if (self.Bp >= PILOT_WORK_CAP_BYTES.bit_length()
+                or self.pilot_work_bytes > PILOT_WORK_CAP_BYTES):
+            fail("Bp", f"pilot detection over 2^{self.Bp} atoms of {self.np} symbols "
+                 f"exceeds the {PILOT_WORK_CAP_BYTES}-byte working-set cap (16 bytes "
+                 "per entry, see SystemConfig.pilot_work_bytes)")
         if self.Br > 30:
             fail("Br", f"must be <= 30, got {self.Br}")
         if self.nc & (self.nc - 1):

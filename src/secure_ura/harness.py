@@ -45,7 +45,7 @@ from .config import ConfigError, SystemConfig
 from .crypto import encrypt, expand_key
 from .keys import standardize
 from .leakage import leakage_eigen, leakage_logdet, leakage_report
-from .params import PublicParams, generate_public_params, row_norms
+from .params import PublicParams, generate_public_params
 from .receiver import decode_frame
 from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
@@ -349,7 +349,13 @@ def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
              "C1 columns are not orthonormal")
     _require(np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol,
              "C2 columns are not unit-norm")
-    _require(_near(row_norms(params.P) ** 2, cfg.np * cfg.Pp, tol),
+    freqs, n = params.P.freqs, cfg.pilot_fft_len
+    _require(freqs.shape == (cfg.np,) and freqs.dtype.kind == "i"
+             and len(np.unique(freqs)) == cfg.np and 0 <= freqs.min() and freqs.max() < n,
+             f"pilot frequencies are not np distinct integers in [0, {n})")
+    # every row, formed as the transmitter and receiver form it, 256 at a time
+    _require(all(_near(np.linalg.norm(params.P[i:i + 256], axis=1) ** 2, cfg.np * cfg.Pp, tol)
+                 for i in range(0, len(params.P), 256)),
              "pilot row energy ||p_j||^2 != np * Pp")
 
 

@@ -3,19 +3,16 @@
 The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
 decoding, and least-squares channel re-estimation with successive
-interference cancellation over the pilot+polar segments.  A frame keeps
-only the atom energies of its first correlation with the pilot codebook,
-from which a later pass may skip its residual's correlation (atoms_left).
-The key stage forms every decoded user's feedback estimate from its
-channel estimate, derives the features and artificial noise from it with
-the user's own key code (`keys`), cancels the noise from the key segment,
-assembles systematic and parity LLRs, and reconciles the key through the
-LDPC decoder.
+interference cancellation over the pilot+polar segments.  Every pass
+detects on its own residual.  The key stage forms every decoded user's
+feedback estimate from its channel estimate, derives the features and
+artificial noise from it with the user's own key code (`keys`), cancels
+the noise from the key segment, assembles systematic and parity LLRs, and
+reconciles the key through the LDPC decoder.
 
-Products with the whole pilot codebook (the correlations and OMP's per-step
-product) read its complex64 part and are upcast to complex128 before use;
-everything else, the atom energies, OMP's updates, the fits and SIC, runs in
-double precision on exactly rebuilt rows (see params.PilotCodebook).
+The pilot codebook is a partial DFT (params.PartialDft), so every product
+with the whole codebook is an N-point FFT: no (M, 2^Bp) correlation is
+formed, and everything runs in double precision.
 
 The receiver reads the uplink blocks as they arrive and returns each
 frame's decoded users as aligned arrays, one row per CRC-passing user in
@@ -29,6 +26,7 @@ at several power splits, (Pa, Pk) pairs, differs only in its key segment,
 so only the mask cancellation and the parity LLRs are per split.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -37,13 +35,11 @@ from .config import SystemConfig
 from .crypto import decrypt, expand_key
 from .keys import artificial_noise, extract_key, standardize
 from .modulation import clamp_llr
-from .params import ROW_BLOCK, PilotCodebook, PublicParams
+from .params import PartialDft, PublicParams
 from .transmitter import index_to_bits, pilot_polar_rows
 
 #: probability that OMP picks any atom in a call whose residual is pure noise
 OMP_FALSE_ALARM = 1e-2
-#: deferred rank-1 updates of the OMP correlation matrix applied per flush
-OMP_FLUSH_EVERY = 16
 # numpy has no erfc ufunc; the standard library's keeps the package numpy-only
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
@@ -88,140 +84,57 @@ def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> 
     return c * sigma2 * M * atom_energy
 
 
-def _product_array(P) -> np.ndarray:
-    """The array that products with the whole codebook P read: a
-    PilotCodebook's complex64 part, or an exact complex128 P itself."""
-    return P.single if isinstance(P, PilotCodebook) else P
+@functools.lru_cache(maxsize=4)
+def _difference_slots(P: PartialDft) -> np.ndarray:
+    """(np * 2 np,) intp: where entry [t, t'] of a complex (np, np) array,
+    viewed as float64, adds its real and imaginary parts in an N-vector
+    viewed the same way: slots 2d and 2d + 1, d = s_t - s_t' mod N.  Kept
+    per codebook, as it is the same for every frame."""
+    d = (P.freqs[:, None] - P.freqs) & (len(P.twiddles) - 1)
+    return np.stack([2 * d, 2 * d + 1], axis=2).ravel()
 
 
-def codebook_correlation(Y: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 2^Bp) correlation gamma = Y P^H of n observation rows with every
-    atom, and the (2^Bp,) energies ||gamma_j||^2 of its atoms.
+def _gram_pays(n_obs: int, n: int) -> bool:
+    """Whether atom_energies takes the Gram of n_obs-symbol rows for an
+    n-point codebook: n_obs^2 <= 4 n log2 n."""
+    return n_obs * n_obs <= 4 * n * (n.bit_length() - 1)
 
-    P is a PilotCodebook or a complex128 array, and the product is formed in
-    its product array's precision (complex64 for a PilotCodebook) ROW_BLOCK
-    atoms at a time, each block upcast into the complex128 result.  It is
-    formed as (P @ Y^H)^H, conjugated in place block by block, so the result
-    is the transpose of a C-ordered (2^Bp, n) array and each atom's n values
-    are contiguous.  Each block's energies are taken from its (n, ROW_BLOCK)
-    view of the result, as params.row_norms reduces rows: each atom is
-    reduced alone either way.
+
+def atom_energies(Y: np.ndarray, P: PartialDft) -> np.ndarray:
+    """(2^Bp,) energies ||Y p_j^H||^2 of every atom's correlation with the
+    rows of Y, with no (n, 2^Bp) correlation formed.
+
+    With p_j[t] = a exp(2 pi i j s_t / N), a = sqrt(Pp), the energy is
+        a^2 sum_{t, t'} G[t, t'] exp(-2 pi i j (s_t - s_t') / N),
+    G = Y^T conj(Y), the (np, np) Gram: G scattered onto the frequency
+    differences s_t - s_t' mod N (one bincount over its float64 view, see
+    _difference_slots) is a Hermitian N-vector, and one real-output
+    FFT of it gives every atom's energy.  The Gram costs np^2 multiply-adds
+    a row of Y against N log2 N for the row's own FFT, and timed on one core
+    it is the cheaper up to np^2 ~ 5 N log2 N; past 4 N log2 N (_gram_pays)
+    the energies are summed from codebook_products of two rows at a time
+    instead.
     """
-    P_prod = _product_array(P)
-    Yh = Y.conj().T.astype(P_prod.dtype)         # (np, n)
-    gamma = np.empty((len(P_prod), Yh.shape[1]), dtype=np.complex128)
-    energy = np.empty(len(P_prod))
-    for i in range(0, len(P_prod), ROW_BLOCK):
-        block = gamma[i:i + ROW_BLOCK]
-        block[...] = P_prod[i:i + ROW_BLOCK] @ Yh
-        np.conjugate(block, out=block)
-        g = block.T
-        energy[i:i + ROW_BLOCK] = np.sum(g.real ** 2 + g.imag ** 2, axis=0)
-    return gamma.T, energy
+    n = len(P.twiddles)
+    if not _gram_pays(Y.shape[1], n):
+        energy = np.zeros(P.count)
+        for i in range(0, len(Y), 2):
+            corr = codebook_products(Y[i:i + 2], P)
+            energy += np.sum(corr.real ** 2 + corr.imag ** 2, axis=0)
+        return energy
+    G = Y.T @ Y.conj()
+    D = np.bincount(_difference_slots(P), G.view(np.float64).ravel(), 2 * n)
+    return P.amplitude ** 2 * np.fft.hfft(D.view(np.complex128)[:n // 2 + 1], n)[:P.count]
 
 
-def _confirm_rows(Y: np.ndarray, X: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """The 2k rows [H^H Y ; X] whose codebook product _energies_from reads."""
-    return np.concatenate([H.conj().T @ Y, X])
-
-
-def _energies_from(energy0: np.ndarray, corr: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """(2^Bp,) atom energies of the residual Y - H X, from those of Y.
-
-    energy0 holds the atom energies of Y's correlation gamma0 (as
-    codebook_correlation returns them), and corr is the codebook product of
-    _confirm_rows(Y, X, H).  The residual's correlation with atom p_j is
-    gamma0_j - H x_j, where x_j = X p_j^H, so its energy is
-        ||gamma0_j||^2 - 2 Re <H^H gamma0_j, x_j> + x_j^H (H^H H) x_j,
-    and H^H gamma0_j = (H^H Y) p_j^H: both k-vectors come from one
-    codebook product of 2k rows, which costs less than the M-row product of
-    the residual when 2k < M.  The energies are formed from it in complex128.
-    """
-    k = H.shape[1]
-    hg, x = corr[:k], corr[k:]
-    cross = np.einsum("ij,ij->j", hg.conj(), x).real
-    quad = np.einsum("ij,ij->j", x.conj(), (H.conj().T @ H) @ x).real
-    return energy0 - 2.0 * cross + quad
-
-
-def _rounding_margin(Y: np.ndarray, H: np.ndarray, rows: np.ndarray,
-                     atom_energy: float, u: float) -> float:
-    """A bound, at every atom, on |e - e_direct|: e is _energies_from on the
-    slice of a codebook product that holds rows = _confirm_rows(Y, X, H),
-    with energy0 from codebook_correlation(Y, P), and e_direct the energies
-    codebook_correlation(Y - H X, P) gives.
-
-    Each side is bounded against the exact energies of the residual.  Every
-    product casts its rows and the codebook to the product dtype, of unit
-    roundoff u.  An entry is a complex dot product of length n = np, two
-    real sums of 2n products, so it lies within c |a| |b| of the exact one,
-    c = sqrt(2) gamma_2n with gamma_m = m u / (1 - m u) (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, sec. 3.1); gamma_{2n+2} is
-    used, covering the casts and the atoms' float64 energy error
-    (|a|^2 = atom_energy).  So energy0, a sum of squares of such entries,
-    is within c (2 + c) |a|^2 ||Y||_F^2 of the exact energies of Y, and
-    e_direct within c (2 + c) |a|^2 ||Y - H X||_F^2 of the residual's.
-    With A_i = |a| ||(H^H Y)_i|| and B_i = |a| ||X_i|| bounding user i's
-    exact entries, e's cross term 2 Re <hg, x> is within
-    2 c (2 + c) sum A_i B_i, and its quad term, as ||H^H H||_2 <= ||H||_F^2,
-    within c (2 + c) ||H||_F^2 sum B_i^2.  The float64 roundings, of H^H Y,
-    Y - H X and its norm, the energies and the formula, lie within about
-    3 M 2^-53 of the same magnitudes (their sums run over at most M antennas
-    or users), so 2^-40 of them covers them for M up to 2^11.
-    """
-    k = H.shape[1]
-    m = 2 * (rows.shape[1] + 1)
-    c = math.sqrt(2.0) * m * u / (1.0 - m * u)
-    bounds = math.sqrt(atom_energy) * np.linalg.norm(rows, axis=1)   # A, then B
-    K = H.conj().T @ H
-    cross = float(bounds[:k] @ bounds[k:])
-    quad = float(K.trace().real) * float(bounds[k:] @ bounds[k:])
-    # ||Y - H X||_F^2 = ||Y||_F^2 - 2 Re <H^H Y, X> + <H^H H, X X^H>: the
-    # rows give it without forming the residual
-    hy, x = rows[:k], rows[k:]
-    y2 = np.linalg.norm(Y) ** 2
-    r2 = y2 - 2.0 * np.vdot(x, hy).real + np.vdot(K, x @ x.conj().T).real
-    direct = atom_energy * (y2 + max(r2, 0.0))
-    return (c * (2.0 + c) + 2.0 ** -40) * (2.0 * cross + quad + direct)
-
-
-def atoms_left(cases, cfg: SystemConfig, P, floor: float) -> list[bool]:
-    """Whether each (energy0, Y, X, H) case may have an atom above floor in
-    its residual Y - H X: False only where the residual's own correlation,
-    codebook_correlation(Y - H X, P), has none, so OMP would pick nothing.
-
-    A case is a frame's first-pass atom energies energy0 of its pilot part
-    Y, and the decoded users' pilot rows X and channel estimates H.  The
-    cases' rows (_confirm_rows) are stacked, in order, into codebook
-    products of at most cfg.M rows each, no more than one first
-    correlation's.  A case's energies e are _energies_from its slice, and
-    its margin m bounds their distance from the residual's own
-    (_rounding_margin), so the residual has no atom above the floor where
-    max(e) + m <= floor.
-    """
-    u = float(np.finfo(_product_array(P).dtype).eps) / 2.0
-    groups = []
-    for case in cases:
-        n = 2 * case[3].shape[1]
-        if groups and size + n <= cfg.M:
-            groups[-1].append(case)
-            size += n
-        else:
-            groups.append([case])
-            size = n
-
-    left = []
-    for group in groups:
-        rows = [_confirm_rows(Y, X, H) for _, Y, X, H in group]
-        corr, _ = codebook_correlation(np.concatenate(rows), P)
-        start = 0
-        for (energy0, Y, _, H), r in zip(group, rows):
-            e = _energies_from(energy0, corr[start:start + len(r)], H)
-            start += len(r)
-            m = _rounding_margin(Y, H, r, cfg.np * cfg.Pp, u)
-            left.append(bool(e.max() + m > floor))
-        del corr                         # no two products are held at once
-    return left
+def codebook_products(V: np.ndarray, P: PartialDft) -> np.ndarray:
+    """(k, 2^Bp) products V P^H of k rows with every atom, with no row of P
+    formed: (V P^H)[i, j] = sqrt(Pp) sum_t V[i, t] exp(-2 pi i j s_t / N)
+    is output j of the N-point FFT of sqrt(Pp) V[i] scattered onto the
+    frequencies s_t."""
+    Z = np.zeros((len(V), len(P.twiddles)), dtype=np.complex128)
+    Z[:, P.freqs] = P.amplitude * V
+    return np.fft.fft(Z)[:, :P.count]
 
 
 def _grown(a: np.ndarray, cap: int) -> np.ndarray:
@@ -232,14 +145,10 @@ def _grown(a: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def omp_detect(Y: np.ndarray, P, noise_floor: float,
-               gamma: np.ndarray, energy: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def omp_detect(Y: np.ndarray, P: PartialDft, noise_floor: float
+               ) -> list[tuple[int, np.ndarray]]:
     """Greedy multiple-measurement OMP over the pilot codebook rows.
 
-    P is a PilotCodebook or a complex128 array.  gamma is the (M, 2^Bp)
-    correlation of Y with every atom and energy its atom energies, as
-    codebook_correlation(Y, P) returns them; the caller has both already,
-    and energy is left as it was handed over.
     Selects the atom with the largest residual correlation energy across
     antennas (all codebook rows have energy np * Pp) and keeps the residual
     orthogonal to the span of the selected atoms (equivalent to a
@@ -248,71 +157,47 @@ def omp_detect(Y: np.ndarray, P, noise_floor: float,
     after n_obs picks, or on an atom in the span of those picked.  Returns
     each pick's (pilot_index, channel_estimate) from a final LS fit.
 
-    The per-atom residual energies e_j = ||gamma_j||^2 are updated in place
-    of being recomputed: a step subtracts u r from gamma, so
-    e_j <- e_j - 2 Re(conj(r_j) u^H gamma_j) + |r_j|^2 ||u||^2
-    (the Gram-column idea of Batch-OMP, applied to the energies only).
-    The rank-1 updates of gamma itself are deferred and applied
-    OMP_FLUSH_EVERY at a time, in place and ROW_BLOCK atoms at a time: gamma
-    is left as it was handed over unless at least OMP_FLUSH_EVERY atoms are
-    picked.  The picked rows' buffers grow by doubling, so a call that
-    picks few atoms allocates little.
-
-    Precision: the per-step codebook product r = q P^H is formed in P's
-    product precision (complex64 for a PilotCodebook) and upcast; every
-    other quantity, the picked rows, q, u, the energies and their updates,
-    gamma's updates and the final fit, is complex128 or float64.  The energy
-    update cancels to ~1e-7 of the signal energy in single precision, far
-    above a low noise floor, so it must not run there.
+    The energies start as atom_energies(Y, P) and are updated in place of
+    being recomputed, with no correlation held.  After k picks the residual
+    is R = Y - U^T Q, Q the (k, n_obs) orthonormalized picked rows and
+    U^T = Y Q^H.  A step with the next row q and u = Y q^H takes u r from
+    the residual's correlation R P^H, r = q P^H, so
+        e_j <- e_j - 2 Re(conj(r_j) (w P^H)_j) + |r_j|^2 ||u||^2,
+    where w = u^H R = u^H Y - (U u^*) Q.  Both products with the codebook,
+    of q and of w, come from one codebook_products call.  The picked rows'
+    buffers grow by doubling, so a call that picks few atoms allocates
+    little.
     """
     M, n_obs = Y.shape
-    P_prod = _product_array(P)
-    energy = energy.copy()
+    energy = atom_energies(Y, P)
 
     # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
     selected = np.empty(n_obs, dtype=np.intp)
-    Q = Qc = np.empty((0, n_obs), dtype=np.complex128)   # Qc = Q.conj(), row by row
-    U = np.empty((OMP_FLUSH_EVERY, M), dtype=np.complex128)
-    R = np.empty((0, len(P_prod)), dtype=np.complex128)
-    pending = 0                                  # rows of U, R not yet in gamma
+    Q = np.empty((0, n_obs), dtype=np.complex128)
+    U = np.empty((0, M), dtype=np.complex128)           # U[i] = Y q_i^H
     k = 0
     while k < n_obs:
         j = int(np.argmax(energy))
         if energy[j] <= noise_floor:
             break
         p = P[j]
-        q = p - (Qc[:k] @ p) @ Q[:k]
-        q = q - (Qc[:k] @ q) @ Q[:k]             # re-orthogonalize
+        q = p - (Q[:k] @ p.conj()).conj() @ Q[:k]
+        q = q - (Q[:k] @ q.conj()).conj() @ Q[:k]   # re-orthogonalize
         nq = np.linalg.norm(q)
         if nq <= 1e-12 * max(1.0, np.linalg.norm(p)):
             break
         q /= nq
         u = Y @ q.conj()                         # (M,)
-        r = P_prod @ q.conj().astype(P_prod.dtype)   # (q P^H)^*, upcast below
-        r = r.conj().astype(np.complex128, copy=False)
-        u_energy = float(np.sum(np.abs(u) ** 2))
-        if k == len(Q):
-            Q, Qc = _grown(Q, n_obs), _grown(Qc, n_obs)
-        Q[k], Qc[k] = q, q.conj()
-        selected[k] = j
-        energy[j] = -np.inf                      # a picked atom is never picked again
-        k += 1
-
         uh = u.conj()
-        ug = uh @ gamma                          # u^H gamma, before this step
-        if pending:
-            ug -= (U[:pending] @ uh) @ R[:pending]
-        ug *= r.conj()
-        energy -= 2.0 * ug.real
-        energy += u_energy * (r.real ** 2 + r.imag ** 2)
-        if pending == len(R):
-            R = _grown(R, OMP_FLUSH_EVERY)
-        U[pending], R[pending] = u, r
-        pending += 1
-        if pending == OMP_FLUSH_EVERY:
-            for i in range(0, R.shape[1], ROW_BLOCK):
-                gamma[:, i:i + ROW_BLOCK] -= U.T @ R[:, i:i + ROW_BLOCK]
-            pending = 0
+        r, wp = codebook_products(np.stack([q, uh @ Y - (U[:k] @ uh) @ Q[:k]]), P)
+        energy -= 2.0 * (r.real * wp.real + r.imag * wp.imag)
+        energy += float(np.vdot(u, u).real) * (r.real ** 2 + r.imag ** 2)
+        energy[j] = -np.inf                      # a picked atom is never picked again
+        if k == len(Q):
+            Q, U = _grown(Q, n_obs), _grown(U, n_obs)
+        Q[k], U[k] = q, u
+        selected[k] = j
+        k += 1
 
     if not k:
         return []
@@ -411,26 +296,14 @@ class _FrameState:
         # rows of C_hat's signals, and the LS fit to them
         self.X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)
         self.H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
-        self.energy0 = None              # atom energies of the first correlation
-
-    def pilot_fit(self, cfg: SystemConfig) -> tuple:
-        """This frame's (energy0, Y, X, H) case of atoms_left, after the
-        last SIC."""
-        return self.energy0, self.Y_pp[:, :cfg.np], self.X[:, :cfg.np], self.H_hat
 
     def detect(self, cfg: SystemConfig, params: PublicParams, floor: float
                ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
         """This pass's OMP detections and the residual they are picked from:
         Y_pp less the signals of the last SIC, formed here so that a batch's
-        frames do not hold theirs between passes.  The correlation it forms
-        dies here."""
-        k = len(self.C_hat)
-        residual = self.Y_pp - self.H_hat @ self.X if k else self.Y_pp
-        Y_p = residual[:, :cfg.np]
-        gamma, energy = codebook_correlation(Y_p, params.P)
-        if not k:                            # the first pass: its energies are kept
-            self.energy0 = energy
-        return omp_detect(Y_p, params.P, floor, gamma, energy), residual
+        frames do not hold theirs between passes."""
+        residual = self.Y_pp - self.H_hat @ self.X if len(self.C_hat) else self.Y_pp
+        return omp_detect(residual[:, :cfg.np], params.P, floor), residual
 
 
 def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicParams
@@ -446,30 +319,18 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     The frames run in lockstep: in each pass, OMP and MMSE run per frame,
     one polar decode covers every frame's LLR rows, and LS/SIC runs per
     frame; a frame leaves when it has nothing new.  Each frame's outputs
-    are those it gives alone.
-
-    A frame's pilot segment Y_p is correlated with the codebook once, in
-    its first pass, and only the atom energies of that correlation are
-    kept.  While 2k < M, a later pass skips the frames whose residual
-    atoms_left proves has no atom above the noise floor, on which OMP would
-    pick nothing; every other frame correlates its residual, and its OMP
-    decides.  No correlation outlives its OMP call, and no residual its
-    pass: each pass forms it from the last SIC's fit.
+    are those it gives alone.  Every pass runs OMP on its frame's residual,
+    which it forms from the last SIC's fit and which does not outlive the
+    pass.
     """
     floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
     frames = [_FrameState(y_bs, cfg) for y_bs in ys]
     live = frames
     for _ in range(cfg.max_outer_iters):
-        confirming = [f for f in live if 0 < 2 * len(f.C_hat) < cfg.M]
-        left = atoms_left([f.pilot_fit(cfg) for f in confirming], cfg, params.P, floor)
-        # OMP would stop before its first pick on a confirmed frame
-        done = [f for f, has_atom in zip(confirming, left) if not has_atom]
         # (frame, pilots, LLRs) of the frames with picks; the LLRs are held
         # in the polar decoder's float32, which decodes them the same
         found = []
         for f in live:
-            if f in done:
-                continue
             detections, residual = f.detect(cfg, params, floor)
             if detections:
                 Hd = np.stack([h for _, h in detections], axis=1)

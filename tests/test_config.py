@@ -2,7 +2,7 @@ import pytest
 
 from secure_ura import ConfigError, SystemConfig, load_config
 from secure_ura.cli import main
-from secure_ura.config import PILOT_CODEBOOK_CAP_BYTES
+from secure_ura.config import PILOT_WORK_CAP_BYTES
 
 
 def test_defaults_match_documented_setup():
@@ -128,7 +128,7 @@ def test_short_feedback_rejected(tmp_path):
 @pytest.mark.parametrize("overrides,field", [
     (dict(S=60, ns=60), "S"),             # S < ns
     (dict(Bp=100), "Bp"),                 # Bp < B
-    (dict(Bp=31, B=200), "Bp"),           # codebook size cap
+    (dict(Bp=31, B=200), "Bp"),           # pilot working-set cap
     (dict(nc=500), "nc"),                 # power of two
     (dict(nc=64), "nc"),                  # payload must fit
     (dict(Pp=-0.1), "Pp"),
@@ -138,7 +138,7 @@ def test_short_feedback_rejected(tmp_path):
     (dict(Ka=0), "Ka"),
     (dict(seed=-1), "seed"),
     (dict(seed=1 << 64), "seed"),
-    (dict(Bp=20), "Bp"),                  # 2^20 x 200 x 16 bytes > 1 GiB
+    (dict(Bp=23), "Bp"),                  # 16 (8 x 2^23 + 200 (400 + 50)) bytes > 1 GiB
     (dict(ns=42), "ns"),                  # ns - S below the LDPC column weight
     (dict(Pp=0.0, Pc=0.0), "Pc"),         # no pilot or polar power: nothing detectable
 ])
@@ -156,8 +156,16 @@ def test_derived_quantities():
 
 
 def test_pilot_codebook_cap():
-    cfg = SystemConfig()  # the default 4096 x 200 codebook is accepted
-    assert cfg.pilot_count * cfg.np * 16 <= PILOT_CODEBOOK_CAP_BYTES
-    SystemConfig(Bp=18)  # largest Bp under the cap at np = 200
+    cfg = SystemConfig()  # the default 4096-point pilot detection is accepted
+    assert cfg.pilot_fft_len == 4096
+    assert cfg.pilot_work_bytes == 16 * (8 * 4096 + 200 * (2 * 200 + 50)) <= PILOT_WORK_CAP_BYTES
+    SystemConfig(Bp=22)  # largest Bp under the cap at np = 200
     with pytest.raises(ConfigError, match="Bp"):
-        SystemConfig(Bp=19)
+        SystemConfig(Bp=23)
+
+
+@pytest.mark.parametrize("np_,Bp,n", [(200, 12, 4096), (32, 5, 32), (64, 5, 64),
+                                      (33, 5, 64), (1, 1, 2), (4000, 5, 4096)])
+def test_pilot_fft_len(np_, Bp, n):
+    # the smallest power of two that is >= 2^Bp and >= np
+    assert SystemConfig(np=np_, Bp=Bp).pilot_fft_len == n

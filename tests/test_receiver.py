@@ -9,7 +9,7 @@ import pytest
 from scipy.special import log_ndtr
 from scipy import stats
 
-from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
+from secure_ura import (SystemConfig, atom_energies, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
                         feedback_observation, generate_public_params,
@@ -20,8 +20,8 @@ from secure_ura import (SystemConfig, codebook_correlation, decode_frame,
 from secure_ura import receiver
 from secure_ura.harness import frames_per_batch
 from secure_ura.modulation import bpsk_map, clamp_llr
-from secure_ura.params import PilotCodebook
-from secure_ura.receiver import OMP_FALSE_ALARM, OMP_FLUSH_EVERY
+from secure_ura.params import PartialDft
+from secure_ura.receiver import OMP_FALSE_ALARM, _gram_pays, codebook_products
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg, own_split,
@@ -38,16 +38,8 @@ def _floor(cfg):
 
 
 def _omp(Y, P, floor):
-    """omp_detect on Y's own codebook correlation and its atom energies."""
-    return omp_detect(Y, P, floor, *codebook_correlation(Y, P))
-
-
-def _stored(P):
-    """The complex128 codebook P held as the receiver holds its own: split
-    into a PilotCodebook, whose products run in single precision."""
-    book = PilotCodebook.allocate(*P.shape)
-    book.put(0, P)
-    return book
+    """omp_detect on Y with the codebook P."""
+    return omp_detect(Y, P, floor)
 
 
 # ---- OMP -------------------------------------------------------------------
@@ -126,8 +118,8 @@ def _omp_reference(Y, P, noise_floor):
     """OMP that recomputes every atom's residual correlation at each step.
 
     This is the direct form of the algorithm that omp_detect implements with
-    incrementally updated energies and deferred residual updates; both must
-    pick the same atoms in the same order and return the same estimates.
+    incrementally updated energies and no correlation; both must pick the
+    same atoms in the same order and return the same estimates.
     """
     gamma = (P @ Y.conj().T).conj().T
     selected = []
@@ -163,15 +155,17 @@ def _omp_reference(Y, P, noise_floor):
     return [(idx, H[:, i].copy()) for i, idx in enumerate(selected)]
 
 
-def _omp_codebook(rng, n_atoms, n_obs, zero_row):
-    P = _cn(rng, (n_atoms, n_obs))
-    P *= np.sqrt(n_obs * 0.3) / np.linalg.norm(P, axis=1, keepdims=True)
-    P[zero_row] = 0.0
-    return P
+def _dft_codebook(rng, n_atoms, n_obs, power=0.3):
+    """A partial-DFT codebook of n_atoms rows on n_obs frequencies drawn from
+    rng, built as generate_public_params builds the pilot codebook."""
+    n = max(n_atoms, 1 << (n_obs - 1).bit_length())
+    return PartialDft(freqs=rng.choice(n, n_obs, replace=False),
+                      twiddles=np.sqrt(power) * np.exp(2j * np.pi / n * np.arange(n)),
+                      count=n_atoms)
 
 
-def _omp_frame(rng, P, M, ka, noise, zero_row):
-    users = rng.choice(np.delete(np.arange(P.shape[0]), zero_row), ka, replace=False)
+def _omp_frame(rng, P, M, ka, noise):
+    users = rng.choice(P.shape[0], ka, replace=False)
     Y = _cn(rng, (M, ka)) @ P[users] + noise * _cn(rng, (M, P.shape[1]))
     # the receiver passes a column slice of its residual, so do the same
     return np.concatenate([Y, _cn(rng, (M, 3))], axis=1)[:, :P.shape[1]]
@@ -184,128 +178,200 @@ def _assert_same_detections(got, want):
 
 
 def test_omp_matches_recomputing_reference_at_full_scale():
-    # M=50, 4096 atoms, 200 pilot symbols: up to 200 steps, so the deferred
-    # residual updates are flushed many times within one call.  OMP runs on
-    # the stored codebook, its codebook products in single precision; the
-    # reference runs wholly in complex128
+    # M=50, 4096 atoms, 200 pilot symbols: up to 200 steps.  OMP runs on the
+    # partial-DFT codebook, its products by FFT; the reference recomputes
+    # every correlation from the codebook's rows formed whole, in complex128
     rng = np.random.default_rng(20240)
-    zero_row = 1234
-    P = _omp_codebook(rng, 4096, 200, zero_row)
-    stored = _stored(P)
+    P = _dft_codebook(rng, 4096, 200)
+    dense = P[:]
     steps = 0
     # at the noise floor the search stops near ka steps; with no floor at
     # noise 5, it runs until its np = 200 picks
     for ka, noise in [(ka, noise) for ka in [1, 10, 25, 50, 100] * 2
                       for noise in (1.0, 5.0)]:
-        Y = _omp_frame(rng, P, 50, ka, noise, zero_row)
+        Y = _omp_frame(rng, P, 50, ka, noise)
         floors = [omp_noise_floor(50, 4096, noise ** 2, 200 * 0.3)]
         if noise == 5.0:
             floors.append(0.0)
         for floor in floors:
-            want = _omp_reference(Y, P, floor)
-            got = _omp(Y, stored, floor)
+            want = _omp_reference(Y, dense, floor)
+            got = _omp(Y, P, floor)
             _assert_same_detections(got, want)
-            assert zero_row not in [i for i, _ in got]
             steps += len(got)
     assert steps > 1000
 
 
 def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     rng = np.random.default_rng(20241)
-    zero_row = 5
-    P = _omp_codebook(rng, 4096, 200, zero_row)
+    P = _dft_codebook(rng, 4096, 200)
     # noiseless users: a floor far below them ends the search long before
     # np picks
-    Y = _omp_frame(rng, P, 50, 30, 0.0, zero_row)
+    Y = _omp_frame(rng, P, 50, 30, 0.0)
     floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
-    want = _omp_reference(Y, P, floor)
+    want = _omp_reference(Y, P[:], floor)
     assert 0 < len(want) < 200
-    got = _omp(Y, _stored(P), floor)
+    got = _omp(Y, P, floor)
     _assert_same_detections(got, want)
     # more users than there are pilot symbols: at most np can be picked,
     # whatever the floor
-    P = _omp_codebook(rng, 64, 32, zero_row)
+    P = _dft_codebook(rng, 64, 32)
     floor = omp_noise_floor(8, 64, 0.1 ** 2, 32 * 0.3)
     for noise_floor in (0.0, floor, 100.0 * floor):
-        Y = _omp_frame(rng, P, 8, 40, 0.1, zero_row)
-        want = _omp_reference(Y, P, noise_floor)
-        got = _omp(Y, _stored(P), noise_floor)
+        Y = _omp_frame(rng, P, 8, 40, 0.1)
+        want = _omp_reference(Y, P[:], noise_floor)
+        got = _omp(Y, P, noise_floor)
         assert len(want) <= P.shape[1] and len(got) <= P.shape[1]
         _assert_same_detections(got, want)
 
 
-def test_omp_writes_into_gamma_only_when_it_flushes():
-    # OMP leaves the correlation it is handed bit-identical unless it picks
-    # OMP_FLUSH_EVERY atoms or more, and never writes into its energies
-    rng = np.random.default_rng(20242)
-    zero_row = 7
-    P = _omp_codebook(rng, 512, 64, zero_row)
-    floor = omp_noise_floor(8, 512, 1e-9, 64 * 0.3)
-    for ka in (1, OMP_FLUSH_EVERY - 1, OMP_FLUSH_EVERY):
-        Y = _omp_frame(rng, P, 8, ka, 0.0, zero_row)
-        gamma, energy = codebook_correlation(Y, P)
-        before = gamma.copy()
-        energy_before = energy.copy()
-        assert len(omp_detect(Y, P, floor, gamma, energy)) == ka
-        assert np.array_equal(gamma, before) == (ka < OMP_FLUSH_EVERY)
-        assert np.array_equal(energy, energy_before)
+# the oracle configurations: full scale (a partial DFT, np < 2^Bp = N), the
+# mini config (np = 2^Bp = N = 32: the whole orthogonal DFT), criterion 6's
+# shape (np = 64 > 2^Bp = 32, so N = 64 and only half the DFT's rows) and
+# np = 36 > 2^Bp = 8 (N = 64).  Full scale and np = 36 take their atom
+# energies from the Gram, the other two from each row's FFT (_gram_pays)
+_ORACLE_CONFIGS = {
+    "full": SystemConfig,
+    "mini": make_mini_cfg,
+    "np64-bp5": lambda: make_mini_cfg(np=64),
+    "np36-bp3": lambda: make_mini_cfg(np=36, Bp=3),
+}
 
 
-def _omp_peak(Y, P, floor, gamma, energy):
+@functools.lru_cache(maxsize=None)
+def _oracle_setup(name):
+    cfg = _ORACLE_CONFIGS[name]()
+    return cfg, generate_public_params(cfg)
+
+
+def _assert_close_to_largest(got, want):
+    """got equals want to 1e-10 of want's largest entry in magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name,gram", [("full", True), ("mini", False), ("np64-bp5", False),
+                                       ("np36-bp3", True)])
+def test_fft_products_equal_dense_products(name, gram):
+    # the atom energies (the Gram and one FFT, or each row's FFT) and
+    # codebook_products (one FFT per row) against dense complex128 products
+    # with the rows formed whole
+    cfg, params = _oracle_setup(name)
+    P, dense = params.P, params.P[:]
+    assert P.shape == (cfg.pilot_count, cfg.np) and len(P.twiddles) == cfg.pilot_fft_len
+    assert _gram_pays(cfg.np, cfg.pilot_fft_len) == gram
+    rng = np.random.default_rng(20245)
+    for ka in (1, 5):
+        Y = _omp_frame(rng, P, cfg.M, ka, 0.5)
+        corr = Y @ dense.conj().T
+        _assert_close_to_largest(atom_energies(Y, P), np.sum(np.abs(corr) ** 2, axis=0))
+        _assert_close_to_largest(codebook_products(Y, P), corr)
+        v = _cn(rng, (2, cfg.np))
+        _assert_close_to_largest(codebook_products(v, P), v @ dense.conj().T)
+
+
+def _omp_step_energies(Y, P, floor, monkeypatch):
+    """(detections, energies): omp_detect's picks and the atom energies it
+    searches at each step, copied as np.argmax receives them."""
+    seen = []
+    argmax = np.argmax
+
+    def recording(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "omp_detect":
+            seen.append(a.copy())
+        return argmax(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", recording)
+    try:
+        return omp_detect(Y, P, floor), seen
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name,ka", [("full", 25), ("mini", 6), ("np64-bp5", 6),
+                                     ("np36-bp3", 4)])
+def test_omp_energies_match_the_residual_after_every_step(name, ka, monkeypatch):
+    # OMP holds no correlation: it updates the atom energies step by step.
+    # After k picks they equal those of the residual Y - Y A^+ A, A the
+    # picked rows, formed and correlated directly; the picked atoms are -inf
+    cfg, params = _oracle_setup(name)
+    P, dense = params.P, params.P[:]
+    rng = np.random.default_rng(20246)
+    Y = _omp_frame(rng, P, cfg.M, ka, 0.1)
+    det, energies = _omp_step_energies(Y, P, omp_noise_floor(cfg.M, len(P), 0.01,
+                                                             cfg.np * cfg.Pp), monkeypatch)
+    picks = [i for i, _ in det]
+    assert len(picks) >= ka and len(energies) == len(picks) + 1
+    for k, e in enumerate(energies):
+        A = dense[picks[:k]]
+        R = Y - np.linalg.lstsq(A.T, Y.T, rcond=None)[0].T @ A if k else Y
+        want = np.sum(np.abs(R @ dense.conj().T) ** 2, axis=0)
+        assert np.all(e[picks[:k]] == -np.inf)
+        left = np.setdiff1d(np.arange(len(P)), picks[:k])
+        assert np.max(np.abs(e[left] - want[left])) <= 1e-10 * want.max()
+
+
+def _omp_peak(Y, P, floor):
     """(picks, tracemalloc's peak in bytes) over one omp_detect call."""
     tracemalloc.start()
     try:
-        picks = len(omp_detect(Y, P, floor, gamma, energy))
+        picks = len(omp_detect(Y, P, floor))
         return picks, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_omp_flush_forms_no_codebook_sized_temporary():
-    # at full scale a flush of the deferred updates into the (M, 2^Bp)
-    # correlation goes 256 atoms at a time: a call that flushes peaks no
-    # higher than one that picks nothing, but for its work buffers.  The
-    # largest is the (16, 2^Bp) R, which grows by doubling, so its 8-row
-    # predecessor is alive while it is copied: two R buffers bound them all,
-    # below one (M, 2^Bp) array, 3.125 of them
+@pytest.mark.parametrize("np_,Bp,ka", [(16, 16, 1), (16, 16, 8), (512, 12, 1), (512, 12, 8)])
+def test_omp_holds_at_most_its_working_set(np_, Bp, ka):
+    # an OMP call holds its FFT buffers, up to PILOT_FFT_VECTORS = 8
+    # complex N-vectors, the Gram where it takes one, and its picked rows
+    # and their antenna vectors (Q and U, grown by doubling up to np rows):
+    # within SystemConfig.pilot_work_bytes.  At N = 2^16 and np = 16 (energies from
+    # the Gram) it peaks at 4.5 (one pick) and 6.5 (fourteen) N-vectors; at
+    # N = 4096 and np = 512 (energies from each row's FFT) at 6.5 and 8.1,
+    # the picked rows included
+    cfg = make_mini_cfg(np=np_, Bp=Bp, B=40)
+    params = generate_public_params(cfg)
+    n = cfg.pilot_fft_len
+    gram = _gram_pays(cfg.np, n)
+    if gram:
+        receiver._difference_slots(params.P)   # kept per codebook, not per call
     rng = np.random.default_rng(20243)
-    zero_row = 9
-    P = _omp_codebook(rng, 4096, 200, zero_row)
-    Y = _omp_frame(rng, P, 50, 2 * OMP_FLUSH_EVERY, 1.0, zero_row)
-    floor = omp_noise_floor(50, 4096, 1.0, 200 * 0.3)
-    gamma, energy = codebook_correlation(Y, P)
-    idle, idle_peak = _omp_peak(Y, P, np.inf, gamma.copy(), energy)
-    picks, peak = _omp_peak(Y, P, floor, gamma, energy)
-    assert idle == 0 and picks >= OMP_FLUSH_EVERY
-    r_buffer = OMP_FLUSH_EVERY * P.shape[0] * np.dtype(np.complex128).itemsize
-    assert peak <= idle_peak + 2 * r_buffer < 50 * P.shape[0] * 16
+    Y = _omp_frame(rng, params.P, cfg.M, ka, 0.1)
+    picks, peak = _omp_peak(Y, params.P, omp_noise_floor(cfg.M, len(params.P), 0.01,
+                                                         cfg.np * cfg.Pp))
+    assert picks >= ka
+    rows = min(2 * picks, cfg.np)                # Q and U's capacity
+    held = 8 * n + rows * (cfg.np + cfg.M) + (cfg.np ** 2 if gram else 0)
+    assert peak <= 16 * held <= cfg.pilot_work_bytes
 
 
 def test_omp_one_pick_allocates_little():
-    # the picked rows' buffers Q, Qc and R grow with the picks: a full-scale
-    # call that picks one atom peaks at 0.089 codebook-sized (M, 2^Bp) arrays
-    # above its entry (0.80 while Q and Qc were (np, np) and R 16 rows from
-    # the start); the bound allows 0.06 more
+    # the picked rows' buffers Q and U grow with the picks: a full-scale
+    # call that picks one atom peaks at 0.41 pilot working sets
+    # (SystemConfig.pilot_work_bytes, 1.96 MB), the (np, np) Gram and a few
+    # FFT N-vectors; the first correlation alone, when it was formed, was
+    # 3.28 MB
     cfg, params = _reference_setup("full")
     cfg = replace(cfg, Ka=1)
     Y = _uplink_block(cfg, params, 0)[0][:, :cfg.np]
-    picks, peak = _omp_peak(Y, params.P, _floor(cfg), *codebook_correlation(Y, params.P))
+    receiver._difference_slots(params.P)
+    picks, peak = _omp_peak(Y, params.P, _floor(cfg))
     assert picks == 1
-    assert peak <= 0.15 * cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
+    assert peak <= 0.45 * cfg.pilot_work_bytes
 
 
 @pytest.mark.parametrize("ka", [1, 25, 100])
 def test_omp_stored_codebook_matches_complex128(ka):
-    # full-scale frames: OMP on the stored codebook, whose correlation and
-    # per-step products run in single precision, picks the same atoms in
-    # the same order as on the exact complex128 codebook, and its estimates,
-    # fitted on exact rows, are the same bytes
+    # full-scale frames: OMP on the codebook as stored, its frequencies and
+    # twiddles, with every product by FFT, picks the same atoms in the same
+    # order as the recomputing reference on the complex128 rows formed
+    # whole, and its estimates are the same bytes
     cfg, params = _reference_setup("full")
     cfg = replace(cfg, Ka=ka)
-    exact = params.P[:]
+    dense = params.P[:]
     for trial in range(2):
         Y = _uplink_block(cfg, params, trial)[0][:, :cfg.np]
-        want = _omp(Y, exact, _floor(cfg))
+        want = _omp_reference(Y, dense, _floor(cfg))
         assert len(want) >= ka - 2
         _assert_same_detections(_omp(Y, params.P, _floor(cfg)), want)
 
@@ -486,6 +552,31 @@ def test_iterative_decode_keeps_users_that_share_a_payload(mini_cfg, mini_params
     assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in target)
 
 
+@pytest.mark.parametrize("trial", range(3))
+def test_users_sharing_a_pilot_are_both_decoded(trial):
+    # two users whose ciphertexts agree in their first Bp bits send the same
+    # pilot row, so OMP sees one atom with the sum of their channels.  The
+    # polar segments tell them apart: the LS fit of the user decoded first
+    # and SIC leave the other's atom in the residual, a later pass picks it
+    # again, and both ciphertexts are decoded
+    cfg, params = _reference_setup("m16")
+    cfg = replace(cfg, Ka=2)
+    rng = np.random.default_rng(trial)
+    h = _cn(rng, (cfg.M, 2))
+    Y = h.T @ params.V
+    W = rng.integers(0, 2, (2, cfg.B), dtype=np.uint8)
+    _, C, _ = transmit_frame(W, Y, cfg, params)
+    target = C.copy()
+    target[1, :cfg.Bp] = C[0, :cfg.Bp]
+    # the keystreams C ^ W depend on the feedback only
+    X, C_shared, _ = transmit_frame(target ^ C ^ W, Y, cfg, params)
+    assert np.array_equal(C_shared, target)
+    assert np.array_equal(X[0, :cfg.np], X[1, :cfg.np])
+    y_bs = uplink_frame(X, h, cfg.sigma_c2, stream(trial, "t"), cfg.key_parity_len)
+    [(C_hat, _)] = iterative_decode([y_bs], cfg, params)
+    assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in target)
+
+
 def test_iterative_decode_empty_frame(mini_cfg, mini_params):
     y_bs = np.zeros((mini_cfg.M, frame_len(mini_cfg)), dtype=complex)
     [(C_hat, H_hat)] = iterative_decode([y_bs], mini_cfg, mini_params)
@@ -533,54 +624,56 @@ def test_no_false_alarm_at_full_scale_ka100():
         assert [c.tobytes() in sent for c in C_hat] == [True] * len(C_hat)
 
 
-def _count_products(monkeypatch):
-    """Record the row counts of the codebook products iterative_decode forms,
-    in order."""
-    rows = []
-    correlate = receiver.codebook_correlation
+def _omp_calls(monkeypatch):
+    """Record (pilot block, atoms picked) of every omp_detect call
+    iterative_decode makes, in order."""
+    calls = []
+    detect = receiver.omp_detect
 
-    def counting_correlation(Y, P):
-        rows.append(Y.shape[0])
-        return correlate(Y, P)
+    def recording(Y, P, floor):
+        found = detect(Y, P, floor)
+        calls.append((Y.copy(), len(found)))
+        return found
 
-    monkeypatch.setattr(receiver, "codebook_correlation", counting_correlation)
-    return rows
+    monkeypatch.setattr(receiver, "omp_detect", recording)
+    return calls
 
 
-@pytest.mark.parametrize("name,ka,passes,trials,later_rows", [
-    # one user: the second pass confirms from the first correlation's
-    # energies, with a 2k = 2-row product, that no atom is left above the
-    # noise floor, and forms no M-row product
-    ("full", 1, 8, 4, 2),
-    # ten users at M=8: 2k >= M, so a later pass correlates its residual
-    ("m8", 10, 8, 2, 8),
-    # ~100 users at M=50: 2k >= M again
-    ("full", 100, 3, 1, 50)])
-def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkeypatch):
+@pytest.mark.parametrize("name,ka,passes,trials", [
+    ("full", 1, 8, 4), ("m8", 10, 8, 2), ("full", 100, 3, 1)])
+def test_every_pass_detects_on_its_residual(name, ka, passes, trials, monkeypatch):
+    # each pass hands OMP the pilot part of its frame's residual, Y less the
+    # signals of the users decoded so far, and OMP takes its energies from
+    # it: the first pass the received block, the last the final residual
     cfg, params = _reference_setup(name)
     cfg = replace(cfg, Ka=ka, max_outer_iters=passes)
-    products = _count_products(monkeypatch)
+    calls = _omp_calls(monkeypatch)
     for trial in range(trials):
         y_bs, _ = _uplink_block(cfg, params, trial)
-        products.clear()
-        iterative_decode([y_bs], cfg, params)
-        assert len(products) >= 2
-        assert products == [cfg.M] + [later_rows] * (len(products) - 1)
+        calls.clear()
+        [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
+        assert len(calls) >= 2 and calls[0][1] > 0
+        assert np.array_equal(calls[0][0], y_bs[:, :cfg.np])
+        if len(calls) < passes:                  # ended on a pass with nothing new
+            residual = _residual(y_bs, C_hat, H_hat, cfg, params)[:, :cfg.np]
+            assert np.array_equal(calls[-1][0], residual)
 
 
 def test_iterative_decode_holds_at_most_two_correlations():
-    # no correlation outlives its OMP call, and a frame keeps only the atom
-    # energies of its first one: tracemalloc's peak over a call is one
-    # codebook-sized (M, 2^Bp) complex array plus OMP's work buffers, which
-    # grow with its picks: 1.10 such arrays at Ka = 1 (1.81 while OMP's
-    # buffers were sized for np picks, 3 while the first correlation was
-    # kept).  At Ka = 100 the ~100 decoded users' signal rows and the
-    # residual each pass forms from them add about 0.8 of one: 1.91 (2.01
-    # while the residual was held across passes, 2.41 before that)
+    # no frame holds an (M, 2^Bp) correlation: tracemalloc's peak over a call
+    # is counted in pilot working sets, SystemConfig.pilot_work_bytes (1.96 MB
+    # at full scale: 8 FFT N-vectors, the Gram and OMP's picked rows).  At
+    # Ka = 1 it reads 0.71 (the residual, the Gram and the FFT buffers); at
+    # Ka = 100 the ~100 decoded users' signal rows, the residual and the
+    # polar decoder's lists add to it: 2.26.  The bounds, 0.9 and 2.5
+    # working sets (1.77 and 4.91 MB), are below the 4.9 and 8.2 MB (1.5 and
+    # 2.5 codebook-sized (M, 2^Bp) arrays) the correlation-holding receiver
+    # was held to
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
-    unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
-    for ka, passes, bound in [(1, cfg.max_outer_iters, 1.5), (100, 3, 2.5)]:
+    receiver._difference_slots(params.P)       # kept per codebook, not per call
+    unit = cfg.pilot_work_bytes
+    for ka, passes, bound in [(1, cfg.max_outer_iters, 0.9), (100, 3, 2.5)]:
         c = replace(cfg, Ka=ka, max_outer_iters=passes)
         y_bs, _ = _uplink_block(c, params, 0)
         tracemalloc.start()
@@ -595,16 +688,18 @@ def test_iterative_decode_holds_at_most_two_correlations():
 def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
     # a full-scale Ka = 1 batch of 16 frames, sent and decoded at two
     # splits: tracemalloc's peak is the received pilot+polar blocks the batch
-    # holds plus at most 1.5 codebook-sized (M, 2^Bp) complex arrays, read
-    # 1.45: one frame's first correlation and its work buffers, with the
-    # key segments, first-pass energies and LLRs of the frames before it.
-    # The later pass's stacked confirm product of 32 rows peaks lower (1.19)
+    # holds plus at most 1.5 pilot working sets (SystemConfig.pilot_work_bytes,
+    # 1.96 MB), read 1.37: one frame's residual, Gram and FFT buffers, with
+    # the key segments, sent frames and LLRs of the others.  The bound, 2.95
+    # MB over the blocks, is below the 4.9 MB (1.5 codebook-sized (M, 2^Bp)
+    # arrays) the correlation-holding receiver was held to
     cfg = SystemConfig(Ka=1, seed=1501)
     params = generate_public_params(cfg)
+    receiver._difference_slots(params.P)       # kept per codebook, not per call
     splits = [split_power_budget(cfg.key_budget, r) for r in (1.0, 7.0)]
     n = frames_per_batch(cfg)
     assert n == 16
-    unit = cfg.M * cfg.pilot_count * np.dtype(np.complex128).itemsize
+    unit = cfg.pilot_work_bytes
     blocks = n * cfg.M * (cfg.np + cfg.nc) * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -615,119 +710,40 @@ def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
     assert peak <= blocks + 1.5 * unit
 
 
-def _confirm_energies(cases, P):
-    """Each (energy0, Y, X, H) case's residual atom energies, as atoms_left
-    forms them from one codebook product of every case's rows stacked."""
-    rows = [receiver._confirm_rows(Y, X, H) for _, Y, X, H in cases]
-    corr, _ = codebook_correlation(np.concatenate(rows), P)
-    cuts = np.cumsum([len(r) for r in rows])[:-1]
-    return [receiver._energies_from(energy0, c, H)
-            for (energy0, _, _, H), c in zip(cases, np.split(corr, cuts))]
-
-
 @pytest.mark.parametrize("name,ka,trials", [
     ("full", 1, 3), ("m16", 1, 3), ("m16", 2, 3), ("m16", 3, 3)])
 def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
-    # a later pass's confirm step: the residual's atom energies, formed from
-    # the first correlation's energies and a 2k-row codebook product, equal
-    # those of the directly correlated residual, with the same stop decision.
-    # The identity holds for any H and X; leaving out the newest user keeps
-    # its atom above the noise floor, where a pass must still pick.  It is
-    # checked on the exact complex128 codebook; the receiver's stored one,
-    # whose products run in single precision, must make the same decisions
+    # a later pass's atom energies, taken from its residual by the Gram and
+    # one FFT, equal those of the residual's dense correlation with the rows
+    # formed whole, to 1e-10 of the largest, with the same stop decision.
+    # Leaving out the newest user keeps its atom above the noise floor,
+    # where a pass must still pick
     cfg, params = _reference_setup(name)
     cfg = replace(cfg, Ka=ka, max_outer_iters=1)
-    floor, P = _floor(cfg), params.P[:]
+    floor, dense = _floor(cfg), params.P[:]
     for trial in range(trials):
         y_bs, _ = _uplink_block(cfg, params, trial)
         [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
-        assert len(C_hat) == ka and 2 * ka < cfg.M
-        residual = _residual(y_bs, C_hat, H_hat, cfg, params)
+        assert len(C_hat) == ka
         Y_p = y_bs[:, :cfg.np]
         X_p = pilot_polar_rows(C_hat, cfg, params)[:, :cfg.np]
-        energy0 = codebook_correlation(Y_p, P)[1]
-        energy0_single = codebook_correlation(Y_p, params.P)[1]
-        # (H, X, residual pilot part, whether an atom is left above the floor)
-        cases = [(H_hat, X_p, residual[:, :cfg.np], False)]
+        # (residual pilot part, whether an atom is left above the floor)
+        cases = [(_residual(y_bs, C_hat, H_hat, cfg, params)[:, :cfg.np], False)]
         if ka > 1:
-            cases.append((H_hat[:, :-1], X_p[:-1], Y_p - H_hat[:, :-1] @ X_p[:-1], True))
-        for H, X, R, left in cases:
-            [got] = _confirm_energies([(energy0, Y_p, X, H)], P)
-            want = codebook_correlation(R, P)[1]
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            cases.append((Y_p - H_hat[:, :-1] @ X_p[:-1], True))
+        for R, left in cases:
+            got = atom_energies(R, params.P)
+            want = np.sum(np.abs(R @ dense.conj().T) ** 2, axis=0)
+            _assert_close_to_largest(got, want)
             assert (got.max() > floor) == (want.max() > floor) == left
-            [single] = _confirm_energies([(energy0_single, Y_p, X, H)], params.P)
-            assert (single.max() > floor) == left
-
-
-def _confirm_cases(name, trials):
-    """(cfg, params, cases): the (energy0, Y_p, X_p, H) confirm cases of
-    trials frames at each of Ka = 1, 2, 3 after one pass, on the stored
-    codebook; where a frame decoded two users or more, also the case that
-    leaves out its newest user, whose atom is then left above the floor."""
-    base, params = _reference_setup(name)
-    cases = []
-    for ka in (1, 2, 3):
-        cfg = replace(base, Ka=ka, max_outer_iters=1)
-        for trial in range(trials):
-            y_bs, _ = _uplink_block(cfg, params, trial)
-            [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
-            assert 0 < 2 * len(C_hat) < cfg.M
-            Y_p = y_bs[:, :cfg.np]
-            X_p = pilot_polar_rows(C_hat, cfg, params)[:, :cfg.np]
-            energy0 = codebook_correlation(Y_p, params.P)[1]
-            cases.append((energy0, Y_p, X_p, H_hat))
-            if len(C_hat) > 1:
-                cases.append((energy0, Y_p, X_p[:-1], H_hat[:, :-1]))
-    return base, params, cases
-
-
-@pytest.mark.parametrize("name,trials", [("full", 4), ("m16", 10)])
-def test_stacked_confirm_decides_as_each_frame_alone(name, trials, monkeypatch):
-    # a pass confirms its frames from codebook products of several frames'
-    # rows.  Over 12 full-scale and 30 M = 16 frames at Ka = 1, 2, 3: a
-    # frame is skipped only where its residual's own correlation has no
-    # atom above the floor, and the margin bounds the distance of the
-    # confirm energies, stacked with another frame's rows or alone, from
-    # that correlation's at every atom.  A frame whose stacked maximum
-    # lands on the floor is not skipped, and forms no product of its own
-    cfg, params, cases = _confirm_cases(name, trials)
-    P, floor = params.P, _floor(cfg)
-    u = float(np.finfo(np.complex64).eps) / 2.0
-    direct = [codebook_correlation(Y - H @ X, P)[1] for _, Y, X, H in cases]
-    left = receiver.atoms_left(cases, cfg, P, floor)
-    assert len(cases) >= 3 * trials and True in left and False in left
-    for has_atom, d in zip(left, direct):
-        assert has_atom or d.max() <= floor
-
-    margins = [receiver._rounding_margin(Y, H, receiver._confirm_rows(Y, X, H),
-                                         cfg.np * cfg.Pp, u) for _, Y, X, H in cases]
-    stacked = [e for i in range(0, len(cases) - 1, 2)
-               for e in _confirm_energies(cases[i:i + 2], P)]
-    alone = [e for case in cases for e in _confirm_energies([case], P)]
-    for e, d, m in zip(stacked, direct, margins):
-        assert np.all(np.abs(e - d) <= m)
-    for e, d, m in zip(alone, direct, margins):
-        assert np.all(np.abs(e - d) <= m)
-
-    # energy0 shifted at the stacked maximum so that it lands on the floor
-    e = stacked[0]
-    j = int(np.argmax(e))
-    energy0 = cases[0][0].copy()
-    energy0[j] += floor - e[j]
-    edge = (energy0,) + cases[0][1:]
-    rows = 2 * edge[3].shape[1]
-    products = _count_products(monkeypatch)
-    assert receiver.atoms_left([edge, edge], cfg, P, floor) == [True, True]
-    assert products == [2 * rows]
 
 
 def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
     # the polar decoder loses the last of two users in the first pass, so
-    # the second pass's 2-row confirm finds that user's atom above the
-    # floor: the pass correlates its residual (M rows) and OMP picks it
-    # again.  The third pass's 4-row confirm ends the frame.  The result is
-    # the reference receiver's, under the same fault
+    # the second pass finds that user's atom above the floor in its
+    # residual, and OMP picks it again.  The third pass picks nothing and
+    # ends the frame.  The result is the reference receiver's, under the
+    # same fault
     cfg, params = _reference_setup("m16")
     cfg = replace(cfg, Ka=2)
     y_bs, C = _uplink_block(cfg, params, 0)
@@ -748,9 +764,9 @@ def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
         return lossy
 
     monkeypatch.setattr(code, "decode", losing_the_first_last_user())
-    products = _count_products(monkeypatch)
+    calls = _omp_calls(monkeypatch)
     [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
-    assert products == [cfg.M, 2, cfg.M, 4]
+    assert [picks for _, picks in calls] == [2, 1, 0]
     assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in C)
 
     monkeypatch.setattr(code, "decode", losing_the_first_last_user())
@@ -1122,8 +1138,8 @@ def test_ls_fallback_matches_per_user_reference(refuse, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", refusing_solve)
-    # trial 7 decodes 24 users in its first pass and the 25th in its second
-    y_bs, _ = _uplink_block(cfg, params, 7)
+    # trial 2 decodes 24 users in its first pass and the 25th in its second
+    y_bs, _ = _uplink_block(cfg, params, 2)
     rows, (C_hat, H_hat), users, (_, H_ref, res_ref) = _run_both(y_bs, cfg, params)
     assert refusals
     _assert_rows_match_reference(rows, users)

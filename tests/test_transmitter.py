@@ -178,7 +178,7 @@ def test_bit_index_round_trip(mini_cfg, mini_params, rng):
     X, C, _ = transmit_frame(*random_users(mini_cfg, rng, 32), mini_cfg, mini_params)
     pilots = []
     for x in X:
-        rows = np.flatnonzero((mini_params.P == x[:mini_cfg.np]).all(axis=1))
+        rows = np.flatnonzero((mini_params.P[:] == x[:mini_cfg.np]).all(axis=1))
         assert rows.size == 1
         pilots.append(rows[0])
     # one call turns a block of indices into one row of bits each
