@@ -22,6 +22,13 @@ from .ldpc import COL_WEIGHT
 PILOT_WORK_CAP_BYTES = 1 << 30
 PILOT_FFT_VECTORS = 8
 
+# The receiver's atom energies are fourth powers of a pilot codebook entry's
+# magnitude sqrt(Pp), summed over symbols, antennas and users.  Magnitudes in
+# [2^-128, 2^128], Pp in PILOT_POWER_RANGE, keep those powers within
+# 2^+-512, far inside float64's range; past it OMP's energy updates can
+# overflow (Pp = 1e150 did at M = 50, np = 200).
+PILOT_POWER_RANGE = (2.0 ** -256, 2.0 ** 256)
+
 
 class ConfigError(ValueError):
     """A configuration value violates its constraint."""
@@ -113,6 +120,10 @@ class SystemConfig:
         if self.Pp == 0 and self.Pc == 0:
             fail("Pc", "must be > 0 when Pp = 0: with neither pilot nor polar "
                  "power no user can be detected")
+        if self.Pp and not PILOT_POWER_RANGE[0] <= self.Pp <= PILOT_POWER_RANGE[1]:
+            fail("Pp", f"{self.Pp!r} puts a pilot codebook entry's magnitude, sqrt(Pp), "
+                 "outside [2^-128, 2^128], where the receiver's atom energies can "
+                 "leave float64's range")
         if self.S % 2 != 0:
             fail("S", f"must be even, got {self.S}")
         if self.L < self.S // 2:

@@ -1,8 +1,11 @@
+import math
+import re
+
 import pytest
 
 from secure_ura import ConfigError, SystemConfig, load_config
 from secure_ura.cli import main
-from secure_ura.config import PILOT_WORK_CAP_BYTES
+from secure_ura.config import PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES
 
 
 def test_defaults_match_documented_setup():
@@ -162,6 +165,18 @@ def test_pilot_codebook_cap():
     SystemConfig(Bp=22)  # largest Bp under the cap at np = 200
     with pytest.raises(ConfigError, match="Bp"):
         SystemConfig(Bp=23)
+
+
+def test_pilot_power_range():
+    # the ends, 2^-256 and 2^256, are accepted, and so is Pp = 0; one ulp
+    # past either end is rejected
+    lo, hi = PILOT_POWER_RANGE
+    assert (lo, hi) == (2.0 ** -256, 2.0 ** 256)
+    for Pp in (0.0, lo, hi):
+        SystemConfig(Pp=Pp)
+    for Pp in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        with pytest.raises(ConfigError, match=re.escape(f"Pp: {Pp!r} puts a pilot codebook entry")):
+            SystemConfig(Pp=Pp)
 
 
 @pytest.mark.parametrize("np_,Bp,n", [(200, 12, 4096), (32, 5, 32), (64, 5, 64),

@@ -224,3 +224,12 @@ def test_generation_never_holds_the_codebook_twice(full_cfg):
     finally:
         tracemalloc.stop()
     assert peak <= 1_000_000
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e300, np.inf, np.nan])
+def test_codebook_refuses_what_it_cannot_store_exactly(value):
+    # a pilot power whose codebook's atom energies, fourth powers of the
+    # entries' magnitude sqrt(Pp), float64 cannot hold exactly (they
+    # overflow, or fall among the subnormals), and non-finite powers
+    with pytest.raises(ConfigError, match="^Pp: "):
+        generate_public_params(SystemConfig(Pp=value))

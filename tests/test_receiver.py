@@ -639,20 +639,45 @@ def _omp_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name,ka,passes,trials", [
-    ("full", 1, 8, 4), ("m8", 10, 8, 2), ("full", 100, 3, 1)])
-def test_every_pass_detects_on_its_residual(name, ka, passes, trials, monkeypatch):
+def _count_products(monkeypatch):
+    """Record the row counts of the blocks whose atom energies
+    iterative_decode forms, in order."""
+    rows = []
+    energies = receiver.atom_energies
+
+    def counting_energies(Y, P):
+        rows.append(Y.shape[0])
+        return energies(Y, P)
+
+    monkeypatch.setattr(receiver, "atom_energies", counting_energies)
+    return rows
+
+
+@pytest.mark.parametrize("name,ka,passes,trials,later_rows", [
+    # one user at M=50: a later pass takes the energies of its whole 50-row
+    # residual, where it once confirmed from a 2k = 2-row product with the
+    # first pass's energies
+    ("full", 1, 8, 4, 50),
+    # ten users at M=8, and ~100 at M=50: a later pass correlates its
+    # residual, as it did when 2k >= M
+    ("m8", 10, 8, 2, 8),
+    ("full", 100, 3, 1, 50)])
+def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkeypatch):
     # each pass hands OMP the pilot part of its frame's residual, Y less the
     # signals of the users decoded so far, and OMP takes its energies from
-    # it: the first pass the received block, the last the final residual
+    # all of its rows: the first pass the received block, the last the final
+    # residual
     cfg, params = _reference_setup(name)
     cfg = replace(cfg, Ka=ka, max_outer_iters=passes)
     calls = _omp_calls(monkeypatch)
+    products = _count_products(monkeypatch)
     for trial in range(trials):
         y_bs, _ = _uplink_block(cfg, params, trial)
         calls.clear()
+        products.clear()
         [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
         assert len(calls) >= 2 and calls[0][1] > 0
+        assert products == [cfg.M] + [later_rows] * (len(calls) - 1)
         assert np.array_equal(calls[0][0], y_bs[:, :cfg.np])
         if len(calls) < passes:                  # ended on a pass with nothing new
             residual = _residual(y_bs, C_hat, H_hat, cfg, params)[:, :cfg.np]
