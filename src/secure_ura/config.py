@@ -15,11 +15,16 @@ from .ldpc import COL_WEIGHT
 
 # Pilot detection correlates by N-point FFTs, N = SystemConfig.pilot_fft_len
 # (see params.PartialDft).  Per frame it holds at most PILOT_FFT_VECTORS
-# complex N-vectors at once, the (np, np) Gram of its pilot block, and OMP's
-# picked rows and their antenna vectors, at most (np, np) and (np, M)
-# (receiver.atom_energies, omp_detect).  Configurations whose working set,
-# SystemConfig.pilot_work_bytes, would exceed the cap are rejected up front.
+# complex N-vectors at once; its (M, np) pilot block split into real and
+# imaginary parts, and a block of the block's Gram, at most PILOT_GRAM_BLOCK
+# entries or one row, with their frequency differences; then OMP's picked
+# rows, at most (np, np), with their antenna vectors, (np, M), and the
+# picked rows formed for its final fit with their conjugates, at most two
+# (np, np) arrays (receiver.atom_energies, omp_detect).  Configurations
+# whose working set, SystemConfig.pilot_work_bytes, would exceed the cap are
+# rejected up front.
 PILOT_WORK_CAP_BYTES = 1 << 30
+PILOT_GRAM_BLOCK = 1 << 16
 PILOT_FFT_VECTORS = 8
 
 # The receiver's atom energies are fourth powers of a pilot codebook entry's
@@ -92,9 +97,11 @@ class SystemConfig:
 
     @property
     def pilot_work_bytes(self) -> int:
-        """Bytes pilot detection holds per frame at most: PILOT_FFT_VECTORS
-        N-vectors, two (np, np) arrays and an (np, M) one, all complex128."""
-        return 16 * (PILOT_FFT_VECTORS * self.pilot_fft_len + self.np * (2 * self.np + self.M))
+        """Bytes pilot detection holds per frame at most, in 16-byte units:
+        PILOT_FFT_VECTORS N-vectors, two (np, np) arrays, two (np, M) ones
+        and a Gram block with its indices, 8 + 8 bytes an entry."""
+        return 16 * (PILOT_FFT_VECTORS * self.pilot_fft_len + 2 * self.np * (self.np + self.M)
+                     + max(self.np, PILOT_GRAM_BLOCK))
 
     @property
     def key_budget(self) -> float:

@@ -19,7 +19,7 @@ from .rng import complex_normal, random_bits, stream
 PARAMS_STREAM = "public-params"
 
 
-@dataclass(frozen=True, eq=False)    # hashed by identity: receiver caches per codebook
+@dataclass(frozen=True)
 class PartialDft:
     """The pilot codebook: 2^Bp rows of the N-point DFT, restricted to np
     distinct frequencies s_t and scaled to energy np * Pp.

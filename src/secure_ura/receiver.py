@@ -26,12 +26,11 @@ at several power splits, (Pa, Pk) pairs, differs only in its key segment,
 so only the mask cancellation and the parity LLRs are per split.
 """
 
-import functools
 import math
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import PILOT_GRAM_BLOCK, SystemConfig
 from .crypto import decrypt, expand_key
 from .keys import artificial_noise, extract_key, standardize
 from .modulation import clamp_llr
@@ -84,47 +83,32 @@ def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> 
     return c * sigma2 * M * atom_energy
 
 
-@functools.lru_cache(maxsize=4)
-def _difference_slots(P: PartialDft) -> np.ndarray:
-    """(np * 2 np,) intp: where entry [t, t'] of a complex (np, np) array,
-    viewed as float64, adds its real and imaginary parts in an N-vector
-    viewed the same way: slots 2d and 2d + 1, d = s_t - s_t' mod N.  Kept
-    per codebook, as it is the same for every frame."""
-    d = (P.freqs[:, None] - P.freqs) & (len(P.twiddles) - 1)
-    return np.stack([2 * d, 2 * d + 1], axis=2).ravel()
-
-
-def _gram_pays(n_obs: int, n: int) -> bool:
-    """Whether atom_energies takes the Gram of n_obs-symbol rows for an
-    n-point codebook: n_obs^2 <= 4 n log2 n."""
-    return n_obs * n_obs <= 4 * n * (n.bit_length() - 1)
-
-
 def atom_energies(Y: np.ndarray, P: PartialDft) -> np.ndarray:
     """(2^Bp,) energies ||Y p_j^H||^2 of every atom's correlation with the
     rows of Y, with no (n, 2^Bp) correlation formed.
 
     With p_j[t] = a exp(2 pi i j s_t / N), a = sqrt(Pp), the energy is
         a^2 sum_{t, t'} G[t, t'] exp(-2 pi i j (s_t - s_t') / N),
-    G = Y^T conj(Y), the (np, np) Gram: G scattered onto the frequency
-    differences s_t - s_t' mod N (one bincount over its float64 view, see
-    _difference_slots) is a Hermitian N-vector, and one real-output
-    FFT of it gives every atom's energy.  The Gram costs np^2 multiply-adds
-    a row of Y against N log2 N for the row's own FFT, and timed on one core
-    it is the cheaper up to np^2 ~ 5 N log2 N; past 4 N log2 N (_gram_pays)
-    the energies are summed from codebook_products of two rows at a time
-    instead.
+    G = Y^T conj(Y), the (np, np) Gram: G summed onto the frequency
+    differences s_t - s_t' mod N by bincount is a Hermitian N-vector D, and
+    one real-output FFT of it gives every atom's energy.  G is formed in
+    blocks of rows of at most PILOT_GRAM_BLOCK entries (one block at full
+    scale), in real arithmetic: with X = [Re Y; Im Y], Re G = X^T X, and
+    Im G = A - A^T for A = (Im Y)^T Re Y, so Im D[k] = b[k] - b[-k], b the
+    sum of A onto the differences.
     """
-    n = len(P.twiddles)
-    if not _gram_pays(Y.shape[1], n):
-        energy = np.zeros(P.count)
-        for i in range(0, len(Y), 2):
-            corr = codebook_products(Y[i:i + 2], P)
-            energy += np.sum(corr.real ** 2 + corr.imag ** 2, axis=0)
-        return energy
-    G = Y.T @ Y.conj()
-    D = np.bincount(_difference_slots(P), G.view(np.float64).ravel(), 2 * n)
-    return P.amplitude ** 2 * np.fft.hfft(D.view(np.complex128)[:n // 2 + 1], n)[:P.count]
+    n, m, M = len(P.twiddles), len(P.freqs), len(Y)
+    X = np.concatenate([Y.real, Y.imag])
+    re, b = np.zeros(n), np.zeros(n)
+    step = max(1, PILOT_GRAM_BLOCK // m)
+    for i in range(0, m, step):
+        d = (P.freqs[i:i + step, None] - P.freqs).ravel()
+        d &= n - 1
+        re += np.bincount(d, (X[:, i:i + step].T @ X).ravel(), n)
+        b += np.bincount(d, (X[M:, i:i + step].T @ X[:M]).ravel(), n)
+    k = np.arange(n // 2 + 1)
+    D = re[k] + 1j * (b[k] - b[-k])
+    return P.amplitude ** 2 * np.fft.hfft(D, n)[:P.count]
 
 
 def codebook_products(V: np.ndarray, P: PartialDft) -> np.ndarray:
@@ -201,6 +185,7 @@ def omp_detect(Y: np.ndarray, P: PartialDft, noise_floor: float
 
     if not k:
         return []
+    del Q, U                                     # the fit forms the picked rows whole
     selected = selected[:k].tolist()
     A = P[selected]
     B = Y @ A.conj().T                           # (M, k)

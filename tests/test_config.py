@@ -5,7 +5,7 @@ import pytest
 
 from secure_ura import ConfigError, SystemConfig, load_config
 from secure_ura.cli import main
-from secure_ura.config import PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES
+from secure_ura.config import PILOT_GRAM_BLOCK, PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES
 
 
 def test_defaults_match_documented_setup():
@@ -161,10 +161,15 @@ def test_derived_quantities():
 def test_pilot_codebook_cap():
     cfg = SystemConfig()  # the default 4096-point pilot detection is accepted
     assert cfg.pilot_fft_len == 4096
-    assert cfg.pilot_work_bytes == 16 * (8 * 4096 + 200 * (2 * 200 + 50)) <= PILOT_WORK_CAP_BYTES
+    assert cfg.pilot_work_bytes == 16 * (8 * 4096 + 2 * 200 * (200 + 50) + PILOT_GRAM_BLOCK)
+    assert cfg.pilot_work_bytes <= PILOT_WORK_CAP_BYTES
     SystemConfig(Bp=22)  # largest Bp under the cap at np = 200
     with pytest.raises(ConfigError, match="Bp"):
         SystemConfig(Bp=23)
+    # the picked rows and the fit's, two (np, np) arrays, cap np at Bp = 12
+    SystemConfig(np=5762)
+    with pytest.raises(ConfigError, match="Bp"):
+        SystemConfig(np=5763)
 
 
 def test_pilot_power_range():

@@ -18,10 +18,11 @@ from secure_ura import (SystemConfig, atom_energies, decode_frame,
                         pilot_polar_rows, run_trial,
                         split_power_budget, standardize, transmit, uplink)
 from secure_ura import receiver
+from secure_ura.config import PILOT_GRAM_BLOCK
 from secure_ura.harness import frames_per_batch
 from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.params import PartialDft
-from secure_ura.receiver import OMP_FALSE_ALARM, _gram_pays, codebook_products
+from secure_ura.receiver import OMP_FALSE_ALARM, codebook_products
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg, own_split,
@@ -227,8 +228,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
 # the oracle configurations: full scale (a partial DFT, np < 2^Bp = N), the
 # mini config (np = 2^Bp = N = 32: the whole orthogonal DFT), criterion 6's
 # shape (np = 64 > 2^Bp = 32, so N = 64 and only half the DFT's rows) and
-# np = 36 > 2^Bp = 8 (N = 64).  Full scale and np = 36 take their atom
-# energies from the Gram, the other two from each row's FFT (_gram_pays)
+# np = 36 > 2^Bp = 8 (N = 64)
 _ORACLE_CONFIGS = {
     "full": SystemConfig,
     "mini": make_mini_cfg,
@@ -249,16 +249,14 @@ def _assert_close_to_largest(got, want):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name,gram", [("full", True), ("mini", False), ("np64-bp5", False),
-                                       ("np36-bp3", True)])
-def test_fft_products_equal_dense_products(name, gram):
-    # the atom energies (the Gram and one FFT, or each row's FFT) and
-    # codebook_products (one FFT per row) against dense complex128 products
-    # with the rows formed whole
+@pytest.mark.parametrize("name", _ORACLE_CONFIGS)
+def test_fft_products_equal_dense_products(name):
+    # the atom energies (the Gram and one FFT) and codebook_products (one
+    # FFT per row) against dense complex128 products with the rows formed
+    # whole
     cfg, params = _oracle_setup(name)
     P, dense = params.P, params.P[:]
     assert P.shape == (cfg.pilot_count, cfg.np) and len(P.twiddles) == cfg.pilot_fft_len
-    assert _gram_pays(cfg.np, cfg.pilot_fft_len) == gram
     rng = np.random.default_rng(20245)
     for ka in (1, 5):
         Y = _omp_frame(rng, P, cfg.M, ka, 0.5)
@@ -322,42 +320,51 @@ def _omp_peak(Y, P, floor):
 
 @pytest.mark.parametrize("np_,Bp,ka", [(16, 16, 1), (16, 16, 8), (512, 12, 1), (512, 12, 8)])
 def test_omp_holds_at_most_its_working_set(np_, Bp, ka):
-    # an OMP call holds its FFT buffers, up to PILOT_FFT_VECTORS = 8
-    # complex N-vectors, the Gram where it takes one, and its picked rows
-    # and their antenna vectors (Q and U, grown by doubling up to np rows):
-    # within SystemConfig.pilot_work_bytes.  At N = 2^16 and np = 16 (energies from
-    # the Gram) it peaks at 4.5 (one pick) and 6.5 (fourteen) N-vectors; at
-    # N = 4096 and np = 512 (energies from each row's FFT) at 6.5 and 8.1,
-    # the picked rows included
+    # an OMP call holds, for its atom energies, its pilot block's real and
+    # imaginary parts and one block of the Gram with its indices (at most
+    # PILOT_GRAM_BLOCK entries), then its FFT buffers, up to
+    # PILOT_FFT_VECTORS = 8 complex N-vectors, and its picked rows and their
+    # antenna vectors (Q and U, grown by doubling up to np rows): within
+    # SystemConfig.pilot_work_bytes, 16 bytes an entry.  At N = 2^16 and
+    # np = 16 it peaks at 4.5 (one pick) and 6.5 (fourteen) N-vectors; at
+    # N = 4096 and np = 512 at 20.0 (one or eight), the energies' Gram block
+    # (the Gram takes four) with its indices
     cfg = make_mini_cfg(np=np_, Bp=Bp, B=40)
     params = generate_public_params(cfg)
     n = cfg.pilot_fft_len
-    gram = _gram_pays(cfg.np, n)
-    if gram:
-        receiver._difference_slots(params.P)   # kept per codebook, not per call
     rng = np.random.default_rng(20243)
     Y = _omp_frame(rng, params.P, cfg.M, ka, 0.1)
     picks, peak = _omp_peak(Y, params.P, omp_noise_floor(cfg.M, len(params.P), 0.01,
                                                          cfg.np * cfg.Pp))
     assert picks >= ka
     rows = min(2 * picks, cfg.np)                # Q and U's capacity
-    held = 8 * n + rows * (cfg.np + cfg.M) + (cfg.np ** 2 if gram else 0)
+    gram = cfg.np * min(cfg.np, max(1, PILOT_GRAM_BLOCK // cfg.np))
+    held = 8 * n + rows * (cfg.np + cfg.M) + cfg.M * cfg.np + gram
     assert peak <= 16 * held <= cfg.pilot_work_bytes
 
 
-def test_omp_one_pick_allocates_little():
-    # the picked rows' buffers Q and U grow with the picks: a full-scale
-    # call that picks one atom peaks at 0.41 pilot working sets
-    # (SystemConfig.pilot_work_bytes, 1.96 MB), the (np, np) Gram and a few
-    # FFT N-vectors; the first correlation alone, when it was formed, was
-    # 3.28 MB
+def test_omp_one_pick_allocates_little(monkeypatch):
+    # the picked rows' buffers Q and U grow with the picks.  Handed its atom
+    # energies, as OMP was once handed its correlation, a full-scale call
+    # that picks one atom peaks at 0.31 MB, a few FFT N-vectors: within the
+    # bound it had then, 0.15 of an (M, 2^Bp) complex correlation (3.28 MB),
+    # 0.49 MB.  The energies, measured alone, peak at 0.90 MB: the pilot
+    # block's real and imaginary parts, the Gram (one block at full scale)
+    # with its indices, and a few N-vectors, within those arrays and four
     cfg, params = _reference_setup("full")
     cfg = replace(cfg, Ka=1)
     Y = _uplink_block(cfg, params, 0)[0][:, :cfg.np]
-    receiver._difference_slots(params.P)
+    tracemalloc.start()
+    try:
+        energy = atom_energies(Y, params.P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (cfg.M * cfg.np + cfg.np ** 2 + 4 * cfg.pilot_fft_len)
+    monkeypatch.setattr(receiver, "atom_energies", lambda Y, P: energy.copy())
     picks, peak = _omp_peak(Y, params.P, _floor(cfg))
     assert picks == 1
-    assert peak <= 0.45 * cfg.pilot_work_bytes
+    assert peak <= 0.15 * 16 * cfg.M * cfg.pilot_count
 
 
 @pytest.mark.parametrize("ka", [1, 25, 100])
@@ -686,19 +693,20 @@ def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkey
 
 def test_iterative_decode_holds_at_most_two_correlations():
     # no frame holds an (M, 2^Bp) correlation: tracemalloc's peak over a call
-    # is counted in pilot working sets, SystemConfig.pilot_work_bytes (1.96 MB
-    # at full scale: 8 FFT N-vectors, the Gram and OMP's picked rows).  At
-    # Ka = 1 it reads 0.71 (the residual, the Gram and the FFT buffers); at
-    # Ka = 100 the ~100 decoded users' signal rows, the residual and the
-    # polar decoder's lists add to it: 2.26.  The bounds, 0.9 and 2.5
-    # working sets (1.77 and 4.91 MB), are below the 4.9 and 8.2 MB (1.5 and
-    # 2.5 codebook-sized (M, 2^Bp) arrays) the correlation-holding receiver
-    # was held to
+    # is counted in pilot working sets, SystemConfig.pilot_work_bytes (3.17 MB
+    # at full scale: 8 FFT N-vectors, OMP's picked rows and the fit's, the
+    # pilot block's real and imaginary parts and a Gram block).  At Ka = 1 it
+    # reads 0.47 (the residual, the Gram with its indices and the FFT
+    # buffers); at Ka = 100 the ~100 decoded users' signal rows, the residual
+    # and the polar decoder's lists add to it: 1.40.  The bounds, 0.55 and
+    # 1.5 working sets (1.75 and 4.76 MB), are below the 1.77 and 4.91 MB
+    # this receiver was first held to, and the 4.9 and 8.2 MB (1.5 and 2.5
+    # codebook-sized (M, 2^Bp) arrays) the correlation-holding receiver was
+    # held to
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
-    receiver._difference_slots(params.P)       # kept per codebook, not per call
     unit = cfg.pilot_work_bytes
-    for ka, passes, bound in [(1, cfg.max_outer_iters, 0.9), (100, 3, 2.5)]:
+    for ka, passes, bound in [(1, cfg.max_outer_iters, 0.55), (100, 3, 1.5)]:
         c = replace(cfg, Ka=ka, max_outer_iters=passes)
         y_bs, _ = _uplink_block(c, params, 0)
         tracemalloc.start()
@@ -713,14 +721,14 @@ def test_iterative_decode_holds_at_most_two_correlations():
 def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
     # a full-scale Ka = 1 batch of 16 frames, sent and decoded at two
     # splits: tracemalloc's peak is the received pilot+polar blocks the batch
-    # holds plus at most 1.5 pilot working sets (SystemConfig.pilot_work_bytes,
-    # 1.96 MB), read 1.37: one frame's residual, Gram and FFT buffers, with
-    # the key segments, sent frames and LLRs of the others.  The bound, 2.95
-    # MB over the blocks, is below the 4.9 MB (1.5 codebook-sized (M, 2^Bp)
-    # arrays) the correlation-holding receiver was held to
+    # holds plus at most 0.9 pilot working sets (SystemConfig.pilot_work_bytes,
+    # 3.17 MB), read 0.88: one frame's residual, Gram block with its indices
+    # and FFT buffers, with the key segments, sent frames and LLRs of the
+    # others.  The bound, 2.86 MB over the blocks, is below the 2.95 MB this
+    # receiver was first held to and the 4.9 MB (1.5 codebook-sized
+    # (M, 2^Bp) arrays) the correlation-holding receiver was held to
     cfg = SystemConfig(Ka=1, seed=1501)
     params = generate_public_params(cfg)
-    receiver._difference_slots(params.P)       # kept per codebook, not per call
     splits = [split_power_budget(cfg.key_budget, r) for r in (1.0, 7.0)]
     n = frames_per_batch(cfg)
     assert n == 16
@@ -732,7 +740,7 @@ def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= blocks + 1.5 * unit
+    assert peak <= blocks + 0.9 * unit
 
 
 @pytest.mark.parametrize("name,ka,trials", [
@@ -1163,9 +1171,14 @@ def test_ls_fallback_matches_per_user_reference(refuse, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", refusing_solve)
-    # trial 2 decodes 24 users in its first pass and the 25th in its second
-    y_bs, _ = _uplink_block(cfg, params, 2)
-    rows, (C_hat, H_hat), users, (_, H_ref, res_ref) = _run_both(y_bs, cfg, params)
+    # the first trial with a refused system; after-first needs one whose
+    # decode takes a second pass
+    for trial in range(10):
+        solved_once.clear()
+        y_bs, _ = _uplink_block(cfg, params, trial)
+        rows, (C_hat, H_hat), users, (_, H_ref, res_ref) = _run_both(y_bs, cfg, params)
+        if refusals:
+            break
     assert refusals
     _assert_rows_match_reference(rows, users)
     assert np.array_equal(H_hat, H_ref)
