@@ -12,27 +12,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .ldpc import COL_WEIGHT
-
-# Pilot detection correlates by N-point FFTs, N = SystemConfig.pilot_fft_len
-# (see params.PartialDft).  Per frame it holds at most PILOT_FFT_VECTORS
-# complex N-vectors at once; its (M, np) pilot block split into real and
-# imaginary parts, and a block of the block's Gram, at most PILOT_GRAM_BLOCK
-# entries or one row, with their frequency differences; then OMP's picked
-# rows, at most (np, np), with their antenna vectors, (np, M), and the
-# picked rows formed for its final fit with their conjugates, at most two
-# (np, np) arrays (receiver.atom_energies, omp_detect).  Configurations
-# whose working set, SystemConfig.pilot_work_bytes, would exceed the cap are
-# rejected up front.
-PILOT_WORK_CAP_BYTES = 1 << 30
-PILOT_GRAM_BLOCK = 1 << 16
-PILOT_FFT_VECTORS = 8
-
-# The receiver's atom energies are fourth powers of a pilot codebook entry's
-# magnitude sqrt(Pp), summed over symbols, antennas and users.  Magnitudes in
-# [2^-128, 2^128], Pp in PILOT_POWER_RANGE, keep those powers within
-# 2^+-512, far inside float64's range; past it OMP's energy updates can
-# overflow (Pp = 1e150 did at M = 50, np = 200).
-PILOT_POWER_RANGE = (2.0 ** -256, 2.0 ** 256)
+from .pilots import PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES, work_bytes
 
 
 class ConfigError(ValueError):
@@ -65,9 +45,7 @@ class SystemConfig:
     sigma_c2: float = 1.0  # at the BS
     sigma_e2: float = 1.0  # at the eavesdropper
     sigma_u2: float = 1.0  # at the user (feedback reception)
-    # algorithmic knobs
-    list_size: int = 8
-    bp_iters: int = 50
+    # receiver passes
     max_outer_iters: int = 8
     # Monte Carlo
     seed: int = 1
@@ -85,23 +63,6 @@ class SystemConfig:
     @property
     def polar_info_bits(self) -> int:
         return self.B - self.Bp + self.Br
-
-    @property
-    def pilot_count(self) -> int:
-        return 1 << self.Bp
-
-    @property
-    def pilot_fft_len(self) -> int:
-        """N, the smallest power of two >= 2^Bp and >= np."""
-        return 1 << max(self.Bp, (self.np - 1).bit_length())
-
-    @property
-    def pilot_work_bytes(self) -> int:
-        """Bytes pilot detection holds per frame at most, in 16-byte units:
-        PILOT_FFT_VECTORS N-vectors, two (np, np) arrays, two (np, M) ones
-        and a Gram block with its indices, 8 + 8 bytes an entry."""
-        return 16 * (PILOT_FFT_VECTORS * self.pilot_fft_len + 2 * self.np * (self.np + self.M)
-                     + max(self.np, PILOT_GRAM_BLOCK))
 
     @property
     def key_budget(self) -> float:
@@ -144,10 +105,10 @@ class SystemConfig:
             fail("Bp", f"must satisfy Bp < B, got Bp={self.Bp}, B={self.B}")
         # 2^Bp past the cap is over it, checked before N is formed
         if (self.Bp >= PILOT_WORK_CAP_BYTES.bit_length()
-                or self.pilot_work_bytes > PILOT_WORK_CAP_BYTES):
+                or work_bytes(self.Bp, self.np, self.M) > PILOT_WORK_CAP_BYTES):
             fail("Bp", f"pilot detection over 2^{self.Bp} atoms of {self.np} symbols "
                  f"exceeds the {PILOT_WORK_CAP_BYTES}-byte working-set cap (16 bytes "
-                 "per entry, see SystemConfig.pilot_work_bytes)")
+                 "per entry, see pilots.work_bytes)")
         if self.Br > 30:
             fail("Br", f"must be <= 30, got {self.Br}")
         if self.nc & (self.nc - 1):

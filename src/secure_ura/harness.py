@@ -46,7 +46,8 @@ from .crypto import encrypt, expand_key
 from .keys import standardize
 from .leakage import leakage_eigen, leakage_logdet, leakage_report
 from .params import PublicParams, generate_public_params
-from .receiver import decode_frame
+from .pilots import fft_len
+from .receiver import BP_ITERS, LIST_SIZE, decode_frame
 from .rng import complex_normal, random_bits, stream
 from .transmitter import transmit
 
@@ -349,7 +350,7 @@ def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
              "C1 columns are not orthonormal")
     _require(np.max(np.abs(np.linalg.norm(params.C2, axis=0) - 1.0)) < tol,
              "C2 columns are not unit-norm")
-    freqs, n = params.P.freqs, cfg.pilot_fft_len
+    freqs, n = params.P.freqs, fft_len(cfg.Bp, cfg.np)
     _require(freqs.shape == (cfg.np,) and freqs.dtype.kind == "i"
              and len(np.unique(freqs)) == cfg.np and 0 <= freqs.min() and freqs.max() < n,
              f"pilot frequencies are not np distinct integers in [0, {n})")
@@ -364,7 +365,7 @@ def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
     s = rng.integers(0, 2, (200, cfg.S), dtype=np.uint8)
     cw = np.concatenate([s, params.ldpc.encode(s)], axis=1)
     _require(not params.ldpc.syndrome(cw).any(), "an LDPC codeword has a nonzero syndrome")
-    s_hat, conv = params.ldpc.decode(np.where(cw == 0, 40.0, -40.0), cfg.bp_iters)
+    s_hat, conv = params.ldpc.decode(np.where(cw == 0, 40.0, -40.0), BP_ITERS)
     _require(np.array_equal(s_hat, s) and conv.all(),
              "LDPC decoding of noiseless codewords does not return the keys")
 
@@ -373,7 +374,7 @@ def _check_polar(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(1)
     pay = rng.integers(0, 2, (50, params.polar.payload_bits), dtype=np.uint8)
     cw = params.polar.encode(pay)
-    dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), cfg.list_size)
+    dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), LIST_SIZE)
     _require(np.array_equal(dec, pay) and ok.all(),
              "polar decoding of noiseless codewords does not return the payloads")
 

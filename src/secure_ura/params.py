@@ -13,49 +13,11 @@ import numpy as np
 
 from .config import ConfigError, SystemConfig
 from .ldpc import LdpcCode
+from .pilots import PartialDft
 from .polar import PolarCode
 from .rng import complex_normal, random_bits, stream
 
 PARAMS_STREAM = "public-params"
-
-
-@dataclass(frozen=True)
-class PartialDft:
-    """The pilot codebook: 2^Bp rows of the N-point DFT, restricted to np
-    distinct frequencies s_t and scaled to energy np * Pp.
-
-    Row j holds sqrt(Pp) exp(2 pi i j s_t / N) at symbol t.  No row is
-    stored: indexing forms rows from the table of N twiddles
-    sqrt(Pp) exp(2 pi i k / N), entry (j s_t) mod N, so a row is the same
-    bytes whenever and however it is read.  The DFT structure makes every
-    product with the whole codebook an N-point FFT (see receiver).  Since the
-    source paper does not fix the codebook, this is a design choice: the
-    subsampled-DFT design matrix of Fengler, Jung and Caire, "SPARCs for
-    unsourced random access", IEEE TIT 2021.
-    """
-    freqs: np.ndarray      # (np,) distinct integers in [0, N)
-    twiddles: np.ndarray   # (N,) sqrt(Pp) exp(2 pi i k / N); twiddles[0] = sqrt(Pp)
-    count: int             # 2^Bp rows
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.count, len(self.freqs)
-
-    @property
-    def amplitude(self) -> float:
-        """sqrt(Pp), the magnitude of every entry."""
-        return float(self.twiddles[0].real)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, idx) -> np.ndarray:
-        """The complex128 rows at idx: an index, a sequence of them or a slice."""
-        j = np.asarray(range(self.count)[idx] if isinstance(idx, slice) else idx)
-        if np.any((j < 0) | (j >= self.count)):
-            raise IndexError(f"pilot index outside the {self.count}-row codebook")
-        return self.twiddles[np.multiply.outer(j, self.freqs) & (len(self.twiddles) - 1)]
-
 
 
 @dataclass(frozen=True)
@@ -102,10 +64,7 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
     V = complex_normal(rng, (cfg.M, cfg.L))
     _scale_to_energy(V, cfg.Pf * cfg.M * cfg.L)
 
-    n = cfg.pilot_fft_len
-    P = PartialDft(freqs=rng.choice(n, cfg.np, replace=False),
-                   twiddles=np.sqrt(cfg.Pp) * np.exp(2j * np.pi / n * np.arange(n)),
-                   count=cfg.pilot_count)
+    P = PartialDft.draw(rng, cfg.Bp, cfg.np, cfg.Pp)
 
     half = cfg.S // 2
     C1 = np.linalg.qr(complex_normal(rng, (cfg.L, half)))[0]

@@ -1,25 +1,21 @@
 """Base-station receiver: iterative pilot/polar decoding, then key recovery.
 
 The iterative stage alternates greedy pilot detection (multiple-measurement
-OMP over the codebook), MMSE soft demodulation plus CRC-aided polar list
-decoding, and least-squares channel re-estimation with successive
-interference cancellation over the pilot+polar segments.  Every pass
-detects on its own residual.  The key stage forms every decoded user's
-feedback estimate from its channel estimate, derives the features and
-artificial noise from it with the user's own key code (`keys`), cancels
-the noise from the key segment, assembles systematic and parity LLRs, and
-reconciles the key through the LDPC decoder.
-
-The pilot codebook is a partial DFT (params.PartialDft), so every product
-with the whole codebook is an N-point FFT: no (M, 2^Bp) correlation is
-formed, and everything runs in double precision.
+OMP over the codebook, see pilots), MMSE soft demodulation plus CRC-aided
+polar list decoding, and least-squares channel re-estimation with
+successive interference cancellation over the pilot+polar segments.
+Every pass detects on its own residual.  The key stage forms every decoded
+user's feedback estimate from its channel estimate, derives the features
+and artificial noise from it with the user's own key code (`keys`),
+cancels the noise from the key segment, assembles systematic and parity
+LLRs, and reconciles the key through the LDPC decoder.
 
 The receiver reads the uplink blocks as they arrive and returns each
 frame's decoded users as aligned arrays, one row per CRC-passing user in
 decoding order: ciphertexts, keys, decrypted messages and per-user flags.
-It never reads the active-user count cfg.Ka (see omp_detect).  It decodes
-a batch of independent frames in lockstep: pilot detection, MMSE and SIC
-run per frame, but one polar decode per pass and one LDPC decode cover
+It never reads the active-user count cfg.Ka (see pilots.omp_detect).  It
+decodes a batch of independent frames in lockstep: pilot detection, MMSE and
+SIC run per frame, but one polar decode per pass and one LDPC decode cover
 every frame's words, which the decoders treat independently; each such
 decode is split back per block in one place, _decode_blocks.  A frame sent
 at several power splits, (Pa, Pk) pairs, differs only in its key segment,
@@ -30,15 +26,18 @@ import math
 
 import numpy as np
 
-from .config import PILOT_GRAM_BLOCK, SystemConfig
+from .config import SystemConfig
 from .crypto import decrypt, expand_key
 from .keys import artificial_noise, extract_key, standardize
 from .modulation import clamp_llr
-from .params import PartialDft, PublicParams
+from .params import PublicParams
+from .pilots import omp_detect, omp_frame_floor, omp_noise_floor
 from .transmitter import index_to_bits, pilot_polar_rows
 
-#: probability that OMP picks any atom in a call whose residual is pure noise
-OMP_FALSE_ALARM = 1e-2
+#: the polar list size and the LDPC decoder's belief-propagation iterations
+LIST_SIZE = 8
+BP_ITERS = 50
+
 # numpy has no erfc ufunc; the standard library's keeps the package numpy-only
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
@@ -64,141 +63,7 @@ def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Step 1: pilot detection and channel estimation
-# ---------------------------------------------------------------------------
-
-
-def omp_noise_floor(M: int, n_atoms: int, sigma2: float, atom_energy: float) -> float:
-    """Residual correlation energy below which OMP takes an atom for noise.
-
-    For an atom p on a pure-noise residual (M antennas, noise variance
-    sigma2), ||gamma_j||^2 is sigma2 ||p||^2 Gamma(M, 1).  The Laurent-Massart
-    chi-square tail gives P(Gamma(M, 1) >= c M) <= exp(-x) for
-    c = 1 + sqrt(2x/M) + x/M, so with x = ln(n_atoms / OMP_FALSE_ALARM) the
-    largest of n_atoms noise energies exceeds c sigma2 M ||p||^2 with
-    probability at most OMP_FALSE_ALARM (union bound).
-    """
-    x = math.log(n_atoms / OMP_FALSE_ALARM)
-    c = 1.0 + math.sqrt(2.0 * x / M) + x / M
-    return c * sigma2 * M * atom_energy
-
-
-def atom_energies(Y: np.ndarray, P: PartialDft) -> np.ndarray:
-    """(2^Bp,) energies ||Y p_j^H||^2 of every atom's correlation with the
-    rows of Y, with no (n, 2^Bp) correlation formed.
-
-    With p_j[t] = a exp(2 pi i j s_t / N), a = sqrt(Pp), the energy is
-        a^2 sum_{t, t'} G[t, t'] exp(-2 pi i j (s_t - s_t') / N),
-    G = Y^T conj(Y), the (np, np) Gram: G summed onto the frequency
-    differences s_t - s_t' mod N by bincount is a Hermitian N-vector D, and
-    one real-output FFT of it gives every atom's energy.  G is formed in
-    blocks of rows of at most PILOT_GRAM_BLOCK entries (one block at full
-    scale), in real arithmetic: with X = [Re Y; Im Y], Re G = X^T X, and
-    Im G = A - A^T for A = (Im Y)^T Re Y, so Im D[k] = b[k] - b[-k], b the
-    sum of A onto the differences.
-    """
-    n, m, M = len(P.twiddles), len(P.freqs), len(Y)
-    X = np.concatenate([Y.real, Y.imag])
-    re, b = np.zeros(n), np.zeros(n)
-    step = max(1, PILOT_GRAM_BLOCK // m)
-    for i in range(0, m, step):
-        d = (P.freqs[i:i + step, None] - P.freqs).ravel()
-        d &= n - 1
-        re += np.bincount(d, (X[:, i:i + step].T @ X).ravel(), n)
-        b += np.bincount(d, (X[M:, i:i + step].T @ X[:M]).ravel(), n)
-    k = np.arange(n // 2 + 1)
-    D = re[k] + 1j * (b[k] - b[-k])
-    return P.amplitude ** 2 * np.fft.hfft(D, n)[:P.count]
-
-
-def codebook_products(V: np.ndarray, P: PartialDft) -> np.ndarray:
-    """(k, 2^Bp) products V P^H of k rows with every atom, with no row of P
-    formed: (V P^H)[i, j] = sqrt(Pp) sum_t V[i, t] exp(-2 pi i j s_t / N)
-    is output j of the N-point FFT of sqrt(Pp) V[i] scattered onto the
-    frequencies s_t."""
-    Z = np.zeros((len(V), len(P.twiddles)), dtype=np.complex128)
-    Z[:, P.freqs] = P.amplitude * V
-    return np.fft.fft(Z)[:, :P.count]
-
-
-def _grown(a: np.ndarray, cap: int) -> np.ndarray:
-    """a with twice its rows (one if it has none, at most cap), the first
-    len(a) copied."""
-    out = np.empty((min(max(2 * len(a), 1), cap),) + a.shape[1:], dtype=a.dtype)
-    out[:len(a)] = a
-    return out
-
-
-def omp_detect(Y: np.ndarray, P: PartialDft, noise_floor: float
-               ) -> list[tuple[int, np.ndarray]]:
-    """Greedy multiple-measurement OMP over the pilot codebook rows.
-
-    Selects the atom with the largest residual correlation energy across
-    antennas (all codebook rows have energy np * Pp) and keeps the residual
-    orthogonal to the span of the selected atoms (equivalent to a
-    least-squares re-fit per step).  It stops when the best atom's energy is
-    at most noise_floor (see omp_noise_floor), needing no sparsity level,
-    after n_obs picks, or on an atom in the span of those picked.  Returns
-    each pick's (pilot_index, channel_estimate) from a final LS fit.
-
-    The energies start as atom_energies(Y, P) and are updated in place of
-    being recomputed, with no correlation held.  After k picks the residual
-    is R = Y - U^T Q, Q the (k, n_obs) orthonormalized picked rows and
-    U^T = Y Q^H.  A step with the next row q and u = Y q^H takes u r from
-    the residual's correlation R P^H, r = q P^H, so
-        e_j <- e_j - 2 Re(conj(r_j) (w P^H)_j) + |r_j|^2 ||u||^2,
-    where w = u^H R = u^H Y - (U u^*) Q.  Both products with the codebook,
-    of q and of w, come from one codebook_products call.  The picked rows'
-    buffers grow by doubling, so a call that picks few atoms allocates
-    little.
-    """
-    M, n_obs = Y.shape
-    energy = atom_energies(Y, P)
-
-    # a q orthogonal to n_obs orthonormal rows of C^n_obs cannot exist
-    selected = np.empty(n_obs, dtype=np.intp)
-    Q = np.empty((0, n_obs), dtype=np.complex128)
-    U = np.empty((0, M), dtype=np.complex128)           # U[i] = Y q_i^H
-    k = 0
-    while k < n_obs:
-        j = int(np.argmax(energy))
-        if energy[j] <= noise_floor:
-            break
-        p = P[j]
-        q = p - (Q[:k] @ p.conj()).conj() @ Q[:k]
-        q = q - (Q[:k] @ q.conj()).conj() @ Q[:k]   # re-orthogonalize
-        nq = np.linalg.norm(q)
-        if nq <= 1e-12 * max(1.0, np.linalg.norm(p)):
-            break
-        q /= nq
-        u = Y @ q.conj()                         # (M,)
-        uh = u.conj()
-        r, wp = codebook_products(np.stack([q, uh @ Y - (U[:k] @ uh) @ Q[:k]]), P)
-        energy -= 2.0 * (r.real * wp.real + r.imag * wp.imag)
-        energy += float(np.vdot(u, u).real) * (r.real ** 2 + r.imag ** 2)
-        energy[j] = -np.inf                      # a picked atom is never picked again
-        if k == len(Q):
-            Q, U = _grown(Q, n_obs), _grown(U, n_obs)
-        Q[k], U[k] = q, u
-        selected[k] = j
-        k += 1
-
-    if not k:
-        return []
-    del Q, U                                     # the fit forms the picked rows whole
-    selected = selected[:k].tolist()
-    A = P[selected]
-    B = Y @ A.conj().T                           # (M, k)
-    G = A @ A.conj().T                           # (k, k)
-    try:
-        H = np.linalg.solve(G.T, B.T).T
-    except np.linalg.LinAlgError:
-        H = B @ np.linalg.pinv(G)
-    return [(idx, H[:, i].copy()) for i, idx in enumerate(selected)]
-
-
-# ---------------------------------------------------------------------------
-# Step 2: MMSE soft estimates and LLRs
+# MMSE soft estimates and LLRs
 # ---------------------------------------------------------------------------
 
 
@@ -275,20 +140,21 @@ def _decode_blocks(decode, blocks: list[np.ndarray], *args):
 class _FrameState:
     """One frame's progress through iterative_decode."""
 
-    def __init__(self, y_bs: np.ndarray, cfg: SystemConfig):
+    def __init__(self, y_bs: np.ndarray, cfg: SystemConfig, floor: float):
         self.Y_pp = y_bs[:, :cfg.np + cfg.nc]
+        self.floor = omp_frame_floor(y_bs[:, :cfg.np], floor, cfg.np * cfg.Pp)
         self.C_hat = np.zeros((0, cfg.B), dtype=np.uint8)
         # rows of C_hat's signals, and the LS fit to them
         self.X = np.zeros((0, cfg.np + cfg.nc), dtype=np.complex128)
         self.H_hat = np.zeros((cfg.M, 0), dtype=np.complex128)
 
-    def detect(self, cfg: SystemConfig, params: PublicParams, floor: float
+    def detect(self, cfg: SystemConfig, params: PublicParams
                ) -> tuple[list[tuple[int, np.ndarray]], np.ndarray]:
         """This pass's OMP detections and the residual they are picked from:
         Y_pp less the signals of the last SIC, formed here so that a batch's
         frames do not hold theirs between passes."""
         residual = self.Y_pp - self.H_hat @ self.X if len(self.C_hat) else self.Y_pp
-        return omp_detect(residual[:, :cfg.np], params.P, floor), residual
+        return omp_detect(residual[:, :cfg.np], params.P, self.floor), residual
 
 
 def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicParams
@@ -306,17 +172,18 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     frame; a frame leaves when it has nothing new.  Each frame's outputs
     are those it gives alone.  Every pass runs OMP on its frame's residual,
     which it forms from the last SIC's fit and which does not outlive the
-    pass.
+    pass, at one floor per frame, set from its received pilot block
+    (pilots.omp_frame_floor).
     """
-    floor = omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
-    frames = [_FrameState(y_bs, cfg) for y_bs in ys]
+    floor = omp_noise_floor(cfg.M, len(params.P), cfg.sigma_c2, cfg.np * cfg.Pp)
+    frames = [_FrameState(y_bs, cfg, floor) for y_bs in ys]
     live = frames
     for _ in range(cfg.max_outer_iters):
         # (frame, pilots, LLRs) of the frames with picks; the LLRs are held
         # in the polar decoder's float32, which decodes them the same
         found = []
         for f in live:
-            detections, residual = f.detect(cfg, params, floor)
+            detections, residual = f.detect(cfg, params)
             if detections:
                 Hd = np.stack([h for _, h in detections], axis=1)
                 llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
@@ -324,7 +191,7 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
         if not found:
             break
         decoded = _decode_blocks(params.polar.decode, [llrs for *_, llrs in found],
-                                 cfg.list_size)
+                                 LIST_SIZE)
         live = []
         for (f, pilots, _), (payloads, ok) in zip(found, decoded):
             C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)
@@ -393,7 +260,7 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
             blocks.append(np.concatenate([f_sys, f_parity], axis=1))
         valids.append(valid)
 
-    decoded = _decode_blocks(params.ldpc.decode, blocks, cfg.bp_iters)
+    decoded = _decode_blocks(params.ldpc.decode, blocks, BP_ITERS)
     return [[(S_hat, decrypt(C_hat, expand_key(S_hat, params.T)), converged & valid, valid)
              for S_hat, converged in [next(decoded) for _ in splits]]
             for C_hat, valid in zip(C_hats, valids, strict=True)]

@@ -18,6 +18,7 @@ from secure_ura import (SystemConfig, decode_frame,
                         uplink)
 from secure_ura.harness import (_check_crypto, _check_params_invariants,
                                 _check_standardize, emit_csv)
+from secure_ura.receiver import BP_ITERS, LIST_SIZE
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg, own_split
@@ -125,12 +126,12 @@ def test_criterion_5_codec_suites():
     keys = rng.integers(0, 2, (1000, cfg.S), dtype=np.uint8)
     parity = params.ldpc.encode(keys)
     llr = np.where(np.concatenate([keys, parity], axis=1) == 0, 40.0, -40.0)
-    s_hat, converged = params.ldpc.decode(llr, cfg.bp_iters)
+    s_hat, converged = params.ldpc.decode(llr, BP_ITERS)
     assert converged.all() and np.array_equal(s_hat, keys)
 
     payloads = rng.integers(0, 2, (1000, params.polar.payload_bits), dtype=np.uint8)
     cw = params.polar.encode(payloads)
-    dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), cfg.list_size)
+    dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), LIST_SIZE)
     assert ok.all() and np.array_equal(dec, payloads)
 
     # false CRC passes on pure noise, 1e5 decodes
@@ -139,10 +140,10 @@ def test_criterion_5_codec_suites():
     passes = 0
     for _ in range(n_trials // batch):
         noise_llr = llr_scale * rng.standard_normal((batch, cfg.nc))
-        _, ok = params.polar.decode(noise_llr, cfg.list_size)
+        _, ok = params.polar.decode(noise_llr, LIST_SIZE)
         passes += int(ok.sum())
     rate = passes / n_trials
-    bound = cfg.list_size * 2.0 ** -cfg.Br
+    bound = LIST_SIZE * 2.0 ** -cfg.Br
     assert rate <= 2.0 * bound
     _report(5, f"codec round trips clean; false-pass rate {rate:.2e} "
                f"<= 2 x {bound:.2e}")

@@ -5,7 +5,8 @@ import pytest
 
 from secure_ura import ConfigError, SystemConfig, load_config
 from secure_ura.cli import main
-from secure_ura.config import PILOT_GRAM_BLOCK, PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES
+from secure_ura.pilots import (PILOT_GRAM_BLOCK, PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES,
+                               fft_len, work_bytes)
 
 
 def test_defaults_match_documented_setup():
@@ -154,15 +155,15 @@ def test_derived_quantities():
     cfg = SystemConfig()
     assert cfg.key_parity_len == 20
     assert cfg.polar_info_bits == 99
-    assert cfg.pilot_count == 4096
     assert cfg.key_budget == pytest.approx(0.3)
 
 
 def test_pilot_codebook_cap():
     cfg = SystemConfig()  # the default 4096-point pilot detection is accepted
-    assert cfg.pilot_fft_len == 4096
-    assert cfg.pilot_work_bytes == 16 * (8 * 4096 + 2 * 200 * (200 + 50) + PILOT_GRAM_BLOCK)
-    assert cfg.pilot_work_bytes <= PILOT_WORK_CAP_BYTES
+    assert fft_len(cfg.Bp, cfg.np) == 4096
+    assert work_bytes(cfg.Bp, cfg.np, cfg.M) == 16 * (8 * 4096 + 2 * 200 * (200 + 50)
+                                                      + PILOT_GRAM_BLOCK)
+    assert work_bytes(cfg.Bp, cfg.np, cfg.M) <= PILOT_WORK_CAP_BYTES
     SystemConfig(Bp=22)  # largest Bp under the cap at np = 200
     with pytest.raises(ConfigError, match="Bp"):
         SystemConfig(Bp=23)
@@ -188,4 +189,5 @@ def test_pilot_power_range():
                                       (33, 5, 64), (1, 1, 2), (4000, 5, 4096)])
 def test_pilot_fft_len(np_, Bp, n):
     # the smallest power of two that is >= 2^Bp and >= np
-    assert SystemConfig(np=np_, Bp=Bp).pilot_fft_len == n
+    cfg = SystemConfig(np=np_, Bp=Bp)
+    assert fft_len(cfg.Bp, cfg.np) == n

@@ -8,6 +8,8 @@ import pytest
 from secure_ura import ConfigError, SystemConfig, generate_public_params
 from secure_ura.harness import _check_params_invariants
 from secure_ura.params import PARAMS_STREAM
+from secure_ura.pilots import fft_len
+from secure_ura.receiver import BP_ITERS
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import frozen_mask, make_mini_cfg
@@ -43,7 +45,7 @@ def test_c2_unit_norm_columns(full_cfg, full_params):
 
 
 def test_pilot_row_norms(full_cfg, full_params):
-    assert full_params.P.shape == (4096, full_cfg.np)
+    assert (len(full_params.P), len(full_params.P.freqs)) == (4096, full_cfg.np)
     _check_params_invariants(full_cfg, full_params)
 
 
@@ -100,7 +102,7 @@ def test_ldpc_round_trip_1000_keys(full_cfg, full_params, rng):
     s = rng.integers(0, 2, (1000, full_cfg.S), dtype=np.uint8)
     parity = code.encode(s)
     llr = np.where(np.concatenate([s, parity], axis=1) == 0, 40.0, -40.0)
-    s_hat, converged = code.decode(llr, full_cfg.bp_iters)
+    s_hat, converged = code.decode(llr, BP_ITERS)
     assert converged.all()
     assert np.array_equal(s_hat, s)
 
@@ -150,9 +152,9 @@ def _same_bytes(a, b):
 def _dft_rows_reference(rng, cfg):
     """The pilot codebook formed whole: its frequencies drawn from rng, then
     every entry sqrt(Pp) exp(2 pi i ((j s_t) mod N) / N)."""
-    n = cfg.pilot_fft_len
+    n = fft_len(cfg.Bp, cfg.np)
     freqs = rng.choice(n, cfg.np, replace=False)
-    k = np.multiply.outer(np.arange(cfg.pilot_count), freqs) % n
+    k = np.multiply.outer(np.arange(1 << cfg.Bp), freqs) % n
     return np.sqrt(cfg.Pp) * np.exp(2j * np.pi / n * k)
 
 
@@ -199,7 +201,7 @@ def test_codebook_is_stored_exactly(cfg):
     # follow it
     params = generate_public_params(cfg)
     P, C1, C2, T = _one_piece_reference(cfg)
-    assert params.P.shape == P.shape and len(params.P) == len(P)
+    assert (len(params.P), len(params.P.freqs)) == P.shape and len(params.P) == len(P)
     assert _same_bytes(params.P[:], P)
     for j in (0, len(P) // 2, len(P) - 1):
         assert _same_bytes(params.P[j], P[j])

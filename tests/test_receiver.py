@@ -17,12 +17,11 @@ from secure_ura import (SystemConfig, atom_energies, decode_frame,
                         mmse_polar_llr, omp_detect, omp_noise_floor,
                         pilot_polar_rows, run_trial,
                         split_power_budget, standardize, transmit, uplink)
-from secure_ura import receiver
-from secure_ura.config import PILOT_GRAM_BLOCK
+from secure_ura import pilots, receiver
 from secure_ura.harness import frames_per_batch
 from secure_ura.modulation import bpsk_map, clamp_llr
-from secure_ura.params import PartialDft
-from secure_ura.receiver import OMP_FALSE_ALARM, codebook_products
+from secure_ura.pilots import (OMP_FALSE_ALARM, PILOT_GRAM_BLOCK, PartialDft,
+                               codebook_products, fft_len, work_bytes)
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg, own_split,
@@ -34,8 +33,10 @@ def _cn(rng, shape):
 
 
 def _floor(cfg):
-    """The noise floor iterative_decode gives omp_detect for cfg."""
-    return omp_noise_floor(cfg.M, cfg.pilot_count, cfg.sigma_c2, cfg.np * cfg.Pp)
+    """The noise floor iterative_decode gives omp_detect for cfg; a frame
+    raises it (pilots.omp_frame_floor) only at pilot powers far above these
+    tests'."""
+    return omp_noise_floor(cfg.M, 1 << cfg.Bp, cfg.sigma_c2, cfg.np * cfg.Pp)
 
 
 def _omp(Y, P, floor):
@@ -56,7 +57,7 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
 
 
 def test_omp_empty_frame(mini_params):
-    Y = np.zeros((8, mini_params.P.shape[1]), dtype=complex)
+    Y = np.zeros((8, len(mini_params.P.freqs)), dtype=complex)
     assert _omp(Y, mini_params.P, 0.0) == []
 
 
@@ -106,7 +107,7 @@ def test_noise_floor_false_alarm_rate(mini_cfg, mini_params):
     # OMP_FALSE_ALARM of them
     frames = 2000
     sigma2 = 0.7
-    floor = omp_noise_floor(mini_cfg.M, mini_cfg.pilot_count, sigma2,
+    floor = omp_noise_floor(mini_cfg.M, len(mini_params.P), sigma2,
                             mini_cfg.np * mini_cfg.Pp)
     noise = complex_normal(stream(8, "omp-noise"), (frames, mini_cfg.M, mini_cfg.np),
                            sigma2)
@@ -166,10 +167,10 @@ def _dft_codebook(rng, n_atoms, n_obs, power=0.3):
 
 
 def _omp_frame(rng, P, M, ka, noise):
-    users = rng.choice(P.shape[0], ka, replace=False)
-    Y = _cn(rng, (M, ka)) @ P[users] + noise * _cn(rng, (M, P.shape[1]))
+    users = rng.choice(len(P), ka, replace=False)
+    Y = _cn(rng, (M, ka)) @ P[users] + noise * _cn(rng, (M, len(P.freqs)))
     # the receiver passes a column slice of its residual, so do the same
-    return np.concatenate([Y, _cn(rng, (M, 3))], axis=1)[:, :P.shape[1]]
+    return np.concatenate([Y, _cn(rng, (M, 3))], axis=1)[:, :len(P.freqs)]
 
 
 def _assert_same_detections(got, want):
@@ -221,7 +222,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
         Y = _omp_frame(rng, P, 8, 40, 0.1)
         want = _omp_reference(Y, P[:], noise_floor)
         got = _omp(Y, P, noise_floor)
-        assert len(want) <= P.shape[1] and len(got) <= P.shape[1]
+        assert len(want) <= len(P.freqs) and len(got) <= len(P.freqs)
         _assert_same_detections(got, want)
 
 
@@ -256,7 +257,8 @@ def test_fft_products_equal_dense_products(name):
     # whole
     cfg, params = _oracle_setup(name)
     P, dense = params.P, params.P[:]
-    assert P.shape == (cfg.pilot_count, cfg.np) and len(P.twiddles) == cfg.pilot_fft_len
+    assert (len(P), len(P.freqs)) == (1 << cfg.Bp, cfg.np)
+    assert len(P.twiddles) == fft_len(cfg.Bp, cfg.np)
     rng = np.random.default_rng(20245)
     for ka in (1, 5):
         Y = _omp_frame(rng, P, cfg.M, ka, 0.5)
@@ -325,13 +327,13 @@ def test_omp_holds_at_most_its_working_set(np_, Bp, ka):
     # PILOT_GRAM_BLOCK entries), then its FFT buffers, up to
     # PILOT_FFT_VECTORS = 8 complex N-vectors, and its picked rows and their
     # antenna vectors (Q and U, grown by doubling up to np rows): within
-    # SystemConfig.pilot_work_bytes, 16 bytes an entry.  At N = 2^16 and
+    # pilots.work_bytes, 16 bytes an entry.  At N = 2^16 and
     # np = 16 it peaks at 4.5 (one pick) and 6.5 (fourteen) N-vectors; at
     # N = 4096 and np = 512 at 20.0 (one or eight), the energies' Gram block
     # (the Gram takes four) with its indices
     cfg = make_mini_cfg(np=np_, Bp=Bp, B=40)
     params = generate_public_params(cfg)
-    n = cfg.pilot_fft_len
+    n = fft_len(cfg.Bp, cfg.np)
     rng = np.random.default_rng(20243)
     Y = _omp_frame(rng, params.P, cfg.M, ka, 0.1)
     picks, peak = _omp_peak(Y, params.P, omp_noise_floor(cfg.M, len(params.P), 0.01,
@@ -340,7 +342,7 @@ def test_omp_holds_at_most_its_working_set(np_, Bp, ka):
     rows = min(2 * picks, cfg.np)                # Q and U's capacity
     gram = cfg.np * min(cfg.np, max(1, PILOT_GRAM_BLOCK // cfg.np))
     held = 8 * n + rows * (cfg.np + cfg.M) + cfg.M * cfg.np + gram
-    assert peak <= 16 * held <= cfg.pilot_work_bytes
+    assert peak <= 16 * held <= work_bytes(cfg.Bp, cfg.np, cfg.M)
 
 
 def test_omp_one_pick_allocates_little(monkeypatch):
@@ -360,11 +362,11 @@ def test_omp_one_pick_allocates_little(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (cfg.M * cfg.np + cfg.np ** 2 + 4 * cfg.pilot_fft_len)
-    monkeypatch.setattr(receiver, "atom_energies", lambda Y, P: energy.copy())
+    assert peak <= 16 * (cfg.M * cfg.np + cfg.np ** 2 + 4 * fft_len(cfg.Bp, cfg.np))
+    monkeypatch.setattr(pilots, "atom_energies", lambda Y, P: energy.copy())
     picks, peak = _omp_peak(Y, params.P, _floor(cfg))
     assert picks == 1
-    assert peak <= 0.15 * 16 * cfg.M * cfg.pilot_count
+    assert peak <= 0.15 * 16 * cfg.M * len(params.P)
 
 
 @pytest.mark.parametrize("ka", [1, 25, 100])
@@ -631,6 +633,23 @@ def test_no_false_alarm_at_full_scale_ka100():
         assert [c.tobytes() in sent for c in C_hat] == [True] * len(C_hat)
 
 
+@pytest.mark.parametrize("Pp", [1e15, 2.0 ** 256])
+def test_no_false_alarm_at_high_pilot_snr(Pp):
+    # at high pilot SNR a later pass's residual is the rounding residue of
+    # the received signal, far above the noise floor.  With that floor
+    # alone OMP went on picking atoms there, and their polar decodes passed
+    # the CRC: this frame (M = 50, Ka = 10) decoded 40 never-sent
+    # ciphertexts at Pp = 1e15 and 97 at 2^256.  Every decoded row is a
+    # sent ciphertext, and none is lost
+    cfg = SystemConfig(Ka=10, seed=1, Pp=Pp)
+    params = generate_public_params(cfg)
+    y_bs, C = _uplink_block(cfg, params, 0)
+    [(C_hat, _)] = iterative_decode([y_bs], cfg, params)
+    sent, decoded = {c.tobytes() for c in C}, {c.tobytes() for c in C_hat}
+    assert decoded <= sent
+    assert sent <= decoded
+
+
 def _omp_calls(monkeypatch):
     """Record (pilot block, atoms picked) of every omp_detect call
     iterative_decode makes, in order."""
@@ -650,20 +669,19 @@ def _count_products(monkeypatch):
     """Record the row counts of the blocks whose atom energies
     iterative_decode forms, in order."""
     rows = []
-    energies = receiver.atom_energies
+    energies = pilots.atom_energies
 
     def counting_energies(Y, P):
         rows.append(Y.shape[0])
         return energies(Y, P)
 
-    monkeypatch.setattr(receiver, "atom_energies", counting_energies)
+    monkeypatch.setattr(pilots, "atom_energies", counting_energies)
     return rows
 
 
 @pytest.mark.parametrize("name,ka,passes,trials,later_rows", [
     # one user at M=50: a later pass takes the energies of its whole 50-row
-    # residual, where it once confirmed from a 2k = 2-row product with the
-    # first pass's energies
+    # residual
     ("full", 1, 8, 4, 50),
     # ten users at M=8, and ~100 at M=50: a later pass correlates its
     # residual, as it did when 2k >= M
@@ -693,7 +711,7 @@ def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkey
 
 def test_iterative_decode_holds_at_most_two_correlations():
     # no frame holds an (M, 2^Bp) correlation: tracemalloc's peak over a call
-    # is counted in pilot working sets, SystemConfig.pilot_work_bytes (3.17 MB
+    # is counted in pilot working sets, pilots.work_bytes (3.17 MB
     # at full scale: 8 FFT N-vectors, OMP's picked rows and the fit's, the
     # pilot block's real and imaginary parts and a Gram block).  At Ka = 1 it
     # reads 0.47 (the residual, the Gram with its indices and the FFT
@@ -705,7 +723,7 @@ def test_iterative_decode_holds_at_most_two_correlations():
     # held to
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
-    unit = cfg.pilot_work_bytes
+    unit = work_bytes(cfg.Bp, cfg.np, cfg.M)
     for ka, passes, bound in [(1, cfg.max_outer_iters, 0.55), (100, 3, 1.5)]:
         c = replace(cfg, Ka=ka, max_outer_iters=passes)
         y_bs, _ = _uplink_block(c, params, 0)
@@ -721,7 +739,7 @@ def test_iterative_decode_holds_at_most_two_correlations():
 def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
     # a full-scale Ka = 1 batch of 16 frames, sent and decoded at two
     # splits: tracemalloc's peak is the received pilot+polar blocks the batch
-    # holds plus at most 0.9 pilot working sets (SystemConfig.pilot_work_bytes,
+    # holds plus at most 0.9 pilot working sets (pilots.work_bytes,
     # 3.17 MB), read 0.88: one frame's residual, Gram block with its indices
     # and FFT buffers, with the key segments, sent frames and LLRs of the
     # others.  The bound, 2.86 MB over the blocks, is below the 2.95 MB this
@@ -732,7 +750,7 @@ def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
     splits = [split_power_budget(cfg.key_budget, r) for r in (1.0, 7.0)]
     n = frames_per_batch(cfg)
     assert n == 16
-    unit = cfg.pilot_work_bytes
+    unit = work_bytes(cfg.Bp, cfg.np, cfg.M)
     blocks = n * cfg.M * (cfg.np + cfg.nc) * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -840,8 +858,7 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
     # a sweep's batch of frames (at least four; at Ka = 1, 16 at full scale
     # and 51, the largest, at M = 16) and a pure-noise frame, at ratios 1, 7
     # and inf: each frame's every output array is the one it gives when
-    # decoded alone.  At M = 16, Ka = 2 a later pass confirms the batch's
-    # 50 frames in several stacked products of at most 16 rows
+    # decoded alone
     base, params = _reference_setup(name)
     cfg = replace(base, Ka=ka, seed=5)
     splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
@@ -1004,7 +1021,7 @@ def _iterative_decode_reference(frame, cfg, params):
         if detections:
             Hd = np.stack([h for _, h in detections], axis=1)
             llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
-            payloads, ok = params.polar.decode(llrs, cfg.list_size)
+            payloads, ok = params.polar.decode(llrs, receiver.LIST_SIZE)
             for i, (pilot_idx, _) in enumerate(detections):
                 if not ok[i]:
                     continue
@@ -1054,7 +1071,7 @@ def _decode_keys_and_decrypt_reference(users, H_hat, frame, cfg, params):
     f_sys = llr_systematic(U_hat, var, feature_noise_variances(cfg, params))
     f_key = np.concatenate([f_sys, f_parity], axis=1)
 
-    s_hats, converged = params.ldpc.decode(f_key, cfg.bp_iters)
+    s_hats, converged = params.ldpc.decode(f_key, receiver.BP_ITERS)
     keystreams = expand_key(s_hats, params.T)
     for i, user in enumerate(users):
         if not valid[i]:

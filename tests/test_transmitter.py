@@ -9,6 +9,7 @@ from secure_ura import (DegenerateFeedbackError, SystemConfig, expand_key,
                         index_to_bits, pilot_polar_rows, transmit)
 from secure_ura.keys import VAR_FLOOR, sample_variance
 from secure_ura.modulation import bpsk_map
+from secure_ura.receiver import LIST_SIZE
 from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg, own_split, random_users, transmit_frame
@@ -105,8 +106,8 @@ def _bits_to_index_reference(bits):
 
 def _build_pilot_segment_reference(c_p, P):
     idx = _bits_to_index_reference(c_p)
-    if idx >= P.shape[0]:
-        raise ValueError(f"pilot index {idx} outside codebook of {P.shape[0]} rows")
+    if idx >= len(P):
+        raise ValueError(f"pilot index {idx} outside codebook of {len(P)} rows")
     return P[idx].copy()
 
 
@@ -217,7 +218,7 @@ def test_polar_segment_alphabet_and_round_trip(mini_cfg, mini_params, rng):
     assert np.allclose(np.abs(seg), np.sqrt(mini_cfg.Pc))
     assert not seg.imag.any()
     llr = np.where(seg.real > 0, 40.0, -40.0)
-    dec, ok = mini_params.polar.decode(llr, mini_cfg.list_size)
+    dec, ok = mini_params.polar.decode(llr, LIST_SIZE)
     assert ok.all() and np.array_equal(dec, c_d)
 
 
