@@ -123,15 +123,16 @@ class SystemConfig:
 def load_config(path: str | os.PathLike | None = None) -> SystemConfig:
     """Load a SystemConfig from a flat key=value file.
 
-    Schema: UTF-8 text, one `key = value` pair per line, `#` starts a
-    comment, blank lines are ignored.  Keys are the SystemConfig field names,
-    each set at most once; unspecified keys keep their defaults.
+    Schema: UTF-8 text (a leading byte-order mark is ignored), one
+    `key = value` pair per line, `#` starts a comment, blank lines are
+    ignored.  Keys are the SystemConfig field names, each set at most once;
+    unspecified keys keep their defaults.
     """
     kinds = {f.name: f.type for f in fields(SystemConfig)}
     overrides, first_line = {}, {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc

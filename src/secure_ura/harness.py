@@ -158,6 +158,8 @@ def run_trial(cfg: SystemConfig, splits, trial_ids: list[int],
     (_stage).  When a batch fails, its frames are run again one at a time:
     every draw is keyed by its trial, so the rerun is exact, and the first
     trial that fails alone is named, as in a run of one trial at a time.
+    If none does, the batch's own error is raised, naming all its trials:
+    "trial 4, 5: receiver: <cause>".
     """
     try:
         return _run_frames(cfg, splits, trial_ids, params)
@@ -358,6 +360,9 @@ def _check_params_invariants(cfg: SystemConfig, params: PublicParams) -> None:
     _require(all(_near(np.linalg.norm(params.P[i:i + 256], axis=1) ** 2, cfg.np * cfg.Pp, tol)
                  for i in range(0, len(params.P), 256)),
              "pilot row energy ||p_j||^2 != np * Pp")
+    # the artifacts must be a pure function of cfg
+    _require(generate_public_params(cfg).digest() == params.digest(),
+             "regenerated artifacts differ")
 
 
 def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
@@ -415,9 +420,8 @@ def _check_leakage(cfg: SystemConfig, params: PublicParams) -> None:
                  f"eigen and log-det leakage differ: {a!r} != {b!r}")
 
 
-def _check_end_to_end(cfg: SystemConfig, params: None) -> None:
-    # run before cfg's artifacts exist, so what it leaves allocated is not in
-    # their memory; a short pilot (enough for one noiseless user) keeps it small
+def _check_end_to_end(cfg: SystemConfig, params: PublicParams) -> None:
+    # a short pilot (enough for one noiseless user) keeps the trial small
     mini = replace(cfg, M=8, E=8, Ka=1, np=min(cfg.np, 16),
                    sigma_c2=1e-10, sigma_u2=1e-10, trials=1)
     pupe = run_point(mini).pupe_mean
@@ -436,24 +440,18 @@ SELFTEST_SUITES = [
 
 
 def selftest(cfg: SystemConfig, out=print) -> bool:
-    """Run every suite on one set of cfg's public artifacts; True if all pass.
+    """Run every suite, in order, on one set of cfg's public artifacts,
+    printing each line as its suite ends; True if all pass.
 
-    A ConfigError from building the artifacts propagates.  The artifacts
-    must be a pure function of cfg, so a reference set is built first and
-    only its digest is kept: the two sets are never held at once.  The last
-    suite reads none of them: it runs before they are built, printing last.
+    A ConfigError from building the artifacts propagates.
     """
-    reference = generate_public_params(cfg).digest()
-    lines, params = {}, None
-    for name, fn in SELFTEST_SUITES[-1:] + SELFTEST_SUITES[:-1]:
+    params = generate_public_params(cfg)
+    ok = True
+    for name, fn in SELFTEST_SUITES:
         try:
             fn(cfg, params)
-            if fn is _check_params_invariants:
-                _require(params.digest() == reference, "regenerated artifacts differ")
-            lines[name] = f"PASS {name}"
+            out(f"PASS {name}")
         except Exception as exc:
-            lines[name] = f"FAIL {name}: {exc}"
-        params = params or generate_public_params(cfg)
-    for name, _ in SELFTEST_SUITES:
-        out(lines[name])
-    return all(line.startswith("PASS") for line in lines.values())
+            out(f"FAIL {name}: {exc}")
+            ok = False
+    return ok

@@ -95,28 +95,24 @@ def _log_phi(m: np.ndarray) -> np.ndarray:
 
 
 def _phi_inv(target_log: np.ndarray, hi: float) -> np.ndarray:
-    """Inverse of phi via bisection on the log scale (vectorized).
+    """Inverse of phi via bisection on the log scale (vectorized): 0 where
+    the target is >= 0, NaN where it is NaN.
 
     Up to 120 halvings; a step that moves no bound leaves the state of every
     later step the same, so the loop stops there."""
     target_log = np.asarray(target_log, dtype=np.float64)
     lo = np.zeros_like(target_log)
-    hi_arr = np.full_like(target_log, hi)
-    out = np.where(target_log >= 0.0, 0.0, np.nan)
-    todo = target_log < 0.0
-    lo = lo[todo]
-    hi_v = hi_arr[todo]
-    t = target_log[todo]
+    # a target that is not negative starts, and so stays, at [0, 0]
+    hi = np.where(target_log < 0.0, hi, 0.0)
     for _ in range(120):
-        mid = 0.5 * (lo + hi_v)
-        too_reliable = _log_phi(mid) < t
-        new_hi = np.where(too_reliable, mid, hi_v)
+        mid = 0.5 * (lo + hi)
+        too_reliable = _log_phi(mid) < target_log
+        new_hi = np.where(too_reliable, mid, hi)
         new_lo = np.where(too_reliable, lo, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi_v):
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
-        lo, hi_v = new_lo, new_hi
-    out[todo] = 0.5 * (lo + hi_v)
-    return out
+        lo, hi = new_lo, new_hi
+    return np.where(np.isnan(target_log), np.nan, 0.5 * (lo + hi))
 
 
 def ga_reliabilities(block_len: int, design_snr: float) -> np.ndarray:

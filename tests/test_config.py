@@ -37,6 +37,15 @@ def test_file_overrides_and_comments(tmp_path):
     assert cfg.B == 100  # untouched default
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    # a UTF-8 file saved with a BOM loads as the same file without it
+    text = "M = 8\nE = 8\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(bom) == load_config(plain) != SystemConfig()
+
+
 def test_seed_env_var_is_ignored(tmp_path, monkeypatch):
     # the seed comes from the file or --seed only
     path = tmp_path / "c.cfg"

@@ -1,7 +1,5 @@
 import csv
 import dataclasses
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -243,6 +241,25 @@ def test_leakage_failure_in_a_batch_names_its_own_trial(mini_cfg, mini_params, m
         run_trial(mini_cfg, own_split(mini_cfg), [4, 5], mini_params)
 
 
+def test_failure_only_as_a_batch_names_the_whole_batch(mini_cfg, mini_params, monkeypatch):
+    # the receiver fails on any batch of two or more frames: every trial
+    # decodes alone, so the batch's own error, naming all its trials, is raised
+    from secure_ura import harness
+    sizes = []                                   # frames per decode_frame call
+    decode_frame = harness.decode_frame
+
+    def failing(ys, *args):
+        sizes.append(len(ys))
+        if len(ys) > 1:
+            raise ValueError("injected fault")
+        return decode_frame(ys, *args)
+
+    monkeypatch.setattr(harness, "decode_frame", failing)
+    with pytest.raises(TrialError, match=r"^trial 4, 5: receiver: "):
+        run_trial(mini_cfg, own_split(mini_cfg), [4, 5], mini_params)
+    assert sizes == [2, 1, 1]
+
+
 def test_split_power_budget():
     pa, pk = split_power_budget(0.3, 1.0)
     assert pa == pytest.approx(0.15) and pk == pytest.approx(0.15)
@@ -416,30 +433,3 @@ def test_selftest_fails_when_regeneration_differs(monkeypatch):
     assert not selftest(cfg, out=lines.append)
     assert lines[0].startswith("FAIL public-params invariants")
     assert sum(line.startswith("PASS") for line in lines[1:]) == 6
-
-
-def test_selftest_holds_no_caller_params_during_end_to_end(monkeypatch):
-    # the end-to-end suite builds and runs its own mini set; no set built at
-    # the caller's cfg may be reachable then, so that what the mini trial
-    # leaves allocated does not land inside the memory of a set held for it
-    from secure_ura import harness
-    cfg = make_mini_cfg(sigma_c2=0.01, sigma_u2=0.01)
-    built = []                       # weak references to the caller's sets
-    live = []                        # how many of them each mini trial saw alive
-    run_trial = harness.run_trial
-
-    def tracking(c):
-        params = generate_public_params(c)
-        if c == cfg:
-            built.append(weakref.ref(params))
-        return params
-
-    def checking(trial_cfg, splits, trial_ids, params):
-        gc.collect()
-        live.append(sum(ref() is not None for ref in built))
-        return run_trial(trial_cfg, splits, trial_ids, params)
-
-    monkeypatch.setattr(harness, "generate_public_params", tracking)
-    monkeypatch.setattr(harness, "run_trial", checking)
-    assert selftest(cfg, out=lambda line: None)
-    assert len(built) == 2 and live == [0]

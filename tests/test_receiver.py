@@ -17,7 +17,7 @@ from secure_ura import (SystemConfig, atom_energies, decode_frame,
                         mmse_polar_llr, omp_detect, omp_noise_floor,
                         pilot_polar_rows, run_trial,
                         split_power_budget, standardize, transmit, uplink)
-from secure_ura import pilots, receiver
+from secure_ura import harness, pilots, receiver
 from secure_ura.harness import frames_per_batch
 from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.pilots import (OMP_FALSE_ALARM, PILOT_GRAM_BLOCK, PartialDft,
@@ -39,11 +39,6 @@ def _floor(cfg):
     return omp_noise_floor(cfg.M, 1 << cfg.Bp, cfg.sigma_c2, cfg.np * cfg.Pp)
 
 
-def _omp(Y, P, floor):
-    """omp_detect on Y with the codebook P."""
-    return omp_detect(Y, P, floor)
-
-
 # ---- OMP -------------------------------------------------------------------
 
 
@@ -51,14 +46,14 @@ def test_omp_single_user_noiseless(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     idx = 11
     Y = np.outer(h, mini_params.P[idx])
-    det = _omp(Y, mini_params.P, _floor(mini_cfg))
+    det = omp_detect(Y, mini_params.P, _floor(mini_cfg))
     assert det[0][0] == idx
     assert np.max(np.abs(det[0][1] - h)) < 1e-8
 
 
 def test_omp_empty_frame(mini_params):
     Y = np.zeros((8, len(mini_params.P.freqs)), dtype=complex)
-    assert _omp(Y, mini_params.P, 0.0) == []
+    assert omp_detect(Y, mini_params.P, 0.0) == []
 
 
 def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
@@ -66,7 +61,7 @@ def test_omp_two_users_high_snr(mini_cfg, mini_params, rng):
     i1, i2 = 3, 29
     Y = np.outer(h1, mini_params.P[i1]) + np.outer(h2, mini_params.P[i2])
     Y += 1e-6 * _cn(rng, Y.shape)
-    det = dict(_omp(Y, mini_params.P, _floor(mini_cfg)))
+    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg)))
     assert {i1, i2} <= set(det)
     assert np.max(np.abs(det[i1] - h1)) < 1e-4
     assert np.max(np.abs(det[i2] - h2)) < 1e-4
@@ -77,7 +72,7 @@ def test_omp_five_users_noiseless(mini_cfg, mini_params, rng):
     indices = [2, 7, 13, 21, 30]
     H = _cn(rng, (mini_cfg.M, 5))
     Y = H @ mini_params.P[indices]
-    det = dict(_omp(Y, mini_params.P, _floor(mini_cfg)))
+    det = dict(omp_detect(Y, mini_params.P, _floor(mini_cfg)))
     assert set(det) == set(indices)
     for col, idx in enumerate(indices):
         assert np.max(np.abs(det[idx] - H[:, col])) < 1e-8
@@ -87,7 +82,7 @@ def test_omp_noise_floor_stops_early(mini_cfg, mini_params, rng):
     h = _cn(rng, mini_cfg.M)
     Y = np.outer(h, mini_params.P[5])
     # the single atom explains everything; the loop must stop right after
-    det = _omp(Y, mini_params.P, _floor(mini_cfg))
+    det = omp_detect(Y, mini_params.P, _floor(mini_cfg))
     assert len(det) == 1
 
 
@@ -111,7 +106,7 @@ def test_noise_floor_false_alarm_rate(mini_cfg, mini_params):
                             mini_cfg.np * mini_cfg.Pp)
     noise = complex_normal(stream(8, "omp-noise"), (frames, mini_cfg.M, mini_cfg.np),
                            sigma2)
-    picked = sum(bool(_omp(Y, mini_params.P, floor))
+    picked = sum(bool(omp_detect(Y, mini_params.P, floor))
                  for Y in noise)
     assert picked <= OMP_FALSE_ALARM * frames
 
@@ -197,7 +192,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
             floors.append(0.0)
         for floor in floors:
             want = _omp_reference(Y, dense, floor)
-            got = _omp(Y, P, floor)
+            got = omp_detect(Y, P, floor)
             _assert_same_detections(got, want)
             steps += len(got)
     assert steps > 1000
@@ -212,7 +207,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     floor = omp_noise_floor(50, 4096, 1e-9, 200 * 0.3)
     want = _omp_reference(Y, P[:], floor)
     assert 0 < len(want) < 200
-    got = _omp(Y, P, floor)
+    got = omp_detect(Y, P, floor)
     _assert_same_detections(got, want)
     # more users than there are pilot symbols: at most np can be picked,
     # whatever the floor
@@ -221,7 +216,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1)
         want = _omp_reference(Y, P[:], noise_floor)
-        got = _omp(Y, P, noise_floor)
+        got = omp_detect(Y, P, noise_floor)
         assert len(want) <= len(P.freqs) and len(got) <= len(P.freqs)
         _assert_same_detections(got, want)
 
@@ -347,12 +342,11 @@ def test_omp_holds_at_most_its_working_set(np_, Bp, ka):
 
 def test_omp_one_pick_allocates_little(monkeypatch):
     # the picked rows' buffers Q and U grow with the picks.  Handed its atom
-    # energies, as OMP was once handed its correlation, a full-scale call
-    # that picks one atom peaks at 0.31 MB, a few FFT N-vectors: within the
-    # bound it had then, 0.15 of an (M, 2^Bp) complex correlation (3.28 MB),
-    # 0.49 MB.  The energies, measured alone, peak at 0.90 MB: the pilot
-    # block's real and imaginary parts, the Gram (one block at full scale)
-    # with its indices, and a few N-vectors, within those arrays and four
+    # energies, a full-scale call that picks one atom peaks at 0.31 MB, a few
+    # FFT N-vectors: within 491,520 bytes (0.49 MB).  The energies, measured
+    # alone, peak at 0.90 MB: the pilot block's real and imaginary parts, the
+    # Gram (one block at full scale) with its indices, and a few N-vectors,
+    # within those arrays and four
     cfg, params = _reference_setup("full")
     cfg = replace(cfg, Ka=1)
     Y = _uplink_block(cfg, params, 0)[0][:, :cfg.np]
@@ -366,14 +360,14 @@ def test_omp_one_pick_allocates_little(monkeypatch):
     monkeypatch.setattr(pilots, "atom_energies", lambda Y, P: energy.copy())
     picks, peak = _omp_peak(Y, params.P, _floor(cfg))
     assert picks == 1
-    assert peak <= 0.15 * 16 * cfg.M * len(params.P)
+    assert peak <= 491_520
 
 
 @pytest.mark.parametrize("ka", [1, 25, 100])
-def test_omp_stored_codebook_matches_complex128(ka):
-    # full-scale frames: OMP on the codebook as stored, its frequencies and
-    # twiddles, with every product by FFT, picks the same atoms in the same
-    # order as the recomputing reference on the complex128 rows formed
+def test_omp_on_full_scale_frames_matches_the_dense_reference(ka):
+    # full-scale frames: OMP on the partial-DFT codebook, its frequencies
+    # and twiddles, with every product by FFT, picks the same atoms in the
+    # same order as the recomputing reference on the complex128 rows formed
     # whole, and its estimates are the same bytes
     cfg, params = _reference_setup("full")
     cfg = replace(cfg, Ka=ka)
@@ -382,7 +376,7 @@ def test_omp_stored_codebook_matches_complex128(ka):
         Y = _uplink_block(cfg, params, trial)[0][:, :cfg.np]
         want = _omp_reference(Y, dense, _floor(cfg))
         assert len(want) >= ka - 2
-        _assert_same_detections(_omp(Y, params.P, _floor(cfg)), want)
+        _assert_same_detections(omp_detect(Y, params.P, _floor(cfg)), want)
 
 
 # ---- MMSE LLRs ---------------------------------------------------------------
@@ -683,8 +677,8 @@ def _count_products(monkeypatch):
     # one user at M=50: a later pass takes the energies of its whole 50-row
     # residual
     ("full", 1, 8, 4, 50),
-    # ten users at M=8, and ~100 at M=50: a later pass correlates its
-    # residual, as it did when 2k >= M
+    # ten users at M=8, and ~100 at M=50: a later pass takes the energies of
+    # its whole M-row residual too
     ("m8", 10, 8, 2, 8),
     ("full", 100, 3, 1, 50)])
 def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkeypatch):
@@ -709,18 +703,16 @@ def test_codebook_products_per_pass(name, ka, passes, trials, later_rows, monkey
             assert np.array_equal(calls[-1][0], residual)
 
 
-def test_iterative_decode_holds_at_most_two_correlations():
-    # no frame holds an (M, 2^Bp) correlation: tracemalloc's peak over a call
-    # is counted in pilot working sets, pilots.work_bytes (3.17 MB
-    # at full scale: 8 FFT N-vectors, OMP's picked rows and the fit's, the
-    # pilot block's real and imaginary parts and a Gram block).  At Ka = 1 it
+def test_iterative_decode_peaks_within_one_and_a_half_pilot_working_sets():
+    # tracemalloc's peak over a call is counted in pilot working sets,
+    # pilots.work_bytes (3.17 MB at full scale: 8 FFT N-vectors, OMP's picked
+    # rows and the fit's, the pilot block's real and imaginary parts and a
+    # Gram block).  At Ka = 1 it
     # reads 0.47 (the residual, the Gram with its indices and the FFT
     # buffers); at Ka = 100 the ~100 decoded users' signal rows, the residual
     # and the polar decoder's lists add to it: 1.40.  The bounds, 0.55 and
     # 1.5 working sets (1.75 and 4.76 MB), are below the 1.77 and 4.91 MB
-    # this receiver was first held to, and the 4.9 and 8.2 MB (1.5 and 2.5
-    # codebook-sized (M, 2^Bp) arrays) the correlation-holding receiver was
-    # held to
+    # this receiver was first held to
     cfg = SystemConfig(seed=1501)
     params = generate_public_params(cfg)
     unit = work_bytes(cfg.Bp, cfg.np, cfg.M)
@@ -736,15 +728,14 @@ def test_iterative_decode_holds_at_most_two_correlations():
         assert peak <= bound * unit
 
 
-def test_full_scale_batch_holds_its_blocks_and_one_and_a_half_correlations():
+def test_full_scale_batch_holds_its_blocks_and_under_one_pilot_working_set():
     # a full-scale Ka = 1 batch of 16 frames, sent and decoded at two
     # splits: tracemalloc's peak is the received pilot+polar blocks the batch
     # holds plus at most 0.9 pilot working sets (pilots.work_bytes,
     # 3.17 MB), read 0.88: one frame's residual, Gram block with its indices
     # and FFT buffers, with the key segments, sent frames and LLRs of the
     # others.  The bound, 2.86 MB over the blocks, is below the 2.95 MB this
-    # receiver was first held to and the 4.9 MB (1.5 codebook-sized
-    # (M, 2^Bp) arrays) the correlation-holding receiver was held to
+    # receiver was first held to
     cfg = SystemConfig(Ka=1, seed=1501)
     params = generate_public_params(cfg)
     splits = [split_power_budget(cfg.key_budget, r) for r in (1.0, 7.0)]
@@ -789,7 +780,7 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
             assert (got.max() > floor) == (want.max() > floor) == left
 
 
-def test_later_pass_with_an_atom_left_correlates_its_residual(monkeypatch):
+def test_later_pass_picks_again_an_atom_left_in_its_residual(monkeypatch):
     # the polar decoder loses the last of two users in the first pass, so
     # the second pass finds that user's atom above the floor in its
     # residual, and OMP picks it again.  The third pass picks nothing and
@@ -842,16 +833,6 @@ def test_decode_frame_does_not_read_the_user_count():
             assert np.array_equal(a, b)
 
 
-def _sent_at_splits(cfg, splits, params, trial):
-    """run_trial's received frame of a trial at every split: (y, y_k)."""
-    h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
-    W = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
-    Y = feedback_observation(h, params.V, cfg.sigma_u2,
-                             stream(cfg.seed, "feedback-noise", trial))
-    X, X_k, _, _ = transmit(W, Y, cfg, splits, params)
-    return uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial))
-
-
 @pytest.mark.parametrize("name,ka", [("full", 1), ("m16", 1), ("m16", 2), ("m16", 3),
                                      ("m16", 10), ("m16", 25)])
 def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
@@ -863,7 +844,7 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
     cfg = replace(base, Ka=ka, seed=5)
     splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
     n_frames = max(4, frames_per_batch(cfg))
-    frames = [_sent_at_splits(cfg, splits, params, t) for t in range(n_frames)]
+    frames = [harness._send_frame(cfg, splits, t, params)[1:] for t in range(n_frames)]
     noise = complex_normal(stream(5, "noise-frame"), (base.M, frame_len(base)), base.sigma_c2)
     n = base.np + base.nc
     frames.append((noise[:, :n], [noise[:, n:]] * len(splits)))
@@ -1012,7 +993,7 @@ def _iterative_decode_reference(frame, cfg, params):
 
     for _ in range(cfg.max_outer_iters):
         Y_p = residual[:, :cfg.np]
-        detections = _omp(Y_p, params.P, _floor(cfg))
+        detections = omp_detect(Y_p, params.P, _floor(cfg))
         new_users = []
         new_rows = []                            # rows of payloads behind new_users
         # only the users still held count as decoded: one the LS fallback
