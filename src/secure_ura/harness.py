@@ -7,10 +7,11 @@ how many further users a config asks for.
 
 The eavesdropper is modelled only through the analytic leakage bound: no
 eavesdropper frame is simulated.  Each trial contributes the equivocation
-bound of its first user (`first_user_zetas`), drawn from the first row of
-the trial's `eve-channel` stream; the sweep and the `leakage` command
-average that same value, which makes the reported bound bit-identical
-across user counts at a fixed power split.
+bound of its first user, for the eavesdropper channel drawn from the
+trial's `eve-channel` stream.  No draw of the bound depends on Ka or on the
+link, so `zeta_means` averages it apart from the frames, once per run,
+sweep grid or leakage report: the one path by which the reported bound is
+bit-identical across user counts and equal to the `leakage` command's.
 
 A power split is a (Pa, Pk) pair, and `power_splits` makes every split a
 run, sweep or leakage report uses: from its ratio Pa/Pk, or the config's
@@ -69,7 +70,6 @@ class TrialReport:
     n_detected: int
     n_err: int
     pupe: float
-    zeta_lower: float              # first user's equivocation lower bound
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,9 @@ class SweepResult:
 CSV_HEADER = [f.name for f in fields(SweepResult)]
 
 
-def first_user_zetas(cfg: SystemConfig, splits, trial_id: int,
-                     params: PublicParams) -> list[float]:
-    """Equivocation lower bound of a trial's first user at each (Pa, Pk) split."""
-    g = complex_normal(stream(cfg.seed, "eve-channel", trial_id), (cfg.E,))
-    return [leakage_report(g, params.C2, pk, pa, cfg.sigma_e2, cfg.S) for pa, pk in splits]
-
-
 @contextmanager
 def _stage(trial_ids: list[int], name: str):
-    """Run a stage of run_trial: any error it raises is re-raised as
+    """Run a stage of a trial: any error it raises is re-raised as
     TrialError("trial <ids>: <name>: <cause>").  The one place a failing
     stage is named."""
     try:
@@ -107,16 +100,17 @@ def _stage(trial_ids: list[int], name: str):
 
 
 def _send_frame(cfg: SystemConfig, splits, trial_id: int, params: PublicParams):
-    """A trial's messages and its received frame: (messages, y, y_k)."""
+    """A trial's messages, their ciphertexts and its received frame:
+    (messages, C, y, y_k)."""
     with _stage([trial_id], "transmit"):
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial_id))
-        X, X_k, _, _ = transmit(messages, Y, cfg, splits, params)
+        X, X_k, C, _ = transmit(messages, Y, cfg, splits, params)
     with _stage([trial_id], "uplink"):
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
-    return messages, y, y_k
+    return messages, C, y, y_k
 
 
 def _run_frames(cfg: SystemConfig, splits, trial_ids: list[int],
@@ -124,29 +118,27 @@ def _run_frames(cfg: SystemConfig, splits, trial_ids: list[int],
     """run_trial's batch; a receiver failure names every trial of the batch."""
     sent = [_send_frame(cfg, splits, t, params) for t in trial_ids]
     with _stage(trial_ids, "receiver"):
-        decoded = decode_frame([y for _, y, _ in sent], [y_k for _, _, y_k in sent],
+        decoded = decode_frame([y for *_, y, _ in sent], [y_k for *_, y_k in sent],
                                cfg, splits, params)
 
     reports = []
-    for trial_id, (messages, _, _), frame in zip(trial_ids, sent, decoded):
+    for trial_id, (messages, *_), frame in zip(trial_ids, sent, decoded):
         n_errs = []
         for _, _, W_hat, _, valid in frame:
             recovered = {w.tobytes() for w in W_hat[valid]}
             n_errs.append(sum(1 for u in range(cfg.Ka)
                               if messages[u].tobytes() not in recovered))
-        with _stage([trial_id], "leakage"):
-            zetas = first_user_zetas(cfg, splits, trial_id, params)
         n_detected = len(frame[0][0])        # C_hat, the same at every split
         reports.append([TrialReport(trial_id=trial_id, n_detected=n_detected, n_err=n_err,
-                                    pupe=n_err / cfg.Ka, zeta_lower=zeta)
-                        for n_err, zeta in zip(n_errs, zetas)])
+                                    pupe=n_err / cfg.Ka) for n_err in n_errs])
     return reports
 
 
 def run_trial(cfg: SystemConfig, splits, trial_ids: list[int],
               params: PublicParams) -> list[list[TrialReport]]:
     """Simulate a batch of complete frames, one per trial id: feedback,
-    uplink, receiver, leakage.
+    uplink, receiver.  The equivocation bound is evaluated apart from the
+    link, by zeta_means.
 
     splits holds the (Pa, Pk) pairs each frame is sent at, in place of
     cfg's own; only the key segment is built per split.  Each frame is sent
@@ -213,9 +205,27 @@ def frames_per_batch(cfg: SystemConfig) -> int:
     return max(1, min(BATCH_WORDS // cfg.Ka, BATCH_BLOCK_BYTES // block_bytes))
 
 
-def _run_splits(cfg: SystemConfig, splits, params: PublicParams) -> list[SweepResult]:
+def zeta_means(cfg: SystemConfig, splits, params: PublicParams) -> list[float]:
+    """Mean first-user equivocation lower bound over cfg.trials trials, at
+    each (ratio, Pa, Pk) split.
+
+    Trial t's eavesdropper channel g is drawn from its `eve-channel`
+    stream; a failing bound raises TrialError("trial <t>: leakage: ...").
+    """
+    zetas = []
+    for t in range(cfg.trials):
+        with _stage([t], "leakage"):
+            g = complex_normal(stream(cfg.seed, "eve-channel", t), (cfg.E,))
+            zetas.append([leakage_report(g, params.C2, pk, pa, cfg.sigma_e2, cfg.S)
+                          for _, pa, pk in splits])
+    return [float(np.mean(z)) for z in zip(*zetas)]
+
+
+def _run_splits(cfg: SystemConfig, splits, params: PublicParams,
+                zetas: list[float]) -> list[SweepResult]:
     """Run cfg.trials frames, each at every (ratio, Pa, Pk) split, in batches
-    of frames_per_batch frames; aggregate per split.
+    of frames_per_batch frames; aggregate per split, zetas holding the
+    splits' zeta_means.
 
     The words bound lets crowded frames share the decoders' calls too; the
     bytes bound keeps the blocks held at once small where M or np + nc is
@@ -227,30 +237,29 @@ def _run_splits(cfg: SystemConfig, splits, params: PublicParams) -> list[SweepRe
     reports = [r for i in range(0, len(trials), batch)
                for r in run_trial(cfg, pairs, list(trials[i:i + batch]), params)]
     results = []
-    for i, (ratio, pa, pk) in enumerate(splits):
+    for i, ((ratio, pa, pk), zeta) in enumerate(zip(splits, zetas)):
         pupes = np.array([r[i].pupe for r in reports])
         stderr = float(pupes.std(ddof=1) / np.sqrt(len(pupes))) if len(pupes) > 1 else 0.0
-        zetas = [r[i].zeta_lower for r in reports]
         results.append(SweepResult(ka=cfg.Ka, ratio=ratio, pa=pa, pk=pk,
                                    trials=cfg.trials, pupe_mean=float(pupes.mean()),
-                                   pupe_stderr=stderr, zeta_lower_mean=float(np.mean(zetas)),
-                                   seed=cfg.seed))
+                                   pupe_stderr=stderr, zeta_lower_mean=zeta, seed=cfg.seed))
     return results
 
 
 def run_point(cfg: SystemConfig) -> SweepResult:
     """Run cfg.trials trials at one grid point, at cfg's own split, and aggregate."""
-    return _run_splits(cfg, power_splits(cfg, None), generate_public_params(cfg))[0]
+    splits, params = power_splits(cfg, None), generate_public_params(cfg)
+    return _run_splits(cfg, splits, params, zeta_means(cfg, splits, params))[0]
 
 
 def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
               trials: int, progress=None) -> list[SweepResult]:
     """Grid over user counts and Pa/Pk splits of the fixed power budget.
 
-    Walked Ka-major: a trial's frame serves every split of its Ka.  Every
-    split and every Ka's config is built, and so validated, before the
-    shared artifacts, so an invalid entry anywhere in the grid is reported
-    before any work is done.
+    Walked Ka-major: a trial's frame serves every split of its Ka, and the
+    bound's zeta_means serve every Ka.  Every split and every Ka's config
+    is built, and so validated, before the shared artifacts, so an invalid
+    entry anywhere in the grid is reported before any work is done.
     """
     base_cfg = replace(base_cfg, trials=trials)
     splits = power_splits(base_cfg, ratio_list)
@@ -260,9 +269,10 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
     params = generate_public_params(base_cfg)
+    zetas = zeta_means(base_cfg, splits, params)
     results = []
     for cfg in cfgs:
-        for res in _run_splits(cfg, splits, params):
+        for res in _run_splits(cfg, splits, params, zetas):
             results.append(res)
             if progress is not None:
                 progress(res)
@@ -274,14 +284,12 @@ def run_leakage(cfg: SystemConfig, ratios) -> list[tuple[float, float, float, fl
 
     The splits are power_splits(cfg, ratios): each ratio splits cfg's
     key-segment budget as in run_sweep, and None is cfg's own split, as in
-    run_point.  The mean runs over the same first-user bounds a sweep of
-    cfg.trials trials averages, without simulating the link.
+    run_point.  The means are the zeta_means a run or sweep of cfg.trials
+    trials reports, without simulating the link.
     """
     splits = power_splits(cfg, ratios)
-    pairs = [(pa, pk) for _, pa, pk in splits]
     params = generate_public_params(cfg)
-    zetas = [first_user_zetas(cfg, pairs, t, params) for t in range(cfg.trials)]
-    return [(*split, float(np.mean([z[i] for z in zetas]))) for i, split in enumerate(splits)]
+    return [(*split, zeta) for split, zeta in zip(splits, zeta_means(cfg, splits, params))]
 
 
 def _fmt(x) -> str:

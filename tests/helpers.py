@@ -31,6 +31,22 @@ def own_split(cfg):
     return [(cfg.Pa, cfg.Pk)]
 
 
+def fail_bound_at(monkeypatch, cfg, trial):
+    """Make harness.leakage_report raise ValueError("injected fault") for the
+    eavesdropper channel of cfg's trial."""
+    from secure_ura import harness
+    from secure_ura.rng import complex_normal, stream
+    g_bad = complex_normal(stream(cfg.seed, "eve-channel", trial), (cfg.E,))
+    leakage_report = harness.leakage_report
+
+    def failing(g, *args):
+        if np.array_equal(g, g_bad):
+            raise ValueError("injected fault")
+        return leakage_report(g, *args)
+
+    monkeypatch.setattr(harness, "leakage_report", failing)
+
+
 def frame_len(cfg):
     """Channel uses of a frame at one split: pilot, polar and key segments."""
     return cfg.np + cfg.nc + cfg.key_parity_len

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the PASS lines
 inline).  The codec suites (5) and the grid criterion (4) dominate the
-runtime: 29 s and 7.6 s with one BLAS thread on a 2-core x86_64 host.
+runtime: 30-35 s and about 9 s with one BLAS thread on a 2-core x86_64 host.
 """
 
 import time

@@ -12,6 +12,8 @@ from secure_ura import harness, load_config, run_leakage, run_sweep
 from secure_ura.cli import build_parser, main
 from secure_ura.harness import LEAKAGE_CSV_HEADER, write_csv
 
+from helpers import fail_bound_at
+
 MINI = """
 M = 8
 E = 8
@@ -279,6 +281,14 @@ def test_trial_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("trial error: trial 0: transmit: user 0: sample variance ")
+
+
+def test_leakage_trial_error_exit_code(mini_file, capsys, monkeypatch):
+    # a bound that fails at trial 5 exits 4 naming the trial and the stage
+    fail_bound_at(monkeypatch, load_config(mini_file), 5)
+    assert main(["leakage", "--config", mini_file, "--trials", "6"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["trial error: trial 5: leakage: injected fault"]
 
 
 def test_unknown_flag_exits_with_usage(capsys):

@@ -18,7 +18,7 @@ def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
         return h.hexdigest()
 
     pairs = [split_power_budget(mini_cfg.key_budget, r) for r in (1.0, 7.0)]
-    _, y, y_k = _send_frame(mini_cfg, pairs, 0, mini_params)
+    _, _, y, y_k = _send_frame(mini_cfg, pairs, 0, mini_params)
     splits = decode_frame([y], [y_k], mini_cfg, pairs, mini_params)[0]
     assert decode_hash(decode_frame([y], [y_k], mini_cfg, pairs, mini_params)[0]) == \
         decode_hash(splits)

@@ -9,12 +9,11 @@ from secure_ura import (ConfigError, SystemConfig, TrialError, emit_csv,
                         selftest, split_power_budget)
 from secure_ura.harness import CSV_HEADER, frames_per_batch, power_splits
 
-from helpers import make_mini_cfg, own_split
+from helpers import fail_bound_at, make_mini_cfg, own_split
 
 
 def _trial_key(report):
-    return (report.trial_id, report.n_detected, report.n_err, report.pupe,
-            report.zeta_lower)
+    return (report.trial_id, report.n_detected, report.n_err, report.pupe)
 
 
 def test_trial_deterministic(mini_cfg, mini_params):
@@ -210,8 +209,7 @@ def test_failure_inside_a_batch_names_its_own_trial(monkeypatch):
         run_trial(cfg, own_split(cfg), [2, 3], generate_public_params(cfg))
 
 
-@pytest.mark.parametrize("target, stage", [("uplink", "uplink"),
-                                           ("leakage_report", "leakage")])
+@pytest.mark.parametrize("target, stage", [("uplink", "uplink")])
 def test_failing_stage_names_trial_and_stage(mini_cfg, mini_params, monkeypatch,
                                              target, stage):
     from secure_ura import harness
@@ -224,21 +222,33 @@ def test_failing_stage_names_trial_and_stage(mini_cfg, mini_params, monkeypatch,
         run_trial(mini_cfg, own_split(mini_cfg), [3], mini_params)
 
 
-def test_leakage_failure_in_a_batch_names_its_own_trial(mini_cfg, mini_params, monkeypatch):
-    # the bound fails for trial 5, the second frame of the batch [4, 5]
+@pytest.mark.parametrize("run", [
+    lambda cfg: run_point(dataclasses.replace(cfg, trials=6)),
+    lambda cfg: run_sweep(cfg, [1, 2], [1.0, 7.0], 6),
+    lambda cfg: run_leakage(dataclasses.replace(cfg, trials=6), [1.0, 7.0])],
+    ids=["run", "sweep", "leakage"])
+def test_leakage_failure_names_its_own_trial(mini_cfg, monkeypatch, run):
+    # the bound fails for trial 5 alone; it is evaluated before any frame,
+    # so no frame is decoded
     from secure_ura import harness
-    from secure_ura.rng import complex_normal, stream
-    g_bad = complex_normal(stream(mini_cfg.seed, "eve-channel", 5), (mini_cfg.E,))
-    leakage_report = harness.leakage_report
-
-    def failing(g, *args):
-        if np.array_equal(g, g_bad):
-            raise ValueError("injected fault")
-        return leakage_report(g, *args)
-
-    monkeypatch.setattr(harness, "leakage_report", failing)
+    calls = {}
+    _record_calls(monkeypatch, harness, "decode_frame", calls)
+    fail_bound_at(monkeypatch, mini_cfg, 5)
     with pytest.raises(TrialError, match=r"^trial 5: leakage: injected fault$"):
-        run_trial(mini_cfg, own_split(mini_cfg), [4, 5], mini_params)
+        run(mini_cfg)
+    assert calls == {}
+
+
+def test_bound_is_evaluated_once_per_trial_and_split(mini_cfg, mini_params, monkeypatch):
+    # no draw of the bound depends on Ka: a sweep evaluates it once for each
+    # trial and split, whatever its user counts, and run_trial never does
+    from secure_ura import harness
+    calls = {}
+    _record_calls(monkeypatch, harness, "leakage_report", calls)
+    run_trial(mini_cfg, own_split(mini_cfg), [0, 1], mini_params)
+    assert calls == {}
+    run_sweep(mini_cfg, [1, 2, 3], [1.0, 7.0], 3)
+    assert len(calls["leakage_report"]) == 3 * 2
 
 
 def test_failure_only_as_a_batch_names_the_whole_batch(mini_cfg, mini_params, monkeypatch):
@@ -423,7 +433,8 @@ def test_selftest_fails_when_regeneration_differs(monkeypatch):
     calls = []
 
     def drifting(c):
-        # the digest check's reference set comes from another seed
+        # the held set, built first and read by every suite, comes from
+        # another seed; the digest check's regeneration is the correct one
         calls.append(c)
         return generate_public_params(
             dataclasses.replace(c, seed=c.seed + 1) if len(calls) == 1 else c)

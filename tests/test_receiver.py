@@ -12,7 +12,7 @@ from scipy import stats
 from secure_ura import (SystemConfig, atom_energies, decode_frame,
                         decode_keys_and_decrypt, expand_key, extract_key,
                         artificial_noise, feature_noise_variances,
-                        feedback_observation, generate_public_params,
+                        generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
                         mmse_polar_llr, omp_detect, omp_noise_floor,
                         pilot_polar_rows, run_trial,
@@ -22,7 +22,7 @@ from secure_ura.harness import frames_per_batch
 from secure_ura.modulation import bpsk_map, clamp_llr
 from secure_ura.pilots import (OMP_FALSE_ALARM, PILOT_GRAM_BLOCK, PartialDft,
                                codebook_products, fft_len, work_bytes)
-from secure_ura.rng import complex_normal, random_bits, stream
+from secure_ura.rng import complex_normal, stream
 
 from helpers import (decode_keys_one, decode_one, frame_len, make_mini_cfg, own_split,
                      transmit_frame, uplink_frame)
@@ -152,15 +152,6 @@ def _omp_reference(Y, P, noise_floor):
     return [(idx, H[:, i].copy()) for i, idx in enumerate(selected)]
 
 
-def _dft_codebook(rng, n_atoms, n_obs, power=0.3):
-    """A partial-DFT codebook of n_atoms rows on n_obs frequencies drawn from
-    rng, built as generate_public_params builds the pilot codebook."""
-    n = max(n_atoms, 1 << (n_obs - 1).bit_length())
-    return PartialDft(freqs=rng.choice(n, n_obs, replace=False),
-                      twiddles=np.sqrt(power) * np.exp(2j * np.pi / n * np.arange(n)),
-                      count=n_atoms)
-
-
 def _omp_frame(rng, P, M, ka, noise):
     users = rng.choice(len(P), ka, replace=False)
     Y = _cn(rng, (M, ka)) @ P[users] + noise * _cn(rng, (M, len(P.freqs)))
@@ -179,7 +170,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
     # partial-DFT codebook, its products by FFT; the reference recomputes
     # every correlation from the codebook's rows formed whole, in complex128
     rng = np.random.default_rng(20240)
-    P = _dft_codebook(rng, 4096, 200)
+    P = PartialDft.draw(rng, 12, 200, 0.3)
     dense = P[:]
     steps = 0
     # at the noise floor the search stops near ka steps; with no floor at
@@ -200,7 +191,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
 
 def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     rng = np.random.default_rng(20241)
-    P = _dft_codebook(rng, 4096, 200)
+    P = PartialDft.draw(rng, 12, 200, 0.3)
     # noiseless users: a floor far below them ends the search long before
     # np picks
     Y = _omp_frame(rng, P, 50, 30, 0.0)
@@ -211,7 +202,7 @@ def test_omp_matches_reference_with_early_stop_and_at_most_np_picks():
     _assert_same_detections(got, want)
     # more users than there are pilot symbols: at most np can be picked,
     # whatever the floor
-    P = _dft_codebook(rng, 64, 32)
+    P = PartialDft.draw(rng, 6, 32, 0.3)
     floor = omp_noise_floor(8, 64, 0.1 ** 2, 32 * 0.3)
     for noise_floor in (0.0, floor, 100.0 * floor):
         Y = _omp_frame(rng, P, 8, 40, 0.1)
@@ -844,7 +835,7 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
     cfg = replace(base, Ka=ka, seed=5)
     splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
     n_frames = max(4, frames_per_batch(cfg))
-    frames = [harness._send_frame(cfg, splits, t, params)[1:] for t in range(n_frames)]
+    frames = [harness._send_frame(cfg, splits, t, params)[2:] for t in range(n_frames)]
     noise = complex_normal(stream(5, "noise-frame"), (base.M, frame_len(base)), base.sigma_c2)
     n = base.np + base.nc
     frames.append((noise[:, :n], [noise[:, n:]] * len(splits)))
@@ -1080,15 +1071,10 @@ def _reference_setup(name):
 
 
 def _uplink_block(cfg, params, trial):
-    """(uplink block, true ciphertexts) of run_trial's trial, drawn from the
-    same streams."""
-    h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
-    W = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
-    Y = feedback_observation(h, params.V, cfg.sigma_u2,
-                             stream(cfg.seed, "feedback-noise", trial))
-    X, C, _ = transmit_frame(W, Y, cfg, params)
-    return uplink_frame(X, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial),
-                        cfg.key_parity_len), C
+    """(uplink block, true ciphertexts) of run_trial's trial at cfg's own
+    split, the block [pilot | polar | key] as one array."""
+    _, C, y, (y_k,) = harness._send_frame(cfg, own_split(cfg), trial, params)
+    return np.concatenate([y, y_k], axis=1), C
 
 
 def _assert_rows_match_reference(rows, users):
