@@ -17,7 +17,10 @@ state is gathered through that map once, where it is next read (the g step
 for LLRs, the combine step for stashed left-child bits); a depth's map
 returns to the identity when that depth is rewritten.  The list axis holds
 only live paths, 1, 2, 4, ... up to the list size, so the frozen prefix of
-the code is decoded once rather than on copies of a single path.
+the code is decoded once rather than on copies of a single path.  While the
+list holds one path the map is the identity, so there is none: it is made
+where the list first grows, with every path reading the one slot at every
+depth, and a list of one never makes it.
 
 A depth's LLRs die where they are last read: g at depth d drops llrs[d],
 and the stale llrs[d + 1] of the left subtree before it writes the right
@@ -278,9 +281,10 @@ class PolarCode:
         del chan                                  # freed with llrs[0] at g(0)
         # perm[d, b, p] is the slot that holds path p's llrs[d] (while in a
         # left subtree at depth d) or uleft[d] (right subtree); a leaf
-        # composes the maps and the state is gathered once, where it is read
+        # composes the maps and the state is gathered once, where it is
+        # read.  There is no map while width is 1
         ident = np.arange(Lsz)
-        perm = np.broadcast_to(ident, (n + 1, batch, Lsz)).copy()
+        perm = None
         width = 1
         pm = np.zeros((batch, 1))
         rows = np.arange(batch)[:, None]
@@ -289,19 +293,21 @@ class PolarCode:
             if op == "f":
                 w = 1 << (n - d - 1)
                 llrs[d + 1] = _f_llr(llrs[d][:, :, :w], llrs[d][:, :, w:])
-                perm[d + 1] = ident
+                if perm is not None:
+                    perm[d + 1] = ident
             elif op == "g":
                 w = 1 << (n - d - 1)
-                if d:  # llrs[0], the channel row, is one slot every path reads
+                # llrs[0], the channel row, is one slot every path reads
+                if d and perm is not None:
                     llrs[d] = llrs[d][rows, perm[d, :, :width]]
                 uleft[d], llrs[d + 1] = ucap[d + 1], None
-                perm[d] = ident
                 llrs[d + 1] = llrs[d][:, :, w:] + (
                     1.0 - 2.0 * uleft[d].astype(np.float32)) * llrs[d][:, :, :w]
                 llrs[d] = None                    # not read again before rewritten
-                perm[d + 1] = ident
+                if perm is not None:
+                    perm[d] = perm[d + 1] = ident
             elif op == "c":
-                left = uleft[d][rows, perm[d, :, :width]]
+                left = uleft[d] if perm is None else uleft[d][rows, perm[d, :, :width]]
                 ucap[d] = np.concatenate([left ^ ucap[d + 1], ucap[d + 1]], axis=2)
             elif op == "zero":
                 pm = pm + np.logaddexp(0.0, -llrs[d].astype(np.float64)).sum(axis=2)
@@ -314,7 +320,10 @@ class PolarCode:
                 grown = min(2 * width, Lsz)
                 order = np.argsort(pm2, axis=1, kind="stable")[:, :grown]
                 pm = pm2[rows, order]
-                perm[:, :, :grown] = perm[:, rows, order % width]
+                if perm is not None:
+                    perm[:, :, :grown] = perm[:, rows, order % width]
+                elif grown > 1:
+                    perm = np.zeros((n + 1, batch, Lsz), dtype=ident.dtype)
                 ucap[n] = (order // width).astype(np.uint8)[:, :, None]
                 width = grown
 

@@ -2,8 +2,10 @@
 
 The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook, see pilots), MMSE soft demodulation plus CRC-aided
-polar list decoding, and least-squares channel re-estimation with
-successive interference cancellation over the pilot+polar segments.
+polar decoding, and least-squares channel re-estimation with successive
+interference cancellation over the pilot+polar segments.  The polar decode
+is adaptive (polar_decode): plain successive cancellation first, the full
+list only for the words that fail the CRC.
 Every pass detects on its own residual.  The key stage forms every decoded
 user's feedback estimate from its channel estimate, derives the features
 and artificial noise from it with the user's own key code (`keys`),
@@ -15,11 +17,11 @@ frame's decoded users as aligned arrays, one row per CRC-passing user in
 decoding order: ciphertexts, keys, decrypted messages and per-user flags.
 It never reads the active-user count cfg.Ka (see pilots.omp_detect).  It
 decodes a batch of independent frames in lockstep: pilot detection, MMSE and
-SIC run per frame, but one polar decode per pass and one LDPC decode cover
-every frame's words, which the decoders treat independently; each such
-decode is split back per block in one place, _decode_blocks.  A frame sent
-at several power splits, (Pa, Pk) pairs, differs only in its key segment,
-so only the mask cancellation and the parity LLRs are per split.
+SIC run per frame, but one two-stage polar decode per pass and one LDPC
+decode cover every frame's words, which the decoders treat independently;
+each such decode is split back per block in one place, _decode_blocks.  A
+frame sent at several power splits, (Pa, Pk) pairs, differs only in its key
+segment, so only the mask cancellation and the parity LLRs are per split.
 """
 
 import math
@@ -32,6 +34,7 @@ from .keys import artificial_noise, extract_key, standardize
 from .modulation import clamp_llr
 from .params import PublicParams
 from .pilots import omp_detect, omp_frame_floor, omp_noise_floor
+from .polar import PolarCode
 from .transmitter import index_to_bits, pilot_polar_rows
 
 #: the polar list size and the LDPC decoder's belief-propagation iterations
@@ -125,6 +128,23 @@ def llr_systematic(u_hat: np.ndarray, var_y_hat, sigma_uj2: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
+def polar_decode(llr: np.ndarray, code: PolarCode) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive CRC-aided decode of a (batch, N) block of polar LLRs (Li,
+    Zhang and Xu, IEEE Commun. Lett. 2012): every word at list size 1, then
+    the words that fail the CRC again at LIST_SIZE, their rows overwritten.
+
+    Returns code.decode's (payload, crc_ok).  A word that passes at list
+    size 1 keeps that payload, where the list decoder might have preferred
+    another passing path.  Both stages decode each row as it decodes alone,
+    so a row's result does not depend on the others.
+    """
+    payloads, ok = code.decode(llr, 1)
+    retry = np.flatnonzero(~ok)
+    if len(retry):
+        payloads[retry], ok[retry] = code.decode(llr[retry], LIST_SIZE)
+    return payloads, ok
+
+
 def _decode_blocks(decode, blocks: list[np.ndarray], *args):
     """Run decode once over the rows of every block, stacked in order, and
     split its (words, flags) result back: an iterator of one pair per block.
@@ -168,7 +188,8 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     final least-squares channel estimates (M, k).
 
     The frames run in lockstep: in each pass, OMP and MMSE run per frame,
-    one polar decode covers every frame's LLR rows, and LS/SIC runs per
+    one polar_decode covers every frame's LLR rows, so its two decoder
+    calls each take the rows of every frame at once, and LS/SIC runs per
     frame; a frame leaves when it has nothing new.  Each frame's outputs
     are those it gives alone.  Every pass runs OMP on its frame's residual,
     which it forms from the last SIC's fit and which does not outlive the
@@ -190,8 +211,7 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
                 found.append((f, np.array([j for j, _ in detections]), llrs.astype(np.float32)))
         if not found:
             break
-        decoded = _decode_blocks(params.polar.decode, [llrs for *_, llrs in found],
-                                 LIST_SIZE)
+        decoded = _decode_blocks(polar_decode, [llrs for *_, llrs in found], params.polar)
         live = []
         for (f, pilots, _), (payloads, ok) in zip(found, decoded):
             C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)

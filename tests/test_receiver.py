@@ -15,7 +15,7 @@ from secure_ura import (SystemConfig, atom_energies, decode_frame,
                         generate_public_params,
                         iterative_decode, llr_parity, llr_systematic,
                         mmse_polar_llr, omp_detect, omp_noise_floor,
-                        pilot_polar_rows, run_trial,
+                        pilot_polar_rows, polar_decode, run_trial,
                         split_power_budget, standardize, transmit, uplink)
 from secure_ura import harness, pilots, receiver
 from secure_ura.harness import frames_per_batch
@@ -501,6 +501,57 @@ def test_llr_systematic_paired_variances(mini_cfg, mini_params):
     assert np.allclose(nu[:half], nu[half:])
 
 
+# ---- two-stage polar decoding ------------------------------------------------
+
+
+def test_polar_decode_false_pass_rate_on_noise(full_cfg, full_params):
+    # a pure-noise word at criterion 5's LLR scale passes the CRC at list
+    # size 1 or, failing that, at LIST_SIZE: by the union bound with
+    # probability at most (1 + LIST_SIZE) 2^-Br, here with criterion 5's
+    # factor of 2
+    cfg = full_cfg
+    rng = np.random.default_rng(36)
+    llr_scale = 4.0 * np.sqrt(cfg.Pc) / cfg.sigma_c2 * np.sqrt(cfg.sigma_c2 / 2.0)
+    n_words, batch = 5000, 1000
+    passes = 0
+    for _ in range(n_words // batch):
+        noise_llr = llr_scale * rng.standard_normal((batch, cfg.nc))
+        _, ok = polar_decode(noise_llr, full_params.polar)
+        passes += int(ok.sum())
+    assert passes / n_words <= 2.0 * (1 + receiver.LIST_SIZE) * 2.0 ** -cfg.Br
+
+
+def test_polar_decode_row_for_row(full_params):
+    # blocks of noisy words and of pure noise, stacked as the receiver
+    # stacks its frames' LLR rows: a row that passes the CRC at list size 1
+    # keeps that result, a row that fails it gets its own LIST_SIZE decode
+    # alone, and each block's rows are those the block gives alone
+    code = full_params.polar
+    rng = np.random.default_rng(3636)
+    blocks = []
+    for size, snr in ((7, 0.2), (1, 0.2), (12, 0.25), (5, 0.15)):
+        payloads = rng.integers(0, 2, (size, code.payload_bits), dtype=np.uint8)
+        x = 1.0 - 2.0 * code.encode(payloads)
+        blocks.append(4.0 * snr * x + rng.normal(0.0, np.sqrt(8.0 * snr), x.shape))
+    blocks.append(rng.normal(0.0, 3.0, (3, code.N)))
+    got = list(receiver._decode_blocks(polar_decode, blocks, code))
+    payloads = np.concatenate([p for p, _ in got])
+    ok = np.concatenate([f for _, f in got])
+
+    llr = np.concatenate(blocks)
+    first, first_ok = code.decode(llr, 1)
+    assert ok[first_ok].all() and np.array_equal(payloads[first_ok], first[first_ok])
+    alone = [code.decode(row, receiver.LIST_SIZE) for row in llr[~first_ok]]
+    assert np.array_equal(payloads[~first_ok], np.concatenate([p for p, _ in alone]))
+    assert np.array_equal(ok[~first_ok], np.concatenate([f for _, f in alone]))
+    for block, (p, f) in zip(blocks, got, strict=True):
+        p_alone, f_alone = polar_decode(block, code)
+        assert np.array_equal(p, p_alone) and np.array_equal(f, f_alone)
+    # words that pass at list size 1, words only LIST_SIZE recovers, and
+    # words neither does
+    assert first_ok.any() and (ok & ~first_ok).any() and (~ok).any()
+
+
 # ---- iterative decoding ------------------------------------------------------
 
 
@@ -772,37 +823,38 @@ def test_residual_energies_equal_the_residual_correlation(name, ka, trials):
 
 
 def test_later_pass_picks_again_an_atom_left_in_its_residual(monkeypatch):
-    # the polar decoder loses the last of two users in the first pass, so
+    # the polar decode of the first pass loses the last of two users, so
     # the second pass finds that user's atom above the floor in its
     # residual, and OMP picks it again.  The third pass picks nothing and
     # ends the frame.  The result is the reference receiver's, under the
-    # same fault
+    # same fault.  The fault is put on one pass's decode: the receiver's
+    # two-stage polar_decode, and the reference's list decode
     cfg, params = _reference_setup("m16")
     cfg = replace(cfg, Ka=2)
     y_bs, C = _uplink_block(cfg, params, 0)
     code = type(params.polar)
-    decode = code.decode
 
-    def losing_the_first_last_user():
+    def losing_the_first_last_user(decode):
         calls = []
 
-        def lossy(self, llr, list_size):
-            payload, ok = decode(self, llr, list_size)
-            calls.append(len(llr))
+        def lossy(*args):
+            payload, ok = decode(*args)
+            calls.append(len(ok))
             if len(calls) == 1:
-                assert len(llr) == 2
+                assert len(ok) == 2
                 ok = ok.copy()
                 ok[-1] = False
             return payload, ok
         return lossy
 
-    monkeypatch.setattr(code, "decode", losing_the_first_last_user())
+    monkeypatch.setattr(receiver, "polar_decode",
+                        losing_the_first_last_user(receiver.polar_decode))
     calls = _omp_calls(monkeypatch)
     [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
     assert [picks for _, picks in calls] == [2, 1, 0]
     assert sorted(c.tobytes() for c in C_hat) == sorted(c.tobytes() for c in C)
 
-    monkeypatch.setattr(code, "decode", losing_the_first_last_user())
+    monkeypatch.setattr(code, "decode", losing_the_first_last_user(code.decode))
     users, H_ref, res_ref = _iterative_decode_reference(
         _ReceivedFrame.from_uplink(y_bs, cfg), cfg, params)
     assert [u.c_hat.tobytes() for u in users] == [c.tobytes() for c in C_hat]
