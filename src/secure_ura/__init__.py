@@ -22,7 +22,7 @@ from .modulation import LLR_CLAMP, bpsk_map, clamp_llr
 from .params import PublicParams, generate_public_params
 from .polar import PolarCode, default_crc_poly, polar_transform
 from .pilots import atom_energies, omp_detect, omp_noise_floor
-from .receiver import (decode_frame, decode_keys_and_decrypt,
+from .receiver import (DecodedSplit, decode_frame, decode_keys_and_decrypt,
                        feature_noise_variances, iterative_decode, llr_parity,
                        llr_systematic, mmse_polar_llr, polar_decode)
 from .transmitter import index_to_bits, pilot_polar_rows, transmit

@@ -38,6 +38,7 @@ import errno
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,17 @@ class TrialReport:
     pupe: float
 
 
+class SentFrame(NamedTuple):
+    """One trial's frame as sent and received: the users' (Ka, B) messages,
+    their ciphertexts C (Ka, B) and keys S (Ka, S), the received (M, np + nc)
+    pilot+polar block y and, per split, the (M, ns - S) key segment y_k."""
+    messages: np.ndarray
+    C: np.ndarray
+    S: np.ndarray
+    y: np.ndarray
+    y_k: list[np.ndarray]
+
+
 @dataclass(frozen=True)
 class SweepResult:
     ka: int
@@ -100,17 +112,16 @@ def _stage(trial_ids: list[int], name: str):
 
 
 def _send_frame(cfg: SystemConfig, splits, trial_id: int, params: PublicParams):
-    """A trial's messages, their ciphertexts and its received frame:
-    (messages, C, y, y_k)."""
+    """A trial's SentFrame, sent at every (Pa, Pk) pair of splits."""
     with _stage([trial_id], "transmit"):
         h = complex_normal(stream(cfg.seed, "bs-channel", trial_id), (cfg.Ka, cfg.M))
         messages = random_bits(stream(cfg.seed, "messages", trial_id), (cfg.Ka, cfg.B))
         Y = feedback_observation(h, params.V, cfg.sigma_u2,
                                  stream(cfg.seed, "feedback-noise", trial_id))
-        X, X_k, C, _ = transmit(messages, Y, cfg, splits, params)
+        X, X_k, C, S = transmit(messages, Y, cfg, splits, params)
     with _stage([trial_id], "uplink"):
         y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2, stream(cfg.seed, "bs-noise", trial_id))
-    return messages, C, y, y_k
+    return SentFrame(messages, C, S, y, y_k)
 
 
 def _run_frames(cfg: SystemConfig, splits, trial_ids: list[int],
@@ -118,17 +129,15 @@ def _run_frames(cfg: SystemConfig, splits, trial_ids: list[int],
     """run_trial's batch; a receiver failure names every trial of the batch."""
     sent = [_send_frame(cfg, splits, t, params) for t in trial_ids]
     with _stage(trial_ids, "receiver"):
-        decoded = decode_frame([y for *_, y, _ in sent], [y_k for *_, y_k in sent],
-                               cfg, splits, params)
+        decoded = decode_frame([s.y for s in sent], [s.y_k for s in sent], cfg, splits, params)
 
     reports = []
-    for trial_id, (messages, *_), frame in zip(trial_ids, sent, decoded):
+    for trial_id, s, frame in zip(trial_ids, sent, decoded):
         n_errs = []
-        for _, _, W_hat, _, valid in frame:
-            recovered = {w.tobytes() for w in W_hat[valid]}
-            n_errs.append(sum(1 for u in range(cfg.Ka)
-                              if messages[u].tobytes() not in recovered))
-        n_detected = len(frame[0][0])        # C_hat, the same at every split
+        for d in frame:
+            recovered = {w.tobytes() for w in d.W_hat[d.valid]}
+            n_errs.append(sum(1 for m in s.messages if m.tobytes() not in recovered))
+        n_detected = len(frame[0].C_hat)     # the same at every split
         reports.append([TrialReport(trial_id=trial_id, n_detected=n_detected, n_err=n_err,
                                     pupe=n_err / cfg.Ka) for n_err in n_errs])
     return reports

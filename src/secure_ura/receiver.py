@@ -13,8 +13,7 @@ cancels the noise from the key segment, assembles systematic and parity
 LLRs, and reconciles the key through the LDPC decoder.
 
 The receiver reads the uplink blocks as they arrive and returns each
-frame's decoded users as aligned arrays, one row per CRC-passing user in
-decoding order: ciphertexts, keys, decrypted messages and per-user flags.
+frame's decoded users as one DecodedSplit per power split.
 It never reads the active-user count cfg.Ka (see pilots.omp_detect).  It
 decodes a batch of independent frames in lockstep: pilot detection, MMSE and
 SIC run per frame, but one two-stage polar decode per pass and one LDPC
@@ -25,6 +24,7 @@ segment, so only the mask cancellation and the parity LLRs are per split.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,22 @@ BP_ITERS = 50
 
 # numpy has no erfc ufunc; the standard library's keeps the package numpy-only
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+
+class DecodedSplit(NamedTuple):
+    """One frame's decoded users at one power split, one row per CRC-passing
+    user in decoding order.
+
+    C_hat (k, B) ciphertexts and valid (k,) are the same arrays at every
+    split of a frame.  valid[i] is False where user i's feedback estimate is
+    degenerate: its mask is not cancelled, its S_hat (k, S) and W_hat (k, B)
+    rows mean nothing, and converged[i] (k,), the LDPC flag, is False.
+    """
+    C_hat: np.ndarray
+    S_hat: np.ndarray
+    W_hat: np.ndarray
+    converged: np.ndarray
+    valid: np.ndarray
 
 
 def feature_noise_variances(cfg: SystemConfig, params: PublicParams) -> np.ndarray:
@@ -247,7 +263,7 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
 
 def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
                             y_ks: list[list[np.ndarray]], cfg: SystemConfig, splits,
-                            params: PublicParams) -> list[list[tuple[np.ndarray, ...]]]:
+                            params: PublicParams) -> list[list[DecodedSplit]]:
     """Recover every decoded user's key and decrypt its ciphertext, per frame
     of a batch and per split.
 
@@ -262,11 +278,7 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
     One LDPC decode covers every frame's and every split's words, which
     decode independently of each other.
 
-    Returns per frame one (S_hat, W_hat, converged, valid) tuple per split,
-    one row per row of C_hats[f].  valid[i] is False where user i's
-    estimate is degenerate: its mask is not cancelled, its S_hat and W_hat
-    rows mean nothing, and converged[i] is False.  valid is the same array
-    at each split.
+    Returns per frame one DecodedSplit per split, whose C_hat is C_hats[f].
     """
     sigma_uj2 = feature_noise_variances(cfg, params)
     blocks, valids = [], []
@@ -281,33 +293,31 @@ def decode_keys_and_decrypt(C_hats: list[np.ndarray], H_hats: list[np.ndarray],
         valids.append(valid)
 
     decoded = _decode_blocks(params.ldpc.decode, blocks, BP_ITERS)
-    return [[(S_hat, decrypt(C_hat, expand_key(S_hat, params.T)), converged & valid, valid)
+    return [[DecodedSplit(C_hat, S_hat, decrypt(C_hat, expand_key(S_hat, params.T)),
+                          converged & valid, valid)
              for S_hat, converged in [next(decoded) for _ in splits]]
             for C_hat, valid in zip(C_hats, valids, strict=True)]
 
 
 def decode_frame(ys: list[np.ndarray], y_ks: list[list[np.ndarray]],
                  cfg: SystemConfig, splits, params: PublicParams
-                 ) -> list[list[tuple[np.ndarray, ...]]]:
+                 ) -> list[list[DecodedSplit]]:
     """Run the complete receiver on a batch of frames, each sent at one or
     more power splits.
 
     ys[f] is frame f's (M, np + nc) pilot+polar block, the same at every
     split, and y_ks[f][i] its (M, ns - S) key segment at the (Pa, Pk) pair
-    splits[i].  The iterative stage and the key stage each run once for the
-    batch, the key stage over every split's key segment; it reads only the
-    decoded ciphertexts and channel estimates the iterative stage returns.
-    Returns per frame one (C_hat, S_hat, W_hat, converged, valid) tuple per
-    split, aligned row by row; C_hat and valid are the same arrays at each
-    split.  Each frame's outputs are those it gives when decoded alone.
+    splits[i]; a segment of another shape is a ValueError.  The iterative
+    stage and the key stage each run once for the batch, the key stage over
+    every split's key segment; it reads only the decoded ciphertexts and
+    channel estimates the iterative stage returns.  Returns per frame the
+    key stage's DecodedSplit per split.  Each frame's outputs are those it
+    gives when decoded alone.
     """
-    expected = [cfg.np + cfg.nc] + [cfg.key_parity_len] * len(splits)
+    expected = [(cfg.M, cfg.np + cfg.nc)] + [(cfg.M, cfg.key_parity_len)] * len(splits)
     for y, y_k in zip(ys, y_ks, strict=True):
-        widths = [y.shape[1]] + [b.shape[1] for b in y_k]
-        if widths != expected:
-            raise ValueError(f"frame segments have {widths} columns, expected {expected}")
-    decoded = iterative_decode(ys, cfg, params)
-    C_hats = [C_hat for C_hat, _ in decoded]
-    H_hats = [H_hat for _, H_hat in decoded]
-    keys = decode_keys_and_decrypt(C_hats, H_hats, y_ks, cfg, splits, params)
-    return [[(C_hat, *split) for split in splits] for C_hat, splits in zip(C_hats, keys)]
+        shapes = [y.shape] + [b.shape for b in y_k]
+        if shapes != expected:
+            raise ValueError(f"frame segments have shapes {shapes}, expected {expected}")
+    C_hats, H_hats = zip(*iterative_decode(ys, cfg, params))
+    return decode_keys_and_decrypt(C_hats, H_hats, y_ks, cfg, splits, params)

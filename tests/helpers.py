@@ -74,14 +74,15 @@ def uplink_frame(X, H, sigma2, rng, n_key):
 
 
 def decode_one(y_bs, cfg, params):
-    """decode_frame on one (M, frame_len) block received at cfg's own split."""
+    """decode_frame on one (M, frame_len) block received at cfg's own split:
+    returns its DecodedSplit."""
     n = cfg.np + cfg.nc
     return decode_frame([y_bs[:, :n]], [[y_bs[:, n:]]], cfg, own_split(cfg), params)[0][0]
 
 
 def decode_keys_one(C_hat, H_hat, y_k, cfg, params):
     """decode_keys_and_decrypt on one frame's key segment received at cfg's
-    own split: returns (S_hat, W_hat, converged, valid)."""
+    own split: returns its DecodedSplit."""
     return decode_keys_and_decrypt([C_hat], [H_hat], [[y_k]], cfg, own_split(cfg),
                                    params)[0][0]
 

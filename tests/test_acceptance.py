@@ -11,15 +11,12 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from secure_ura import (SystemConfig, decode_frame,
-                        feature_noise_variances, feedback_observation,
-                        generate_public_params,
-                        leakage_eigen, leakage_logdet, run_sweep, transmit,
-                        uplink)
+from secure_ura import (SystemConfig, decode_frame, feature_noise_variances,
+                        generate_public_params, leakage_eigen, leakage_logdet,
+                        run_sweep, transmit)
 from secure_ura.harness import (_check_crypto, _check_params_invariants,
-                                _check_standardize, emit_csv)
+                                _check_standardize, _send_frame, emit_csv)
 from secure_ura.receiver import BP_ITERS, LIST_SIZE
-from secure_ura.rng import complex_normal, random_bits, stream
 
 from helpers import make_mini_cfg, own_split
 
@@ -66,19 +63,13 @@ def test_criterion_3_noiseless_end_to_end_identity():
     cfg = SystemConfig(Ka=1, sigma_c2=1e-12, sigma_u2=1e-12, seed=33)
     params = generate_public_params(cfg)
     for trial in range(100):
-        h = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M))
-        w = random_bits(stream(cfg.seed, "messages", trial), (cfg.Ka, cfg.B))
-        Y = feedback_observation(h, params.V, cfg.sigma_u2,
-                                 stream(cfg.seed, "feedback-noise", trial))
-        X, X_k, _, S = transmit(w, Y, cfg, own_split(cfg), params)
-        y, y_k = uplink(X, X_k, h.T, cfg.sigma_c2,
-                        stream(cfg.seed, "bs-noise", trial))
-        [[(_, S_hat, W_hat, _, valid)]] = decode_frame([y], [y_k], cfg, own_split(cfg), params)
+        sent = _send_frame(cfg, own_split(cfg), trial, params)
+        [[d]] = decode_frame([sent.y], [sent.y_k], cfg, own_split(cfg), params)
         # PUPE = 0: the user's exact message is recovered (occasional CRC
         # false alarms add spurious entries but cost no message errors)
-        hits = valid & (W_hat == w[0]).all(axis=1)
+        hits = d.valid & (d.W_hat == sent.messages[0]).all(axis=1)
         assert hits.any()
-        assert (S_hat[hits] == S[0]).all(axis=1).any()
+        assert (d.S_hat[hits] == sent.S[0]).all(axis=1).any()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(3, f"100 near-noiseless trials: PUPE 0 and exact keys ({elapsed:.1f}s)")

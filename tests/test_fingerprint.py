@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
 import json
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from secure_ura import decode_frame, split_power_budget
+from secure_ura import DecodedSplit, TrialReport, decode_frame, split_power_budget
 from secure_ura.harness import _send_frame
 
-from helpers import load_tool, make_mini_cfg
+from helpers import load_tool, make_mini_cfg, own_split
 
 
 def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
@@ -18,7 +21,8 @@ def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
         return h.hexdigest()
 
     pairs = [split_power_budget(mini_cfg.key_budget, r) for r in (1.0, 7.0)]
-    _, _, y, y_k = _send_frame(mini_cfg, pairs, 0, mini_params)
+    sent = _send_frame(mini_cfg, pairs, 0, mini_params)
+    y, y_k = sent.y, sent.y_k
     splits = decode_frame([y], [y_k], mini_cfg, pairs, mini_params)[0]
     assert decode_hash(decode_frame([y], [y_k], mini_cfg, pairs, mini_params)[0]) == \
         decode_hash(splits)
@@ -28,9 +32,36 @@ def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
             for element in (0, -1):
                 changed = a.copy()
                 changed.reshape(-1)[element] ^= True
-                moved = [list(s) for s in splits]
-                moved[i][j] = changed
+                moved = list(splits)
+                moved[i] = split._replace(**{split._fields[j]: changed})
                 assert decode_hash(moved) != base, (i, j, element)
+
+
+def test_hash_reads_a_fixed_projection(mini_cfg, mini_params):
+    # a field a later change adds to DecodedSplit or TrialReport moves no
+    # hash; a change to a hashed report field still does
+    fingerprint = load_tool("fingerprint")
+
+    def digest(update, records):
+        h = hashlib.sha256()
+        update(h, records)
+        return h.hexdigest()
+
+    sent = _send_frame(mini_cfg, own_split(mini_cfg), 0, mini_params)
+    [splits] = decode_frame([sent.y], [sent.y_k], mini_cfg, own_split(mini_cfg), mini_params)
+    Wider = NamedTuple("Wider", [(f, np.ndarray) for f in (*DecodedSplit._fields, "extra")])
+    wider = [Wider(*d, np.ones(3)) for d in splits]
+    assert digest(fingerprint.update_decoded, wider) == \
+        digest(fingerprint.update_decoded, splits)
+
+    report = TrialReport(trial_id=4, n_detected=3, n_err=1, pupe=0.5)
+    WiderReport = dataclasses.make_dataclass("WiderReport", [("extra", int)],
+                                             bases=(TrialReport,))
+    wider_report = WiderReport(**dataclasses.asdict(report), extra=7)
+    assert digest(fingerprint.update_reports, [wider_report]) == \
+        digest(fingerprint.update_reports, [report])
+    assert digest(fingerprint.update_reports, [dataclasses.replace(report, n_err=2)]) != \
+        digest(fingerprint.update_reports, [report])
 
 
 def test_mini_digest_is_of_the_tests_mini_config():

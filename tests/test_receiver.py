@@ -871,7 +871,7 @@ def test_decode_frame_does_not_read_the_user_count():
         y_bs, _ = _uplink_block(cfg, params, trial)
         want = decode_one(y_bs, cfg, params)
         got = decode_one(y_bs, replace(cfg, Ka=1), params)
-        assert len(want[0]) == cfg.Ka
+        assert len(want.C_hat) == cfg.Ka
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
 
@@ -887,14 +887,15 @@ def test_frames_decoded_in_a_batch_equal_frames_decoded_alone(name, ka):
     cfg = replace(base, Ka=ka, seed=5)
     splits = [split_power_budget(base.key_budget, r) for r in (1.0, 7.0, float("inf"))]
     n_frames = max(4, frames_per_batch(cfg))
-    frames = [harness._send_frame(cfg, splits, t, params)[2:] for t in range(n_frames)]
+    sent = [harness._send_frame(cfg, splits, t, params) for t in range(n_frames)]
+    frames = [(s.y, s.y_k) for s in sent]
     noise = complex_normal(stream(5, "noise-frame"), (base.M, frame_len(base)), base.sigma_c2)
     n = base.np + base.nc
     frames.append((noise[:, :n], [noise[:, n:]] * len(splits)))
     batch = decode_frame([y for y, _ in frames], [y_k for _, y_k in frames], cfg, splits,
                          params)
     assert len(batch) == len(frames)
-    assert len(batch[-1][0][0]) == 0 and sum(len(f[0][0]) for f in batch) > 0
+    assert len(batch[-1][0].C_hat) == 0 and sum(len(f[0].C_hat) for f in batch) > 0
     for (y, y_k), got in zip(frames, batch):
         [want] = decode_frame([y], [y_k], cfg, splits, params)
         assert len(got) == len(want) == len(splits)
@@ -917,6 +918,14 @@ def test_decode_frame_rejects_bad_width(mini_cfg, mini_params):
     # in any frame of a batch
     with pytest.raises(ValueError, match="expected"):
         decode_frame([y, y], [[y_k], [y_k[:, 1:]]], mini_cfg, split, mini_params)
+    # a block or key segment with one antenna row too few or too many
+    for rows in (M - 1, M + 1):
+        with pytest.raises(ValueError, match="expected"):
+            decode_frame([np.zeros((rows, n), dtype=complex)], [[y_k]], mini_cfg, split,
+                         mini_params)
+        with pytest.raises(ValueError, match="expected"):
+            decode_frame([y], [[np.zeros((rows, n_key), dtype=complex)]], mini_cfg, split,
+                         mini_params)
 
 
 def test_decode_keys_noiseless_end_to_end(mini_cfg, mini_params, rng):
@@ -939,12 +948,11 @@ def test_decode_keys_nonconvergence_is_flagged(mini_cfg, mini_params):
     C_hat = gen.integers(0, 2, (1, mini_cfg.B), dtype=np.uint8)
     wrong = gen.integers(0, 2, mini_cfg.key_parity_len)
     y_k = np.outer(h, (1 - 2 * wrong) * np.sqrt(mini_cfg.Pk))
-    S_hat, W_hat, converged, valid = decode_keys_one(
-        C_hat, h[:, None], y_k, mini_cfg, mini_params)
-    assert valid[0]                          # best-effort decryption
-    assert W_hat.shape == (1, mini_cfg.B)
-    assert np.array_equal(W_hat[0], C_hat[0] ^ expand_key(S_hat[0], mini_params.T))
-    assert not converged[0]
+    got = decode_keys_one(C_hat, h[:, None], y_k, mini_cfg, mini_params)
+    assert got.valid[0]                      # best-effort decryption
+    assert got.W_hat.shape == (1, mini_cfg.B)
+    assert np.array_equal(got.W_hat[0], C_hat[0] ^ expand_key(got.S_hat[0], mini_params.T))
+    assert not got.converged[0]
 
 
 def _degenerate_pair(cfg, splits, params, rng):
@@ -967,12 +975,11 @@ def test_decode_keys_skips_degenerate_user(mini_cfg, mini_params, rng):
     # the degenerate user gets no key, and the other user is still decrypted
     C_hat, H_hat, (y_k,), w, S = _degenerate_pair(mini_cfg, own_split(mini_cfg),
                                                   mini_params, rng)
-    S_hat, W_hat, converged, valid = decode_keys_one(
-        C_hat, H_hat, y_k, mini_cfg, mini_params)
-    assert valid.tolist() == [True, False]
-    assert converged.tolist() == [True, False]
-    assert np.array_equal(S_hat[0], S[0])
-    assert np.array_equal(W_hat[0], w)
+    got = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
+    assert got.valid.tolist() == [True, False]
+    assert got.converged.tolist() == [True, False]
+    assert np.array_equal(got.S_hat[0], S[0])
+    assert np.array_equal(got.W_hat[0], w)
 
 
 def test_key_stage_at_several_splits_equals_one_split_each(mini_cfg, mini_params, rng):
@@ -988,7 +995,7 @@ def test_key_stage_at_several_splits_equals_one_split_each(mini_cfg, mini_params
         assert len(got) == len(splits)
         for rows, b, split in zip(got, y_k, splits):
             [[want]] = decode_keys_and_decrypt([C], [H], [[b]], mini_cfg, [split], mini_params)
-            assert rows[3].tolist() == [True, False][:len(C)]
+            assert rows.valid.tolist() == [True, False][:len(C)]
             for g, w in zip(rows, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -1125,8 +1132,8 @@ def _reference_setup(name):
 def _uplink_block(cfg, params, trial):
     """(uplink block, true ciphertexts) of run_trial's trial at cfg's own
     split, the block [pilot | polar | key] as one array."""
-    _, C, y, (y_k,) = harness._send_frame(cfg, own_split(cfg), trial, params)
-    return np.concatenate([y, y_k], axis=1), C
+    sent = harness._send_frame(cfg, own_split(cfg), trial, params)
+    return np.concatenate([sent.y, *sent.y_k], axis=1), sent.C
 
 
 def _assert_rows_match_reference(rows, users):
@@ -1172,7 +1179,7 @@ def test_decode_frame_matches_per_user_reference(name, ka, passes, trials):
         y_bs, _ = _uplink_block(cfg, params, trial)
         rows, (C_hat, H_hat), users, (_, H_ref, res_ref) = _run_both(y_bs, cfg, params)
         _assert_rows_match_reference(rows, users)
-        assert np.array_equal(C_hat, rows[0])
+        assert np.array_equal(C_hat, rows.C_hat)
         assert np.array_equal(H_hat, H_ref)
         if len(C_hat):
             assert np.array_equal(_residual(y_bs, C_hat, H_hat, cfg, params), res_ref)
@@ -1221,7 +1228,7 @@ def test_ls_fallback_matches_per_user_reference(refuse, monkeypatch):
     if refuse == "after-first":
         # every user is dropped: no rows, and no stale channel estimate
         assert len(C_hat) == 0 and H_hat.shape == (cfg.M, 0)
-        assert rows[1].shape == (0, cfg.S)
+        assert rows.S_hat.shape == (0, cfg.S)
     else:
         assert len(C_hat) > 0
         assert np.array_equal(_residual(y_bs, C_hat, H_hat, cfg, params), res_ref)
@@ -1259,7 +1266,7 @@ def test_degenerate_pair_matches_per_user_reference(mini_cfg, mini_params, rng):
     users = [_DetectedUser(pilot_index=-1, c_hat=c) for c in C_hat]
     users = _decode_keys_and_decrypt_reference(users, H_hat, frame, mini_cfg, mini_params)
     assert users[1].s_hat is None
-    _assert_rows_match_reference((C_hat, *got), users)
+    _assert_rows_match_reference(got, users)
 
 
 def test_wrong_key_bit_corrupts_matching_positions(mini_cfg, mini_params, rng):
@@ -1283,6 +1290,6 @@ def test_degenerate_row_is_never_converged(mini_cfg, mini_params, rng, monkeypat
                         (decode(self, llr, iters)[0], np.ones(len(llr), dtype=bool)))
     C_hat, H_hat, (y_k,), _, _ = _degenerate_pair(mini_cfg, own_split(mini_cfg),
                                                   mini_params, rng)
-    _, _, converged, valid = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
-    assert valid.tolist() == [True, False]
-    assert converged.tolist() == [True, False]
+    got = decode_keys_one(C_hat, H_hat, y_k, mini_cfg, mini_params)
+    assert got.valid.tolist() == [True, False]
+    assert got.converged.tolist() == [True, False]

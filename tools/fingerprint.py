@@ -22,9 +22,12 @@ Fields:
   digest_default,           PublicParams.digest() of the defaults, of M = E = 16
   digest_m16_seed2024,      at seed 2024 and of the tests' mini config (MINI_CFG)
   digest_mini
-  decode_frame              one hash over every split's decode_frame outputs
-                            and TrialReports (update_decoded, update_reports)
-                            for DECODE_SET, each frame run and decoded once
+  decode_frame              one hash over the DecodedSplits decode_frame
+                            returns and the TrialReports (update_decoded,
+                            update_reports) for DECODE_SET, each frame run and
+                            decoded once; it reads a fixed set of fields by
+                            name, so a field added to either record moves no
+                            hash
 
 The hashes are tied to the numpy/BLAS build; run with OPENBLAS_NUM_THREADS=1.
 The program is imported from this checkout's src/.
@@ -32,7 +35,6 @@ The program is imported from this checkout's src/.
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -64,18 +66,19 @@ DECODE_RATIOS = [1.0, 3.0, 7.0, float("inf")]
 
 
 def update_decoded(h, splits) -> None:
-    """Feed one frame's decode_frame outputs, a tuple of arrays per split, to
-    the hash h: each array's shape, dtype and bytes in order."""
-    for split in splits:
-        for a in split:
+    """Feed one frame's DecodedSplits to the hash h: the shape, dtype and
+    bytes of C_hat, S_hat, W_hat, converged and valid, in that order."""
+    for d in splits:
+        for a in (d.C_hat, d.S_hat, d.W_hat, d.converged, d.valid):
             h.update(f"{a.shape} {a.dtype}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
 
 
 def update_reports(h, reports) -> None:
-    """Feed a trial's TrialReports, one per split, to the hash h."""
+    """Feed a trial's TrialReports, one per split, to the hash h: the repr
+    of (trial_id, n_detected, n_err, pupe)."""
     for r in reports:
-        h.update(repr(dataclasses.astuple(r)).encode())
+        h.update(repr((r.trial_id, r.n_detected, r.n_err, r.pupe)).encode())
 
 
 def decode_hash() -> str:
