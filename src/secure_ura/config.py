@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .ldpc import COL_WEIGHT
-from .pilots import PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES, work_bytes
+from .pilots import PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES, work_terms
 
 
 class ConfigError(ValueError):
@@ -103,12 +103,16 @@ class SystemConfig:
                  f"column weight), got ns={self.ns}, S={self.S}")
         if self.Bp >= self.B:
             fail("Bp", f"must satisfy Bp < B, got Bp={self.Bp}, B={self.B}")
-        # 2^Bp past the cap is over it, checked before N is formed
-        if (self.Bp >= PILOT_WORK_CAP_BYTES.bit_length()
-                or work_bytes(self.Bp, self.np, self.M) > PILOT_WORK_CAP_BYTES):
-            fail("Bp", f"pilot detection over 2^{self.Bp} atoms of {self.np} symbols "
-                 f"exceeds the {PILOT_WORK_CAP_BYTES}-byte working-set cap (16 bytes "
-                 "per entry, see pilots.work_bytes)")
+        # 2^Bp past the cap is over it, checked before N is formed; any other
+        # overflow names the field of the largest term
+        terms = {"Bp": math.inf}
+        if self.Bp < PILOT_WORK_CAP_BYTES.bit_length():
+            terms = work_terms(self.Bp, self.np, self.M)
+        if sum(terms.values()) > PILOT_WORK_CAP_BYTES:
+            fail(max(terms, key=terms.get), f"pilot detection over 2^Bp = 2^{self.Bp} "
+                 f"atoms of np = {self.np} symbols at M = {self.M} antennas exceeds the "
+                 f"{PILOT_WORK_CAP_BYTES}-byte working-set cap (16 bytes per entry, "
+                 "see pilots.work_terms)")
         if self.Br > 30:
             fail("Br", f"must be <= 30, got {self.Br}")
         if self.nc & (self.nc - 1):

@@ -19,7 +19,10 @@ own.  No draw depends on the split, which changes only the key segment.  So
 a trial takes one config and its splits, and simulates one frame for all of
 them: one transmit, uplink and iterative receiver stage, a key segment per
 split, and one key stage whose LDPC decode covers every split's words.
-`run_point` is the one-split case.
+
+There is one function per level: `run_sweep` for a (Ka, split) grid,
+`run_trial` for a batch of trials and `zeta_means` for the bound.  A run
+(`run_point`) is the one-point sweep, at the config's own Ka and split.
 
 Nor does any draw depend on which trials are simulated together, so one
 `run_trial` call simulates a batch of trials: each frame is sent alone, and
@@ -124,25 +127,6 @@ def _send_frame(cfg: SystemConfig, splits, trial_id: int, params: PublicParams):
     return SentFrame(messages, C, S, y, y_k)
 
 
-def _run_frames(cfg: SystemConfig, splits, trial_ids: list[int],
-                params: PublicParams) -> list[list[TrialReport]]:
-    """run_trial's batch; a receiver failure names every trial of the batch."""
-    sent = [_send_frame(cfg, splits, t, params) for t in trial_ids]
-    with _stage(trial_ids, "receiver"):
-        decoded = decode_frame([s.y for s in sent], [s.y_k for s in sent], cfg, splits, params)
-
-    reports = []
-    for trial_id, s, frame in zip(trial_ids, sent, decoded):
-        n_errs = []
-        for d in frame:
-            recovered = {w.tobytes() for w in d.W_hat[d.valid]}
-            n_errs.append(sum(1 for m in s.messages if m.tobytes() not in recovered))
-        n_detected = len(frame[0].C_hat)     # the same at every split
-        reports.append([TrialReport(trial_id=trial_id, n_detected=n_detected, n_err=n_err,
-                                    pupe=n_err / cfg.Ka) for n_err in n_errs])
-    return reports
-
-
 def run_trial(cfg: SystemConfig, splits, trial_ids: list[int],
               params: PublicParams) -> list[list[TrialReport]]:
     """Simulate a batch of complete frames, one per trial id: feedback,
@@ -156,21 +140,33 @@ def run_trial(cfg: SystemConfig, splits, trial_ids: list[int],
     the trial gives alone.
 
     A failing trial raises TrialError naming the trial and the stage
-    (_stage).  When a batch fails, its frames are run again one at a time:
+    (_stage).  When a batch fails, run_trial runs each of its trials alone:
     every draw is keyed by its trial, so the rerun is exact, and the first
     trial that fails alone is named, as in a run of one trial at a time.
     If none does, the batch's own error is raised, naming all its trials:
     "trial 4, 5: receiver: <cause>".
     """
     try:
-        return _run_frames(cfg, splits, trial_ids, params)
-    except TrialError as exc:
-        if len(trial_ids) == 1:
-            raise
-        batch_error = exc
-    for t in trial_ids:
-        _run_frames(cfg, splits, [t], params)
-    raise batch_error
+        sent = [_send_frame(cfg, splits, t, params) for t in trial_ids]
+        with _stage(trial_ids, "receiver"):
+            decoded = decode_frame([s.y for s in sent], [s.y_k for s in sent],
+                                   cfg, splits, params)
+    except TrialError:
+        if len(trial_ids) > 1:
+            for t in trial_ids:
+                run_trial(cfg, splits, [t], params)
+        raise
+
+    reports = []
+    for trial_id, s, frame in zip(trial_ids, sent, decoded):
+        n_errs = []
+        for d in frame:
+            recovered = {w.tobytes() for w in d.W_hat[d.valid]}
+            n_errs.append(sum(1 for m in s.messages if m.tobytes() not in recovered))
+        n_detected = len(frame[0].C_hat)     # the same at every split
+        reports.append([TrialReport(trial_id=trial_id, n_detected=n_detected, n_err=n_err,
+                                    pupe=n_err / cfg.Ka) for n_err in n_errs])
+    return reports
 
 
 def split_power_budget(budget: float, ratio: float) -> tuple[float, float]:
@@ -230,45 +226,21 @@ def zeta_means(cfg: SystemConfig, splits, params: PublicParams) -> list[float]:
     return [float(np.mean(z)) for z in zip(*zetas)]
 
 
-def _run_splits(cfg: SystemConfig, splits, params: PublicParams,
-                zetas: list[float]) -> list[SweepResult]:
-    """Run cfg.trials frames, each at every (ratio, Pa, Pk) split, in batches
-    of frames_per_batch frames; aggregate per split, zetas holding the
-    splits' zeta_means.
-
-    The words bound lets crowded frames share the decoders' calls too; the
-    bytes bound keeps the blocks held at once small where M or np + nc is
-    large.
-    """
-    pairs = [(pa, pk) for _, pa, pk in splits]
-    trials = range(cfg.trials)
-    batch = frames_per_batch(cfg)
-    reports = [r for i in range(0, len(trials), batch)
-               for r in run_trial(cfg, pairs, list(trials[i:i + batch]), params)]
-    results = []
-    for i, ((ratio, pa, pk), zeta) in enumerate(zip(splits, zetas)):
-        pupes = np.array([r[i].pupe for r in reports])
-        stderr = float(pupes.std(ddof=1) / np.sqrt(len(pupes))) if len(pupes) > 1 else 0.0
-        results.append(SweepResult(ka=cfg.Ka, ratio=ratio, pa=pa, pk=pk,
-                                   trials=cfg.trials, pupe_mean=float(pupes.mean()),
-                                   pupe_stderr=stderr, zeta_lower_mean=zeta, seed=cfg.seed))
-    return results
-
-
 def run_point(cfg: SystemConfig) -> SweepResult:
-    """Run cfg.trials trials at one grid point, at cfg's own split, and aggregate."""
-    splits, params = power_splits(cfg, None), generate_public_params(cfg)
-    return _run_splits(cfg, splits, params, zeta_means(cfg, splits, params))[0]
+    """Run cfg.trials trials at cfg's own Ka and split: the one-point sweep."""
+    return run_sweep(cfg, [cfg.Ka], None, cfg.trials)[0]
 
 
 def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
               trials: int, progress=None) -> list[SweepResult]:
-    """Grid over user counts and Pa/Pk splits of the fixed power budget.
+    """Grid over user counts and Pa/Pk splits of the fixed power budget;
+    ratio_list None is the config's own split (power_splits).
 
-    Walked Ka-major: a trial's frame serves every split of its Ka, and the
-    bound's zeta_means serve every Ka.  Every split and every Ka's config
-    is built, and so validated, before the shared artifacts, so an invalid
-    entry anywhere in the grid is reported before any work is done.
+    Walked Ka-major: each Ka runs `trials` frames in batches of
+    frames_per_batch frames, every frame at every split, and the bound's
+    zeta_means serve every Ka.  Every split and every Ka's config is built,
+    and so validated, before the shared artifacts, so an invalid entry
+    anywhere in the grid is reported before any work is done.
     """
     base_cfg = replace(base_cfg, trials=trials)
     splits = power_splits(base_cfg, ratio_list)
@@ -279,9 +251,18 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
     # the whole grid
     params = generate_public_params(base_cfg)
     zetas = zeta_means(base_cfg, splits, params)
+    pairs, ids = [(pa, pk) for _, pa, pk in splits], range(trials)
     results = []
     for cfg in cfgs:
-        for res in _run_splits(cfg, splits, params, zetas):
+        batch = frames_per_batch(cfg)
+        reports = [r for i in range(0, trials, batch)
+                   for r in run_trial(cfg, pairs, list(ids[i:i + batch]), params)]
+        for (ratio, pa, pk), zeta, split_reports in zip(splits, zetas, zip(*reports)):
+            pupes = np.array([r.pupe for r in split_reports])
+            stderr = float(pupes.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+            res = SweepResult(ka=cfg.Ka, ratio=ratio, pa=pa, pk=pk, trials=trials,
+                              pupe_mean=float(pupes.mean()), pupe_stderr=stderr,
+                              zeta_lower_mean=zeta, seed=cfg.seed)
             results.append(res)
             if progress is not None:
                 progress(res)

@@ -14,7 +14,7 @@ one row, with their frequency differences; then OMP's picked rows, at most
 (np, np), with their antenna vectors, (np, M), and the picked rows formed
 for its final fit with their conjugates, at most two (np, np) arrays.
 work_bytes counts them; configurations over PILOT_WORK_CAP_BYTES are
-rejected up front.
+rejected up front, naming the field of the largest term (work_terms).
 """
 
 import math
@@ -42,12 +42,18 @@ def fft_len(Bp: int, n_obs: int) -> int:
     return 1 << max(Bp, (n_obs - 1).bit_length())
 
 
+def work_terms(Bp: int, n_obs: int, M: int) -> dict[str, int]:
+    """work_bytes's terms, 16 bytes an entry, by the field that sizes them:
+    Bp the PILOT_FFT_VECTORS N-vectors, np two (np, np) arrays and a Gram
+    block with its indices (8 + 8 bytes an entry), M two (np, M) arrays."""
+    return {"Bp": 16 * PILOT_FFT_VECTORS * fft_len(Bp, n_obs),
+            "np": 16 * (2 * n_obs * n_obs + max(n_obs, PILOT_GRAM_BLOCK)),
+            "M": 16 * 2 * n_obs * M}
+
+
 def work_bytes(Bp: int, n_obs: int, M: int) -> int:
-    """Bytes pilot detection holds per frame at most, in 16-byte units:
-    PILOT_FFT_VECTORS N-vectors, two (np, np) arrays, two (np, M) ones and
-    a Gram block with its indices, 8 + 8 bytes an entry."""
-    return 16 * (PILOT_FFT_VECTORS * fft_len(Bp, n_obs) + 2 * n_obs * (n_obs + M)
-                 + max(n_obs, PILOT_GRAM_BLOCK))
+    """Bytes pilot detection holds per frame at most (work_terms)."""
+    return sum(work_terms(Bp, n_obs, M).values())
 
 
 @dataclass(frozen=True)

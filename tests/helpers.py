@@ -47,6 +47,34 @@ def fail_bound_at(monkeypatch, cfg, trial):
     monkeypatch.setattr(harness, "leakage_report", failing)
 
 
+def fail_receiver_at(monkeypatch, cfg, trial):
+    """Make receiver.mmse_polar_llr raise FloatingPointError("non-positive
+    MMSE error term") on the received block of cfg's trial, marked as
+    harness.uplink returns it.  Returns (bad, seen): every block of the
+    trial, and the block of each polar-segment MMSE call."""
+    from secure_ura import harness, receiver
+    from secure_ura.rng import complex_normal, stream
+    h_bad = complex_normal(stream(cfg.seed, "bs-channel", trial), (cfg.Ka, cfg.M)).T
+    bad, seen = [], []
+    uplink, mmse = harness.uplink, receiver.mmse_polar_llr
+
+    def marking(X, X_k, H, sigma2, rng):
+        y, y_k = uplink(X, X_k, H, sigma2, rng)
+        if np.array_equal(H, h_bad):
+            bad.append(y)
+        return y, y_k
+
+    def failing(Y_d, *args):
+        seen.append(Y_d)
+        if any(np.shares_memory(Y_d, y) for y in bad):
+            raise FloatingPointError("non-positive MMSE error term")
+        return mmse(Y_d, *args)
+
+    monkeypatch.setattr(harness, "uplink", marking)
+    monkeypatch.setattr(receiver, "mmse_polar_llr", failing)
+    return bad, seen
+
+
 def frame_len(cfg):
     """Channel uses of a frame at one split: pilot, polar and key segments."""
     return cfg.np + cfg.nc + cfg.key_parity_len

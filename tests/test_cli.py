@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from secure_ura import harness, load_config, run_leakage, run_sweep
 from secure_ura.cli import build_parser, main
 from secure_ura.harness import LEAKAGE_CSV_HEADER, write_csv
 
-from helpers import fail_bound_at
+from helpers import fail_bound_at, fail_receiver_at
 
 MINI = """
 M = 8
@@ -281,6 +282,22 @@ def test_trial_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("trial error: trial 0: transmit: user 0: sample variance ")
+
+
+def test_batch_failure_prints_one_line(mini_file, tmp_path, capsys, monkeypatch):
+    # the receiver fails on trial 2's frame alone, inside a batch of all four
+    # frames: the run exits 4 with the one line trial 2 gives alone, and
+    # writes no CSV
+    cfg = replace(load_config(mini_file), trials=4)
+    assert harness.frames_per_batch(cfg) >= cfg.trials
+    bad, _ = fail_receiver_at(monkeypatch, cfg, 2)
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", mini_file, "--trials", "4", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == \
+        ["trial error: trial 2: receiver: non-positive MMSE error term"]
+    assert len(bad) == 2 and not out.exists()
 
 
 def test_leakage_trial_error_exit_code(mini_file, capsys, monkeypatch):

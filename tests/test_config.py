@@ -154,6 +154,8 @@ def test_short_feedback_rejected(tmp_path):
     (dict(Bp=23), "Bp"),                  # 16 (8 x 2^23 + 200 (400 + 50)) bytes > 1 GiB
     (dict(ns=42), "ns"),                  # ns - S below the LDPC column weight
     (dict(Pp=0.0, Pc=0.0), "Pc"),         # no pilot or polar power: nothing detectable
+    (dict(M=10**6), "^M:"),               # the two (np, M) arrays are 6.4 GB
+    (dict(np=5763), "^np:"),              # the two (np, np) arrays are over 1 GiB
 ])
 def test_constructor_validation(overrides, field):
     with pytest.raises(ConfigError, match=field):

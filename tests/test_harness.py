@@ -9,7 +9,7 @@ from secure_ura import (ConfigError, SystemConfig, TrialError, emit_csv,
                         selftest, split_power_budget)
 from secure_ura.harness import CSV_HEADER, frames_per_batch, power_splits
 
-from helpers import fail_bound_at, make_mini_cfg, own_split
+from helpers import fail_bound_at, fail_receiver_at, make_mini_cfg, own_split
 
 
 def _trial_key(report):
@@ -175,30 +175,9 @@ def test_failure_inside_a_batch_names_its_own_trial(monkeypatch):
     # the receiver fails on the frame of trial 6, the third of a batch of
     # four: the batch fails as a whole, and the trials run again one at a
     # time find trial 6 (trials 4 and 5 decode, trial 7 is not run again)
-    from secure_ura import harness, receiver
-    from secure_ura.rng import complex_normal, stream
     cfg = make_mini_cfg(Ka=1)
     params = generate_public_params(cfg)
-    h_bad = complex_normal(stream(cfg.seed, "bs-channel", 6), (cfg.Ka, cfg.M)).T
-    bad = []                                     # trial 6's received blocks
-    uplink, mmse = harness.uplink, receiver.mmse_polar_llr
-
-    def marking(X, X_k, H, sigma2, rng):
-        y, y_k = uplink(X, X_k, H, sigma2, rng)
-        if np.array_equal(H, h_bad):
-            bad.append(y)
-        return y, y_k
-
-    seen = []                                    # the block of each polar-segment MMSE call
-
-    def failing(Y_d, *args):
-        seen.append(Y_d)
-        if any(np.shares_memory(Y_d, y) for y in bad):
-            raise FloatingPointError("non-positive MMSE error term")
-        return mmse(Y_d, *args)
-
-    monkeypatch.setattr(harness, "uplink", marking)
-    monkeypatch.setattr(receiver, "mmse_polar_llr", failing)
+    bad, seen = fail_receiver_at(monkeypatch, cfg, 6)
     with pytest.raises(TrialError, match=r"^trial 6: receiver: non-positive MMSE"):
         run_trial(cfg, own_split(cfg), [4, 5, 6, 7], params)
     # one batch pass over trials 4, 5 and 6, then 4, 5 and 6 alone
