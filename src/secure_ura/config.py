@@ -10,6 +10,7 @@ artificial-noise powers 0.15 each (a 0.3 key budget) and a 0.6 downlink.
 import math
 import os
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from .ldpc import COL_WEIGHT
 from .pilots import PILOT_POWER_RANGE, PILOT_WORK_CAP_BYTES, work_terms
@@ -75,14 +76,18 @@ class SystemConfig:
             raise ConfigError(f"{field}: {constraint}")
 
         # every int field but the seed is a count; every float field is a
-        # power (>= 0) or, named sigma_*, a noise variance (> 0)
+        # power (>= 0) or, named sigma_*, a noise variance (> 0); a bool is
+        # neither, though Python counts it as an int
         kinds = fields(self)
         for f in kinds:
             v = getattr(self, f.name)
-            if f.type is int and f.name != "seed" and (not isinstance(v, int) or v < 1):
+            if f.type is int and f.name != "seed" and (
+                    isinstance(v, bool) or not isinstance(v, int) or v < 1):
                 fail(f.name, f"must be a positive integer, got {v!r}")
         for f in kinds:
             v, noise = getattr(self, f.name), f.name.startswith("sigma")
+            if f.type is float and (isinstance(v, bool) or not isinstance(v, Real)):
+                fail(f.name, f"must be a real number, got {v!r}")
             if f.type is float and (not math.isfinite(v) or v < 0 or noise and v == 0):
                 fail(f.name, f"must be finite and {'>' if noise else '>='} 0, got {v!r}")
         if self.Pp == 0 and self.Pc == 0:
@@ -120,7 +125,8 @@ class SystemConfig:
         if self.polar_info_bits > self.nc:
             fail("nc", "must satisfy B - Bp + Br <= nc, got "
                  f"{self.polar_info_bits} > {self.nc}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < (1 << 64)):
             fail("seed", f"must be an unsigned 64-bit integer, got {self.seed!r}")
 
 

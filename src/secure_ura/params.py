@@ -74,6 +74,5 @@ def generate_public_params(cfg: SystemConfig) -> PublicParams:
 
     T = random_bits(rng, (cfg.S, cfg.B))
 
-    polar = PolarCode.design(cfg.nc, cfg.polar_info_bits, cfg.Br,
-                             design_snr=cfg.Pc / cfg.sigma_c2)
+    polar = PolarCode.design(cfg.nc, cfg.polar_info_bits, cfg.Br)
     return PublicParams(V=V, P=P, C1=C1, C2=C2, T=T, ldpc=ldpc, polar=polar)

@@ -1,8 +1,10 @@
 """CRC-aided polar code with successive cancellation list decoding.
 
-Frozen-set design uses Gaussian-approximation density evolution seeded with
-the BPSK channel LLR mean 4 * snr.  The phi-function inverse is evaluated by
-log-domain bisection, which stays finite for arbitrarily high design SNR.
+The frozen set is fixed by the block length and the information length
+alone: the information positions are the synthetic channels of largest
+polarization weight (He et al., "beta-expansion: a theoretical framework for
+fast and recursive construction of polar codes", GLOBECOM 2017), an order
+that depends on no channel parameter, so one code serves every SNR.
 
 The list decoder works on per-depth buffers (O(N) memory per path) and is
 vectorized over both the list dimension and a batch of independent decodes.
@@ -82,68 +84,20 @@ def _crc_matrix(poly: int, width: int, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-approximation density evolution
+# Frozen-set design
 # ---------------------------------------------------------------------------
 
 
-def _log_phi(m: np.ndarray) -> np.ndarray:
-    """log of the GA phi function, stable for any positive mean."""
-    m = np.asarray(m, dtype=np.float64)
-    small = m <= 10.0
-    ms = np.where(small, m, 1.0)
-    out_small = np.minimum(-0.4527 * ms ** 0.86 + 0.0218, 0.0)
-    mb = np.where(small, 11.0, m)
-    out_big = 0.5 * (np.log(np.pi) - np.log(mb)) - mb / 4.0 + np.log1p(-10.0 / (7.0 * mb))
-    return np.where(small, out_small, out_big)
-
-
-def _phi_inv(target_log: np.ndarray, hi: float) -> np.ndarray:
-    """Inverse of phi via bisection on the log scale (vectorized): 0 where
-    the target is >= 0, NaN where it is NaN.
-
-    Up to 120 halvings; a step that moves no bound leaves the state of every
-    later step the same, so the loop stops there."""
-    target_log = np.asarray(target_log, dtype=np.float64)
-    lo = np.zeros_like(target_log)
-    # a target that is not negative starts, and so stays, at [0, 0]
-    hi = np.where(target_log < 0.0, hi, 0.0)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        too_reliable = _log_phi(mid) < target_log
-        new_hi = np.where(too_reliable, mid, hi)
-        new_lo = np.where(too_reliable, lo, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return np.where(np.isnan(target_log), np.nan, 0.5 * (lo + hi))
-
-
-def ga_reliabilities(block_len: int, design_snr: float) -> np.ndarray:
-    """Mean bit-channel LLR of every synthetic channel, natural index order."""
-    n = block_len.bit_length() - 1
-    if 1 << n != block_len:
+def polarization_weights(block_len: int) -> np.ndarray:
+    """Polarization weight of every synthetic channel, natural index order:
+    the sum of 2^(j/4) over the set bits j of its index, a reliability
+    order that holds the universal partial order of synthetic channels and
+    reads no channel parameter."""
+    if block_len < 1 or block_len & (block_len - 1):
         raise ValueError(f"block length {block_len} is not a power of two")
-    m = np.array([4.0 * design_snr])
-    for _ in range(n):
-        logphi = _log_phi(m)
-        phi = np.exp(logphi)
-        # phi_f = phi * (2 - phi), evaluated in the log domain
-        log_target = logphi + np.log(2.0 - phi)
-        hi = float(max(100.0, 8.0 * m.max() + 100.0))
-        mf = _phi_inv(log_target, hi)
-        mg = 2.0 * m
-        nxt = np.empty(2 * m.size)
-        nxt[0::2] = mf
-        nxt[1::2] = mg
-        m = nxt
-    return m
-
-
-def design_info_set(block_len: int, n_info: int, design_snr: float) -> np.ndarray:
-    """Indices of the n_info most reliable synthetic channels, sorted."""
-    rel = ga_reliabilities(block_len, design_snr)
-    order = np.argsort(rel, kind="stable")
-    return np.sort(order[-n_info:])
+    idx = np.arange(block_len)
+    return sum((((idx >> j) & 1) * 2 ** (j / 4) for j in range(block_len.bit_length() - 1)),
+               np.zeros(block_len))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +169,14 @@ class PolarCode:
         object.__setattr__(self, "_ops", _schedule(~np.isin(np.arange(self.N), self.info_pos)))
 
     @classmethod
-    def design(cls, block_len: int, n_info: int, crc_width: int,
-               design_snr: float) -> "PolarCode":
+    def design(cls, block_len: int, n_info: int, crc_width: int) -> "PolarCode":
+        """The code whose information positions are the n_info channels of
+        largest polarization weight."""
         if n_info > block_len:
             raise ValueError(f"cannot place {n_info} information bits in {block_len}")
         if n_info <= crc_width:
             raise ValueError(f"payload must exceed the {crc_width}-bit CRC")
-        info = design_info_set(block_len, n_info, design_snr)
+        info = np.sort(np.argsort(polarization_weights(block_len), kind="stable")[-n_info:])
         return cls(N=block_len, K=n_info, crc_poly=default_crc_poly(crc_width), info_pos=info)
 
     @property

@@ -231,13 +231,11 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
         live = []
         for (f, pilots, _), (payloads, ok) in zip(found, decoded):
             C_pass = np.concatenate([index_to_bits(pilots, cfg.Bp), payloads], axis=1)
-            known = {c.tobytes() for c in f.C_hat}   # a user the LS fallback dropped may return
-            new = []
-            for i in np.flatnonzero(ok):
-                tag = C_pass[i].tobytes()
-                if tag not in known:
-                    known.add(tag)
-                    new.append(i)
+            # words already decoded are skipped (one the LS fallback dropped
+            # may return); a pass picks distinct atoms, so its own words
+            # differ in their first Bp bits
+            known = {c.tobytes() for c in f.C_hat}
+            new = [i for i in np.flatnonzero(ok) if C_pass[i].tobytes() not in known]
             if not new:
                 continue
             C_hat = np.concatenate([f.C_hat, C_pass[new]])

@@ -1,12 +1,12 @@
 """Shared test utilities."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from secure_ura import (SystemConfig, decode_frame, decode_keys_and_decrypt, transmit,
-                        uplink)
+from secure_ura import decode_frame, decode_keys_and_decrypt, transmit, uplink
 
 
 def load_tool(name):
@@ -18,12 +18,13 @@ def load_tool(name):
     return module
 
 
+_MINI_CFG = load_tool("fingerprint").MINI_CFG
+
+
 def make_mini_cfg(**overrides):
-    """Small dimensions that keep end-to-end runs in the millisecond range."""
-    base = dict(M=8, E=8, Ka=2, L=8, np=32, nc=64, ns=16, B=30, Bp=5, Br=11,
-                S=8, sigma_c2=1e-9, sigma_u2=1e-9, trials=3, seed=7)
-    base.update(overrides)
-    return SystemConfig(**base)
+    """The fingerprint's MINI_CFG, small dimensions that keep end-to-end runs
+    in the millisecond range, with overrides."""
+    return dataclasses.replace(_MINI_CFG, **overrides)
 
 
 def own_split(cfg):

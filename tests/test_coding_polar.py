@@ -1,24 +1,25 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from secure_ura import PolarCode, bpsk_map, default_crc_poly, polar_transform
+from secure_ura import (PolarCode, SystemConfig, bpsk_map, default_crc_poly,
+                        generate_public_params, polar_transform)
 from secure_ura.modulation import clamp_llr
-from secure_ura import polar
-from secure_ura.polar import _CRC_POLYS, _f_llr, _log_phi, _schedule
+from secure_ura.polar import _CRC_POLYS, _f_llr, _schedule, polarization_weights
 
-from helpers import frozen_mask, sc_decode_reference
+from helpers import frozen_mask, make_mini_cfg, sc_decode_reference
 
 
 @pytest.fixture(scope="module")
 def small_code():
-    return PolarCode.design(64, 24, 11, design_snr=0.3)
+    return PolarCode.design(64, 24, 11)
 
 
 @pytest.fixture(scope="module")
 def big_code():
-    return PolarCode.design(512, 99, 11, design_snr=0.3)
+    return PolarCode.design(512, 99, 11)
 
 
 # The codeword-length syndrome check that decode's CRC flag replaced, kept
@@ -74,39 +75,48 @@ def _crc_flag(code, words):
     return ok
 
 
-# The fixed 120-step bisection that _phi_inv stops early, kept verbatim as the
-# reference for its output.
-
-def _phi_inv_reference(target_log, hi):
-    target_log = np.asarray(target_log, dtype=np.float64)
-    lo = np.zeros_like(target_log)
-    hi_arr = np.full_like(target_log, hi)
-    out = np.where(target_log >= 0.0, 0.0, np.nan)
-    todo = target_log < 0.0
-    lo = lo[todo]
-    hi_v = hi_arr[todo]
-    t = target_log[todo]
-    for _ in range(120):
-        mid = 0.5 * (lo + hi_v)
-        too_reliable = _log_phi(mid) < t
-        hi_v = np.where(too_reliable, mid, hi_v)
-        lo = np.where(too_reliable, lo, mid)
-    out[todo] = 0.5 * (lo + hi_v)
-    return out
-
-
-@pytest.mark.parametrize("block_len,design_snr", [
-    (512, 0.3), (512, 3e8), (64, 3e8), (512, 1.0), (1024, 0.01)])
-def test_reliabilities_equal_the_full_bisection(monkeypatch, block_len, design_snr):
-    got = polar.ga_reliabilities(block_len, design_snr)
-    monkeypatch.setattr(polar, "_phi_inv", _phi_inv_reference)
-    want = polar.ga_reliabilities(block_len, design_snr)
-    assert got.tobytes() == want.tobytes()
-
-
 def test_transform_is_involution(rng):
     u = rng.integers(0, 2, (10, 128), dtype=np.uint8)
     assert np.array_equal(polar_transform(polar_transform(u)), u)
+
+
+# SHA-256 of the int64 bytes of info_pos of the codes the repository ships:
+# the defaults' (512, 99), CI's Br = 6 config's (512, 94) and the mini
+# config's (64, 36)
+SHIPPED_INFO_POS = {
+    "default": "a9dde2986d0ef25df1ee65d897620b413aa499ad36a4e3facca1f0c11bfe750f",
+    "br6": "6b984c828110623b4475a63a8a3204fbb21d9aed31fc9f154d03d6ad9cf8f800",
+    "mini": "24112f96523cb12cc418b5684a99c88efa1c1b61c085d740d690e287ead4bcbc",
+}
+
+
+@pytest.mark.parametrize("name,cfg", [("default", SystemConfig()),
+                                      ("br6", SystemConfig(Br=6)),
+                                      ("mini", make_mini_cfg())])
+def test_shipped_frozen_sets_are_pinned(name, cfg):
+    info_pos = generate_public_params(cfg).polar.info_pos.astype(np.int64)
+    assert hashlib.sha256(info_pos.tobytes()).hexdigest() == SHIPPED_INFO_POS[name]
+
+
+@pytest.mark.parametrize("N", [1, 2, 64, 512, 1024])
+def test_polarization_weights_are_a_reliability_order(N):
+    w = polarization_weights(N)
+    assert isinstance(w, np.ndarray) and w.shape == (N,)
+    idx = np.arange(N)
+    n = N.bit_length() - 1
+    for j in range(n):
+        clear = idx[(idx >> j) & 1 == 0]
+        assert np.all(w[clear | 1 << j] > w[clear])          # setting a bit
+        for k in range(j + 1, n):
+            up = idx[((idx >> j) & 1 == 1) & ((idx >> k) & 1 == 0)]
+            assert np.all(w[up ^ (1 << j) ^ (1 << k)] > w[up])    # moving a bit up
+    assert np.argmax(w) == N - 1 and np.argmin(w) == 0
+
+
+@pytest.mark.parametrize("N", [0, 3, 6, 100, 513])
+def test_polarization_weights_reject_other_lengths(N):
+    with pytest.raises(ValueError, match="not a power of two"):
+        polarization_weights(N)
 
 
 def test_design_sanity(big_code):
@@ -189,7 +199,7 @@ def test_crc_detects_single_and_double_errors(big_code, rng):
 
 @pytest.mark.parametrize("width", sorted(_CRC_POLYS) + [1, 2, 6, 30])
 def test_crc_flag_matches_codeword_syndrome(width):
-    code = PolarCode.design(64, width + 20, width, design_snr=0.3)
+    code = PolarCode.design(64, width + 20, width)
     rng = np.random.default_rng(width)
     K = code.K
     payload = rng.integers(0, 2, code.payload_bits, dtype=np.uint8)
@@ -341,7 +351,7 @@ def test_decode_matches_eager_reference(which, list_size, small_code, big_code):
 def test_decode_matches_eager_reference_when_list_exceeds_words():
     # K = 3 information bits: 2^K = 8 words, so a list of 16 keeps
     # placeholder paths to the end of the eager decoder
-    code = PolarCode.design(16, 3, 2, design_snr=0.3)
+    code = PolarCode.design(16, 3, 2)
     rng = np.random.default_rng(77)
     llr = np.clip(rng.normal(0.0, 3.0, (200, 16)), -40, 40)
     llr[:20] = 0.0

@@ -156,6 +156,9 @@ def test_short_feedback_rejected(tmp_path):
     (dict(Pp=0.0, Pc=0.0), "Pc"),         # no pilot or polar power: nothing detectable
     (dict(M=10**6), "^M:"),               # the two (np, M) arrays are 6.4 GB
     (dict(np=5763), "^np:"),              # the two (np, np) arrays are over 1 GiB
+    (dict(Pp="0.3"), "^Pp:"),             # not a real number
+    (dict(sigma_c2=None), "^sigma_c2:"),
+    (dict(M=True), "^M:"),                # a bool is not a count
 ])
 def test_constructor_validation(overrides, field):
     with pytest.raises(ConfigError, match=field):

@@ -9,7 +9,7 @@ import pytest
 from secure_ura import DecodedSplit, TrialReport, decode_frame, split_power_budget
 from secure_ura.harness import _send_frame
 
-from helpers import load_tool, make_mini_cfg, own_split
+from helpers import load_tool, own_split
 
 
 def test_decode_hash_sees_every_output_element(mini_cfg, mini_params):
@@ -62,10 +62,6 @@ def test_hash_reads_a_fixed_projection(mini_cfg, mini_params):
         digest(fingerprint.update_reports, [report])
     assert digest(fingerprint.update_reports, [dataclasses.replace(report, n_err=2)]) != \
         digest(fingerprint.update_reports, [report])
-
-
-def test_mini_digest_is_of_the_tests_mini_config():
-    assert load_tool("fingerprint").MINI_CFG == make_mini_cfg()
 
 
 _NOW = {"golden": "a1", "digest": "b2"}

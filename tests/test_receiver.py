@@ -185,6 +185,7 @@ def test_omp_matches_recomputing_reference_at_full_scale():
             want = _omp_reference(Y, dense, floor)
             got = omp_detect(Y, P, floor)
             _assert_same_detections(got, want)
+            assert len({i for i, _ in got}) == len(got)    # no atom is picked twice
             steps += len(got)
     assert steps > 1000
 

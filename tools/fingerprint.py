@@ -52,7 +52,7 @@ from secure_ura import (SystemConfig, generate_public_params, harness,  # noqa: 
                         run_trial, split_power_budget)
 from secure_ura.cli import main as cli_main  # noqa: E402
 
-#: the tests' mini config (tests/helpers.make_mini_cfg(), a test checks they agree)
+#: the tests' mini config, which tests/helpers.make_mini_cfg(**overrides) varies
 MINI_CFG = SystemConfig(M=8, E=8, Ka=2, L=8, np=32, nc=64, ns=16, B=30, Bp=5, Br=11,
                         S=8, sigma_c2=1e-9, sigma_u2=1e-9, trials=3, seed=7)
 
