@@ -206,10 +206,11 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     The frames run in lockstep: in each pass, OMP and MMSE run per frame,
     one polar_decode covers every frame's LLR rows, so its two decoder
     calls each take the rows of every frame at once, and LS/SIC runs per
-    frame; a frame leaves when it has nothing new.  Each frame's outputs
-    are those it gives alone.  Every pass runs OMP on its frame's residual,
-    which it forms from the last SIC's fit and which does not outlive the
-    pass, at one floor per frame, set from its received pilot block
+    frame; a frame leaves when its decoded set stops growing, and every
+    frame after cfg.max_outer_iters passes.  Each frame's outputs are those
+    it gives alone.  Every pass runs OMP on its frame's residual, which it
+    forms from the last SIC's fit and which does not outlive the pass, at
+    one floor per frame, set from its received pilot block
     (pilots.omp_frame_floor).
     """
     floor = omp_noise_floor(cfg.M, len(params.P), cfg.sigma_c2, cfg.np * cfg.Pp)
@@ -242,7 +243,9 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
             X = np.concatenate([f.X, pilot_polar_rows(C_pass[new], cfg, params)])
 
             # least-squares re-estimation over the whole decoded set, then
-            # SIC; a singular Gram matrix drops the newest user
+            # SIC; a singular Gram matrix drops the newest user.  A frame
+            # stays live only while its set grows: an unchanged set would
+            # repeat this pass
             while len(C_hat):
                 G = X @ X.conj().T
                 try:
@@ -250,10 +253,9 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
                     break
                 except np.linalg.LinAlgError:
                     C_hat, X = C_hat[:-1], X[:-1]
-            f.C_hat = C_hat
-            if len(C_hat):
-                f.X = X
+            if len(C_hat) > len(f.C_hat):
                 live.append(f)
+            f.C_hat, f.X = C_hat, X
 
     # an emptied set keeps no stale estimate
     return [(f.C_hat, f.H_hat[:, :len(f.C_hat)]) for f in frames]

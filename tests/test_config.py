@@ -69,6 +69,14 @@ def test_unknown_key_reports_line(tmp_path):
     path.write_text("omp_batch = 4\n")  # not a setting: OMP picks up to 2 * Ka atoms
     with pytest.raises(ConfigError, match=r":1: unknown key 'omp_batch'"):
         load_config(path)
+    # the polar list size is a receiver constant, and the CLI refuses the key
+    # before it writes anything
+    path.write_text("M = 8\nE = 8\nlist_size = 8\n")
+    with pytest.raises(ConfigError, match=r":3: unknown key 'list_size'"):
+        load_config(path)
+    out = tmp_path / "knob.csv"
+    assert main(["run", "--config", str(path), "--trials", "2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_duplicate_key_reports_both_lines(tmp_path):

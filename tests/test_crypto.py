@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from secure_ura import decrypt, encrypt, expand_key
+from secure_ura import decrypt, encrypt, expand_key, harness
+from secure_ura.ldpc import _gf2_rref
 
 
 def test_zero_key_expands_to_zero(rng):
@@ -64,3 +67,21 @@ def test_wrong_key_bit_flips_matching_keystream_positions(rng):
     s_bad[3] ^= 1
     w_bad = decrypt(c, expand_key(s_bad, T))
     assert np.array_equal(w_bad != w, T[3].astype(bool))
+
+
+def test_ciphertext_reveals_the_keystream_null_space(full_cfg, full_params,
+                                                     mini_cfg, mini_params):
+    # the key expands through the (S, B) matrix T, so for any n with T n = 0
+    # (mod 2) the ciphertext gives c.n = w.n whatever the key: only S of a
+    # message's B bits can be hidden.  N spans the B - S dimensional null space
+    for cfg, params in [(replace(full_cfg, Ka=25), full_params), (mini_cfg, mini_params)]:
+        R, pivots = _gf2_rref(params.T)
+        free = [j for j in range(cfg.B) if j not in pivots]
+        N = np.zeros((cfg.B, len(free)), dtype=np.int64)
+        N[free, range(len(free))] = 1
+        N[pivots] = R[:len(pivots), free]
+        assert not (params.T.astype(np.int64) @ N % 2).any()
+        assert len(pivots) == cfg.S and N.shape[1] == cfg.B - cfg.S > 0
+        for trial in range(3):
+            sent = harness._send_frame(cfg, [(cfg.Pa, cfg.Pk)], trial, params)
+            assert np.array_equal(sent.C @ N % 2, sent.messages @ N % 2)

@@ -1235,6 +1235,38 @@ def test_ls_fallback_matches_per_user_reference(refuse, monkeypatch):
         assert np.array_equal(_residual(y_bs, C_hat, H_hat, cfg, params), res_ref)
 
 
+def test_frame_stops_when_its_decoded_set_does_not_grow(monkeypatch):
+    # with odd-size LS systems refused, the first pass keeps 24 of 25 users
+    # and the second re-decodes the dropped one only to drop it again: the
+    # set is unchanged, so a third pass would repeat the second.  The frame
+    # stops there with the reference's outputs, which run every pass
+    cfg, params = _reference_setup("m16")
+    cfg = SystemConfig(**{**vars(cfg), "Ka": 25})
+    solve, detect = np.linalg.solve, receiver.omp_detect
+    passes = []
+
+    def refuse_odd_sizes(a, b):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in ("iterative_decode", "_iterative_decode_reference") and a.shape[0] % 2:
+            raise np.linalg.LinAlgError("refused")
+        return solve(a, b)
+
+    def counted_detect(*args):
+        passes.append(None)
+        return detect(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse_odd_sizes)
+    monkeypatch.setattr(receiver, "omp_detect", counted_detect)
+    y_bs, _ = _uplink_block(cfg, params, 0)
+    [(C_hat, H_hat)] = iterative_decode([y_bs], cfg, params)
+    assert len(passes) <= 3 < cfg.max_outer_iters
+    users, H_ref, _ = _iterative_decode_reference(_ReceivedFrame.from_uplink(y_bs, cfg),
+                                                  cfg, params)
+    assert len(C_hat) == len(users) == cfg.Ka - 1
+    assert np.array_equal(C_hat, [u.c_hat for u in users])
+    assert np.array_equal(H_hat, H_ref)
+
+
 def test_user_dropped_by_ls_fallback_is_decoded_again(monkeypatch):
     # one refused LS solve drops the newest of the 25 users decoded in the
     # first pass; OMP and the polar decoder find it again in a later pass,
