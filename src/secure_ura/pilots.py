@@ -94,6 +94,10 @@ class PartialDft:
         j = np.asarray(range(self.count)[idx] if isinstance(idx, slice) else idx)
         if np.any((j < 0) | (j >= self.count)):
             raise IndexError(f"pilot index outside the {self.count}-row codebook")
+        return self._rows(j)
+
+    def _rows(self, j):
+        """The rows at valid indices j, an int or an array of them."""
         return self.twiddles[np.multiply.outer(j, self.freqs) & (len(self.twiddles) - 1)]
 
 
@@ -190,12 +194,13 @@ def omp_detect(Y: np.ndarray, P: PartialDft, noise_floor: float) -> list[tuple[i
     the residual's correlation R P^H, r = q P^H, so
         e_j <- e_j - 2 Re(conj(r_j) (w P^H)_j) + |r_j|^2 ||u||^2,
     where w = u^H R = u^H Y - (U u^*) Q.  Both products with the codebook,
-    of q and of w, come from one codebook_products call.  The picked rows'
-    buffers grow by doubling, so a call that picks few atoms allocates
-    little.
+    of q and of w, come from one codebook_products call, and the update is
+    formed in two preallocated buffers.  The picked rows' buffers grow by
+    doubling, so a call that picks few atoms allocates little.
     """
     M, n_obs = Y.shape
     energy = atom_energies(Y, P)
+    t1, t2 = np.empty_like(energy), np.empty_like(energy)
 
     selected = []
     Q = np.empty((0, n_obs), dtype=np.complex128)
@@ -204,7 +209,7 @@ def omp_detect(Y: np.ndarray, P: PartialDft, noise_floor: float) -> list[tuple[i
         j = int(np.argmax(energy))
         if energy[j] <= noise_floor:
             break
-        p = P[j]
+        p = P._rows(j)
         q = p - (Q[:k] @ p.conj()).conj() @ Q[:k]
         q = q - (Q[:k] @ q.conj()).conj() @ Q[:k]   # re-orthogonalize
         nq = np.linalg.norm(q)
@@ -214,8 +219,13 @@ def omp_detect(Y: np.ndarray, P: PartialDft, noise_floor: float) -> list[tuple[i
         u = Y @ q.conj()                         # (M,)
         uh = u.conj()
         r, wp = codebook_products(np.stack([q, uh @ Y - (U[:k] @ uh) @ Q[:k]]), P)
-        energy -= 2.0 * (r.real * wp.real + r.imag * wp.imag)
-        energy += float(np.vdot(u, u).real) * (r.real ** 2 + r.imag ** 2)
+        # energy -= 2 (Re r Re wp + Im r Im wp); energy += ||u||^2 |r|^2
+        np.add(np.multiply(r.real, wp.real, out=t1), np.multiply(r.imag, wp.imag, out=t2), out=t1)
+        t1 *= 2.0
+        energy -= t1
+        np.add(np.square(r.real, out=t1), np.square(r.imag, out=t2), out=t1)
+        t1 *= float(np.vdot(u, u).real)
+        energy += t1
         energy[j] = -np.inf                      # a picked atom is never picked again
         if k == len(Q):
             Q, U = _grown(Q, n_obs), _grown(U, n_obs)

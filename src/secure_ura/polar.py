@@ -6,11 +6,25 @@ polarization weight (He et al., "beta-expansion: a theoretical framework for
 fast and recursive construction of polar codes", GLOBECOM 2017), an order
 that depends on no channel parameter, so one code serves every SNR.
 
+A code decodes on one of two schedules, both built once per code.  List
+size 1 is plain successive cancellation on a pruned schedule (_sc_schedule;
+Alamdar-Yazdi and Kschischang, IEEE Commun. Lett. 2011; Sarkis et al.,
+IEEE JSAC 2014): a rate-0 node writes zeros, a repetition node folds its
+LLRs pairwise with the additions of its g steps and repeats the sign bit of
+the sum, and a rate-1 node takes the hard decision of its LLRs; other nodes,
+single-parity-check ones included, run f, g and c op by op.  The rate-1
+shortcut is exact only where no f value inside the node is 0, so a guard
+(_hard_decision_is_sc) runs the node op by op for the batch where an exact
+zero or a float32 f chain that underflows could make one.  A leaf decides
+l < 0.  The list decoder's leaf instead compares path metrics, pm + penalty,
+so at list size 1 the two differ only where a nonzero leaf LLR is lost in
+the rounding of the path metric; that decoder, on the full schedule
+(_schedule), serves list sizes >= 2.
+
 The list decoder works on per-depth buffers (O(N) memory per path) and is
 vectorized over both the list dimension and a batch of independent decodes.
 Check-side LLR combining uses the exact tanh rule and path metrics are the
-exact log-domain penalties, so list size 1 reproduces plain successive
-cancellation.
+exact log-domain penalties.
 
 Path bookkeeping follows the lazy copying of Tal and Vardy ("List decoding
 of polar codes", IEEE Trans. IT 2015): a leaf that reorders the list does
@@ -105,18 +119,35 @@ def polarization_weights(block_len: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def polar_transform(u: np.ndarray) -> np.ndarray:
-    """Self-inverse GF(2) polar transform over the last axis (batched)."""
-    x = np.array(u, dtype=np.uint8, copy=True)
+def _xor_stages(x: np.ndarray) -> np.ndarray:
+    """The butterfly stages x[j] ^= x[j + w], w = 1, 2, 4, ..., of the polar
+    transform over the last axis of x, in place."""
     N = x.shape[-1]
-    if N & (N - 1):
-        raise ValueError(f"transform length {N} is not a power of two")
     w = 1
     while w < N:
         v = x.reshape(x.shape[:-1] + (N // (2 * w), 2, w))
         v[..., 0, :] ^= v[..., 1, :]
         w *= 2
     return x
+
+
+#: the transform of every 8-bit block, packed as np.packbits packs it
+_BYTE_TRANSFORM = np.packbits(
+    _xor_stages(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)), axis=1)[:, 0]
+
+
+def polar_transform(u: np.ndarray) -> np.ndarray:
+    """Self-inverse GF(2) polar transform of 0/1 bits over the last axis
+    (batched).  From length 8 up the bits are packed 8 to a byte: one table
+    lookup makes the three stages within a byte, and the others xor whole
+    bytes."""
+    x = np.asarray(u, dtype=np.uint8)
+    N = x.shape[-1]
+    if N & (N - 1):
+        raise ValueError(f"transform length {N} is not a power of two")
+    if N < 8:
+        return _xor_stages(x.copy())
+    return np.unpackbits(_xor_stages(_BYTE_TRANSFORM[np.packbits(x, axis=-1)]), axis=-1)
 
 
 def _schedule(frozen: np.ndarray) -> tuple:
@@ -147,10 +178,57 @@ def _schedule(frozen: np.ndarray) -> tuple:
     return tuple(ops)
 
 
+def _sc_schedule(frozen: np.ndarray) -> tuple:
+    """Plain-SC schedule over a frozen mask: (op, depth, first bit) ops.
+
+    A node is one op when its frozen pattern fixes its codeword by a single
+    rule: 'zero' (every bit frozen), 'one' (rate 1: no bit frozen, a lone
+    information leaf included) or 'rep' (repetition: only its last bit is
+    information).  Any other node splits by f, g and c, as in _schedule.
+    """
+    n = len(frozen).bit_length() - 1
+    ops = []
+
+    def visit(depth, base):
+        span = frozen[base:base + (1 << (n - depth))]
+        if span.all():
+            ops.append(("zero", depth, base))
+        elif not span.any():
+            ops.append(("one", depth, base))
+        elif span[:-1].all():
+            ops.append(("rep", depth, base))
+        else:
+            ops.append(("f", depth, base))
+            visit(depth + 1, base)
+            ops.append(("g", depth, base))
+            visit(depth + 1, base + len(span) // 2)
+            ops.append(("c", depth, base))
+
+    visit(0, 0)
+    return tuple(ops)
+
+
 def _f_llr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = np.tanh(0.5 * a) * np.tanh(0.5 * b)
-    np.clip(t, -0.999999, 0.999999, out=t)
-    return 2.0 * np.arctanh(t)
+    t = np.tanh(0.5 * a)
+    t *= np.tanh(0.5 * b)
+    np.maximum(t, -0.999999, out=t)
+    np.minimum(t, 0.999999, out=t)
+    np.arctanh(t, out=t)
+    t *= 2.0
+    return t
+
+
+def _hard_decision_is_sc(x: np.ndarray) -> bool:
+    """Whether successive cancellation of a rate-1 node with (batch, width)
+    LLRs x decides their hard decision on every row.
+
+    It does when no f value inside the node is 0.  Each is, in the tanh
+    domain, at least the product of tanh(|x|/2) over the node, so a product
+    above 1e-30 rules out both an exact-zero LLR and a float32 f chain that
+    underflows.  An exact zero would break it: SC decides (0, -1) as (1, 1),
+    the hard decision is (0, 1).
+    """
+    return np.prod(np.tanh(0.5 * np.abs(x, dtype=np.float64)), axis=1).min() > 1e-30
 
 
 @dataclass(frozen=True)
@@ -162,11 +240,14 @@ class PolarCode:
     # derived from the design once per code
     _crc_gen: np.ndarray = field(init=False, repr=False)  # (payload_bits, width) float32
     _ops: tuple = field(init=False, repr=False)           # (op, arg) schedule, see _schedule
+    _sc_ops: tuple = field(init=False, repr=False)        # list-1 schedule, see _sc_schedule
 
     def __post_init__(self):
         gen = _crc_matrix(self.crc_poly, self.crc_width, self.payload_bits)
         object.__setattr__(self, "_crc_gen", gen.astype(np.float32))
-        object.__setattr__(self, "_ops", _schedule(~np.isin(np.arange(self.N), self.info_pos)))
+        frozen = ~np.isin(np.arange(self.N), self.info_pos)
+        object.__setattr__(self, "_ops", _schedule(frozen))
+        object.__setattr__(self, "_sc_ops", _sc_schedule(frozen))
 
     @classmethod
     def design(cls, block_len: int, n_info: int, crc_width: int) -> "PolarCode":
@@ -211,7 +292,8 @@ class PolarCode:
         A 1-D vector is a batch of one.  Returns (payload, crc_ok), one row
         and one flag per word.  crc_ok is True where some list path
         passed the CRC; the payload is then the most likely passing path,
-        otherwise the most likely path overall.
+        otherwise the most likely path overall.  List size 1 is plain
+        successive cancellation, decoded by _sc_decode.
         """
         # decoded in float32; clamping after the cast gives the values of
         # clamping before it, as rounding is monotone and +-LLR_CLAMP is
@@ -225,6 +307,8 @@ class PolarCode:
         Lsz = int(list_size)
         if Lsz < 1:
             raise ValueError("list size must be >= 1")
+        if Lsz == 1:
+            return self._best_path(self._sc_decode(chan)[:, None], np.zeros((batch, 1)))
 
         # Per-depth state: llrs[d], the codewords ucap[d] and the stashed
         # left-child outputs uleft[d], each (batch, live paths, 2^(n-d)).
@@ -281,9 +365,53 @@ class PolarCode:
                     perm = np.zeros((n + 1, batch, Lsz), dtype=ident.dtype)
                 ucap[n] = (order // width).astype(np.uint8)[:, :, None]
                 width = grown
+        return self._best_path(ucap[0], pm)
 
+    def _sc_decode(self, chan: np.ndarray) -> np.ndarray:
+        """Plain successive cancellation of (batch, N) float32 channel LLRs
+        on the pruned schedule _sc_ops; returns the (batch, N) codewords.
+
+        A leaf decides l < 0.  A zero node writes zeros, a repetition node
+        folds its LLRs pairwise (the g steps over its frozen left children)
+        and repeats the sign bit of the sum, and a rate-1 node takes the
+        hard decision of its LLRs where _hard_decision_is_sc allows it for
+        the whole batch, and otherwise splits into f, two rate-1 children,
+        g and c.  Each node's codeword bits are written into one buffer, in
+        place: c at a node xors its right half into its left.
+        """
+        n = self.N.bit_length() - 1
+        llrs = [chan] + [None] * n
+        beta = np.empty(chan.shape, dtype=np.uint8)
+        todo = list(reversed(self._sc_ops))
+        while todo:
+            op, d, i = todo.pop()
+            x = llrs[d]
+            w = x.shape[1] // 2
+            if op == "f":
+                llrs[d + 1] = _f_llr(x[:, :w], x[:, w:])
+            elif op == "g":
+                llrs[d + 1] = x[:, w:] + (1.0 - 2.0 * beta[:, i:i + w].astype(np.float32)) * x[:, :w]
+            elif op == "c":
+                beta[:, i:i + w] ^= beta[:, i + w:i + 2 * w]
+            elif op == "zero":
+                beta[:, i:i + x.shape[1]] = 0
+            elif op == "rep":
+                while x.shape[1] > 1:
+                    x = x[:, x.shape[1] // 2:] + x[:, :x.shape[1] // 2]
+                beta[:, i:i + 2 * w] = x < 0
+            elif w and not _hard_decision_is_sc(x):     # rate 1, op by op
+                todo += [("c", d, i), ("one", d + 1, i + w), ("g", d, i),
+                         ("one", d + 1, i), ("f", d, i)]
+            else:                                       # rate 1, or a leaf
+                beta[:, i:i + x.shape[1]] = x < 0
+        return beta
+
+    def _best_path(self, paths: np.ndarray, pm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """decode's (payload, crc_ok) from the (batch, width, N) codewords
+        of the list paths and their (batch, width) path metrics."""
+        batch = len(paths)
         # recover message bits per path (the transform is self-inverse)
-        u_all = polar_transform(ucap[0])
+        u_all = polar_transform(paths)
         words = u_all[:, :, self.info_pos]                # (batch, width, K)
         P = self.payload_bits
         ok = np.all(self._crc(words[..., :P]) == words[..., P:], axis=-1)  # (batch, width)

@@ -4,8 +4,10 @@ The iterative stage alternates greedy pilot detection (multiple-measurement
 OMP over the codebook, see pilots), MMSE soft demodulation plus CRC-aided
 polar decoding, and least-squares channel re-estimation with successive
 interference cancellation over the pilot+polar segments.  The polar decode
-is adaptive (polar_decode): plain successive cancellation first, the full
-list only for the words that fail the CRC.
+is adaptive (polar_decode): plain successive cancellation first, on the
+code's pruned schedule (rate-0, rate-1 and repetition nodes decided whole,
+a rate-1 node only where its guard allows, leaves deciding l < 0; see
+polar), then the full list only for the words that fail the CRC.
 Every pass detects on its own residual.  The key stage forms every decoded
 user's feedback estimate from its channel estimate, derives the features
 and artificial noise from it with the user's own key code (`keys`),

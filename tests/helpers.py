@@ -124,7 +124,8 @@ def frozen_mask(code):
 
 
 def sc_decode_reference(llr, frozen):
-    """Plain successive cancellation, recursive float64 reference."""
+    """Plain successive cancellation, recursive reference in the dtype of
+    llr: float64, or float32 for the decoder's own arithmetic."""
     N = len(llr)
     if N == 1:
         if frozen[0]:
@@ -135,7 +136,7 @@ def sc_decode_reference(llr, frozen):
     t = np.tanh(0.5 * llr[:half]) * np.tanh(0.5 * llr[half:])
     f = 2.0 * np.arctanh(np.clip(t, -0.999999, 0.999999))
     u_left, c_left = sc_decode_reference(f, frozen[:half])
-    g = llr[half:] + (1.0 - 2.0 * c_left.astype(np.float64)) * llr[:half]
+    g = llr[half:] + (1.0 - 2.0 * c_left.astype(llr.dtype)) * llr[:half]
     u_right, c_right = sc_decode_reference(g, frozen[half:])
     return (np.concatenate([u_left, u_right]),
             np.concatenate([c_left ^ c_right, c_right]))

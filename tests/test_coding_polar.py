@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from secure_ura import (PolarCode, SystemConfig, bpsk_map, default_crc_poly,
                         generate_public_params, polar_transform)
 from secure_ura.modulation import clamp_llr
-from secure_ura.polar import _CRC_POLYS, _f_llr, _schedule, polarization_weights
+from secure_ura.polar import (_CRC_POLYS, _f_llr, _hard_decision_is_sc, _schedule,
+                              polarization_weights)
 
 from helpers import frozen_mask, make_mini_cfg, sc_decode_reference
 
@@ -78,6 +80,19 @@ def _crc_flag(code, words):
 def test_transform_is_involution(rng):
     u = rng.integers(0, 2, (10, 128), dtype=np.uint8)
     assert np.array_equal(polar_transform(polar_transform(u)), u)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64, 512])
+def test_transform_is_the_kronecker_power(N, rng):
+    # x = u F^(kron n) mod 2, F = [[1, 0], [1, 1]], on batched bits, whether
+    # or not the length reaches the packed form's 8
+    G = np.ones((1, 1), dtype=np.int64)
+    while len(G) < N:
+        G = np.kron(G, np.array([[1, 0], [1, 1]]))
+    u = rng.integers(0, 2, (3, 2, N), dtype=np.uint8)
+    x = polar_transform(u)
+    assert x.dtype == np.uint8 and x.shape == u.shape
+    assert np.array_equal(x, u @ G % 2)
 
 
 # SHA-256 of the int64 bytes of info_pos of the codes the repository ships:
@@ -383,6 +398,105 @@ def test_batch_decodes_as_each_word_alone(list_size, small_code, big_code):
         for p in pay:
             assert any(np.array_equal(p, g) for g in got[got_ok])
         assert 0 < got_ok.sum() < len(llr)
+
+
+def test_list_one_schedule_decides_each_information_bit_once(small_code, big_code):
+    # every node of the list-1 schedule that decides bits is a rate-1 node
+    # (all its bits) or a repetition node (its last bit); zero nodes decide
+    # none, and the three kinds tile the block
+    for code in (small_code, big_code):
+        frozen = frozen_mask(code)
+        decided, tiles = [], []
+        for op, d, i in code._sc_ops:
+            span = frozen[i:i + (code.N >> d)]
+            if op in ("zero", "one", "rep"):
+                tiles.append((i, len(span)))
+            if op == "zero":
+                assert span.all()
+            elif op == "one":
+                assert not span.any()
+                decided += range(i, i + len(span))
+            elif op == "rep":
+                assert span[:-1].all() and not span[-1]
+                decided.append(i + len(span) - 1)
+        assert decided == code.info_pos.tolist()
+        assert [i for i, _ in tiles] == np.cumsum([0] + [w for _, w in tiles])[:-1].tolist()
+        assert sum(w for _, w in tiles) == code.N
+    counts = Counter(op for op, *_ in big_code._sc_ops)
+    assert counts == {"f": 44, "g": 44, "c": 44, "rep": 21, "one": 18, "zero": 6}
+
+
+def _last_node_width(code):
+    """Width of the last node of code's list-1 schedule, a rate-1 node."""
+    op, d, _ = [o for o in code._sc_ops if o[0] != "c"][-1]
+    assert op == "one"
+    return code.N >> d
+
+
+def _last_node_llrs(code, tail):
+    """(batch, N) LLRs, zero but for tail on the last node of code's list-1
+    schedule: the g steps on its path add exact zeros to them, so the node
+    decodes tail itself."""
+    assert tail.shape[1] == _last_node_width(code)
+    return np.concatenate([np.zeros((len(tail), code.N - tail.shape[1])), tail], axis=1)
+
+
+def _float32_sc(code, llr):
+    """Plain SC, leaves deciding l < 0, in the decoder's float32, op by op."""
+    chan = clamp_llr(np.atleast_2d(llr).astype(np.float32))
+    u = np.array([sc_decode_reference(row, frozen_mask(code))[0] for row in chan])
+    words = u[:, code.info_pos]
+    return words[:, :code.payload_bits], _crc_check_reference(code, words)
+
+
+@pytest.mark.parametrize("kind", ["exact-zero", "underflow"])
+@pytest.mark.parametrize("which", ["small", "big"])
+def test_list_one_matches_eager_reference_where_hard_decision_is_not_sc(
+        which, kind, small_code, big_code):
+    # a rate-1 node whose span holds an exact zero, or two LLRs +-1e-23
+    # whose f underflows in float32, is not decided by its hard decision:
+    # the node runs op by op.  In the underflow words the other LLRs come in
+    # equal pairs, so that every leaf below the node reads an exact zero or
+    # an LLR far from it, where the eager decoder's path-metric leaf decides
+    # as l < 0 does
+    code = small_code if which == "small" else big_code
+    rng = np.random.default_rng(7000 + code.N)
+    W = _last_node_width(code)
+    if kind == "exact-zero":
+        tail = rng.normal(0.0, 3.0, (200, W))
+        tail[np.arange(200), rng.integers(0, W, 200)] = 0.0
+    else:
+        tail = np.repeat(rng.uniform(2.0, 6.0, (200, W // 2))
+                         * rng.choice([-1.0, 1.0], (200, W // 2)), 2, axis=1)
+        tail[:, 0] = 1e-23 * rng.choice([-1.0, 1.0], 200)
+        tail[:, 1] = -tail[:, 0]
+    llr = _last_node_llrs(code, tail)
+    assert not any(_hard_decision_is_sc(row[None].astype(np.float32)) for row in tail)
+    got, got_ok = code.decode(llr, 1)
+    want, want_ok = _decode_reference(code, llr, 1)
+    assert np.array_equal(got, want) and np.array_equal(got_ok, want_ok)
+
+
+@pytest.mark.parametrize("which", ["small", "big"])
+def test_list_one_is_float32_plain_sc(which, small_code, big_code):
+    # noisy words, and words whose last rate-1 node holds LLRs +-a with
+    # tanh(a/2)^width about 1e-50, so that its float32 f chain underflows
+    # to zero at the first leaf; each decoded whole and word by word.  The
+    # eager decoder is no oracle for the latter: leaves below the node read
+    # LLRs so small that its path metric rounds them away and decides 0
+    code = small_code if which == "small" else big_code
+    rng = np.random.default_rng(7100 + code.N)
+    W = _last_node_width(code)
+    tiny = 2.0 * 1e-50 ** (1.0 / W) * rng.choice([-1.0, 1.0], (40, W))
+    llr = np.concatenate([_last_node_llrs(code, tiny),
+                          _reference_llrs(code, rng, 20, 0.3),
+                          _reference_llrs(code, rng, 20, 1.0)])
+    want = _float32_sc(code, llr)
+    for got in (code.decode(llr, 1), code.decode(llr[:40], 1)):
+        assert all(np.array_equal(g, w[:len(g)]) for g, w in zip(got, want))
+    alone = [code.decode(row, 1) for row in llr[::3]]
+    assert np.array_equal(np.concatenate([p for p, _ in alone]), want[0][::3])
+    assert np.array_equal(np.concatenate([ok for _, ok in alone]), want[1][::3])
 
 
 def test_decode_memory_per_word(big_code):
