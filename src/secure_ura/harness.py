@@ -376,10 +376,12 @@ def _check_ldpc(cfg: SystemConfig, params: PublicParams) -> None:
 def _check_polar(cfg: SystemConfig, params: PublicParams) -> None:
     rng = np.random.default_rng(1)
     pay = rng.integers(0, 2, (50, params.polar.payload_bits), dtype=np.uint8)
-    cw = params.polar.encode(pay)
-    dec, ok = params.polar.decode(np.where(cw == 0, 40.0, -40.0), LIST_SIZE)
-    _require(np.array_equal(dec, pay) and ok.all(),
-             "polar decoding of noiseless codewords does not return the payloads")
+    llr = np.where(params.polar.encode(pay) == 0, 40.0, -40.0)
+    # the receiver decodes at list size 1 and retries at LIST_SIZE
+    for list_size in (1, LIST_SIZE):
+        dec, ok = params.polar.decode(llr, list_size)
+        _require(np.array_equal(dec, pay) and ok.all(),
+                 f"list-{list_size} decoding of noiseless codewords does not return the payloads")
 
 
 def _check_crypto(cfg: SystemConfig, params: PublicParams) -> None:

@@ -6,20 +6,25 @@ polarization weight (He et al., "beta-expansion: a theoretical framework for
 fast and recursive construction of polar codes", GLOBECOM 2017), an order
 that depends on no channel parameter, so one code serves every SNR.
 
-A code decodes on one of two schedules, both built once per code.  List
-size 1 is plain successive cancellation on a pruned schedule (_sc_schedule;
-Alamdar-Yazdi and Kschischang, IEEE Commun. Lett. 2011; Sarkis et al.,
-IEEE JSAC 2014): a rate-0 node writes zeros, a repetition node folds its
-LLRs pairwise with the additions of its g steps and repeats the sign bit of
-the sum, and a rate-1 node takes the hard decision of its LLRs; other nodes,
-single-parity-check ones included, run f, g and c op by op.  The rate-1
-shortcut is exact only where no f value inside the node is 0, so a guard
-(_hard_decision_is_sc) runs the node op by op for the batch where an exact
-zero or a float32 f chain that underflows could make one.  A leaf decides
-l < 0.  The list decoder's leaf instead compares path metrics, pm + penalty,
-so at list size 1 the two differ only where a nonzero leaf LLR is lost in
-the rounding of the path metric; that decoder, on the full schedule
-(_schedule), serves list sizes >= 2.
+A code builds one decoding schedule (_schedule; Alamdar-Yazdi and
+Kschischang, IEEE Commun. Lett. 2011; Sarkis et al., IEEE JSAC 2014), and
+both decoders walk it.  A node is one op where its frozen pattern fixes its
+codeword by a single rule: rate 0, rate 1, or repetition (only its last bit
+is information); any other node, single-parity-check ones included, splits
+into f, its two children, g and c.  One rule (_split) splits a rate-1 or
+repetition node the same way, for the decoder that cannot take it whole.
+
+List size 1 is plain successive cancellation (_sc_decode): a rate-0 node
+writes zeros, a repetition node folds its LLRs pairwise with the additions
+of its g steps and repeats the sign bit of the sum, and a rate-1 node takes
+the hard decision of its LLRs.  The rate-1 shortcut is exact only where no
+f value inside the node is 0, so a guard (_hard_decision_is_sc) splits the
+node for the batch where an exact zero or a float32 f chain that underflows
+could make one.  A leaf decides l < 0.  List sizes >= 2 split every rate-1
+and repetition node down to its information leaves, where the list decoder
+instead compares path metrics, pm + penalty; so at list size 1 the two
+differ only where a nonzero leaf LLR is lost in the rounding of the path
+metric.
 
 The list decoder works on per-depth buffers (O(N) memory per path) and is
 vectorized over both the list dimension and a batch of independent decodes.
@@ -33,10 +38,8 @@ state is gathered through that map once, where it is next read (the g step
 for LLRs, the combine step for stashed left-child bits); a depth's map
 returns to the identity when that depth is rewritten.  The list axis holds
 only live paths, 1, 2, 4, ... up to the list size, so the frozen prefix of
-the code is decoded once rather than on copies of a single path.  While the
-list holds one path the map is the identity, so there is none: it is made
-where the list first grows, with every path reading the one slot at every
-depth, and a list of one never makes it.
+the code is decoded once rather than on copies of a single path; the maps
+start with every path reading slot 0.
 
 A depth's LLRs die where they are last read: g at depth d drops llrs[d],
 and the stale llrs[d + 1] of the left subtree before it writes the right
@@ -138,53 +141,24 @@ _BYTE_TRANSFORM = np.packbits(
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Self-inverse GF(2) polar transform of 0/1 bits over the last axis
-    (batched).  From length 8 up the bits are packed 8 to a byte: one table
-    lookup makes the three stages within a byte, and the others xor whole
-    bytes."""
+    (batched).  The bits are packed 8 to a byte, a row shorter than 8 padded
+    with zeros that the stages within it never read: one table lookup makes
+    the three stages within a byte, and the others xor whole bytes."""
     x = np.asarray(u, dtype=np.uint8)
     N = x.shape[-1]
     if N & (N - 1):
         raise ValueError(f"transform length {N} is not a power of two")
-    if N < 8:
-        return _xor_stages(x.copy())
-    return np.unpackbits(_xor_stages(_BYTE_TRANSFORM[np.packbits(x, axis=-1)]), axis=-1)
+    return np.unpackbits(_xor_stages(_BYTE_TRANSFORM[np.packbits(x, axis=-1)]), axis=-1, count=N)
 
 
 def _schedule(frozen: np.ndarray) -> tuple:
-    """Flat traversal schedule of the decoding tree over a frozen mask.
-
-    Fully frozen subtrees collapse into one 'zero' op: their codeword is the
-    all-zero vector and the exact path-metric penalty over the subtree equals
-    the sum of per-symbol softplus terms of the subtree input LLRs.
-    """
-    n = len(frozen).bit_length() - 1
-    ops = []
-
-    def visit(depth, leaf_base):
-        width = 1 << (n - depth)
-        if frozen[leaf_base:leaf_base + width].all():
-            ops.append(("zero", depth))
-            return
-        if depth == n:
-            ops.append(("leaf", leaf_base))
-            return
-        ops.append(("f", depth))
-        visit(depth + 1, leaf_base)
-        ops.append(("g", depth))
-        visit(depth + 1, leaf_base + (width >> 1))
-        ops.append(("c", depth))
-
-    visit(0, 0)
-    return tuple(ops)
-
-
-def _sc_schedule(frozen: np.ndarray) -> tuple:
-    """Plain-SC schedule over a frozen mask: (op, depth, first bit) ops.
+    """Decoding schedule over a frozen mask: (op, depth, first bit) ops.
 
     A node is one op when its frozen pattern fixes its codeword by a single
     rule: 'zero' (every bit frozen), 'one' (rate 1: no bit frozen, a lone
     information leaf included) or 'rep' (repetition: only its last bit is
-    information).  Any other node splits by f, g and c, as in _schedule.
+    information).  Any other node splits into f, its left child, g, its
+    right child and c.
     """
     n = len(frozen).bit_length() - 1
     ops = []
@@ -208,6 +182,15 @@ def _sc_schedule(frozen: np.ndarray) -> tuple:
     return tuple(ops)
 
 
+def _split(op: str, d: int, i: int, w: int) -> tuple:
+    """A rate-1 ('one') or repetition ('rep') node at depth d, first bit i
+    and width 2w, split into f, its left child, g, its right child and c.
+    A rate-1 node's children are rate 1; a repetition node's left child is
+    rate 0 and its right child a repetition node."""
+    left, right = ("one", "one") if op == "one" else ("zero", "rep")
+    return (("f", d, i), (left, d + 1, i), ("g", d, i), (right, d + 1, i + w), ("c", d, i))
+
+
 def _f_llr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = np.tanh(0.5 * a)
     t *= np.tanh(0.5 * b)
@@ -228,7 +211,7 @@ def _hard_decision_is_sc(x: np.ndarray) -> bool:
     underflows.  An exact zero would break it: SC decides (0, -1) as (1, 1),
     the hard decision is (0, 1).
     """
-    return np.prod(np.tanh(0.5 * np.abs(x, dtype=np.float64)), axis=1).min() > 1e-30
+    return np.all(np.prod(np.tanh(0.5 * np.abs(x, dtype=np.float64)), axis=1) > 1e-30)
 
 
 @dataclass(frozen=True)
@@ -239,15 +222,13 @@ class PolarCode:
     info_pos: np.ndarray   # sorted indices of information positions
     # derived from the design once per code
     _crc_gen: np.ndarray = field(init=False, repr=False)  # (payload_bits, width) float32
-    _ops: tuple = field(init=False, repr=False)           # (op, arg) schedule, see _schedule
-    _sc_ops: tuple = field(init=False, repr=False)        # list-1 schedule, see _sc_schedule
+    _ops: tuple = field(init=False, repr=False)           # (op, depth, first bit), see _schedule
 
     def __post_init__(self):
         gen = _crc_matrix(self.crc_poly, self.crc_width, self.payload_bits)
         object.__setattr__(self, "_crc_gen", gen.astype(np.float32))
         frozen = ~np.isin(np.arange(self.N), self.info_pos)
         object.__setattr__(self, "_ops", _schedule(frozen))
-        object.__setattr__(self, "_sc_ops", _sc_schedule(frozen))
 
     @classmethod
     def design(cls, block_len: int, n_info: int, crc_width: int) -> "PolarCode":
@@ -293,7 +274,9 @@ class PolarCode:
         and one flag per word.  crc_ok is True where some list path
         passed the CRC; the payload is then the most likely passing path,
         otherwise the most likely path overall.  List size 1 is plain
-        successive cancellation, decoded by _sc_decode.
+        successive cancellation, decoded by _sc_decode; larger lists walk
+        the same schedule, _ops, splitting each rate-1 and repetition node
+        by _split down to its information leaves.
         """
         # decoded in float32; clamping after the cast gives the values of
         # clamping before it, as rounding is monotone and +-LLR_CLAMP is
@@ -321,37 +304,38 @@ class PolarCode:
         # perm[d, b, p] is the slot that holds path p's llrs[d] (while in a
         # left subtree at depth d) or uleft[d] (right subtree); a leaf
         # composes the maps and the state is gathered once, where it is
-        # read.  There is no map while width is 1
+        # read.  Every path starts on slot 0
         ident = np.arange(Lsz)
-        perm = None
+        perm = np.zeros((n + 1, batch, Lsz), dtype=ident.dtype)
         width = 1
         pm = np.zeros((batch, 1))
         rows = np.arange(batch)[:, None]
 
-        for op, d in self._ops:
+        todo = list(reversed(self._ops))
+        while todo:
+            op, d, i = todo.pop()
+            w = (1 << (n - d)) >> 1
             if op == "f":
-                w = 1 << (n - d - 1)
                 llrs[d + 1] = _f_llr(llrs[d][:, :, :w], llrs[d][:, :, w:])
-                if perm is not None:
-                    perm[d + 1] = ident
+                perm[d + 1] = ident
             elif op == "g":
-                w = 1 << (n - d - 1)
                 # llrs[0], the channel row, is one slot every path reads
-                if d and perm is not None:
+                if d:
                     llrs[d] = llrs[d][rows, perm[d, :, :width]]
                 uleft[d], llrs[d + 1] = ucap[d + 1], None
                 llrs[d + 1] = llrs[d][:, :, w:] + (
                     1.0 - 2.0 * uleft[d].astype(np.float32)) * llrs[d][:, :, :w]
                 llrs[d] = None                    # not read again before rewritten
-                if perm is not None:
-                    perm[d] = perm[d + 1] = ident
+                perm[d] = perm[d + 1] = ident
             elif op == "c":
-                left = uleft[d] if perm is None else uleft[d][rows, perm[d, :, :width]]
+                left = uleft[d][rows, perm[d, :, :width]]
                 ucap[d] = np.concatenate([left ^ ucap[d + 1], ucap[d + 1]], axis=2)
             elif op == "zero":
                 pm = pm + np.logaddexp(0.0, -llrs[d].astype(np.float64)).sum(axis=2)
                 ucap[d] = np.zeros((batch, width, 1 << (n - d)), dtype=np.uint8)
-            else:  # leaf; the schedule only emits leaves for information bits
+            elif w:                               # rate 1 or repetition, op by op
+                todo += reversed(_split(op, d, i, w))
+            else:                                 # an information leaf
                 leaf_llr = llrs[n][:, :, 0].astype(np.float64)
                 pen0 = np.logaddexp(0.0, -leaf_llr)
                 pen1 = np.logaddexp(0.0, leaf_llr)
@@ -359,30 +343,27 @@ class PolarCode:
                 grown = min(2 * width, Lsz)
                 order = np.argsort(pm2, axis=1, kind="stable")[:, :grown]
                 pm = pm2[rows, order]
-                if perm is not None:
-                    perm[:, :, :grown] = perm[:, rows, order % width]
-                elif grown > 1:
-                    perm = np.zeros((n + 1, batch, Lsz), dtype=ident.dtype)
+                perm[:, :, :grown] = perm[:, rows, order % width]
                 ucap[n] = (order // width).astype(np.uint8)[:, :, None]
                 width = grown
         return self._best_path(ucap[0], pm)
 
     def _sc_decode(self, chan: np.ndarray) -> np.ndarray:
         """Plain successive cancellation of (batch, N) float32 channel LLRs
-        on the pruned schedule _sc_ops; returns the (batch, N) codewords.
+        on the schedule _ops; returns the (batch, N) codewords.
 
         A leaf decides l < 0.  A zero node writes zeros, a repetition node
         folds its LLRs pairwise (the g steps over its frozen left children)
         and repeats the sign bit of the sum, and a rate-1 node takes the
         hard decision of its LLRs where _hard_decision_is_sc allows it for
-        the whole batch, and otherwise splits into f, two rate-1 children,
-        g and c.  Each node's codeword bits are written into one buffer, in
-        place: c at a node xors its right half into its left.
+        the whole batch, and otherwise splits by _split.  Each node's
+        codeword bits are written into one buffer, in place: c at a node
+        xors its right half into its left.
         """
         n = self.N.bit_length() - 1
         llrs = [chan] + [None] * n
         beta = np.empty(chan.shape, dtype=np.uint8)
-        todo = list(reversed(self._sc_ops))
+        todo = list(reversed(self._ops))
         while todo:
             op, d, i = todo.pop()
             x = llrs[d]
@@ -400,8 +381,7 @@ class PolarCode:
                     x = x[:, x.shape[1] // 2:] + x[:, :x.shape[1] // 2]
                 beta[:, i:i + 2 * w] = x < 0
             elif w and not _hard_decision_is_sc(x):     # rate 1, op by op
-                todo += [("c", d, i), ("one", d + 1, i + w), ("g", d, i),
-                         ("one", d + 1, i), ("f", d, i)]
+                todo += reversed(_split(op, d, i, w))
             else:                                       # rate 1, or a leaf
                 beta[:, i:i + x.shape[1]] = x < 0
         return beta

@@ -8,7 +8,7 @@ import pytest
 from secure_ura import (PolarCode, SystemConfig, bpsk_map, default_crc_poly,
                         generate_public_params, polar_transform)
 from secure_ura.modulation import clamp_llr
-from secure_ura.polar import (_CRC_POLYS, _f_llr, _hard_decision_is_sc, _schedule,
+from secure_ura.polar import (_CRC_POLYS, _f_llr, _hard_decision_is_sc, _schedule, _split,
                               polarization_weights)
 
 from helpers import frozen_mask, make_mini_cfg, sc_decode_reference
@@ -252,6 +252,69 @@ def test_bpsk_mapping_and_power():
     assert np.all(np.abs(x) == np.sqrt(0.25))
 
 
+# The list decoder's own walk of the decoding tree, before it split the
+# pruned schedule, kept verbatim as the schedule of the eager reference.
+
+def _schedule_reference(frozen: np.ndarray) -> tuple:
+    """Flat traversal schedule of the decoding tree over a frozen mask.
+
+    Fully frozen subtrees collapse into one 'zero' op: their codeword is the
+    all-zero vector and the exact path-metric penalty over the subtree equals
+    the sum of per-symbol softplus terms of the subtree input LLRs.
+    """
+    n = len(frozen).bit_length() - 1
+    ops = []
+
+    def visit(depth, leaf_base):
+        width = 1 << (n - depth)
+        if frozen[leaf_base:leaf_base + width].all():
+            ops.append(("zero", depth))
+            return
+        if depth == n:
+            ops.append(("leaf", leaf_base))
+            return
+        ops.append(("f", depth))
+        visit(depth + 1, leaf_base)
+        ops.append(("g", depth))
+        visit(depth + 1, leaf_base + (width >> 1))
+        ops.append(("c", depth))
+
+    visit(0, 0)
+    return tuple(ops)
+
+
+def _split_to_leaves(ops, n):
+    """ops with every rate-1 and repetition node above depth n split by
+    _split, as the list decoder walks them, in _schedule_reference's
+    (op, depth) and ('leaf', first bit) form."""
+    out = []
+    todo = list(reversed(ops))
+    while todo:
+        op, d, i = todo.pop()
+        if op in ("one", "rep") and d < n:
+            todo += reversed(_split(op, d, i, 1 << (n - d - 1)))
+        else:
+            out.append(("leaf", i) if op in ("one", "rep") else (op, d))
+    return tuple(out)
+
+
+def test_split_schedule_is_the_list_decoders_walk(small_code, big_code):
+    # the shipped (512, 99) and a (64, 24) code, then random masks with
+    # N = 1...512, all-frozen and all-information ones included
+    for code, length in ((big_code, 609), (small_code, 149)):
+        walk = _split_to_leaves(code._ops, code.N.bit_length() - 1)
+        assert walk == _schedule_reference(frozen_mask(code)) and len(walk) == length
+    counts = Counter(op for op, _ in _split_to_leaves(big_code._ops, 9))
+    assert counts == {"f": 152, "g": 152, "c": 152, "leaf": 99, "zero": 54}
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        n = trial % 10
+        frozen = rng.random(1 << n) < rng.uniform(0.0, 1.0)
+        for mask in ((frozen, np.ones(1 << n, bool), np.zeros(1 << n, bool))
+                     if trial < 10 else (frozen,)):
+            assert _split_to_leaves(_schedule(mask), n) == _schedule_reference(mask)
+
+
 def _decode_reference(code, llr, list_size=8):
     """The eager list decoder the path-index maps replaced, kept verbatim.
 
@@ -281,7 +344,7 @@ def _decode_reference(code, llr, list_size=8):
     pm[:, 0] = 0.0
     rows = np.arange(batch)[:, None]
 
-    for op, arg in _schedule(frozen):
+    for op, arg in _schedule_reference(frozen):
         if op == "f":
             d = arg
             w = 1 << (n - d - 1)
@@ -393,6 +456,9 @@ def test_batch_decodes_as_each_word_alone(list_size, small_code, big_code):
         alone = [code.decode(row, list_size) for row in llr]
         assert np.array_equal(got, np.concatenate([p for p, _ in alone]))
         assert np.array_equal(got_ok, np.concatenate([ok for _, ok in alone]))
+        # a block of no words decodes to no rows
+        got0, got0_ok = code.decode(np.zeros((0, code.N)), list_size)
+        assert got0.shape == (0, code.payload_bits) and got0_ok.shape == (0,)
         # the noiseless words decode to their payloads, and the batch mixes
         # passing and failing words
         for p in pay:
@@ -407,7 +473,7 @@ def test_list_one_schedule_decides_each_information_bit_once(small_code, big_cod
     for code in (small_code, big_code):
         frozen = frozen_mask(code)
         decided, tiles = [], []
-        for op, d, i in code._sc_ops:
+        for op, d, i in code._ops:
             span = frozen[i:i + (code.N >> d)]
             if op in ("zero", "one", "rep"):
                 tiles.append((i, len(span)))
@@ -422,13 +488,13 @@ def test_list_one_schedule_decides_each_information_bit_once(small_code, big_cod
         assert decided == code.info_pos.tolist()
         assert [i for i, _ in tiles] == np.cumsum([0] + [w for _, w in tiles])[:-1].tolist()
         assert sum(w for _, w in tiles) == code.N
-    counts = Counter(op for op, *_ in big_code._sc_ops)
+    counts = Counter(op for op, *_ in big_code._ops)
     assert counts == {"f": 44, "g": 44, "c": 44, "rep": 21, "one": 18, "zero": 6}
 
 
 def _last_node_width(code):
     """Width of the last node of code's list-1 schedule, a rate-1 node."""
-    op, d, _ = [o for o in code._sc_ops if o[0] != "c"][-1]
+    op, d, _ = [o for o in code._ops if o[0] != "c"][-1]
     assert op == "one"
     return code.N >> d
 

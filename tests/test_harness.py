@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from secure_ura import (ConfigError, SystemConfig, TrialError, emit_csv,
+from secure_ura import (ConfigError, PolarCode, SystemConfig, TrialError, emit_csv,
                         generate_public_params, run_leakage, run_point, run_sweep, run_trial,
                         selftest, split_power_budget)
 from secure_ura.harness import CSV_HEADER, frames_per_batch, power_splits
@@ -423,3 +423,19 @@ def test_selftest_fails_when_regeneration_differs(monkeypatch):
     assert not selftest(cfg, out=lines.append)
     assert lines[0].startswith("FAIL public-params invariants")
     assert sum(line.startswith("PASS") for line in lines[1:]) == 6
+
+
+def test_selftest_fails_when_list_one_decoding_errs(monkeypatch):
+    # the receiver decodes nearly every word at list size 1, so the polar
+    # round trip runs _sc_decode too: one flipped codeword bit fails it
+    sc_decode = PolarCode._sc_decode
+
+    def flipping(self, chan):
+        beta = sc_decode(self, chan)
+        beta[:, -1] ^= 1
+        return beta
+
+    monkeypatch.setattr(PolarCode, "_sc_decode", flipping)
+    lines = []
+    assert not selftest(make_mini_cfg(sigma_c2=0.01, sigma_u2=0.01), out=lines.append)
+    assert any(line.startswith("FAIL polar round trip") for line in lines)
