@@ -18,10 +18,11 @@ are bit-identical to the dense computation.  The message arrays hold the
 words on their last axis, so each slot's messages are contiguous.  A
 check's leave-one-out product is its product divided by the slot's tanh,
 unless a tanh of the words being decoded is exactly 0 (an erasure), where
-an exact formula is used instead.  The convergence check after each
-iteration reads the check parities off the same edge lists, and a word
-that passes it leaves the batch: words are decoded independently, so a
-batch gives each word what it gives alone.
+an exact formula is used instead.  The convergence check reads the check
+parities off the same edge lists.  It runs before each of the iters + 1
+passes, on the channel LLRs first, and a word that passes it leaves the
+batch: words are decoded independently, so a batch gives each word what it
+gives alone.
 """
 
 from dataclasses import dataclass, field
@@ -161,9 +162,12 @@ class LdpcCode:
         satisfied within `iters` iterations.  Non-convergence still yields
         the current hard decisions.
 
+        The check runs before each of the iters + 1 passes, on the totals,
+        which in pass 0 are the channel LLRs: a word converges the first time
+        its totals hold no zero and their hard decisions satisfy every check,
+        and then leaves the working set, since its output is final.
         Words are decoded independently: each row of the result is the one
-        its word gives alone.  A word leaves the working set once it
-        converges, since its output is final from then on.
+        its word gives alone.
         """
         llr = np.asarray(llr, dtype=np.float64)
         L = clamp_llr(np.atleast_2d(llr))
@@ -171,24 +175,32 @@ class LdpcCode:
             raise ValueError(f"LLR length {L.shape[1]} != {self.n}")
 
         pad = self._edge_pad
-        best = (L < 0).astype(np.uint8)
-        # a zero LLR is an erasure: its hard decision is arbitrary, so it
-        # cannot count toward convergence
-        converged = np.all(L != 0.0, axis=-1) & ~self._fails_a_check(best.T)
-
-        # the working set: the words not yet converged, one per column, and
-        # their hard decisions
-        active = np.flatnonzero(~converged)
-        L = np.ascontiguousarray(L[active].T)
-        bits = best[active].T
+        best = np.empty(L.shape, dtype=np.uint8)
+        converged = np.zeros(len(L), dtype=bool)
+        # the working set: the words not yet converged, one per column; the
+        # totals of pass 0 are their channel LLRs
+        active = np.arange(len(L))
+        total = L = np.ascontiguousarray(L.T)
         # check -> var messages, a row per slot (pos * m + check) and a
         # trailing zero row
         E_flat = np.zeros((pad.size + 1, len(active)))
         V = L[self._edge_var]                           # var -> check messages
 
-        for _ in range(iters):
-            if not len(active):
+        for it in range(iters + 1):
+            # a zero total is an erasure: its hard decision is arbitrary, so
+            # it cannot count toward convergence
+            bits = (total < 0).astype(np.uint8)
+            ok = np.all(total != 0.0, axis=0) & ~self._fails_a_check(bits)
+            if ok.any():
+                best[active[ok]] = bits[:, ok].T
+                converged[active[ok]] = True
+                keep = ~ok                              # compress keeps the arrays C-ordered
+                active, bits = active[keep], bits[:, keep]
+                L, V = L.compress(keep, axis=1), V.compress(keep, axis=2)
+                E_flat = np.zeros((pad.size + 1, len(active)))
+            if it == iters or not len(active):
                 break
+
             E = E_flat[:-1].reshape(V.shape)            # a view
             # tanh of the halved messages, in V's place; padding slots are 1.0
             t = np.multiply(V, 0.5, out=V)
@@ -211,16 +223,6 @@ class LdpcCode:
             total += L
             np.take(total, self._edge_var, axis=0, out=V)
             V -= E
-
-            bits = (total < 0).astype(np.uint8)
-            ok = np.all(total != 0.0, axis=0) & ~self._fails_a_check(bits)
-            if ok.any():
-                best[active[ok]] = bits[:, ok].T
-                converged[active[ok]] = True
-                keep = ~ok                              # compress keeps the arrays C-ordered
-                active, bits = active[keep], bits[:, keep]
-                L, V = L.compress(keep, axis=1), V.compress(keep, axis=2)
-                E_flat = np.zeros((pad.size + 1, len(active)))
 
         best[active] = bits.T
         return best[:, :self.k], converged

@@ -82,22 +82,17 @@ def default_crc_poly(width: int) -> int:
 def _crc_matrix(poly: int, width: int, length: int) -> np.ndarray:
     """(length, width) GF(2) matrix whose row i is the CRC of unit payload e_i.
 
-    The CRC of a length-bit payload m is m(x) * x^width mod g, its bits
-    the shift-register remainder, so the CRC of m is m @ matrix mod 2.
-    Row i is the register after clocking in a 1 and then length-1-i zeros.
+    The CRC of a length-bit payload m is m(x) x^width mod g, so row i is the
+    remainder x^(width+length-1-i) mod g, highest degree first, and the CRC
+    of m is m @ matrix mod 2.
     """
-    taps = np.array([(poly >> (width - 1 - i)) & 1 for i in range(width)],
-                    dtype=np.int64)
-    rows = np.empty((length, width), dtype=np.int64)
-    reg = taps.copy()
-    for i in range(length - 1, -1, -1):
-        rows[i] = reg
-        fb = reg[0]
-        reg[:-1] = reg[1:]
-        reg[-1] = 0
-        if fb:
-            reg ^= taps
-    return rows
+    rems, r = [], poly ^ (1 << width)             # x^width mod g
+    for _ in range(length):
+        rems.append(r)
+        r <<= 1                                   # times x; reduce where it overflows
+        if r >> width:
+            r ^= poly
+    return np.array(rems[::-1], dtype=np.int64)[:, None] >> np.arange(width - 1, -1, -1) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +211,9 @@ def _hard_decision_is_sc(x: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class PolarCode:
-    N: int
-    K: int                 # payload + CRC bits carried by the polar code
+    N: int                 # block length
     crc_poly: int          # CRC generator polynomial, leading coefficient included
-    info_pos: np.ndarray   # sorted indices of information positions
+    info_pos: np.ndarray   # sorted indices of the payload + CRC bits
     # derived from the design once per code
     _crc_gen: np.ndarray = field(init=False, repr=False)  # (payload_bits, width) float32
     _ops: tuple = field(init=False, repr=False)           # (op, depth, first bit), see _schedule
@@ -227,8 +221,7 @@ class PolarCode:
     def __post_init__(self):
         gen = _crc_matrix(self.crc_poly, self.crc_width, self.payload_bits)
         object.__setattr__(self, "_crc_gen", gen.astype(np.float32))
-        frozen = ~np.isin(np.arange(self.N), self.info_pos)
-        object.__setattr__(self, "_ops", _schedule(frozen))
+        object.__setattr__(self, "_ops", _schedule(~np.isin(np.arange(self.N), self.info_pos)))
 
     @classmethod
     def design(cls, block_len: int, n_info: int, crc_width: int) -> "PolarCode":
@@ -239,7 +232,7 @@ class PolarCode:
         if n_info <= crc_width:
             raise ValueError(f"payload must exceed the {crc_width}-bit CRC")
         info = np.sort(np.argsort(polarization_weights(block_len), kind="stable")[-n_info:])
-        return cls(N=block_len, K=n_info, crc_poly=default_crc_poly(crc_width), info_pos=info)
+        return cls(N=block_len, crc_poly=default_crc_poly(crc_width), info_pos=info)
 
     @property
     def crc_width(self) -> int:
@@ -247,7 +240,7 @@ class PolarCode:
 
     @property
     def payload_bits(self) -> int:
-        return self.K - self.crc_width
+        return len(self.info_pos) - self.crc_width
 
     def _crc(self, payload: np.ndarray) -> np.ndarray:
         """CRC bits of (batched) payloads.  The product is taken in float32,

@@ -8,8 +8,8 @@ import pytest
 from secure_ura import (PolarCode, SystemConfig, bpsk_map, default_crc_poly,
                         generate_public_params, polar_transform)
 from secure_ura.modulation import clamp_llr
-from secure_ura.polar import (_CRC_POLYS, _f_llr, _hard_decision_is_sc, _schedule, _split,
-                              polarization_weights)
+from secure_ura.polar import (_CRC_POLYS, _crc_matrix, _f_llr, _hard_decision_is_sc, _schedule,
+                              _split, polarization_weights)
 
 from helpers import frozen_mask, make_mini_cfg, sc_decode_reference
 
@@ -216,7 +216,7 @@ def test_crc_detects_single_and_double_errors(big_code, rng):
 def test_crc_flag_matches_codeword_syndrome(width):
     code = PolarCode.design(64, width + 20, width)
     rng = np.random.default_rng(width)
-    K = code.K
+    K = len(code.info_pos)
     payload = rng.integers(0, 2, code.payload_bits, dtype=np.uint8)
     valid = np.concatenate([payload, _crc_parity_reference(code, payload)])
     singles = np.tile(valid, (K, 1))
@@ -230,6 +230,15 @@ def test_crc_flag_matches_codeword_syndrome(width):
     want = _crc_check_reference(code, words)
     assert want[0] and not want[1:K + 1].any()
     assert np.array_equal(_crc_flag(code, words), want)
+
+
+def test_crc_matrix_is_the_register_remainder():
+    # every width SystemConfig accepts, at lengths shorter and longer than it
+    for width in range(1, 31):
+        poly = default_crc_poly(width)
+        for length in (1, 2, 7, 88, 200):
+            assert np.array_equal(_crc_matrix(poly, width, length),
+                                  _crc_matrix_reference(poly, width, length)), (width, length)
 
 
 def test_default_crc_poly_has_degree_width_and_constant_term_one():
