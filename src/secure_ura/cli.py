@@ -18,7 +18,7 @@ from functools import partial
 
 from .config import ConfigError, SystemConfig, load_config
 from .harness import (LEAKAGE_CSV_HEADER, TrialError, check_csv_path, emit_csv,
-                      power_splits, run_leakage, run_point, run_sweep, selftest, write_csv)
+                      run_leakage, run_point, run_sweep, selftest, sweep_grid, write_csv)
 
 
 def _entries(text: str, convert, kind: str) -> list:
@@ -75,11 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> SystemConfig:
     given = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
     cfg = replace(load_config(args.config), **given)
-    # a run is refused before any trial: for its config or grid first, then its
-    # --out, which sweep requires; to run and leakage an empty --out means no CSV
-    power_splits(cfg, getattr(args, "ratio", None))
-    for ka in getattr(args, "ka", ()):
-        replace(cfg, Ka=ka)
+    # a run is refused before any trial: for its grid first (without --ka,
+    # the config's own user count), then its --out, which sweep requires; to
+    # run and leakage an empty --out means no CSV
+    sweep_grid(cfg, getattr(args, "ka", [cfg.Ka]), getattr(args, "ratio", None))
     if args.command == "sweep" or getattr(args, "out", None):
         check_csv_path(args.out)
     return cfg

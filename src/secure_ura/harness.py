@@ -1,39 +1,23 @@
 """Monte Carlo driver: trials, sweeps, CSV output and self-checks.
 
-Per-trial randomness comes from streams keyed by (seed, label, trial), so
-any trial can be reproduced in isolation and execution order is irrelevant.
-User-indexed draws are interleaved so user 0's channels do not depend on
-how many further users a config asks for.
-
-The eavesdropper is modelled only through the analytic leakage bound: no
-eavesdropper frame is simulated.  Each trial contributes the equivocation
-bound of its first user, for the eavesdropper channel drawn from the
-trial's `eve-channel` stream.  No draw of the bound depends on Ka or on the
-link, so `zeta_means` averages it apart from the frames, once per run,
-sweep grid or leakage report: the one path by which the reported bound is
-bit-identical across user counts and equal to the `leakage` command's.
-
-A power split is a (Pa, Pk) pair, and `power_splits` makes every split a
-run, sweep or leakage report uses: from its ratio Pa/Pk, or the config's
-own.  No draw depends on the split, which changes only the key segment.  So
-a trial takes one config and its splits, and simulates one frame for all of
-them: one transmit, uplink and iterative receiver stage, a key segment per
-split, and one key stage whose LDPC decode covers every split's words.
-
 There is one function per level: `run_sweep` for a (Ka, split) grid,
 `run_trial` for a batch of trials and `zeta_means` for the bound.  A run
 (`run_point`) is the one-point sweep, at the config's own Ka and split.
 
-Nor does any draw depend on which trials are simulated together, so one
-`run_trial` call simulates a batch of trials: each frame is sent alone, and
-the receiver decodes the batch at once, with one polar decode per pass and
-one LDPC decode for every frame's words (`decode_frame`).  Batching changes
-no output.  Its size (`frames_per_batch`) has two bounds.  The decoders'
-cost is mostly per call up to about BATCH_WORDS words, Ka per frame, so a
-batch hands them about that many.  Each frame held costs its received
-pilot+polar block, M x (np + nc) complex entries of 16 bytes, and the
-receiver state that scales with it, so a batch holds at most
-BATCH_BLOCK_BYTES of such blocks.
+Per-trial randomness comes from streams keyed by (seed, label, trial), so
+any trial can be reproduced in isolation and execution order is irrelevant.
+User-indexed draws are interleaved so user 0's channels do not depend on
+how many further users a config asks for.  No draw depends on the power
+split, a (Pa, Pk) pair that changes only the key segment, so a trial
+simulates one frame for all its splits; nor on which trials are simulated
+together, so `run_trial` decodes a batch of frames at once and batching
+changes no output.
+
+The eavesdropper is modelled only through the analytic leakage bound: no
+eavesdropper frame is simulated.  No draw of the bound depends on Ka or on
+the link, so `zeta_means` averages it apart from the frames, once per run,
+sweep grid or leakage report: the one path by which the reported bound is
+bit-identical across user counts and equal to the `leakage` command's.
 """
 
 import csv
@@ -135,9 +119,8 @@ def run_trial(cfg: SystemConfig, splits, trial_ids: list[int],
 
     splits holds the (Pa, Pk) pairs each frame is sent at, in place of
     cfg's own; only the key segment is built per split.  Each frame is sent
-    alone and the receiver decodes the batch at once (see the module
-    docstring).  Returns per trial one TrialReport per split, each the one
-    the trial gives alone.
+    alone and the receiver decodes the batch at once.  Returns per trial one
+    TrialReport per split, each the one the trial gives alone.
 
     A failing trial raises TrialError naming the trial and the stage
     (_stage).  When a batch fails, run_trial runs each of its trials alone:
@@ -202,6 +185,10 @@ def frames_per_batch(cfg: SystemConfig) -> int:
     """Frames per run_trial batch: as many as hold at most BATCH_WORDS users
     and BATCH_BLOCK_BYTES of received pilot+polar blocks, and at least one.
 
+    The decoders' cost is mostly per call up to about BATCH_WORDS words, Ka
+    per frame.  A frame held costs its M x (np + nc) block of 16-byte
+    complex entries and the receiver state that scales with it.
+
     At the full-scale M = 50 (569,600 bytes a block) that is 16, 4 and 1
     frames at Ka = 1, 25 and 100; at M = 16, 51, 10 and 4 frames at Ka = 1,
     10 and 25.
@@ -226,6 +213,17 @@ def zeta_means(cfg: SystemConfig, splits, params: PublicParams) -> list[float]:
     return [float(np.mean(z)) for z in zip(*zetas)]
 
 
+def sweep_grid(cfg: SystemConfig, ka_list, ratio_list) -> tuple[list, list[SystemConfig]]:
+    """The (ratio, Pa, Pk) splits of ratio_list (power_splits) and cfg at
+    each user count of ka_list.  Every point is built, and so validated,
+    here, so an invalid entry anywhere in the grid is reported before any
+    work is done; an empty ka_list is a ConfigError."""
+    splits = power_splits(cfg, ratio_list)
+    if not ka_list:
+        raise ConfigError("ka: at least one user count is needed, got none")
+    return splits, [replace(cfg, Ka=ka) for ka in ka_list]
+
+
 def run_point(cfg: SystemConfig) -> SweepResult:
     """Run cfg.trials trials at cfg's own Ka and split: the one-point sweep."""
     return run_sweep(cfg, [cfg.Ka], None, cfg.trials)[0]
@@ -238,15 +236,11 @@ def run_sweep(base_cfg: SystemConfig, ka_list, ratio_list,
 
     Walked Ka-major: each Ka runs `trials` frames in batches of
     frames_per_batch frames, every frame at every split, and the bound's
-    zeta_means serve every Ka.  Every split and every Ka's config is built,
-    and so validated, before the shared artifacts, so an invalid entry
-    anywhere in the grid is reported before any work is done.
+    zeta_means serve every Ka.  The grid (sweep_grid) is validated before
+    the shared artifacts are built.
     """
     base_cfg = replace(base_cfg, trials=trials)
-    splits = power_splits(base_cfg, ratio_list)
-    if not ka_list:
-        raise ConfigError("ka: at least one user count is needed, got none")
-    cfgs = [replace(base_cfg, Ka=ka) for ka in ka_list]
+    splits, cfgs = sweep_grid(base_cfg, ka_list, ratio_list)
     # the shared artifacts do not depend on Ka, Pa or Pk, so one set serves
     # the whole grid
     params = generate_public_params(base_cfg)

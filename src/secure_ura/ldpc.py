@@ -1,28 +1,18 @@
 """Systematic binary LDPC code for key reconciliation.
 
 Construction: column-weight-3 progressive edge growth (Hu, Eleftheriou and
-Arnold, IEEE Trans. IT 2005) on the parity-check matrix being filled: each
-new edge goes to a check at maximal graph distance from the variable (an
-unreached one first), ties broken toward the lowest-degree then
-lowest-index check.  A GF(2) column permutation then makes the last
-(n - k) columns invertible.
+Arnold, IEEE Trans. IT 2005) on the parity-check matrix being filled, then
+a GF(2) column permutation that makes the last (n - k) columns invertible.
 Codewords are [systematic | parity]; only the parity part is transmitted.
 
-Decoding: standard sum-product belief propagation, batched over words, on
-an edge list.  Each check's edges are held in ascending variable order and
-padded to the largest check degree with slots whose tanh is an exact 1.0;
-each variable sums its incoming messages in ascending check order.  These
-are the products and sums a dense (checks x variables) layout forms, with
-the factors 1.0 and the terms 0.0 of absent edges left out, so the messages
-are bit-identical to the dense computation.  The message arrays hold the
-words on their last axis, so each slot's messages are contiguous.  A
-check's leave-one-out product is its product divided by the slot's tanh,
-unless a tanh of the words being decoded is exactly 0 (an erasure), where
-an exact formula is used instead.  The convergence check reads the check
-parities off the same edge lists.  It runs before each of the iters + 1
-passes, on the channel LLRs first, and a word that passes it leaves the
-batch: words are decoded independently, so a batch gives each word what it
-gives alone.
+Decoding is sum-product belief propagation, batched over words, on the edge
+lists a code derives from H when built: each check's edges in ascending
+variable order, padded to the largest check degree with slots whose tanh is
+an exact 1.0, and each variable's in ascending check order.  These are the
+products and sums a dense (checks x variables) layout forms, with the
+factors 1.0 and the terms 0.0 of absent edges left out, so the messages are
+bit-identical to the dense computation.  The message arrays hold the words
+on their last axis, so each slot's messages are contiguous.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +27,9 @@ COL_WEIGHT = 3
 
 
 def _peg_parity_check(n_checks: int, n_vars: int) -> np.ndarray:
-    """Greedy girth-maximizing bipartite graph, deterministic tie-breaking.
+    """Greedy girth-maximizing bipartite graph: each new edge of a variable
+    goes to a check at maximal graph distance from it (an unreached one
+    first), ties broken toward the lowest-degree, then lowest-index check.
     The graph is the boolean H being filled: as boolean products, `c @ H`
     marks the variables on the checks marked in c and `H @ v` the checks on
     the variables marked in v."""

@@ -1,57 +1,24 @@
 """CRC-aided polar code with successive cancellation list decoding.
 
-The frozen set is fixed by the block length and the information length
-alone: the information positions are the synthetic channels of largest
-polarization weight (He et al., "beta-expansion: a theoretical framework for
-fast and recursive construction of polar codes", GLOBECOM 2017), an order
-that depends on no channel parameter, so one code serves every SNR.
+The frozen set depends on no channel parameter (polarization_weights; He et
+al., "beta-expansion: a theoretical framework for fast and recursive
+construction of polar codes", GLOBECOM 2017), so one code serves every SNR.
+A code derives its CRC matrix and one decoding schedule when built
+(_schedule; Alamdar-Yazdi and Kschischang, IEEE Commun. Lett. 2011; Sarkis
+et al., IEEE JSAC 2014), and both decoders walk that schedule: plain
+successive cancellation at list size 1 (_sc_decode), whose leaves decide
+l < 0, and the list decoder (PolarCode.decode), which splits rate-1 and
+repetition nodes down to their leaves (_split) and compares path metrics
+there.  At list size 1 the two differ only where a nonzero leaf LLR is lost
+in the rounding of the path metric.
 
-A code builds one decoding schedule (_schedule; Alamdar-Yazdi and
-Kschischang, IEEE Commun. Lett. 2011; Sarkis et al., IEEE JSAC 2014), and
-both decoders walk it.  A node is one op where its frozen pattern fixes its
-codeword by a single rule: rate 0, rate 1, or repetition (only its last bit
-is information); any other node, single-parity-check ones included, splits
-into f, its two children, g and c.  One rule (_split) splits a rate-1 or
-repetition node the same way, for the decoder that cannot take it whole.
-
-List size 1 is plain successive cancellation (_sc_decode): a rate-0 node
-writes zeros, a repetition node folds its LLRs pairwise with the additions
-of its g steps and repeats the sign bit of the sum, and a rate-1 node takes
-the hard decision of its LLRs.  The rate-1 shortcut is exact only where no
-f value inside the node is 0, so a guard (_hard_decision_is_sc) splits the
-node for the batch where an exact zero or a float32 f chain that underflows
-could make one.  A leaf decides l < 0.  List sizes >= 2 split every rate-1
-and repetition node down to its information leaves, where the list decoder
-instead compares path metrics, pm + penalty; so at list size 1 the two
-differ only where a nonzero leaf LLR is lost in the rounding of the path
-metric.
-
-The list decoder works on per-depth buffers (O(N) memory per path) and is
-vectorized over both the list dimension and a batch of independent decodes.
-Check-side LLR combining uses the exact tanh rule and path metrics are the
-exact log-domain penalties.
-
-Path bookkeeping follows the lazy copying of Tal and Vardy ("List decoding
-of polar codes", IEEE Trans. IT 2015): a leaf that reorders the list does
-not move any state.  It composes one path-index map per depth, and the
-state is gathered through that map once, where it is next read (the g step
-for LLRs, the combine step for stashed left-child bits); a depth's map
-returns to the identity when that depth is rewritten.  The list axis holds
-only live paths, 1, 2, 4, ... up to the list size, so the frozen prefix of
-the code is decoded once rather than on copies of a single path; the maps
-start with every path reading slot 0.
-
-A depth's LLRs die where they are last read: g at depth d drops llrs[d],
-and the stale llrs[d + 1] of the left subtree before it writes the right
-one's; nothing reads llrs[d] again until f or g at depth d - 1 rewrites it.
-The channel row llrs[0] is one slot, which g at depth 0 broadcasts to every
-path rather than gathering it.  So the LLRs held at any time are those of
-the current node and of its ancestors whose right child is still to come.
-
-A code derives its CRC matrix and decoding schedule once, when built.  A
-path passes the CRC when its CRC field c equals the CRC of its payload m:
-with g(0) = 1, true of every default_crc_poly g, that is the zero-syndrome
-test on the whole word, x^w (m x^w + c) = 0 mod g, as x^w is invertible.
+The list decoder works on per-depth buffers, vectorized over the live paths
+and a batch of independent decodes, with the lazy copying of Tal and Vardy
+("List decoding of polar codes", IEEE Trans. IT 2015): a leaf that reorders
+the list moves no state, only a path-index map per depth, and the state is
+gathered through that map where it is next read.  A depth's LLRs are freed
+where they are last read, so the LLRs held at any time are those of the
+current node and of its ancestors whose right child is still to come.
 """
 
 from dataclasses import dataclass, field
@@ -75,7 +42,11 @@ _CRC_POLYS = {
 
 
 def default_crc_poly(width: int) -> int:
-    """Generator of degree width with g(0) = 1 (x^w + x + 1 fallback)."""
+    """Generator of degree width with g(0) = 1 (x^w + x + 1 fallback).
+
+    g(0) = 1 makes x^w invertible mod g, so a word whose CRC field equals
+    its payload's CRC is exactly a word of zero syndrome, x^w (m x^w + c) =
+    0 mod g."""
     return _CRC_POLYS.get(width, (1 << width) | 0b11)
 
 
@@ -288,7 +259,8 @@ class PolarCode:
 
         # Per-depth state: llrs[d], the codewords ucap[d] and the stashed
         # left-child outputs uleft[d], each (batch, live paths, 2^(n-d)).
-        # Only live paths are held: the list grows 1, 2, 4, ... up to Lsz.
+        # Only live paths are held, 1, 2, 4, ... up to Lsz, so the code's
+        # frozen prefix is decoded once, not on copies of one path.
         llrs = [None] * (n + 1)
         ucap = [None] * (n + 1)
         uleft = [None] * n

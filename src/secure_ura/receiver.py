@@ -1,28 +1,14 @@
 """Base-station receiver: iterative pilot/polar decoding, then key recovery.
 
-The iterative stage alternates greedy pilot detection (multiple-measurement
-OMP over the codebook, see pilots), MMSE soft demodulation plus CRC-aided
-polar decoding, and least-squares channel re-estimation with successive
-interference cancellation over the pilot+polar segments.  The polar decode
-is adaptive (polar_decode): plain successive cancellation first, on the
-code's pruned schedule (rate-0, rate-1 and repetition nodes decided whole,
-a rate-1 node only where its guard allows, leaves deciding l < 0; see
-polar), then the full list only for the words that fail the CRC.
-Every pass detects on its own residual.  The key stage forms every decoded
-user's feedback estimate from its channel estimate, derives the features
-and artificial noise from it with the user's own key code (`keys`),
-cancels the noise from the key segment, assembles systematic and parity
-LLRs, and reconciles the key through the LDPC decoder.
-
-The receiver reads the uplink blocks as they arrive and returns each
-frame's decoded users as one DecodedSplit per power split.
-It never reads the active-user count cfg.Ka (see pilots.omp_detect).  It
-decodes a batch of independent frames in lockstep: pilot detection, MMSE and
-SIC run per frame, but one two-stage polar decode per pass and one LDPC
-decode cover every frame's words, which the decoders treat independently;
-each such decode is split back per block in one place, _decode_blocks.  A
-frame sent at several power splits, (Pa, Pk) pairs, differs only in its key
-segment, so only the mask cancellation and the parity LLRs are per split.
+decode_frame runs two stages over a batch of frames.  The iterative stage
+(iterative_decode) alternates OMP pilot detection (pilots.omp_detect), MMSE
+soft demodulation with CRC-aided polar decoding (polar_decode) and
+least-squares channel re-estimation with successive interference
+cancellation.  The key stage (decode_keys_and_decrypt) reconciles each
+decoded user's key from its key segment through the LDPC code and decrypts
+its ciphertext.  Neither reads the active-user count cfg.Ka.  Each stage
+hands its decoder the words of every frame at once and splits the result
+back per frame in one place, _decode_blocks.
 """
 
 import math
@@ -154,7 +140,9 @@ def polar_decode(llr: np.ndarray, code: PolarCode) -> tuple[np.ndarray, np.ndarr
     Returns code.decode's (payload, crc_ok).  A word that passes at list
     size 1 keeps that payload, where the list decoder might have preferred
     another passing path.  Both stages decode each row as it decodes alone,
-    so a row's result does not depend on the others.
+    so a row's result does not depend on the others.  By the union bound
+    over the paths that reach the CRC, a pure-noise word passes with
+    probability at most (1 + LIST_SIZE) 2^-crc_width.
     """
     payloads, ok = code.decode(llr, 1)
     retry = np.flatnonzero(~ok)
@@ -219,15 +207,14 @@ def iterative_decode(ys: list[np.ndarray], cfg: SystemConfig, params: PublicPara
     frames = [_FrameState(y_bs, cfg, floor) for y_bs in ys]
     live = frames
     for _ in range(cfg.max_outer_iters):
-        # (frame, pilots, LLRs) of the frames with picks; the LLRs are held
-        # in the polar decoder's float32, which decodes them the same
+        # (frame, pilots, LLRs) of the frames with picks
         found = []
         for f in live:
             detections, residual = f.detect(cfg, params)
             if detections:
                 Hd = np.stack([h for _, h in detections], axis=1)
                 llrs = mmse_polar_llr(residual[:, cfg.np:], Hd, cfg.Pc, cfg.sigma_c2)
-                found.append((f, np.array([j for j, _ in detections]), llrs.astype(np.float32)))
+                found.append((f, np.array([j for j, _ in detections]), llrs))
         if not found:
             break
         decoded = _decode_blocks(polar_decode, [llrs for *_, llrs in found], params.polar)

@@ -1267,6 +1267,27 @@ def test_frame_stops_when_its_decoded_set_does_not_grow(monkeypatch):
     assert np.array_equal(H_hat, H_ref)
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_full_scale_ka100_frames_end_within_three_passes(seed, monkeypatch):
+    # the progress rule alone ends the crowded full-scale frames within 3
+    # passes at the default cap, so perfbench's full-ka100, which caps them
+    # at 3 passes, measures the default receiver
+    cfg = SystemConfig(Ka=100, seed=seed)
+    params = generate_public_params(cfg)
+    detect, passes = receiver.omp_detect, []
+
+    def counted_detect(*args):
+        passes[-1] += 1
+        return detect(*args)
+
+    monkeypatch.setattr(receiver, "omp_detect", counted_detect)
+    for trial in range(6):
+        y_bs, _ = _uplink_block(cfg, params, trial)
+        passes.append(0)
+        iterative_decode([y_bs], cfg, params)
+    assert max(passes) <= 3 < cfg.max_outer_iters
+
+
 def test_user_dropped_by_ls_fallback_is_decoded_again(monkeypatch):
     # one refused LS solve drops the newest of the 25 users decoded in the
     # first pass; OMP and the polar decoder find it again in a later pass,

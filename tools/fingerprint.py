@@ -61,7 +61,7 @@ MINI_CFG = SystemConfig(M=8, E=8, Ka=2, L=8, np=32, nc=64, ns=16, B=30, Bp=5, Br
 DECODE_SET = (
     [(SystemConfig(Ka=ka, seed=5), range(3)) for ka in (1, 10, 25)]
     + [(SystemConfig(M=16, E=16, Ka=ka, seed=5), range(3)) for ka in (1, 10, 25)]
-    + [(SystemConfig(Ka=100, seed=5, max_outer_iters=3), range(2))])
+    + [(SystemConfig(Ka=100, seed=5), range(2))])
 DECODE_RATIOS = [1.0, 3.0, 7.0, float("inf")]
 
 
